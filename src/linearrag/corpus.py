@@ -67,16 +67,6 @@ class Corpus:
     skipped: int = 0
 
     @cached_property
-    def _sentences_by_passage(self) -> dict[int, tuple[Sentence, ...]]:
-        grouped: dict[int, list[Sentence]] = {}
-        for sentence in self.sentences:
-            grouped.setdefault(sentence.passage_id, []).append(sentence)
-        return {pid: tuple(group) for pid, group in grouped.items()}
-
-    def sentences_of(self, passage_id: int) -> tuple[Sentence, ...]:
-        return self._sentences_by_passage.get(passage_id, ())
-
-    @cached_property
     def key_to_passage_ids(self) -> dict[str, tuple[int, ...]]:
         out: dict[str, list[int]] = {}
         for passage in self.passages:

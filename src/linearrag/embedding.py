@@ -164,8 +164,14 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def validate_normalized(rows: np.ndarray, what: str) -> None:
+    """Raise ConsistencyError unless every row is finite and L2-normalized."""
     if rows.size == 0:
         return
+    non_finite = ~np.isfinite(rows).all(axis=1)
+    if np.any(non_finite):
+        raise ConsistencyError(
+            f"{what}: {int(non_finite.sum())} vector(s) hold NaN or infinite values"
+        )
     norms = np.linalg.norm(rows.astype(np.float64), axis=1)
     bad = np.abs(norms - 1.0) > NORM_TOLERANCE
     if np.any(bad):
@@ -189,7 +195,17 @@ class EmbeddingStore:
                 f"store built with encoder {self.encoder_id!r} cannot embed "
                 "queries; attach an in-process encoder"
             )
-        vec = self.encoder.encode_batch([text])[0]
+        vec = np.asarray(self.encoder.encode_batch([text])[0])
+        if vec.shape != (self.dim,):
+            raise EncodingError(
+                f"encoder {self.encoder_id!r} returned a query vector of shape "
+                f"{vec.shape}, expected ({self.dim},)"
+            )
+        if not np.isfinite(vec).all():
+            raise EncodingError(
+                f"encoder {self.encoder_id!r} returned a query vector holding "
+                "NaN or infinite values"
+            )
         return vec.astype(np.float64)
 
     def matches(self, graph: TriGraph) -> bool:

@@ -24,13 +24,15 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy import sparse as sp
 
 from .embedding import EmbeddingStore
 from .errors import ConfigError, EmptySeedError
 from .trigraph import TriGraph
 
 VALID_FALLBACKS = ("dense", "empty")
+
+# Rows cast to float64 at a time when scoring a float32 vector matrix.
+_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -124,15 +126,38 @@ class RankedPassages:
         return [item.passage_id for item in self.items]
 
 
+def _similarities(vectors: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
+    """``vectors.astype(np.float64) @ query_vec`` without a float64 copy of
+    the whole matrix: rows are cast a block at a time into one reused buffer.
+
+    Block sizes are multiples of the matrix-vector kernel's row grouping, so
+    on a single BLAS thread every row is summed exactly as in the
+    whole-matrix product. A one-row tail joins the block before it, because
+    numpy scores a lone row with a dot product that sums in another order.
+    """
+    n_rows = vectors.shape[0]
+    out = np.empty(n_rows, dtype=np.float64)
+    buffer = np.empty(
+        (min(n_rows, _BLOCK_ROWS + 1), vectors.shape[1]), dtype=np.float64
+    )
+    start = 0
+    for stop in [*range(_BLOCK_ROWS, n_rows - 1, _BLOCK_ROWS), n_rows]:
+        cast = buffer[: stop - start]
+        cast[...] = vectors[start:stop]
+        np.matmul(cast, query_vec, out=out[start:stop])
+        start = stop
+    return out
+
+
 def initial_activation(
     query: str, graph: TriGraph, store: EmbeddingStore, cfg: RetrievalConfig
 ) -> ActivationState:
     """Hop 0: thresholded query-entity similarity plus the sentence
     relevance distribution."""
     q = store.encode_query(query)
-    entity_sims = store.entity_vectors.astype(np.float64) @ q
+    entity_sims = _similarities(store.entity_vectors, q)
     a = np.where(entity_sims > cfg.entity_sim_threshold, entity_sims, 0.0)
-    sigma = store.sentence_vectors.astype(np.float64) @ q
+    sigma = _similarities(store.sentence_vectors, q)
     frontier = frozenset(int(e) for e in np.nonzero(a > 0.0)[0])
     trace = {e: (0, None) for e in frontier}
     return ActivationState(
@@ -150,20 +175,8 @@ def propagate(
     """
     if not state.frontier:
         return state
-    rows = graph.mention.row_ids
-    cols = graph.mention.col_ids
-    n_sentences, n_entities = graph.mention.n_rows, graph.mention.n_cols
-
-    in_frontier = np.zeros(n_entities, dtype=bool)
-    in_frontier[list(state.frontier)] = True
-    selected = in_frontier[cols]
-
-    gate = np.zeros(n_sentences, dtype=np.float64)
-    np.maximum.at(gate, rows[selected], state.a[cols[selected]])
-    u = state.sigma * gate  # zero wherever no frontier entity is mentioned
-
-    candidates = np.zeros(n_entities, dtype=np.float64)
-    np.add.at(candidates, cols, u[rows])
+    u = state.sigma * _frontier_gate(graph, state.a, state.frontier)
+    candidates = graph.entity_mentions @ u
 
     retained = candidates > cfg.delta
     a_new = np.where(retained, np.maximum(candidates, state.a), state.a)
@@ -173,7 +186,9 @@ def propagate(
 
     trace = dict(state.trace)
     if new_frontier:
-        best = _best_supporting_sentence(rows, cols, u, changed)
+        best = _best_supporting_sentence(
+            graph.mention.row_ids, graph.mention.col_ids, u, changed
+        )
         for e in new_frontier:
             if e not in trace:
                 trace[e] = (hop, best.get(e))
@@ -187,17 +202,36 @@ def propagate(
     )
 
 
+def _frontier_gate(
+    graph: TriGraph, a: np.ndarray, frontier: frozenset[int]
+) -> np.ndarray:
+    """Per sentence, the highest activation (floored at 0) among the
+    frontier entities it mentions; 0 where it mentions none."""
+    rows, cols = graph.mention.row_ids, graph.mention.col_ids
+    in_frontier = np.zeros(graph.n_entities, dtype=bool)
+    in_frontier[list(frontier)] = True
+    selected = in_frontier[cols]
+    gate = np.zeros(graph.n_sentences, dtype=np.float64)
+    gated_rows = rows[selected]
+    if gated_rows.size:
+        # Entries are row-sorted, so each sentence's entries form one run.
+        starts = np.flatnonzero(np.diff(gated_rows, prepend=-1))
+        runs = np.maximum.reduceat(a[cols[selected]], starts)
+        gate[gated_rows[starts]] = np.maximum(0.0, runs)
+    return gate
+
+
 def _best_supporting_sentence(
     rows: np.ndarray, cols: np.ndarray, u: np.ndarray, changed: np.ndarray
 ) -> dict[int, int]:
-    best: dict[int, tuple[float, int]] = {}
-    for s, e in zip(rows.tolist(), cols.tolist()):
-        if not changed[e]:
-            continue
-        mass = u[s]
-        if e not in best or mass > best[e][0]:
-            best[e] = (mass, s)
-    return {e: s for e, (_, s) in best.items()}
+    """For each changed entity, the mentioning sentence with the highest
+    mass ``u``; ties go to the lowest sentence id."""
+    selected = changed[cols]
+    entities, sentences = cols[selected], rows[selected]
+    order = np.lexsort((sentences, -u[sentences], entities))
+    entities, sentences = entities[order], sentences[order]
+    first = np.flatnonzero(np.diff(entities, prepend=-1))
+    return dict(zip(entities[first].tolist(), sentences[first].tolist()))
 
 
 def activate(
@@ -223,23 +257,22 @@ def passage_seed_scores(
 ) -> np.ndarray:
     """Hybrid passage seeds: clamped query similarity mixed with log-damped
     activated-entity occurrence mass."""
-    n_passages = graph.n_passages
-    psim = store.passage_vectors.astype(np.float64) @ state.query_vec
+    psim = _similarities(store.passage_vectors, state.query_vec)
     psim = np.maximum(psim, 0.0)
 
     level_arr = (levels or EntityLevel()).as_array(graph.n_entities)
-    inner = np.zeros(n_passages, dtype=np.float64)
-    if graph.contain.nnz:
-        rows = graph.contain.row_ids
-        cols = graph.contain.col_ids
-        counts = graph.occurrence_per_contain_entry().astype(np.float64)
-        active = state.a[cols] > 0.0
-        contributions = (
-            state.a[cols[active]]
-            * np.log1p(counts[active])
-            / level_arr[cols[active]]
-        )
-        np.add.at(inner, rows[active], contributions)
+    rows = graph.contain.row_ids
+    cols = graph.contain.col_ids
+    active = state.a[cols] > 0.0
+    active_cols = cols[active]
+    contributions = (
+        state.a[active_cols]
+        * graph.log_occurrence[active]
+        / level_arr[active_cols]
+    )
+    inner = np.bincount(
+        rows[active], weights=contributions, minlength=graph.n_passages
+    )
     return (cfg.lambda_ * psim + np.log1p(inner)) * cfg.passage_weight
 
 
@@ -269,39 +302,28 @@ def ppr(
         raise EmptySeedError("all-zero seed vector")
     r = r / total
 
-    transition = _ppr_operator(graph)
+    transition = graph.ppr_transition
     d = cfg.damping
-    importance = r.copy()
+    base = (1.0 - d) * r
+    importance = r
+    step = np.empty_like(r)
     for _ in range(cfg.ppr_max_iters):
-        updated = (1.0 - d) * r + d * (transition @ importance)
-        diff = np.abs(updated - importance).sum()
+        updated = transition @ importance
+        updated *= d
+        updated += base
+        np.subtract(updated, importance, out=step)
+        diff = np.abs(step, out=step).sum()
         importance = updated
         if diff < cfg.ppr_tol:
             break
     return importance
 
 
-def _ppr_operator(graph: TriGraph) -> sp.csr_matrix:
-    """W^T for the row-normalized adjacency of the bipartite graph, so that
-    (W^T I)[i] = sum over neighbors j of I[j] / deg(j)."""
-    n_p, n_e = graph.n_passages, graph.n_entities
-    n = n_p + n_e
-    rows = graph.contain.row_ids
-    cols = graph.contain.col_ids + n_p
-    src = np.concatenate([rows, cols])
-    dst = np.concatenate([cols, rows])
-    deg = np.bincount(src, minlength=n).astype(np.float64)
-    inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
-    # Entry (dst, src) = 1/deg(src): mass flows from src to its neighbors.
-    data = inv_deg[src]
-    return sp.csr_matrix((data, (dst, src)), shape=(n, n))
-
-
 def dense_ranking(
     query_vec: np.ndarray, store: EmbeddingStore, top_k: int
 ) -> list[tuple[int, float]]:
     """Cosine-only passage ranking (the dense fallback)."""
-    scores = store.passage_vectors.astype(np.float64) @ query_vec
+    scores = _similarities(store.passage_vectors, query_vec)
     order = np.lexsort((np.arange(len(scores)), -scores))
     return [(int(i), float(scores[i])) for i in order[:top_k]]
 

@@ -2,8 +2,13 @@
 binary incidence matrices.
 
 ``contain`` is passage x entity, ``mention`` is sentence x entity. Both are
-indicator-valued; raw mention multiplicities live in a separate per-(passage,
-entity) occurrence counter. Construction never touches the network.
+indicator-valued; raw mention multiplicities live in ``occurrence_counts``,
+an int64 array aligned with ``contain``'s entries. Construction never
+touches the network.
+
+A graph is never mutated: ``add_passages`` returns a new one. The sparse
+operators a query needs are built from it once, on first use, and cached on
+the graph.
 
 The persisted index directory holds, all little-endian / UTF-8:
 
@@ -21,6 +26,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -104,9 +110,6 @@ class SparseBinaryMatrix:
     def col_counts(self) -> np.ndarray:
         return np.bincount(self.col_ids, minlength=self.n_cols).astype(np.int64)
 
-    def row_counts(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
     def to_csr(self) -> sp.csr_matrix:
         data = np.ones(self.nnz, dtype=np.float64)
         return sp.csr_matrix(
@@ -164,7 +167,7 @@ class TriGraph:
     mention: SparseBinaryMatrix  # sentences x entities
     sentence_owner: np.ndarray  # sentence_id -> passage_id
     entity_registry: EntityRegistry
-    entity_occurrence: dict[tuple[int, int], int]
+    occurrence_counts: np.ndarray  # int64 mention counts, one per contain entry
     extractor: ExtractorContract
 
     @property
@@ -183,15 +186,44 @@ class TriGraph:
     def n_entities(self) -> int:
         return len(self.entity_registry)
 
-    def occurrence_per_contain_entry(self) -> np.ndarray:
-        """Mention counts aligned with the contain matrix's entry order."""
-        return np.array(
-            [
-                self.entity_occurrence[(int(p), int(e))]
-                for p, e in zip(self.contain.row_ids, self.contain.col_ids)
-            ],
-            dtype=np.int64,
+    @cached_property
+    def log_occurrence(self) -> np.ndarray:
+        """``log1p`` of the mention counts, aligned with contain's entries."""
+        return np.log1p(self.occurrence_counts.astype(np.float64))
+
+    @cached_property
+    def entity_mentions(self) -> sp.csr_matrix:
+        """The mention matrix transposed (entity x sentence) as CSR.
+
+        Each row lists its sentences in ascending id, so ``entity_mentions @ u``
+        adds each entity's terms in the order of the mention entries.
+        """
+        mention = self.mention
+        order = np.argsort(mention.col_ids, kind="stable")
+        return sp.csr_matrix(
+            (
+                np.ones(mention.nnz, dtype=np.float64),
+                mention.row_ids[order],
+                _row_indptr(mention.col_ids, mention.n_cols),
+            ),
+            shape=(mention.n_cols, mention.n_rows),
         )
+
+    @cached_property
+    def ppr_transition(self) -> sp.csr_matrix:
+        """W^T for the row-normalized adjacency of the passage-entity
+        bipartite graph (passages first), so that
+        (W^T I)[i] = sum over neighbors j of I[j] / deg(j)."""
+        n_p = self.n_passages
+        n = n_p + self.n_entities
+        rows = self.contain.row_ids
+        cols = self.contain.col_ids + n_p
+        src = np.concatenate([rows, cols])
+        dst = np.concatenate([cols, rows])
+        deg = np.bincount(src, minlength=n).astype(np.float64)
+        inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
+        # Entry (dst, src) = 1/deg(src): mass flows from src to its neighbors.
+        return sp.csr_matrix((inv_deg[src], (dst, src)), shape=(n, n))
 
 
 def graph_equal(a: TriGraph, b: TriGraph) -> bool:
@@ -205,7 +237,7 @@ def graph_equal(a: TriGraph, b: TriGraph) -> bool:
         and a.mention == b.mention
         and np.array_equal(a.sentence_owner, b.sentence_owner)
         and a.entity_registry.records == b.entity_registry.records
-        and a.entity_occurrence == b.entity_occurrence
+        and np.array_equal(a.occurrence_counts, b.occurrence_counts)
         and a.extractor == b.extractor
     )
 
@@ -218,22 +250,36 @@ def build(corpus: Corpus, contract: ExtractorContract | None = None) -> TriGraph
     if not registry.records:
         logger.warning("extraction produced zero entities; graph will be empty")
     n_p, n_s, n_e = len(corpus.passages), len(corpus.sentences), len(registry)
-    graph = TriGraph(
+    contain = SparseBinaryMatrix.from_pairs(facts.passage_entity, n_p, n_e)
+    return TriGraph(
         corpus=corpus,
-        contain=SparseBinaryMatrix.from_pairs(facts.passage_entity, n_p, n_e),
+        contain=contain,
         mention=SparseBinaryMatrix.from_pairs(facts.sentence_entity, n_s, n_e),
         sentence_owner=np.array(
             [s.passage_id for s in corpus.sentences], dtype=np.int64
         ),
         entity_registry=registry,
-        entity_occurrence=dict(facts.occurrence),
+        occurrence_counts=_counts_of(facts.occurrence, contain, 0),
         extractor=contract,
     )
-    return graph
+
+
+def _counts_of(
+    occurrence: Mapping[tuple[int, int], int],
+    contain: SparseBinaryMatrix,
+    start: int,
+) -> np.ndarray:
+    """Counts of ``contain``'s entries from ``start`` on, in entry order."""
+    pairs = zip(contain.row_ids[start:].tolist(), contain.col_ids[start:].tolist())
+    return np.array([occurrence[pair] for pair in pairs], dtype=np.int64)
 
 
 def add_passages(graph: TriGraph, new_slice: Corpus) -> TriGraph:
-    """Extend a graph with new passages; work is proportional to the slice.
+    """Extend a graph with new passages, returning a new graph.
+
+    Extraction and registry merging work on the slice only, but the
+    ``contain`` and ``mention`` entry lists are rebuilt through a global
+    sort, so the cost still grows with the size of the whole graph.
 
     The slice's passage and sentence ids must continue the graph's dense id
     ranges. The result equals a full rebuild over the concatenated corpus.
@@ -314,8 +360,11 @@ def add_passages(graph: TriGraph, new_slice: Corpus) -> TriGraph:
     mention_m = SparseBinaryMatrix.from_pairs(
         graph.mention.pairs() + sorted(sentence_pairs), n_s, n_e
     )
-    merged_occurrence = dict(graph.entity_occurrence)
-    merged_occurrence.update(occurrence)
+    # New passage ids exceed every old one, so the slice's contain entries
+    # sort after all of the graph's.
+    counts = np.concatenate(
+        [graph.occurrence_counts, _counts_of(occurrence, contain, graph.contain.nnz)]
+    )
 
     merged_corpus = Corpus(
         passages=graph.corpus.passages + new_slice.passages,
@@ -338,7 +387,7 @@ def add_passages(graph: TriGraph, new_slice: Corpus) -> TriGraph:
         if new_slice.sentences
         else graph.sentence_owner,
         entity_registry=EntityRegistry(records=tuple(records)),
-        entity_occurrence=merged_occurrence,
+        occurrence_counts=counts,
         extractor=graph.extractor,
     )
 
@@ -403,8 +452,12 @@ def save(
     _write_coo(directory / "contain.coo", graph.contain)
     _write_coo(directory / "mention.coo", graph.mention)
     with (directory / "occurrence.tsv").open("w", encoding="utf-8") as f:
-        for (p, e) in sorted(graph.entity_occurrence):
-            f.write(f"{p}\t{e}\t{graph.entity_occurrence[(p, e)]}\n")
+        for p, e, count in zip(
+            graph.contain.row_ids.tolist(),
+            graph.contain.col_ids.tolist(),
+            graph.occurrence_counts.tolist(),
+        ):
+            f.write(f"{p}\t{e}\t{count}\n")
 
 
 def _write_coo(path: Path, matrix: SparseBinaryMatrix) -> None:
@@ -490,7 +543,7 @@ def load(directory: str | Path) -> TriGraph:
         mention=mention,
         sentence_owner=sentence_owner,
         entity_registry=registry,
-        entity_occurrence=occurrence,
+        occurrence_counts=_counts_of(occurrence, contain, 0),
         extractor=contract,
     )
 

@@ -183,6 +183,16 @@ class TestStore:
         with pytest.raises(ConsistencyError):
             validate_normalized(data, "v.vec")
 
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_non_finite_row_rejected_on_load(self, graph, tmp_path, poison):
+        store = build_store(graph, HashEncoder(dim=32, seed=1))
+        rows = store.sentence_vectors.copy()
+        rows[1, 3] = poison
+        save_store(store, tmp_path)
+        write_vector_file(tmp_path / "sentences.vec", rows, store.encoder_id)
+        with pytest.raises(ConsistencyError, match="NaN or infinite"):
+            load_store(tmp_path, graph)
+
     def test_norm_invariant_on_persisted_store(self, graph, tmp_path):
         store = build_store(graph, HashEncoder(dim=32, seed=1))
         save_store(store, tmp_path)
@@ -217,3 +227,41 @@ class TestStore:
         cfg = RetrievalConfig(entity_sim_threshold=0.1, delta=0.001, top_k=2)
         ranked = retrieve("Paris shines", graph, store, cfg)
         assert len(ranked.items) == 2
+
+
+class _FixedQueryEncoder:
+    """Encodes every text as one fixed row (to feed ``encode_query``)."""
+
+    def __init__(self, row):
+        self.row = np.asarray(row, dtype=np.float32)
+        self.contract = EncoderContract(id="fixed", dim=8)
+
+    def encode_batch(self, texts):
+        return np.stack([self.row for _ in texts])
+
+
+class TestEncodeQuery:
+    @pytest.fixture()
+    def store(self):
+        graph = build(make_corpus(["Paris is big."]))
+        return build_store(graph, HashEncoder(dim=8, seed=1))
+
+    def test_wrong_shape_is_encoding_error(self, store):
+        store.encoder = _FixedQueryEncoder(np.full(9, 1 / 3))
+        with pytest.raises(EncodingError, match="shape"):
+            store.encode_query("paris")
+
+    def test_nan_vector_is_encoding_error(self, store):
+        row = np.zeros(8)
+        row[0] = np.nan
+        store.encoder = _FixedQueryEncoder(row)
+        with pytest.raises(EncodingError, match="NaN"):
+            store.encode_query("paris")
+
+    def test_valid_vector_is_returned_as_float64(self, store):
+        row = np.zeros(8)
+        row[2] = 1.0
+        store.encoder = _FixedQueryEncoder(row)
+        vec = store.encode_query("paris")
+        assert vec.dtype == np.float64
+        assert vec.tolist() == row.tolist()

@@ -291,7 +291,8 @@ class TestPassageSeeds:
         for pid in range(graph.n_passages):
             sim = float(np.dot(store.passage_vectors[pid].astype(np.float64), q))
             inner = 0.0
-            for (p, e), count in graph.entity_occurrence.items():
+            occurrence = zip(graph.contain.pairs(), graph.occurrence_counts.tolist())
+            for (p, e), count in occurrence:
                 if p == pid and state.a[e] > 0:
                     inner += state.a[e] * math.log(1 + count) / level_of(e)
             expected = (cfg.lambda_ * max(sim, 0.0) + math.log(1 + inner)) * 2.0
@@ -382,10 +383,8 @@ def test_ppr_l1_differences_non_increasing_and_mass_converges():
     graph, _ = make_index(
         ["Karo met Lumen.", "Lumen met Dorvo. Dorvo slept.", "Karo slept!"]
     )
-    from linearrag.retrieval import _ppr_operator
-
     d = 0.85
-    transition = _ppr_operator(graph)
+    transition = graph.ppr_transition
     r = np.concatenate([np.array([0.7, 0.2, 0.05]), np.array([0.9, 0.4, 0.1])])
     r /= r.sum()
     importance = r.copy()

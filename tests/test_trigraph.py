@@ -27,6 +27,13 @@ from conftest import make_corpus, write_jsonl
 CAPS_RUN = ExtractorContract.make()
 
 
+def occurrence_map(graph):
+    """The per-(passage, entity) mention counts as a dict."""
+    counts = graph.occurrence_counts
+    assert counts.dtype == np.int64 and counts.shape == (graph.contain.nnz,)
+    return dict(zip(graph.contain.pairs(), counts.tolist()))
+
+
 class TestSparseBinaryMatrix:
     def test_from_pairs_sorts_and_dedups(self):
         m = SparseBinaryMatrix.from_pairs([(2, 1), (0, 3), (2, 1), (0, 0)], 3, 4)
@@ -74,7 +81,7 @@ class TestBuild:
         assert graph.contain.pairs() == [(0, 0)]
         assert graph.mention.n_rows == 2 and graph.mention.n_cols == 1
         assert graph.mention.pairs() == [(0, 0), (1, 0)]
-        assert graph.entity_occurrence == {(0, 0): 2}
+        assert occurrence_map(graph) == {(0, 0): 2}
 
     def test_all_lowercase_corpus(self):
         corpus = make_corpus(["nothing here. nope!", "still nothing."])
@@ -113,7 +120,7 @@ class TestBuild:
 
         assert np.array_equal(graph.mention.to_dense(), dense_mention)
         assert np.array_equal(graph.contain.to_dense(), dense_contain)
-        assert graph.entity_occurrence == occurrence
+        assert occurrence_map(graph) == occurrence
 
     def test_column_marginals(self):
         corpus = make_corpus(
@@ -122,7 +129,7 @@ class TestBuild:
         graph = build(corpus, CAPS_RUN)
         for record in graph.entity_registry.records:
             containing = {
-                p for (p, e) in graph.entity_occurrence if e == record.id
+                p for (p, e) in occurrence_map(graph) if e == record.id
             }
             assert graph.contain.col_counts()[record.id] == len(containing)
 
@@ -131,7 +138,7 @@ class TestBuild:
             n_passages=40, avg_sentences=3, entity_pool=30, seed=9, n_chains=3
         )
         graph = build(corpus, CAPS_RUN)
-        total_mentions = sum(graph.entity_occurrence.values())
+        total_mentions = int(graph.occurrence_counts.sum())
         distinct_per_passage = graph.contain.nnz
         stored = graph.contain.nnz + graph.mention.nnz
         assert stored <= total_mentions + distinct_per_passage
@@ -139,8 +146,9 @@ class TestBuild:
     def test_occurrence_positive_wherever_contained(self):
         corpus = make_corpus(["Alpha met Beta.", "Beta saw Gamma. Beta won."])
         graph = build(corpus, CAPS_RUN)
+        occurrence = occurrence_map(graph)
         for p, e in graph.contain.pairs():
-            assert graph.entity_occurrence[(p, e)] >= 1
+            assert occurrence[(p, e)] >= 1
 
 
 class TestAddPassages:
