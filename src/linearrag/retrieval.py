@@ -130,10 +130,12 @@ def _similarities(vectors: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
     """``vectors.astype(np.float64) @ query_vec`` without a float64 copy of
     the whole matrix: rows are cast a block at a time into one reused buffer.
 
-    Block sizes are multiples of the matrix-vector kernel's row grouping, so
-    on a single BLAS thread every row is summed exactly as in the
-    whole-matrix product. A one-row tail joins the block before it, because
-    numpy scores a lone row with a dot product that sums in another order.
+    Blocks start every 512 rows, a multiple of the row grouping of
+    OpenBLAS's matrix-vector kernel, so on one BLAS thread each row is summed
+    exactly as in the whole-matrix product (a threaded whole-matrix product
+    splits rows by thread count, so it is not reproducible itself). A
+    one-row tail joins the block before it, because numpy scores a lone row
+    with a dot product that sums in another order.
     """
     n_rows = vectors.shape[0]
     out = np.empty(n_rows, dtype=np.float64)

@@ -257,11 +257,3 @@ class TestEncodeQuery:
         store.encoder = _FixedQueryEncoder(row)
         with pytest.raises(EncodingError, match="NaN"):
             store.encode_query("paris")
-
-    def test_valid_vector_is_returned_as_float64(self, store):
-        row = np.zeros(8)
-        row[2] = 1.0
-        store.encoder = _FixedQueryEncoder(row)
-        vec = store.encode_query("paris")
-        assert vec.dtype == np.float64
-        assert vec.tolist() == row.tolist()

@@ -230,4 +230,3 @@ def test_append_after_queries_does_not_reuse_stale_operators():
             q, rebuilt, rebuilt_store, cfg
         )
     assert [retrieve(q, graph, store, cfg) for q in questions] == before
-    assert graph.ppr_transition.shape[0] == graph.n_passages + graph.n_entities
