@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-from . import embedding, evalbench, retrieval, trigraph
+from . import embedding, evalbench, retrieval, storage, trigraph
 from .corpus import ingest
 from .errors import (
     ConfigError,
@@ -186,6 +186,10 @@ def cmd_index(config: AppConfig, force: bool, add_path: str | None) -> int:
             store = _import_external_store(config, graph)
         else:
             store = embedding.build_store(graph, encoder)
+        # A rebuild rewrites every index file rather than appending to one
+        # that holds the same corpus, so --force also repairs a damaged index.
+        for name in (trigraph.MANIFEST, *embedding.STORE_FILES):
+            storage.remove(index_dir / name)
 
     trigraph.save(
         graph,

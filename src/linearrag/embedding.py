@@ -9,7 +9,9 @@ layout (offline).
 
 Vector file layout (little-endian): 8-byte magic ``LRGVEC01``, uint32
 format version, uint32 dim, uint64 row count, uint32 encoder-id length,
-encoder id (UTF-8), then rows*dim float32 values.
+encoder id (UTF-8), then rows*dim float32 values. The row count is the
+file's commit point: ``save_store`` appends rows, fsyncs, then updates it in
+place, and readers ignore bytes past the rows it counts.
 """
 
 from __future__ import annotations
@@ -22,11 +24,14 @@ from typing import Callable, Protocol, Sequence
 
 import numpy as np
 
+from . import storage
 from .errors import ConfigError, ConsistencyError, EncodingError
 from .trigraph import TriGraph
 
 MAGIC = b"LRGVEC01"
 FILE_VERSION = 1
+_HEADER = struct.Struct("<IIQI")  # version, dim, rows, encoder-id length
+_ROWS_OFFSET = len(MAGIC) + 8  # where the uint64 row count sits
 
 NORM_TOLERANCE = 1e-4
 
@@ -284,26 +289,25 @@ def write_vector_file(path: str | Path, rows: np.ndarray, encoder_id: str) -> No
     encoded_id = encoder_id.encode("utf-8")
     with Path(path).open("wb") as f:
         f.write(MAGIC)
-        f.write(struct.pack("<IIQI", FILE_VERSION, rows.shape[1], rows.shape[0], len(encoded_id)))
+        f.write(_HEADER.pack(FILE_VERSION, rows.shape[1], rows.shape[0], len(encoded_id)))
         f.write(encoded_id)
         f.write(rows.tobytes())
 
 
 def read_vector_file(path: str | Path) -> tuple[np.ndarray, str]:
+    """The rows a vector file commits, and its encoder id. Bytes past the
+    counted rows belong to an append that never committed and are ignored."""
     raw = Path(path).read_bytes()
-    header = struct.calcsize("<IIQI")
-    if len(raw) < len(MAGIC) + header or raw[: len(MAGIC)] != MAGIC:
+    if len(raw) < len(MAGIC) + _HEADER.size or raw[: len(MAGIC)] != MAGIC:
         raise ConsistencyError(f"{path}: not a vector store file")
-    version, dim, rows, id_len = struct.unpack(
-        "<IIQI", raw[len(MAGIC) : len(MAGIC) + header]
-    )
+    version, dim, rows, id_len = _HEADER.unpack_from(raw, len(MAGIC))
     if version != FILE_VERSION:
         raise ConsistencyError(f"{path}: unsupported vector file version {version}")
-    offset = len(MAGIC) + header
+    offset = len(MAGIC) + _HEADER.size
     encoder_id = raw[offset : offset + id_len].decode("utf-8")
     offset += id_len
     expected = rows * dim * 4
-    payload = raw[offset:]
+    payload = raw[offset : offset + expected]
     if len(payload) != expected:
         raise ConsistencyError(
             f"{path}: expected {expected} bytes of vector data, got {len(payload)}"
@@ -312,15 +316,60 @@ def read_vector_file(path: str | Path) -> tuple[np.ndarray, str]:
     return data, encoder_id
 
 
-_STORE_FILES = ("entities.vec", "sentences.vec", "passages.vec")
+STORE_FILES = ("entities.vec", "sentences.vec", "passages.vec")
 
 
 def save_store(store: EmbeddingStore, directory: str | Path) -> None:
+    """Write the three vector files of a store.
+
+    A file that already holds a prefix of the store's rows - same encoder id
+    and dim, no more rows than the store, and its last row equal to the
+    store's row at that index - gets only the missing rows appended, then
+    its header's row count updated in place. Any other file is rewritten.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     arrays = (store.entity_vectors, store.sentence_vectors, store.passage_vectors)
-    for name, rows in zip(_STORE_FILES, arrays):
-        write_vector_file(directory / name, rows, store.encoder_id)
+    for name, rows in zip(STORE_FILES, arrays):
+        path = directory / name
+        prefix = _stored_prefix(path, rows, store.encoder_id)
+        if prefix is None:
+            write_vector_file(path, rows, store.encoder_id)
+            continue
+        payload_offset, stored = prefix
+        rows = np.ascontiguousarray(rows, dtype="<f4")
+        committed = payload_offset + rows[:stored].nbytes
+        storage.append(path, committed, rows[stored:].tobytes())
+        storage.overwrite(path, _ROWS_OFFSET, struct.pack("<Q", len(rows)))
+
+
+def _stored_prefix(
+    path: Path, rows: np.ndarray, encoder_id: str
+) -> tuple[int, int] | None:
+    """(payload offset, committed row count) of a vector file whose rows are
+    a prefix of ``rows``, judged by its last row; None for any other file."""
+    try:
+        with path.open("rb") as f:
+            head = f.read(len(MAGIC) + _HEADER.size)
+            if len(head) < len(MAGIC) + _HEADER.size or head[: len(MAGIC)] != MAGIC:
+                return None
+            version, dim, stored, id_len = _HEADER.unpack_from(head, len(MAGIC))
+            if (
+                version != FILE_VERSION
+                or dim != rows.shape[1]
+                or stored > len(rows)
+                or f.read(id_len) != encoder_id.encode("utf-8")
+            ):
+                return None
+            payload_offset = len(head) + id_len
+            if stored:
+                row_bytes = dim * 4
+                f.seek(payload_offset + (stored - 1) * row_bytes)
+                if f.read(row_bytes) != rows[stored - 1].astype("<f4").tobytes():
+                    return None
+    except OSError:
+        return None
+    return payload_offset, stored
 
 
 def load_store(
@@ -333,7 +382,7 @@ def load_store(
     directory = Path(directory)
     arrays: list[np.ndarray] = []
     ids: list[str] = []
-    for name in _STORE_FILES:
+    for name in STORE_FILES:
         rows, encoder_id = read_vector_file(directory / name)
         validate_normalized(rows, f"{name}")
         arrays.append(rows)

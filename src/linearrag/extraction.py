@@ -9,7 +9,8 @@ Two extraction strategies are supported:
   must have a core of at least two characters.
 * ``external``: mentions are read from a line-delimited JSON file of
   ``{sentence_id, surface, start, end}`` records (byte offsets), so a
-  statistical tagger can be plugged in offline.
+  statistical tagger can be plugged in offline. The file is read once per
+  corpus, by :func:`extract_corpus_mentions`.
 
 Entities are aligned across passages purely by their canonical key
 (case-folded, NFC-normalized, whitespace-collapsed, punctuation-stripped).
@@ -22,9 +23,12 @@ import json
 import logging
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping
+
+import numpy as np
 
 from .corpus import Corpus, byte_offset_table
 from .errors import ConfigError
@@ -57,6 +61,9 @@ class EntityRecord:
     canonical: str
     surfaces: tuple[str, ...]  # sorted, deduplicated
     first_seen_passage: int
+    # The passage whose mention last added a surface (an upper bound when
+    # unknown). Bookkeeping for appending saves, not part of the entity.
+    surfaces_grown_at: int = field(default=-1, compare=False)
 
 
 @dataclass(frozen=True)
@@ -72,13 +79,9 @@ class EntityRegistry:
     def id_of(self, canonical: str) -> int | None:
         return self._by_canonical.get(canonical)
 
-    @property
+    @cached_property
     def _by_canonical(self) -> dict[str, int]:
-        cached = self.__dict__.get("_canon_index")
-        if cached is None:
-            cached = {r.canonical: r.id for r in self.records}
-            self.__dict__["_canon_index"] = cached
-        return cached
+        return {r.canonical: r.id for r in self.records}
 
 
 @dataclass(frozen=True)
@@ -194,11 +197,10 @@ def _caps_run_mentions(
 def extract_mentions(
     sentence_text: str, contract: ExtractorContract, sentence_id: int = -1
 ) -> list[EntityMention]:
-    """Extract mentions from one sentence under the given contract.
+    """Extract mentions from one sentence with the ``caps-run`` strategy.
 
-    For the ``external`` strategy the contract must have been primed with a
-    mention table (see :func:`load_external_mentions`); lookups are keyed by
-    ``sentence_id``.
+    ``external`` mentions come from a file that covers a whole corpus; use
+    :func:`extract_corpus_mentions` for them.
     """
     if contract.id == "caps-run":
         stopwords = frozenset(
@@ -214,8 +216,9 @@ def extract_mentions(
             for surface, cs, ce in _caps_run_mentions(sentence_text, stopwords)
         ]
     if contract.id == "external":
-        table = load_external_mentions(_external_path(contract))
-        return list(table.get(sentence_id, ()))
+        raise ConfigError(
+            "external mentions are read per corpus; use extract_corpus_mentions"
+        )
     raise ConfigError(f"unknown extraction strategy: {contract.id!r}")
 
 
@@ -288,6 +291,56 @@ def _check_external_span(sentence_text: str, mention: EntityMention) -> None:
         )
 
 
+def extend_entity_registry(
+    registry: EntityRegistry,
+    mentions: Iterable[EntityMention],
+    owner: Mapping[int, int],
+) -> tuple[EntityRegistry, np.ndarray]:
+    """Register the canonical keys of new mentions in an existing registry.
+
+    New entities get the next ids in first-occurrence order (mentions must
+    come in corpus order); an existing entity keeps its id and first passage
+    and gains the new surfaces. Only the records of mentioned entities are
+    touched. ``owner`` maps each mention's sentence to its passage.
+
+    Returns the grown registry and one ``(sentence, passage, entity)`` int64
+    row per mention with a non-empty canonical key, in mention order.
+    """
+    ids = dict(registry._by_canonical)
+    records = list(registry.records)
+    added: dict[int, set[str]] = {}
+    grown_at: dict[int, int] = {}
+    hits: list[tuple[int, int, int]] = []
+    for mention in mentions:
+        canonical = canonicalize(mention.surface)
+        if not canonical:
+            continue
+        passage_id = owner[mention.sentence_id]
+        entity_id = ids.get(canonical)
+        if entity_id is None:
+            entity_id = len(ids)
+            ids[canonical] = entity_id
+            records.append(EntityRecord(entity_id, canonical, (), passage_id))
+        surfaces = added.setdefault(entity_id, set())
+        if mention.surface not in surfaces:
+            surfaces.add(mention.surface)
+            if mention.surface not in records[entity_id].surfaces:
+                grown_at[entity_id] = passage_id
+        hits.append((mention.sentence_id, passage_id, entity_id))
+    for entity_id, passage_id in grown_at.items():
+        record = records[entity_id]
+        records[entity_id] = EntityRecord(
+            id=entity_id,
+            canonical=record.canonical,
+            surfaces=tuple(sorted(added[entity_id].union(record.surfaces))),
+            first_seen_passage=record.first_seen_passage,
+            surfaces_grown_at=passage_id,
+        )
+    grown = EntityRegistry(records=tuple(records))
+    grown.__dict__["_by_canonical"] = ids  # seed the cache; saves a full walk
+    return grown, np.array(hits, dtype=np.int64).reshape(-1, 3)
+
+
 def build_entity_registry(
     mentions: Iterable[EntityMention], corpus: Corpus
 ) -> tuple[EntityRegistry, IncidenceFacts]:
@@ -298,39 +351,11 @@ def build_entity_registry(
     A passage contains an entity iff one of its sentences mentions it.
     """
     owner = {s.id: s.passage_id for s in corpus.sentences}
-    ids: dict[str, int] = {}
-    surfaces: dict[int, set[str]] = {}
-    first_seen: dict[int, int] = {}
-    sentence_pairs: set[tuple[int, int]] = set()
-    occurrence: Counter[tuple[int, int]] = Counter()
-
-    for mention in mentions:
-        canonical = canonicalize(mention.surface)
-        if not canonical:
-            continue
-        passage_id = owner[mention.sentence_id]
-        entity_id = ids.get(canonical)
-        if entity_id is None:
-            entity_id = len(ids)
-            ids[canonical] = entity_id
-            surfaces[entity_id] = set()
-            first_seen[entity_id] = passage_id
-        surfaces[entity_id].add(mention.surface)
-        sentence_pairs.add((mention.sentence_id, entity_id))
-        occurrence[(passage_id, entity_id)] += 1
-
-    records = tuple(
-        EntityRecord(
-            id=eid,
-            canonical=canonical,
-            surfaces=tuple(sorted(surfaces[eid])),
-            first_seen_passage=first_seen[eid],
-        )
-        for canonical, eid in sorted(ids.items(), key=lambda kv: kv[1])
-    )
+    registry, hits = extend_entity_registry(EntityRegistry(records=()), mentions, owner)
+    occurrence = Counter(zip(hits[:, 1].tolist(), hits[:, 2].tolist()))
     facts = IncidenceFacts(
-        sentence_entity=tuple(sorted(sentence_pairs)),
-        passage_entity=tuple(sorted(occurrence.keys())),
+        sentence_entity=tuple(sorted(set(zip(hits[:, 0].tolist(), hits[:, 2].tolist())))),
+        passage_entity=tuple(sorted(occurrence)),
         occurrence=dict(occurrence),
     )
-    return EntityRegistry(records=records), facts
+    return registry, facts

@@ -233,8 +233,16 @@ class TestExternalStrategy:
             extract_corpus_mentions(corpus, contract)
 
     def test_missing_path_param(self):
-        with pytest.raises(ConfigError):
-            extract_mentions("text", ExtractorContract.make(id="external"))
+        corpus = make_corpus(["Alpha met Beta."])
+        with pytest.raises(ConfigError, match="'path'"):
+            extract_corpus_mentions(corpus, ExtractorContract.make(id="external"))
+
+    def test_single_sentence_extraction_refuses_external(self, tmp_path):
+        contract = ExtractorContract.make(
+            id="external", params={"path": str(tmp_path / "mentions.jsonl")}
+        )
+        with pytest.raises(ConfigError, match="extract_corpus_mentions"):
+            extract_mentions("Alpha met Beta.", contract, sentence_id=0)
 
     def test_bad_record(self, tmp_path):
         path = tmp_path / "mentions.jsonl"

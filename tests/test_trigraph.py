@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from linearrag.errors import (
 from linearrag.evalbench import generate_synthetic_corpus
 from linearrag.extraction import ExtractorContract, extract_mentions
 from linearrag.trigraph import (
+    GRAPH_FILES,
     SparseBinaryMatrix,
     add_passages,
     build,
@@ -25,6 +27,29 @@ from linearrag.trigraph import (
 from conftest import make_corpus, write_jsonl
 
 CAPS_RUN = ExtractorContract.make()
+
+# Bytes per entry of the binary index files.
+ENTRY_BYTES = {"mention.i64": 16, "occurrence.i64": 8, "sentences.i64": 24}
+
+# An in-place overwrite of the first entry of a file: (file, int64 values).
+GARBAGE = {
+    "mention-row-out-of-range": ("mention.i64", [10**6, 0]),
+    "mention-column-negative": ("mention.i64", [0, -1]),
+    "sentence-owner-out-of-range": ("sentences.i64", [10**6, 0, 1]),
+    "sentence-span-past-passage": ("sentences.i64", [0, 0, 10**6]),
+    "sentence-span-reversed": ("sentences.i64", [0, 5, 2]),
+    "count-zero": ("occurrence.i64", [0]),
+}
+
+
+def recommit(directory):
+    """Make the manifest commit every file at its current length, as if the
+    damage had been saved."""
+    path = directory / "manifest.json"
+    manifest = json.loads(path.read_text())
+    for name in manifest["files"]:
+        manifest["files"][name] = (directory / name).stat().st_size
+    path.write_text(json.dumps(manifest))
 
 
 def occurrence_map(graph):
@@ -240,20 +265,105 @@ class TestPersistence:
         with pytest.raises(DigestMismatchError):
             load(tmp_path)
 
-    @pytest.mark.parametrize("victim", ["contain.coo", "mention.coo", "occurrence.tsv"])
-    def test_deleted_line_detected(self, graph, tmp_path, victim):
+    @pytest.mark.parametrize("victim", sorted(ENTRY_BYTES))
+    def test_deleted_entry_detected(self, graph, tmp_path, victim):
         save(graph, tmp_path)
         path = tmp_path / victim
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[1:]) + "\n")
+        path.write_bytes(path.read_bytes()[ENTRY_BYTES[victim] :])
+        with pytest.raises(ConsistencyError, match="shorter than its committed"):
+            load(tmp_path)
+
+    @pytest.mark.parametrize("victim", sorted(ENTRY_BYTES))
+    def test_deleted_entry_recommitted_detected(self, graph, tmp_path, victim):
+        # With the manifest committing the shortened file, only the checks
+        # between the arrays can see the loss. The mention entry removed is
+        # the only one linking its passage to its entity, so the contain
+        # entries derived from the mentions lose one.
+        save(graph, tmp_path)
+        links = list(
+            zip(
+                graph.sentence_owner[graph.mention.row_ids].tolist(),
+                graph.mention.col_ids.tolist(),
+            )
+        )
+        sole = [k for k, link in enumerate(links) if links.count(link) == 1]
+        k = sole[0] if victim == "mention.i64" else 0
+        size = ENTRY_BYTES[victim]
+        path = tmp_path / victim
+        data = path.read_bytes()
+        path.write_bytes(data[: k * size] + data[(k + 1) * size :])
+        recommit(tmp_path)
         with pytest.raises(ConsistencyError):
             load(tmp_path)
 
-    def test_garbage_coordinate_line(self, graph, tmp_path):
+    @pytest.mark.parametrize("victim, values", GARBAGE.values(), ids=list(GARBAGE))
+    def test_garbage_entry_detected(self, graph, tmp_path, victim, values):
         save(graph, tmp_path)
-        path = tmp_path / "contain.coo"
-        path.write_text(path.read_text() + "not\tnumbers\n")
-        with pytest.raises(ConsistencyError):
+        path = tmp_path / victim
+        data = bytearray(path.read_bytes())
+        data[: ENTRY_BYTES[victim]] = np.array(values, dtype="<i8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ConsistencyError, match=re.escape(victim)):
+            load(tmp_path)
+
+    def test_unsorted_mentions_detected(self, graph, tmp_path):
+        save(graph, tmp_path)
+        path = tmp_path / "mention.i64"
+        data = path.read_bytes()
+        path.write_bytes(data[16:32] + data[:16] + data[32:])
+        with pytest.raises(ConsistencyError, match="not sorted"):
+            load(tmp_path)
+
+    @pytest.mark.parametrize("victim", sorted(ENTRY_BYTES))
+    def test_partial_entry_detected(self, graph, tmp_path, victim):
+        save(graph, tmp_path)
+        path = tmp_path / victim
+        path.write_bytes(path.read_bytes() + b"\x01\x02\x03")
+        recommit(tmp_path)
+        with pytest.raises(ConsistencyError, match="whole number"):
+            load(tmp_path)
+
+    @pytest.mark.parametrize("victim", GRAPH_FILES)
+    def test_shorter_than_committed_detected(self, graph, tmp_path, victim):
+        save(graph, tmp_path)
+        path = tmp_path / victim
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ConsistencyError, match="shorter than its committed"):
+            load(tmp_path)
+
+    def test_bytes_past_committed_length_ignored(self, graph, tmp_path):
+        # What an append that failed before its manifest commit leaves.
+        save(graph, tmp_path)
+        for name in GRAPH_FILES:
+            with (tmp_path / name).open("ab") as f:
+                f.write(b"\xff\x00 torn tail\n")
+        assert graph_equal(load(tmp_path), graph)
+
+    def test_entity_log_later_line_wins(self, graph, tmp_path):
+        save(graph, tmp_path)
+        record = graph.entity_registry[0]
+        with (tmp_path / "entities.tsv").open("a") as f:
+            f.write(f"0\t{record.canonical}\tZZ\n")
+        recommit(tmp_path)
+        assert load(tmp_path).entity_registry[0].surfaces == ("ZZ",)
+
+    def test_unmentioned_entity_detected(self, graph, tmp_path):
+        save(graph, tmp_path)
+        with (tmp_path / "entities.tsv").open("a") as f:
+            f.write(f"{graph.n_entities}\tghost\tGhost\n")
+        recommit(tmp_path)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        manifest["n_entities"] += 1
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ConsistencyError, match="mentioned nowhere"):
+            load(tmp_path)
+
+    def test_entity_log_line_changing_key_detected(self, graph, tmp_path):
+        save(graph, tmp_path)
+        with (tmp_path / "entities.tsv").open("a") as f:
+            f.write("0\tnot the key\tZZ\n")
+        recommit(tmp_path)
+        with pytest.raises(ConsistencyError, match="changes its key"):
             load(tmp_path)
 
     def test_save_after_add_round_trips(self, tmp_path):
