@@ -186,10 +186,10 @@ def cmd_index(config: AppConfig, force: bool, add_path: str | None) -> int:
             store = _import_external_store(config, graph)
         else:
             store = embedding.build_store(graph, encoder)
-        # A rebuild rewrites every index file rather than appending to one
-        # that holds the same corpus, so --force also repairs a damaged index.
-        for name in (trigraph.MANIFEST, *embedding.STORE_FILES):
-            storage.remove(index_dir / name)
+        # Without a manifest, save rewrites every index file rather than
+        # appending to one that holds the same corpus, so --force also
+        # repairs a damaged index.
+        storage.remove(index_dir / trigraph.MANIFEST)
 
     trigraph.save(
         graph,

@@ -20,13 +20,13 @@ import hashlib
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Any, Callable, Protocol, Sequence
 
 import numpy as np
 
 from . import storage
-from .errors import ConfigError, ConsistencyError, EncodingError
-from .trigraph import TriGraph
+from .errors import ConfigError, ConsistencyError, EncodingError, IndexLoadError
+from .trigraph import MANIFEST, STORE_FILES, TriGraph, read_manifest
 
 MAGIC = b"LRGVEC01"
 FILE_VERSION = 1
@@ -316,38 +316,48 @@ def read_vector_file(path: str | Path) -> tuple[np.ndarray, str]:
     return data, encoder_id
 
 
-STORE_FILES = ("entities.vec", "sentences.vec", "passages.vec")
-
-
 def save_store(store: EmbeddingStore, directory: str | Path) -> None:
     """Write the three vector files of a store.
 
-    A file that already holds a prefix of the store's rows - same encoder id
-    and dim, no more rows than the store, and its last row equal to the
-    store's row at that index - gets only the missing rows appended, then
-    its header's row count updated in place. Any other file is rewritten.
+    A file whose row count the directory's manifest commits (its
+    ``vector_rows``), under the store's encoder id and dim, gets only the
+    rows past that count appended, then its header's row count updated in
+    place. Any other file is rewritten. The manifest, if there is one, then
+    commits the new row counts. ``trigraph.save`` keeps the committed
+    counts only when it appends to the graph those rows belong to.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    try:
+        manifest = read_manifest(directory)
+    except IndexLoadError:
+        manifest = None
+    vouched = (manifest or {}).get("vector_rows")
+    if not isinstance(vouched, dict):
+        vouched = {}
     arrays = (store.entity_vectors, store.sentence_vectors, store.passage_vectors)
     for name, rows in zip(STORE_FILES, arrays):
         path = directory / name
-        prefix = _stored_prefix(path, rows, store.encoder_id)
-        if prefix is None:
+        committed = _committed_bytes(path, rows, store.encoder_id, vouched.get(name))
+        if committed is None:
             write_vector_file(path, rows, store.encoder_id)
             continue
-        payload_offset, stored = prefix
         rows = np.ascontiguousarray(rows, dtype="<f4")
-        committed = payload_offset + rows[:stored].nbytes
-        storage.append(path, committed, rows[stored:].tobytes())
+        storage.append(path, committed, rows[vouched[name] :].tobytes())
         storage.overwrite(path, _ROWS_OFFSET, struct.pack("<Q", len(rows)))
+    if manifest is not None:
+        counts = {name: len(rows) for name, rows in zip(STORE_FILES, arrays)}
+        storage.replace_json(directory / MANIFEST, {**manifest, "vector_rows": counts})
 
 
-def _stored_prefix(
-    path: Path, rows: np.ndarray, encoder_id: str
-) -> tuple[int, int] | None:
-    """(payload offset, committed row count) of a vector file whose rows are
-    a prefix of ``rows``, judged by its last row; None for any other file."""
+def _committed_bytes(
+    path: Path, rows: np.ndarray, encoder_id: str, vouched: Any
+) -> int | None:
+    """The length of the header and first ``vouched`` rows of a vector file
+    that holds exactly that many rows under ``encoder_id`` and ``rows``'s
+    dim; None for any other file."""
+    if type(vouched) is not int or not 0 < vouched <= len(rows):
+        return None
     try:
         with path.open("rb") as f:
             head = f.read(len(MAGIC) + _HEADER.size)
@@ -357,19 +367,13 @@ def _stored_prefix(
             if (
                 version != FILE_VERSION
                 or dim != rows.shape[1]
-                or stored > len(rows)
+                or stored != vouched
                 or f.read(id_len) != encoder_id.encode("utf-8")
             ):
                 return None
-            payload_offset = len(head) + id_len
-            if stored:
-                row_bytes = dim * 4
-                f.seek(payload_offset + (stored - 1) * row_bytes)
-                if f.read(row_bytes) != rows[stored - 1].astype("<f4").tobytes():
-                    return None
     except OSError:
         return None
-    return payload_offset, stored
+    return len(head) + id_len + vouched * dim * 4
 
 
 def load_store(

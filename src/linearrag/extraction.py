@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import logging
 import unicodedata
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -352,10 +351,22 @@ def build_entity_registry(
     """
     owner = {s.id: s.passage_id for s in corpus.sentences}
     registry, hits = extend_entity_registry(EntityRegistry(records=()), mentions, owner)
-    occurrence = Counter(zip(hits[:, 1].tolist(), hits[:, 2].tolist()))
+    sentences, passages, entities = hits.T
+    s_rows, s_cols, _ = distinct_entries(sentences, entities, len(registry))
+    p_rows, p_cols, counts = distinct_entries(passages, entities, len(registry))
+    passage_entity = tuple(zip(p_rows.tolist(), p_cols.tolist()))
     facts = IncidenceFacts(
-        sentence_entity=tuple(sorted(set(zip(hits[:, 0].tolist(), hits[:, 2].tolist())))),
-        passage_entity=tuple(sorted(occurrence)),
-        occurrence=dict(occurrence),
+        sentence_entity=tuple(zip(s_rows.tolist(), s_cols.tolist())),
+        passage_entity=passage_entity,
+        occurrence=dict(zip(passage_entity, counts.tolist())),
     )
     return registry, facts
+
+
+def distinct_entries(
+    rows: np.ndarray, cols: np.ndarray, n_cols: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct in-range (row, col) entries in row-major order, and how
+    many times each occurs."""
+    keys, counts = np.unique(rows * n_cols + cols, return_counts=True)
+    return keys // n_cols, keys % n_cols, counts.astype(np.int64)

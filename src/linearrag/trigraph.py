@@ -26,7 +26,9 @@ The persisted index directory (format version 2) holds:
   (surfaces joined by the unit separator); a later line for an id replaces
   the earlier one.
 * ``manifest.json`` - format_version, corpus_digest, node counts, extractor
-  and embedder contracts, and the committed byte length of every file above.
+  and embedder contracts, the committed byte length of every file above,
+  and the row count of each vector file (``*.vec``, written by
+  ``embedding.save_store``) as the last store save committed it.
 
 Every file only grows. ``save`` appends the rows past what the manifest
 commits, fsyncs, then replaces the manifest atomically: the manifest is the
@@ -40,7 +42,7 @@ import logging
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 import numpy as np
 from scipy import sparse as sp
@@ -58,6 +60,7 @@ from .extraction import (
     EntityRecord,
     EntityRegistry,
     ExtractorContract,
+    distinct_entries,
     extend_entity_registry,
     extract_corpus_mentions,
 )
@@ -77,6 +80,11 @@ GRAPH_FILES = (
     "occurrence.i64",
     "entities.tsv",
 )
+# The vector files ``embedding.save_store`` writes beside them; the manifest's
+# ``vector_rows`` commit their row counts.
+STORE_FILES = ("entities.vec", "sentences.vec", "passages.vec")
+# Files of format version 1 that version 2 no longer writes.
+V1_FILES = ("sentences.jsonl", "contain.coo", "mention.coo", "occurrence.tsv")
 _INT64 = np.dtype("<i8")
 
 
@@ -103,16 +111,6 @@ class SparseBinaryMatrix:
         self.row_ids = row_ids
         self.col_ids = col_ids
         self.indptr = indptr
-
-    @classmethod
-    def from_pairs(
-        cls, pairs: Iterable[tuple[int, int]], n_rows: int, n_cols: int
-    ) -> "SparseBinaryMatrix":
-        """Build from (row, col) pairs; sorts, deduplicates, validates range."""
-        arr = np.array(list(pairs), dtype=np.int64).reshape(-1, 2)
-        _check_range(arr[:, 0], arr[:, 1], n_rows, n_cols)
-        rows, cols, _ = _unique_entries(arr[:, 0], arr[:, 1], n_cols)
-        return cls(n_rows, n_cols, rows, cols, _row_indptr(rows, n_rows))
 
     @classmethod
     def sorted_entries(
@@ -190,15 +188,6 @@ def _check_range(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -
             raise ConsistencyError("row index out of range")
         if cols.min() < 0 or cols.max() >= n_cols:
             raise ConsistencyError("column index out of range")
-
-
-def _unique_entries(
-    rows: np.ndarray, cols: np.ndarray, n_cols: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct in-range (row, col) entries in row-major order, and how
-    many times each occurs."""
-    keys, counts = np.unique(rows * n_cols + cols, return_counts=True)
-    return keys // n_cols, keys % n_cols, counts.astype(np.int64)
 
 
 def _row_indptr(rows: np.ndarray, n_rows: int) -> np.ndarray:
@@ -304,10 +293,11 @@ def add_passages(graph: TriGraph, new_slice: Corpus) -> TriGraph:
 
     Extraction, registry merging and the slice's matrix entries and counts
     are computed from the slice alone and appended after the graph's
-    arrays; nothing is re-sorted, because new ids exceed every old one. The
-    one append cost that still grows with the corpus is outside this
-    function: ``extend_store`` copies every vector row (``np.vstack``, about
-    5 ms at 3k passages).
+    arrays; nothing is re-sorted, because new ids exceed every old one.
+    What still grows with the corpus is copying: the graph's arrays and
+    passage tuples are copied into the result (about 1.1 ms for the whole
+    call at 3k passages, 2.2 ms at 12k), and ``extend_store`` copies every
+    vector row (``np.vstack``, about 5 ms at 3k passages).
 
     The slice's passage and sentence ids must continue the graph's dense id
     ranges. The result equals a full rebuild over the concatenated corpus.
@@ -364,8 +354,8 @@ def _grow(graph: TriGraph, new_slice: Corpus, corpus: Corpus) -> TriGraph:
     )
     n_e = len(registry)
     sentences, passages, entities = hits.T
-    mention_rows, mention_cols, _ = _unique_entries(sentences, entities, n_e)
-    contain_rows, contain_cols, counts = _unique_entries(passages, entities, n_e)
+    mention_rows, mention_cols, _ = distinct_entries(sentences, entities, n_e)
+    contain_rows, contain_cols, counts = distinct_entries(passages, entities, n_e)
     return TriGraph(
         corpus=corpus,
         contain=graph.contain.extended(
@@ -392,12 +382,17 @@ def save(
     and embedder contracts, and ``graph``'s corpus digest chains on from the
     committed one - only the rows past that prefix are appended, after
     cutting each file back to its committed length. Otherwise the manifest
-    is removed first and every file rewritten. Either way the manifest is
-    replaced last and commits the save; a save that fails before then
-    leaves the committed index as it was (an append) or no index (a full
-    write). The digest covers passage texts (titles included), not doc
-    keys: a graph that differs from the committed one only in doc keys
-    keeps the committed keys.
+    is removed first, with the vector files and any format-1 files, and
+    every graph file rewritten. Either way the manifest is replaced last
+    and commits the save; a save that fails before then leaves the
+    committed index as it was (an append) or no index (a full write). The
+    digest covers passage texts (titles included), not doc keys: a graph
+    that differs from the committed one only in doc keys keeps the
+    committed keys.
+
+    An append keeps the committed ``vector_rows``, which belong to the
+    prefix; a full write commits none, so ``embedding.save_store`` then
+    rewrites every vector file.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -417,15 +412,19 @@ def save(
     manifest = json.loads(json.dumps(manifest))
     base = _committed_prefix(directory, manifest, graph)
     if base is None:
-        storage.remove(directory / MANIFEST)
-        base = {"n_passages": 0, "n_sentences": 0, "n_entities": 0}
+        for name in (MANIFEST, *STORE_FILES, *V1_FILES):
+            storage.remove(directory / name)
+        base = {"n_passages": 0, "n_sentences": 0, "n_entities": 0, "vector_rows": {}}
         lengths = dict.fromkeys(GRAPH_FILES, 0)
     else:
         lengths = dict(base["files"])
     for name, data in zip(GRAPH_FILES, _rows_after(graph, base)):
         storage.append(directory / name, lengths[name], data)
         lengths[name] += len(data)
-    storage.replace_json(directory / MANIFEST, {**manifest, "files": lengths})
+    storage.replace_json(
+        directory / MANIFEST,
+        {**manifest, "files": lengths, "vector_rows": base["vector_rows"]},
+    )
 
 
 def _committed_prefix(
@@ -453,7 +452,13 @@ def _committed_prefix(
     texts = (p.text for p in graph.corpus.passages[n_p:])
     if chain_digest(old["corpus_digest"], texts) != graph.corpus_digest:
         return None
-    return {"n_passages": n_p, "n_sentences": n_s, "n_entities": n_e, "files": lengths}
+    return {
+        "n_passages": n_p,
+        "n_sentences": n_s,
+        "n_entities": n_e,
+        "files": lengths,
+        "vector_rows": old.get("vector_rows") or {},
+    }
 
 
 def _rows_after(graph: TriGraph, base: Mapping[str, Any]) -> tuple[bytes, ...]:
@@ -578,7 +583,7 @@ def load(directory: str | Path) -> TriGraph:
         mention = SparseBinaryMatrix.sorted_entries(rows, cols, n_s, n_e)
     except ConsistencyError as exc:
         raise ConsistencyError(f"{path}: {exc}") from exc
-    contain_rows, contain_cols, sentence_counts = _unique_entries(
+    contain_rows, contain_cols, sentence_counts = distinct_entries(
         owner[mention.row_ids], mention.col_ids, n_e
     )
     contain = SparseBinaryMatrix(

@@ -6,6 +6,7 @@ import errno
 import json
 import os
 import random
+from dataclasses import replace
 from itertools import count
 
 import numpy as np
@@ -24,7 +25,15 @@ from linearrag.embedding import (
     save_store,
 )
 from linearrag.errors import VersionMismatchError
-from linearrag.trigraph import GRAPH_FILES, add_passages, build, graph_equal, load, save
+from linearrag.trigraph import (
+    GRAPH_FILES,
+    STORE_FILES,
+    add_passages,
+    build,
+    graph_equal,
+    load,
+    save,
+)
 
 from conftest import DATA_DIR, make_corpus, write_jsonl
 from test_trigraph import make_slice
@@ -197,7 +206,10 @@ def test_crash_at_every_step_of_a_store_save(states, uncrashed, tmp_path, monkey
         assert index_bytes(directory) == uncrashed, f"failure {n}"
         if not crashed:
             break
-    assert n > 3 * 4
+    # Three files, each cut, written (if it gains rows) and synced, then its
+    # header written and synced; then the manifest's temporary file (three
+    # steps) and its rename.
+    assert n > 3 * 4 + 4
 
 
 @settings(
@@ -283,6 +295,55 @@ def test_save_over_v1_index_is_full_write(tmp_path):
     write_v1_index(tmp_path / "index")
     save(FULL, tmp_path / "index", embedder=EMBEDDER)
     assert graph_equal(load(tmp_path / "index"), FULL)
+    assert not (tmp_path / "index" / "contain.coo").exists()
+    assert not (tmp_path / "index" / "occurrence.tsv").exists()
+
+
+def test_store_save_after_full_write_rewrites_vectors(tmp_path):
+    """An edited early passage changes neither the node counts nor the last
+    vector rows, yet every vector row of the edited passage must be new."""
+    save_index(FULL, build_store(FULL, ENCODER), tmp_path)
+    texts = [p.text for p in WHOLE.passages]
+    texts[3] = "Hanoi met Quito. so Dakar left Hanoi."
+    edited = build(make_corpus(texts))
+    store = build_store(edited, ENCODER)
+    assert store.passage_vectors.shape == build_store(FULL, ENCODER).passage_vectors.shape
+    save(edited, tmp_path, embedder=EMBEDDER)
+    assert not any((tmp_path / name).exists() for name in STORE_FILES)
+    save_store(store, tmp_path)
+    loaded = load(tmp_path)
+    assert graph_equal(loaded, edited)
+    assert same_rows(load_store(tmp_path, loaded), store)
+
+
+def test_store_save_without_manifest_rewrites(tmp_path):
+    """Vector files no manifest commits are rewritten, even when their last
+    rows equal the store's."""
+    store = build_store(FULL, ENCODER)
+    save_store(store, tmp_path)
+    other = replace(store, passage_vectors=store.passage_vectors[::-1].copy())
+    other.passage_vectors[-1] = store.passage_vectors[-1]
+    save_store(other, tmp_path)
+    assert same_rows(load_store(tmp_path, FULL), other)
+
+
+def test_store_save_commits_row_counts(states, tmp_path):
+    old_graph, old_store, new_graph, new_store = states
+    save_index(old_graph, old_store, tmp_path)
+    save(new_graph, tmp_path, embedder=EMBEDDER)
+    committed = json.loads((tmp_path / "manifest.json").read_text())["vector_rows"]
+    assert committed == {
+        "entities.vec": old_graph.n_entities,
+        "sentences.vec": old_graph.n_sentences,
+        "passages.vec": old_graph.n_passages,
+    }
+    save_store(new_store, tmp_path)
+    committed = json.loads((tmp_path / "manifest.json").read_text())["vector_rows"]
+    assert committed == {
+        "entities.vec": new_graph.n_entities,
+        "sentences.vec": new_graph.n_sentences,
+        "passages.vec": new_graph.n_passages,
+    }
 
 
 def test_append_keeps_other_files(tmp_path):

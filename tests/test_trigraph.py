@@ -12,7 +12,7 @@ from linearrag.errors import (
     VersionMismatchError,
 )
 from linearrag.evalbench import generate_synthetic_corpus
-from linearrag.extraction import ExtractorContract, extract_mentions
+from linearrag.extraction import ExtractorContract, distinct_entries, extract_mentions
 from linearrag.trigraph import (
     GRAPH_FILES,
     SparseBinaryMatrix,
@@ -59,14 +59,26 @@ def occurrence_map(graph):
     return dict(zip(graph.contain.pairs(), counts.tolist()))
 
 
+def matrix(pairs, n_rows, n_cols):
+    """A matrix from in-range (row, col) pairs, built the way ``build``
+    builds one: the distinct entries in row-major order, then wrapped."""
+    arr = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    rows, cols, _ = distinct_entries(arr[:, 0], arr[:, 1], n_cols)
+    return SparseBinaryMatrix.sorted_entries(rows, cols, n_rows, n_cols)
+
+
+def entries(*values):
+    return np.array(values, dtype=np.int64)
+
+
 class TestSparseBinaryMatrix:
     def test_from_pairs_sorts_and_dedups(self):
-        m = SparseBinaryMatrix.from_pairs([(2, 1), (0, 3), (2, 1), (0, 0)], 3, 4)
+        m = matrix([(2, 1), (0, 3), (2, 1), (0, 0)], 3, 4)
         assert m.pairs() == [(0, 0), (0, 3), (2, 1)]
         assert m.nnz == 3
 
     def test_indptr_consistent(self):
-        m = SparseBinaryMatrix.from_pairs([(0, 1), (0, 2), (2, 0)], 3, 3)
+        m = matrix([(0, 1), (0, 2), (2, 0)], 3, 3)
         assert m.indptr.tolist() == [0, 2, 2, 3]
         assert m.cols_of(0).tolist() == [1, 2]
         assert m.cols_of(1).tolist() == []
@@ -74,27 +86,41 @@ class TestSparseBinaryMatrix:
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ConsistencyError):
-            SparseBinaryMatrix.from_pairs([(3, 0)], 3, 4)
+            SparseBinaryMatrix.sorted_entries(entries(3), entries(0), 3, 4)
         with pytest.raises(ConsistencyError):
-            SparseBinaryMatrix.from_pairs([(0, 4)], 3, 4)
+            SparseBinaryMatrix.sorted_entries(entries(0), entries(4), 3, 4)
         with pytest.raises(ConsistencyError):
-            SparseBinaryMatrix.from_pairs([(-1, 0)], 3, 4)
+            SparseBinaryMatrix.sorted_entries(entries(-1), entries(0), 3, 4)
+
+    @pytest.mark.parametrize(
+        "rows, cols", [((0, 0), (2, 1)), ((1, 0), (0, 0)), ((0, 0), (1, 1))]
+    )
+    def test_unsorted_or_duplicate_entries_rejected(self, rows, cols):
+        with pytest.raises(ConsistencyError):
+            SparseBinaryMatrix.sorted_entries(entries(*rows), entries(*cols), 2, 3)
+
+    def test_extended_appends_rows(self):
+        m = matrix([(0, 1), (1, 0)], 2, 2).extended(entries(2, 3), entries(2, 0), 4, 3)
+        assert m == matrix([(0, 1), (1, 0), (2, 2), (3, 0)], 4, 3)
+        assert m.indptr.tolist() == [0, 1, 2, 3, 4]
+        with pytest.raises(ConsistencyError):
+            matrix([(1, 0)], 2, 2).extended(entries(1), entries(1), 3, 2)
 
     def test_equality(self):
-        a = SparseBinaryMatrix.from_pairs([(0, 1)], 2, 2)
-        b = SparseBinaryMatrix.from_pairs([(0, 1)], 2, 2)
-        c = SparseBinaryMatrix.from_pairs([(1, 0)], 2, 2)
+        a = matrix([(0, 1)], 2, 2)
+        b = matrix([(0, 1)], 2, 2)
+        c = matrix([(1, 0)], 2, 2)
         assert a == b
         assert a != c
 
     def test_dense_round_trip(self):
         pairs = [(0, 0), (1, 2), (3, 1)]
-        m = SparseBinaryMatrix.from_pairs(pairs, 4, 3)
+        m = matrix(pairs, 4, 3)
         dense = m.to_dense()
         assert sorted(zip(*np.nonzero(dense))) == pairs
 
     def test_csr_matches_dense(self):
-        m = SparseBinaryMatrix.from_pairs([(0, 1), (2, 0), (2, 2)], 3, 3)
+        m = matrix([(0, 1), (2, 0), (2, 2)], 3, 3)
         assert np.array_equal(m.to_csr().toarray().astype(bool), m.to_dense())
 
 
