@@ -7,7 +7,6 @@ from .embedding import (
     HashEncoder,
     build_store,
     cosine,
-    encode_batch,
     hash_encode,
     load_store,
     make_encoder,

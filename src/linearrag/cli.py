@@ -68,7 +68,7 @@ class AppConfig:
 
     def __post_init__(self):
         if self.encoder is None:
-            self.encoder = {"id": "hash", "dim": 256, "seed": 0}
+            self.encoder = {"id": "hash"}
 
 
 def _reject_unknown(obj: Mapping[str, Any], allowed: set[str], where: str) -> None:
@@ -129,16 +129,16 @@ def _setup_logging(config: AppConfig) -> None:
     )
 
 
-def _make_encoder(config: AppConfig) -> embedding.Encoder | None:
-    section = config.encoder
-    encoder_id = section.get("id", "hash")
-    if encoder_id == "hash":
-        return embedding.HashEncoder(
-            dim=int(section.get("dim", 256)), seed=int(section.get("seed", 0))
-        )
-    if encoder_id == "external":
-        return None
-    raise ConfigError(f"unknown encoder id: {encoder_id!r}")
+def _build_store(config: AppConfig, graph) -> embedding.EmbeddingStore:
+    """Encode the graph with the registered encoder the config names, or
+    import the vectors of an ``external`` one from its ``vectors_dir``."""
+    params = dict(config.encoder)
+    name = params.pop("id", "hash")
+    if name != "external":
+        return embedding.build_store(graph, embedding.make_encoder(name, **params))
+    if not params.get("vectors_dir"):
+        raise ConfigError("external encoder requires encoder.vectors_dir")
+    return embedding.load_store(params["vectors_dir"], graph)
 
 
 def _require(value: str | None, name: str) -> str:
@@ -149,7 +149,7 @@ def _require(value: str | None, name: str) -> str:
 
 def _load_index(config: AppConfig):
     index_dir = _require(config.index_dir, "index_dir")
-    if not (Path(index_dir) / "manifest.json").exists():
+    if not (Path(index_dir) / trigraph.MANIFEST).exists():
         raise IngestError(f"no index found at {index_dir}")
     graph = trigraph.load(index_dir)
     # The store's own encoder id is authoritative for query embedding;
@@ -172,7 +172,7 @@ def cmd_index(config: AppConfig, force: bool, add_path: str | None) -> int:
         graph = trigraph.add_passages(graph, delta)
         store = embedding.extend_store(store, graph)
     else:
-        if (index_dir / "manifest.json").exists() and not force:
+        if (index_dir / trigraph.MANIFEST).exists() and not force:
             print(
                 f"refusing to overwrite existing index at {index_dir} "
                 "(use --force)",
@@ -181,11 +181,7 @@ def cmd_index(config: AppConfig, force: bool, add_path: str | None) -> int:
             return 1
         corpus = ingest(_require(config.corpus_path, "corpus_path"))
         graph = trigraph.build(corpus, config.extractor)
-        encoder = _make_encoder(config)
-        if encoder is None:
-            store = _import_external_store(config, graph)
-        else:
-            store = embedding.build_store(graph, encoder)
+        store = _build_store(config, graph)
         # Without a manifest, save rewrites every index file rather than
         # appending to one that holds the same corpus, so --force also
         # repairs a damaged index.
@@ -204,13 +200,6 @@ def cmd_index(config: AppConfig, force: bool, add_path: str | None) -> int:
         f"mention edges {graph.mention.nnz}; {elapsed:.2f}s"
     )
     return 0
-
-
-def _import_external_store(config: AppConfig, graph) -> embedding.EmbeddingStore:
-    vectors_dir = config.encoder.get("vectors_dir")
-    if not vectors_dir:
-        raise ConfigError("external encoder requires encoder.vectors_dir")
-    return embedding.load_store(vectors_dir, graph)
 
 
 def cmd_query(config: AppConfig, query: str, k: int | None, as_json: bool) -> int:
@@ -299,7 +288,7 @@ def cmd_bench(config: AppConfig, sizes: Sequence[int], seed: int, out: str | Non
 
 def cmd_inspect(config: AppConfig) -> int:
     index_dir = _require(config.index_dir, "index_dir")
-    manifest_path = Path(index_dir) / "manifest.json"
+    manifest_path = Path(index_dir) / trigraph.MANIFEST
     try:
         print(manifest_path.read_text(encoding="utf-8"), end="")
     except OSError as exc:

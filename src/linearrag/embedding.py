@@ -17,10 +17,12 @@ place, and readers ignore bytes past the rows it counts.
 from __future__ import annotations
 
 import hashlib
+import inspect
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, BinaryIO, Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -40,7 +42,6 @@ NORM_TOLERANCE = 1e-4
 class EncoderContract:
     id: str
     dim: int
-    deterministic: bool = True
 
 
 class Encoder(Protocol):
@@ -93,16 +94,15 @@ def hash_encode(text: str, dim: int, seed: int) -> np.ndarray:
 
 
 class HashEncoder:
-    """The built-in deterministic encoder; id form is ``hash:<dim>:<seed>``."""
+    """The built-in deterministic encoder; its id is ``hash:<dim>:<seed>``.
 
-    def __init__(self, dim: int, seed: int = 0):
-        if dim < 8:
-            raise ConfigError(f"hash encoder dim must be >= 8, got {dim}")
-        self.dim = dim
-        self.seed = seed
-        self.contract = EncoderContract(
-            id=f"hash:{dim}:{seed}", dim=dim, deterministic=True
-        )
+    Both arguments go through ``int()``, so the pieces of an id rebuild it.
+    """
+
+    def __init__(self, dim: int | str = 256, seed: int | str = 0):
+        self.dim = int(dim)
+        self.seed = int(seed)
+        self.contract = EncoderContract(f"hash:{self.dim}:{self.seed}", self.dim)
 
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:
@@ -120,43 +120,65 @@ def register_encoder(name: str, factory: Callable[..., Encoder]) -> None:
 register_encoder("hash", HashEncoder)
 
 
-def make_encoder(name: str, **params) -> Encoder:
-    """Instantiate a registered encoder; unknown names are config errors."""
+def make_encoder(name: str, *args: Any, **params: Any) -> Encoder:
+    """Instantiate a registered encoder. An unknown name, or arguments its
+    factory does not accept, are config errors."""
     factory = _ENCODER_FACTORIES.get(name)
     if factory is None:
         raise ConfigError(f"unknown encoder: {name!r}")
-    return factory(**params)
+    try:
+        inspect.signature(factory).bind(*args, **params)
+    except TypeError as exc:
+        raise ConfigError(f"encoder {name!r}: {exc}") from None
+    return factory(*args, **params)
 
 
 def resolve_encoder(encoder_id: str) -> Encoder | None:
-    """Rebuild an encoder from a self-describing id, if possible.
+    """Rebuild an encoder from its contract id.
 
-    ``hash:<dim>:<seed>`` ids reconstruct the built-in hash encoder. Ids of
-    external encoders return None; the caller must attach one explicitly
-    before queries can be embedded.
+    A contract id is the registry name followed by the factory's positional
+    arguments, joined by ``:`` (``hash:256:0`` is ``HashEncoder("256", "0")``).
+    A name that is not registered returns None: the vectors were imported,
+    and the caller must attach an encoder before queries can be embedded.
+    A rebuilt encoder whose contract id differs is an EncodingError.
     """
-    parts = encoder_id.split(":")
-    if parts[0] == "hash" and len(parts) == 3:
-        try:
-            return HashEncoder(dim=int(parts[1]), seed=int(parts[2]))
-        except ValueError:
-            return None
-    return None
-
-
-def encode_batch(texts: Sequence[str], contract: EncoderContract) -> np.ndarray:
-    """Encode texts under a contract, resolving the encoder from its id."""
-    encoder = resolve_encoder(contract.id)
-    if encoder is None:
+    name, *args = encoder_id.split(":")
+    if name not in _ENCODER_FACTORIES:
+        return None
+    encoder = make_encoder(name, *args)
+    if encoder.contract.id != encoder_id:
         raise EncodingError(
-            f"encoder {contract.id!r} is not available in-process; "
-            "import its vectors from files instead"
+            f"encoder {name!r} rebuilt from {encoder_id!r} has contract id "
+            f"{encoder.contract.id!r}"
         )
-    vectors = encoder.encode_batch(texts)
-    if vectors.shape[1:] != (contract.dim,):
+    return encoder
+
+
+def _encode_checked(
+    encoder: Encoder,
+    texts: Sequence[str],
+    dim: int,
+    what: str,
+    normalized: bool = True,
+) -> np.ndarray:
+    """``encoder``'s vectors for ``texts``. Every encode goes through here:
+    unless they have shape ``(len(texts), dim)``, are finite and (if
+    ``normalized``) have unit length, EncodingError names the encoder."""
+    encoder_id = encoder.contract.id
+    vectors = np.asarray(encoder.encode_batch(texts))
+    if vectors.shape != (len(texts), dim):
         raise EncodingError(
-            f"encoder {contract.id!r} produced dim {vectors.shape[1:]}, "
-            f"contract says {contract.dim}"
+            f"encoder {encoder_id!r} returned {what} of shape {vectors.shape}, "
+            f"expected {(len(texts), dim)}"
+        )
+    if normalized:
+        try:
+            validate_normalized(vectors, what)
+        except ConsistencyError as exc:
+            raise EncodingError(f"encoder {encoder_id!r}: {exc}") from None
+    elif not np.isfinite(vectors).all():
+        raise EncodingError(
+            f"encoder {encoder_id!r} returned {what} holding NaN or infinite values"
         )
     return vectors
 
@@ -200,18 +222,10 @@ class EmbeddingStore:
                 f"store built with encoder {self.encoder_id!r} cannot embed "
                 "queries; attach an in-process encoder"
             )
-        vec = np.asarray(self.encoder.encode_batch([text])[0])
-        if vec.shape != (self.dim,):
-            raise EncodingError(
-                f"encoder {self.encoder_id!r} returned a query vector of shape "
-                f"{vec.shape}, expected ({self.dim},)"
-            )
-        if not np.isfinite(vec).all():
-            raise EncodingError(
-                f"encoder {self.encoder_id!r} returned a query vector holding "
-                "NaN or infinite values"
-            )
-        return vec.astype(np.float64)
+        vectors = _encode_checked(
+            self.encoder, [text], self.dim, "a query vector", normalized=False
+        )
+        return vectors[0].astype(np.float64)
 
     def matches(self, graph: TriGraph) -> bool:
         return (
@@ -221,19 +235,28 @@ class EmbeddingStore:
         )
 
 
+def _node_texts(graph: TriGraph, start: Sequence[int]) -> tuple[list[str], ...]:
+    """Entity canonicals, sentence texts and passage texts, each kind from
+    its row in ``start`` on."""
+    entities, sentences, passages = start
+    return (
+        [r.canonical for r in graph.entity_registry.records[entities:]],
+        [s.text for s in graph.corpus.sentences[sentences:]],
+        [p.text for p in graph.corpus.passages[passages:]],
+    )
+
+
+_KINDS = ("entity vectors", "sentence vectors", "passage vectors")
+
+
 def build_store(graph: TriGraph, encoder: Encoder) -> EmbeddingStore:
     """Encode entity canonicals, sentences, and passages for a graph."""
-    entity_texts = [r.canonical for r in graph.entity_registry.records]
-    sentence_texts = [s.text for s in graph.corpus.sentences]
-    passage_texts = [p.text for p in graph.corpus.passages]
-    return EmbeddingStore(
-        dim=encoder.contract.dim,
-        encoder_id=encoder.contract.id,
-        entity_vectors=encoder.encode_batch(entity_texts),
-        sentence_vectors=encoder.encode_batch(sentence_texts),
-        passage_vectors=encoder.encode_batch(passage_texts),
-        encoder=encoder,
-    )
+    dim = encoder.contract.dim
+    rows = [
+        _encode_checked(encoder, texts, dim, kind)
+        for kind, texts in zip(_KINDS, _node_texts(graph, (0, 0, 0)))
+    ]
+    return EmbeddingStore(dim, encoder.contract.id, *rows, encoder=encoder)
 
 
 def extend_store(
@@ -252,34 +275,15 @@ def extend_store(
             f"store built with encoder {store.encoder_id!r} cannot be "
             "extended without an in-process encoder"
         )
-    new_entities = [
-        r.canonical
-        for r in graph.entity_registry.records[store.entity_vectors.shape[0] :]
+    old = (store.entity_vectors, store.sentence_vectors, store.passage_vectors)
+    new_texts = _node_texts(graph, [len(rows) for rows in old])
+    grown = [
+        np.vstack([rows, _encode_checked(encoder, texts, store.dim, kind)])
+        if texts
+        else rows
+        for kind, rows, texts in zip(_KINDS, old, new_texts)
     ]
-    new_sentences = [
-        s.text for s in graph.corpus.sentences[store.sentence_vectors.shape[0] :]
-    ]
-    new_passages = [
-        p.text for p in graph.corpus.passages[store.passage_vectors.shape[0] :]
-    ]
-    return EmbeddingStore(
-        dim=store.dim,
-        encoder_id=store.encoder_id,
-        entity_vectors=_stack(store.entity_vectors, encoder.encode_batch(new_entities)),
-        sentence_vectors=_stack(
-            store.sentence_vectors, encoder.encode_batch(new_sentences)
-        ),
-        passage_vectors=_stack(
-            store.passage_vectors, encoder.encode_batch(new_passages)
-        ),
-        encoder=encoder,
-    )
-
-
-def _stack(existing: np.ndarray, extra: np.ndarray) -> np.ndarray:
-    if extra.shape[0] == 0:
-        return existing
-    return np.vstack([existing, extra])
+    return EmbeddingStore(store.dim, store.encoder_id, *grown, encoder=encoder)
 
 
 def write_vector_file(path: str | Path, rows: np.ndarray, encoder_id: str) -> None:
@@ -294,26 +298,35 @@ def write_vector_file(path: str | Path, rows: np.ndarray, encoder_id: str) -> No
         f.write(rows.tobytes())
 
 
+def _read_header(f: BinaryIO, path: str | Path) -> tuple[int, int, str]:
+    """Read a vector file's header: its dim, committed row count and
+    encoder id. ConsistencyError if it is not a readable header."""
+    head = f.read(len(MAGIC) + _HEADER.size)
+    if len(head) < len(MAGIC) + _HEADER.size or head[: len(MAGIC)] != MAGIC:
+        raise ConsistencyError(f"{path}: not a vector store file")
+    version, dim, rows, id_len = _HEADER.unpack_from(head, len(MAGIC))
+    if version != FILE_VERSION:
+        raise ConsistencyError(f"{path}: unsupported vector file version {version}")
+    try:
+        return dim, rows, f.read(id_len).decode("utf-8")
+    except UnicodeDecodeError:
+        raise ConsistencyError(f"{path}: encoder id is not UTF-8") from None
+
+
 def read_vector_file(path: str | Path) -> tuple[np.ndarray, str]:
     """The rows a vector file commits, and its encoder id. Bytes past the
     counted rows belong to an append that never committed and are ignored."""
-    raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC) + _HEADER.size or raw[: len(MAGIC)] != MAGIC:
-        raise ConsistencyError(f"{path}: not a vector store file")
-    version, dim, rows, id_len = _HEADER.unpack_from(raw, len(MAGIC))
-    if version != FILE_VERSION:
-        raise ConsistencyError(f"{path}: unsupported vector file version {version}")
-    offset = len(MAGIC) + _HEADER.size
-    encoder_id = raw[offset : offset + id_len].decode("utf-8")
-    offset += id_len
-    expected = rows * dim * 4
-    payload = raw[offset : offset + expected]
-    if len(payload) != expected:
-        raise ConsistencyError(
-            f"{path}: expected {expected} bytes of vector data, got {len(payload)}"
-        )
-    data = np.frombuffer(payload, dtype="<f4").reshape(rows, dim).copy()
-    return data, encoder_id
+    with Path(path).open("rb") as f:
+        dim, rows, encoder_id = _read_header(f, path)
+        expected = rows * dim * 4
+        available = os.fstat(f.fileno()).st_size - f.tell()
+        if available < expected:
+            raise ConsistencyError(
+                f"{path}: expected {expected} bytes of vector data, got {available}"
+            )
+        payload = bytearray(expected)
+        f.readinto(payload)
+    return np.frombuffer(payload, dtype="<f4").reshape(rows, dim), encoder_id
 
 
 def save_store(store: EmbeddingStore, directory: str | Path) -> None:
@@ -360,20 +373,13 @@ def _committed_bytes(
         return None
     try:
         with path.open("rb") as f:
-            head = f.read(len(MAGIC) + _HEADER.size)
-            if len(head) < len(MAGIC) + _HEADER.size or head[: len(MAGIC)] != MAGIC:
-                return None
-            version, dim, stored, id_len = _HEADER.unpack_from(head, len(MAGIC))
-            if (
-                version != FILE_VERSION
-                or dim != rows.shape[1]
-                or stored != vouched
-                or f.read(id_len) != encoder_id.encode("utf-8")
-            ):
-                return None
-    except OSError:
+            dim, stored, stored_id = _read_header(f, path)
+            header_bytes = f.tell()
+    except (OSError, ConsistencyError):
         return None
-    return len(head) + id_len + vouched * dim * 4
+    if (dim, stored, stored_id) != (rows.shape[1], vouched, encoder_id):
+        return None
+    return header_bytes + vouched * dim * 4
 
 
 def load_store(
@@ -388,7 +394,7 @@ def load_store(
     ids: list[str] = []
     for name in STORE_FILES:
         rows, encoder_id = read_vector_file(directory / name)
-        validate_normalized(rows, f"{name}")
+        validate_normalized(rows, name)
         arrays.append(rows)
         ids.append(encoder_id)
     if len(set(ids)) != 1:
@@ -396,14 +402,8 @@ def load_store(
     dims = {a.shape[1] for a in arrays}
     if len(dims) != 1:
         raise ConsistencyError(f"vector files disagree on dim: {sorted(dims)}")
-    store = EmbeddingStore(
-        dim=arrays[0].shape[1],
-        encoder_id=ids[0],
-        entity_vectors=arrays[0],
-        sentence_vectors=arrays[1],
-        passage_vectors=arrays[2],
-        encoder=encoder or resolve_encoder(ids[0]),
-    )
+    encoder = encoder or resolve_encoder(ids[0])
+    store = EmbeddingStore(dims.pop(), ids[0], *arrays, encoder=encoder)
     if graph is not None and not store.matches(graph):
         raise ConsistencyError(
             "embedding store row counts do not match the graph: "

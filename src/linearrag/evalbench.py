@@ -367,7 +367,7 @@ def bench_scaling(
     if sorted(sizes) != list(sizes) or len(set(sizes)) != len(sizes):
         raise ValueError("sizes must be strictly increasing")
     cfg = cfg or RetrievalConfig(delta=0.01)
-    encoder = encoder or HashEncoder(dim=256, seed=seed)
+    encoder = encoder or HashEncoder(seed=seed)
     contract = ExtractorContract.make()
 
     index_seconds: list[float] = []

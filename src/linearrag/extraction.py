@@ -300,7 +300,10 @@ def extend_entity_registry(
     New entities get the next ids in first-occurrence order (mentions must
     come in corpus order); an existing entity keeps its id and first passage
     and gains the new surfaces. Only the records of mentioned entities are
-    touched. ``owner`` maps each mention's sentence to its passage.
+    touched. ``owner`` maps each mention's sentence to its passage. A
+    surface is recorded with its inner whitespace collapsed to single
+    spaces, as ``canonicalize`` does, so no surface holds a tab, a line
+    break or the index's surface separator.
 
     Returns the grown registry and one ``(sentence, passage, entity)`` int64
     row per mention with a non-empty canonical key, in mention order.
@@ -320,10 +323,11 @@ def extend_entity_registry(
             entity_id = len(ids)
             ids[canonical] = entity_id
             records.append(EntityRecord(entity_id, canonical, (), passage_id))
+        surface = " ".join(mention.surface.split())
         surfaces = added.setdefault(entity_id, set())
-        if mention.surface not in surfaces:
-            surfaces.add(mention.surface)
-            if mention.surface not in records[entity_id].surfaces:
+        if surface not in surfaces:
+            surfaces.add(surface)
+            if surface not in records[entity_id].surfaces:
                 grown_at[entity_id] = passage_id
         hits.append((mention.sentence_id, passage_id, entity_id))
     for entity_id, passage_id in grown_at.items():

@@ -23,7 +23,8 @@ The persisted index directory (format version 2) holds:
 * ``occurrence.i64`` - one little-endian int64 mention count per contain
   entry; ``load`` derives the contain entries from the mentions.
 * ``entities.tsv`` - a log of ``id<TAB>canonical<TAB>surfaces`` lines
-  (surfaces joined by the unit separator); a later line for an id replaces
+  (surfaces joined by the unit separator; no key or surface holds
+  whitespace other than single spaces); a later line for an id replaces
   the earlier one.
 * ``manifest.json`` - format_version, corpus_digest, node counts, extractor
   and embedder contracts, the committed byte length of every file above,

@@ -1,10 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from linearrag import embedding
 from linearrag.corpus import Corpus, PassageRecord, corpus_from_records, ingest
-from linearrag.embedding import HashEncoder, build_store
+from linearrag.embedding import EncoderContract, HashEncoder, build_store
 from linearrag.trigraph import build
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -47,3 +49,49 @@ def chain_index(chain_corpus):
     graph = build(chain_corpus)
     store = build_store(graph, HashEncoder(**CHAIN_ENCODER))
     return graph, store
+
+
+class TokenEncoder:
+    """A small encoder to register under the name ``tf``: token lengths and
+    positions bucketed, L2-normalized. Its contract id is ``tf:<dim>``.
+
+    Setting the class attribute ``poison`` makes every batch it encodes
+    from then on faulty: ``wide`` (one extra column), ``nan`` or
+    ``unnormalized``.
+    """
+
+    poison: str | None = None
+
+    def __init__(self, dim="16"):
+        self.dim = int(dim)
+        self.contract = EncoderContract(f"tf:{self.dim}", self.dim)
+
+    def encode_batch(self, texts):
+        out = np.zeros((len(texts), self.dim), dtype=np.float32)
+        for i, text in enumerate(texts):
+            for j, token in enumerate(text.split()):
+                out[i, (len(token) + j) % self.dim] += 1.0
+            if not out[i].any():
+                out[i, 0] = 1.0
+            out[i] /= np.linalg.norm(out[i])
+        if self.poison == "wide":
+            return np.hstack([out, np.zeros((len(texts), 1), dtype=np.float32)])
+        if self.poison == "nan":
+            out[:, -1] = np.nan
+        if self.poison == "unnormalized":
+            out *= 2.0
+        return out
+
+
+POISONS = ("wide", "nan", "unnormalized")
+
+
+@pytest.fixture()
+def tf_encoder(monkeypatch):
+    """Register ``TokenEncoder`` as ``tf`` for one test only."""
+    monkeypatch.setattr(
+        embedding, "_ENCODER_FACTORIES", dict(embedding._ENCODER_FACTORIES)
+    )
+    monkeypatch.setattr(TokenEncoder, "poison", None)
+    embedding.register_encoder("tf", TokenEncoder)
+    return TokenEncoder

@@ -327,6 +327,17 @@ def test_store_save_without_manifest_rewrites(tmp_path):
     assert same_rows(load_store(tmp_path, FULL), other)
 
 
+def test_store_save_under_another_encoder_rewrites(tmp_path):
+    """Committed row counts vouch only for rows of the encoder id in the
+    file's header; a store of another encoder replaces every row."""
+    save_index(FULL, build_store(FULL, ENCODER), tmp_path)
+    other = build_store(FULL, HashEncoder(dim=16, seed=4))
+    save_store(other, tmp_path)
+    loaded = load_store(tmp_path, FULL)
+    assert loaded.encoder_id == "hash:16:4"
+    assert same_rows(loaded, other)
+
+
 def test_store_save_commits_row_counts(states, tmp_path):
     old_graph, old_store, new_graph, new_store = states
     save_index(old_graph, old_store, tmp_path)
@@ -381,6 +392,21 @@ def test_surface_growth_is_logged(tmp_path):
     lines = (tmp_path / "entities.tsv").read_text().splitlines()
     assert lines == ["0\tparis\tParis", "1\trome\tRome", "0\tparis\tPARIS\x1fParis"]
     assert load(tmp_path).entity_registry[0].surfaces == ("PARIS", "Paris")
+
+
+@pytest.mark.parametrize("gap", ["\t", "\n", "\x1f"], ids=["tab", "newline", "x1f"])
+def test_surface_spanning_whitespace_round_trips(tmp_path, gap):
+    # A caps-run may span any whitespace; the surface is stored collapsed,
+    # so it can hold none of the entity log's separators.
+    corpus = make_corpus(["Paris met Rome.", f"Alpha{gap}Beta met Gamma."])
+    full = build(corpus)
+    assert ("Alpha Beta",) in [r.surfaces for r in full.entity_registry.records]
+    save(full, tmp_path / "full")
+    assert graph_equal(load(tmp_path / "full"), full)
+    first = build(make_slice(corpus, 0, 1))
+    save(first, tmp_path / "appended")
+    save(add_passages(first, make_slice(corpus, 1, 2)), tmp_path / "appended")
+    assert graph_equal(load(tmp_path / "appended"), full)
 
 
 def test_force_rebuild_repairs_damage(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from linearrag.cli import main
 from linearrag.trigraph import build, graph_equal, load
 
-from conftest import DATA_DIR, MULTIHOP_ENCODER, write_jsonl
+from conftest import DATA_DIR, MULTIHOP_ENCODER, POISONS, write_jsonl
 
 CHAIN_CORPUS = DATA_DIR / "chain" / "corpus.jsonl"
 MULTIHOP_CORPUS = DATA_DIR / "multihop" / "corpus.jsonl"
@@ -320,6 +320,72 @@ class TestExternalEncoder:
     def test_unknown_encoder_id_is_config_error(self, tmp_path):
         config = write_config(tmp_path, encoder={"id": "bert", "dim": 64})
         assert main(["index", "--config", str(config)]) == 1
+
+
+class TestRegisteredEncoder:
+    """An encoder registered in-process before ``main`` runs can be named in
+    the config, and its faulty output stops a command before any write."""
+
+    def split_configs(self, tmp_path):
+        lines = MULTIHOP_CORPUS.read_text().splitlines()
+        prefix = tmp_path / "prefix.jsonl"
+        delta = tmp_path / "delta.jsonl"
+        prefix.write_text("\n".join(lines[:40]) + "\n")
+        delta.write_text("\n".join(lines[40:]) + "\n")
+        configs = []
+        for corpus in (prefix, MULTIHOP_CORPUS):
+            path = tmp_path / f"config-{corpus.stem}.json"
+            path.write_text(
+                json.dumps(
+                    {
+                        "corpus_path": str(corpus),
+                        "index_dir": str(tmp_path / "index"),
+                        "encoder": {"id": "tf", "dim": 16},
+                    }
+                )
+            )
+            configs.append(str(path))
+        return configs[0], configs[1], str(delta)
+
+    def index_bytes(self, tmp_path):
+        return {p.name: p.read_bytes() for p in (tmp_path / "index").iterdir()}
+
+    def test_index_query_add_equal_force_rebuild(self, tmp_path, capsys, tf_encoder):
+        prefix, full, delta = self.split_configs(tmp_path)
+        assert main(["index", "--config", prefix]) == 0
+        assert read_manifest(tmp_path)["embedder"] == {"id": "tf:16", "dim": 16}
+        question = json.loads(MULTIHOP_QA.read_text().splitlines()[0])["question"]
+        capsys.readouterr()
+        assert main(["query", "--config", prefix, question, "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["items"]
+        assert main(["index", "--config", prefix, "--add", delta]) == 0
+        grown = self.index_bytes(tmp_path)
+        assert main(["index", "--config", full, "--force"]) == 0
+        assert self.index_bytes(tmp_path) == grown
+
+    @pytest.mark.parametrize("poison", POISONS)
+    def test_bad_output_fails_before_any_write(
+        self, tmp_path, capsys, tf_encoder, poison
+    ):
+        prefix, _, delta = self.split_configs(tmp_path)
+        tf_encoder.poison = poison
+        assert main(["index", "--config", prefix]) == 1
+        assert "tf:16" in capsys.readouterr().err
+        assert not (tmp_path / "index").exists()
+
+        tf_encoder.poison = None
+        assert main(["index", "--config", prefix]) == 0
+        before = self.index_bytes(tmp_path)
+        tf_encoder.poison = poison
+        assert main(["index", "--config", prefix, "--add", delta]) == 1
+        assert "tf:16" in capsys.readouterr().err
+        assert self.index_bytes(tmp_path) == before
+
+    def test_seed_flag_without_seed_parameter_is_config_error(
+        self, tmp_path, tf_encoder
+    ):
+        prefix, _, _ = self.split_configs(tmp_path)
+        assert main(["index", "--config", prefix, "--seed", "3"]) == 1
 
 
 class TestErrorsAndConfig:

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from linearrag.embedding import (
+    EmbeddingStore,
     EncoderContract,
     HashEncoder,
+    _encode_checked,
     build_store,
     cosine,
-    encode_batch,
+    extend_store,
     hash_encode,
     load_store,
     make_encoder,
@@ -19,9 +21,10 @@ from linearrag.embedding import (
     write_vector_file,
 )
 from linearrag.errors import ConfigError, ConsistencyError, EncodingError
-from linearrag.trigraph import build
+from linearrag.trigraph import add_passages, build
 
-from conftest import DATA_DIR, make_corpus
+from conftest import DATA_DIR, POISONS, TokenEncoder, make_corpus
+from test_trigraph import make_slice
 
 
 class TestHashEncode:
@@ -59,7 +62,7 @@ class TestHashEncode:
         with pytest.raises(ConfigError):
             hash_encode("x", 4, 0)
         with pytest.raises(ConfigError):
-            HashEncoder(dim=7)
+            HashEncoder(dim=7).encode_batch(["x"])
 
     def test_golden_file(self):
         golden = json.loads((DATA_DIR / "hash_golden.json").read_text())
@@ -105,20 +108,36 @@ class TestCosine:
             cosine(np.zeros(8, dtype=np.float32), np.zeros(16, dtype=np.float32))
 
 
+class Drifted(TokenEncoder):
+    """A factory whose contract id no longer matches the id it was given."""
+
+    def __init__(self, dim="16"):
+        super().__init__(dim)
+        self.contract = EncoderContract(f"tf:{self.dim}:v2", self.dim)
+
+
 class TestEncodeBatch:
     def test_purity(self):
-        contract = EncoderContract(id="hash:32:9", dim=32)
-        vectors = encode_batch(["a", "a"], contract)
+        encoder = resolve_encoder("hash:32:9")
+        vectors = _encode_checked(encoder, ["a", "a"], 32, "vectors")
+        assert vectors.shape == (2, 32)
         assert np.array_equal(vectors[0], vectors[1])
 
     def test_empty(self):
-        contract = EncoderContract(id="hash:32:9", dim=32)
-        assert encode_batch([], contract).shape == (0, 32)
+        encoder = make_encoder("hash", "32", "9")
+        assert _encode_checked(encoder, [], 32, "vectors").shape == (0, 32)
 
     def test_external_unavailable(self):
-        contract = EncoderContract(id="mpnet-export", dim=768)
-        with pytest.raises(EncodingError, match="mpnet-export"):
-            encode_batch(["text"], contract)
+        # An id whose name is not registered rebuilds no encoder, so a store
+        # under it can neither embed queries nor grow; both errors name it.
+        assert resolve_encoder("mpnet-export:768") is None
+        rows = np.eye(8, dtype=np.float32)[:1]
+        store = EmbeddingStore(8, "mpnet-export:768", rows, rows, rows)
+        with pytest.raises(ConfigError, match="mpnet-export"):
+            store.encode_query("text")
+        graph = build(make_corpus(["Paris is big."]))
+        with pytest.raises(ConfigError, match="mpnet-export"):
+            extend_store(store, graph)
 
     def test_unknown_encoder_name(self):
         with pytest.raises(ConfigError):
@@ -135,13 +154,43 @@ class TestEncodeBatch:
     def test_resolve_external_is_none(self):
         assert resolve_encoder("all-mpnet-base-v2") is None
 
+    def test_id_rule(self):
+        # A contract id is the registry name and the factory's positional
+        # arguments; the built-in defaults live on HashEncoder alone.
+        assert make_encoder("hash", "64", "3").contract.id == "hash:64:3"
+        assert make_encoder("hash", dim=64, seed=3).contract.id == "hash:64:3"
+        assert make_encoder("hash").contract == EncoderContract("hash:256:0", 256)
+        assert HashEncoder().contract == make_encoder("hash").contract
+
+    def test_unaccepted_parameter_is_config_error(self):
+        with pytest.raises(ConfigError, match="hash"):
+            make_encoder("hash", dim=64, vectors_dir="x")
+        with pytest.raises(ConfigError, match="hash"):
+            resolve_encoder("hash:64:3:1")
+
+    def test_registered_encoder_resolves(self, tf_encoder):
+        encoder = make_encoder("tf", dim=16)
+        assert encoder.contract.id == "tf:16"
+        resolved = resolve_encoder("tf:16")
+        assert isinstance(resolved, tf_encoder)
+        assert resolved.contract == encoder.contract
+
+    def test_rebuilt_contract_mismatch_is_rejected(self, tf_encoder):
+        # hash's seed defaults to 0, so "hash:32" rebuilds "hash:32:0".
+        with pytest.raises(EncodingError, match="hash:32:0"):
+            resolve_encoder("hash:32")
+        register_encoder("tf", Drifted)
+        with pytest.raises(EncodingError, match="tf:16:v2"):
+            resolve_encoder("tf:16")
+
+
+TEXTS = ["Paris is big. Rome is old.", "Berlin builds. Paris shines!"]
+
 
 class TestStore:
     @pytest.fixture()
     def graph(self):
-        return build(
-            make_corpus(["Paris is big. Rome is old.", "Berlin builds. Paris shines!"])
-        )
+        return build(make_corpus(TEXTS))
 
     def test_build_counts(self, graph):
         store = build_store(graph, HashEncoder(dim=32, seed=1))
@@ -173,6 +222,17 @@ class TestStore:
         with pytest.raises(ConsistencyError):
             load_store(tmp_path, graph)
 
+    def test_row_count_past_end_of_file(self, graph, tmp_path):
+        # A damaged row count is refused from the file's size, before any
+        # buffer of that size is allocated.
+        save_store(build_store(graph, HashEncoder(dim=32, seed=1)), tmp_path)
+        path = tmp_path / "passages.vec"
+        raw = bytearray(path.read_bytes())
+        raw[16:24] = (2**40).to_bytes(8, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConsistencyError, match="bytes of vector data"):
+            read_vector_file(path)
+
     def test_unnormalized_rows_rejected(self, tmp_path):
         rows = np.full((3, 8), 0.9, dtype=np.float32)
         write_vector_file(tmp_path / "v.vec", rows, "custom")
@@ -201,29 +261,49 @@ class TestStore:
             norms = np.linalg.norm(rows.astype(np.float64), axis=1)
             assert np.all(np.abs(norms - 1.0) <= 1e-4)
 
-    def test_encoder_swap_keeps_pipeline_valid(self, graph):
+    def test_registered_encoder_survives_save_and_load(
+        self, graph, tmp_path, tf_encoder
+    ):
+        store = build_store(graph, make_encoder("tf", dim=16))
+        save_store(store, tmp_path)
+        loaded = load_store(tmp_path, graph)
+        assert isinstance(loaded.encoder, tf_encoder)
+        assert np.array_equal(
+            loaded.encode_query("Paris shines"), store.encode_query("Paris shines")
+        )
+
+    def test_mismatched_rebuild_fails_load(self, graph, tmp_path, tf_encoder):
+        save_store(build_store(graph, make_encoder("tf", dim=16)), tmp_path)
+        register_encoder("tf", Drifted)  # "tf:16" now rebuilds "tf:16:v2"
+        with pytest.raises(EncodingError, match="tf:16:v2"):
+            load_store(tmp_path, graph)
+
+    @pytest.mark.parametrize("poison", POISONS)
+    def test_build_store_rejects_bad_output(self, graph, tf_encoder, poison):
+        tf_encoder.poison = poison
+        with pytest.raises(EncodingError, match="tf:16"):
+            build_store(graph, make_encoder("tf", dim=16))
+
+    @pytest.mark.parametrize("poison", POISONS)
+    def test_extend_store_rejects_bad_new_rows(
+        self, graph, tmp_path, tf_encoder, poison
+    ):
+        store = build_store(graph, make_encoder("tf", dim=16))
+        save_store(store, tmp_path)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        grown = add_passages(
+            graph, make_slice(make_corpus([*TEXTS, "Vienna waltzes."]), 2, 3)
+        )
+        tf_encoder.poison = poison
+        with pytest.raises(EncodingError, match="tf:16"):
+            extend_store(store, grown)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_encoder_swap_keeps_pipeline_valid(self, graph, tf_encoder):
         # Any encoder with matching row counts must run the full pipeline.
         from linearrag.retrieval import RetrievalConfig, retrieve
 
-        class TfBaseline:
-            """Toy deterministic encoder registered through the seam."""
-
-            def __init__(self, dim=16):
-                self.contract = EncoderContract(id="tf-baseline:16", dim=dim)
-
-            def encode_batch(self, texts):
-                out = np.zeros((len(texts), self.contract.dim), dtype=np.float32)
-                for i, text in enumerate(texts):
-                    for j, token in enumerate(text.split()):
-                        out[i, (len(token) + j) % self.contract.dim] += 1.0
-                    if not out[i].any():
-                        out[i, 0] = 1.0
-                    out[i] /= np.linalg.norm(out[i])
-                return out
-
-        register_encoder("tf-baseline", TfBaseline)
-        encoder = make_encoder("tf-baseline")
-        store = build_store(graph, encoder)
+        store = build_store(graph, make_encoder("tf"))
         cfg = RetrievalConfig(entity_sim_threshold=0.1, delta=0.001, top_k=2)
         ranked = retrieve("Paris shines", graph, store, cfg)
         assert len(ranked.items) == 2
