@@ -13,7 +13,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -32,17 +32,9 @@ from .retrieval import RetrievalConfig
 
 logger = logging.getLogger(__name__)
 
+# A config file spells RetrievalConfig's ``lambda_`` as ``lambda``.
 _RETRIEVAL_KEYS = {
-    "entity_sim_threshold",
-    "delta",
-    "max_hops",
-    "damping",
-    "lambda",
-    "passage_weight",
-    "top_k",
-    "ppr_tol",
-    "ppr_max_iters",
-    "fallback",
+    "lambda" if f.name == "lambda_" else f.name for f in fields(RetrievalConfig)
 }
 _ENCODER_KEYS = {"id", "dim", "seed", "vectors_dir"}
 _EXTRACTOR_KEYS = {"id", "params"}

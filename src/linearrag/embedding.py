@@ -250,13 +250,12 @@ _KINDS = ("entity vectors", "sentence vectors", "passage vectors")
 
 
 def build_store(graph: TriGraph, encoder: Encoder) -> EmbeddingStore:
-    """Encode entity canonicals, sentences, and passages for a graph."""
-    dim = encoder.contract.dim
-    rows = [
-        _encode_checked(encoder, texts, dim, kind)
-        for kind, texts in zip(_KINDS, _node_texts(graph, (0, 0, 0)))
-    ]
-    return EmbeddingStore(dim, encoder.contract.id, *rows, encoder=encoder)
+    """Encode entity canonicals, sentences, and passages for a graph: an
+    ``extend_store`` of an empty store of the encoder's contract."""
+    contract = encoder.contract
+    empty = np.zeros((0, contract.dim), dtype=np.float32)
+    store = EmbeddingStore(contract.dim, contract.id, empty, empty, empty)
+    return extend_store(store, graph, encoder)
 
 
 def extend_store(
@@ -267,7 +266,9 @@ def extend_store(
     """Encode whatever nodes the store is missing for a grown graph.
 
     Existing rows are kept verbatim; only appended entities, sentences and
-    passages are encoded. Row counts may only grow.
+    passages are encoded, and the rows of an empty kind are the encoded ones,
+    uncopied. Row counts may only grow. An encoder whose contract id is not
+    the store's is a ConfigError, raised before anything is encoded.
     """
     encoder = encoder or store.encoder
     if encoder is None:
@@ -275,27 +276,32 @@ def extend_store(
             f"store built with encoder {store.encoder_id!r} cannot be "
             "extended without an in-process encoder"
         )
+    if encoder.contract.id != store.encoder_id:
+        raise ConfigError(
+            f"encoder {encoder.contract.id!r} cannot extend a store built "
+            f"with encoder {store.encoder_id!r}"
+        )
     old = (store.entity_vectors, store.sentence_vectors, store.passage_vectors)
     new_texts = _node_texts(graph, [len(rows) for rows in old])
-    grown = [
-        np.vstack([rows, _encode_checked(encoder, texts, store.dim, kind)])
-        if texts
-        else rows
-        for kind, rows, texts in zip(_KINDS, old, new_texts)
-    ]
+    grown = []
+    for kind, rows, texts in zip(_KINDS, old, new_texts):
+        if texts:
+            new = _encode_checked(encoder, texts, store.dim, kind)
+            rows = np.vstack([rows, new]) if len(rows) else new
+        grown.append(rows)
     return EmbeddingStore(store.dim, store.encoder_id, *grown, encoder=encoder)
 
 
 def write_vector_file(path: str | Path, rows: np.ndarray, encoder_id: str) -> None:
+    """Write a whole vector file, header and rows, and fsync it."""
     rows = np.ascontiguousarray(rows, dtype="<f4")
     if rows.ndim != 2:
         raise ValueError("vector file payload must be a 2-D array")
     encoded_id = encoder_id.encode("utf-8")
-    with Path(path).open("wb") as f:
-        f.write(MAGIC)
-        f.write(_HEADER.pack(FILE_VERSION, rows.shape[1], rows.shape[0], len(encoded_id)))
-        f.write(encoded_id)
-        f.write(rows.tobytes())
+    header = MAGIC + _HEADER.pack(
+        FILE_VERSION, rows.shape[1], rows.shape[0], len(encoded_id)
+    )
+    storage.append(Path(path), 0, b"".join((header, encoded_id, memoryview(rows))))
 
 
 def _read_header(f: BinaryIO, path: str | Path) -> tuple[int, int, str]:
@@ -335,9 +341,10 @@ def save_store(store: EmbeddingStore, directory: str | Path) -> None:
     A file whose row count the directory's manifest commits (its
     ``vector_rows``), under the store's encoder id and dim, gets only the
     rows past that count appended, then its header's row count updated in
-    place. Any other file is rewritten. The manifest, if there is one, then
-    commits the new row counts. ``trigraph.save`` keeps the committed
-    counts only when it appends to the graph those rows belong to.
+    place. Any other file is rewritten whole and fsynced. The manifest, if
+    there is one, then commits the new row counts. ``trigraph.save`` keeps
+    the committed counts only when it appends to the graph those rows
+    belong to.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -402,7 +409,14 @@ def load_store(
     dims = {a.shape[1] for a in arrays}
     if len(dims) != 1:
         raise ConsistencyError(f"vector files disagree on dim: {sorted(dims)}")
-    encoder = encoder or resolve_encoder(ids[0])
+    if encoder is None:
+        try:
+            encoder = resolve_encoder(ids[0])
+        except (ValueError, TypeError, ConfigError) as exc:
+            raise ConsistencyError(
+                f"{directory / STORE_FILES[0]}: stored encoder id {ids[0]!r} "
+                f"does not rebuild an encoder: {exc}"
+            ) from None
     store = EmbeddingStore(dims.pop(), ids[0], *arrays, encoder=encoder)
     if graph is not None and not store.matches(graph):
         raise ConsistencyError(

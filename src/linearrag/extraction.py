@@ -14,7 +14,12 @@ Two extraction strategies are supported:
 
 Entities are aligned across passages purely by their canonical key
 (case-folded, NFC-normalized, whitespace-collapsed, punctuation-stripped).
-No alias merging beyond that is attempted.
+No alias merging beyond that is attempted. A registry is only ever grown:
+``extend_entity_registry`` registers a slice's mentions and returns one
+``(sentence, passage, entity)`` row per mention, and building a registry is
+growing an empty one. An entity record holds its key and surfaces; which
+sentences and passages mention it is kept once, in the graph's incidence
+matrices built from those rows.
 """
 
 from __future__ import annotations
@@ -59,7 +64,6 @@ class EntityRecord:
     id: int
     canonical: str
     surfaces: tuple[str, ...]  # sorted, deduplicated
-    first_seen_passage: int
     # The passage whose mention last added a surface (an upper bound when
     # unknown). Bookkeeping for appending saves, not part of the entity.
     surfaces_grown_at: int = field(default=-1, compare=False)
@@ -75,22 +79,9 @@ class EntityRegistry:
     def __getitem__(self, entity_id: int) -> EntityRecord:
         return self.records[entity_id]
 
-    def id_of(self, canonical: str) -> int | None:
-        return self._by_canonical.get(canonical)
-
     @cached_property
     def _by_canonical(self) -> dict[str, int]:
         return {r.canonical: r.id for r in self.records}
-
-
-@dataclass(frozen=True)
-class IncidenceFacts:
-    """Deduplicated (sentence, entity) and (passage, entity) pairs plus raw
-    mention counts per (passage, entity)."""
-
-    sentence_entity: tuple[tuple[int, int], ...]
-    passage_entity: tuple[tuple[int, int], ...]
-    occurrence: Mapping[tuple[int, int], int]
 
 
 @dataclass(frozen=True)
@@ -298,12 +289,12 @@ def extend_entity_registry(
     """Register the canonical keys of new mentions in an existing registry.
 
     New entities get the next ids in first-occurrence order (mentions must
-    come in corpus order); an existing entity keeps its id and first passage
-    and gains the new surfaces. Only the records of mentioned entities are
-    touched. ``owner`` maps each mention's sentence to its passage. A
-    surface is recorded with its inner whitespace collapsed to single
-    spaces, as ``canonicalize`` does, so no surface holds a tab, a line
-    break or the index's surface separator.
+    come in corpus order); an existing entity keeps its id and gains the new
+    surfaces. Only the records of mentioned entities are touched. ``owner``
+    maps each mention's sentence to its passage. A surface is recorded with
+    its inner whitespace collapsed to single spaces, as ``canonicalize``
+    does, so no surface holds a tab, a line break or the index's surface
+    separator.
 
     Returns the grown registry and one ``(sentence, passage, entity)`` int64
     row per mention with a non-empty canonical key, in mention order.
@@ -322,7 +313,7 @@ def extend_entity_registry(
         if entity_id is None:
             entity_id = len(ids)
             ids[canonical] = entity_id
-            records.append(EntityRecord(entity_id, canonical, (), passage_id))
+            records.append(EntityRecord(entity_id, canonical, ()))
         surface = " ".join(mention.surface.split())
         surfaces = added.setdefault(entity_id, set())
         if surface not in surfaces:
@@ -336,7 +327,6 @@ def extend_entity_registry(
             id=entity_id,
             canonical=record.canonical,
             surfaces=tuple(sorted(added[entity_id].union(record.surfaces))),
-            first_seen_passage=record.first_seen_passage,
             surfaces_grown_at=passage_id,
         )
     grown = EntityRegistry(records=tuple(records))
@@ -346,25 +336,11 @@ def extend_entity_registry(
 
 def build_entity_registry(
     mentions: Iterable[EntityMention], corpus: Corpus
-) -> tuple[EntityRegistry, IncidenceFacts]:
-    """Canonicalize mentions into an entity registry plus incidence facts.
-
-    Entity ids are assigned in first-occurrence order of the canonical key
-    (mentions must be supplied in corpus order for deterministic ids).
-    A passage contains an entity iff one of its sentences mentions it.
-    """
+) -> tuple[EntityRegistry, np.ndarray]:
+    """``extend_entity_registry`` of an empty registry: the corpus's entity
+    registry and its ``(sentence, passage, entity)`` mention rows."""
     owner = {s.id: s.passage_id for s in corpus.sentences}
-    registry, hits = extend_entity_registry(EntityRegistry(records=()), mentions, owner)
-    sentences, passages, entities = hits.T
-    s_rows, s_cols, _ = distinct_entries(sentences, entities, len(registry))
-    p_rows, p_cols, counts = distinct_entries(passages, entities, len(registry))
-    passage_entity = tuple(zip(p_rows.tolist(), p_cols.tolist()))
-    facts = IncidenceFacts(
-        sentence_entity=tuple(zip(s_rows.tolist(), s_cols.tolist())),
-        passage_entity=passage_entity,
-        occurrence=dict(zip(passage_entity, counts.tolist())),
-    )
-    return registry, facts
+    return extend_entity_registry(EntityRegistry(records=()), mentions, owner)
 
 
 def distinct_entries(

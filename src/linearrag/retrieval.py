@@ -178,7 +178,7 @@ def propagate(
     if not state.frontier:
         return state
     u = state.sigma * _frontier_gate(graph, state.a, state.frontier)
-    candidates = graph.entity_mentions @ u
+    candidates = graph.mention_transposed @ u
 
     retained = candidates > cfg.delta
     a_new = np.where(retained, np.maximum(candidates, state.a), state.a)

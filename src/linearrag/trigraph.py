@@ -9,9 +9,12 @@ passage-level projection of ``mention`` through ``sentence_owner``, so only
 
 A graph is never mutated: ``add_passages`` returns a new one. New passage,
 sentence and entity ids are larger than every old one, so a slice's entries
-sort after the graph's and growing a graph only appends to its arrays. The
-sparse operators a query needs are built from it once, on first use, and
-cached on the graph.
+sort after the graph's and growing a graph only appends to its arrays.
+``build`` is the same growth applied to an empty graph, so every fact of a
+graph is derived by one path. An entity's passages are read from
+``contain`` alone; its registry record holds only its key and surfaces. The
+sparse operators a query needs are built from the graph once, on first use,
+and cached on it.
 
 The persisted index directory (format version 2) holds:
 
@@ -229,22 +232,14 @@ class TriGraph:
         return np.log1p(self.occurrence_counts.astype(np.float64))
 
     @cached_property
-    def entity_mentions(self) -> sp.csr_matrix:
-        """The mention matrix transposed (entity x sentence) as CSR.
+    def mention_transposed(self) -> sp.csc_matrix:
+        """The mention matrix transposed (entity x sentence): its CSR form
+        read as CSC, with no re-sort.
 
-        Each row lists its sentences in ascending id, so ``entity_mentions @ u``
-        adds each entity's terms in the order of the mention entries.
+        ``mention_transposed @ u`` walks the sentences in ascending id, so each
+        entity adds its terms in the order of the mention entries.
         """
-        mention = self.mention
-        order = np.argsort(mention.col_ids, kind="stable")
-        return sp.csr_matrix(
-            (
-                np.ones(mention.nnz, dtype=np.float64),
-                mention.row_ids[order],
-                _row_indptr(mention.col_ids, mention.n_cols),
-            ),
-            shape=(mention.n_cols, mention.n_rows),
-        )
+        return self.mention.to_csr().T
 
     @cached_property
     def ppr_transition(self) -> sp.csr_matrix:
@@ -716,16 +711,10 @@ def _sentences(
 def _load_registry(
     path: Path, data: bytes, n_entities: int, contain: SparseBinaryMatrix
 ) -> EntityRegistry:
-    # first_seen_passage is not stored: entity ids follow first occurrence
-    # in corpus order, so it is the smallest passage containing the entity,
-    # and contain's row-major order meets that passage first. Nor is
-    # surfaces_grown_at; the last passage bounds it.
-    first_seen = np.full(n_entities, -1, dtype=np.int64)
-    entities, first = np.unique(contain.col_ids, return_index=True)
-    first_seen[entities] = contain.row_ids[first]
-    if np.any(first_seen < 0):
-        missing = int(np.argmin(first_seen))
-        raise ConsistencyError(f"{path}: entity {missing} is mentioned nowhere")
+    # surfaces_grown_at is not stored; the last passage bounds it.
+    unmentioned = np.flatnonzero(contain.col_counts() == 0)
+    if unmentioned.size:
+        raise ConsistencyError(f"{path}: entity {unmentioned[0]} is mentioned nowhere")
     records: list[EntityRecord] = []
     for lineno, line in enumerate(_lines(path, data), 1):
         if not line:
@@ -743,7 +732,6 @@ def _load_registry(
             id=eid,
             canonical=parts[1],
             surfaces=tuple(parts[2].split(SURFACE_SEPARATOR)) if parts[2] else (),
-            first_seen_passage=int(first_seen[eid]),
             surfaces_grown_at=contain.n_rows - 1,
         )
         if eid == len(records):

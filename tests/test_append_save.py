@@ -8,6 +8,7 @@ import os
 import random
 from dataclasses import replace
 from itertools import count
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +114,36 @@ class FailAt:
         os.replace(src, dst)
 
 
+class Recorder:
+    """Stands in for ``os`` inside ``linearrag.storage``: logs each write
+    (with the bytes written), fsync and rename by file name."""
+
+    def __init__(self):
+        self.names = {}
+        self.log = []
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def open(self, path, *args):
+        fd = os.open(path, *args)
+        self.names[fd] = Path(path).name
+        return fd
+
+    def write(self, fd, data):
+        written = os.write(fd, data)
+        self.log.append(("write", self.names[fd], bytes(data[:written])))
+        return written
+
+    def fsync(self, fd):
+        self.log.append(("fsync", self.names[fd]))
+        os.fsync(fd)
+
+    def replace(self, src, dst):
+        self.log.append(("replace", Path(dst).name))
+        os.replace(src, dst)
+
+
 @pytest.fixture(scope="module")
 def states():
     """An old index and the same index after one append."""
@@ -152,6 +183,22 @@ def test_append_writes_only_new_rows(states, tmp_path, monkeypatch):
     loaded = load(tmp_path)
     assert graph_equal(loaded, new_graph)
     assert same_rows(load_store(tmp_path, loaded), new_store)
+
+
+def test_full_store_save_writes_through_storage(states, tmp_path, monkeypatch):
+    old_graph, old_store, _, _ = states
+    save(old_graph, tmp_path, embedder=EMBEDDER)  # commits no vector rows
+    recorder = Recorder()
+    monkeypatch.setattr(storage, "os", recorder)
+    save_store(old_store, tmp_path)
+    log = recorder.log
+    commit = log.index(("replace", "manifest.json"))
+    for name in STORE_FILES:
+        writes = [i for i, entry in enumerate(log) if entry[:2] == ("write", name)]
+        assert b"".join(log[i][2] for i in writes) == (tmp_path / name).read_bytes()
+        synced = log.index(("fsync", name), writes[-1])
+        assert synced < commit, name
+    assert same_rows(load_store(tmp_path, load(tmp_path)), old_store)
 
 
 def test_crash_at_every_step_of_a_save(states, uncrashed, tmp_path, monkeypatch):

@@ -1,9 +1,11 @@
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from linearrag.cli import main
+from linearrag.cli import load_app_config, main
+from linearrag.retrieval import RetrievalConfig
 from linearrag.trigraph import build, graph_equal, load
 
 from conftest import DATA_DIR, MULTIHOP_ENCODER, POISONS, write_jsonl
@@ -415,6 +417,31 @@ class TestErrorsAndConfig:
         config = write_config(tmp_path, retrieval={"lambda": 0.1, "delta": 0.01})
         assert main(["index", "--config", str(config)]) == 0
 
+    def test_every_retrieval_field_settable_from_config(self, tmp_path):
+        # One value per field, none of them the default; a config file
+        # spells ``lambda_`` as ``lambda``.
+        values = {
+            "entity_sim_threshold": 0.25,
+            "delta": 0.02,
+            "max_hops": 2,
+            "damping": 0.5,
+            "lambda": 0.1,
+            "passage_weight": 2.0,
+            "top_k": 3,
+            "ppr_tol": 1e-9,
+            "ppr_max_iters": 50,
+            "fallback": "empty",
+        }
+        names = {"lambda_" if key == "lambda" else key: key for key in values}
+        assert set(names) == {f.name for f in fields(RetrievalConfig)}
+        config = load_app_config(str(write_config(tmp_path, retrieval=values)))
+        for name, key in names.items():
+            assert values[key] != getattr(RetrievalConfig(), name)
+            assert getattr(config.retrieval, name) == values[key]
+        for unknown in ("lambda_", "deltah"):
+            config = write_config(tmp_path, retrieval={unknown: 0.1})
+            assert main(["index", "--config", str(config)]) == 1
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         assert main(["index", "--config", str(tmp_path / "none.json")]) == 2
 
@@ -432,6 +459,19 @@ class TestErrorsAndConfig:
         manifest["format_version"] = 9
         manifest_path.write_text(json.dumps(manifest))
         assert main(["query", "--config", str(config), "anything"]) == 3
+
+    def test_damaged_stored_encoder_id_exit_three(self, tmp_path, capsys):
+        # The same length as the id it replaces, so every header still parses.
+        config = write_config(tmp_path, encoder={"id": "hash"})
+        assert main(["index", "--config", str(config)]) == 0
+        for name in ("entities.vec", "sentences.vec", "passages.vec"):
+            path = tmp_path / "index" / name
+            raw = path.read_bytes()
+            assert raw.count(b"hash:256:0") == 1
+            path.write_bytes(raw.replace(b"hash:256:0", b"hash:abc:0"))
+        capsys.readouterr()
+        assert main(["query", "--config", str(config), "anything"]) == 3
+        assert "entities.vec" in capsys.readouterr().err
 
     def test_tampered_passages_exit_three(self, tmp_path):
         config = write_config(tmp_path)

@@ -299,6 +299,55 @@ class TestStore:
             extend_store(store, grown)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_extend_store_refuses_another_contract_id(self, graph):
+        store = build_store(graph, HashEncoder(dim=16, seed=3))
+        grown = add_passages(
+            graph, make_slice(make_corpus([*TEXTS, "Vienna waltzes."]), 2, 3)
+        )
+        encoded = []
+
+        class Spy(HashEncoder):
+            def encode_batch(self, texts):
+                encoded.append(list(texts))
+                return super().encode_batch(texts)
+
+        with pytest.raises(ConfigError, match="'hash:16:4'.*'hash:16:3'"):
+            extend_store(store, grown, Spy(dim=16, seed=4))
+        assert encoded == []
+        extended = extend_store(store, grown, Spy(dim=16, seed=3))
+        assert encoded == [["vienna"], ["Vienna waltzes."], ["Vienna waltzes."]]
+        assert extended.matches(grown)
+
+    def test_build_store_is_extend_of_empty_store(self, graph):
+        returned = []
+
+        class Spy(HashEncoder):
+            def encode_batch(self, texts):
+                returned.append(super().encode_batch(texts))
+                return returned[-1]
+
+        encoder = Spy(dim=32, seed=1)
+        empty = np.zeros((0, 32), dtype=np.float32)
+        extended = extend_store(
+            EmbeddingStore(32, encoder.contract.id, empty, empty, empty), graph, encoder
+        )
+        built = build_store(graph, encoder)
+        names = ("entity_vectors", "sentence_vectors", "passage_vectors")
+        for name, rows in zip(names, returned[3:]):
+            assert np.array_equal(getattr(built, name), getattr(extended, name))
+            assert getattr(built, name) is rows  # the encoded rows, uncopied
+
+    def test_damaged_stored_encoder_id_is_consistency_error(self, graph, tmp_path):
+        save_store(build_store(graph, HashEncoder(dim=32, seed=1)), tmp_path)
+        for name in ("entities.vec", "sentences.vec", "passages.vec"):
+            path = tmp_path / name
+            path.write_bytes(path.read_bytes().replace(b"hash:32:1", b"hash:3x:1"))
+        with pytest.raises(ConsistencyError, match="entities.vec.*hash:3x:1"):
+            load_store(tmp_path, graph)
+        # An attached encoder needs no rebuild.
+        loaded = load_store(tmp_path, graph, HashEncoder(dim=32, seed=1))
+        assert loaded.encoder_id == "hash:3x:1"
+
     def test_encoder_swap_keeps_pipeline_valid(self, graph, tf_encoder):
         # Any encoder with matching row counts must run the full pipeline.
         from linearrag.retrieval import RetrievalConfig, retrieve

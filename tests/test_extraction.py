@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from linearrag.errors import ConfigError
@@ -11,6 +12,7 @@ from linearrag.extraction import (
     extract_mentions,
     load_external_mentions,
 )
+from linearrag.trigraph import build
 
 from conftest import DATA_DIR, make_corpus
 
@@ -113,31 +115,48 @@ class TestCanonicalize:
             assert canonicalize(once) == once
 
 
+def registry_and_graph(corpus):
+    """The corpus's registry and mention rows, and its built graph."""
+    registry, hits = build_entity_registry(
+        extract_corpus_mentions(corpus, CAPS_RUN), corpus
+    )
+    graph = build(corpus)
+    assert graph.entity_registry.records == registry.records
+    return registry, hits, graph
+
+
+def occurrence(graph):
+    return dict(zip(graph.contain.pairs(), graph.occurrence_counts.tolist()))
+
+
 class TestRegistry:
     def test_dedup_across_sentences(self):
         corpus = make_corpus(["Paris is big. Paris shines."])
-        mentions = extract_corpus_mentions(corpus, CAPS_RUN)
-        registry, facts = build_entity_registry(mentions, corpus)
+        registry, hits, graph = registry_and_graph(corpus)
         assert len(registry) == 1
         assert registry[0].canonical == "paris"
-        assert facts.sentence_entity == ((0, 0), (1, 0))
-        assert facts.passage_entity == ((0, 0),)
-        assert facts.occurrence == {(0, 0): 2}
+        assert hits.tolist() == [[0, 0, 0], [1, 0, 0]]
+        assert graph.mention.pairs() == [(0, 0), (1, 0)]
+        assert graph.contain.pairs() == [(0, 0)]
+        assert occurrence(graph) == {(0, 0): 2}
 
     def test_empty_mentions(self):
         corpus = make_corpus(["nothing capitalized here."])
-        registry, facts = build_entity_registry([], corpus)
+        registry, hits = build_entity_registry([], corpus)
         assert len(registry) == 0
-        assert facts.sentence_entity == ()
-        assert facts.passage_entity == ()
+        assert hits.shape == (0, 3)
+        graph = build(corpus)
+        assert graph.mention.pairs() == []
+        assert graph.contain.pairs() == []
 
     def test_ids_in_first_occurrence_order(self):
         corpus = make_corpus(["Bravo met Alpha.", "Alpha met Charlie."])
-        registry, _ = build_entity_registry(
-            extract_corpus_mentions(corpus, CAPS_RUN), corpus
-        )
+        registry, _, graph = registry_and_graph(corpus)
         assert [r.canonical for r in registry.records] == ["bravo", "alpha", "charlie"]
-        assert [r.first_seen_passage for r in registry.records] == [0, 0, 1]
+        # The first passage of each entity, as contain holds it.
+        rows, cols = graph.contain.row_ids, graph.contain.col_ids
+        first = [int(rows[cols == e].min()) for e in range(len(registry))]
+        assert first == [0, 0, 1]
 
     def test_surfaces_collected(self):
         corpus = make_corpus(["PARIS is north. Paris is south."])
@@ -157,8 +176,7 @@ class TestRegistry:
                 "snow fell quietly.",
             ]
         )
-        mentions = extract_corpus_mentions(corpus, CAPS_RUN)
-        registry, facts = build_entity_registry(mentions, corpus)
+        registry, _, graph = registry_and_graph(corpus)
 
         canonicals = [r.canonical for r in registry.records]
         oracle_sentence = set()
@@ -169,36 +187,31 @@ class TestRegistry:
                 if canonical in folded:
                     oracle_sentence.add((sentence.id, eid))
                     oracle_passage.add((sentence.passage_id, eid))
-        assert set(facts.sentence_entity) == oracle_sentence
-        assert set(facts.passage_entity) == oracle_passage
+        assert set(graph.mention.pairs()) == oracle_sentence
+        assert set(graph.contain.pairs()) == oracle_passage
 
     def test_determinism(self):
         corpus = make_corpus(
             ["Alpha met Beta. Gamma left.", "Beta saw Alpha again!"]
         )
-        first = build_entity_registry(
-            extract_corpus_mentions(corpus, CAPS_RUN), corpus
-        )
-        second = build_entity_registry(
-            extract_corpus_mentions(corpus, CAPS_RUN), corpus
-        )
+        first = registry_and_graph(corpus)
+        second = registry_and_graph(corpus)
         assert first[0].records == second[0].records
-        assert first[1].sentence_entity == second[1].sentence_entity
-        assert first[1].occurrence == second[1].occurrence
+        assert np.array_equal(first[1], second[1])
+        assert first[2].mention.pairs() == second[2].mention.pairs()
+        assert occurrence(first[2]) == occurrence(second[2])
 
     def test_closure(self):
         corpus = make_corpus(
             ["Alpha met Beta. Gamma left.", "Beta saw Alpha again!"]
         )
-        registry, facts = build_entity_registry(
-            extract_corpus_mentions(corpus, CAPS_RUN), corpus
-        )
+        registry, _, graph = registry_and_graph(corpus)
         ids = {r.id for r in registry.records}
         owner = {s.id: s.passage_id for s in corpus.sentences}
-        for _, eid in facts.sentence_entity:
+        for _, eid in graph.mention.pairs():
             assert eid in ids
-        supported = {(owner[s], e) for s, e in facts.sentence_entity}
-        assert set(facts.passage_entity) == supported
+        supported = {(owner[s], e) for s, e in graph.mention.pairs()}
+        assert set(graph.contain.pairs()) == supported
 
 
 class TestExternalStrategy:

@@ -144,10 +144,10 @@ def test_gate_mass_and_best_sentence_equal_scalar_code(graph_rng, data):
     assert np.array_equal(gate, scalar_gate(graph, state.a, state.frontier))
 
     u = state.sigma * gate
-    assert same_bits(graph.entity_mentions @ u, scalar_candidates(graph, u))
+    assert same_bits(graph.mention_transposed @ u, scalar_candidates(graph, u))
     # Continuous masses round differently in every summation order.
     noise = rng.standard_normal(graph.n_sentences)
-    assert same_bits(graph.entity_mentions @ noise, scalar_candidates(graph, noise))
+    assert same_bits(graph.mention_transposed @ noise, scalar_candidates(graph, noise))
 
     changed = rng.random(graph.n_entities) < 0.6
     assert _best_supporting_sentence(
@@ -218,7 +218,7 @@ def test_append_after_queries_does_not_reuse_stale_operators():
     store = build_store(graph, encoder)
     before = [retrieve(q, graph, store, cfg) for q in questions]
     assert any(not ranked.fallback_used for ranked in before)
-    for cached in ("entity_mentions", "ppr_transition", "log_occurrence"):
+    for cached in ("mention_transposed", "ppr_transition", "log_occurrence"):
         assert cached in vars(graph), cached
 
     grown = add_passages(graph, make_slice(whole, 40, 60))
