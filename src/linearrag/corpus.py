@@ -15,8 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -24,10 +26,11 @@ from .errors import EmptyCorpusError, IngestError
 
 logger = logging.getLogger(__name__)
 
-# Sentence terminals: split after these when followed by whitespace or
-# end-of-text. Abbreviations ("Dr.") over-split by design; downstream
-# linking is entity-keyed and tolerant of short sentences.
-SENTENCE_TERMINALS = frozenset(".!?")
+# A sentence terminal: '.', '!' or '?' followed by whitespace (``\s``
+# matches exactly where ``str.isspace()`` is true) or end-of-text.
+# Abbreviations ("Dr.") over-split by design; downstream linking is
+# entity-keyed and tolerant of short sentences.
+_SENTENCE_END = re.compile(r"[.!?](?=\s|\Z)")
 
 # Hard upper bound on a single sentence, in UTF-8 bytes. Longer spans are
 # split at the last whitespace before the limit.
@@ -79,13 +82,7 @@ class Corpus:
 
 def byte_offset_table(text: str) -> list[int]:
     """Per-character byte offsets into the UTF-8 encoding (len(text)+1 entries)."""
-    table = [0] * (len(text) + 1)
-    running = 0
-    for i, ch in enumerate(text):
-        table[i] = running
-        running += len(ch.encode("utf-8"))
-    table[len(text)] = running
-    return table
+    return list(accumulate(map(len, map(str.encode, text)), initial=0))
 
 
 def _trim(text: str, start: int, end: int) -> tuple[int, int]:
@@ -113,10 +110,9 @@ def segment_sentences(passage_text: str) -> list[tuple[int, int]]:
 
     raw_spans: list[tuple[int, int]] = []
     start = 0
-    for i, ch in enumerate(passage_text):
-        if ch in SENTENCE_TERMINALS and (i + 1 == n or passage_text[i + 1].isspace()):
-            raw_spans.append((start, i + 1))
-            start = i + 1
+    for match in _SENTENCE_END.finditer(passage_text):
+        raw_spans.append((start, match.end()))
+        start = match.end()
     if start < n:
         raw_spans.append((start, n))
 
@@ -202,7 +198,6 @@ def corpus_from_records(
     skipped: int = 0,
     passage_id_base: int = 0,
     sentence_id_base: int = 0,
-    digest_base: str | None = None,
 ) -> Corpus:
     """Assemble a Corpus from parsed records, assigning dense ids."""
     if not records:
@@ -225,10 +220,7 @@ def corpus_from_records(
                 )
             )
             sid += 1
-    digest = chain_digest(
-        digest_base if digest_base is not None else initial_digest(),
-        (p.text for p in passages),
-    )
+    digest = chain_digest(initial_digest(), (p.text for p in passages))
     return Corpus(
         passages=tuple(passages),
         sentences=tuple(sentences),
@@ -238,7 +230,11 @@ def corpus_from_records(
 
 
 def parse_record(line: str) -> PassageRecord | None:
-    """Parse one JSONL record; None if the line is malformed or empty-text."""
+    """Parse one JSONL record; None if the line is malformed or empty-text.
+
+    A field holding a lone surrogate (a JSON escape such as ``\\ud800``
+    that UTF-8 cannot encode) makes the line malformed.
+    """
     try:
         obj = json.loads(line)
     except json.JSONDecodeError:
@@ -254,6 +250,12 @@ def parse_record(line: str) -> PassageRecord | None:
     title = obj.get("title")
     if title is not None and not isinstance(title, str):
         return None
+    try:
+        for value in (text, title, doc_key):
+            if value is not None:
+                value.encode("utf-8")
+    except UnicodeEncodeError:
+        return None
     return PassageRecord(doc_key=doc_key, title=title, text=text)
 
 
@@ -265,8 +267,9 @@ def ingest(
 ) -> Corpus:
     """Ingest a JSONL corpus file.
 
-    Malformed lines (bad JSON, missing or empty text) are skipped with a
-    warning and counted in ``Corpus.skipped``. Zero valid passages is an
+    Malformed lines (bad JSON, missing or empty text, a field of the wrong
+    type or one holding a lone surrogate) are skipped with a warning and
+    counted in ``Corpus.skipped``. Zero valid passages is an
     error.
     """
     if format != "jsonl":

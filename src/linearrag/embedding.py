@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import os
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,18 +51,13 @@ class Encoder(Protocol):
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
+# A maximal alphanumeric run: ``[^\W_]`` matches exactly the characters for
+# which ``str.isalnum()`` is true.
+_TOKEN = re.compile(r"[^\W_]+")
+
+
 def _tokens(text: str) -> list[str]:
-    out: list[str] = []
-    current: list[str] = []
-    for ch in text.casefold():
-        if ch.isalnum():
-            current.append(ch)
-        elif current:
-            out.append("".join(current))
-            current = []
-    if current:
-        out.append("".join(current))
-    return out
+    return _TOKEN.findall(text.casefold())
 
 
 def _bucket_sign(token: str, dim: int, seed: int) -> tuple[int, float]:

@@ -2,11 +2,14 @@
 
 Two extraction strategies are supported:
 
-* ``caps-run`` (default): a deterministic heuristic. A mention is a maximal
-  run of consecutive tokens whose alphanumeric core starts with an uppercase
-  letter. A sentence-initial stopword is dropped from the head of its run,
-  runs made entirely of stopwords are discarded, and single-token mentions
-  must have a core of at least two characters.
+* ``caps-run`` (default): a deterministic heuristic. A token is a maximal
+  run of non-whitespace characters; its alphanumeric core runs from its
+  first to its last alphanumeric character. A mention is a maximal run of
+  consecutive tokens whose core starts with an uppercase character
+  (``str.isupper()``), spanning the first token's core to the last one's.
+  A sentence-initial stopword is dropped from the head of its run, runs
+  made entirely of stopwords (compared case-folded) are discarded, and
+  single-token mentions must have a core of at least two characters.
 * ``external``: mentions are read from a line-delimited JSON file of
   ``{sentence_id, surface, start, end}`` records (byte offsets), so a
   statistical tagger can be plugged in offline. The file is read once per
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -120,65 +124,40 @@ def _strippable(ch: str) -> bool:
     return ch.isspace() or unicodedata.category(ch).startswith("P")
 
 
-@dataclass(frozen=True)
-class _Token:
-    start: int  # char offset of the token in the sentence
-    core_start: int  # char offsets of the alphanumeric core
-    core_end: int
-
-    def core(self, text: str) -> str:
-        return text[self.core_start : self.core_end]
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace():
-            j += 1
-        cs, ce = i, j
-        while cs < ce and not text[cs].isalnum():
-            cs += 1
-        while ce > cs and not text[ce - 1].isalnum():
-            ce -= 1
-        tokens.append(_Token(start=i, core_start=cs, core_end=ce))
-        i = j
-    return tokens
+# A token and its alphanumeric core: ``\s`` matches exactly where
+# ``str.isspace()`` is true, and ``[^\W_]`` exactly where ``str.isalnum()``
+# is true.
+_TOKEN = re.compile(r"\S+")
+_CORE = re.compile(r"[^\W_](?:\S*[^\W_])?")
 
 
 def _caps_run_mentions(
     sentence_text: str, stopwords: frozenset[str]
 ) -> list[tuple[str, int, int]]:
     """Return (surface, char_start, char_end) triples, left to right."""
-    tokens = _tokenize(sentence_text)
-    qualifying = [
-        t.core_start < t.core_end and sentence_text[t.core_start].isupper()
-        for t in tokens
+    cores = [
+        _CORE.search(sentence_text, token.start(), token.end())
+        for token in _TOKEN.finditer(sentence_text)
     ]
+    qualifying = [core is not None and core.group()[0].isupper() for core in cores]
     mentions: list[tuple[str, int, int]] = []
     i = 0
-    while i < len(tokens):
+    while i < len(cores):
         if not qualifying[i]:
             i += 1
             continue
         j = i
-        while j + 1 < len(tokens) and qualifying[j + 1]:
+        while j + 1 < len(cores) and qualifying[j + 1]:
             j += 1
-        run = tokens[i : j + 1]
-        if i == 0 and run[0].core(sentence_text).casefold() in stopwords:
+        run = cores[i : j + 1]
+        if i == 0 and run[0].group().casefold() in stopwords:
             run = run[1:]
-        if run:
-            cores = [t.core(sentence_text).casefold() for t in run]
-            if all(core in stopwords for core in cores):
-                run = []
-        if len(run) == 1 and run[0].core_end - run[0].core_start < 2:
+        if run and all(core.group().casefold() in stopwords for core in run):
+            run = []
+        if len(run) == 1 and len(run[0].group()) < 2:
             run = []
         if run:
-            cs, ce = run[0].core_start, run[-1].core_end
+            cs, ce = run[0].start(), run[-1].end()
             mentions.append((sentence_text[cs:ce], cs, ce))
         i = j + 1
     return mentions

@@ -4,8 +4,9 @@ binary incidence matrices.
 ``contain`` is passage x entity, ``mention`` is sentence x entity. Both are
 indicator-valued; raw mention multiplicities live in ``occurrence_counts``,
 an int64 array aligned with ``contain``'s entries. ``contain`` is the
-passage-level projection of ``mention`` through ``sentence_owner``, so only
-``mention`` is stored. Construction never touches the network.
+passage-level projection of ``mention`` through each sentence's
+``passage_id``, so only ``mention`` is stored. Construction never touches
+the network.
 
 A graph is never mutated: ``add_passages`` returns a new one. New passage,
 sentence and entity ids are larger than every old one, so a slice's entries
@@ -205,7 +206,6 @@ class TriGraph:
     corpus: Corpus
     contain: SparseBinaryMatrix  # passages x entities
     mention: SparseBinaryMatrix  # sentences x entities
-    sentence_owner: np.ndarray  # sentence_id -> passage_id
     entity_registry: EntityRegistry
     occurrence_counts: np.ndarray  # int64 mention counts, one per contain entry
     extractor: ExtractorContract
@@ -267,7 +267,6 @@ def graph_equal(a: TriGraph, b: TriGraph) -> bool:
         and a.corpus_digest == b.corpus_digest
         and a.contain == b.contain
         and a.mention == b.mention
-        and np.array_equal(a.sentence_owner, b.sentence_owner)
         and a.entity_registry.records == b.entity_registry.records
         and np.array_equal(a.occurrence_counts, b.occurrence_counts)
         and a.extractor == b.extractor
@@ -332,7 +331,6 @@ def _empty_graph(contract: ExtractorContract) -> TriGraph:
         corpus=Corpus(passages=(), sentences=(), source_digest=initial_digest()),
         contain=matrix,
         mention=matrix,
-        sentence_owner=none,
         entity_registry=EntityRegistry(records=()),
         occurrence_counts=none,
         extractor=contract,
@@ -342,7 +340,6 @@ def _empty_graph(contract: ExtractorContract) -> TriGraph:
 def _grow(graph: TriGraph, new_slice: Corpus, corpus: Corpus) -> TriGraph:
     """``graph`` plus the nodes and entries of ``new_slice``, whose ids
     continue the graph's; ``corpus`` is the whole corpus of the result."""
-    owner = np.array([s.passage_id for s in new_slice.sentences], dtype=np.int64)
     registry, hits = extend_entity_registry(
         graph.entity_registry,
         extract_corpus_mentions(new_slice, graph.extractor),
@@ -360,7 +357,6 @@ def _grow(graph: TriGraph, new_slice: Corpus, corpus: Corpus) -> TriGraph:
         mention=graph.mention.extended(
             mention_rows, mention_cols, len(corpus.sentences), n_e
         ),
-        sentence_owner=np.concatenate([graph.sentence_owner, owner]),
         entity_registry=registry,
         occurrence_counts=np.concatenate([graph.occurrence_counts, counts]),
         extractor=graph.extractor,
@@ -615,7 +611,6 @@ def load(directory: str | Path) -> TriGraph:
         corpus=corpus,
         contain=contain,
         mention=mention,
-        sentence_owner=owner,
         entity_registry=registry,
         occurrence_counts=counts,
         extractor=contract,

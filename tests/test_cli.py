@@ -90,6 +90,16 @@ class TestIndexCommand:
             incr_bytes = (tmp_path / "incr" / name).read_bytes()
             assert full_bytes == incr_bytes, name
 
+    @pytest.mark.parametrize("field", ["text", "title", "doc_key"])
+    def test_lone_surrogate_record_skipped(self, tmp_path, caplog, field):
+        bad = {"text": "Alpha met Beta.", field: "Gamma \ud800"}
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(CHAIN_CORPUS.read_text() + json.dumps(bad) + "\n")
+        config = write_config(tmp_path, corpus_path=str(corpus))
+        assert main(["index", "--config", str(config)]) == 0
+        assert read_manifest(tmp_path)["n_passages"] == 8
+        assert "skipped 1 malformed record(s)" in caplog.text
+
     def test_seed_flag_overrides_config(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["index", "--config", str(config), "--seed", "9"]) == 0

@@ -123,6 +123,19 @@ class TestIngest:
         assert len(corpus.passages) == 2
         assert corpus.skipped == 1
 
+    @pytest.mark.parametrize("field", ["text", "title", "doc_key"])
+    def test_lone_surrogate_record_skipped(self, tmp_path, field):
+        # json.dumps writes the lone surrogate as the escape \ud800, which
+        # json.loads accepts and UTF-8 cannot encode.
+        bad = {"text": "Alpha met Beta.", field: "Gamma \ud800"}
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            json.dumps({"text": "First one."}) + "\n" + json.dumps(bad) + "\n"
+        )
+        corpus = ingest(path)
+        assert [p.text for p in corpus.passages] == ["First one."]
+        assert corpus.skipped == 1
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(IngestError):
             ingest(tmp_path / "missing.jsonl")

@@ -306,9 +306,10 @@ class TestPersistence:
         # the only one linking its passage to its entity, so the contain
         # entries derived from the mentions lose one.
         save(graph, tmp_path)
+        sentences = graph.corpus.sentences
         links = list(
             zip(
-                graph.sentence_owner[graph.mention.row_ids].tolist(),
+                [sentences[s].passage_id for s in graph.mention.row_ids.tolist()],
                 graph.mention.col_ids.tolist(),
             )
         )
