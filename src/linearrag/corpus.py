@@ -199,7 +199,11 @@ def corpus_from_records(
     passage_id_base: int = 0,
     sentence_id_base: int = 0,
 ) -> Corpus:
-    """Assemble a Corpus from parsed records, assigning dense ids."""
+    """Assemble a Corpus from parsed records, assigning dense ids.
+
+    Raises IngestError for a record with a field that UTF-8 cannot encode
+    (one holding a lone surrogate), since no index could store it.
+    """
     if not records:
         raise EmptyCorpusError("no valid passages")
     passages: list[Passage] = []
@@ -207,6 +211,12 @@ def corpus_from_records(
     sid = sentence_id_base
     for offset, record in enumerate(records):
         pid = passage_id_base + offset
+        field = _unencodable_field(record)
+        if field is not None:
+            raise IngestError(
+                f"record {offset} (passage {pid}): {field} holds a lone "
+                "surrogate, which UTF-8 cannot encode"
+            )
         text = compose_text(record.title, record.text)
         doc_key = record.doc_key if record.doc_key is not None else str(pid)
         passages.append(Passage(id=pid, doc_key=doc_key, title=record.title, text=text))
@@ -250,13 +260,21 @@ def parse_record(line: str) -> PassageRecord | None:
     title = obj.get("title")
     if title is not None and not isinstance(title, str):
         return None
-    try:
-        for value in (text, title, doc_key):
+    record = PassageRecord(doc_key=doc_key, title=title, text=text)
+    return None if _unencodable_field(record) else record
+
+
+def _unencodable_field(record: PassageRecord) -> str | None:
+    """The name of the first field of ``record`` that UTF-8 cannot encode,
+    or None."""
+    for name in ("doc_key", "title", "text"):
+        value = getattr(record, name)
+        try:
             if value is not None:
                 value.encode("utf-8")
-    except UnicodeEncodeError:
-        return None
-    return PassageRecord(doc_key=doc_key, title=title, text=text)
+        except UnicodeEncodeError:
+            return name
+    return None
 
 
 def ingest(
@@ -267,25 +285,31 @@ def ingest(
 ) -> Corpus:
     """Ingest a JSONL corpus file.
 
-    Malformed lines (bad JSON, missing or empty text, a field of the wrong
-    type or one holding a lone surrogate) are skipped with a warning and
-    counted in ``Corpus.skipped``. Zero valid passages is an
-    error.
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` and are decoded one at a
+    time. Malformed lines (not UTF-8, bad JSON, missing or empty text, a
+    field of the wrong type or one holding a lone surrogate) are skipped
+    with a warning and counted in ``Corpus.skipped``. Zero valid passages
+    is an error.
     """
     if format != "jsonl":
         raise IngestError(f"unsupported corpus format: {format!r}")
     path = Path(path)
     try:
-        raw = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise IngestError(f"cannot read corpus file {path}: {exc}") from exc
 
     records: list[PassageRecord] = []
     skipped = 0
-    for lineno, line in enumerate(raw.splitlines(), start=1):
-        if not line.strip():
-            continue
-        record = parse_record(line)
+    for lineno, raw_line in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw_line.decode("utf-8")
+        except UnicodeDecodeError:
+            record = None
+        else:
+            if not line.strip():
+                continue
+            record = parse_record(line)
         if record is None:
             skipped += 1
             logger.warning("%s:%d: skipping malformed record", path, lineno)

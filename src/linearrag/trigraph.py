@@ -242,20 +242,32 @@ class TriGraph:
         return self.mention.to_csr().T
 
     @cached_property
-    def ppr_transition(self) -> sp.csr_matrix:
-        """W^T for the row-normalized adjacency of the passage-entity
-        bipartite graph (passages first), so that
-        (W^T I)[i] = sum over neighbors j of I[j] / deg(j)."""
-        n_p = self.n_passages
-        n = n_p + self.n_entities
-        rows = self.contain.row_ids
-        cols = self.contain.col_ids + n_p
-        src = np.concatenate([rows, cols])
-        dst = np.concatenate([cols, rows])
-        deg = np.bincount(src, minlength=n).astype(np.float64)
-        inv_deg = np.divide(1.0, deg, out=np.zeros_like(deg), where=deg > 0)
-        # Entry (dst, src) = 1/deg(src): mass flows from src to its neighbors.
-        return sp.csr_matrix((inv_deg[src], (dst, src)), shape=(n, n))
+    def normalized_contain(self) -> "NormalizedContain":
+        """The contain matrix scaled by the inverse square roots of both
+        node degrees, which ``retrieval.ppr`` solves with."""
+        passage_degree = np.diff(self.contain.indptr).astype(np.float64)
+        entity_degree = self.contain.col_counts().astype(np.float64)
+        sqrt_dp, sqrt_de = np.sqrt(passage_degree), np.sqrt(entity_degree)
+        # Every node an entry touches has degree >= 1.
+        data = 1.0 / (sqrt_dp[self.contain.row_ids] * sqrt_de[self.contain.col_ids])
+        matrix = sp.csr_matrix(
+            (data, self.contain.col_ids, self.contain.indptr),
+            shape=(self.n_passages, self.n_entities),
+        )
+        return NormalizedContain(matrix, matrix.T.tocsr(), sqrt_dp, sqrt_de)
+
+
+@dataclass(frozen=True)
+class NormalizedContain:
+    """B = D_p^-1/2 C D_e^-1/2 for the contain incidence C and the passage
+    and entity degrees D_p and D_e, B^T in its own CSR form (a product with
+    it runs faster than one with B read as CSC), and the square roots of
+    both degree vectors (0 for a node of degree 0)."""
+
+    matrix: sp.csr_matrix  # passages x entities
+    transposed: sp.csr_matrix  # entities x passages
+    sqrt_passage_degree: np.ndarray
+    sqrt_entity_degree: np.ndarray
 
 
 def graph_equal(a: TriGraph, b: TriGraph) -> bool:

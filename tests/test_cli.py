@@ -100,6 +100,16 @@ class TestIndexCommand:
         assert read_manifest(tmp_path)["n_passages"] == 8
         assert "skipped 1 malformed record(s)" in caplog.text
 
+    def test_non_utf8_record_skipped(self, tmp_path, caplog):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(
+            CHAIN_CORPUS.read_bytes() + b'{"text": "Caf\xe9 met Beta."}\n'
+        )
+        config = write_config(tmp_path, corpus_path=str(corpus))
+        assert main(["index", "--config", str(config)]) == 0
+        assert read_manifest(tmp_path)["n_passages"] == 8
+        assert "skipped 1 malformed record(s)" in caplog.text
+
     def test_seed_flag_overrides_config(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["index", "--config", str(config), "--seed", "9"]) == 0

@@ -4,7 +4,9 @@ import pytest
 
 from linearrag.corpus import (
     MAX_SENTENCE_BYTES,
+    PassageRecord,
     chain_digest,
+    corpus_from_records,
     ingest,
     initial_digest,
     segment_sentences,
@@ -135,6 +137,47 @@ class TestIngest:
         corpus = ingest(path)
         assert [p.text for p in corpus.passages] == ["First one."]
         assert corpus.skipped == 1
+
+    def test_non_utf8_line_skipped(self, tmp_path, caplog):
+        path = tmp_path / "c.jsonl"
+        path.write_bytes(
+            json.dumps({"text": "First one."}).encode()
+            + b'\n{"text": "Caf\xe9 met Beta."}\n'
+            + json.dumps({"text": "Second one."}).encode()
+            + b"\n"
+        )
+        corpus = ingest(path)
+        assert [p.text for p in corpus.passages] == ["First one.", "Second one."]
+        assert corpus.skipped == 1
+        assert "c.jsonl:2: skipping malformed record" in caplog.text
+
+    def test_unicode_line_separators_inside_a_record(self, tmp_path):
+        # JSON allows U+0085 and U+2028 raw in a string; only \n, \r\n and
+        # \r end a line.
+        text = "Alpha met Beta.\u2028Gamma rose.\x85Delta fell."
+        path = tmp_path / "c.jsonl"
+        path.write_text(
+            json.dumps({"text": text}, ensure_ascii=False)
+            + "\r\n"
+            + json.dumps({"text": "Second one."})
+            + "\r",
+            encoding="utf-8",
+        )
+        corpus = ingest(path)
+        assert [p.text for p in corpus.passages] == [text, "Second one."]
+        assert corpus.skipped == 0
+
+    @pytest.mark.parametrize("field", ["text", "title", "doc_key"])
+    def test_records_with_lone_surrogate_rejected(self, field):
+        records = [
+            PassageRecord(doc_key=None, title=None, text="First one."),
+            PassageRecord(
+                **{"doc_key": None, "title": None, "text": "Alpha met Beta.",
+                   field: "Gamma \ud800"}
+            ),
+        ]
+        with pytest.raises(IngestError, match=f"record 1 \\(passage 1\\): {field} "):
+            corpus_from_records(records)
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(IngestError):

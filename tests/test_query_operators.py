@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from linearrag.corpus import Corpus, Passage
 from linearrag.embedding import HashEncoder, build_store, extend_store
 from linearrag.evalbench import generate_synthetic_corpus
 from linearrag.retrieval import (
@@ -29,7 +30,8 @@ from linearrag.retrieval import (
     propagate,
     retrieve,
 )
-from linearrag.trigraph import add_passages, build
+from linearrag.extraction import EntityRecord, EntityRegistry, ExtractorContract
+from linearrag.trigraph import SparseBinaryMatrix, TriGraph, add_passages, build
 
 from test_acceptance import random_entity_corpus
 from test_retrieval import dense_ppr_oracle
@@ -206,6 +208,61 @@ def test_ppr_matches_dense_fixed_point(graph_rng):
     assert np.max(np.abs(importance - oracle)) < 1e-8
 
 
+def bipartite_graph(n_passages, n_entities, pairs):
+    """A TriGraph whose contain matrix holds ``pairs``; ``ppr`` reads nothing
+    else, so here an entity, too, may be isolated."""
+    rows, cols = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T
+    contain = SparseBinaryMatrix.sorted_entries(
+        np.ascontiguousarray(rows), np.ascontiguousarray(cols), n_passages, n_entities
+    )
+    return TriGraph(
+        corpus=Corpus(
+            passages=tuple(Passage(i, str(i), None, "x") for i in range(n_passages)),
+            sentences=(),
+            source_digest="",
+        ),
+        contain=contain,
+        mention=contain,
+        entity_registry=EntityRegistry(
+            records=tuple(EntityRecord(i, f"e{i}", ()) for i in range(n_entities))
+        ),
+        occurrence_counts=np.ones(contain.nnz, dtype=np.int64),
+        extractor=ExtractorContract.make(),
+    )
+
+
+@st.composite
+def bipartite_ppr_inputs(draw):
+    """Random bipartite graphs, isolated nodes on either side included, with
+    seeds that are often 0 and sometimes 0 on a whole side."""
+    n_p, n_e = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    pairs = draw(
+        st.sets(st.tuples(st.integers(0, n_p - 1), st.integers(0, n_e - 1)))
+    )
+    weights = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    passage_seeds = np.array(draw(st.lists(weights, min_size=n_p, max_size=n_p)))
+    entity_seeds = np.array(draw(st.lists(weights, min_size=n_e, max_size=n_e)))
+    zero_side = draw(st.sampled_from(("none", "passages", "entities")))
+    if zero_side == "passages":
+        passage_seeds[:] = 0.0
+    elif zero_side == "entities":
+        entity_seeds[:] = 0.0
+    if not (passage_seeds.sum() + entity_seeds.sum()) > 0.0:
+        (entity_seeds if zero_side == "passages" else passage_seeds)[0] = 1.0
+    damping = draw(st.floats(0.05, 0.95))
+    return bipartite_graph(n_p, n_e, pairs), passage_seeds, entity_seeds, damping
+
+
+@PROPERTY_SETTINGS
+@given(bipartite_ppr_inputs())
+def test_ppr_matches_dense_fixed_point_on_bipartite_graphs(inputs):
+    graph, passage_seeds, entity_seeds, damping = inputs
+    cfg = RetrievalConfig(damping=damping, ppr_tol=1e-12)
+    importance = ppr(graph, entity_seeds, passage_seeds, cfg)
+    oracle = dense_ppr_oracle(graph, passage_seeds, entity_seeds, damping)
+    assert np.max(np.abs(importance - oracle)) < 1e-9
+
+
 def test_append_after_queries_does_not_reuse_stale_operators():
     whole, examples = generate_synthetic_corpus(
         n_passages=60, avg_sentences=3, entity_pool=30, seed=11, n_chains=4
@@ -218,7 +275,7 @@ def test_append_after_queries_does_not_reuse_stale_operators():
     store = build_store(graph, encoder)
     before = [retrieve(q, graph, store, cfg) for q in questions]
     assert any(not ranked.fallback_used for ranked in before)
-    for cached in ("mention_transposed", "ppr_transition", "log_occurrence"):
+    for cached in ("mention_transposed", "normalized_contain", "log_occurrence"):
         assert cached in vars(graph), cached
 
     grown = add_passages(graph, make_slice(whole, 40, 60))

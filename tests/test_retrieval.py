@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -360,6 +361,37 @@ class TestPpr:
             (1 - cfg.damping) * 0.5 / reset_total, abs=1e-10
         )
 
+    def test_stopping_at_the_cap_logs_one_warning(self, caplog):
+        graph, _ = make_index(
+            ["Karo met Lumen.", "Lumen met Dorvo. Dorvo slept.", "Karo slept!"]
+        )
+        cfg = RetrievalConfig(ppr_max_iters=1)
+        with caplog.at_level(logging.WARNING, logger="linearrag.retrieval"):
+            ppr(graph, np.array([0.9, 0.4, 0.1]), np.array([0.7, 0.2, 0.05]), cfg)
+        (record,) = caplog.records
+        assert record.name == "linearrag.retrieval"
+        assert record.levelno == logging.WARNING
+        assert "after 1 conjugate-gradient steps" in record.getMessage()
+
+    def test_result_meets_ppr_tol_in_the_original_equation(self):
+        # One passage names every entity, so its degree - and its weight
+        # in the residual - is far above the other passages'.
+        names = [f"Ent{i:02d}" for i in range(30)]
+        texts = [" met ".join(names) + " met nobody."]
+        texts += [f"{a} met {b} met nobody." for a, b in zip(names, names[1:5])]
+        graph, _ = make_index(texts)
+        rng = np.random.default_rng(3)
+        passage_seeds = rng.random(graph.n_passages)
+        entity_seeds = rng.random(graph.n_entities)
+        r = np.concatenate([passage_seeds, entity_seeds])
+        r /= r.sum()
+        transition = dense_transition(graph)
+        for tol in (1e-4, 1e-6, 1e-8):
+            cfg = RetrievalConfig(ppr_tol=tol)
+            x = ppr(graph, entity_seeds, passage_seeds, cfg)
+            residual = x - cfg.damping * (transition @ x) - (1 - cfg.damping) * r
+            assert np.abs(residual).sum() < tol
+
     def test_empty_seed_error(self):
         graph, _ = make_index(["Karo rests."])
         with pytest.raises(EmptySeedError):
@@ -384,7 +416,7 @@ def test_ppr_l1_differences_non_increasing_and_mass_converges():
         ["Karo met Lumen.", "Lumen met Dorvo. Dorvo slept.", "Karo slept!"]
     )
     d = 0.85
-    transition = graph.ppr_transition
+    transition = dense_transition(graph)
     r = np.concatenate([np.array([0.7, 0.2, 0.05]), np.array([0.9, 0.4, 0.1])])
     r /= r.sum()
     importance = r.copy()
@@ -429,8 +461,10 @@ def test_pipeline_modules_have_no_network_dependency():
         assert not (imported & banned), module.__name__
 
 
-def dense_ppr_oracle(graph, passage_seeds, entity_seeds, damping):
-    """(1-d) (Id - d W^T)^-1 r via dense linear algebra."""
+def dense_transition(graph):
+    """W^T for the row-normalized adjacency W of the passage-entity graph
+    (passages first), as a dense array: column j spreads node j's mass
+    evenly over its neighbours, and is 0 for a node of degree 0."""
     n_p, n_e = graph.n_passages, graph.n_entities
     n = n_p + n_e
     adjacency = np.zeros((n, n))
@@ -439,9 +473,15 @@ def dense_ppr_oracle(graph, passage_seeds, entity_seeds, damping):
         adjacency[n_p + e, p] = 1.0
     deg = adjacency.sum(axis=1)
     w = np.divide(adjacency, deg[:, None], out=np.zeros_like(adjacency), where=deg[:, None] > 0)
+    return w.T
+
+
+def dense_ppr_oracle(graph, passage_seeds, entity_seeds, damping):
+    """(1-d) (Id - d W^T)^-1 r via dense linear algebra."""
+    transition = dense_transition(graph)
     r = np.concatenate([passage_seeds, entity_seeds]).astype(np.float64)
     r = r / r.sum()
-    return (1 - damping) * np.linalg.solve(np.eye(n) - damping * w.T, r)
+    return (1 - damping) * np.linalg.solve(np.eye(len(r)) - damping * transition, r)
 
 
 @pytest.fixture(scope="module")

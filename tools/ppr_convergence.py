@@ -1,0 +1,181 @@
+"""PPR convergence on the benchmark's graph questions.
+
+For each of the first ``--questions`` graph questions of
+``benchmark.inputs.make_inputs(--seed, n)`` that take the graph path, this
+reports how many conjugate-gradient steps ``retrieval.ppr`` takes to reach
+``ppr_tol``, the true L1 residual of its result, its L1 distance from a
+power-iteration reference run to an L1 step below 1e-15, its time, and
+whether its top-k ids and contributing entities equal those ranked with the
+reference. Run from the root of a checkout:
+
+    python3 tools/ppr_convergence.py --passages 3000 12000 --out result.json
+
+The step count is the smallest ``ppr_max_iters`` at which ``ppr`` logs no
+non-convergence warning. OpenBLAS is pinned to one thread, as in the
+benchmark.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import logging
+import os
+import statistics
+import sys
+import time
+from dataclasses import replace
+from pathlib import Path
+from unittest import mock
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
+
+import numpy as np  # noqa: E402
+from scipy import sparse as sp  # noqa: E402
+
+from inputs import make_inputs  # noqa: E402
+from linearrag import retrieval  # noqa: E402
+from linearrag.embedding import HashEncoder, build_store  # noqa: E402
+from linearrag.retrieval import (  # noqa: E402
+    RetrievalConfig,
+    activate,
+    passage_seed_scores,
+    ppr,
+    retrieve,
+)
+from linearrag.trigraph import build  # noqa: E402
+
+CFG = RetrievalConfig(delta=0.01)  # the benchmark's configuration
+ENCODER = {"dim": 256, "seed": 0}
+REFERENCE_TOL = 1e-15
+REFERENCE_MAX_ITERS = 5000
+
+
+def transition(graph) -> sp.csr_matrix:
+    """W^T for the row-normalized adjacency W of the passage-entity graph."""
+    n_p = graph.n_passages
+    n = n_p + graph.n_entities
+    rows, cols = graph.contain.row_ids, graph.contain.col_ids + n_p
+    src, dst = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    deg = np.bincount(src, minlength=n).astype(np.float64)
+    return sp.csr_matrix((1.0 / deg[src], (dst, src)), shape=(n, n))
+
+
+def reset(entity_seeds, passage_seeds) -> np.ndarray:
+    r = np.concatenate([passage_seeds, entity_seeds]).astype(np.float64)
+    return r / r.sum()
+
+
+def power_reference(matrix, r, damping) -> np.ndarray:
+    base = (1.0 - damping) * r
+    x = r
+    for _ in range(REFERENCE_MAX_ITERS):
+        updated = damping * (matrix @ x) + base
+        step = np.abs(updated - x).sum()
+        x = updated
+        if step < REFERENCE_TOL:
+            break
+    return x
+
+
+class _Warnings(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.count = 0
+
+    def emit(self, record):
+        self.count += 1
+
+
+def cg_steps(graph, entity_seeds, passage_seeds, cap: int) -> int | None:
+    """The fewest steps after which ``ppr`` reports convergence, or None."""
+    handler = _Warnings()
+    logger = logging.getLogger("linearrag.retrieval")
+    logger.addHandler(handler)
+    logger.propagate = False
+    try:
+        for steps in range(1, cap + 1):
+            handler.count = 0
+            ppr(graph, entity_seeds, passage_seeds, replace(CFG, ppr_max_iters=steps))
+            if handler.count == 0:
+                return steps
+        return None
+    finally:
+        logger.removeHandler(handler)
+        logger.propagate = True
+
+
+def ranking(question, graph, store):
+    return [
+        (item.passage_id, item.contributing_entities)
+        for item in retrieve(question, graph, store, CFG).items
+    ]
+
+
+def measure(seed: int, n_passages: int, n_questions: int) -> dict:
+    inputs = make_inputs(seed, n_passages)
+    graph = build(inputs.corpus)
+    store = build_store(graph, HashEncoder(**ENCODER))
+    matrix = transition(graph)
+    d = CFG.damping
+    rows = []
+    for question in inputs.graph_questions[:n_questions]:
+        state = activate(question, graph, store, CFG)
+        if not state.activated_entities().size:
+            continue
+        seeds = passage_seed_scores(state, graph, store, None, CFG)
+        start = time.perf_counter()
+        x = ppr(graph, state.a, seeds, CFG)
+        ms = (time.perf_counter() - start) * 1e3
+        r = reset(state.a, seeds)
+        reference = power_reference(matrix, r, d)
+        with mock.patch.object(
+            retrieval, "ppr", lambda g, e, p, cfg: power_reference(matrix, reset(e, p), d)
+        ):
+            expected = ranking(question, graph, store)
+        rows.append(
+            {
+                "steps": cg_steps(graph, state.a, seeds, CFG.ppr_max_iters),
+                "residual_l1": float(np.abs(x - d * (matrix @ x) - (1 - d) * r).sum()),
+                "error_l1": float(np.abs(x - reference).sum()),
+                "ppr_ms": ms,
+                "top_k_equal": ranking(question, graph, store) == expected,
+            }
+        )
+    steps = [row["steps"] for row in rows]
+    return {
+        "seed": seed,
+        "passages": n_passages,
+        "graph_path_questions": len(rows),
+        "converged": sum(s is not None for s in steps),
+        "steps_median": statistics.median(s for s in steps if s is not None),
+        "steps_max": max(s for s in steps if s is not None),
+        "residual_l1_max": max(row["residual_l1"] for row in rows),
+        "error_l1_max": max(row["error_l1"] for row in rows),
+        "ppr_ms_median": round(statistics.median(row["ppr_ms"] for row in rows), 3),
+        "top_k_equal": sum(row["top_k_equal"] for row in rows),
+        "per_question": rows,
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--passages", type=int, nargs="+", default=[3000])
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--questions", type=int, default=60)
+    parser.add_argument("--out", type=Path, default=None)
+    args = parser.parse_args(argv)
+    results = [measure(args.seed, n, args.questions) for n in args.passages]
+    for result in results:
+        summary = {k: v for k, v in result.items() if k != "per_question"}
+        print(json.dumps(summary))
+    if args.out:
+        args.out.write_text(json.dumps(results, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
