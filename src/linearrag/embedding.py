@@ -28,6 +28,7 @@ from typing import Any, BinaryIO, Callable, Protocol, Sequence
 import numpy as np
 
 from . import storage
+from .buffers import appended
 from .errors import ConfigError, ConsistencyError, EncodingError, IndexLoadError
 from .trigraph import MANIFEST, STORE_FILES, TriGraph, read_manifest
 
@@ -263,8 +264,12 @@ def extend_store(
 
     Existing rows are kept verbatim; only appended entities, sentences and
     passages are encoded, and the rows of an empty kind are the encoded ones,
-    uncopied. Row counts may only grow. An encoder whose contract id is not
-    the store's is a ConfigError, raised before anything is encoded.
+    uncopied. The others grow as read-only views of growth buffers
+    (``buffers.appended``): in place when ``store`` is the newest store grown
+    from them, else by one copy of the old rows, so a chain of extends
+    copies amortised O(new rows). ``store`` is never changed. Row counts
+    may only grow. An encoder whose contract id is not the store's is a
+    ConfigError, raised before anything is encoded.
     """
     encoder = encoder or store.encoder
     if encoder is None:
@@ -283,7 +288,7 @@ def extend_store(
     for kind, rows, texts in zip(_KINDS, old, new_texts):
         if texts:
             new = _encode_checked(encoder, texts, store.dim, kind)
-            rows = np.vstack([rows, new]) if len(rows) else new
+            rows = appended(rows, new) if len(rows) else new
         grown.append(rows)
     return EmbeddingStore(store.dim, store.encoder_id, *grown, encoder=encoder)
 
