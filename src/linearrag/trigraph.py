@@ -12,12 +12,10 @@ A graph is never mutated: ``add_passages`` returns a new one. New passage,
 sentence and entity ids are larger than every old one, so a slice's entries
 sort after the graph's and growing a graph only appends to its arrays.
 ``build`` is the same growth applied to an empty graph, so every fact of a
-graph is derived by one path. A grown graph's arrays are read-only views of
-growth buffers (``buffers.appended``): growing the newest graph of a buffer
-writes past the rows every graph sees, and growing any other graph copies.
-An entity's passages are read from ``contain`` alone; its registry record
-holds only its key and surfaces. The sparse operators a query needs are
-built from the graph once, on first use, and cached on it.
+graph is derived by one path. An entity's passages are read from
+``contain`` alone; its registry record holds only its key and surfaces. The
+sparse operators a query needs are built from the graph once, on first use,
+and cached on it.
 
 The persisted index directory (format version 2) holds:
 
@@ -55,7 +53,6 @@ import numpy as np
 from scipy import sparse as sp
 
 from . import storage
-from .buffers import appended
 from .corpus import Corpus, Passage, Sentence, chain_digest, initial_digest
 from .errors import (
     ConsistencyError,
@@ -135,7 +132,7 @@ class SparseBinaryMatrix:
         self, rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
     ) -> "SparseBinaryMatrix":
         """This matrix grown to ``n_rows x n_cols`` with entries in the new
-        rows appended after its own, in growth buffers (``buffers.appended``).
+        rows appended after its own.
 
         Only the appended entries are validated: lying in rows past every old
         row, they sort after every old entry."""
@@ -147,9 +144,9 @@ class SparseBinaryMatrix:
         return SparseBinaryMatrix(
             n_rows,
             n_cols,
-            appended(self.row_ids, rows),
-            appended(self.col_ids, cols),
-            appended(self.indptr, tail.indptr[1:] + self.nnz),
+            np.concatenate([self.row_ids, rows]),
+            np.concatenate([self.col_ids, cols]),
+            np.concatenate([self.indptr[:-1], tail.indptr + self.nnz]),
         )
 
     @property
@@ -304,11 +301,10 @@ def add_passages(graph: TriGraph, new_slice: Corpus) -> TriGraph:
     Extraction, registry merging and the slice's matrix entries and counts
     are computed from the slice alone and appended after the graph's
     arrays; nothing is re-sorted, because new ids exceed every old one.
-    The arrays grow in place when ``graph`` is the newest graph grown from
-    them; any other graph (an older one, or one from ``load``) has its
-    arrays copied once into buffers with room to spare. ``graph`` is never
-    changed. What still grows with the corpus: the passage and sentence
-    tuples and the entity registry are copied into the result.
+    What still grows with the corpus is copying: the graph's arrays, its
+    passage and sentence tuples and its entity registry are copied into
+    the result, so ``graph`` is never changed (``tools/append_scaling.py``
+    times this call at several corpus sizes).
 
     The slice's passage and sentence ids must continue the graph's dense id
     ranges. The result equals a full rebuild over the concatenated corpus.
@@ -374,7 +370,7 @@ def _grow(graph: TriGraph, new_slice: Corpus, corpus: Corpus) -> TriGraph:
             mention_rows, mention_cols, len(corpus.sentences), n_e
         ),
         entity_registry=registry,
-        occurrence_counts=appended(graph.occurrence_counts, counts),
+        occurrence_counts=np.concatenate([graph.occurrence_counts, counts]),
         extractor=graph.extractor,
     )
 

@@ -1,8 +1,8 @@
 """Append cost by stage, at several corpus sizes.
 
 For each ``--passages`` size, this builds and saves the index of
-``benchmark.inputs.make_inputs(--seed, n)``, loads it back as the benchmark
-does, then runs ``--appends`` appends of the benchmark's four-passage slices
+``benchmark.inputs.make_inputs(SEED, n)``, loads it back as the benchmark
+does, then runs ``APPENDS`` appends of the benchmark's four-passage slices
 (``benchmark.inputs.make_slice``), each followed by one query naming the
 slice's new entity. It reports the median time of each stage of an append -
 ``corpus_from_records``, ``add_passages``, ``extend_store``, ``save``,
@@ -52,6 +52,8 @@ from linearrag.trigraph import add_passages, build, graph_equal, load, save  # n
 
 CFG = RetrievalConfig(delta=0.01)  # the benchmark's configuration
 ENCODER = {"dim": 256, "seed": 0}
+SEED = 0
+APPENDS = 60
 APPEND_STAGES = ("corpus_from_records", "add_passages", "extend_store", "save", "save_store")
 
 
@@ -62,8 +64,8 @@ def same_rows(a, b) -> bool:
     )
 
 
-def measure(seed: int, n_passages: int, n_appends: int, directory: Path) -> dict:
-    inputs = make_inputs(seed, n_passages)
+def measure(n_passages: int, directory: Path) -> dict:
+    inputs = make_inputs(SEED, n_passages)
     encoder = HashEncoder(**ENCODER)
     embedder = {"id": encoder.contract.id, "dim": ENCODER["dim"]}
     built = build(inputs.corpus)
@@ -78,8 +80,8 @@ def measure(seed: int, n_passages: int, n_appends: int, directory: Path) -> dict
     ]
     rows = []
     gc.collect()
-    for index in range(n_appends + 1):
-        piece = make_slice(seed, index, inputs.filler_names)
+    for index in range(APPENDS + 1):
+        piece = make_slice(SEED, index, inputs.filler_names)
         ms = {}
         tick = time.perf_counter()
 
@@ -120,7 +122,7 @@ def measure(seed: int, n_passages: int, n_appends: int, directory: Path) -> dict
     )
     timed = rows[1:]
     return {
-        "seed": seed,
+        "seed": SEED,
         "passages": n_passages,
         "appends": len(timed),
         "equals_rebuild": equal,
@@ -136,14 +138,12 @@ def measure(seed: int, n_passages: int, n_appends: int, directory: Path) -> dict
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--passages", type=int, nargs="+", default=[3000])
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--appends", type=int, default=60)
     parser.add_argument("--out", type=Path, default=None)
     args = parser.parse_args(argv)
     results = []
     for n in args.passages:
         with tempfile.TemporaryDirectory() as directory:
-            results.append(measure(args.seed, n, args.appends, Path(directory)))
+            results.append(measure(n, Path(directory)))
     for result in results:
         summary = {k: v for k, v in result.items() if k != "per_append_ms"}
         print(json.dumps(summary))
