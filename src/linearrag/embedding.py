@@ -21,6 +21,7 @@ import inspect
 import os
 import re
 import struct
+from itertools import chain
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Protocol, Sequence
@@ -70,41 +71,60 @@ def _bucket_sign(token: str, dim: int, seed: int) -> tuple[int, float]:
 
 
 def hash_encode(text: str, dim: int, seed: int) -> np.ndarray:
-    """Deterministic bag-of-words hash embedding.
+    """Deterministic bag-of-words hash embedding: the one-row case of
+    ``HashEncoder(dim, seed).encode_batch``.
 
     Tokens are maximal alphanumeric runs of the case-folded text. Each token
     is hashed (keyed blake2b) to a bucket in [0, dim) and a sign, and the
     signed counts are L2-normalized. If the accumulation is all zero (no
     tokens, or signs cancelled), the result is the basis vector at the
-    bucket of the full text, so no zero vector can ever be produced.
+    bucket of the full text, so no zero vector can ever be produced. A
+    ``dim`` below 8 is a ConfigError.
     """
-    if dim < 8:
-        raise ConfigError(f"hash encoder dim must be >= 8, got {dim}")
-    acc = np.zeros(dim, dtype=np.float32)
-    for token in _tokens(text):
-        bucket, sign = _bucket_sign(token, dim, seed)
-        acc[bucket] += sign
-    if not np.any(acc):
-        bucket, _ = _bucket_sign(text, dim, seed)
-        acc[bucket] = 1.0
-    return (acc / np.linalg.norm(acc)).astype(np.float32)
+    return HashEncoder(dim, seed).encode_batch([text])[0]
 
 
 class HashEncoder:
     """The built-in deterministic encoder; its id is ``hash:<dim>:<seed>``.
 
     Both arguments go through ``int()``, so the pieces of an id rebuild it.
+    A ``dim`` below 8 is a ConfigError.
     """
 
     def __init__(self, dim: int | str = 256, seed: int | str = 0):
         self.dim = int(dim)
         self.seed = int(seed)
+        if self.dim < 8:
+            raise ConfigError(f"hash encoder dim must be >= 8, got {self.dim}")
         self.contract = EncoderContract(f"hash:{self.dim}:{self.seed}", self.dim)
 
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
-        if not texts:
-            return np.zeros((0, self.dim), dtype=np.float32)
-        return np.stack([hash_encode(t, self.dim, self.seed) for t in texts])
+        """``hash_encode`` of each text, in one pass over the batch: each
+        distinct token is hashed once, and the signed counts of all rows are
+        summed by one ``np.bincount`` over ``row * dim + bucket``. The sums
+        are small integers, exact in float64 and float32 alike, so the rows
+        equal per-token float32 adds bit for bit."""
+        dim, seed, n = self.dim, self.seed, len(texts)
+        token_lists = [_tokens(text) for text in texts]
+        tokens = list(chain.from_iterable(token_lists))
+        index = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
+        hashed = [_bucket_sign(token, dim, seed) for token in index]
+        bucket_of = np.array([bucket for bucket, _ in hashed], dtype=np.intp)
+        sign_of = np.array([sign for _, sign in hashed], dtype=np.float64)
+        ids = np.fromiter(
+            map(index.__getitem__, tokens), dtype=np.intp, count=len(tokens)
+        )
+        lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=n)
+        rows = np.repeat(np.arange(n, dtype=np.intp), lengths)
+        acc = np.bincount(
+            rows * dim + bucket_of[ids], weights=sign_of[ids], minlength=n * dim
+        )
+        acc = acc.reshape(n, dim).astype(np.float32)
+        for row in np.flatnonzero(~acc.any(axis=1)):
+            acc[row, _bucket_sign(texts[row], dim, seed)[0]] = 1.0
+        norms = np.sqrt(np.einsum("ij,ij->i", acc, acc, dtype=np.float64))
+        acc /= norms.astype(np.float32)[:, None]
+        return acc
 
 
 _ENCODER_FACTORIES: dict[str, Callable[..., Encoder]] = {}
@@ -196,7 +216,7 @@ def validate_normalized(rows: np.ndarray, what: str) -> None:
         raise ConsistencyError(
             f"{what}: {int(non_finite.sum())} vector(s) hold NaN or infinite values"
         )
-    norms = np.linalg.norm(rows.astype(np.float64), axis=1)
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
     bad = np.abs(norms - 1.0) > NORM_TOLERANCE
     if np.any(bad):
         raise ConsistencyError(

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from linearrag.cli import load_app_config, main
+from linearrag.embedding import read_vector_file, write_vector_file
 from linearrag.retrieval import RetrievalConfig
 from linearrag.trigraph import build, graph_equal, load
 
@@ -492,6 +493,20 @@ class TestErrorsAndConfig:
         capsys.readouterr()
         assert main(["query", "--config", str(config), "anything"]) == 3
         assert "entities.vec" in capsys.readouterr().err
+
+    def test_stored_dim_below_minimum_exit_three(self, tmp_path, capsys):
+        # A store stamped hash:4:0 rebuilds no encoder (dim must be >= 8), so
+        # query stops at load_store, before it embeds anything.
+        config = write_config(tmp_path)
+        assert main(["index", "--config", str(config)]) == 0
+        for name in ("entities.vec", "sentences.vec", "passages.vec"):
+            path = tmp_path / "index" / name
+            rows, _ = read_vector_file(path)
+            write_vector_file(path, rows, "hash:4:0")
+        capsys.readouterr()
+        assert main(["query", "--config", str(config), "anything"]) == 3
+        err = capsys.readouterr().err
+        assert "entities.vec" in err and "hash:4:0" in err
 
     def test_tampered_passages_exit_three(self, tmp_path):
         config = write_config(tmp_path)

@@ -1,13 +1,19 @@
 import json
+import random
+import string
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from linearrag.embedding import (
     EmbeddingStore,
     EncoderContract,
     HashEncoder,
+    _bucket_sign,
     _encode_checked,
+    _tokens,
     build_store,
     cosine,
     extend_store,
@@ -25,6 +31,55 @@ from linearrag.trigraph import add_passages, build
 
 from conftest import DATA_DIR, POISONS, TokenEncoder, make_corpus
 from test_trigraph import make_slice
+
+
+def ref_hash_encode(text, dim, seed):
+    """The scalar definition of a hash-encoded row, which ``encode_batch``
+    replaced: one ``_bucket_sign`` and one float32 add per token."""
+    acc = np.zeros(dim, dtype=np.float32)
+    for token in _tokens(text):
+        bucket, sign = _bucket_sign(token, dim, seed)
+        acc[bucket] += sign
+    if not np.any(acc):
+        bucket, _ = _bucket_sign(text, dim, seed)
+        acc[bucket] = 1.0
+    return (acc / np.linalg.norm(acc)).astype(np.float32)
+
+
+def cancelling_text(dim, seed):
+    """Two distinct tokens that hash to one bucket with opposite signs,
+    found by a seeded search over random lowercase words."""
+    rng = random.Random(dim * 7919 + seed)
+    seen = {}
+    while True:
+        token = "".join(rng.choices(string.ascii_lowercase, k=6))
+        bucket, sign = _bucket_sign(token, dim, seed)
+        if (bucket, -sign) in seen:
+            return f"{seen[bucket, -sign]} {token}"
+        seen[bucket, sign] = token
+
+
+# (dim, seed) pairs: the smallest dim, a dim that is not a power of two,
+# and the benchmark's encoder.
+PAIRS = ((8, 0), (37, 11), (256, 0))
+CANCELLING = {pair: cancelling_text(*pair) for pair in PAIRS}
+
+# Words and characters where tokenizing is easy to get wrong: ß, İ and the
+# ligature ﬁ change length when case-folded; tab and \x1f separate tokens,
+# and so does _, which is not alphanumeric.
+PIECES = ("ß", "İ", "ﬁ", "Straße", "STRASSE", "İstanbul", "ﬁne", "Ω", "٣", "7")
+PIECES += ("Alpha", "beta", "a_b", " ", "\t", "\x1f", "_", ".", "!")
+# Texts without a token: each falls back to a basis vector.
+TOKENLESS = ("", "...", " \t ", "_", "\x1f", "-_-")
+
+texts = st.lists(st.sampled_from(PIECES), max_size=12).map("".join)
+batches = st.lists(texts | st.sampled_from(TOKENLESS), min_size=1, max_size=8)
+
+
+def equals_oracle(batch, dim, seed):
+    got = HashEncoder(dim, seed).encode_batch(batch)
+    expected = np.stack([ref_hash_encode(text, dim, seed) for text in batch])
+    return got.dtype == np.float32 and np.array_equal(got, expected)
 
 
 class TestHashEncode:
@@ -70,6 +125,42 @@ class TestHashEncode:
         for text, expected in golden["vectors"].items():
             got = hash_encode(text, dim, seed)
             assert np.array_equal(got, np.array(expected, dtype=np.float32)), text
+
+
+class TestEncodeBatchAgainstOracle:
+    def test_cancelling_text_falls_back_to_basis(self):
+        for (dim, seed), text in CANCELLING.items():
+            assert len(_tokens(text)) == 2
+            assert np.count_nonzero(ref_hash_encode(text, dim, seed)) == 1
+            assert equals_oracle([text], dim, seed)
+
+    @pytest.mark.parametrize("dim, seed", PAIRS)
+    def test_tokenless_rows_between_others(self, dim, seed):
+        # Rows without tokens shift no other row's counts (``np.repeat``
+        # aligns each token with its row); duplicates encode alike.
+        batch = ["Paris big", "", "ß İ ﬁ", "...", CANCELLING[dim, seed]]
+        batch += ["Paris big", "\t\x1f_", "a_b\tfine"]
+        assert equals_oracle(batch, dim, seed)
+        for text in batch:
+            assert equals_oracle([text], dim, seed)
+
+    @pytest.mark.parametrize("dim, seed", PAIRS)
+    def test_empty_batch(self, dim, seed):
+        vectors = HashEncoder(dim, seed).encode_batch([])
+        assert vectors.shape == (0, dim) and vectors.dtype == np.float32
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        batch=batches,
+        pair=st.sampled_from(PAIRS),
+        cancel_at=st.none() | st.integers(0, 8),
+    )
+    @example(batch=["x", "", "y"], pair=(8, 0), cancel_at=None)
+    @example(batch=["ß", "ß"], pair=(37, 11), cancel_at=1)
+    def test_batch_equals_stacked_oracle(self, batch, pair, cancel_at):
+        if cancel_at is not None:
+            batch = [*batch[:cancel_at], CANCELLING[pair], *batch[cancel_at:]]
+        assert equals_oracle(batch, *pair)
 
 
 class TestCosine:
@@ -347,6 +438,15 @@ class TestStore:
         # An attached encoder needs no rebuild.
         loaded = load_store(tmp_path, graph, HashEncoder(dim=32, seed=1))
         assert loaded.encoder_id == "hash:3x:1"
+
+    def test_stored_dim_below_minimum_is_consistency_error(self, tmp_path):
+        # HashEncoder refuses dim < 8 when it is built, so load_store cannot
+        # rebuild one from the id and names the vector file.
+        rows = np.eye(4, dtype=np.float32)
+        for name in ("entities.vec", "sentences.vec", "passages.vec"):
+            write_vector_file(tmp_path / name, rows, "hash:4:0")
+        with pytest.raises(ConsistencyError, match="entities.vec.*hash:4:0"):
+            load_store(tmp_path)
 
     def test_encoder_swap_keeps_pipeline_valid(self, graph, tf_encoder):
         # Any encoder with matching row counts must run the full pipeline.
