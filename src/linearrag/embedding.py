@@ -21,8 +21,8 @@ import inspect
 import os
 import re
 import struct
-from itertools import chain
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Protocol, Sequence
 
