@@ -144,11 +144,6 @@ class TestEncodeBatchAgainstOracle:
         for text in batch:
             assert equals_oracle([text], dim, seed)
 
-    @pytest.mark.parametrize("dim, seed", PAIRS)
-    def test_empty_batch(self, dim, seed):
-        vectors = HashEncoder(dim, seed).encode_batch([])
-        assert vectors.shape == (0, dim) and vectors.dtype == np.float32
-
     @settings(max_examples=200, deadline=None)
     @given(
         batch=batches,
