@@ -7,7 +7,12 @@ activation among frontier entities they mention, aggregates the gated
 sentence mass back onto entities, keeps only candidates whose new mass
 exceeds the pruning threshold, and folds them in with an elementwise MAX,
 so activations only ever grow. Propagation stops when no candidate
-survives pruning or the hop cap is reached.
+survives pruning or the hop cap is reached. One entity-major operator
+(``TriGraph.mention_by_entity``) serves all three steps: the gate gathers
+the frontier entities' rows, the candidate mass is its product with the
+gated sentence mass, and the trace records, for each entity a hop first
+activates, the sentence of its row holding the most mass (found by a
+segmented max over the gathered rows, with no sort).
 
 Stage 2 ranks passages: activated entities and a hybrid passage seed (a
 small query-similarity term plus a log-damped sum of activated-entity
@@ -23,6 +28,7 @@ Nothing in this module performs network I/O or calls a text generator.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -40,6 +46,18 @@ VALID_FALLBACKS = ("dense", "empty")
 _BLOCK_ROWS = 512
 
 
+# Checked for NaN, which passes every range comparison; +inf stays legal
+# where a bound allows it (an infinite delta or threshold disables a stage).
+_FLOAT_FIELDS = (
+    "entity_sim_threshold",
+    "delta",
+    "damping",
+    "lambda_",
+    "passage_weight",
+    "ppr_tol",
+)
+
+
 @dataclass(frozen=True)
 class RetrievalConfig:
     entity_sim_threshold: float = 0.5
@@ -54,6 +72,9 @@ class RetrievalConfig:
     fallback: str = "dense"
 
     def __post_init__(self):
+        for name in _FLOAT_FIELDS:
+            if math.isnan(getattr(self, name)):
+                raise ConfigError(f"{name} must not be NaN")
         if not 0.0 < self.damping < 1.0:
             raise ConfigError(f"damping must be in (0, 1), got {self.damping}")
         if self.top_k < 1:
@@ -66,6 +87,10 @@ class RetrievalConfig:
             raise ConfigError(f"lambda must be >= 0, got {self.lambda_}")
         if self.ppr_max_iters < 1:
             raise ConfigError("ppr_max_iters must be >= 1")
+        if self.passage_weight < 0:
+            raise ConfigError(
+                f"passage_weight must be >= 0, got {self.passage_weight}"
+            )
         if self.ppr_tol <= 0:
             raise ConfigError("ppr_tol must be positive")
         if self.fallback not in VALID_FALLBACKS:
@@ -100,6 +125,12 @@ class ActivationState:
     newly activated in the latest hop, and ``trace`` maps each activated
     entity to its first activation hop and best supporting sentence (None
     for hop-0 seeds, which come straight from the query).
+
+    An entity's best supporting sentence is, among the sentences that
+    mention it, the one whose gated mass (sigma times the frontier gate)
+    was highest in the hop that first activated it; ties go to the lowest
+    sentence id. A later hop that raises the entity again leaves its trace
+    entry as it is.
     """
 
     a: np.ndarray
@@ -182,8 +213,9 @@ def propagate(
     """
     if not state.frontier:
         return state
+    op = graph.mention_by_entity
     u = state.sigma * _frontier_gate(graph, state.a, state.frontier)
-    candidates = graph.mention_transposed @ u
+    candidates = op @ u
 
     retained = candidates > cfg.delta
     a_new = np.where(retained, np.maximum(candidates, state.a), state.a)
@@ -192,13 +224,11 @@ def propagate(
     hop = state.hop + 1
 
     trace = dict(state.trace)
-    if new_frontier:
-        best = _best_supporting_sentence(
-            graph.mention.row_ids, graph.mention.col_ids, u, changed
-        )
-        for e in new_frontier:
-            if e not in trace:
-                trace[e] = (hop, best.get(e))
+    entering = [e for e in sorted(new_frontier) if e not in trace]
+    if entering:
+        best = _best_sentences(op, u, np.array(entering, dtype=np.intp))
+        for e in entering:
+            trace[e] = (hop, best.get(e))
     return ActivationState(
         a=a_new,
         sigma=state.sigma,
@@ -209,36 +239,53 @@ def propagate(
     )
 
 
+def _row_entries(op, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entry positions of ``rows`` of the CSR matrix ``op``, row after
+    row, and the length of each row."""
+    starts = op.indptr[rows]
+    lengths = op.indptr[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    positions = np.arange(ends[-1] if len(ends) else 0)
+    positions += np.repeat(starts - (ends - lengths), lengths)
+    return positions, lengths
+
+
 def _frontier_gate(
     graph: TriGraph, a: np.ndarray, frontier: frozenset[int]
 ) -> np.ndarray:
     """Per sentence, the highest activation (floored at 0) among the
     frontier entities it mentions; 0 where it mentions none."""
-    rows, cols = graph.mention.row_ids, graph.mention.col_ids
-    in_frontier = np.zeros(graph.n_entities, dtype=bool)
-    in_frontier[list(frontier)] = True
-    selected = in_frontier[cols]
+    op = graph.mention_by_entity
+    entities = np.fromiter(frontier, dtype=np.intp, count=len(frontier))
+    positions, lengths = _row_entries(op, entities)
     gate = np.zeros(graph.n_sentences, dtype=np.float64)
-    gated_rows = rows[selected]
-    if gated_rows.size:
-        # Entries are row-sorted, so each sentence's entries form one run.
-        starts = np.flatnonzero(np.diff(gated_rows, prepend=-1))
-        runs = np.maximum.reduceat(a[cols[selected]], starts)
-        gate[gated_rows[starts]] = np.maximum(0.0, runs)
+    np.maximum.at(
+        gate, op.indices[positions], np.repeat(np.maximum(a[entities], 0.0), lengths)
+    )
     return gate
 
 
-def _best_supporting_sentence(
-    rows: np.ndarray, cols: np.ndarray, u: np.ndarray, changed: np.ndarray
-) -> dict[int, int]:
-    """For each changed entity, the mentioning sentence with the highest
-    mass ``u``; ties go to the lowest sentence id."""
-    selected = changed[cols]
-    entities, sentences = cols[selected], rows[selected]
-    order = np.lexsort((sentences, -u[sentences], entities))
-    entities, sentences = entities[order], sentences[order]
-    first = np.flatnonzero(np.diff(entities, prepend=-1))
-    return dict(zip(entities[first].tolist(), sentences[first].tolist()))
+def _best_sentences(op, u: np.ndarray, entities: np.ndarray) -> dict[int, int]:
+    """For each of ``entities`` that has a row entry in the entity-major
+    mention operator ``op``, the mentioning sentence with the highest mass
+    ``u``; ties go to the lowest sentence id.
+
+    A segmented reduction over the gathered rows: ``np.maximum.reduceat``
+    takes each row's highest mass, then ``np.minimum.reduceat`` over entry
+    positions picks the first entry that reaches it. Sentence ids ascend
+    within a row, so the first is the lowest.
+    """
+    entities = entities[np.diff(op.indptr)[entities] > 0]
+    positions, lengths = _row_entries(op, entities)
+    if not positions.size:
+        return {}
+    mass = u[op.indices[positions]]
+    starts = np.cumsum(lengths) - lengths
+    reached = mass == np.repeat(np.maximum.reduceat(mass, starts), lengths)
+    first = np.minimum.reduceat(
+        np.where(reached, np.arange(len(mass)), len(mass)), starts
+    )
+    return dict(zip(entities.tolist(), op.indices[positions[first]].tolist()))
 
 
 def activate(

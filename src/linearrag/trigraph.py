@@ -232,14 +232,19 @@ class TriGraph:
         return np.log1p(self.occurrence_counts.astype(np.float64))
 
     @cached_property
-    def mention_transposed(self) -> sp.csc_matrix:
-        """The mention matrix transposed (entity x sentence): its CSR form
-        read as CSC, with no re-sort.
+    def mention_by_entity(self) -> sp.csr_matrix:
+        """The mention incidence entity-major (entity x sentence, CSR): one
+        row per entity, its sentence ids ascending.
 
-        ``mention_transposed @ u`` walks the sentences in ascending id, so each
-        entity adds its terms in the order of the mention entries.
+        scipy's CSR product sums each row from 0 in the order of its
+        entries, so ``mention_by_entity @ u`` adds each entity's terms in
+        ascending sentence id, the order of the mention entries: it is
+        bit-equal to the product with the mention matrix read transposed as
+        CSC, and to ``np.add.at`` over the mention entries. Its rows also
+        give, per entity, the mentioning sentences that ``retrieval``'s
+        frontier gate and supporting-sentence search gather.
         """
-        return self.mention.to_csr().T
+        return self.mention.to_csr().T.tocsr()
 
     @cached_property
     def normalized_contain(self) -> "NormalizedContain":

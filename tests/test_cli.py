@@ -434,6 +434,12 @@ class TestErrorsAndConfig:
         config = write_config(tmp_path, retrieval={"damping": 2.0})
         assert main(["index", "--config", str(config)]) == 1
 
+    def test_nan_retrieval_value_rejected(self, tmp_path):
+        # json.dumps writes the float as the bare token NaN, which json.loads reads.
+        config = write_config(tmp_path, retrieval={"ppr_tol": float("nan")})
+        assert "NaN" in config.read_text()
+        assert main(["index", "--config", str(config)]) == 1
+
     def test_lambda_key_accepted(self, tmp_path):
         config = write_config(tmp_path, retrieval={"lambda": 0.1, "delta": 0.01})
         assert main(["index", "--config", str(config)]) == 0

@@ -15,14 +15,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from linearrag.corpus import Corpus, Passage
+from linearrag.corpus import Corpus, Passage, Sentence
 from linearrag.embedding import HashEncoder, build_store, extend_store
 from linearrag.evalbench import generate_synthetic_corpus
 from linearrag.retrieval import (
     ActivationState,
     EntityLevel,
     RetrievalConfig,
-    _best_supporting_sentence,
+    _best_sentences,
     _frontier_gate,
     _similarities,
     passage_seed_scores,
@@ -146,14 +146,15 @@ def test_gate_mass_and_best_sentence_equal_scalar_code(graph_rng, data):
     assert np.array_equal(gate, scalar_gate(graph, state.a, state.frontier))
 
     u = state.sigma * gate
-    assert same_bits(graph.mention_transposed @ u, scalar_candidates(graph, u))
+    op = graph.mention_by_entity
+    assert same_bits(op @ u, scalar_candidates(graph, u))
     # Continuous masses round differently in every summation order.
     noise = rng.standard_normal(graph.n_sentences)
-    assert same_bits(graph.mention_transposed @ noise, scalar_candidates(graph, noise))
+    assert same_bits(op @ noise, scalar_candidates(graph, noise))
 
     changed = rng.random(graph.n_entities) < 0.6
-    assert _best_supporting_sentence(
-        graph.mention.row_ids, graph.mention.col_ids, u, changed
+    assert _best_sentences(
+        op, u, np.flatnonzero(changed)
     ) == scalar_best_sentence(graph, u, changed)
 
     cfg = RetrievalConfig(delta=data.draw(st.sampled_from([0.0, 0.1, 0.3])))
@@ -231,6 +232,97 @@ def bipartite_graph(n_passages, n_entities, pairs):
     )
 
 
+def mention_graph(n_sentences, n_entities, pairs):
+    """A TriGraph of one passage whose mention matrix holds the (sentence,
+    entity) ``pairs``; stage 1 reads nothing else, so an entity may have no
+    mention at all."""
+    rows, cols = np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2).T
+    mention = SparseBinaryMatrix.sorted_entries(
+        np.ascontiguousarray(rows), np.ascontiguousarray(cols), n_sentences, n_entities
+    )
+    mentioned, counts = np.unique(cols, return_counts=True)
+    contain = SparseBinaryMatrix.sorted_entries(
+        np.zeros(len(mentioned), dtype=np.int64), mentioned, 1, n_entities
+    )
+    return TriGraph(
+        corpus=Corpus(
+            passages=(Passage(0, "0", None, "x"),),
+            sentences=tuple(Sentence(i, 0, (0, 1), "x") for i in range(n_sentences)),
+            source_digest="",
+        ),
+        contain=contain,
+        mention=mention,
+        entity_registry=EntityRegistry(
+            records=tuple(EntityRecord(i, f"e{i}", ()) for i in range(n_entities))
+        ),
+        occurrence_counts=counts.astype(np.int64),
+        extractor=ExtractorContract.make(),
+    )
+
+
+@pytest.mark.parametrize(
+    "mass, best",
+    [
+        ([0.1, 0.5, 0.5, 0.2], 1),  # equal mass in sentences 1 and 2
+        ([-0.0, 0.0, -0.5, -0.0], 0),  # -0.0 first, then +0.0
+        ([-0.5, 0.0, -0.0, -0.5], 1),  # +0.0 first, then -0.0
+    ],
+)
+def test_best_sentence_ties_go_to_lowest_id(mass, best):
+    graph = mention_graph(4, 2, [(s, 0) for s in range(4)] + [(3, 1)])
+    u = np.array(mass)
+    changed = np.array([True, False])
+    found = _best_sentences(graph.mention_by_entity, u, np.flatnonzero(changed))
+    assert found == scalar_best_sentence(graph, u, changed) == {0: best}
+
+
+def test_trace_takes_lowest_sentence_of_equal_mass():
+    graph = mention_graph(3, 2, [(0, 1), (1, 0), (1, 1), (2, 0), (2, 1)])
+    state = ActivationState(
+        a=np.array([1.0, 0.0]),
+        sigma=np.array([0.9, 0.3, 0.3]),
+        hop=0,
+        frontier=frozenset({0}),
+        trace={0: (0, None)},
+        query_vec=np.zeros(8),
+    )
+    advanced = propagate(state, graph, RetrievalConfig(delta=0.1))
+    assert advanced.trace == {0: (0, None), 1: (1, 1)}
+    assert advanced.trace == scalar_propagate(state, graph, RetrievalConfig(delta=0.1))[2]
+
+
+@pytest.mark.parametrize(
+    "frontier", [{0, 2}, {2}, {3}, {0, 3}, {0, 1, 2, 3}]
+)
+def test_frontier_entities_without_mentions(frontier):
+    """Entities 2 and 3 have empty operator rows, one in the middle and one
+    at the end of the operator."""
+    graph = mention_graph(3, 4, [(0, 0), (0, 1), (1, 1), (2, 0)])
+    assert np.diff(graph.mention_by_entity.indptr).tolist() == [2, 2, 0, 0]
+    state = ActivationState(
+        a=np.array([0.5, 0.25, 1.0, 1.0]),
+        sigma=np.array([0.5, 0.25, 0.5]),
+        hop=0,
+        frontier=frozenset(frontier),
+        trace={e: (0, None) for e in frontier},
+        query_vec=np.zeros(8),
+    )
+    gate = _frontier_gate(graph, state.a, state.frontier)
+    assert np.array_equal(gate, scalar_gate(graph, state.a, state.frontier))
+    u = state.sigma * gate
+    changed = np.ones(4, dtype=bool)
+    assert _best_sentences(
+        graph.mention_by_entity, u, np.flatnonzero(changed)
+    ) == scalar_best_sentence(graph, u, changed)
+
+    cfg = RetrievalConfig(delta=0.0)
+    advanced = propagate(state, graph, cfg)
+    a_new, new_frontier, trace = scalar_propagate(state, graph, cfg)
+    assert same_bits(advanced.a, a_new)
+    assert advanced.frontier == new_frontier
+    assert advanced.trace == trace
+
+
 @st.composite
 def bipartite_ppr_inputs(draw):
     """Random bipartite graphs, isolated nodes on either side included, with
@@ -275,7 +367,7 @@ def test_append_after_queries_does_not_reuse_stale_operators():
     store = build_store(graph, encoder)
     before = [retrieve(q, graph, store, cfg) for q in questions]
     assert any(not ranked.fallback_used for ranked in before)
-    for cached in ("mention_transposed", "normalized_contain", "log_occurrence"):
+    for cached in ("mention_by_entity", "normalized_contain", "log_occurrence"):
         assert cached in vars(graph), cached
 
     grown = add_passages(graph, make_slice(whole, 40, 60))

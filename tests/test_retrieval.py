@@ -61,6 +61,26 @@ class TestRetrievalConfig:
     def test_infinite_delta_allowed(self):
         assert RetrievalConfig(delta=math.inf).delta == math.inf
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "entity_sim_threshold",
+            "delta",
+            "damping",
+            "lambda_",
+            "passage_weight",
+            "ppr_tol",
+        ],
+    )
+    def test_nan_rejected(self, name):
+        with pytest.raises(ConfigError, match="NaN"):
+            RetrievalConfig(**{name: math.nan})
+
+    def test_negative_passage_weight_rejected(self):
+        with pytest.raises(ConfigError, match="passage_weight"):
+            RetrievalConfig(passage_weight=-1.0)
+        assert RetrievalConfig(passage_weight=0.0).passage_weight == 0.0
+
 
 class TestInitialActivation:
     def test_query_equal_to_canonical_scores_one(self):
