@@ -219,12 +219,11 @@ def propagate(
 
     retained = candidates > cfg.delta
     a_new = np.where(retained, np.maximum(candidates, state.a), state.a)
-    changed = a_new > state.a
-    new_frontier = frozenset(int(e) for e in np.nonzero(changed)[0])
+    changed = np.flatnonzero(a_new > state.a).tolist()
     hop = state.hop + 1
 
     trace = dict(state.trace)
-    entering = [e for e in sorted(new_frontier) if e not in trace]
+    entering = [e for e in changed if e not in trace]
     if entering:
         best = _best_sentences(op, u, np.array(entering, dtype=np.intp))
         for e in entering:
@@ -233,7 +232,7 @@ def propagate(
         a=a_new,
         sigma=state.sigma,
         hop=hop,
-        frontier=new_frontier,
+        frontier=frozenset(changed),
         trace=trace,
         query_vec=state.query_vec,
     )
@@ -275,7 +274,7 @@ def _best_sentences(op, u: np.ndarray, entities: np.ndarray) -> dict[int, int]:
     positions picks the first entry that reaches it. Sentence ids ascend
     within a row, so the first is the lowest.
     """
-    entities = entities[np.diff(op.indptr)[entities] > 0]
+    entities = entities[op.indptr[entities + 1] > op.indptr[entities]]
     positions, lengths = _row_entries(op, entities)
     if not positions.size:
         return {}

@@ -2,12 +2,14 @@
 
 For each ``--passages`` size, this builds the index of
 ``benchmark.inputs.make_inputs(SEED, n)`` in memory and asks its graph
-questions, plus one question per filler entity naming only the entity's
-first token (most of which fall back to dense ranking), ``ROUNDS`` times
-each. Every question is answered twice per round: once by ``retrieve``'s
-stages called one by one - ``initial_activation``, every ``propagate`` hop,
-then ``passage_seed_scores`` and ``ppr``, or ``dense_ranking`` when nothing
-is activated - and once by ``retrieve`` itself. It reports the median over
+questions, plus the questions of the benchmark's first ``FALLBACK_PROBES``
+append slices (``benchmark.inputs.make_slice``) with the slices not
+appended, so that the entity each names is missing and most fall back to
+dense ranking; ``ROUNDS`` times each. Every question is answered twice per
+round: once by ``retrieve``'s stages called one by one -
+``initial_activation``, every ``propagate`` hop, then
+``passage_seed_scores`` and ``ppr``, or ``dense_ranking`` when nothing is
+activated - and once by ``retrieve`` itself. It reports the median over
 questions of each stage's per-question time (a question's time is its
 median over the rounds), with graph-path and fallback questions reported
 apart, and checks that the stages called one by one give ``retrieve``'s
@@ -37,7 +39,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
 
 import numpy as np  # noqa: E402
 
-from inputs import make_inputs  # noqa: E402
+from inputs import make_inputs, make_slice  # noqa: E402
 from linearrag.embedding import HashEncoder, build_store  # noqa: E402
 from linearrag.retrieval import (  # noqa: E402
     RetrievalConfig,
@@ -100,8 +102,8 @@ def measure(n_passages: int) -> dict:
     graph = build(inputs.corpus)
     store = build_store(graph, HashEncoder(**ENCODER))
     probes = [
-        f"Whom did {name.split()[0]} meet?"
-        for name in inputs.filler_names[:FALLBACK_PROBES]
+        make_slice(SEED, index, inputs.filler_names).question.question
+        for index in range(FALLBACK_PROBES)
     ]
     questions = list(dict.fromkeys([*inputs.graph_questions, *probes]))
     for question in questions:
