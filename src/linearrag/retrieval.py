@@ -46,18 +46,6 @@ VALID_FALLBACKS = ("dense", "empty")
 _BLOCK_ROWS = 512
 
 
-# Checked for NaN, which passes every range comparison; +inf stays legal
-# where a bound allows it (an infinite delta or threshold disables a stage).
-_FLOAT_FIELDS = (
-    "entity_sim_threshold",
-    "delta",
-    "damping",
-    "lambda_",
-    "passage_weight",
-    "ppr_tol",
-)
-
-
 @dataclass(frozen=True)
 class RetrievalConfig:
     entity_sim_threshold: float = 0.5
@@ -72,7 +60,19 @@ class RetrievalConfig:
     fallback: str = "dense"
 
     def __post_init__(self):
-        for name in _FLOAT_FIELDS:
+        # NaN slips through a check such as ``delta < 0``, so every float
+        # field is checked for it first, with a message naming it. +inf stays
+        # legal for delta and entity_sim_threshold, where it turns
+        # propagation or seeding off; in lambda_, passage_weight or ppr_tol
+        # it would zero every score.
+        for name in (
+            "entity_sim_threshold",
+            "delta",
+            "damping",
+            "lambda_",
+            "passage_weight",
+            "ppr_tol",
+        ):
             if math.isnan(getattr(self, name)):
                 raise ConfigError(f"{name} must not be NaN")
         if not 0.0 < self.damping < 1.0:
@@ -83,16 +83,16 @@ class RetrievalConfig:
             raise ConfigError(f"delta must be >= 0, got {self.delta}")
         if self.max_hops < 0:
             raise ConfigError(f"max_hops must be >= 0, got {self.max_hops}")
-        if self.lambda_ < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lambda_}")
+        if not 0 <= self.lambda_ < math.inf:
+            raise ConfigError(f"lambda must be finite and >= 0, got {self.lambda_}")
         if self.ppr_max_iters < 1:
             raise ConfigError("ppr_max_iters must be >= 1")
-        if self.passage_weight < 0:
+        if not 0 <= self.passage_weight < math.inf:
             raise ConfigError(
-                f"passage_weight must be >= 0, got {self.passage_weight}"
+                f"passage_weight must be finite and >= 0, got {self.passage_weight}"
             )
-        if self.ppr_tol <= 0:
-            raise ConfigError("ppr_tol must be positive")
+        if not 0 < self.ppr_tol < math.inf:
+            raise ConfigError(f"ppr_tol must be finite and > 0, got {self.ppr_tol}")
         if self.fallback not in VALID_FALLBACKS:
             raise ConfigError(f"fallback must be one of {VALID_FALLBACKS}")
 

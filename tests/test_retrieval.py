@@ -52,6 +52,9 @@ class TestRetrievalConfig:
             {"fallback": "magic"},
             {"ppr_tol": 0.0},
             {"ppr_max_iters": 0},
+            {"lambda_": math.inf},
+            {"passage_weight": math.inf},
+            {"ppr_tol": math.inf},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
