@@ -63,6 +63,16 @@ class AppConfig:
             self.encoder = {"id": "hash"}
 
 
+def _section(obj: Mapping[str, Any], name: str, allowed: set[str]) -> Mapping[str, Any]:
+    """The config object ``obj[name]`` (empty when null), with only
+    ``allowed`` keys."""
+    section = obj[name] or {}
+    if not isinstance(section, Mapping):
+        raise ConfigError(f"config.{name} must be a JSON object")
+    _reject_unknown(section, allowed, f"config.{name}")
+    return section
+
+
 def _reject_unknown(obj: Mapping[str, Any], allowed: set[str], where: str) -> None:
     unknown = sorted(set(obj) - allowed)
     if unknown:
@@ -76,18 +86,18 @@ def parse_app_config(obj: Mapping[str, Any]) -> AppConfig:
     config = AppConfig()
 
     if "extractor" in obj:
-        section = obj["extractor"] or {}
-        _reject_unknown(section, _EXTRACTOR_KEYS, "config.extractor")
+        section = _section(obj, "extractor", _EXTRACTOR_KEYS)
+        params = section.get("params") or {}
+        if not isinstance(params, Mapping):
+            raise ConfigError("config.extractor.params must be a JSON object")
         config.extractor = ExtractorContract.make(
-            id=section.get("id", "caps-run"), params=section.get("params") or {}
+            id=section.get("id", "caps-run"), params=params
         )
     if "encoder" in obj:
-        section = obj["encoder"] or {}
-        _reject_unknown(section, _ENCODER_KEYS, "config.encoder")
+        section = _section(obj, "encoder", _ENCODER_KEYS)
         config.encoder = {**config.encoder, **section}
     if "retrieval" in obj:
-        section = obj["retrieval"] or {}
-        _reject_unknown(section, _RETRIEVAL_KEYS, "config.retrieval")
+        section = _section(obj, "retrieval", _RETRIEVAL_KEYS)
         kwargs = {("lambda_" if k == "lambda" else k): v for k, v in section.items()}
         config.retrieval = RetrievalConfig(**kwargs)
         config.retrieval_specified = True

@@ -85,6 +85,27 @@ def byte_offset_table(text: str) -> list[int]:
     return list(accumulate(map(len, map(str.encode, text)), initial=0))
 
 
+def char_to_byte_spans(
+    text: str, spans: list[tuple[int, int]]
+) -> list[tuple[int, int]]:
+    """Ascending, disjoint char spans of ``text`` as UTF-8 byte spans.
+
+    Only the text up to each span end is measured, once. Raises
+    UnicodeEncodeError if ``text`` holds a lone surrogate, whether or not a
+    span covers it.
+    """
+    if text.isascii():
+        return spans
+    text.encode("utf-8")
+    out: list[tuple[int, int]] = []
+    char = byte = 0  # a char offset and its byte offset
+    for start, end in spans:
+        begin = byte + len(text[char:start].encode("utf-8"))
+        char, byte = end, begin + len(text[start:end].encode("utf-8"))
+        out.append((begin, byte))
+    return out
+
+
 def _trim(text: str, start: int, end: int) -> tuple[int, int]:
     while start < end and text[start].isspace():
         start += 1
@@ -103,27 +124,38 @@ def segment_sentences(passage_text: str) -> list[tuple[int, int]]:
     ``MAX_SENTENCE_BYTES`` are hard-split at the last whitespace before the
     limit (or at the limit itself if the span has no whitespace).
     """
-    if not passage_text:
+    return [span for _, span in _sentence_spans(passage_text)]
+
+
+def _sentence_spans(
+    text: str,
+) -> list[tuple[tuple[int, int], tuple[int, int]]]:
+    """The (char span, byte span) of each sentence of ``text``.
+
+    Byte offsets are taken only at sentence boundaries; a per-character
+    table is built only for a span that has to be cut.
+    """
+    if not text:
         return []
-    byte_of = byte_offset_table(passage_text)
-    n = len(passage_text)
-
-    raw_spans: list[tuple[int, int]] = []
+    chars: list[tuple[int, int]] = []
     start = 0
-    for match in _SENTENCE_END.finditer(passage_text):
-        raw_spans.append((start, match.end()))
-        start = match.end()
-    if start < n:
-        raw_spans.append((start, n))
-
-    spans: list[tuple[int, int]] = []
-    for s, e in raw_spans:
-        s, e = _trim(passage_text, s, e)
-        if s >= e:
+    for end in [match.end() for match in _SENTENCE_END.finditer(text)] + [len(text)]:
+        s, e = _trim(text, start, end)
+        if s < e:
+            chars.append((s, e))
+        start = end
+    spans: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    for (s, e), (bs, be) in zip(chars, char_to_byte_spans(text, chars)):
+        if be - bs <= MAX_SENTENCE_BYTES:
+            spans.append(((s, e), (bs, be)))
             continue
-        spans.extend(_split_oversized(passage_text, byte_of, s, e))
-
-    return [(byte_of[s], byte_of[e]) for s, e in spans]
+        piece = text[s:e]
+        byte_of = byte_offset_table(piece)
+        spans.extend(
+            ((s + ps, s + pe), (bs + byte_of[ps], bs + byte_of[pe]))
+            for ps, pe in _split_oversized(piece, byte_of, 0, len(piece))
+        )
+    return spans
 
 
 def _split_oversized(
@@ -220,14 +252,9 @@ def corpus_from_records(
         text = compose_text(record.title, record.text)
         doc_key = record.doc_key if record.doc_key is not None else str(pid)
         passages.append(Passage(id=pid, doc_key=doc_key, title=record.title, text=text))
-        for span in segment_sentences(text):
+        for (start, end), span in _sentence_spans(text):
             sentences.append(
-                Sentence(
-                    id=sid,
-                    passage_id=pid,
-                    char_span=span,
-                    text=sentence_text(text, span),
-                )
+                Sentence(id=sid, passage_id=pid, char_span=span, text=text[start:end])
             )
             sid += 1
     digest = chain_digest(initial_digest(), (p.text for p in passages))

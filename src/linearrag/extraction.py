@@ -9,7 +9,18 @@ Two extraction strategies are supported:
   (``str.isupper()``), spanning the first token's core to the last one's.
   A sentence-initial stopword is dropped from the head of its run, runs
   made entirely of stopwords (compared case-folded) are discarded, and
-  single-token mentions must have a core of at least two characters.
+  single-token mentions must have a core of at least two characters. The
+  ``stopwords`` parameter, a list of strings, replaces
+  ``DEFAULT_STOPWORDS``; it is read and checked once per corpus.
+
+  A sentence is scanned by one regular expression. A token qualifies when
+  it is a lead of characters that are neither alphanumeric nor space, then
+  a character that is both uppercase and alphanumeric, then anything up to
+  the next whitespace; so an uppercase symbol that is not alphanumeric,
+  such as Ⓐ, leads a token without qualifying it. Each match is one run of
+  qualifying tokens. Only the first and the last token's cores are trimmed;
+  the inner tokens' cores are read only when the first core is a stopword.
+  Byte offsets are taken only at mention ends.
 * ``external``: mentions are read from a line-delimited JSON file of
   ``{sentence_id, surface, start, end}`` records (byte offsets), so a
   statistical tagger can be plugged in offline. The file is read once per
@@ -34,11 +45,11 @@ import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .corpus import Corpus, byte_offset_table
+from .corpus import Corpus, char_to_byte_spans
 from .errors import ConfigError
 
 logger = logging.getLogger(__name__)
@@ -124,43 +135,88 @@ def _strippable(ch: str) -> bool:
     return ch.isspace() or unicodedata.category(ch).startswith("P")
 
 
-# A token and its alphanumeric core: ``\s`` matches exactly where
-# ``str.isspace()`` is true, and ``[^\W_]`` exactly where ``str.isalnum()``
-# is true.
-_TOKEN = re.compile(r"\S+")
+# An alphanumeric core runs from a token's first to its last alphanumeric
+# character: ``\s`` matches exactly where ``str.isspace()`` is true, and
+# ``[^\W_]`` exactly where ``str.isalnum()`` is true.
 _CORE = re.compile(r"[^\W_](?:\S*[^\W_])?")
 
+# Every code point where ``str.isupper()`` and ``str.isalnum()`` both hold
+# lies below this limit (tests check all 0x110000), so the class below is
+# built from a scan of the first two planes rather than of all of Unicode.
+_UPPER_LIMIT = 0x20000
 
-def _caps_run_mentions(
-    sentence_text: str, stopwords: frozenset[str]
-) -> list[tuple[str, int, int]]:
-    """Return (surface, char_start, char_end) triples, left to right."""
-    cores = [
-        _CORE.search(sentence_text, token.start(), token.end())
-        for token in _TOKEN.finditer(sentence_text)
-    ]
-    qualifying = [core is not None and core.group()[0].isupper() for core in cores]
-    mentions: list[tuple[str, int, int]] = []
-    i = 0
-    while i < len(cores):
-        if not qualifying[i]:
-            i += 1
+
+def _upper_alnum_class() -> str:
+    """A regex class body matching exactly the code points where
+    ``str.isupper()`` and ``str.isalnum()`` both hold."""
+    ranges: list[list[int]] = []
+    for ch in filter(str.isupper, map(chr, range(_UPPER_LIMIT))):
+        if ch.isalnum():
+            if ranges and ranges[-1][1] == ord(ch) - 1:
+                ranges[-1][1] += 1
+            else:
+                ranges.append([ord(ch), ord(ch)])
+    return "".join(rf"\U{lo:08x}-\U{hi:08x}" for lo, hi in ranges)
+
+
+# A qualifying token: a lead of characters that are neither alphanumeric nor
+# space, an uppercase alphanumeric character (the core's first), then the
+# rest of the token. A caps-run is a maximal run of them, whitespace apart.
+_QTOKEN = rf"(?:[^\w\s]|_)*[{_upper_alnum_class()}]\S*"
+_CAPS_RUN = re.compile(rf"(?<!\S){_QTOKEN}(?:\s+{_QTOKEN})*")
+
+
+def _caps_run_spans(text: str, stopwords: frozenset[str]) -> list[tuple[int, int]]:
+    """The char span of each ``caps-run`` mention of ``text``, left to right.
+
+    Only the first and last tokens' cores bound a mention; the inner
+    tokens' cores are read only when the first core is a stopword.
+    """
+    head = len(text) - len(text.lstrip())  # where the first token starts
+    spans: list[tuple[int, int]] = []
+    for run in _CAPS_RUN.finditer(text):
+        start, end = run.span()
+        while not text[start].isalnum():
+            start += 1
+        while not text[end - 1].isalnum():
+            end -= 1
+        first = _CORE.match(text, start)
+        if first.group().casefold() in stopwords:
+            if run.start() == head:  # a sentence-initial stopword is dropped
+                first = _CORE.search(text, first.end(), end)
+                if first is None:
+                    continue
+                start = first.start()
+            if first.group().casefold() in stopwords and all(
+                core.casefold() in stopwords
+                for core in _CORE.findall(text, first.end(), end)
+            ):
+                continue
+        if first.end() == end and end - start < 2:  # a one-character token
             continue
-        j = i
-        while j + 1 < len(cores) and qualifying[j + 1]:
-            j += 1
-        run = cores[i : j + 1]
-        if i == 0 and run[0].group().casefold() in stopwords:
-            run = run[1:]
-        if run and all(core.group().casefold() in stopwords for core in run):
-            run = []
-        if len(run) == 1 and len(run[0].group()) < 2:
-            run = []
-        if run:
-            cs, ce = run[0].start(), run[-1].end()
-            mentions.append((sentence_text[cs:ce], cs, ce))
-        i = j + 1
-    return mentions
+        spans.append((start, end))
+    return spans
+
+
+def _stopwords(contract: ExtractorContract) -> frozenset[str]:
+    words = contract.param_dict().get("stopwords", DEFAULT_STOPWORDS)
+    if not isinstance(words, (list, tuple)) or not all(
+        isinstance(word, str) for word in words
+    ):
+        raise ConfigError(
+            f"caps-run stopwords must be a list of strings, got {words!r}"
+        )
+    return frozenset(words)
+
+
+def _sentence_mentions(
+    text: str, sentence_id: int, stopwords: frozenset[str]
+) -> list[EntityMention]:
+    spans = _caps_run_spans(text, stopwords)
+    return [
+        EntityMention(sentence_id, text[start:end], span)
+        for (start, end), span in zip(spans, char_to_byte_spans(text, spans))
+    ]
 
 
 def extract_mentions(
@@ -172,18 +228,7 @@ def extract_mentions(
     :func:`extract_corpus_mentions` for them.
     """
     if contract.id == "caps-run":
-        stopwords = frozenset(
-            contract.param_dict().get("stopwords", DEFAULT_STOPWORDS)
-        )
-        byte_of = byte_offset_table(sentence_text)
-        return [
-            EntityMention(
-                sentence_id=sentence_id,
-                surface=surface,
-                char_span=(byte_of[cs], byte_of[ce]),
-            )
-            for surface, cs, ce in _caps_run_mentions(sentence_text, stopwords)
-        ]
+        return _sentence_mentions(sentence_text, sentence_id, _stopwords(contract))
     if contract.id == "external":
         raise ConfigError(
             "external mentions are read per corpus; use extract_corpus_mentions"
@@ -222,20 +267,27 @@ def extract_corpus_mentions(
     corpus: Corpus, contract: ExtractorContract
 ) -> list[EntityMention]:
     """Run extraction over every sentence, in sentence-id order."""
+    return list(_corpus_mentions(corpus, contract))
+
+
+def _corpus_mentions(
+    corpus: Corpus, contract: ExtractorContract
+) -> Iterator[EntityMention]:
+    """``extract_corpus_mentions`` one mention at a time. A consumer that
+    registers each as it comes holds no list of them, so each mention is
+    freed at once instead of aging into the collector's older generations."""
     if contract.id == "external":
         table = load_external_mentions(_external_path(contract))
-        mentions = []
         for sentence in corpus.sentences:
             for m in table.get(sentence.id, ()):
                 _check_external_span(sentence.text, m)
-                mentions.append(m)
-        return mentions
+                yield m
+        return
     if contract.id != "caps-run":
         raise ConfigError(f"unknown extraction strategy: {contract.id!r}")
-    out: list[EntityMention] = []
+    stopwords = _stopwords(contract)
     for sentence in corpus.sentences:
-        out.extend(extract_mentions(sentence.text, contract, sentence.id))
-    return out
+        yield from _sentence_mentions(sentence.text, sentence.id, stopwords)
 
 
 def _check_external_span(sentence_text: str, mention: EntityMention) -> None:
@@ -283,8 +335,15 @@ def extend_entity_registry(
     added: dict[int, set[str]] = {}
     grown_at: dict[int, int] = {}
     hits: list[tuple[int, int, int]] = []
+    keys: dict[str, tuple[str, str]] = {}  # surface -> (canonical, collapsed)
     for mention in mentions:
-        canonical = canonicalize(mention.surface)
+        key = keys.get(mention.surface)
+        if key is None:
+            key = keys[mention.surface] = (
+                canonicalize(mention.surface),
+                " ".join(mention.surface.split()),
+            )
+        canonical, surface = key
         if not canonical:
             continue
         passage_id = owner[mention.sentence_id]
@@ -293,7 +352,6 @@ def extend_entity_registry(
             entity_id = len(ids)
             ids[canonical] = entity_id
             records.append(EntityRecord(entity_id, canonical, ()))
-        surface = " ".join(mention.surface.split())
         surfaces = added.setdefault(entity_id, set())
         if surface not in surfaces:
             surfaces.add(surface)

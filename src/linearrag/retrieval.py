@@ -29,7 +29,8 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 import numpy as np
@@ -41,6 +42,13 @@ from .trigraph import TriGraph
 logger = logging.getLogger(__name__)
 
 VALID_FALLBACKS = ("dense", "empty")
+
+# What a RetrievalConfig field of each numeric annotation accepts; a bool is
+# an int to Python but never a valid count or weight.
+_NUMBER_KINDS = {
+    "int": (numbers.Integral, "an integer"),
+    "float": (numbers.Real, "a number"),
+}
 
 # Rows cast to float64 at a time when scoring a float32 vector matrix.
 _BLOCK_ROWS = 512
@@ -60,6 +68,11 @@ class RetrievalConfig:
     fallback: str = "dense"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            kind = _NUMBER_KINDS.get(f.type)
+            if kind and (isinstance(value, bool) or not isinstance(value, kind[0])):
+                raise ConfigError(f"{f.name} must be {kind[1]}, got {value!r}")
         # NaN slips through a check such as ``delta < 0``, so every float
         # field is checked for it first, with a message naming it. +inf stays
         # legal for delta and entity_sim_threshold, where it turns

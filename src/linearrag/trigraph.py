@@ -65,9 +65,9 @@ from .extraction import (
     EntityRecord,
     EntityRegistry,
     ExtractorContract,
+    _corpus_mentions,
     distinct_entries,
     extend_entity_registry,
-    extract_corpus_mentions,
 )
 
 logger = logging.getLogger(__name__)
@@ -359,7 +359,7 @@ def _grow(graph: TriGraph, new_slice: Corpus, corpus: Corpus) -> TriGraph:
     continue the graph's; ``corpus`` is the whole corpus of the result."""
     registry, hits = extend_entity_registry(
         graph.entity_registry,
-        extract_corpus_mentions(new_slice, graph.extractor),
+        _corpus_mentions(new_slice, graph.extractor),
         {s.id: s.passage_id for s in new_slice.sentences},
     )
     n_e = len(registry)

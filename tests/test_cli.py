@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from conftest import DATA_DIR, MULTIHOP_ENCODER, POISONS, write_jsonl
 CHAIN_CORPUS = DATA_DIR / "chain" / "corpus.jsonl"
 MULTIHOP_CORPUS = DATA_DIR / "multihop" / "corpus.jsonl"
 MULTIHOP_QA = DATA_DIR / "multihop" / "qa.jsonl"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_config(tmp_path, **overrides):
@@ -439,6 +443,40 @@ class TestErrorsAndConfig:
         config = write_config(tmp_path, retrieval={"ppr_tol": float("nan")})
         assert "NaN" in config.read_text()
         assert main(["index", "--config", str(config)]) == 1
+
+    @pytest.mark.parametrize(
+        "section, expected",
+        [
+            ({"retrieval": {"delta": "x"}}, "delta must be a number"),
+            ({"retrieval": 5}, "config.retrieval must be a JSON object"),
+            ({"extractor": {"params": [1]}}, "params must be a JSON object"),
+            ({"retrieval": {"top_k": 2.5}}, "top_k must be an integer"),
+            ({"retrieval": {"max_hops": True}}, "max_hops must be an integer"),
+            ({"encoder": [1]}, "config.encoder must be a JSON object"),
+            (
+                {"extractor": {"params": {"stopwords": "The"}}},
+                "stopwords must be a list of strings",
+            ),
+        ],
+    )
+    def test_wrongly_typed_value_is_config_error(
+        self, tmp_path, capsys, section, expected
+    ):
+        config = write_config(tmp_path, **section)
+        assert main(["index", "--config", str(config)]) == 1
+        assert expected in capsys.readouterr().err
+
+    def test_wrongly_typed_value_prints_no_traceback(self, tmp_path):
+        config = write_config(tmp_path, retrieval={"delta": "x"})
+        done = subprocess.run(
+            [sys.executable, "-m", "linearrag.cli", "index", "--config", str(config)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == 1
+        assert "delta must be a number" in done.stderr
+        assert "Traceback" not in done.stderr
 
     def test_lambda_key_accepted(self, tmp_path):
         config = write_config(tmp_path, retrieval={"lambda": 0.1, "delta": 0.01})

@@ -75,6 +75,17 @@ class TestCapsRun:
             "Neumann"
         ]
 
+    @pytest.mark.parametrize("stopwords", ["The", 5, ["the", 5], None])
+    def test_stopwords_must_be_a_list_of_strings(self, stopwords):
+        # A string would be taken as the set of its characters, so "The Alpha"
+        # would keep its "The".
+        contract = ExtractorContract.make(params={"stopwords": stopwords})
+        corpus = make_corpus(["The Alpha met Beta."])
+        with pytest.raises(ConfigError, match="stopwords must be a list of strings"):
+            extract_corpus_mentions(corpus, contract)
+        with pytest.raises(ConfigError, match="stopwords must be a list of strings"):
+            extract_mentions("The Alpha met Beta.", contract)
+
     def test_unknown_strategy(self):
         with pytest.raises(ConfigError):
             extract_mentions("anything", ExtractorContract.make(id="nope"))

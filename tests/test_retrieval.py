@@ -61,6 +61,26 @@ class TestRetrievalConfig:
         with pytest.raises(ConfigError):
             RetrievalConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"delta": "x"},
+            {"top_k": 2.5},
+            {"max_hops": True},
+            {"ppr_max_iters": "100"},
+            {"damping": False},
+            {"ppr_tol": None},
+        ],
+    )
+    def test_wrongly_typed_values_rejected(self, kwargs):
+        (name,) = kwargs
+        with pytest.raises(ConfigError, match=f"{name} must be"):
+            RetrievalConfig(**kwargs)
+
+    def test_integers_accepted_as_floats(self):
+        cfg = RetrievalConfig(delta=1, entity_sim_threshold=0, passage_weight=2)
+        assert (cfg.delta, cfg.entity_sim_threshold, cfg.passage_weight) == (1, 0, 2)
+
     def test_infinite_delta_allowed(self):
         assert RetrievalConfig(delta=math.inf).delta == math.inf
 

@@ -3,14 +3,18 @@
 ``embedding._tokens``, ``extraction.extract_mentions`` (``caps-run``),
 ``corpus.segment_sentences`` and ``corpus.byte_offset_table`` scan text with
 ``re`` and the UTF-8 codec. The loops below are their earlier scalar
-versions, kept as oracles. On text that mixes the characters where a
-regular expression could part from ``str.isalnum()`` and ``str.isspace()``
-(``_``, non-ASCII letters and digits, combining marks, the information
-separators ``\\x1c``-``\\x1f``, ``\\x85``, no-break and ideographic spaces),
-both give the same tokens, mentions, spans and offsets. On text holding a
-lone surrogate, both give the same result or raise the same exception type.
+versions, kept as oracles; ``caps-run`` has two, the per-character one and
+the per-token walk that preceded the one-regex-per-sentence scan. On text
+that mixes the characters where a regular expression could part from
+``str.isalnum()``, ``str.isupper()`` and ``str.isspace()`` (``_``, non-ASCII
+letters and digits, uppercase symbols that are not alphanumeric, combining
+marks, the information separators ``\\x1c``-``\\x1f``, ``\\x85``, no-break
+and ideographic spaces), both give the same tokens, mentions, spans and
+offsets. On text holding a lone surrogate, both give the same result or
+raise the same exception type.
 """
 
+import re
 from unittest import mock
 
 import pytest
@@ -29,6 +33,7 @@ from linearrag.embedding import _tokens
 from linearrag.extraction import (
     DEFAULT_STOPWORDS,
     ExtractorContract,
+    _upper_alnum_class,
     extract_mentions,
 )
 
@@ -135,12 +140,50 @@ def ref_caps_run_mentions(
     return mentions
 
 
-def ref_extract_mentions(sentence_text: str) -> list[tuple[str, int, int]]:
+_TOKEN = re.compile(r"\S+")
+_CORE = re.compile(r"[^\W_](?:\S*[^\W_])?")
+
+
+def ref_token_walk_mentions(
+    sentence_text: str, stopwords: frozenset[str]
+) -> list[tuple[str, int, int]]:
+    """The per-token walk: every token's core found by its own search."""
+    cores = [
+        _CORE.search(sentence_text, token.start(), token.end())
+        for token in _TOKEN.finditer(sentence_text)
+    ]
+    qualifying = [core is not None and core.group()[0].isupper() for core in cores]
+    mentions: list[tuple[str, int, int]] = []
+    i = 0
+    while i < len(cores):
+        if not qualifying[i]:
+            i += 1
+            continue
+        j = i
+        while j + 1 < len(cores) and qualifying[j + 1]:
+            j += 1
+        run = cores[i : j + 1]
+        if i == 0 and run[0].group().casefold() in stopwords:
+            run = run[1:]
+        if run and all(core.group().casefold() in stopwords for core in run):
+            run = []
+        if len(run) == 1 and len(run[0].group()) < 2:
+            run = []
+        if run:
+            cs, ce = run[0].start(), run[-1].end()
+            mentions.append((sentence_text[cs:ce], cs, ce))
+        i = j + 1
+    return mentions
+
+
+def ref_extract_mentions(
+    sentence_text: str, walk=ref_caps_run_mentions
+) -> list[tuple[str, int, int]]:
     """(surface, byte start, byte end) of each ``caps-run`` mention."""
     byte_of = ref_byte_offset_table(sentence_text)
     return [
         (surface, byte_of[cs], byte_of[ce])
-        for surface, cs, ce in ref_caps_run_mentions(sentence_text, STOPWORDS)
+        for surface, cs, ce in walk(sentence_text, STOPWORDS)
     ]
 
 
@@ -155,6 +198,7 @@ CHARS = (
     # non-ASCII letters and digits; ß, ŉ and İ change length when case-folded
     "éßŉİⅫ٣ÉΩж"
     "\u0301\u0308\u20dd"  # combining marks: neither alphanumeric nor space
+    "Ⓐ\U0001d400"  # Ⓐ: uppercase, not alphanumeric; U+1D400: uppercase beyond the BMP
     " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\u00a0\u2028\u3000"  # str.isspace()
     "\u200b"  # zero-width space: not str.isspace()
     ".!?"
@@ -163,11 +207,22 @@ CHARS = (
 # Whole words, so that runs of capitalised tokens and stopwords occur, and
 # cores behind a head of underscores or punctuation.
 WORDS = ("The", "the", "Of", "of", "A", "Alpha", "Beta", "İstanbul", "Ⅻ", "É.")
-WORDS += ("_Gamma", "__Ω_", "(Delta)", "«Ⅻ»")
+WORDS += ("_Gamma", "__Ω_", "(Delta)", "«Ⅻ»", "ⒶEta", "Ⓐta")
 
 texts = st.lists(st.sampled_from((*CHARS, *WORDS)), max_size=60).map("".join)
 surrogates = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
 texts_with_surrogate = st.tuples(texts, surrogates, texts).map("".join)
+
+# Passages holding a span of multibyte text with no sentence terminal that
+# is longer than MAX_SENTENCE_BYTES, so that the real limit cuts it.
+unbroken = st.text(
+    st.sampled_from([ch for ch in CHARS if ch not in ".!?"]), min_size=1, max_size=30
+)
+long_passages = st.tuples(texts, unbroken, st.integers(1, 3), texts).map(
+    lambda t: t[0]
+    + t[1] * (t[2] * MAX_SENTENCE_BYTES // len(t[1].encode("utf-8")) + 1)
+    + t[3]
+)
 
 PROPERTY_SETTINGS = settings(max_examples=300, deadline=None)
 
@@ -198,6 +253,54 @@ def test_mentions_match_scalar(text):
     assert new_extract_mentions(text) == ref_extract_mentions(text)
 
 
+@PROPERTY_SETTINGS
+@given(texts)
+def test_mentions_match_token_walk(text):
+    assert new_extract_mentions(text) == ref_extract_mentions(
+        text, ref_token_walk_mentions
+    )
+
+
+@pytest.mark.parametrize(
+    "text, surfaces",
+    [
+        # Ⓐ (U+24B6) is uppercase but not alphanumeric: it leads a token
+        # without qualifying it and stays out of the core.
+        ("we met ⒶAlpha Beta.", ["Alpha Beta"]),
+        ("we met Ⓐlpha Beta.", ["Beta"]),
+        ("we met Ⓐ Beta.", ["Beta"]),
+        # A sentence-initial stopword is dropped, behind a lead or spaces too;
+        # one further in is kept.
+        ("The Eiffel Tower stands.", ["Eiffel Tower"]),
+        ("  «The» Eiffel Tower stands.", ["Eiffel Tower"]),
+        ("we saw The Eiffel Tower.", ["The Eiffel Tower"]),
+        ("The Of Alpha met us.", ["Of Alpha"]),
+        # A one-token run needs a core of two characters or more.
+        ("we met X.", []),
+        ("we met «X» and _Z_.", []),
+        ("we met «X», Y.", ["X», Y"]),
+        ("we met X Y.", ["X Y"]),
+        ("we met Xy.", ["Xy"]),
+        # A run made only of stopwords is dropped, wherever it stands.
+        ("we saw The Of It.", []),
+        ("The It.", []),
+        ("It The Of.", []),
+        ("we saw The Of It Alpha.", ["The Of It Alpha"]),
+    ],
+)
+def test_caps_run_rules(text, surfaces):
+    mentions = new_extract_mentions(text)
+    assert [surface for surface, _, _ in mentions] == surfaces
+    assert mentions == ref_extract_mentions(text)
+    assert mentions == ref_extract_mentions(text, ref_token_walk_mentions)
+
+
+def test_upper_alnum_class_is_exact():
+    every = "".join(map(chr, range(0x110000)))
+    found = re.findall(f"[{_upper_alnum_class()}]", every)
+    assert found == [ch for ch in every if ch.isupper() and ch.isalnum()]
+
+
 # A small limit makes the oversize split cut inside the generated texts.
 @pytest.mark.parametrize("limit", [MAX_SENTENCE_BYTES, 12])
 @PROPERTY_SETTINGS
@@ -205,6 +308,12 @@ def test_mentions_match_scalar(text):
 def test_segment_sentences_match_scalar(limit, text):
     with mock.patch.object(corpus, "MAX_SENTENCE_BYTES", limit):
         assert segment_sentences(text) == ref_segment_sentences(text)
+
+
+@settings(max_examples=40, deadline=None)
+@given(long_passages)
+def test_long_multibyte_passages_cut_alike(text):
+    assert segment_sentences(text) == ref_segment_sentences(text)
 
 
 @PROPERTY_SETTINGS

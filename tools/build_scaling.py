@@ -8,8 +8,12 @@ For each ``--passages`` size, this writes the corpus of
 ``build_entity_registry``, are timed beside it on the same corpus. It
 reports the median time of each stage, of the whole index path (every stage
 but the two timed beside ``build``), and each of those per passage, so that
-linear growth reads as a flat per-passage cost. It checks that the loaded
-index equals the built one. Run from the root of a checkout:
+linear growth reads as a flat per-passage cost. Beside each stage's time it
+reports the median time the cyclic garbage collector ran within that stage
+(``median_gc_ms``, from ``gc.callbacks``): a collection is paid by whichever
+stage allocates past the threshold, not only by the one that made the
+garbage. It checks that the loaded index equals the built one. Run from the
+root of a checkout:
 
     python3 tools/build_scaling.py --passages 3000 12000 --out result.json
 
@@ -67,6 +71,21 @@ def same_rows(a, b) -> bool:
     )
 
 
+class CollectorClock:
+    """Total time spent in the cyclic garbage collector, in ms, while
+    installed in ``gc.callbacks``."""
+
+    def __init__(self) -> None:
+        self.ms = 0.0
+        self._start = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._start = time.perf_counter()
+        else:
+            self.ms += (time.perf_counter() - self._start) * 1e3
+
+
 def measure(n_passages: int, directory: Path) -> dict:
     inputs = make_inputs(SEED, n_passages)
     corpus_path = directory / "corpus.jsonl"
@@ -75,18 +94,23 @@ def measure(n_passages: int, directory: Path) -> dict:
     embedder = {"id": encoder.contract.id, "dim": ENCODER["dim"]}
     contract = ExtractorContract.make()
     rows = []
+    gc_rows = []
     equal = True
+    clock = CollectorClock()
+    gc.callbacks.append(clock)
     for rep in range(REPS):
         index_dir = directory / f"index-{rep}"
         ms = {}
+        gc_ms = {}
         gc.collect()
-        tick = time.perf_counter()
+        tick, gc_tick = time.perf_counter(), clock.ms
 
         def lap(stage: str) -> None:
-            nonlocal tick
+            nonlocal tick, gc_tick
             now = time.perf_counter()
             ms[stage] = (now - tick) * 1e3
-            tick = now
+            gc_ms[stage] = clock.ms - gc_tick
+            tick, gc_tick = now, clock.ms
 
         corpus = ingest(corpus_path)
         lap("ingest")
@@ -106,27 +130,37 @@ def measure(n_passages: int, directory: Path) -> dict:
         lap("load")
         store = load_store(index_dir, graph)
         lap("load_store")
-        ms["index"] = sum(ms[stage] for stage in INDEX_STAGES)
+        for row in (ms, gc_ms):
+            row["index"] = sum(row[stage] for stage in INDEX_STAGES)
         rows.append(ms)
+        gc_rows.append(gc_ms)
         equal = equal and (
             corpus.source_digest == inputs.corpus.source_digest
             and graph_equal(graph, built)
             and same_rows(store, built_store)
         )
-    median_ms = {
-        stage: round(statistics.median(row[stage] for row in rows), 3)
-        for stage in (*INDEX_STAGES[:1], *BESIDE_BUILD, *INDEX_STAGES[1:], "index")
-    }
+    gc.callbacks.remove(clock)
+    stages = (*INDEX_STAGES[:1], *BESIDE_BUILD, *INDEX_STAGES[1:], "index")
+
+    def medians(table: list[dict]) -> dict:
+        return {
+            stage: round(statistics.median(row[stage] for row in table), 3)
+            for stage in stages
+        }
+
+    median_ms = medians(rows)
     return {
         "seed": SEED,
         "passages": n_passages,
         "reps": REPS,
         "loaded_equals_built": equal,
         "median_ms": median_ms,
+        "median_gc_ms": medians(gc_rows),
         "per_passage_ms": {
             stage: round(value / n_passages, 5) for stage, value in median_ms.items()
         },
         "per_rep_ms": rows,
+        "per_rep_gc_ms": gc_rows,
     }
 
 
@@ -140,7 +174,7 @@ def main(argv=None) -> int:
         with tempfile.TemporaryDirectory() as directory:
             results.append(measure(n, Path(directory)))
     for result in results:
-        summary = {k: v for k, v in result.items() if k != "per_rep_ms"}
+        summary = {k: v for k, v in result.items() if not k.startswith("per_rep")}
         print(json.dumps(summary))
     if len(results) > 1:
         # 1.0 means the stage's cost per passage did not change with size.
