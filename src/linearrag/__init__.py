@@ -1,6 +1,6 @@
 """Relation-free tri-graph indexing and two-stage passage retrieval."""
 
-from .corpus import Corpus, Passage, Sentence, ingest, segment_sentences
+from .corpus import Corpus, Passage, ingest, segment_sentences
 from .embedding import (
     EmbeddingStore,
     EncoderContract,

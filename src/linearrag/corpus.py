@@ -1,8 +1,9 @@
 """Corpus ingestion and punctuation-based sentence segmentation.
 
 The document model is deliberately small: passages with dense integer ids,
-sentences with byte spans back into their passage, and a content digest that
-is stable across re-ingestion and extendable when passages are appended.
+one int64 table of sentence byte spans back into their passages (see
+``Corpus``), and a content digest that is stable across re-ingestion and
+extendable when passages are appended.
 
 Input format is line-delimited JSON records with fields ``doc_key``
 (optional), ``title`` (optional) and ``text`` (required). A title, when
@@ -21,6 +22,8 @@ from functools import cached_property
 from itertools import accumulate
 from pathlib import Path
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import EmptyCorpusError, IngestError
 
@@ -51,23 +54,37 @@ class Passage:
     text: str
 
 
-@dataclass(frozen=True)
-class Sentence:
-    """A sentence of a passage; ``char_span`` is a half-open byte span
-    into the UTF-8 encoding of the owning passage's text."""
-
-    id: int
-    passage_id: int
-    char_span: tuple[int, int]
-    text: str
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Corpus:
+    """Passages and their sentences.
+
+    ``sentences`` is a read-only int64 array of shape (n_sentences, 3). Row
+    ``i`` is sentence ``first_sentence_id + i``: its owning passage id and
+    the half-open byte span of its text in the UTF-8 encoding of that
+    passage's text, the layout of the index's ``sentences.i64``. Owners
+    never decrease.
+    """
+
     passages: tuple[Passage, ...]
-    sentences: tuple[Sentence, ...]
+    sentences: np.ndarray
     source_digest: str
     skipped: int = 0
+    first_sentence_id: int = 0
+
+    def __post_init__(self) -> None:
+        self.sentences.flags.writeable = False
+
+    def sentence_texts(self, start: int = 0) -> list[str]:
+        """The text of each sentence from row ``start`` on, sliced from its
+        passage's text, which is encoded once (an ASCII one not at all)."""
+        texts: list[str] = []
+        owner = text = raw = None
+        for pid, begin, end in self.sentences[start:].tolist():
+            if pid != owner:
+                owner, text = pid, self.passages[pid - self.passages[0].id].text
+                raw = None if text.isascii() else text.encode("utf-8")
+            texts.append(text[begin:end] if raw is None else raw[begin:end].decode("utf-8"))
+        return texts
 
     @cached_property
     def key_to_passage_ids(self) -> dict[str, tuple[int, ...]]:
@@ -114,7 +131,7 @@ def _trim(text: str, start: int, end: int) -> tuple[int, int]:
     return start, end
 
 
-def segment_sentences(passage_text: str) -> list[tuple[int, int]]:
+def segment_sentences(text: str) -> list[tuple[int, int]]:
     """Split a passage into sentence byte spans.
 
     A boundary is placed after '.', '!' or '?' when the next character is
@@ -123,20 +140,10 @@ def segment_sentences(passage_text: str) -> list[tuple[int, int]]:
     whitespace; empty spans are dropped. Spans longer than
     ``MAX_SENTENCE_BYTES`` are hard-split at the last whitespace before the
     limit (or at the limit itself if the span has no whitespace).
-    """
-    return [span for _, span in _sentence_spans(passage_text)]
-
-
-def _sentence_spans(
-    text: str,
-) -> list[tuple[tuple[int, int], tuple[int, int]]]:
-    """The (char span, byte span) of each sentence of ``text``.
 
     Byte offsets are taken only at sentence boundaries; a per-character
     table is built only for a span that has to be cut.
     """
-    if not text:
-        return []
     chars: list[tuple[int, int]] = []
     start = 0
     for end in [match.end() for match in _SENTENCE_END.finditer(text)] + [len(text)]:
@@ -144,15 +151,15 @@ def _sentence_spans(
         if s < e:
             chars.append((s, e))
         start = end
-    spans: list[tuple[tuple[int, int], tuple[int, int]]] = []
+    spans: list[tuple[int, int]] = []
     for (s, e), (bs, be) in zip(chars, char_to_byte_spans(text, chars)):
         if be - bs <= MAX_SENTENCE_BYTES:
-            spans.append(((s, e), (bs, be)))
+            spans.append((bs, be))
             continue
         piece = text[s:e]
         byte_of = byte_offset_table(piece)
         spans.extend(
-            ((s + ps, s + pe), (bs + byte_of[ps], bs + byte_of[pe]))
+            (bs + byte_of[ps], bs + byte_of[pe])
             for ps, pe in _split_oversized(piece, byte_of, 0, len(piece))
         )
     return spans
@@ -185,11 +192,6 @@ def _split_oversized(
     if s < e:
         pieces.append((s, e))
     return pieces
-
-
-def sentence_text(passage_text: str, span: tuple[int, int]) -> str:
-    """Recover the sentence text addressed by a byte span."""
-    return passage_text.encode("utf-8")[span[0] : span[1]].decode("utf-8")
 
 
 @dataclass(frozen=True)
@@ -239,8 +241,7 @@ def corpus_from_records(
     if not records:
         raise EmptyCorpusError("no valid passages")
     passages: list[Passage] = []
-    sentences: list[Sentence] = []
-    sid = sentence_id_base
+    sentences: list[int] = []  # owner, start, end per sentence, flat
     for offset, record in enumerate(records):
         pid = passage_id_base + offset
         field = _unencodable_field(record)
@@ -252,17 +253,15 @@ def corpus_from_records(
         text = compose_text(record.title, record.text)
         doc_key = record.doc_key if record.doc_key is not None else str(pid)
         passages.append(Passage(id=pid, doc_key=doc_key, title=record.title, text=text))
-        for (start, end), span in _sentence_spans(text):
-            sentences.append(
-                Sentence(id=sid, passage_id=pid, char_span=span, text=text[start:end])
-            )
-            sid += 1
+        for start, end in segment_sentences(text):
+            sentences += (pid, start, end)
     digest = chain_digest(initial_digest(), (p.text for p in passages))
     return Corpus(
         passages=tuple(passages),
-        sentences=tuple(sentences),
+        sentences=np.array(sentences, dtype=np.int64).reshape(-1, 3),
         source_digest=digest,
         skipped=skipped,
+        first_sentence_id=sentence_id_base,
     )
 
 

@@ -258,7 +258,7 @@ def _node_texts(graph: TriGraph, start: Sequence[int]) -> tuple[list[str], ...]:
     entities, sentences, passages = start
     return (
         [r.canonical for r in graph.entity_registry.records[entities:]],
-        [s.text for s in graph.corpus.sentences[sentences:]],
+        graph.corpus.sentence_texts(sentences),
         [p.text for p in graph.corpus.passages[passages:]],
     )
 

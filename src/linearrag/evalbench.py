@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import logging
 import socket
+import statistics
 import tempfile
 import time
 from contextlib import contextmanager
@@ -33,6 +34,11 @@ from .retrieval import EntityLevel, RankedPassages, RetrievalConfig, retrieve
 from .trigraph import TriGraph, build, save
 
 logger = logging.getLogger(__name__)
+
+# ``bench_scaling`` indexes and queries each size this many times, in turns
+# over the sizes, and keeps the medians: a stall of the machine then lands in
+# one round of several sizes, not in every round of one.
+INDEX_BUILDS = 3
 
 
 @dataclass(frozen=True)
@@ -360,7 +366,9 @@ def bench_scaling(
 
     Index timing covers graph construction, encoding, and the persistence
     flush; corpus generation is excluded. Query timing is the mean over a
-    fixed batch. Sizes run sequentially to keep timings honest.
+    fixed batch. Each size is indexed and queried ``INDEX_BUILDS`` times, in
+    turns over the sizes, and both timings are medians of those rounds.
+    Nothing runs concurrently, to keep timings honest.
     """
     if len(sizes) < 2:
         raise ValueError("need at least 2 sizes")
@@ -370,11 +378,12 @@ def bench_scaling(
     encoder = encoder or HashEncoder(seed=seed)
     contract = ExtractorContract.make()
 
-    index_seconds: list[float] = []
-    query_seconds: list[float] = []
-    index_bytes: list[int] = []
+    index_bytes = [0] * len(sizes)
+    index_times: list[list[float]] = [[] for _ in sizes]
+    query_times: list[list[float]] = [[] for _ in sizes]
 
     with forbid_network() as attempts:
+        corpora = []
         for size in sizes:
             pool = entity_pool if entity_pool is not None else max(12, size // 4)
             corpus, examples = generate_synthetic_corpus(
@@ -384,32 +393,35 @@ def bench_scaling(
                 seed=seed,
                 n_chains=n_chains,
             )
-            queries = _query_batch(examples, corpus, n_queries, seed)
+            corpora.append((corpus, _query_batch(examples, corpus, n_queries, seed)))
 
-            with tempfile.TemporaryDirectory(
-                dir=str(work_dir) if work_dir else None
-            ) as tmp:
+        for _ in range(INDEX_BUILDS):
+            for i, (corpus, queries) in enumerate(corpora):
+                with tempfile.TemporaryDirectory(
+                    dir=str(work_dir) if work_dir else None
+                ) as tmp:
+                    started = time.perf_counter()
+                    graph = build(corpus, contract)
+                    store = build_store(graph, encoder)
+                    save(graph, tmp, embedder={"id": encoder.contract.id, "dim": encoder.contract.dim})
+                    save_store(store, tmp)
+                    index_times[i].append(time.perf_counter() - started)
+                    index_bytes[i] = sum(
+                        f.stat().st_size for f in Path(tmp).rglob("*") if f.is_file()
+                    )
                 started = time.perf_counter()
-                graph = build(corpus, contract)
-                store = build_store(graph, encoder)
-                save(graph, tmp, embedder={"id": encoder.contract.id, "dim": encoder.contract.dim})
-                save_store(store, tmp)
-                index_seconds.append(time.perf_counter() - started)
-                index_bytes.append(
-                    sum(f.stat().st_size for f in Path(tmp).rglob("*") if f.is_file())
+                for query in queries:
+                    retrieve(query, graph, store, cfg)
+                query_times[i].append((time.perf_counter() - started) / len(queries))
+                logger.info(
+                    "bench size=%d index=%.3fs query=%.5fs bytes=%d",
+                    sizes[i],
+                    index_times[i][-1],
+                    query_times[i][-1],
+                    index_bytes[i],
                 )
-
-            started = time.perf_counter()
-            for query in queries:
-                retrieve(query, graph, store, cfg)
-            query_seconds.append((time.perf_counter() - started) / len(queries))
-            logger.info(
-                "bench size=%d index=%.3fs query=%.5fs bytes=%d",
-                size,
-                index_seconds[-1],
-                query_seconds[-1],
-                index_bytes[-1],
-            )
+    index_seconds = [statistics.median(times) for times in index_times]
+    query_seconds = [statistics.median(times) for times in query_times]
 
     ratios = tuple(
         index_seconds[i + 1] / index_seconds[i] for i in range(len(sizes) - 1)

@@ -276,18 +276,19 @@ def _corpus_mentions(
     """``extract_corpus_mentions`` one mention at a time. A consumer that
     registers each as it comes holds no list of them, so each mention is
     freed at once instead of aging into the collector's older generations."""
+    texts = enumerate(corpus.sentence_texts(), corpus.first_sentence_id)
     if contract.id == "external":
         table = load_external_mentions(_external_path(contract))
-        for sentence in corpus.sentences:
-            for m in table.get(sentence.id, ()):
-                _check_external_span(sentence.text, m)
+        for sentence_id, text in texts:
+            for m in table.get(sentence_id, ()):
+                _check_external_span(text, m)
                 yield m
         return
     if contract.id != "caps-run":
         raise ConfigError(f"unknown extraction strategy: {contract.id!r}")
     stopwords = _stopwords(contract)
-    for sentence in corpus.sentences:
-        yield from _sentence_mentions(sentence.text, sentence.id, stopwords)
+    for sentence_id, text in texts:
+        yield from _sentence_mentions(text, sentence_id, stopwords)
 
 
 def _check_external_span(sentence_text: str, mention: EntityMention) -> None:
@@ -315,14 +316,15 @@ def _check_external_span(sentence_text: str, mention: EntityMention) -> None:
 def extend_entity_registry(
     registry: EntityRegistry,
     mentions: Iterable[EntityMention],
-    owner: Mapping[int, int],
+    corpus: Corpus,
 ) -> tuple[EntityRegistry, np.ndarray]:
     """Register the canonical keys of new mentions in an existing registry.
 
     New entities get the next ids in first-occurrence order (mentions must
     come in corpus order); an existing entity keeps its id and gains the new
-    surfaces. Only the records of mentioned entities are touched. ``owner``
-    maps each mention's sentence to its passage. A surface is recorded with
+    surfaces. Only the records of mentioned entities are touched. Each
+    mention's sentence must be one of ``corpus``'s, whose sentence table
+    gives its passage (a ValueError otherwise). A surface is recorded with
     its inner whitespace collapsed to single spaces, as ``canonicalize``
     does, so no surface holds a tab, a line break or the index's surface
     separator.
@@ -333,8 +335,9 @@ def extend_entity_registry(
     ids = dict(registry._by_canonical)
     records = list(registry.records)
     added: dict[int, set[str]] = {}
-    grown_at: dict[int, int] = {}
-    hits: list[tuple[int, int, int]] = []
+    grown_at: dict[int, int] = {}  # entity -> the mention that last grew it
+    sentence_ids: list[int] = []
+    entity_ids: list[int] = []
     keys: dict[str, tuple[str, str]] = {}  # surface -> (canonical, collapsed)
     for mention in mentions:
         key = keys.get(mention.surface)
@@ -346,7 +349,6 @@ def extend_entity_registry(
         canonical, surface = key
         if not canonical:
             continue
-        passage_id = owner[mention.sentence_id]
         entity_id = ids.get(canonical)
         if entity_id is None:
             entity_id = len(ids)
@@ -356,19 +358,26 @@ def extend_entity_registry(
         if surface not in surfaces:
             surfaces.add(surface)
             if surface not in records[entity_id].surfaces:
-                grown_at[entity_id] = passage_id
-        hits.append((mention.sentence_id, passage_id, entity_id))
-    for entity_id, passage_id in grown_at.items():
+                grown_at[entity_id] = len(entity_ids)
+        sentence_ids.append(mention.sentence_id)
+        entity_ids.append(entity_id)
+    sentences = np.array(sentence_ids, dtype=np.int64)
+    rows = sentences - corpus.first_sentence_id
+    if rows.size and (rows.min() < 0 or rows.max() >= len(corpus.sentences)):
+        raise ValueError("a mention names a sentence the corpus does not hold")
+    passages = corpus.sentences[rows, 0]
+    for entity_id, k in grown_at.items():
         record = records[entity_id]
         records[entity_id] = EntityRecord(
             id=entity_id,
             canonical=record.canonical,
             surfaces=tuple(sorted(added[entity_id].union(record.surfaces))),
-            surfaces_grown_at=passage_id,
+            surfaces_grown_at=int(passages[k]),
         )
     grown = EntityRegistry(records=tuple(records))
     grown.__dict__["_by_canonical"] = ids  # seed the cache; saves a full walk
-    return grown, np.array(hits, dtype=np.int64).reshape(-1, 3)
+    entities = np.array(entity_ids, dtype=np.int64)
+    return grown, np.stack([sentences, passages, entities], axis=1)
 
 
 def build_entity_registry(
@@ -376,8 +385,7 @@ def build_entity_registry(
 ) -> tuple[EntityRegistry, np.ndarray]:
     """``extend_entity_registry`` of an empty registry: the corpus's entity
     registry and its ``(sentence, passage, entity)`` mention rows."""
-    owner = {s.id: s.passage_id for s in corpus.sentences}
-    return extend_entity_registry(EntityRegistry(records=()), mentions, owner)
+    return extend_entity_registry(EntityRegistry(records=()), mentions, corpus)
 
 
 def distinct_entries(

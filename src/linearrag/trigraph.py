@@ -4,9 +4,9 @@ binary incidence matrices.
 ``contain`` is passage x entity, ``mention`` is sentence x entity. Both are
 indicator-valued; raw mention multiplicities live in ``occurrence_counts``,
 an int64 array aligned with ``contain``'s entries. ``contain`` is the
-passage-level projection of ``mention`` through each sentence's
-``passage_id``, so only ``mention`` is stored. Construction never touches
-the network.
+passage-level projection of ``mention`` through the owner column of the
+corpus's sentence table, so only ``mention`` is stored. Construction never
+touches the network.
 
 A graph is never mutated: ``add_passages`` returns a new one. New passage,
 sentence and entity ids are larger than every old one, so a slice's entries
@@ -21,7 +21,8 @@ The persisted index directory (format version 2) holds:
 
 * ``passages.jsonl`` - one ``{id, doc_key, title, text}`` record per line.
 * ``sentences.i64`` - three little-endian int64 per sentence: owning
-  passage, byte start and byte end of its span in the passage text.
+  passage, byte start and byte end of its span in the passage text; the
+  rows of ``Corpus.sentences``, which ``load`` keeps as it reads them.
 * ``mention.i64`` - two little-endian int64 per mention entry: sentence,
   entity, in row-major order.
 * ``occurrence.i64`` - one little-endian int64 mention count per contain
@@ -53,7 +54,7 @@ import numpy as np
 from scipy import sparse as sp
 
 from . import storage
-from .corpus import Corpus, Passage, Sentence, chain_digest, initial_digest
+from .corpus import Corpus, Passage, chain_digest, initial_digest
 from .errors import (
     ConsistencyError,
     DigestMismatchError,
@@ -280,7 +281,7 @@ def graph_equal(a: TriGraph, b: TriGraph) -> bool:
     (which is canonical anyway)."""
     return (
         a.corpus.passages == b.corpus.passages
-        and a.corpus.sentences == b.corpus.sentences
+        and np.array_equal(a.corpus.sentences, b.corpus.sentences)
         and a.corpus_digest == b.corpus_digest
         and a.contain == b.contain
         and a.mention == b.mention
@@ -306,10 +307,10 @@ def add_passages(graph: TriGraph, new_slice: Corpus) -> TriGraph:
     Extraction, registry merging and the slice's matrix entries and counts
     are computed from the slice alone and appended after the graph's
     arrays; nothing is re-sorted, because new ids exceed every old one.
-    What still grows with the corpus is copying: the graph's arrays, its
-    passage and sentence tuples and its entity registry are copied into
-    the result, so ``graph`` is never changed (``tools/append_scaling.py``
-    times this call at several corpus sizes).
+    What still grows with the corpus is copying: the graph's arrays (its
+    sentence table among them), its passage tuple and its entity registry
+    are copied into the result, so ``graph`` is never changed
+    (``tools/append_scaling.py`` times this call at several corpus sizes).
 
     The slice's passage and sentence ids must continue the graph's dense id
     ranges. The result equals a full rebuild over the concatenated corpus.
@@ -323,16 +324,14 @@ def add_passages(graph: TriGraph, new_slice: Corpus) -> TriGraph:
                 f"passage id {passage.id} does not continue the dense range "
                 f"starting at {expected_pid}"
             )
-    expected_sid = graph.n_sentences
-    for offset, sentence in enumerate(new_slice.sentences):
-        if sentence.id != expected_sid + offset:
-            raise UpdateError(
-                f"sentence id {sentence.id} does not continue the dense range "
-                f"starting at {expected_sid}"
-            )
+    if new_slice.first_sentence_id != graph.n_sentences:
+        raise UpdateError(
+            f"sentence id {new_slice.first_sentence_id} does not continue the "
+            f"dense range starting at {graph.n_sentences}"
+        )
     merged_corpus = Corpus(
         passages=graph.corpus.passages + new_slice.passages,
-        sentences=graph.corpus.sentences + new_slice.sentences,
+        sentences=np.concatenate([graph.corpus.sentences, new_slice.sentences]),
         source_digest=chain_digest(
             graph.corpus_digest, (p.text for p in new_slice.passages)
         ),
@@ -345,7 +344,7 @@ def _empty_graph(contract: ExtractorContract) -> TriGraph:
     none = np.empty(0, dtype=np.int64)
     matrix = SparseBinaryMatrix(0, 0, none, none, np.zeros(1, dtype=np.int64))
     return TriGraph(
-        corpus=Corpus(passages=(), sentences=(), source_digest=initial_digest()),
+        corpus=Corpus((), np.empty((0, 3), dtype=np.int64), initial_digest()),
         contain=matrix,
         mention=matrix,
         entity_registry=EntityRegistry(records=()),
@@ -360,7 +359,7 @@ def _grow(graph: TriGraph, new_slice: Corpus, corpus: Corpus) -> TriGraph:
     registry, hits = extend_entity_registry(
         graph.entity_registry,
         _corpus_mentions(new_slice, graph.extractor),
-        {s.id: s.passage_id for s in new_slice.sentences},
+        new_slice,
     )
     n_e = len(registry)
     sentences, passages, entities = hits.T
@@ -481,10 +480,6 @@ def _rows_after(graph: TriGraph, base: Mapping[str, Any]) -> tuple[bytes, ...]:
         + "\n"
         for p in graph.corpus.passages[n_p:]
     )
-    sentences = np.array(
-        [(s.passage_id, *s.char_span) for s in graph.corpus.sentences[n_s:]],
-        dtype=_INT64,
-    )
     first = graph.mention.indptr[n_s]
     mention = np.stack(
         [graph.mention.row_ids[first:], graph.mention.col_ids[first:]], axis=1
@@ -505,7 +500,7 @@ def _rows_after(graph: TriGraph, base: Mapping[str, Any]) -> tuple[bytes, ...]:
     )
     return (
         passages.encode("utf-8"),
-        sentences.tobytes(),
+        graph.corpus.sentences[n_s:].astype(_INT64).tobytes(),
         mention.astype(_INT64).tobytes(),
         counts.astype(_INT64).tobytes(),
         entities.encode("utf-8"),
@@ -579,28 +574,28 @@ def load(directory: str | Path) -> TriGraph:
         )
 
     path = directory / "sentences.i64"
-    owner, starts, ends = _int64_columns(path, committed[path.name], 3)
-    if len(owner) != n_s:
+    sentences = _int64_rows(path, committed[path.name], 3)
+    if len(sentences) != n_s:
         raise ConsistencyError(
-            f"{path} has {len(owner)} records, manifest says {n_s}"
+            f"{path} has {len(sentences)} records, manifest says {n_s}"
         )
-    sentences = _sentences(path, owner, starts, ends, passages)
+    _check_sentences(path, sentences, passages)
 
     path = directory / "mention.i64"
-    rows, cols = _int64_columns(path, committed[path.name], 2)
+    rows, cols = np.ascontiguousarray(_int64_rows(path, committed[path.name], 2).T)
     try:
         mention = SparseBinaryMatrix.sorted_entries(rows, cols, n_s, n_e)
     except ConsistencyError as exc:
         raise ConsistencyError(f"{path}: {exc}") from exc
     contain_rows, contain_cols, sentence_counts = distinct_entries(
-        owner[mention.row_ids], mention.col_ids, n_e
+        sentences[mention.row_ids, 0], mention.col_ids, n_e
     )
     contain = SparseBinaryMatrix(
         n_p, n_e, contain_rows, contain_cols, _row_indptr(contain_rows, n_p)
     )
 
     path = directory / "occurrence.i64"
-    (counts,) = _int64_columns(path, committed[path.name], 1)
+    counts = _int64_rows(path, committed[path.name], 1)[:, 0]
     if len(counts) != contain.nnz:
         raise ConsistencyError(
             f"{path} has {len(counts)} counts for {contain.nnz} contain entries "
@@ -619,13 +614,8 @@ def load(directory: str | Path) -> TriGraph:
         id=extractor_info.get("id", "caps-run"),
         params=extractor_info.get("params") or {},
     )
-    corpus = Corpus(
-        passages=tuple(passages),
-        sentences=tuple(sentences),
-        source_digest=digest,
-    )
     return TriGraph(
-        corpus=corpus,
+        corpus=Corpus(tuple(passages), sentences, source_digest=digest),
         contain=contain,
         mention=mention,
         entity_registry=registry,
@@ -654,15 +644,14 @@ def _lines(path: Path, data: bytes) -> list[str]:
         raise ConsistencyError(f"{path}: not UTF-8: {exc}") from exc
 
 
-def _int64_columns(path: Path, data: bytes, width: int) -> list[np.ndarray]:
-    """The columns of a file of little-endian int64 rows ``width`` wide."""
+def _int64_rows(path: Path, data: bytes, width: int) -> np.ndarray:
+    """``data``'s little-endian int64 rows, ``width`` wide, as a read-only view."""
     if len(data) % (_INT64.itemsize * width):
         raise ConsistencyError(
             f"{path}: {len(data)} bytes is not a whole number of "
             f"{width}-integer rows"
         )
-    table = np.frombuffer(data, dtype=_INT64).reshape(-1, width)
-    return [np.ascontiguousarray(column, dtype=np.int64) for column in table.T]
+    return np.frombuffer(data, dtype=_INT64).reshape(-1, width)
 
 
 def _parse_passages(path: Path, data: bytes, n_passages: int) -> list[Passage]:
@@ -689,35 +678,26 @@ def _parse_passages(path: Path, data: bytes, n_passages: int) -> list[Passage]:
     return passages
 
 
-def _sentences(
-    path: Path,
-    owner: np.ndarray,
-    starts: np.ndarray,
-    ends: np.ndarray,
-    passages: list[Passage],
-) -> list[Sentence]:
-    if len(owner) and (owner.min() < 0 or owner.max() >= len(passages)):
-        raise ConsistencyError(f"{path}: sentence owned by an unknown passage")
-    if np.any(np.diff(owner) < 0):
-        raise ConsistencyError(f"{path}: sentences not in passage order")
+def _check_sentences(path: Path, table: np.ndarray, passages: list[Passage]) -> None:
+    """Check that each sentence has a known owner, in passage order, and a
+    span of whole codepoints of its text. Errors name the first bad one."""
+
+    def fail(bad: np.ndarray, what: str) -> None:
+        if bad.any():
+            raise ConsistencyError(f"{path}: sentence {np.argmax(bad)}: {what}")
+
+    owner, starts, ends = table.T
+    fail((owner < 0) | (owner >= len(passages)), "owned by an unknown passage")
+    fail(np.diff(owner, prepend=0) < 0, "not in passage order")
     raw = [p.text.encode("utf-8") for p in passages]
-    limit = np.array([len(r) for r in raw], dtype=np.int64)[owner]
-    if np.any((starts < 0) | (starts >= ends) | (ends > limit)):
-        raise ConsistencyError(f"{path}: sentence span out of range")
-    sentences: list[Sentence] = []
-    for sid, (pid, start, end) in enumerate(
-        zip(owner.tolist(), starts.tolist(), ends.tolist())
-    ):
-        try:
-            text = raw[pid][start:end].decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise ConsistencyError(
-                f"{path}: sentence {sid}: span splits a codepoint"
-            ) from exc
-        sentences.append(
-            Sentence(id=sid, passage_id=pid, char_span=(start, end), text=text)
-        )
-    return sentences
+    sizes = np.array([len(r) for r in raw], dtype=np.int64)
+    fail((starts < 0) | (starts >= ends) | (ends > sizes[owner]), "span out of range")
+    # Valid UTF-8 splits between codepoints exactly before a byte that is
+    # not a continuation byte (0b10xxxxxx). A passage's bytes begin with
+    # such a byte, and a zero byte stands past the last passage.
+    text = np.frombuffer(b"".join(raw) + b"\0", dtype=np.uint8)
+    at = (np.cumsum(sizes) - sizes)[owner, None] + table[:, 1:]
+    fail(((text[at] & 0xC0) == 0x80).any(axis=1), "span splits a codepoint")
 
 
 def _load_registry(

@@ -68,12 +68,13 @@ def test_criterion_1_matrix_construction_oracle():
         n_s, n_p, n_e = len(corpus.sentences), len(corpus.passages), len(ids)
         dense_mention = np.zeros((n_s, n_e), dtype=bool)
         dense_contain = np.zeros((n_p, n_e), dtype=bool)
-        for sentence in corpus.sentences:
-            for m in extract_mentions(sentence.text, CAPS_RUN, sentence.id):
+        owners = corpus.sentences[:, 0].tolist()
+        for sid, (text, pid) in enumerate(zip(corpus.sentence_texts(), owners)):
+            for m in extract_mentions(text, CAPS_RUN, sid):
                 key = canonicalize(m.surface)
                 if key:
-                    dense_mention[sentence.id, ids[key]] = True
-                    dense_contain[sentence.passage_id, ids[key]] = True
+                    dense_mention[sid, ids[key]] = True
+                    dense_contain[pid, ids[key]] = True
         assert np.array_equal(graph.mention.to_dense(), dense_mention)
         assert np.array_equal(graph.contain.to_dense(), dense_contain)
     elapsed = time.perf_counter() - started

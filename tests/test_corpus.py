@@ -1,16 +1,18 @@
 import json
 
+import numpy as np
 import pytest
 
 from linearrag.corpus import (
     MAX_SENTENCE_BYTES,
+    Corpus,
+    Passage,
     PassageRecord,
     chain_digest,
     corpus_from_records,
     ingest,
     initial_digest,
     segment_sentences,
-    sentence_text,
 )
 from linearrag.errors import EmptyCorpusError, IngestError
 
@@ -18,7 +20,10 @@ from conftest import write_jsonl
 
 
 def spans_to_texts(text, spans):
-    return [sentence_text(text, span) for span in spans]
+    """The texts a one-passage corpus gives for byte ``spans`` of ``text``."""
+    table = np.array([(0, *span) for span in spans], dtype=np.int64).reshape(-1, 3)
+    passage = Passage(id=0, doc_key="0", title=None, text=text)
+    return Corpus((passage,), table, source_digest="").sentence_texts()
 
 
 class TestSegmentation:
@@ -195,7 +200,7 @@ class TestIngest:
         corpus = ingest(path)
         assert corpus.passages[0].text == "Paris: It shines. It grows."
         assert corpus.passages[0].title == "Paris"
-        assert [s.text for s in corpus.sentences] == [
+        assert corpus.sentence_texts() == [
             "Paris: It shines.",
             "It grows.",
         ]
@@ -212,10 +217,11 @@ class TestIngest:
         )
         corpus = ingest(path)
         assert [p.id for p in corpus.passages] == [0, 1, 2]
-        assert [s.id for s in corpus.sentences] == list(range(5))
-        for sentence in corpus.sentences:
-            passage = corpus.passages[sentence.passage_id]
-            assert sentence.text in passage.text
+        assert corpus.first_sentence_id == 0 and len(corpus.sentences) == 5
+        owners = corpus.sentences[:, 0].tolist()
+        for text, pid in zip(corpus.sentence_texts(), owners, strict=True):
+            passage = corpus.passages[pid]
+            assert text in passage.text
 
     def test_reingest_bitwise_stable(self, tmp_path):
         rows = [{"doc_key": "k", "title": "T", "text": "Stable. Content!"}]
@@ -223,7 +229,7 @@ class TestIngest:
         first = ingest(path)
         second = ingest(path)
         assert first.passages == second.passages
-        assert first.sentences == second.sentences
+        assert np.array_equal(first.sentences, second.sentences)
         assert first.source_digest == second.source_digest
 
     def test_digest_changes_with_text(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from linearrag.errors import ConfigError
 from linearrag.extraction import (
+    EntityMention,
     ExtractorContract,
     build_entity_registry,
     canonicalize,
@@ -176,6 +177,13 @@ class TestRegistry:
         )
         assert registry[0].surfaces == ("PARIS", "Paris")
 
+    @pytest.mark.parametrize("sentence_id", [-1, 2])
+    def test_mention_of_a_sentence_outside_the_corpus_rejected(self, sentence_id):
+        corpus = make_corpus(["Paris is big. Rome is old."])
+        mention = EntityMention(sentence_id, "Paris", (0, 5))
+        with pytest.raises(ValueError, match="sentence the corpus does not hold"):
+            build_entity_registry([mention], corpus)
+
     def test_substring_scan_oracle(self):
         # Independent oracle: an entity touches a sentence iff its canonical
         # appears as a substring of the case-folded sentence text. The
@@ -192,12 +200,13 @@ class TestRegistry:
         canonicals = [r.canonical for r in registry.records]
         oracle_sentence = set()
         oracle_passage = set()
-        for sentence in corpus.sentences:
-            folded = sentence.text.casefold()
+        owners = corpus.sentences[:, 0].tolist()
+        for sid, (text, pid) in enumerate(zip(corpus.sentence_texts(), owners)):
+            folded = text.casefold()
             for eid, canonical in enumerate(canonicals):
                 if canonical in folded:
-                    oracle_sentence.add((sentence.id, eid))
-                    oracle_passage.add((sentence.passage_id, eid))
+                    oracle_sentence.add((sid, eid))
+                    oracle_passage.add((pid, eid))
         assert set(graph.mention.pairs()) == oracle_sentence
         assert set(graph.contain.pairs()) == oracle_passage
 
@@ -218,7 +227,7 @@ class TestRegistry:
         )
         registry, _, graph = registry_and_graph(corpus)
         ids = {r.id for r in registry.records}
-        owner = {s.id: s.passage_id for s in corpus.sentences}
+        owner = corpus.sentences[:, 0].tolist()
         for _, eid in graph.mention.pairs():
             assert eid in ids
         supported = {(owner[s], e) for s, e in graph.mention.pairs()}

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from linearrag.corpus import Corpus, Passage, Sentence
+from linearrag.corpus import Corpus, Passage
 from linearrag.embedding import HashEncoder, build_store, extend_store
 from linearrag.evalbench import generate_synthetic_corpus
 from linearrag.retrieval import (
@@ -219,7 +219,7 @@ def bipartite_graph(n_passages, n_entities, pairs):
     return TriGraph(
         corpus=Corpus(
             passages=tuple(Passage(i, str(i), None, "x") for i in range(n_passages)),
-            sentences=(),
+            sentences=np.empty((0, 3), dtype=np.int64),
             source_digest="",
         ),
         contain=contain,
@@ -247,7 +247,7 @@ def mention_graph(n_sentences, n_entities, pairs):
     return TriGraph(
         corpus=Corpus(
             passages=(Passage(0, "0", None, "x"),),
-            sentences=tuple(Sentence(i, 0, (0, 1), "x") for i in range(n_sentences)),
+            sentences=np.tile(np.array([0, 0, 1], dtype=np.int64), (n_sentences, 1)),
             source_digest="",
         ),
         contain=contain,

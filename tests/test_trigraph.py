@@ -158,15 +158,16 @@ class TestBuild:
         occurrence = {}
         from linearrag.extraction import canonicalize
 
-        for sentence in corpus.sentences:
-            for m in extract_mentions(sentence.text, CAPS_RUN, sentence.id):
+        owners = corpus.sentences[:, 0].tolist()
+        for sid, (text, pid) in enumerate(zip(corpus.sentence_texts(), owners)):
+            for m in extract_mentions(text, CAPS_RUN, sid):
                 key = canonicalize(m.surface)
                 if not key:
                     continue
                 eid = canonical_ids[key]
-                dense_mention[sentence.id, eid] = True
-                dense_contain[sentence.passage_id, eid] = True
-                occ_key = (sentence.passage_id, eid)
+                dense_mention[sid, eid] = True
+                dense_contain[pid, eid] = True
+                occ_key = (pid, eid)
                 occurrence[occ_key] = occurrence.get(occ_key, 0) + 1
 
         assert np.array_equal(graph.mention.to_dense(), dense_mention)
@@ -219,7 +220,9 @@ class TestAddPassages:
     def test_add_nothing_is_identity(self, tmp_path):
         base = ingest(write_jsonl(tmp_path / "a.jsonl", [{"text": "Paris is big."}]))
         graph = build(base, CAPS_RUN)
-        empty = base.__class__(passages=(), sentences=(), source_digest="x")
+        empty = base.__class__(
+            passages=(), sentences=np.empty((0, 3), dtype=np.int64), source_digest="x"
+        )
         updated = add_passages(graph, empty)
         assert updated is graph
 
@@ -240,20 +243,34 @@ class TestAddPassages:
         with pytest.raises(UpdateError):
             add_passages(graph, colliding)  # ids restart at 0
 
+    @pytest.mark.parametrize("sentence_id_base", [0, 2])
+    def test_sentence_ids_not_continued_rejected(self, tmp_path, sentence_id_base):
+        # The passage ids continue the graph's; only the sentence ids do not.
+        base = ingest(write_jsonl(tmp_path / "a.jsonl", [{"text": "Paris is big."}]))
+        graph = build(base, CAPS_RUN)
+        misnumbered = ingest(
+            write_jsonl(tmp_path / "b.jsonl", [{"text": "Rome too."}]),
+            passage_id_base=1,
+            sentence_id_base=sentence_id_base,
+        )
+        with pytest.raises(UpdateError, match="sentence id"):
+            add_passages(graph, misnumbered)
+
 
 def make_slice(corpus, start, stop):
     """Corpus slice with passage/sentence ids preserved (dense continuation)."""
     passages = tuple(p for p in corpus.passages if start <= p.id < stop)
-    sentences = tuple(s for s in corpus.sentences if start <= s.passage_id < stop)
+    first, end = np.searchsorted(corpus.sentences[:, 0], [start, stop])
     from linearrag.corpus import chain_digest, initial_digest
 
     base = initial_digest() if start == 0 else "unused"
     return corpus.__class__(
         passages=passages,
-        sentences=sentences,
+        sentences=corpus.sentences[first:end],
         source_digest=chain_digest(base, (p.text for p in passages))
         if start == 0
         else "n/a",
+        first_sentence_id=int(first),
     )
 
 
@@ -306,10 +323,10 @@ class TestPersistence:
         # the only one linking its passage to its entity, so the contain
         # entries derived from the mentions lose one.
         save(graph, tmp_path)
-        sentences = graph.corpus.sentences
+        owners = graph.corpus.sentences[:, 0]
         links = list(
             zip(
-                [sentences[s].passage_id for s in graph.mention.row_ids.tolist()],
+                owners[graph.mention.row_ids].tolist(),
                 graph.mention.col_ids.tolist(),
             )
         )
@@ -331,6 +348,17 @@ class TestPersistence:
         data[: ENTRY_BYTES[victim]] = np.array(values, dtype="<i8").tobytes()
         path.write_bytes(bytes(data))
         with pytest.raises(ConsistencyError, match=re.escape(victim)):
+            load(tmp_path)
+
+    @pytest.mark.parametrize("span", [(1, 6), (0, 1)], ids=["start", "end"])
+    def test_span_splitting_a_codepoint_detected(self, tmp_path, span):
+        # "Ä" is two bytes, so byte 1 lies inside it.
+        save(build(make_corpus(["Ärger über Öl."]), CAPS_RUN), tmp_path)
+        path = tmp_path / "sentences.i64"
+        data = bytearray(path.read_bytes())
+        data[: ENTRY_BYTES[path.name]] = np.array([0, *span], dtype="<i8").tobytes()
+        path.write_bytes(bytes(data))
+        with pytest.raises(ConsistencyError, match=r"sentences\.i64.*codepoint"):
             load(tmp_path)
 
     def test_unsorted_mentions_detected(self, graph, tmp_path):
