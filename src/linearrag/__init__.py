@@ -48,6 +48,7 @@ from .extraction import (
 from .retrieval import (
     ActivationState,
     EntityLevel,
+    QueryStats,
     RankedPassage,
     RankedPassages,
     RetrievalConfig,

@@ -22,6 +22,9 @@ its fixed point as a linear system, by conjugate gradient on the passage
 block, to an L1 residual below ``ppr_tol`` in at most ``ppr_max_iters``
 steps. Passages are returned in descending importance, ties broken by id.
 
+``retrieve`` is the one place these stages run in sequence; each result it
+returns carries their times and the PPR solve's outcome (``QueryStats``).
+
 Nothing in this module performs network I/O or calls a text generator.
 """
 
@@ -30,6 +33,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+import time
 from dataclasses import dataclass, field, fields
 from typing import Mapping
 
@@ -165,11 +169,31 @@ class RankedPassage:
 
 
 @dataclass(frozen=True)
+class QueryStats:
+    """What one ``retrieve`` call cost.
+
+    ``stage_ms`` maps each stage, in call order, to its wall time in ms:
+    ``initial_activation``, ``propagate`` (all hops), then
+    ``passage_seed_scores``, ``ppr`` and ``rank``, or ``dense_ranking`` when
+    nothing is activated (with either fallback). The PPR fields are the
+    conjugate-gradient steps, the L1 residual they stopped at and whether
+    it is below ``ppr_tol``; they are None on the fallback.
+    """
+
+    stage_ms: dict[str, float]
+    ppr_steps: int | None = None
+    ppr_residual_l1: float | None = None
+    ppr_converged: bool | None = None
+
+
+@dataclass(frozen=True)
 class RankedPassages:
     items: tuple[RankedPassage, ...]
     query_echo: str
     hops_used: int = 0
     fallback_used: bool = False
+    # Timings vary from call to call; two answers compare without them.
+    stats: QueryStats | None = field(default=None, compare=False)
 
     def passage_ids(self) -> list[int]:
         return [item.passage_id for item in self.items]
@@ -305,7 +329,13 @@ def activate(
 ) -> ActivationState:
     """Stage-1 driver: propagate until pruning exhausts the frontier or the
     hop cap is reached. A hop that activates nothing is not counted."""
-    state = initial_activation(query, graph, store, cfg)
+    return _spread(initial_activation(query, graph, store, cfg), graph, cfg)
+
+
+def _spread(
+    state: ActivationState, graph: TriGraph, cfg: RetrievalConfig
+) -> ActivationState:
+    """``activate``'s hops after hop 0."""
     while state.hop < cfg.max_hops and state.frontier:
         advanced = propagate(state, graph, cfg)
         if not advanced.frontier:
@@ -369,8 +399,16 @@ def ppr(
     exact, so the L1 residual of the original equation is
     ``|D_p^1/2 (CG residual)|_1``. The solve stops once that is below
     ``cfg.ppr_tol``, or after ``cfg.ppr_max_iters`` steps, with a logged
-    warning.
+    warning. ``retrieve`` reports the step count and that residual in its
+    result's ``QueryStats``.
     """
+    return _solve_ppr(graph, entity_seeds, passage_seeds, cfg)[0]
+
+
+def _solve_ppr(
+    graph: TriGraph, entity_seeds, passage_seeds, cfg: RetrievalConfig
+) -> tuple[np.ndarray, int, float]:
+    """``ppr``'s result, with its step count and final L1 residual."""
     n_p, n_e = graph.n_passages, graph.n_entities
     r = np.concatenate(
         [
@@ -424,7 +462,12 @@ def ppr(
 
     z_e = b_e + d * (b_t @ z_p)
     z = np.concatenate([z_p, z_e])
-    return np.where(connected, sqrt_deg * z, base)
+    return np.where(connected, sqrt_deg * z, base), steps, float(residual_l1)
+
+
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """The indices of the ``k`` highest scores, descending, ties by index."""
+    return np.lexsort((np.arange(len(scores)), -scores))[:k]
 
 
 def dense_ranking(
@@ -432,8 +475,7 @@ def dense_ranking(
 ) -> list[tuple[int, float]]:
     """Cosine-only passage ranking (the dense fallback)."""
     scores = _similarities(store.passage_vectors, query_vec)
-    order = np.lexsort((np.arange(len(scores)), -scores))
-    return [(int(i), float(scores[i])) for i in order[:top_k]]
+    return [(int(i), float(scores[i])) for i in _top_k(scores, top_k)]
 
 
 def retrieve(
@@ -443,50 +485,60 @@ def retrieve(
     cfg: RetrievalConfig | None = None,
     levels: EntityLevel | None = None,
 ) -> RankedPassages:
-    """Full pipeline: activate, seed, aggregate importance, rank top-k."""
+    """Full pipeline: activate, seed, aggregate importance, rank top-k;
+    the result's ``stats`` says what each stage cost."""
     cfg = cfg or RetrievalConfig()
     if not store.matches(graph):
         raise ConfigError("embedding store row counts do not match the graph")
 
-    state = activate(query, graph, store, cfg)
-    activated = state.activated_entities()
+    stage_ms: dict[str, float] = {}
+    tick = time.perf_counter()
 
-    if activated.size == 0:
-        if cfg.fallback == "empty":
-            return RankedPassages(
-                items=(), query_echo=query, hops_used=state.hop, fallback_used=True
-            )
-        items = tuple(
+    def lap(stage: str) -> None:
+        nonlocal tick
+        now = time.perf_counter()
+        stage_ms[stage] = (now - tick) * 1e3
+        tick = now
+
+    state = initial_activation(query, graph, store, cfg)
+    lap("initial_activation")
+    state = _spread(state, graph, cfg)
+    lap("propagate")
+    active = state.a > 0.0
+    fallback = not active.any()
+
+    if fallback:
+        top = []
+        if cfg.fallback == "dense":
+            top = dense_ranking(state.query_vec, store, cfg.top_k)
+        items = [
             RankedPassage(passage_id=pid, score=score, contributing_entities=())
-            for pid, score in dense_ranking(state.query_vec, store, cfg.top_k)
-        )
-        return RankedPassages(
-            items=items, query_echo=query, hops_used=state.hop, fallback_used=True
-        )
-
-    passage_seeds = passage_seed_scores(state, graph, store, levels, cfg)
-    importance = ppr(graph, state.a, passage_seeds, cfg)
-    scores = importance[: graph.n_passages]
-    order = np.lexsort((np.arange(len(scores)), -scores))[: cfg.top_k]
-
-    active_mask = np.zeros(graph.n_entities, dtype=bool)
-    active_mask[activated] = True
-    items = []
-    for pid in order:
-        entity_cols = graph.contain.cols_of(int(pid))
-        contributing = tuple(
-            int(e) for e in entity_cols if active_mask[e]
-        )
-        items.append(
+            for pid, score in top
+        ]
+        lap("dense_ranking")
+        stats = QueryStats(stage_ms)
+    else:
+        passage_seeds = passage_seed_scores(state, graph, store, levels, cfg)
+        lap("passage_seed_scores")
+        importance, steps, residual_l1 = _solve_ppr(graph, state.a, passage_seeds, cfg)
+        lap("ppr")
+        scores = importance[: graph.n_passages]
+        items = [
             RankedPassage(
                 passage_id=int(pid),
                 score=float(scores[pid]),
-                contributing_entities=contributing,
+                contributing_entities=tuple(
+                    int(e) for e in graph.contain.cols_of(int(pid)) if active[e]
+                ),
             )
-        )
+            for pid in _top_k(scores, cfg.top_k)
+        ]
+        lap("rank")
+        stats = QueryStats(stage_ms, steps, residual_l1, residual_l1 < cfg.ppr_tol)
     return RankedPassages(
         items=tuple(items),
         query_echo=query,
         hops_used=state.hop,
-        fallback_used=False,
+        fallback_used=fallback,
+        stats=stats,
     )

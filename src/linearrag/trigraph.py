@@ -670,6 +670,9 @@ def _parse_passages(path: Path, data: bytes, n_passages: int) -> list[Passage]:
                 title=obj.get("title"),
                 text=str(obj["text"]),
             )
+            # JSON decodes a lone surrogate escape (\ud800), which UTF-8
+            # cannot encode for the digest check or a later save.
+            f"{passage.doc_key}{passage.title}{passage.text}".encode("utf-8")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConsistencyError(f"{path}:{lineno}: bad passage record") from exc
         if passage.id != len(passages):

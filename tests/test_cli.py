@@ -562,3 +562,16 @@ class TestErrorsAndConfig:
         lines[0] = json.dumps(record)
         passages.write_text("\n".join(lines) + "\n")
         assert main(["query", "--config", str(config), "anything"]) == 3
+
+    def test_lone_surrogate_in_stored_passage_exit_three(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["index", "--config", str(config)]) == 0
+        passages = tmp_path / "index" / "passages.jsonl"
+        lines = passages.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["text"] += "\ud800"
+        lines[0] = json.dumps(record)
+        passages.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["query", "--config", str(config), "anything"]) == 3
+        assert "bad passage record" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from linearrag.embedding import HashEncoder, build_store
 from linearrag.errors import ConfigError, EmptySeedError
 from linearrag.evalbench import load_qa_examples
 from linearrag.retrieval import (
+    VALID_FALLBACKS,
     ActivationState,
     EntityLevel,
     RetrievalConfig,
@@ -615,3 +617,60 @@ class TestRetrieve:
         _, other_store = make_index(["Karo met Lumen.", "Lumen left."])
         with pytest.raises(ConfigError):
             retrieve("karo", graph, other_store, RetrievalConfig())
+
+
+GRAPH_STAGES = ("initial_activation", "propagate", "passage_seed_scores", "ppr", "rank")
+FALLBACK_STAGES = ("initial_activation", "propagate", "dense_ranking")
+
+
+class TestQueryStats:
+    def test_graph_path_stages_and_converged_solve(self, chain_fixture):
+        graph, store, example = chain_fixture
+        cfg = RetrievalConfig(delta=0.01)
+        stats = retrieve(example.question, graph, store, cfg).stats
+        assert tuple(stats.stage_ms) == GRAPH_STAGES
+        assert all(ms >= 0.0 for ms in stats.stage_ms.values())
+        assert stats.ppr_steps >= 1
+        assert stats.ppr_residual_l1 < cfg.ppr_tol
+        assert stats.ppr_converged is True
+
+    def test_solve_stopped_at_the_cap_not_converged(self, chain_fixture):
+        graph, store, example = chain_fixture
+        cfg = RetrievalConfig(delta=0.01, ppr_max_iters=1)
+        stats = retrieve(example.question, graph, store, cfg).stats
+        assert tuple(stats.stage_ms) == GRAPH_STAGES
+        assert stats.ppr_converged is False
+        assert stats.ppr_steps == 1
+        assert stats.ppr_residual_l1 >= cfg.ppr_tol
+
+    @pytest.mark.parametrize("fallback", VALID_FALLBACKS)
+    def test_fallback_stages_and_no_solve(self, fallback):
+        graph, store = make_index(["Karo met Lumen.", "Lumen met Dorvo."])
+        cfg = RetrievalConfig(entity_sim_threshold=math.inf, fallback=fallback)
+        ranked = retrieve("unrelated", graph, store, cfg)
+        assert ranked.fallback_used
+        stats = ranked.stats
+        assert tuple(stats.stage_ms) == FALLBACK_STAGES
+        assert stats.ppr_steps is None
+        assert stats.ppr_residual_l1 is None
+        assert stats.ppr_converged is None
+
+    def test_steps_are_the_fewest_at_which_ppr_logs_no_warning(
+        self, chain_fixture, caplog
+    ):
+        # The step count as an outside caller can observe it: ppr capped
+        # below it warns that it stopped unconverged, capped at it does not.
+        graph, store, example = chain_fixture
+        cfg = RetrievalConfig(delta=0.01)
+        names = [graph.entity_registry[e].surfaces[0] for e in range(graph.n_entities)]
+        for query in [example.question, *names]:
+            steps = retrieve(query, graph, store, cfg).stats.ppr_steps
+            state = activate(query, graph, store, cfg)
+            seeds = passage_seed_scores(state, graph, store, None, cfg)
+            warned = []
+            for cap in range(1, steps + 1):
+                caplog.clear()
+                with caplog.at_level(logging.WARNING, logger="linearrag.retrieval"):
+                    ppr(graph, state.a, seeds, replace(cfg, ppr_max_iters=cap))
+                warned.append(bool(caplog.records))
+            assert warned == [True] * (steps - 1) + [False], query

@@ -361,6 +361,20 @@ class TestPersistence:
         with pytest.raises(ConsistencyError, match=r"sentences\.i64.*codepoint"):
             load(tmp_path)
 
+    @pytest.mark.parametrize("field", ["text", "doc_key", "title"])
+    def test_lone_surrogate_in_passage_record_detected(self, tmp_path, field):
+        # json.dumps writes the lone surrogate as the escape \ud800, which
+        # json.loads decodes back to it.
+        corpus = make_corpus(["Alpha met Beta."], titles=["Gamma"])
+        save(build(corpus, CAPS_RUN), tmp_path)
+        path = tmp_path / "passages.jsonl"
+        record = json.loads(path.read_text())
+        record[field] += "\ud800"
+        path.write_text(json.dumps(record) + "\n")
+        recommit(tmp_path)
+        with pytest.raises(ConsistencyError, match=r"passages\.jsonl:1: bad passage"):
+            load(tmp_path)
+
     def test_unsorted_mentions_detected(self, graph, tmp_path):
         save(graph, tmp_path)
         path = tmp_path / "mention.i64"

@@ -8,9 +8,11 @@ slice's new entity. It reports the median time of each stage of an append -
 ``corpus_from_records``, ``add_passages``, ``extend_store``, ``save``,
 ``save_store`` - of the whole append, of the first ``retrieve`` after it
 (which builds the grown graph's query operators) and of the same query
-asked again (operators cached), and checks that the grown index equals a
-rebuild of the concatenated corpus, in memory and on disk. Run from the
-root of a checkout:
+asked again (operators cached), with the median time of each of those two
+queries' stages as ``retrieve``'s ``QueryStats`` reports them, so that the
+stage paying the operator rebuild shows. It checks that the grown index
+equals a rebuild of the concatenated corpus, in memory and on disk. Run
+from the root of a checkout:
 
     python3 tools/append_scaling.py --passages 3000 12000 --out result.json
 
@@ -64,6 +66,15 @@ def same_rows(a, b) -> bool:
     )
 
 
+def stage_medians(stage_ms) -> dict:
+    """Per stage, the median of its times over the queries that ran it."""
+    times = {}
+    for ms in stage_ms:
+        for stage, value in ms.items():
+            times.setdefault(stage, []).append(value)
+    return {stage: round(statistics.median(t), 3) for stage, t in times.items()}
+
+
 def measure(n_passages: int, directory: Path) -> dict:
     inputs = make_inputs(SEED, n_passages)
     encoder = HashEncoder(**ENCODER)
@@ -106,10 +117,12 @@ def measure(n_passages: int, directory: Path) -> dict:
         save_store(store, directory)
         lap("save_store")
         ms["append"] = sum(ms[stage] for stage in APPEND_STAGES)
-        retrieve(piece.question.question, graph, store, CFG)
+        first = retrieve(piece.question.question, graph, store, CFG)
         lap("first_retrieve")
-        retrieve(piece.question.question, graph, store, CFG)
+        again = retrieve(piece.question.question, graph, store, CFG)
         lap("retrieve_again")
+        ms["first_retrieve_stages"] = first.stats.stage_ms
+        ms["retrieve_again_stages"] = again.stats.stage_ms
         rows.append(ms)
         records += piece.records
     rebuilt = build(corpus_from_records(records))
@@ -131,6 +144,8 @@ def measure(n_passages: int, directory: Path) -> dict:
             stage: round(statistics.median(row[stage] for row in timed), 3)
             for stage in (*APPEND_STAGES, "append", "first_retrieve", "retrieve_again")
         },
+        "first_retrieve_stage_ms": stage_medians(r["first_retrieve_stages"] for r in timed),
+        "retrieve_again_stage_ms": stage_medians(r["retrieve_again_stages"] for r in timed),
         "per_append_ms": timed,
     }
 

@@ -10,21 +10,18 @@ reference. Run from the root of a checkout:
 
     python3 tools/ppr_convergence.py --passages 3000 12000 --out result.json
 
-The step count is the smallest ``ppr_max_iters`` at which ``ppr`` logs no
-non-convergence warning. OpenBLAS is pinned to one thread, as in the
-benchmark.
+The steps (None if unconverged), the time and the solver's own residual are
+``retrieve``'s stats; ``residual_gap_max`` is their largest relative gap from
+the true residual. OpenBLAS is pinned to one thread, as in the benchmark.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import statistics
 import sys
-import time
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -81,38 +78,8 @@ def power_reference(matrix, r, damping) -> np.ndarray:
     return x
 
 
-class _Warnings(logging.Handler):
-    def __init__(self):
-        super().__init__(logging.WARNING)
-        self.count = 0
-
-    def emit(self, record):
-        self.count += 1
-
-
-def cg_steps(graph, entity_seeds, passage_seeds, cap: int) -> int | None:
-    """The fewest steps after which ``ppr`` reports convergence, or None."""
-    handler = _Warnings()
-    logger = logging.getLogger("linearrag.retrieval")
-    logger.addHandler(handler)
-    logger.propagate = False
-    try:
-        for steps in range(1, cap + 1):
-            handler.count = 0
-            ppr(graph, entity_seeds, passage_seeds, replace(CFG, ppr_max_iters=steps))
-            if handler.count == 0:
-                return steps
-        return None
-    finally:
-        logger.removeHandler(handler)
-        logger.propagate = True
-
-
-def ranking(question, graph, store):
-    return [
-        (item.passage_id, item.contributing_entities)
-        for item in retrieve(question, graph, store, CFG).items
-    ]
+def ranking(ranked):
+    return [(item.passage_id, item.contributing_entities) for item in ranked.items]
 
 
 def measure(seed: int, n_passages: int, n_questions: int) -> dict:
@@ -123,26 +90,32 @@ def measure(seed: int, n_passages: int, n_questions: int) -> dict:
     d = CFG.damping
     rows = []
     for question in inputs.graph_questions[:n_questions]:
-        state = activate(question, graph, store, CFG)
-        if not state.activated_entities().size:
+        ranked = retrieve(question, graph, store, CFG)
+        if ranked.fallback_used:
             continue
+        stats = ranked.stats
+        # retrieve returns no importance vector, so it is solved again here
+        # for the two checks below that do not trust the solver.
+        state = activate(question, graph, store, CFG)
         seeds = passage_seed_scores(state, graph, store, None, CFG)
-        start = time.perf_counter()
         x = ppr(graph, state.a, seeds, CFG)
-        ms = (time.perf_counter() - start) * 1e3
         r = reset(state.a, seeds)
         reference = power_reference(matrix, r, d)
         with mock.patch.object(
-            retrieval, "ppr", lambda g, e, p, cfg: power_reference(matrix, reset(e, p), d)
+            retrieval,
+            "_solve_ppr",
+            lambda g, e, p, cfg: (power_reference(matrix, reset(e, p), d), 0, 0.0),
         ):
-            expected = ranking(question, graph, store)
+            expected = ranking(retrieve(question, graph, store, CFG))
+        residual = float(np.abs(x - d * (matrix @ x) - (1 - d) * r).sum())
         rows.append(
             {
-                "steps": cg_steps(graph, state.a, seeds, CFG.ppr_max_iters),
-                "residual_l1": float(np.abs(x - d * (matrix @ x) - (1 - d) * r).sum()),
+                "steps": stats.ppr_steps if stats.ppr_converged else None,
+                "residual_l1": residual,
+                "residual_gap": abs(stats.ppr_residual_l1 - residual) / residual,
                 "error_l1": float(np.abs(x - reference).sum()),
-                "ppr_ms": ms,
-                "top_k_equal": ranking(question, graph, store) == expected,
+                "ppr_ms": stats.stage_ms["ppr"],
+                "top_k_equal": ranking(ranked) == expected,
             }
         )
     steps = [row["steps"] for row in rows]
@@ -154,6 +127,7 @@ def measure(seed: int, n_passages: int, n_questions: int) -> dict:
         "steps_median": statistics.median(s for s in steps if s is not None),
         "steps_max": max(s for s in steps if s is not None),
         "residual_l1_max": max(row["residual_l1"] for row in rows),
+        "residual_gap_max": max(row["residual_gap"] for row in rows),
         "error_l1_max": max(row["error_l1"] for row in rows),
         "ppr_ms_median": round(statistics.median(row["ppr_ms"] for row in rows), 3),
         "top_k_equal": sum(row["top_k_equal"] for row in rows),
