@@ -10,17 +10,18 @@ so activations only ever grow. Propagation stops when no candidate
 survives pruning or the hop cap is reached. One entity-major operator
 (``TriGraph.mention_by_entity``) serves all three steps: the gate gathers
 the frontier entities' rows, the candidate mass is its product with the
-gated sentence mass, and the trace records, for each entity a hop first
-activates, the sentence of its row holding the most mass (found by a
-segmented max over the gathered rows, with no sort).
+gated sentence mass, and the trace (one row per entity) records, for each
+entity a hop first activates, the sentence of its row holding the most
+mass (found by a segmented max over the gathered rows, with no sort).
 
 Stage 2 ranks passages: activated entities and a hybrid passage seed (a
 small query-similarity term plus a log-damped sum of activated-entity
-occurrence statistics) form the reset distribution of a personalized
-PageRank on the undirected passage-entity bipartite graph. ``ppr`` solves
-its fixed point as a linear system, by conjugate gradient on the passage
-block, to an L1 residual below ``ppr_tol`` in at most ``ppr_max_iters``
-steps. Passages are returned in descending importance, ties broken by id.
+occurrence statistics, read from PPR's entity-major contain rows) form the
+reset distribution of a personalized PageRank on the undirected
+passage-entity bipartite graph. ``ppr`` solves its fixed point as a linear
+system, by conjugate gradient on the passage block, to an L1 residual below
+``ppr_tol`` in at most ``ppr_max_iters`` steps. Passages are returned in
+descending importance, ties broken by id.
 
 ``retrieve`` is the one place these stages run in sequence; each result it
 returns carries their times and the PPR solve's outcome (``QueryStats``).
@@ -116,13 +117,22 @@ class RetrievalConfig:
 
 @dataclass(frozen=True)
 class EntityLevel:
-    """Per-entity positive divisor used in passage seeding; neutral by default."""
+    """Per-entity positive divisor used in passage seeding; neutral by default.
+
+    Keys are integer entity ids and levels real numbers >= 1 (not bools, not
+    NaN), checked as ``RetrievalConfig`` checks its fields."""
 
     overrides: Mapping[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
         for eid, level in self.overrides.items():
-            if level < 1.0:
+            if isinstance(eid, bool) or not isinstance(eid, numbers.Integral):
+                raise ConfigError(f"entity id must be an integer, got {eid!r}")
+            if isinstance(level, bool) or not isinstance(level, numbers.Real):
+                raise ConfigError(
+                    f"entity level for {eid} must be a number, got {level!r}"
+                )
+            if not level >= 1.0:
                 raise ConfigError(f"entity level for {eid} must be >= 1, got {level}")
 
     def as_array(self, n_entities: int) -> np.ndarray:
@@ -139,22 +149,22 @@ class ActivationState:
 
     ``a`` holds entity activations (monotone non-decreasing across hops),
     ``sigma`` the query-sentence similarities, ``frontier`` the entities
-    newly activated in the latest hop, and ``trace`` maps each activated
-    entity to its first activation hop and best supporting sentence (None
-    for hop-0 seeds, which come straight from the query).
+    newly activated in the latest hop, and ``trace`` (int64, n_entities x 2)
+    each entity's first activation hop and best supporting sentence; -1 in
+    both for an entity never activated, and sentence -1 for a hop-0 seed.
 
     An entity's best supporting sentence is, among the sentences that
     mention it, the one whose gated mass (sigma times the frontier gate)
     was highest in the hop that first activated it; ties go to the lowest
     sentence id. A later hop that raises the entity again leaves its trace
-    entry as it is.
+    row as it is.
     """
 
     a: np.ndarray
     sigma: np.ndarray
     hop: int
     frontier: frozenset[int]
-    trace: dict[int, tuple[int, int | None]]
+    trace: np.ndarray
     query_vec: np.ndarray
 
     def activated_entities(self) -> np.ndarray:
@@ -227,14 +237,14 @@ def _similarities(vectors: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
 def initial_activation(
     query: str, graph: TriGraph, store: EmbeddingStore, cfg: RetrievalConfig
 ) -> ActivationState:
-    """Hop 0: thresholded query-entity similarity plus the sentence
-    relevance distribution."""
+    """Hop 0: thresholded query-entity similarity, the sentence relevance
+    distribution, and the seeds' trace rows (hop 0, no sentence)."""
     q = store.encode_query(query)
     entity_sims = _similarities(store.entity_vectors, q)
     a = np.where(entity_sims > cfg.entity_sim_threshold, entity_sims, 0.0)
     sigma = _similarities(store.sentence_vectors, q)
-    frontier = frozenset(int(e) for e in np.nonzero(a > 0.0)[0])
-    trace = {e: (0, None) for e in frontier}
+    frontier = frozenset(np.flatnonzero(a > 0.0).tolist())
+    trace = np.where(a[:, None] > 0.0, np.int64([0, -1]), -1)
     return ActivationState(
         a=a, sigma=sigma, hop=0, frontier=frontier, trace=trace, query_vec=q
     )
@@ -256,20 +266,18 @@ def propagate(
 
     retained = candidates > cfg.delta
     a_new = np.where(retained, np.maximum(candidates, state.a), state.a)
-    changed = np.flatnonzero(a_new > state.a).tolist()
+    changed = np.flatnonzero(a_new > state.a)
     hop = state.hop + 1
 
-    trace = dict(state.trace)
-    entering = [e for e in changed if e not in trace]
-    if entering:
-        best = _best_sentences(op, u, np.array(entering, dtype=np.intp))
-        for e in entering:
-            trace[e] = (hop, best.get(e))
+    trace = state.trace.copy()
+    entering = changed[trace[changed, 0] < 0]
+    trace[entering, 0] = hop
+    trace[entering, 1] = _best_sentences(op, u, entering)
     return ActivationState(
         a=a_new,
         sigma=state.sigma,
         hop=hop,
-        frontier=frozenset(changed),
+        frontier=frozenset(changed.tolist()),
         trace=trace,
         query_vec=state.query_vec,
     )
@@ -301,27 +309,27 @@ def _frontier_gate(
     return gate
 
 
-def _best_sentences(op, u: np.ndarray, entities: np.ndarray) -> dict[int, int]:
-    """For each of ``entities`` that has a row entry in the entity-major
-    mention operator ``op``, the mentioning sentence with the highest mass
-    ``u``; ties go to the lowest sentence id.
+def _best_sentences(op, u: np.ndarray, entities: np.ndarray) -> np.ndarray:
+    """For each of ``entities``, the sentence of its row of the entity-major
+    mention operator ``op`` with the highest mass ``u``, or -1 where the row
+    is empty; ties go to the lowest sentence id.
 
     A segmented reduction over the gathered rows: ``np.maximum.reduceat``
     takes each row's highest mass, then ``np.minimum.reduceat`` over entry
     positions picks the first entry that reaches it. Sentence ids ascend
     within a row, so the first is the lowest.
     """
-    entities = entities[op.indptr[entities + 1] > op.indptr[entities]]
-    positions, lengths = _row_entries(op, entities)
-    if not positions.size:
-        return {}
+    filled = op.indptr[entities + 1] > op.indptr[entities]
+    positions, lengths = _row_entries(op, entities[filled])
     mass = u[op.indices[positions]]
     starts = np.cumsum(lengths) - lengths
     reached = mass == np.repeat(np.maximum.reduceat(mass, starts), lengths)
     first = np.minimum.reduceat(
         np.where(reached, np.arange(len(mass)), len(mass)), starts
     )
-    return dict(zip(entities.tolist(), op.indices[positions[first]].tolist()))
+    best = np.full(len(entities), -1, dtype=np.int64)
+    best[filled] = op.indices[positions[first]]
+    return best
 
 
 def activate(
@@ -352,22 +360,21 @@ def passage_seed_scores(
     cfg: RetrievalConfig,
 ) -> np.ndarray:
     """Hybrid passage seeds: clamped query similarity mixed with log-damped
-    activated-entity occurrence mass."""
+    activated-entity occurrence mass, summed per passage in entity order."""
     psim = _similarities(store.passage_vectors, state.query_vec)
     psim = np.maximum(psim, 0.0)
 
     level_arr = (levels or EntityLevel()).as_array(graph.n_entities)
-    rows = graph.contain.row_ids
-    cols = graph.contain.col_ids
-    active = state.a[cols] > 0.0
-    active_cols = cols[active]
+    op = graph.normalized_contain.transposed
+    active = state.activated_entities()
+    positions, lengths = _row_entries(op, active)
     contributions = (
-        state.a[active_cols]
-        * graph.log_occurrence[active]
-        / level_arr[active_cols]
+        np.repeat(state.a[active], lengths)
+        * graph.log_occurrence[positions]
+        / np.repeat(level_arr[active], lengths)
     )
     inner = np.bincount(
-        rows[active], weights=contributions, minlength=graph.n_passages
+        op.indices[positions], weights=contributions, minlength=graph.n_passages
     )
     return (cfg.lambda_ * psim + np.log1p(inner)) * cfg.passage_weight
 
@@ -419,8 +426,13 @@ def _solve_ppr(
     if r.shape[0] != n_p + n_e:
         raise ValueError("seed vectors do not match graph node counts")
     total = r.sum()
+    # A NaN or infinite seed makes the sum non-finite, and so does overflow.
+    if not np.isfinite(total):
+        raise ValueError(f"seed vectors must be finite, with a finite sum: {total}")
     if not np.any(r > 0.0):
         raise EmptySeedError("all-zero seed vector")
+    if total == 0.0:
+        raise ValueError("seed vectors sum to 0, so they cannot be normalized")
     r = r / total
 
     op = graph.normalized_contain

@@ -229,8 +229,10 @@ class TriGraph:
 
     @cached_property
     def log_occurrence(self) -> np.ndarray:
-        """``log1p`` of the mention counts, aligned with contain's entries."""
-        return np.log1p(self.occurrence_counts.astype(np.float64))
+        """``log1p`` of the counts in ``normalized_contain.transposed`` entry order."""
+        by_passage = self.contain.to_csr()
+        by_passage.data = np.log1p(self.occurrence_counts)
+        return by_passage.T.tocsr().data
 
     @cached_property
     def mention_by_entity(self) -> sp.csr_matrix:

@@ -34,6 +34,24 @@ def make_corpus(texts, doc_keys=None, titles=None) -> Corpus:
     return corpus_from_records(records)
 
 
+def trace_dict(trace: np.ndarray) -> dict[int, tuple[int, int | None]]:
+    """An ``ActivationState.trace`` array as the mapping it encodes: each
+    activated entity to its first hop and its best supporting sentence, None
+    where the array holds -1 (a hop-0 seed)."""
+    return {
+        e: (hop, None if sentence < 0 else sentence)
+        for e, (hop, sentence) in enumerate(trace.tolist())
+        if hop >= 0
+    }
+
+
+def seed_trace(n_entities: int, seeds) -> np.ndarray:
+    """The trace array of a hop-0 state whose seeds are ``seeds``."""
+    trace = np.full((n_entities, 2), -1, dtype=np.int64)
+    trace[list(seeds), 0] = 0
+    return trace
+
+
 def write_jsonl(path: Path, rows) -> Path:
     path.write_text("\n".join(json.dumps(r, ensure_ascii=False) for r in rows) + "\n")
     return path

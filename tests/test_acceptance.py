@@ -32,7 +32,7 @@ from linearrag.retrieval import (
 )
 from linearrag.trigraph import add_passages, build, graph_equal
 
-from conftest import DATA_DIR, MULTIHOP_ENCODER, make_corpus
+from conftest import DATA_DIR, MULTIHOP_ENCODER, make_corpus, seed_trace, trace_dict
 from test_retrieval import bfs_entity_distance, dense_ppr_oracle
 from test_trigraph import make_slice
 
@@ -126,14 +126,14 @@ def test_criterion_3_multi_hop_activation_soundness():
     store = build_store(graph, HashEncoder(dim=128, seed=2))
     ids = {r.canonical: r.id for r in graph.entity_registry.records}
     for query, chain in queries:
-        final = activate(query, graph, store, cfg)
-        seeds = {e for e, (hop, _) in final.trace.items() if hop == 0}
+        trace = trace_dict(activate(query, graph, store, cfg).trace)
+        seeds = {e for e, (hop, _) in trace.items() if hop == 0}
         assert seeds == {ids[chain[0]]}
         distance = bfs_entity_distance(graph, seeds)
         for expected, name in enumerate(chain):
-            assert final.trace[ids[name]][0] == distance[ids[name]] == expected
+            assert trace[ids[name]][0] == distance[ids[name]] == expected
             checked += 1
-        for eid, (hop, _) in final.trace.items():
+        for eid, (hop, _) in trace.items():
             assert hop >= distance[eid]
 
     # 2-hop planted chains from the committed suite.
@@ -154,14 +154,14 @@ def test_criterion_3_multi_hop_activation_soundness():
         b_id = next(
             int(e) for e in graph.contain.cols_of(first_pid) if e != a_id
         )
-        final = activate(example.question, graph, store, cfg)
-        seeds = {e for e, (hop, _) in final.trace.items() if hop == 0}
+        trace = trace_dict(activate(example.question, graph, store, cfg).trace)
+        seeds = {e for e, (hop, _) in trace.items() if hop == 0}
         distance = bfs_entity_distance(graph, seeds)
         for eid in (a_id, b_id, c_id):
-            assert final.trace[eid][0] == distance[eid]
+            assert trace[eid][0] == distance[eid]
             checked += 1
-        assert final.trace[b_id][0] == 1
-        assert final.trace[c_id][0] == 2
+        assert trace[b_id][0] == 1
+        assert trace[c_id][0] == 2
     print(f"\n[PASS] criterion 3: activation hop equals BFS distance for "
           f"{checked} chain entities (100% agreement)")
 
@@ -188,7 +188,7 @@ def test_criterion_4_propagation_monotonicity_and_termination():
         cfg = RetrievalConfig(delta=delta, max_hops=max_hops)
         state = ActivationState(
             a=a0.copy(), sigma=sigma, hop=0, frontier=frontier,
-            trace={e: (0, None) for e in frontier}, query_vec=np.zeros(4),
+            trace=seed_trace(n_e, frontier), query_vec=np.zeros(4),
         )
 
         # The stage-1 driver loop, with every invariant checked per hop.
@@ -207,7 +207,7 @@ def test_criterion_4_propagation_monotonicity_and_termination():
         inf_cfg = RetrievalConfig(delta=math.inf, max_hops=4)
         fresh = ActivationState(
             a=a0.copy(), sigma=sigma, hop=0, frontier=frontier,
-            trace={e: (0, None) for e in frontier}, query_vec=np.zeros(4),
+            trace=seed_trace(n_e, frontier), query_vec=np.zeros(4),
         )
         after = propagate(fresh, graph, inf_cfg)
         assert np.array_equal(after.a, fresh.a)

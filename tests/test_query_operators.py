@@ -33,6 +33,7 @@ from linearrag.retrieval import (
 from linearrag.extraction import EntityRecord, EntityRegistry, ExtractorContract
 from linearrag.trigraph import SparseBinaryMatrix, TriGraph, add_passages, build
 
+from conftest import seed_trace, trace_dict
 from test_acceptance import random_entity_corpus
 from test_retrieval import dense_ppr_oracle
 from test_trigraph import make_slice
@@ -73,7 +74,7 @@ def random_state(graph, rng) -> ActivationState:
         sigma=sigma,
         hop=0,
         frontier=frontier,
-        trace={e: (0, None) for e in frontier},
+        trace=seed_trace(graph.n_entities, frontier),
         query_vec=np.zeros(8),
     )
 
@@ -112,7 +113,7 @@ def scalar_propagate(state, graph, cfg):
     retained = candidates > cfg.delta
     a_new = np.where(retained, np.maximum(candidates, state.a), state.a)
     changed = a_new > state.a
-    trace = dict(state.trace)
+    trace = trace_dict(state.trace)
     best = scalar_best_sentence(graph, u, changed)
     for e in np.nonzero(changed)[0].tolist():
         trace.setdefault(e, (state.hop + 1, best.get(e)))
@@ -153,9 +154,11 @@ def test_gate_mass_and_best_sentence_equal_scalar_code(graph_rng, data):
     assert same_bits(op @ noise, scalar_candidates(graph, noise))
 
     changed = rng.random(graph.n_entities) < 0.6
-    assert _best_sentences(
-        op, u, np.flatnonzero(changed)
-    ) == scalar_best_sentence(graph, u, changed)
+    entities = np.flatnonzero(changed)
+    best = scalar_best_sentence(graph, u, changed)
+    assert _best_sentences(op, u, entities).tolist() == [
+        best.get(e, -1) for e in entities.tolist()
+    ]
 
     cfg = RetrievalConfig(delta=data.draw(st.sampled_from([0.0, 0.1, 0.3])))
     advanced = propagate(state, graph, cfg)
@@ -163,7 +166,34 @@ def test_gate_mass_and_best_sentence_equal_scalar_code(graph_rng, data):
         a_new, frontier, trace = scalar_propagate(state, graph, cfg)
         assert same_bits(advanced.a, a_new)
         assert advanced.frontier == frontier
-        assert advanced.trace == trace
+        assert trace_dict(advanced.trace) == trace
+
+
+@PROPERTY_SETTINGS
+@given(random_graphs(), st.sampled_from([0.0, 0.1, 0.3]))
+def test_propagate_leaves_its_input_state_unchanged(graph_rng, delta):
+    graph, rng = graph_rng
+    state = random_state(graph, rng)
+    cfg = RetrievalConfig(delta=delta)
+    for _ in range(2):
+        a, trace = state.a.copy(), state.trace.copy()
+        advanced = propagate(state, graph, cfg)
+        assert same_bits(state.a, a)
+        assert same_bits(state.trace, trace)
+        state = advanced
+
+
+@PROPERTY_SETTINGS
+@given(random_graphs())
+def test_log_occurrence_follows_entity_major_contain_entries(graph_rng):
+    graph, _ = graph_rng
+    op = graph.normalized_contain.transposed
+    assert len(graph.log_occurrence) == op.nnz == graph.contain.nnz
+    counts = graph.occurrence_counts.tolist()
+    for (p, e), count in zip(graph.contain.pairs(), counts):
+        row = op.indices[op.indptr[e] : op.indptr[e + 1]]
+        (position,) = op.indptr[e] + np.flatnonzero(row == p)
+        assert graph.log_occurrence[position] == np.log1p(count)
 
 
 @PROPERTY_SETTINGS
@@ -273,7 +303,8 @@ def test_best_sentence_ties_go_to_lowest_id(mass, best):
     u = np.array(mass)
     changed = np.array([True, False])
     found = _best_sentences(graph.mention_by_entity, u, np.flatnonzero(changed))
-    assert found == scalar_best_sentence(graph, u, changed) == {0: best}
+    assert found.tolist() == [best]
+    assert scalar_best_sentence(graph, u, changed) == {0: best}
 
 
 def test_trace_takes_lowest_sentence_of_equal_mass():
@@ -283,12 +314,13 @@ def test_trace_takes_lowest_sentence_of_equal_mass():
         sigma=np.array([0.9, 0.3, 0.3]),
         hop=0,
         frontier=frozenset({0}),
-        trace={0: (0, None)},
+        trace=seed_trace(2, {0}),
         query_vec=np.zeros(8),
     )
     advanced = propagate(state, graph, RetrievalConfig(delta=0.1))
-    assert advanced.trace == {0: (0, None), 1: (1, 1)}
-    assert advanced.trace == scalar_propagate(state, graph, RetrievalConfig(delta=0.1))[2]
+    trace = trace_dict(advanced.trace)
+    assert trace == {0: (0, None), 1: (1, 1)}
+    assert trace == scalar_propagate(state, graph, RetrievalConfig(delta=0.1))[2]
 
 
 @pytest.mark.parametrize(
@@ -304,23 +336,24 @@ def test_frontier_entities_without_mentions(frontier):
         sigma=np.array([0.5, 0.25, 0.5]),
         hop=0,
         frontier=frozenset(frontier),
-        trace={e: (0, None) for e in frontier},
+        trace=seed_trace(4, frontier),
         query_vec=np.zeros(8),
     )
     gate = _frontier_gate(graph, state.a, state.frontier)
     assert np.array_equal(gate, scalar_gate(graph, state.a, state.frontier))
     u = state.sigma * gate
     changed = np.ones(4, dtype=bool)
-    assert _best_sentences(
-        graph.mention_by_entity, u, np.flatnonzero(changed)
-    ) == scalar_best_sentence(graph, u, changed)
+    best = scalar_best_sentence(graph, u, changed)
+    assert _best_sentences(graph.mention_by_entity, u, np.arange(4)).tolist() == [
+        best.get(e, -1) for e in range(4)
+    ]
 
     cfg = RetrievalConfig(delta=0.0)
     advanced = propagate(state, graph, cfg)
     a_new, new_frontier, trace = scalar_propagate(state, graph, cfg)
     assert same_bits(advanced.a, a_new)
     assert advanced.frontier == new_frontier
-    assert advanced.trace == trace
+    assert trace_dict(advanced.trace) == trace
 
 
 @st.composite

@@ -23,7 +23,7 @@ from linearrag.retrieval import (
 )
 from linearrag.trigraph import build
 
-from conftest import DATA_DIR, make_corpus
+from conftest import DATA_DIR, make_corpus, trace_dict
 
 
 def make_index(texts, dim=64, seed=1):
@@ -114,7 +114,7 @@ class TestInitialActivation:
         assert state.a[0] == pytest.approx(1.0, abs=1e-6)
         assert state.frontier == {0}
         assert state.hop == 0
-        assert state.trace == {0: (0, None)}
+        assert trace_dict(state.trace) == {0: (0, None)}
 
     def test_all_below_threshold_gives_empty_frontier(self):
         graph, store = make_index(["Paris is big."])
@@ -178,14 +178,14 @@ class TestPropagate:
         assert one.frontier == {b_id}
         assert one.a[b_id] == pytest.approx(sigma0 * a0, rel=1e-12)
         assert one.a[c_id] == 0.0
-        assert one.trace[b_id] == (1, 0)
+        assert trace_dict(one.trace)[b_id] == (1, 0)
 
         two = propagate(one, graph, cfg)
         assert two.hop == 2
         assert two.frontier == {c_id}
         assert two.a[c_id] == pytest.approx(sigma1 * sigma0 * a0, rel=1e-12)
         assert two.a[b_id] == one.a[b_id]  # no re-entry below prior max
-        assert two.trace[c_id] == (2, 1)
+        assert trace_dict(two.trace)[c_id] == (2, 1)
 
     def test_infinite_delta_is_pure_termination(self):
         graph, store, _, _ = chain_setup()
@@ -257,16 +257,17 @@ class TestActivate:
         graph, store = make_index(texts, dim=128, seed=0)
         cfg = RetrievalConfig(entity_sim_threshold=0.5, delta=0.0, max_hops=4)
         final = activate("alpha expedition", graph, store, cfg)
+        trace = trace_dict(final.trace)
 
-        seeds = {e for e, (hop, _) in final.trace.items() if hop == 0}
+        seeds = {e for e, (hop, _) in trace.items() if hop == 0}
         distance = bfs_entity_distance(graph, seeds)
         ids = {r.canonical: r.id for r in graph.entity_registry.records}
         assert seeds == {ids["alpha"]}
         for name, expected in [("alpha", 0), ("bravo", 1), ("charlie", 2), ("delta", 3)]:
             eid = ids[name]
-            assert final.trace[eid][0] == distance[eid] == expected
+            assert trace[eid][0] == distance[eid] == expected
         # Soundness bound: no activation can arrive before its BFS distance.
-        for eid, (hop, _) in final.trace.items():
+        for eid, (hop, _) in trace.items():
             assert hop >= distance.get(eid, math.inf) or hop >= 0
             assert hop >= distance[eid]
 
@@ -358,6 +359,27 @@ class TestPassageSeeds:
         with pytest.raises(ConfigError):
             EntityLevel(overrides={0: 0.5})
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({0: math.nan}, "entity level for 0"),
+            ({0: True}, "entity level for 0"),
+            ({0: "2"}, "entity level for 0"),
+            ({0: None}, "entity level for 0"),
+            ({1.0: 2.0}, "entity id must be an integer, got 1.0"),
+            ({"0": 2.0}, "entity id must be an integer, got '0'"),
+            ({True: 2.0}, "entity id must be an integer, got True"),
+        ],
+    )
+    def test_bad_entity_id_or_level_rejected(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            EntityLevel(overrides=overrides)
+
+    def test_integer_ids_and_real_levels_accepted(self):
+        overrides = {np.int64(0): 2, 1: np.float32(1.5), 2: math.inf}
+        levels = EntityLevel(overrides=overrides)
+        assert levels.as_array(3).tolist() == [2.0, 1.5, math.inf]
+
 
 class TestPpr:
     def test_two_node_closed_form(self):
@@ -441,6 +463,31 @@ class TestPpr:
         graph, _ = make_index(["Karo rests."])
         with pytest.raises(EmptySeedError):
             ppr(graph, np.zeros(1), np.zeros(1), RetrievalConfig())
+
+    @pytest.mark.parametrize(
+        "entity_seed, passage_seed, message",
+        [
+            (math.nan, 1.0, "finite"),
+            (1.0, math.inf, "finite"),
+            (-math.inf, 1.0, "finite"),
+            (1e308, 1e308, "finite"),
+            (1.0, -1.0, "sum to 0"),
+        ],
+    )
+    def test_non_finite_or_zero_sum_seed_rejected(
+        self, entity_seed, passage_seed, message
+    ):
+        graph, _ = make_index(["Karo rests."])
+        seeds = np.array([entity_seed]), np.array([passage_seed])
+        with pytest.raises(ValueError, match=message), np.errstate(over="ignore"):
+            ppr(graph, *seeds, RetrievalConfig())
+
+    def test_negative_seed_entries_accepted(self):
+        # A negative entity_sim_threshold leaves negative activations in a.
+        graph, _ = make_index(["Karo met Lumen."])
+        cfg = RetrievalConfig()
+        importance = ppr(graph, np.array([-0.5, 0.25]), np.array([1.0]), cfg)
+        assert np.all(np.isfinite(importance))
 
     def test_seed_scaling_leaves_ranking_unchanged(self):
         graph, _ = make_index(
