@@ -237,11 +237,11 @@ def _similarities(vectors: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
 def initial_activation(
     query: str, graph: TriGraph, store: EmbeddingStore, cfg: RetrievalConfig
 ) -> ActivationState:
-    """Hop 0: thresholded query-entity similarity, the sentence relevance
-    distribution, and the seeds' trace rows (hop 0, no sentence)."""
+    """Hop 0: query-entity similarities above both the threshold and 0, the
+    sentence relevance distribution, and the seeds' trace rows (hop 0)."""
     q = store.encode_query(query)
     entity_sims = _similarities(store.entity_vectors, q)
-    a = np.where(entity_sims > cfg.entity_sim_threshold, entity_sims, 0.0)
+    a = np.where(entity_sims > max(cfg.entity_sim_threshold, 0.0), entity_sims, 0.0)
     sigma = _similarities(store.sentence_vectors, q)
     frontier = frozenset(np.flatnonzero(a > 0.0).tolist())
     trace = np.where(a[:, None] > 0.0, np.int64([0, -1]), -1)
@@ -370,7 +370,7 @@ def passage_seed_scores(
     positions, lengths = _row_entries(op, active)
     contributions = (
         np.repeat(state.a[active], lengths)
-        * graph.log_occurrence[positions]
+        * graph.normalized_contain.log_occurrence[positions]
         / np.repeat(level_arr[active], lengths)
     )
     inner = np.bincount(

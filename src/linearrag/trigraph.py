@@ -95,26 +95,18 @@ _INT64 = np.dtype("<i8")
 
 
 class SparseBinaryMatrix:
-    """Sorted, deduplicated COO entries plus CSR row offsets.
-
-    Entries are kept as two parallel int64 arrays in row-major order;
-    ``indptr`` has ``n_rows + 1`` prefix sums so rows can be iterated
-    without a scan.
+    """A binary matrix in CSR form: the column ids of its sorted, distinct
+    entries in row-major order, and ``indptr``, the ``n_rows + 1`` prefix
+    sums of the row lengths, which alone give each entry's row.
     """
 
-    __slots__ = ("n_rows", "n_cols", "row_ids", "col_ids", "indptr")
+    __slots__ = ("n_rows", "n_cols", "col_ids", "indptr")
 
     def __init__(
-        self,
-        n_rows: int,
-        n_cols: int,
-        row_ids: np.ndarray,
-        col_ids: np.ndarray,
-        indptr: np.ndarray,
+        self, n_rows: int, n_cols: int, col_ids: np.ndarray, indptr: np.ndarray
     ):
         self.n_rows = n_rows
         self.n_cols = n_cols
-        self.row_ids = row_ids
         self.col_ids = col_ids
         self.indptr = indptr
 
@@ -127,7 +119,7 @@ class SparseBinaryMatrix:
         _check_range(rows, cols, n_rows, n_cols)
         if np.any(np.diff(rows * n_cols + cols) <= 0):
             raise ConsistencyError("entries not sorted or contain duplicates")
-        return cls(n_rows, n_cols, rows, cols, _row_indptr(rows, n_rows))
+        return cls(n_rows, n_cols, cols, _row_indptr(rows, n_rows))
 
     def extended(
         self, rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
@@ -145,14 +137,22 @@ class SparseBinaryMatrix:
         return SparseBinaryMatrix(
             n_rows,
             n_cols,
-            np.concatenate([self.row_ids, rows]),
             np.concatenate([self.col_ids, cols]),
             np.concatenate([self.indptr[:-1], tail.indptr + self.nnz]),
         )
 
     @property
+    def row_ids(self) -> np.ndarray:
+        """Each entry's row, derived from ``indptr`` on every read."""
+        return self.rows_from(0)
+
+    def rows_from(self, row: int) -> np.ndarray:
+        """The row of each entry in rows ``row`` onwards."""
+        return np.repeat(np.arange(row, self.n_rows), np.diff(self.indptr[row:]))
+
+    @property
     def nnz(self) -> int:
-        return len(self.row_ids)
+        return len(self.col_ids)
 
     def cols_of(self, row: int) -> np.ndarray:
         return self.col_ids[self.indptr[row] : self.indptr[row + 1]]
@@ -180,7 +180,7 @@ class SparseBinaryMatrix:
         return (
             self.n_rows == other.n_rows
             and self.n_cols == other.n_cols
-            and np.array_equal(self.row_ids, other.row_ids)
+            and np.array_equal(self.indptr, other.indptr)
             and np.array_equal(self.col_ids, other.col_ids)
         )
 
@@ -228,13 +228,6 @@ class TriGraph:
         return len(self.entity_registry)
 
     @cached_property
-    def log_occurrence(self) -> np.ndarray:
-        """``log1p`` of the counts in ``normalized_contain.transposed`` entry order."""
-        by_passage = self.contain.to_csr()
-        by_passage.data = np.log1p(self.occurrence_counts)
-        return by_passage.T.tocsr().data
-
-    @cached_property
     def mention_by_entity(self) -> sp.csr_matrix:
         """The mention incidence entity-major (entity x sentence, CSR): one
         row per entity, its sentence ids ascending.
@@ -253,29 +246,38 @@ class TriGraph:
     def normalized_contain(self) -> "NormalizedContain":
         """The contain matrix scaled by the inverse square roots of both
         node degrees, which ``retrieval.ppr`` solves with."""
-        passage_degree = np.diff(self.contain.indptr).astype(np.float64)
-        entity_degree = self.contain.col_counts().astype(np.float64)
-        sqrt_dp, sqrt_de = np.sqrt(passage_degree), np.sqrt(entity_degree)
+        contain = self.contain
+        passage_degree = np.diff(contain.indptr)
+        sqrt_dp = np.sqrt(passage_degree.astype(np.float64))
+        sqrt_de = np.sqrt(contain.col_counts().astype(np.float64))
         # Every node an entry touches has degree >= 1.
-        data = 1.0 / (sqrt_dp[self.contain.row_ids] * sqrt_de[self.contain.col_ids])
-        matrix = sp.csr_matrix(
-            (data, self.contain.col_ids, self.contain.indptr),
-            shape=(self.n_passages, self.n_entities),
-        )
-        return NormalizedContain(matrix, matrix.T.tocsr(), sqrt_dp, sqrt_de)
+        data = 1.0 / (np.repeat(sqrt_dp, passage_degree) * sqrt_de[contain.col_ids])
+        shape = (self.n_passages, self.n_entities)
+        matrix = sp.csr_matrix((data, contain.col_ids, contain.indptr), shape=shape)
+        # One transposition of the pattern, carrying each entry's position,
+        # gives B^T and the entity-major order of contain's entries.
+        transposed = sp.csr_matrix(
+            (np.arange(contain.nnz), contain.col_ids, contain.indptr), shape=shape
+        ).T.tocsr()
+        order = transposed.data
+        transposed.data = data[order]
+        log_occurrence = np.log1p(self.occurrence_counts)[order]
+        return NormalizedContain(matrix, transposed, sqrt_dp, sqrt_de, log_occurrence)
 
 
 @dataclass(frozen=True)
 class NormalizedContain:
     """B = D_p^-1/2 C D_e^-1/2 for the contain incidence C and the passage
     and entity degrees D_p and D_e, B^T in its own CSR form (a product with
-    it runs faster than one with B read as CSC), and the square roots of
-    both degree vectors (0 for a node of degree 0)."""
+    it runs faster than one with B read as CSC), the square roots of both
+    degree vectors (0 for a node of degree 0), and ``log1p`` of the mention
+    counts in B^T's entry order, which the passage seeds gather."""
 
     matrix: sp.csr_matrix  # passages x entities
     transposed: sp.csr_matrix  # entities x passages
     sqrt_passage_degree: np.ndarray
     sqrt_entity_degree: np.ndarray
+    log_occurrence: np.ndarray
 
 
 def graph_equal(a: TriGraph, b: TriGraph) -> bool:
@@ -344,7 +346,7 @@ def add_passages(graph: TriGraph, new_slice: Corpus) -> TriGraph:
 
 def _empty_graph(contract: ExtractorContract) -> TriGraph:
     none = np.empty(0, dtype=np.int64)
-    matrix = SparseBinaryMatrix(0, 0, none, none, np.zeros(1, dtype=np.int64))
+    matrix = SparseBinaryMatrix(0, 0, none, np.zeros(1, dtype=np.int64))
     return TriGraph(
         corpus=Corpus((), np.empty((0, 3), dtype=np.int64), initial_digest()),
         contain=matrix,
@@ -484,7 +486,7 @@ def _rows_after(graph: TriGraph, base: Mapping[str, Any]) -> tuple[bytes, ...]:
     )
     first = graph.mention.indptr[n_s]
     mention = np.stack(
-        [graph.mention.row_ids[first:], graph.mention.col_ids[first:]], axis=1
+        [graph.mention.rows_from(n_s), graph.mention.col_ids[first:]], axis=1
     )
     counts = graph.occurrence_counts[graph.contain.indptr[n_p] :]
     # An old entity whose surfaces grew past the committed passages is
@@ -590,11 +592,9 @@ def load(directory: str | Path) -> TriGraph:
     except ConsistencyError as exc:
         raise ConsistencyError(f"{path}: {exc}") from exc
     contain_rows, contain_cols, sentence_counts = distinct_entries(
-        sentences[mention.row_ids, 0], mention.col_ids, n_e
+        sentences[rows, 0], cols, n_e
     )
-    contain = SparseBinaryMatrix(
-        n_p, n_e, contain_rows, contain_cols, _row_indptr(contain_rows, n_p)
-    )
+    contain = SparseBinaryMatrix(n_p, n_e, contain_cols, _row_indptr(contain_rows, n_p))
 
     path = directory / "occurrence.i64"
     counts = _int64_rows(path, committed[path.name], 1)[:, 0]

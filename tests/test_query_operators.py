@@ -187,13 +187,14 @@ def test_propagate_leaves_its_input_state_unchanged(graph_rng, delta):
 @given(random_graphs())
 def test_log_occurrence_follows_entity_major_contain_entries(graph_rng):
     graph, _ = graph_rng
+    log_occurrence = graph.normalized_contain.log_occurrence
     op = graph.normalized_contain.transposed
-    assert len(graph.log_occurrence) == op.nnz == graph.contain.nnz
+    assert len(log_occurrence) == op.nnz == graph.contain.nnz
     counts = graph.occurrence_counts.tolist()
     for (p, e), count in zip(graph.contain.pairs(), counts):
         row = op.indices[op.indptr[e] : op.indptr[e + 1]]
         (position,) = op.indptr[e] + np.flatnonzero(row == p)
-        assert graph.log_occurrence[position] == np.log1p(count)
+        assert log_occurrence[position] == np.log1p(count)
 
 
 @PROPERTY_SETTINGS
@@ -400,7 +401,7 @@ def test_append_after_queries_does_not_reuse_stale_operators():
     store = build_store(graph, encoder)
     before = [retrieve(q, graph, store, cfg) for q in questions]
     assert any(not ranked.fallback_used for ranked in before)
-    for cached in ("mention_by_entity", "normalized_contain", "log_occurrence"):
+    for cached in ("mention_by_entity", "normalized_contain"):
         assert cached in vars(graph), cached
 
     grown = add_passages(graph, make_slice(whole, 40, 60))

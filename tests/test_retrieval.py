@@ -483,7 +483,8 @@ class TestPpr:
             ppr(graph, *seeds, RetrievalConfig())
 
     def test_negative_seed_entries_accepted(self):
-        # A negative entity_sim_threshold leaves negative activations in a.
+        # retrieve's activations are never negative, but other callers'
+        # seeds may be.
         graph, _ = make_index(["Karo met Lumen."])
         cfg = RetrievalConfig()
         importance = ppr(graph, np.array([-0.5, 0.25]), np.array([1.0]), cfg)
@@ -658,6 +659,20 @@ class TestRetrieve:
         first = retrieve(example.question, graph, store, cfg)
         second = retrieve(example.question, graph, store, cfg)
         assert first == second
+
+    def test_threshold_below_zero_seeds_as_zero_does(self):
+        # A negative similarity above a negative threshold would give the
+        # reset vector negative mass and push its passage to the bottom.
+        texts = ["Karo met Lumen.", "Lumen met Dorvo. Dorvo slept.", "Karo slept!"]
+        graph, store = make_index([*texts, "Zed ran."], dim=8, seed=0)
+        below = RetrievalConfig(entity_sim_threshold=-1.0)
+        assert np.all(initial_activation("zed foo", graph, store, below).a >= 0.0)
+        ranked = retrieve("zed foo", graph, store, below)
+        assert ranked == retrieve(
+            "zed foo", graph, store, RetrievalConfig(entity_sim_threshold=0.0)
+        )
+        assert ranked.items[0].passage_id == 3
+        assert min(item.score for item in ranked.items) >= 0.0
 
     def test_store_graph_mismatch_is_config_error(self):
         graph, _ = make_index(["Karo rests."])

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from linearrag.corpus import ingest
 from linearrag.errors import (
@@ -105,6 +107,30 @@ class TestSparseBinaryMatrix:
         assert m.indptr.tolist() == [0, 1, 2, 3, 4]
         with pytest.raises(ConsistencyError):
             matrix([(1, 0)], 2, 2).extended(entries(1), entries(1), 3, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_extending_a_prefix_equals_the_whole(self, data):
+        n_rows, n_cols = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+        cells = st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1))
+        pairs = sorted(data.draw(st.sets(cells)))
+        split = data.draw(st.integers(0, n_rows))
+        head = [pair for pair in pairs if pair[0] < split]
+        tail = pairs[len(head) :]
+        first_free_col = max([c + 1 for _, c in head], default=0)
+        head_cols = data.draw(st.integers(first_free_col, n_cols))
+
+        def columns(entries):
+            return np.array(entries, dtype=np.int64).reshape(-1, 2).T.copy()
+
+        whole = SparseBinaryMatrix.sorted_entries(*columns(pairs), n_rows, n_cols)
+        grown = SparseBinaryMatrix.sorted_entries(*columns(head), split, head_cols)
+        grown = grown.extended(*columns(tail), n_rows, n_cols)
+        assert grown == whole
+        assert grown.indptr.tolist() == whole.indptr.tolist()
+        assert grown.row_ids.dtype == np.int64
+        assert grown.row_ids.tolist() == [r for r, _ in pairs]
+        assert grown.pairs() == pairs
 
     def test_equality(self):
         a = matrix([(0, 1)], 2, 2)

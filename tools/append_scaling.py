@@ -49,11 +49,10 @@ from linearrag.embedding import (  # noqa: E402
     load_store,
     save_store,
 )
-from linearrag.retrieval import RetrievalConfig, retrieve  # noqa: E402
+from linearrag.retrieval import retrieve  # noqa: E402
 from linearrag.trigraph import add_passages, build, graph_equal, load, save  # noqa: E402
+from workloads import CFG, ENCODER_DIM, ENCODER_SEED  # noqa: E402
 
-CFG = RetrievalConfig(delta=0.01)  # the benchmark's configuration
-ENCODER = {"dim": 256, "seed": 0}
 SEED = 0
 APPENDS = 60
 APPEND_STAGES = ("corpus_from_records", "add_passages", "extend_store", "save", "save_store")
@@ -77,8 +76,8 @@ def stage_medians(stage_ms) -> dict:
 
 def measure(n_passages: int, directory: Path) -> dict:
     inputs = make_inputs(SEED, n_passages)
-    encoder = HashEncoder(**ENCODER)
-    embedder = {"id": encoder.contract.id, "dim": ENCODER["dim"]}
+    encoder = HashEncoder(dim=ENCODER_DIM, seed=ENCODER_SEED)
+    embedder = {"id": encoder.contract.id, "dim": ENCODER_DIM}
     built = build(inputs.corpus)
     save(built, directory, embedder=embedder)
     save_store(build_store(built, encoder), directory)

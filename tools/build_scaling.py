@@ -54,8 +54,8 @@ from linearrag.extraction import (  # noqa: E402
     extract_corpus_mentions,
 )
 from linearrag.trigraph import build, graph_equal, load, save  # noqa: E402
+from workloads import ENCODER_DIM, ENCODER_SEED  # noqa: E402
 
-ENCODER = {"dim": 256, "seed": 0}  # the benchmark's encoder
 SEED = 0
 REPS = 5
 BESIDE_BUILD = ("extract_corpus_mentions", "build_entity_registry")
@@ -90,8 +90,8 @@ def measure(n_passages: int, directory: Path) -> dict:
     inputs = make_inputs(SEED, n_passages)
     corpus_path = directory / "corpus.jsonl"
     write_corpus_jsonl(inputs.corpus, corpus_path)
-    encoder = HashEncoder(**ENCODER)
-    embedder = {"id": encoder.contract.id, "dim": ENCODER["dim"]}
+    encoder = HashEncoder(dim=ENCODER_DIM, seed=ENCODER_SEED)
+    embedder = {"id": encoder.contract.id, "dim": ENCODER_DIM}
     contract = ExtractorContract.make()
     rows = []
     gc_rows = []

@@ -37,16 +37,14 @@ from inputs import make_inputs  # noqa: E402
 from linearrag import retrieval  # noqa: E402
 from linearrag.embedding import HashEncoder, build_store  # noqa: E402
 from linearrag.retrieval import (  # noqa: E402
-    RetrievalConfig,
     activate,
     passage_seed_scores,
     ppr,
     retrieve,
 )
 from linearrag.trigraph import build  # noqa: E402
+from workloads import CFG, ENCODER_DIM, ENCODER_SEED  # noqa: E402
 
-CFG = RetrievalConfig(delta=0.01)  # the benchmark's configuration
-ENCODER = {"dim": 256, "seed": 0}
 REFERENCE_TOL = 1e-15
 REFERENCE_MAX_ITERS = 5000
 
@@ -85,7 +83,7 @@ def ranking(ranked):
 def measure(seed: int, n_passages: int, n_questions: int) -> dict:
     inputs = make_inputs(seed, n_passages)
     graph = build(inputs.corpus)
-    store = build_store(graph, HashEncoder(**ENCODER))
+    store = build_store(graph, HashEncoder(dim=ENCODER_DIM, seed=ENCODER_SEED))
     matrix = transition(graph)
     d = CFG.damping
     rows = []

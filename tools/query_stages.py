@@ -37,11 +37,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
 
 from inputs import make_inputs, make_slice  # noqa: E402
 from linearrag.embedding import HashEncoder, build_store  # noqa: E402
-from linearrag.retrieval import RetrievalConfig, retrieve  # noqa: E402
+from linearrag.retrieval import retrieve  # noqa: E402
 from linearrag.trigraph import build  # noqa: E402
+from workloads import CFG, ENCODER_DIM, ENCODER_SEED  # noqa: E402
 
-CFG = RetrievalConfig(delta=0.01)  # the benchmark's configuration
-ENCODER = {"dim": 256, "seed": 0}
 SEED = 0
 ROUNDS = 3
 FALLBACK_PROBES = 40
@@ -52,7 +51,7 @@ FALLBACK_STAGES = ("initial_activation", "propagate", "dense_ranking")
 def measure(n_passages: int) -> dict:
     inputs = make_inputs(SEED, n_passages)
     graph = build(inputs.corpus)
-    store = build_store(graph, HashEncoder(**ENCODER))
+    store = build_store(graph, HashEncoder(dim=ENCODER_DIM, seed=ENCODER_SEED))
     probes = [
         make_slice(SEED, index, inputs.filler_names).question.question
         for index in range(FALLBACK_PROBES)
