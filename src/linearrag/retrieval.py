@@ -7,12 +7,16 @@ activation among frontier entities they mention, aggregates the gated
 sentence mass back onto entities, keeps only candidates whose new mass
 exceeds the pruning threshold, and folds them in with an elementwise MAX,
 so activations only ever grow. Propagation stops when no candidate
-survives pruning or the hop cap is reached. One entity-major operator
-(``TriGraph.mention_by_entity``) serves all three steps: the gate gathers
-the frontier entities' rows, the candidate mass is its product with the
-gated sentence mass, and the trace (one row per entity) records, for each
-entity a hop first activates, the sentence of its row holding the most
-mass (found by a segmented max over the gathered rows, with no sort).
+survives pruning or the hop cap is reached. One entity-major view of the
+mention incidence (``TriGraph.mention_by_entity``) serves all three steps:
+the gate gathers the frontier entities' rows, the candidate mass is its
+product with the gated sentence mass, and the trace (one row per entity)
+records, for each entity a hop first activates, the sentence of its row
+holding the most mass (found by a segmented max over the gathered rows,
+with no sort). A hop scores the query similarity of only the sentences it
+gates, each the first time it is gated, until more than a share
+``SIGMA_CROSSOVER`` of all sentences would be scored; then it scores them
+all in one scan (the last hop: see ``LAST_HOP_SCAN``).
 
 Stage 2 ranks passages: activated entities and a hybrid passage seed (a
 small query-similarity term plus a log-damped sum of activated-entity
@@ -21,7 +25,13 @@ reset distribution of a personalized PageRank on the undirected
 passage-entity bipartite graph. ``ppr`` solves its fixed point as a linear
 system, by conjugate gradient on the passage block, to an L1 residual below
 ``ppr_tol`` in at most ``ppr_max_iters`` steps. Passages are returned in
-descending importance, ties broken by id.
+descending importance, ties broken by id; the top k are selected by
+partition, so only the k highest scores and those tied with the k-th are
+sorted.
+
+The entity and passage similarity scans cover every row: every entity can
+seed, and the hybrid seed's query term is dense. The sentence scan covers
+only the sentences a query's hops gate, while they stay few.
 
 ``retrieve`` is the one place these stages run in sequence; each result it
 returns carries their times and the PPR solve's outcome (``QueryStats``).
@@ -42,7 +52,7 @@ import numpy as np
 
 from .embedding import EmbeddingStore
 from .errors import ConfigError, EmptySeedError
-from .trigraph import TriGraph
+from .trigraph import EntityMajor, TriGraph, row_entries
 
 logger = logging.getLogger(__name__)
 
@@ -57,6 +67,15 @@ _NUMBER_KINDS = {
 
 # Rows cast to float64 at a time when scoring a float32 vector matrix.
 _BLOCK_ROWS = 512
+
+# A query scores the sentences its hops gate, row by row, until that would
+# take the share of scored sentences past SIGMA_CROSSOVER; then it scores
+# all of them in one scan, which costs less per row than a gather. The last
+# hop ``max_hops`` allows leaves no later hop to use a scan, so it scans
+# only when it gates more than LAST_HOP_SCAN of the sentences not yet
+# scored, about where gathering them costs as much as a scan.
+SIGMA_CROSSOVER = 0.075
+LAST_HOP_SCAN = 0.4
 
 
 @dataclass(frozen=True)
@@ -153,6 +172,15 @@ class ActivationState:
     each entity's first activation hop and best supporting sentence; -1 in
     both for an entity never activated, and sentence -1 for a hop-0 seed.
 
+    ``sigma`` has one row per sentence. With ``scored`` None, every row
+    holds its value. ``initial_activation`` scores no row: its ``scored``
+    marks the rows that hold values, and the others hold 0.0, which a hop
+    reads only where its gate is 0, so that the row's mass is 0 whatever
+    its similarity. Each hop scores the sentences it gates that are not
+    scored yet, from ``sentence_vectors``, and writes them into ``sigma`` and
+    ``scored`` in place; so the states of one query share the two arrays,
+    and a row, once written, never changes.
+
     An entity's best supporting sentence is, among the sentences that
     mention it, the one whose gated mass (sigma times the frontier gate)
     was highest in the hop that first activated it; ties go to the lowest
@@ -166,6 +194,8 @@ class ActivationState:
     frontier: frozenset[int]
     trace: np.ndarray
     query_vec: np.ndarray
+    scored: np.ndarray | None = None
+    sentence_vectors: np.ndarray | None = None
 
     def activated_entities(self) -> np.ndarray:
         return np.nonzero(self.a > 0.0)[0]
@@ -188,12 +218,16 @@ class QueryStats:
     nothing is activated (with either fallback). The PPR fields are the
     conjugate-gradient steps, the L1 residual they stopped at and whether
     it is below ``ppr_tol``; they are None on the fallback.
+    ``sentences_scored`` counts the sentence similarities the query scored:
+    the sentences its hops gated, or all of them after a full scan, and 0 on
+    the fallback, which takes no hop.
     """
 
     stage_ms: dict[str, float]
     ppr_steps: int | None = None
     ppr_residual_l1: float | None = None
     ppr_converged: bool | None = None
+    sentences_scored: int = 0
 
 
 @dataclass(frozen=True)
@@ -209,19 +243,25 @@ class RankedPassages:
         return [item.passage_id for item in self.items]
 
 
-def _similarities(vectors: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
+def _similarities(
+    vectors: np.ndarray, query_vec: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """``vectors.astype(np.float64) @ query_vec`` without a float64 copy of
     the whole matrix: rows are cast a block at a time into one reused buffer.
 
-    Blocks start every 512 rows, a multiple of the row grouping of
-    OpenBLAS's matrix-vector kernel, so on one BLAS thread each row is summed
-    exactly as in the whole-matrix product (a threaded whole-matrix product
-    splits rows by thread count, so it is not reproducible itself). A
-    one-row tail joins the block before it, because numpy scores a lone row
-    with a dot product that sums in another order.
+    OpenBLAS's matrix-vector kernel sums rows in groups of 4, and the last
+    ``n % 4`` rows of a matrix take a remainder path that may round
+    differently. Blocks start every 512 rows, a multiple of 4, so on one
+    BLAS thread each row is summed exactly as in the whole-matrix product,
+    and the last ``n % 4`` rows of the whole matrix are the ones that take
+    the remainder path (a threaded whole-matrix product splits rows by
+    thread count, so it is not reproducible itself). A one-row tail joins
+    the block before it, because numpy scores a lone row with a dot product
+    that sums in another order.
     """
     n_rows = vectors.shape[0]
-    out = np.empty(n_rows, dtype=np.float64)
+    if out is None:
+        out = np.empty(n_rows, dtype=np.float64)
     buffer = np.empty(
         (min(n_rows, _BLOCK_ROWS + 1), vectors.shape[1]), dtype=np.float64
     )
@@ -234,19 +274,89 @@ def _similarities(vectors: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_similarities(
+    vectors: np.ndarray, query_vec: np.ndarray, rows: np.ndarray
+) -> np.ndarray:
+    """``_similarities(vectors, query_vec)[rows]`` for ascending, distinct
+    ``rows``, with the same bits, scoring only those rows.
+
+    The rows are gathered into blocks in which each takes the path it takes
+    in the full scan (see ``_similarities``): the rows before the last
+    ``n % 4``, padded to a multiple of 4 by repeating a row and cast
+    ``_BLOCK_ROWS`` at a time, then, if any of the last ``n % 4`` is asked
+    for, a block of 4 filler rows and the matrix's last ``n % 4`` rows,
+    which so fall in its remainder. A one-row matrix is scored whole, as
+    the full scan scores it.
+    """
+    n = len(vectors)
+    if n < 2:
+        return _similarities(vectors, query_vec)[rows]
+    first_last = n - n % 4
+    cut = int(np.searchsorted(rows, first_last))
+    head = np.concatenate([rows[:cut], np.repeat(rows[:1], -cut % 4)])
+    scores = np.empty(len(head))
+    for start in range(0, len(head), _BLOCK_ROWS):
+        block = head[start : start + _BLOCK_ROWS]
+        np.matmul(
+            vectors[block].astype(np.float64),
+            query_vec,
+            out=scores[start : start + len(block)],
+        )
+    if cut == len(rows):
+        return scores[:cut]
+    last = np.concatenate([np.repeat(rows[:1], 4), np.arange(first_last, n)])
+    last_scores = vectors[last].astype(np.float64) @ query_vec
+    return np.concatenate([scores[:cut], last_scores[rows[cut:] - n]])
+
+
+def _score_sentences(
+    state: ActivationState, rows: np.ndarray, last_hop: bool
+) -> None:
+    """Score the sentences of the mask ``rows`` that ``state`` has not
+    scored yet, for the last hop or not (see ``ActivationState`` and
+    ``SIGMA_CROSSOVER``)."""
+    scored = state.scored
+    if scored is None:
+        return
+    missing = rows & ~scored
+    n_missing, n_scored = np.count_nonzero(missing), np.count_nonzero(scored)
+    if not n_missing:
+        return
+    if last_hop:
+        scan = n_missing > LAST_HOP_SCAN * (len(scored) - n_scored)
+    else:
+        scan = n_scored + n_missing > SIGMA_CROSSOVER * len(scored)
+    if scan:
+        _similarities(state.sentence_vectors, state.query_vec, out=state.sigma)
+        scored[:] = True
+    else:
+        missing = np.flatnonzero(missing)
+        state.sigma[missing] = _row_similarities(
+            state.sentence_vectors, state.query_vec, missing
+        )
+        scored[missing] = True
+
+
 def initial_activation(
     query: str, graph: TriGraph, store: EmbeddingStore, cfg: RetrievalConfig
 ) -> ActivationState:
-    """Hop 0: query-entity similarities above both the threshold and 0, the
-    sentence relevance distribution, and the seeds' trace rows (hop 0)."""
+    """Hop 0: query-entity similarities above both the threshold and 0, and
+    the seeds' trace rows (hop 0). No sentence similarity is scored yet."""
     q = store.encode_query(query)
     entity_sims = _similarities(store.entity_vectors, q)
     a = np.where(entity_sims > max(cfg.entity_sim_threshold, 0.0), entity_sims, 0.0)
-    sigma = _similarities(store.sentence_vectors, q)
+    n_sentences = len(store.sentence_vectors)
     frontier = frozenset(np.flatnonzero(a > 0.0).tolist())
     trace = np.where(a[:, None] > 0.0, np.int64([0, -1]), -1)
     return ActivationState(
-        a=a, sigma=sigma, hop=0, frontier=frontier, trace=trace, query_vec=q
+        a=a,
+        sigma=np.zeros(n_sentences),
+        hop=0,
+        frontier=frontier,
+        trace=trace,
+        query_vec=q,
+        scored=np.zeros(n_sentences, dtype=bool),
+        sentence_vectors=store.sentence_vectors,
     )
 
 
@@ -257,12 +367,18 @@ def propagate(
 
     Candidate mass below the pruning threshold is discarded entirely, so
     with delta = +inf the state's activations never change.
+
+    The hop scores the sentences it gates before it reads them. Any other
+    sentence's mass is its sigma row, scored or still 0.0, times a zero
+    gate: +-0.0, which leaves a sum started at +0.0 unchanged.
     """
     if not state.frontier:
         return state
     op = graph.mention_by_entity
-    u = state.sigma * _frontier_gate(graph, state.a, state.frontier)
-    candidates = op @ u
+    gate = _frontier_gate(graph, state.a, state.frontier)
+    _score_sentences(state, gate > 0.0, state.hop + 1 >= cfg.max_hops)
+    u = state.sigma * gate
+    candidates = op.dot(u)
 
     retained = candidates > cfg.delta
     a_new = np.where(retained, np.maximum(candidates, state.a), state.a)
@@ -271,8 +387,9 @@ def propagate(
 
     trace = state.trace.copy()
     entering = changed[trace[changed, 0] < 0]
-    trace[entering, 0] = hop
-    trace[entering, 1] = _best_sentences(op, u, entering)
+    if len(entering):
+        trace[entering, 0] = hop
+        trace[entering, 1] = _best_sentences(op, u, entering)
     return ActivationState(
         a=a_new,
         sigma=state.sigma,
@@ -280,18 +397,9 @@ def propagate(
         frontier=frozenset(changed.tolist()),
         trace=trace,
         query_vec=state.query_vec,
+        scored=state.scored,
+        sentence_vectors=state.sentence_vectors,
     )
-
-
-def _row_entries(op, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The entry positions of ``rows`` of the CSR matrix ``op``, row after
-    row, and the length of each row."""
-    starts = op.indptr[rows]
-    lengths = op.indptr[rows + 1] - starts
-    ends = np.cumsum(lengths)
-    positions = np.arange(ends[-1] if len(ends) else 0)
-    positions += np.repeat(starts - (ends - lengths), lengths)
-    return positions, lengths
 
 
 def _frontier_gate(
@@ -301,34 +409,56 @@ def _frontier_gate(
     frontier entities it mentions; 0 where it mentions none."""
     op = graph.mention_by_entity
     entities = np.fromiter(frontier, dtype=np.intp, count=len(frontier))
-    positions, lengths = _row_entries(op, entities)
+    values = np.maximum(a, 0.0)
+    positions, lengths = row_entries(op.base.indptr, entities)
     gate = np.zeros(graph.n_sentences, dtype=np.float64)
     np.maximum.at(
-        gate, op.indices[positions], np.repeat(np.maximum(a[entities], 0.0), lengths)
+        gate, op.base.indices[positions], np.repeat(values[entities], lengths)
     )
+    if len(op.tail_rows):
+        at = op.tail_entries(entities)
+        np.maximum.at(gate, op.tail_rows[at], values[op.tail_cols[at]])
     return gate
 
 
-def _best_sentences(op, u: np.ndarray, entities: np.ndarray) -> np.ndarray:
-    """For each of ``entities``, the sentence of its row of the entity-major
-    mention operator ``op`` with the highest mass ``u``, or -1 where the row
-    is empty; ties go to the lowest sentence id.
+def _best_sentences(op: EntityMajor, u: np.ndarray, entities: np.ndarray) -> np.ndarray:
+    """For each of ``entities`` (ascending, distinct), the sentence of its
+    row of the entity-major mention view ``op`` with the highest mass ``u``,
+    or -1 where the row is empty; ties go to the lowest sentence id.
 
-    A segmented reduction over the gathered rows: ``np.maximum.reduceat``
-    takes each row's highest mass, then ``np.minimum.reduceat`` over entry
-    positions picks the first entry that reaches it. Sentence ids ascend
-    within a row, so the first is the lowest.
+    In the base, a segmented reduction over the gathered rows:
+    ``np.maximum.reduceat`` takes each row's highest mass, then
+    ``np.minimum.reduceat`` over entry positions picks the first entry that
+    reaches it; sentence ids ascend within a row, so the first is the
+    lowest. Every tail sentence follows every base sentence, so the tail's
+    pick, by ``np.maximum.at`` and ``np.minimum.at`` over the entities'
+    tail entries, replaces the base's only on a strictly higher mass.
     """
-    filled = op.indptr[entities + 1] > op.indptr[entities]
-    positions, lengths = _row_entries(op, entities[filled])
-    mass = u[op.indices[positions]]
+    indptr, sentences = op.base.indptr, op.base.indices
+    filled = indptr[entities + 1] > indptr[entities]
+    positions, lengths = row_entries(indptr, entities[filled])
+    mass = u[sentences[positions]]
     starts = np.cumsum(lengths) - lengths
-    reached = mass == np.repeat(np.maximum.reduceat(mass, starts), lengths)
+    highest = np.maximum.reduceat(mass, starts)
+    reached = mass == np.repeat(highest, lengths)
     first = np.minimum.reduceat(
         np.where(reached, np.arange(len(mass)), len(mass)), starts
     )
     best = np.full(len(entities), -1, dtype=np.int64)
-    best[filled] = op.indices[positions[first]]
+    best[filled] = sentences[positions[first]]
+    if len(op.tail_rows):
+        top = np.full(len(entities), -np.inf)
+        top[filled] = highest
+        at = op.tail_entries(entities)
+        slot = np.searchsorted(entities, op.tail_cols[at])
+        sentences, mass = op.tail_rows[at], u[op.tail_rows[at]]
+        tail_top = np.full(len(entities), -np.inf)
+        np.maximum.at(tail_top, slot, mass)
+        reached = mass == tail_top[slot]
+        tail_best = np.full(len(entities), np.iinfo(np.int64).max)
+        np.minimum.at(tail_best, slot[reached], sentences[reached])
+        higher = tail_top > top
+        best[higher] = tail_best[higher]
     return best
 
 
@@ -365,17 +495,14 @@ def passage_seed_scores(
     psim = np.maximum(psim, 0.0)
 
     level_arr = (levels or EntityLevel()).as_array(graph.n_entities)
-    op = graph.normalized_contain.transposed
-    active = state.activated_entities()
-    positions, lengths = _row_entries(op, active)
+    op = graph.normalized_contain
+    # Each passage's entries lie in one part of the entity-major view, so
+    # each passage sums its terms in ascending entity id.
+    entities, passages, positions = op.by_entity.entries(state.activated_entities())
     contributions = (
-        np.repeat(state.a[active], lengths)
-        * graph.normalized_contain.log_occurrence[positions]
-        / np.repeat(level_arr[active], lengths)
+        state.a[entities] * op.log_occurrence[positions] / level_arr[entities]
     )
-    inner = np.bincount(
-        op.indices[positions], weights=contributions, minlength=graph.n_passages
-    )
+    inner = np.bincount(passages, weights=contributions, minlength=graph.n_passages)
     return (cfg.lambda_ * psim + np.log1p(inner)) * cfg.passage_weight
 
 
@@ -436,7 +563,7 @@ def _solve_ppr(
     r = r / total
 
     op = graph.normalized_contain
-    b_mat, b_t = op.matrix, op.transposed
+    b_mat, b_t = op.matrix, op.by_entity.dot
     sqrt_dp, sqrt_de = op.sqrt_passage_degree, op.sqrt_entity_degree
     d = cfg.damping
     base = (1.0 - d) * r
@@ -452,7 +579,7 @@ def _solve_ppr(
     residual_l1 = np.abs(residual) @ sqrt_dp
     steps = 0
     while residual_l1 >= cfg.ppr_tol and steps < cfg.ppr_max_iters:
-        product = b_mat @ (b_t @ direction)
+        product = b_mat @ b_t(direction)
         product *= -d * d
         product += direction
         alpha = rr / (direction @ product)
@@ -472,14 +599,24 @@ def _solve_ppr(
             cfg.ppr_tol,
         )
 
-    z_e = b_e + d * (b_t @ z_p)
+    z_e = b_e + d * b_t(z_p)
     z = np.concatenate([z_p, z_e])
     return np.where(connected, sqrt_deg * z, base), steps, float(residual_l1)
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
-    """The indices of the ``k`` highest scores, descending, ties by index."""
-    return np.lexsort((np.arange(len(scores)), -scores))[:k]
+    """The indices of the ``k`` highest scores, descending, ties by index.
+
+    ``np.partition`` finds the k-th highest score in linear time (Blum et
+    al., JCSS 1973); only the scores not below it, ties included, are
+    sorted. NaN sorts after every number, as in a full sort."""
+    negated = -scores
+    if k < len(scores):
+        kth = np.partition(negated, k - 1)[k - 1]
+        (kept,) = np.nonzero(~(negated > kth))
+    else:
+        kept = np.arange(len(scores))
+    return kept[np.lexsort((kept, negated[kept]))][:k]
 
 
 def dense_ranking(
@@ -502,6 +639,7 @@ def retrieve(
     cfg = cfg or RetrievalConfig()
     if not store.matches(graph):
         raise ConfigError("embedding store row counts do not match the graph")
+    graph.settle_operators()
 
     stage_ms: dict[str, float] = {}
     tick = time.perf_counter()
@@ -528,7 +666,7 @@ def retrieve(
             for pid, score in top
         ]
         lap("dense_ranking")
-        stats = QueryStats(stage_ms)
+        stats = QueryStats(stage_ms, sentences_scored=0)
     else:
         passage_seeds = passage_seed_scores(state, graph, store, levels, cfg)
         lap("passage_seed_scores")
@@ -546,7 +684,13 @@ def retrieve(
             for pid in _top_k(scores, cfg.top_k)
         ]
         lap("rank")
-        stats = QueryStats(stage_ms, steps, residual_l1, residual_l1 < cfg.ppr_tol)
+        stats = QueryStats(
+            stage_ms,
+            steps,
+            residual_l1,
+            residual_l1 < cfg.ppr_tol,
+            int(np.count_nonzero(state.scored)),
+        )
     return RankedPassages(
         items=tuple(items),
         query_echo=query,

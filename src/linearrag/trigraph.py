@@ -14,8 +14,9 @@ sort after the graph's and growing a graph only appends to its arrays.
 ``build`` is the same growth applied to an empty graph, so every fact of a
 graph is derived by one path. An entity's passages are read from
 ``contain`` alone; its registry record holds only its key and surfaces. The
-sparse operators a query needs are built from the graph once, on first use,
-and cached on it.
+sparse operators a query needs are made once per graph, on first use, and
+cached on it: a graph grown by ``add_passages`` derives them from those of
+the graph it grew from (see ``EntityMajor`` and ``NormalizedContain``).
 
 The persisted index directory (format version 2) holds:
 
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping
@@ -92,6 +93,15 @@ STORE_FILES = ("entities.vec", "sentences.vec", "passages.vec")
 # Files of format version 1 that version 2 no longer writes.
 V1_FILES = ("sentences.jsonl", "contain.coo", "mention.coo", "occurrence.tsv")
 _INT64 = np.dtype("<i8")
+# An entity-major view is transposed anew from the whole incidence once the
+# rows grown since its base was made hold more than this share of the
+# base's entries (see ``EntityMajor``).
+FOLD_FRACTION = 0.0625
+# The queries a graph answers with its operators' tails before it folds
+# them (see ``TriGraph.settle_operators``).
+TAIL_QUERIES = 2
+# The cached query operators a grown graph derives from its ancestor's.
+_OPERATORS = ("mention_by_entity", "normalized_contain")
 
 
 class SparseBinaryMatrix:
@@ -210,6 +220,12 @@ class TriGraph:
     entity_registry: EntityRegistry
     occurrence_counts: np.ndarray  # int64 mention counts, one per contain entry
     extractor: ExtractorContract
+    # The query operators of the graph this one grew from, or of the nearest
+    # ancestor that made them; ``add_passages`` fills it, and making an
+    # operator from its entry drops the entry.
+    _grown_from: dict[str, Any] = field(default_factory=dict, init=False, repr=False)
+    # The queries this graph has answered through ``retrieval.retrieve``.
+    _queries: int = field(default=0, init=False, repr=False)
 
     @property
     def corpus_digest(self) -> str:
@@ -228,56 +244,269 @@ class TriGraph:
         return len(self.entity_registry)
 
     @cached_property
-    def mention_by_entity(self) -> sp.csr_matrix:
-        """The mention incidence entity-major (entity x sentence, CSR): one
-        row per entity, its sentence ids ascending.
-
-        scipy's CSR product sums each row from 0 in the order of its
-        entries, so ``mention_by_entity @ u`` adds each entity's terms in
-        ascending sentence id, the order of the mention entries: it is
-        bit-equal to the product with the mention matrix read transposed as
-        CSC, and to ``np.add.at`` over the mention entries. Its rows also
-        give, per entity, the mentioning sentences that ``retrieval``'s
-        frontier gate and supporting-sentence search gather.
-        """
-        return self.mention.to_csr().T.tocsr()
+    def mention_by_entity(self) -> "EntityMajor":
+        """The mention incidence read entity-major, each entry valued 1.0:
+        per entity, the sentences that mention it. ``retrieval`` gathers its
+        rows for the frontier gate and the supporting sentences, and its
+        product with the sentence mass is the candidate mass."""
+        return EntityMajor.of(
+            self.mention, grown_from=self._grown_from.pop("mention_by_entity", None)
+        )
 
     @cached_property
     def normalized_contain(self) -> "NormalizedContain":
         """The contain matrix scaled by the inverse square roots of both
         node degrees, which ``retrieval.ppr`` solves with."""
-        contain = self.contain
-        passage_degree = np.diff(contain.indptr)
-        sqrt_dp = np.sqrt(passage_degree.astype(np.float64))
-        sqrt_de = np.sqrt(contain.col_counts().astype(np.float64))
-        # Every node an entry touches has degree >= 1.
-        data = 1.0 / (np.repeat(sqrt_dp, passage_degree) * sqrt_de[contain.col_ids])
-        shape = (self.n_passages, self.n_entities)
-        matrix = sp.csr_matrix((data, contain.col_ids, contain.indptr), shape=shape)
-        # One transposition of the pattern, carrying each entry's position,
-        # gives B^T and the entity-major order of contain's entries.
-        transposed = sp.csr_matrix(
-            (np.arange(contain.nnz), contain.col_ids, contain.indptr), shape=shape
-        ).T.tocsr()
-        order = transposed.data
-        transposed.data = data[order]
-        log_occurrence = np.log1p(self.occurrence_counts)[order]
-        return NormalizedContain(matrix, transposed, sqrt_dp, sqrt_de, log_occurrence)
+        return NormalizedContain.of(
+            self.contain,
+            self.occurrence_counts,
+            self._grown_from.pop("normalized_contain", None),
+        )
+
+    def settle_operators(self) -> None:
+        """Called by ``retrieval.retrieve`` at the start of each query. Past
+        the first ``TAIL_QUERIES``, the query operators made so far hold no
+        tail: a graph read once or twice after an append reads the
+        operators it derived from its parent's, tail and all, but one read
+        more often pays less for one transposition than for scanning the
+        tail in every query. Folding leaves every product's bits as they
+        were."""
+        made = vars(self)
+        self._queries += 1
+        if self._queries > TAIL_QUERIES:
+            mention = made.get("mention_by_entity")
+            if mention is not None and len(mention.tail_rows):
+                made["mention_by_entity"] = EntityMajor.of(self.mention)
+            contain = made.get("normalized_contain")
+            if contain is not None and len(contain.by_entity.tail_rows):
+                made["normalized_contain"] = replace(
+                    contain, by_entity=EntityMajor.of(self.contain, contain.matrix.data)
+                )
+
+    def _operators(self) -> dict[str, Any]:
+        """Each query operator this graph has made, or else the one it would
+        derive its own from."""
+        made = vars(self)
+        return {
+            name: made[name] if name in made else self._grown_from[name]
+            for name in _OPERATORS
+            if name in made or name in self._grown_from
+        }
+
+
+def row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entry positions of ``rows`` of the CSR matrix with offsets
+    ``indptr``, row after row, and the length of each row."""
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    ends = np.cumsum(lengths)
+    positions = np.arange(ends[-1] if len(ends) else 0)
+    positions += np.repeat(starts - (ends - lengths), lengths)
+    return positions, lengths
+
+
+def _transposed(matrix: SparseBinaryMatrix) -> tuple[sp.csr_matrix, np.ndarray]:
+    """``matrix`` as a CSR matrix of the transposed shape, whose data are to
+    be filled, and the position in ``matrix`` of each of its entries: one
+    transposition of the pattern that carries each entry's position
+    (Gustavson, ACM TOMS 1978). Row ids ascend within each of its rows."""
+    part = sp.csr_matrix(
+        (np.arange(matrix.nnz), matrix.col_ids, matrix.indptr),
+        shape=(matrix.n_rows, matrix.n_cols),
+    ).T.tocsr()
+    positions = part.data
+    part.data = np.empty(len(positions))
+    return part, positions
+
+
+@dataclass(frozen=True)
+class EntityMajor:
+    """A row-major incidence (passages or sentences x entities) with a value
+    per entry, read entity-major: per entity, the rows that hold it,
+    ascending, with each entry's value and position in the row-major order.
+
+    It is held as a base and a tail. The base is a scipy CSR matrix
+    (entities x rows) of the entries of the rows below ``fold``, with the
+    row-major position of each of its entries. The tail is the entries of
+    the rows from ``fold`` on, left in row-major order: their rows, columns
+    (entities) and values, from position ``base.nnz`` of the row-major
+    arrays on. Rows added later have larger ids, so an entity's tail entries
+    follow its base entries, and in row-major order they come in ascending
+    row id: base then tail is each entity's whole row in order. Reading the
+    tail is a scan of it.
+
+    A grown graph's view shares the base pattern of the view it derives
+    from and takes the rows past ``fold`` as its tail, so it costs O(tail)
+    to make. Once the tail holds more than ``FOLD_FRACTION`` of the base's
+    entries, the whole incidence is transposed into a new base and the tail
+    starts empty: transpositions then cost amortised O(appended entries),
+    and a tail scan stays a fixed fraction of a base read, as in an
+    LSM-tree (O'Neil et al., Acta Informatica 1996).
+    """
+
+    base: sp.csr_matrix
+    base_positions: np.ndarray
+    tail_rows: np.ndarray
+    tail_cols: np.ndarray
+    tail_values: np.ndarray
+    fold: int
+
+    @classmethod
+    def of(
+        cls,
+        matrix: SparseBinaryMatrix,
+        values: np.ndarray | None = None,
+        grown_from: "EntityMajor | None" = None,
+        changed: np.ndarray | None = None,
+    ) -> "EntityMajor":
+        """``matrix`` read entity-major, with the row-major entry ``values``
+        (1.0 for all if None).
+
+        ``grown_from``, if given, is the view of a matrix whose rows and
+        entries are a prefix of ``matrix``'s, and ``changed`` the entities
+        whose values differ from those it holds; it is left unchanged."""
+        n_cols, n_rows = matrix.n_cols, matrix.n_rows
+        if grown_from is None or (
+            matrix.nnz - grown_from.base.nnz > FOLD_FRACTION * grown_from.base.nnz
+        ):
+            fold = n_rows
+            base, base_positions = _transposed(matrix)
+            base.data = np.ones(matrix.nnz) if values is None else values[base_positions]
+        else:
+            fold, old = grown_from.fold, grown_from.base
+            base_positions = grown_from.base_positions
+            data = old.data
+            if values is not None and len(changed):
+                # Entities new since then have no base entries.
+                at, _ = row_entries(old.indptr, changed[changed < old.shape[0]])
+                data = data.copy()
+                data[at] = values[base_positions[at]]
+            indptr = np.concatenate(
+                [old.indptr, np.full(n_cols - old.shape[0], old.indptr[-1])]
+            )
+            base = sp.csr_matrix((data, old.indices, indptr), shape=(n_cols, n_rows))
+        start = base.nnz
+        tail_values = np.ones(matrix.nnz - start) if values is None else values[start:]
+        return cls(
+            base,
+            base_positions,
+            matrix.rows_from(fold),
+            matrix.col_ids[start:],
+            tail_values,
+            fold,
+        )
+
+    def row_lengths(self) -> np.ndarray:
+        """The number of entries of each entity."""
+        n_cols = self.base.shape[0]
+        return np.diff(self.base.indptr) + np.bincount(self.tail_cols, minlength=n_cols)
+
+    def tail_entries(self, entities: np.ndarray) -> np.ndarray:
+        """The indices into the tail of the entries of ``entities``."""
+        wanted = np.zeros(self.base.shape[0], dtype=bool)
+        wanted[entities] = True
+        return np.flatnonzero(wanted[self.tail_cols])
+
+    def entries(
+        self, entities: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries of ``entities``' rows: the base's, entity by entity,
+        then the tail's, in row-major order. For each entry, its entity, its
+        row and its row-major position."""
+        at, lengths = row_entries(self.base.indptr, entities)
+        found = (np.repeat(entities, lengths), self.base.indices[at], self.base_positions[at])
+        if not len(self.tail_rows):
+            return found
+        at = self.tail_entries(entities)
+        tail = (self.tail_cols[at], self.tail_rows[at], self.base.nnz + at)
+        return tuple(np.concatenate(pair) for pair in zip(found, tail))
+
+    def dot(self, z: np.ndarray) -> np.ndarray:
+        """The product with ``z``, with the bits of a product with the whole
+        entity-major matrix as one CSR.
+
+        scipy's CSR product sums each row from +0.0 in the order of its
+        entries, each term the entry's value times ``z``. ``np.add.at``
+        then adds the tail's terms one by one in row-major order, which for
+        each entity is ascending row id, so each sum continues as it would
+        over the entity's whole row.
+        """
+        out = self.base @ z
+        if len(self.tail_rows):
+            np.add.at(out, self.tail_cols, self.tail_values * z[self.tail_rows])
+        return out
 
 
 @dataclass(frozen=True)
 class NormalizedContain:
     """B = D_p^-1/2 C D_e^-1/2 for the contain incidence C and the passage
-    and entity degrees D_p and D_e, B^T in its own CSR form (a product with
-    it runs faster than one with B read as CSC), the square roots of both
-    degree vectors (0 for a node of degree 0), and ``log1p`` of the mention
-    counts in B^T's entry order, which the passage seeds gather."""
+    and entity degrees D_p and D_e: ``matrix`` is B as CSR and ``by_entity``
+    B^T (C read entity-major with B's values), with the square roots of both
+    degree vectors and ``log1p`` of the mention counts, one per entry of C in
+    its row-major order, which the passage seeds gather. A product with the
+    base of B^T held as CSR runs faster than one with B read as CSC (0.05 ms
+    against 0.09 ms at 12000 passages, one BLAS thread, on a shared 2-vCPU
+    VM).
+
+    A grown graph's operator copies the value arrays (B's values, and the
+    base values of B^T where they change) of the one it derives from and
+    computes only the values that change: an appended entry changes its
+    entity's degree, so every entry of that entity takes a new value, and
+    the appended entries add their own. Each value comes from one formula,
+    so it has the same bits however the graph was made. These copies, and
+    B's index arrays, which scipy converts from the graph's, are the one
+    O(corpus) step left in making a grown graph's operators.
+    """
 
     matrix: sp.csr_matrix  # passages x entities
-    transposed: sp.csr_matrix  # entities x passages
+    by_entity: EntityMajor
     sqrt_passage_degree: np.ndarray
     sqrt_entity_degree: np.ndarray
     log_occurrence: np.ndarray
+
+    @classmethod
+    def of(
+        cls,
+        contain: SparseBinaryMatrix,
+        counts: np.ndarray,
+        grown_from: "NormalizedContain | None" = None,
+    ) -> "NormalizedContain":
+        """The operator of ``contain`` and its mention ``counts``.
+        ``grown_from``, if given, is that of a graph ``contain`` grew from;
+        it is left unchanged."""
+        n_e = contain.n_cols
+        old = grown_from.matrix if grown_from else sp.csr_matrix((0, 0))
+        n_kept, (old_passages, old_entities) = old.nnz, old.shape
+        old_degree = np.zeros(n_e, dtype=np.int64)
+        if grown_from:
+            old_degree[:old_entities] = grown_from.by_entity.row_lengths()
+        appended = contain.col_ids[n_kept:]
+        entity_degree = old_degree + np.bincount(appended, minlength=n_e)
+        passage_degree = np.diff(contain.indptr)
+        sqrt_dp = np.sqrt(passage_degree.astype(np.float64))
+        sqrt_de = np.sqrt(entity_degree.astype(np.float64))
+
+        # Every node an entry touches has degree >= 1.
+        data = np.concatenate([old.data, np.empty(len(appended))])
+        changed = np.flatnonzero(entity_degree != old_degree)
+        if grown_from:
+            entities, passages, positions = grown_from.by_entity.entries(
+                changed[changed < old_entities]
+            )
+            data[positions] = 1.0 / (sqrt_dp[passages] * sqrt_de[entities])
+        data[n_kept:] = 1.0 / (
+            sqrt_dp[contain.rows_from(old_passages)] * sqrt_de[appended]
+        )
+        kept_log = grown_from.log_occurrence if grown_from else np.empty(0)
+        log_occurrence = np.concatenate([kept_log, np.log1p(counts[n_kept:])])
+
+        matrix = sp.csr_matrix(
+            (data, contain.col_ids, contain.indptr), shape=(contain.n_rows, n_e)
+        )
+        by_entity = EntityMajor.of(
+            contain, data, grown_from and grown_from.by_entity, changed
+        )
+        return cls(matrix, by_entity, sqrt_dp, sqrt_de, log_occurrence)
 
 
 def graph_equal(a: TriGraph, b: TriGraph) -> bool:
@@ -315,6 +544,10 @@ def add_passages(graph: TriGraph, new_slice: Corpus) -> TriGraph:
     sentence table among them), its passage tuple and its entity registry
     are copied into the result, so ``graph`` is never changed
     (``tools/append_scaling.py`` times this call at several corpus sizes).
+    The query operators the result makes on first use are derived from
+    those ``graph`` has made, or else from those it would derive its own
+    from, with no new transposition of a whole incidence until a tail
+    passes ``FOLD_FRACTION`` (see ``EntityMajor``).
 
     The slice's passage and sentence ids must continue the graph's dense id
     ranges. The result equals a full rebuild over the concatenated corpus.
@@ -341,7 +574,9 @@ def add_passages(graph: TriGraph, new_slice: Corpus) -> TriGraph:
         ),
         skipped=graph.corpus.skipped + new_slice.skipped,
     )
-    return _grow(graph, new_slice, merged_corpus)
+    grown = _grow(graph, new_slice, merged_corpus)
+    grown._grown_from = graph._operators()
+    return grown
 
 
 def _empty_graph(contract: ExtractorContract) -> TriGraph:

@@ -1,14 +1,18 @@
 """The per-graph query operators against scalar transcriptions and oracles.
 
 ``propagate``, ``passage_seed_scores`` and ``ppr`` run over arrays and
-sparse operators that a ``TriGraph`` builds once, on first use. These tests
-check them on small random tri-graphs against element-by-element loops
-(``np.maximum.at``, ``np.add.at`` and a dict walk over the mention entries)
-and against the dense PPR fixed point, and check that a graph's caches
-never leak into the graph ``add_passages`` returns.
+sparse operators that a ``TriGraph`` makes once, on first use, or derives
+from those of the graph it grew from. These tests check them on small
+random tri-graphs against element-by-element loops (``np.maximum.at``,
+``np.add.at`` and a dict walk over the mention entries) and against the
+dense PPR fixed point; check that a grown graph's operators give the bits of
+a fresh build's and never change those of the graph it grew from; and check
+the lazily scored sentence similarities and the top-k selection against the
+full scan and the full sort.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,13 +22,17 @@ from hypothesis import strategies as st
 from linearrag.corpus import Corpus, Passage
 from linearrag.embedding import HashEncoder, build_store, extend_store
 from linearrag.evalbench import generate_synthetic_corpus
+from linearrag import retrieval, trigraph
 from linearrag.retrieval import (
     ActivationState,
     EntityLevel,
     RetrievalConfig,
     _best_sentences,
     _frontier_gate,
+    _row_similarities,
     _similarities,
+    _top_k,
+    initial_activation,
     passage_seed_scores,
     ppr,
     propagate,
@@ -147,13 +155,14 @@ def test_gate_mass_and_best_sentence_equal_scalar_code(graph_rng, data):
     assert np.array_equal(gate, scalar_gate(graph, state.a, state.frontier))
 
     u = state.sigma * gate
+    n_e = graph.n_entities
     op = graph.mention_by_entity
-    assert same_bits(op @ u, scalar_candidates(graph, u))
+    assert same_bits(op.dot(u), scalar_candidates(graph, u))
     # Continuous masses round differently in every summation order.
     noise = rng.standard_normal(graph.n_sentences)
-    assert same_bits(op @ noise, scalar_candidates(graph, noise))
+    assert same_bits(op.dot(noise), scalar_candidates(graph, noise))
 
-    changed = rng.random(graph.n_entities) < 0.6
+    changed = rng.random(n_e) < 0.6
     entities = np.flatnonzero(changed)
     best = scalar_best_sentence(graph, u, changed)
     assert _best_sentences(op, u, entities).tolist() == [
@@ -187,14 +196,14 @@ def test_propagate_leaves_its_input_state_unchanged(graph_rng, delta):
 @given(random_graphs())
 def test_log_occurrence_follows_entity_major_contain_entries(graph_rng):
     graph, _ = graph_rng
-    log_occurrence = graph.normalized_contain.log_occurrence
-    op = graph.normalized_contain.transposed
-    assert len(log_occurrence) == op.nnz == graph.contain.nnz
+    op = graph.normalized_contain
+    log_occurrence = op.log_occurrence
+    entities, passages, positions = op.by_entity.entries(np.arange(graph.n_entities))
+    assert len(log_occurrence) == len(positions) == graph.contain.nnz
+    at = {(p, e): pos for e, p, pos in zip(entities, passages, positions)}
     counts = graph.occurrence_counts.tolist()
     for (p, e), count in zip(graph.contain.pairs(), counts):
-        row = op.indices[op.indptr[e] : op.indptr[e + 1]]
-        (position,) = op.indptr[e] + np.flatnonzero(row == p)
-        assert log_occurrence[position] == np.log1p(count)
+        assert log_occurrence[at[p, e]] == np.log1p(count)
 
 
 @PROPERTY_SETTINGS
@@ -331,7 +340,7 @@ def test_frontier_entities_without_mentions(frontier):
     """Entities 2 and 3 have empty operator rows, one in the middle and one
     at the end of the operator."""
     graph = mention_graph(3, 4, [(0, 0), (0, 1), (1, 1), (2, 0)])
-    assert np.diff(graph.mention_by_entity.indptr).tolist() == [2, 2, 0, 0]
+    assert graph.mention_by_entity.row_lengths().tolist() == [2, 2, 0, 0]
     state = ActivationState(
         a=np.array([0.5, 0.25, 1.0, 1.0]),
         sigma=np.array([0.5, 0.25, 0.5]),
@@ -413,3 +422,222 @@ def test_append_after_queries_does_not_reuse_stale_operators():
             q, rebuilt, rebuilt_store, cfg
         )
     assert [retrieve(q, graph, store, cfg) for q in questions] == before
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 320),
+    st.integers(0, 3),
+    st.sampled_from([7, 8, 256]),
+    st.sampled_from([1, 2, 3, 5, 513]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_gathered_similarities_equal_the_full_scan(
+    quads, remainder, dim, size, with_last_rows, seed
+):
+    """Any ascending set of rows, the matrix's last ``n % 4`` rows among
+    them or not, scores with the bits of ``_similarities``' full scan."""
+    n_rows = max(4 * quads + remainder, 1)
+    rng = np.random.default_rng(seed)
+    vectors = rng.standard_normal((n_rows, dim)).astype(np.float32)
+    query_vec = rng.standard_normal(dim)
+    rows = rng.choice(n_rows, size=min(size, n_rows), replace=False)
+    if with_last_rows:
+        rows = np.concatenate([rows, np.arange(n_rows - n_rows % 4, n_rows)])
+    rows = np.unique(rows)
+    assert same_bits(
+        _row_similarities(vectors, query_vec, rows),
+        _similarities(vectors, query_vec)[rows],
+    )
+
+
+SCORES = st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 3.0, math.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(SCORES, max_size=40), st.integers(1, 45))
+def test_top_k_equals_the_full_sort(values, k):
+    """Ties (+0.0 and -0.0 among them), NaN and k at or past the number of
+    scores rank as the full ``lexsort`` ranks them."""
+    scores = np.array(values, dtype=np.float64)
+    expected = np.lexsort((np.arange(len(scores)), -scores))[:k]
+    assert _top_k(scores, k).tolist() == expected.tolist()
+
+
+def entity_query(graph, rng) -> str:
+    """A query naming a few of the graph's entities among other words."""
+    names = [r.surfaces[0] for r in graph.entity_registry.records] or ["nobody"]
+    picked = rng.choice(names, size=int(rng.integers(1, 4))).tolist()
+    return " ".join([*picked, "met", "nobody"])
+
+
+@PROPERTY_SETTINGS
+@given(
+    random_graphs(),
+    st.sampled_from([0.0, 0.05, 0.3]),
+    st.sampled_from([(0.0, 0.0), (0.02, 0.4), (1.0, 1.0)]),
+    st.integers(1, 4),
+)
+def test_lazily_scored_hops_equal_the_scalar_oracle_on_dense_sigma(
+    graph_rng, delta, crossovers, max_hops
+):
+    """A state from ``initial_activation``, whose hops score sigma as they
+    gate it (always by a full scan, always by gathered rows, or by the
+    crossovers between), propagates to the activations, frontier and trace
+    the scalar oracle gives on the dense sigma; every row it scores holds the
+    full scan's bits."""
+    graph, rng = graph_rng
+    store = build_store(graph, HashEncoder(dim=16, seed=int(rng.integers(0, 100))))
+    cfg = RetrievalConfig(entity_sim_threshold=0.1, delta=delta, max_hops=max_hops)
+    crossover, last_hop = crossovers
+    with mock.patch.object(retrieval, "SIGMA_CROSSOVER", crossover), mock.patch.object(
+        retrieval, "LAST_HOP_SCAN", last_hop
+    ):
+        state = initial_activation(entity_query(graph, rng), graph, store, cfg)
+        dense = _similarities(store.sentence_vectors, state.query_vec)
+        assert not state.scored.any()
+        while state.frontier and state.hop < cfg.max_hops:
+            oracle = ActivationState(
+                a=state.a,
+                sigma=dense,
+                hop=state.hop,
+                frontier=state.frontier,
+                trace=state.trace,
+                query_vec=state.query_vec,
+            )
+            a_new, frontier, trace = scalar_propagate(oracle, graph, cfg)
+            advanced = propagate(state, graph, cfg)
+            assert same_bits(advanced.a, a_new)
+            assert advanced.frontier == frontier
+            assert trace_dict(advanced.trace) == trace
+            assert same_bits(state.sigma[state.scored], dense[state.scored])
+            state = advanced
+
+
+def operator_arrays(graph) -> list[np.ndarray]:
+    """Every array of the query operators ``graph`` has made."""
+    arrays = []
+    for name in ("mention_by_entity", "normalized_contain"):
+        op = vars(graph).get(name)
+        if op is None:
+            continue
+        views = [op] if name == "mention_by_entity" else [op.by_entity]
+        if name == "normalized_contain":
+            arrays += [
+                op.matrix.data,
+                op.matrix.indices,
+                op.matrix.indptr,
+                op.sqrt_passage_degree,
+                op.sqrt_entity_degree,
+                op.log_occurrence,
+            ]
+        for view in views:
+            arrays += [
+                view.base.data,
+                view.base.indices,
+                view.base.indptr,
+                view.base_positions,
+                view.tail_rows,
+                view.tail_cols,
+                view.tail_values,
+            ]
+    return arrays
+
+
+def assert_operators_equal_a_fresh_build(grown, fresh, rng):
+    for name in ("mention_by_entity", "normalized_contain"):
+        mine, theirs = getattr(grown, name), getattr(fresh, name)
+        view = mine if name == "mention_by_entity" else mine.by_entity
+        fresh_view = theirs if name == "mention_by_entity" else theirs.by_entity
+        n_rows = view.base.shape[1]
+        z = rng.standard_normal(n_rows)
+        assert same_bits(view.dot(z), fresh_view.dot(z))
+        everyone = np.arange(grown.n_entities)
+        assert sorted(zip(*(a.tolist() for a in view.entries(everyone)))) == sorted(
+            zip(*(a.tolist() for a in fresh_view.entries(everyone)))
+        )
+        assert np.array_equal(view.row_lengths(), fresh_view.row_lengths())
+    mine, theirs = grown.normalized_contain, fresh.normalized_contain
+    v = rng.standard_normal(grown.n_entities)
+    assert same_bits(mine.matrix @ v, theirs.matrix @ v)
+    for field in ("sqrt_passage_degree", "sqrt_entity_degree", "log_occurrence"):
+        assert same_bits(getattr(mine, field), getattr(theirs, field))
+    assert same_bits(mine.matrix.data, theirs.matrix.data)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(1, 3), st.booleans()), min_size=1, max_size=6),
+    st.sampled_from([0.0, trigraph.FOLD_FRACTION, 100.0]),
+)
+def test_grown_operators_equal_a_fresh_build_and_leave_the_parent_intact(
+    seed, steps, fold_fraction
+):
+    """A chain of appends, each graph queried or not before its child is
+    made: each graph's operators give the bits of a fresh build's, and its
+    rankings are a fresh build's; making and querying a child changes no
+    array of its parent's operators. A fold fraction of 0 folds at every
+    append, 100 never."""
+    rng = np.random.default_rng(seed)
+    whole = random_entity_corpus(
+        rng, n_passages=sum(n for n, _ in steps) + 4, pool_size=int(rng.integers(2, 9))
+    )
+    encoder = HashEncoder(dim=16, seed=3)
+    cfg = RetrievalConfig(entity_sim_threshold=0.1, delta=0.05)
+    with mock.patch.object(trigraph, "FOLD_FRACTION", fold_fraction):
+        graph = build(make_slice(whole, 0, 4))
+        store = build_store(graph, encoder)
+        stop = 4
+        for n_new, queried in steps:
+            query = entity_query(graph, rng)
+            if queried:
+                retrieve(query, graph, store, cfg)
+            before = [a.copy() for a in operator_arrays(graph)]
+            grown = add_passages(graph, make_slice(whole, stop, stop + n_new))
+            grown_store = extend_store(store, grown)
+            stop += n_new
+            fresh = build(make_slice(whole, 0, stop))
+            fresh_store = build_store(fresh, encoder)
+            assert retrieve(query, grown, grown_store, cfg) == retrieve(
+                query, fresh, fresh_store, cfg
+            )
+            assert_operators_equal_a_fresh_build(grown, fresh, rng)
+            after = operator_arrays(graph)
+            assert len(after) == len(before)
+            for now, then in zip(after, before):
+                assert same_bits(now, then)
+            graph, store = grown, grown_store
+
+
+def test_a_graph_asked_often_folds_its_tails_and_keeps_its_answers():
+    whole, examples = generate_synthetic_corpus(
+        n_passages=60, avg_sentences=3, entity_pool=30, seed=11, n_chains=4
+    )
+    cfg = RetrievalConfig(delta=0.01)
+    encoder = HashEncoder(dim=64, seed=2)
+    questions = [example.question for example in examples]
+    graph = build(make_slice(whole, 0, 58))
+    store = build_store(graph, encoder)
+    for q in questions:
+        retrieve(q, graph, store, cfg)
+    # Two passages: a tail under FOLD_FRACTION of the base.
+    grown = add_passages(graph, make_slice(whole, 58, 60))
+    grown_store = extend_store(store, grown)
+    rebuilt = build(whole)
+    rebuilt_store = build_store(rebuilt, encoder)
+
+    tails = []
+    for q in questions * 2:
+        assert retrieve(q, grown, grown_store, cfg) == retrieve(
+            q, rebuilt, rebuilt_store, cfg
+        )
+        tails.append(
+            (
+                len(grown.mention_by_entity.tail_rows),
+                len(grown.normalized_contain.by_entity.tail_rows),
+            )
+        )
+    assert all(t > 0 for pair in tails[: trigraph.TAIL_QUERIES] for t in pair)
+    assert all(t == 0 for pair in tails[trigraph.TAIL_QUERIES :] for t in pair)

@@ -13,6 +13,7 @@ from linearrag.retrieval import (
     ActivationState,
     EntityLevel,
     RetrievalConfig,
+    _similarities,
     activate,
     dense_ranking,
     initial_activation,
@@ -140,9 +141,16 @@ class TestInitialActivation:
             sim = float(np.dot(store.entity_vectors[eid].astype(np.float64), q))
             expected = sim if sim > cfg.entity_sim_threshold else 0.0
             assert state.a[eid] == pytest.approx(expected, abs=1e-9)
+        # No sentence is scored before a hop gates it; the hops then score
+        # the same values as the full scan.
+        assert not state.scored.any()
+        sigma = _similarities(store.sentence_vectors, q)
         for sid in range(graph.n_sentences):
             sim = float(np.dot(store.sentence_vectors[sid].astype(np.float64), q))
-            assert state.sigma[sid] == pytest.approx(sim, abs=1e-9)
+            assert sigma[sid] == pytest.approx(sim, abs=1e-9)
+        final = activate(query, graph, store, replace(cfg, delta=0.0))
+        assert final.scored.any()
+        assert np.array_equal(final.sigma[final.scored], sigma[final.scored])
 
 
 CHAIN_TEXTS = [
@@ -202,7 +210,9 @@ class TestPropagate:
         state = initial_activation("karo", graph, store, cfg)
         assert state.frontier == {ids["karo"]}
         after = propagate(state, graph, cfg)
-        expected = state.sigma[0] * state.a[ids["karo"]]
+        sigma = _similarities(store.sentence_vectors, state.query_vec)
+        assert after.sigma[0] == sigma[0]
+        expected = sigma[0] * state.a[ids["karo"]]
         assert after.a[ids["lumen"]] == pytest.approx(expected, rel=1e-12)
 
     def test_empty_frontier_is_noop(self):
@@ -695,6 +705,8 @@ class TestQueryStats:
         assert stats.ppr_steps >= 1
         assert stats.ppr_residual_l1 < cfg.ppr_tol
         assert stats.ppr_converged is True
+        scored = activate(example.question, graph, store, cfg).scored
+        assert 0 < stats.sentences_scored == np.count_nonzero(scored)
 
     def test_solve_stopped_at_the_cap_not_converged(self, chain_fixture):
         graph, store, example = chain_fixture
@@ -716,6 +728,7 @@ class TestQueryStats:
         assert stats.ppr_steps is None
         assert stats.ppr_residual_l1 is None
         assert stats.ppr_converged is None
+        assert stats.sentences_scored == 0
 
     def test_steps_are_the_fewest_at_which_ppr_logs_no_warning(
         self, chain_fixture, caplog

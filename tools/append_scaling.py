@@ -7,10 +7,11 @@ does, then runs ``APPENDS`` appends of the benchmark's four-passage slices
 slice's new entity. It reports the median time of each stage of an append -
 ``corpus_from_records``, ``add_passages``, ``extend_store``, ``save``,
 ``save_store`` - of the whole append, of the first ``retrieve`` after it
-(which builds the grown graph's query operators) and of the same query
-asked again (operators cached), with the median time of each of those two
-queries' stages as ``retrieve``'s ``QueryStats`` reports them, so that the
-stage paying the operator rebuild shows. It checks that the grown index
+(which derives the grown graph's query operators from its parent's) and of
+the same query asked again (operators cached, their tails not yet folded),
+with the median time of each of those two queries' stages as ``retrieve``'s
+``QueryStats`` reports them, so that the stage paying for the operators
+shows. It checks that the grown index
 equals a rebuild of the concatenated corpus, in memory and on disk. Run
 from the root of a checkout:
 

@@ -7,9 +7,11 @@ append slices (``benchmark.inputs.make_slice``) with the slices not
 appended, so that the entity each names is missing and most fall back to
 dense ranking; ``ROUNDS`` times each. It reports the median over questions
 of each stage's time as ``retrieve``'s stats give it, and of the whole
-``retrieve`` call (a question's time is its median over the rounds), with
-graph-path and fallback questions reported apart, and exits 1 if any
-answer's stages are not exactly ``GRAPH_STAGES`` or ``FALLBACK_STAGES``.
+``retrieve`` call (a question's time is its median over the rounds), and
+the median share of the sentences whose query similarity a question scored
+(``QueryStats.sentences_scored``), with graph-path and fallback questions
+reported apart. It exits 1 if any answer's stages are not exactly
+``GRAPH_STAGES`` or ``FALLBACK_STAGES``.
 Run from the root of a checkout:
 
     python3 tools/query_stages.py --passages 3000 12000 --out result.json
@@ -61,7 +63,7 @@ def measure(n_passages: int) -> dict:
         retrieve(question, graph, store, CFG)
 
     times = {question: [] for question in questions}
-    graph_path = {}
+    graph_path, scored_share = {}, {}
     stages_as_expected = True
     for _ in range(ROUNDS):
         for question in questions:
@@ -69,6 +71,7 @@ def measure(n_passages: int) -> dict:
             ranked = retrieve(question, graph, store, CFG)
             elapsed = (time.perf_counter() - tick) * 1e3
             graph_path[question] = not ranked.fallback_used
+            scored_share[question] = ranked.stats.sentences_scored / graph.n_sentences
             ms = ranked.stats.stage_ms
             expected = GRAPH_STAGES if graph_path[question] else FALLBACK_STAGES
             stages_as_expected &= tuple(ms) == expected
@@ -79,6 +82,11 @@ def measure(n_passages: int) -> dict:
         asked = [q for q in questions if graph_path[q] == on_graph_path]
         return {
             "questions": len(asked),
+            "median_scored_share": round(
+                statistics.median(scored_share[q] for q in asked), 5
+            )
+            if asked
+            else None,
             "median_ms": {
                 stage: round(
                     statistics.median(
