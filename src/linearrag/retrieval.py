@@ -9,14 +9,15 @@ exceeds the pruning threshold, and folds them in with an elementwise MAX,
 so activations only ever grow. Propagation stops when no candidate
 survives pruning or the hop cap is reached. One entity-major view of the
 mention incidence (``TriGraph.mention_by_entity``) serves all three steps:
-the gate gathers the frontier entities' rows, the candidate mass is its
-product with the gated sentence mass, and the trace (one row per entity)
-records, for each entity a hop first activates, the sentence of its row
-holding the most mass (found by a segmented max over the gathered rows,
-with no sort). A hop scores the query similarity of only the sentences it
-gates, each the first time it is gated, until more than a share
-``SIGMA_CROSSOVER`` of all sentences would be scored; then it scores them
-all in one scan (the last hop: see ``LAST_HOP_SCAN``).
+the gate is a max over the frontier entities' entries
+(``EntityMajor.row_max``), the candidate mass is the view's product with
+the gated sentence mass, and the trace (one row per entity) records, for
+each entity a hop first activates, the sentence of its entries holding the
+most mass (``EntityMajor.best_rows``, with no sort). How the view is laid
+out is ``trigraph``'s concern alone. A hop scores the query similarity of
+only the sentences it gates, each the first time it is gated, until the
+sentences scored, weighted by the hops that may follow, would pass a share
+``SIGMA_CROSSOVER`` of all sentences; then it scores them all in one scan.
 
 Stage 2 ranks passages: activated entities and a hybrid passage seed (a
 small query-similarity term plus a log-damped sum of activated-entity
@@ -52,7 +53,7 @@ import numpy as np
 
 from .embedding import EmbeddingStore
 from .errors import ConfigError, EmptySeedError
-from .trigraph import EntityMajor, TriGraph, row_entries
+from .trigraph import TriGraph
 
 logger = logging.getLogger(__name__)
 
@@ -68,14 +69,20 @@ _NUMBER_KINDS = {
 # Rows cast to float64 at a time when scoring a float32 vector matrix.
 _BLOCK_ROWS = 512
 
-# A query scores the sentences its hops gate, row by row, until that would
-# take the share of scored sentences past SIGMA_CROSSOVER; then it scores
-# all of them in one scan, which costs less per row than a gather. The last
-# hop ``max_hops`` allows leaves no later hop to use a scan, so it scans
-# only when it gates more than LAST_HOP_SCAN of the sentences not yet
-# scored, about where gathering them costs as much as a scan.
-SIGMA_CROSSOVER = 0.075
-LAST_HOP_SCAN = 0.4
+# A query scores the sentences its hops gate, row by row, until a hop finds
+# that the rows scored so far, its own included, times one more than the
+# hops that may follow it, pass SIGMA_CROSSOVER of the sentences; then it
+# scores all of them in one scan, which costs less per row than a gather
+# (about half, one BLAS thread on a shared 2-vCPU VM). A query's gated set
+# grows about geometrically from hop to hop (3000 passages: under 1%, then
+# 5-15%, then 20-60% of the sentences), so rows gathered while hops remain
+# are likely to be scanned again; the factor scans those early, and a last
+# hop gathers unless it gates a fifth of the sentences. In a sweep of the
+# graph-path initial_activation + propagate time (benchmark corpus, each
+# question asked at each value in turn), 0.075 to 0.2 read alike at 3000
+# passages and 0.3 had a 10% higher p90; at 12000, 0.075 and 0.1 scanned
+# for the median question (8.8-9.1 ms), 0.2 did not (4.0 ms).
+SIGMA_CROSSOVER = 0.2
 
 
 @dataclass(frozen=True)
@@ -172,14 +179,13 @@ class ActivationState:
     each entity's first activation hop and best supporting sentence; -1 in
     both for an entity never activated, and sentence -1 for a hop-0 seed.
 
-    ``sigma`` has one row per sentence. With ``scored`` None, every row
-    holds its value. ``initial_activation`` scores no row: its ``scored``
-    marks the rows that hold values, and the others hold 0.0, which a hop
-    reads only where its gate is 0, so that the row's mass is 0 whatever
-    its similarity. Each hop scores the sentences it gates that are not
-    scored yet, from ``sentence_vectors``, and writes them into ``sigma`` and
-    ``scored`` in place; so the states of one query share the two arrays,
-    and a row, once written, never changes.
+    ``sigma`` has one row per sentence, and only the rows ``scored`` marks
+    hold their similarity; the others hold 0.0 and are never read.
+    ``initial_activation`` scores no row. Each hop scores the sentences it
+    gates that are not scored yet, from ``sentence_vectors``, and writes
+    them into ``sigma`` and ``scored`` in place; so the states of one query
+    share the two arrays, and a row, once written, never changes. A state
+    whose ``scored`` marks every row needs no ``sentence_vectors``.
 
     An entity's best supporting sentence is, among the sentences that
     mention it, the one whose gated mass (sigma times the frontier gate)
@@ -194,7 +200,7 @@ class ActivationState:
     frontier: frozenset[int]
     trace: np.ndarray
     query_vec: np.ndarray
-    scored: np.ndarray | None = None
+    scored: np.ndarray
     sentence_vectors: np.ndarray | None = None
 
     def activated_entities(self) -> np.ndarray:
@@ -310,23 +316,17 @@ def _row_similarities(
 
 
 def _score_sentences(
-    state: ActivationState, rows: np.ndarray, last_hop: bool
+    state: ActivationState, rows: np.ndarray, hops_after: int
 ) -> None:
     """Score the sentences of the mask ``rows`` that ``state`` has not
-    scored yet, for the last hop or not (see ``ActivationState`` and
-    ``SIGMA_CROSSOVER``)."""
+    scored yet, for a hop that up to ``hops_after`` more may follow (see
+    ``ActivationState`` and ``SIGMA_CROSSOVER``)."""
     scored = state.scored
-    if scored is None:
-        return
     missing = rows & ~scored
     n_missing, n_scored = np.count_nonzero(missing), np.count_nonzero(scored)
     if not n_missing:
         return
-    if last_hop:
-        scan = n_missing > LAST_HOP_SCAN * (len(scored) - n_scored)
-    else:
-        scan = n_scored + n_missing > SIGMA_CROSSOVER * len(scored)
-    if scan:
+    if (n_scored + n_missing) * (1 + hops_after) > SIGMA_CROSSOVER * len(scored):
         _similarities(state.sentence_vectors, state.query_vec, out=state.sigma)
         scored[:] = True
     else:
@@ -376,7 +376,7 @@ def propagate(
         return state
     op = graph.mention_by_entity
     gate = _frontier_gate(graph, state.a, state.frontier)
-    _score_sentences(state, gate > 0.0, state.hop + 1 >= cfg.max_hops)
+    _score_sentences(state, gate > 0.0, cfg.max_hops - state.hop - 1)
     u = state.sigma * gate
     candidates = op.dot(u)
 
@@ -389,7 +389,7 @@ def propagate(
     entering = changed[trace[changed, 0] < 0]
     if len(entering):
         trace[entering, 0] = hop
-        trace[entering, 1] = _best_sentences(op, u, entering)
+        trace[entering, 1] = op.best_rows(u, entering)
     return ActivationState(
         a=a_new,
         sigma=state.sigma,
@@ -407,59 +407,8 @@ def _frontier_gate(
 ) -> np.ndarray:
     """Per sentence, the highest activation (floored at 0) among the
     frontier entities it mentions; 0 where it mentions none."""
-    op = graph.mention_by_entity
     entities = np.fromiter(frontier, dtype=np.intp, count=len(frontier))
-    values = np.maximum(a, 0.0)
-    positions, lengths = row_entries(op.base.indptr, entities)
-    gate = np.zeros(graph.n_sentences, dtype=np.float64)
-    np.maximum.at(
-        gate, op.base.indices[positions], np.repeat(values[entities], lengths)
-    )
-    if len(op.tail_rows):
-        at = op.tail_entries(entities)
-        np.maximum.at(gate, op.tail_rows[at], values[op.tail_cols[at]])
-    return gate
-
-
-def _best_sentences(op: EntityMajor, u: np.ndarray, entities: np.ndarray) -> np.ndarray:
-    """For each of ``entities`` (ascending, distinct), the sentence of its
-    row of the entity-major mention view ``op`` with the highest mass ``u``,
-    or -1 where the row is empty; ties go to the lowest sentence id.
-
-    In the base, a segmented reduction over the gathered rows:
-    ``np.maximum.reduceat`` takes each row's highest mass, then
-    ``np.minimum.reduceat`` over entry positions picks the first entry that
-    reaches it; sentence ids ascend within a row, so the first is the
-    lowest. Every tail sentence follows every base sentence, so the tail's
-    pick, by ``np.maximum.at`` and ``np.minimum.at`` over the entities'
-    tail entries, replaces the base's only on a strictly higher mass.
-    """
-    indptr, sentences = op.base.indptr, op.base.indices
-    filled = indptr[entities + 1] > indptr[entities]
-    positions, lengths = row_entries(indptr, entities[filled])
-    mass = u[sentences[positions]]
-    starts = np.cumsum(lengths) - lengths
-    highest = np.maximum.reduceat(mass, starts)
-    reached = mass == np.repeat(highest, lengths)
-    first = np.minimum.reduceat(
-        np.where(reached, np.arange(len(mass)), len(mass)), starts
-    )
-    best = np.full(len(entities), -1, dtype=np.int64)
-    best[filled] = sentences[positions[first]]
-    if len(op.tail_rows):
-        top = np.full(len(entities), -np.inf)
-        top[filled] = highest
-        at = op.tail_entries(entities)
-        slot = np.searchsorted(entities, op.tail_cols[at])
-        sentences, mass = op.tail_rows[at], u[op.tail_rows[at]]
-        tail_top = np.full(len(entities), -np.inf)
-        np.maximum.at(tail_top, slot, mass)
-        reached = mass == tail_top[slot]
-        tail_best = np.full(len(entities), np.iinfo(np.int64).max)
-        np.minimum.at(tail_best, slot[reached], sentences[reached])
-        higher = tail_top > top
-        best[higher] = tail_best[higher]
-    return best
+    return graph.mention_by_entity.row_max(entities, np.maximum(a[entities], 0.0))
 
 
 def activate(

@@ -97,9 +97,6 @@ _INT64 = np.dtype("<i8")
 # rows grown since its base was made hold more than this share of the
 # base's entries (see ``EntityMajor``).
 FOLD_FRACTION = 0.0625
-# The queries a graph answers with its operators' tails before it folds
-# them (see ``TriGraph.settle_operators``).
-TAIL_QUERIES = 2
 # The cached query operators a grown graph derives from its ancestor's.
 _OPERATORS = ("mention_by_entity", "normalized_contain")
 
@@ -224,8 +221,6 @@ class TriGraph:
     # ancestor that made them; ``add_passages`` fills it, and making an
     # operator from its entry drops the entry.
     _grown_from: dict[str, Any] = field(default_factory=dict, init=False, repr=False)
-    # The queries this graph has answered through ``retrieval.retrieve``.
-    _queries: int = field(default=0, init=False, repr=False)
 
     @property
     def corpus_digest(self) -> str:
@@ -246,9 +241,9 @@ class TriGraph:
     @cached_property
     def mention_by_entity(self) -> "EntityMajor":
         """The mention incidence read entity-major, each entry valued 1.0:
-        per entity, the sentences that mention it. ``retrieval`` gathers its
-        rows for the frontier gate and the supporting sentences, and its
-        product with the sentence mass is the candidate mass."""
+        per entity, the sentences that mention it. ``retrieval`` reads it
+        for each hop's frontier gate, candidate mass and supporting
+        sentences."""
         return EntityMajor.of(
             self.mention, grown_from=self._grown_from.pop("mention_by_entity", None)
         )
@@ -264,24 +259,25 @@ class TriGraph:
         )
 
     def settle_operators(self) -> None:
-        """Called by ``retrieval.retrieve`` at the start of each query. Past
-        the first ``TAIL_QUERIES``, the query operators made so far hold no
-        tail: a graph read once or twice after an append reads the
-        operators it derived from its parent's, tail and all, but one read
-        more often pays less for one transposition than for scanning the
-        tail in every query. Folding leaves every product's bits as they
-        were."""
+        """Fold the tails of the query operators this graph has made.
+
+        ``retrieval.retrieve`` calls it as each query starts. A graph's first
+        query makes its operators, and a grown graph derives them with
+        tails (see ``EntityMajor``); its second query finds them made and
+        folds them. At 3000 passages (one BLAS thread, a shared 2-vCPU VM)
+        the tails cost a graph-path query about 0.3 ms, whatever their
+        length from 60 to 600 entries, and folding both costs about 0.4 ms,
+        so a graph read twice pays about as much for its tails as for a
+        fold. Folding leaves every product's bits as they were."""
         made = vars(self)
-        self._queries += 1
-        if self._queries > TAIL_QUERIES:
-            mention = made.get("mention_by_entity")
-            if mention is not None and len(mention.tail_rows):
-                made["mention_by_entity"] = EntityMajor.of(self.mention)
-            contain = made.get("normalized_contain")
-            if contain is not None and len(contain.by_entity.tail_rows):
-                made["normalized_contain"] = replace(
-                    contain, by_entity=EntityMajor.of(self.contain, contain.matrix.data)
-                )
+        mention = made.get("mention_by_entity")
+        if mention is not None and len(mention.tail_rows):
+            made["mention_by_entity"] = EntityMajor.of(self.mention)
+        contain = made.get("normalized_contain")
+        if contain is not None and len(contain.by_entity.tail_rows):
+            made["normalized_contain"] = replace(
+                contain, by_entity=EntityMajor.of(self.contain, contain.matrix.data)
+            )
 
     def _operators(self) -> dict[str, Any]:
         """Each query operator this graph has made, or else the one it would
@@ -294,7 +290,7 @@ class TriGraph:
         }
 
 
-def row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The entry positions of ``rows`` of the CSR matrix with offsets
     ``indptr``, row after row, and the length of each row."""
     starts = indptr[rows]
@@ -378,7 +374,7 @@ class EntityMajor:
             data = old.data
             if values is not None and len(changed):
                 # Entities new since then have no base entries.
-                at, _ = row_entries(old.indptr, changed[changed < old.shape[0]])
+                at, _ = _row_entries(old.indptr, changed[changed < old.shape[0]])
                 data = data.copy()
                 data[at] = values[base_positions[at]]
             indptr = np.concatenate(
@@ -401,7 +397,7 @@ class EntityMajor:
         n_cols = self.base.shape[0]
         return np.diff(self.base.indptr) + np.bincount(self.tail_cols, minlength=n_cols)
 
-    def tail_entries(self, entities: np.ndarray) -> np.ndarray:
+    def _tail_entries(self, entities: np.ndarray) -> np.ndarray:
         """The indices into the tail of the entries of ``entities``."""
         wanted = np.zeros(self.base.shape[0], dtype=bool)
         wanted[entities] = True
@@ -413,13 +409,69 @@ class EntityMajor:
         """The entries of ``entities``' rows: the base's, entity by entity,
         then the tail's, in row-major order. For each entry, its entity, its
         row and its row-major position."""
-        at, lengths = row_entries(self.base.indptr, entities)
+        at, lengths = _row_entries(self.base.indptr, entities)
         found = (np.repeat(entities, lengths), self.base.indices[at], self.base_positions[at])
         if not len(self.tail_rows):
             return found
-        at = self.tail_entries(entities)
+        at = self._tail_entries(entities)
         tail = (self.tail_cols[at], self.tail_rows[at], self.base.nnz + at)
         return tuple(np.concatenate(pair) for pair in zip(found, tail))
+
+    def row_max(self, entities: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Per row, the highest of 0 and the ``values`` (one per entity of
+        ``entities``) of the entities it holds. A max does not depend on the
+        order in which the entries are read."""
+        at, lengths = _row_entries(self.base.indptr, entities)
+        out = np.zeros(self.base.shape[1])
+        np.maximum.at(out, self.base.indices[at], np.repeat(values, lengths))
+        if len(self.tail_rows):
+            value_of = np.zeros(self.base.shape[0])
+            value_of[entities] = values
+            at = self._tail_entries(entities)
+            np.maximum.at(out, self.tail_rows[at], value_of[self.tail_cols[at]])
+        return out
+
+    def best_rows(self, z: np.ndarray, entities: np.ndarray) -> np.ndarray:
+        """For each of ``entities`` (ascending, distinct), the row among its
+        entries with the highest ``z``, or -1 where it has none; ties go to
+        the lowest row id.
+
+        In the base, a segmented reduction over the gathered rows:
+        ``np.maximum.reduceat`` takes each entity's highest value, then
+        ``np.minimum.reduceat`` over entry positions picks the first entry
+        that reaches it; row ids ascend within an entity's base entries, so
+        the first is the lowest. Every tail row follows every base row, so
+        the tail's pick, by ``np.maximum.at`` and ``np.minimum.at`` over the
+        entities' tail entries, replaces the base's only on a strictly
+        higher value.
+        """
+        indptr, rows = self.base.indptr, self.base.indices
+        filled = indptr[entities + 1] > indptr[entities]
+        positions, lengths = _row_entries(indptr, entities[filled])
+        values = z[rows[positions]]
+        starts = np.cumsum(lengths) - lengths
+        highest = np.maximum.reduceat(values, starts)
+        reached = values == np.repeat(highest, lengths)
+        first = np.minimum.reduceat(
+            np.where(reached, np.arange(len(values)), len(values)), starts
+        )
+        best = np.full(len(entities), -1, dtype=np.int64)
+        best[filled] = rows[positions[first]]
+        if not len(self.tail_rows):
+            return best  # the tail scan below costs ~17 us with no tail
+        top = np.full(len(entities), -np.inf)
+        top[filled] = highest
+        at = self._tail_entries(entities)
+        slot = np.searchsorted(entities, self.tail_cols[at])
+        rows, values = self.tail_rows[at], z[self.tail_rows[at]]
+        tail_top = np.full(len(entities), -np.inf)
+        np.maximum.at(tail_top, slot, values)
+        reached = values == tail_top[slot]
+        tail_best = np.full(len(entities), np.iinfo(np.int64).max)
+        np.minimum.at(tail_best, slot[reached], rows[reached])
+        higher = tail_top > top
+        best[higher] = tail_best[higher]
+        return best
 
     def dot(self, z: np.ndarray) -> np.ndarray:
         """The product with ``z``, with the bits of a product with the whole

@@ -27,7 +27,6 @@ from linearrag.retrieval import (
     ActivationState,
     EntityLevel,
     RetrievalConfig,
-    _best_sentences,
     _frontier_gate,
     _row_similarities,
     _similarities,
@@ -84,6 +83,7 @@ def random_state(graph, rng) -> ActivationState:
         frontier=frontier,
         trace=seed_trace(graph.n_entities, frontier),
         query_vec=np.zeros(8),
+        scored=np.ones(graph.n_sentences, dtype=bool),
     )
 
 
@@ -165,7 +165,7 @@ def test_gate_mass_and_best_sentence_equal_scalar_code(graph_rng, data):
     changed = rng.random(n_e) < 0.6
     entities = np.flatnonzero(changed)
     best = scalar_best_sentence(graph, u, changed)
-    assert _best_sentences(op, u, entities).tolist() == [
+    assert graph.mention_by_entity.best_rows(u, entities).tolist() == [
         best.get(e, -1) for e in entities.tolist()
     ]
 
@@ -219,6 +219,7 @@ def test_passage_seed_scores_match_scalar_formula(graph_rng, lambda_, weight):
         frontier=state.frontier,
         trace=state.trace,
         query_vec=store.encode_query("Ent01 Ent02 met"),
+        scored=state.scored,
     )
     overrides = {
         e: float(rng.choice([1.0, 1.5, 4.0])) for e in range(graph.n_entities)
@@ -312,7 +313,7 @@ def test_best_sentence_ties_go_to_lowest_id(mass, best):
     graph = mention_graph(4, 2, [(s, 0) for s in range(4)] + [(3, 1)])
     u = np.array(mass)
     changed = np.array([True, False])
-    found = _best_sentences(graph.mention_by_entity, u, np.flatnonzero(changed))
+    found = graph.mention_by_entity.best_rows(u, np.flatnonzero(changed))
     assert found.tolist() == [best]
     assert scalar_best_sentence(graph, u, changed) == {0: best}
 
@@ -326,6 +327,7 @@ def test_trace_takes_lowest_sentence_of_equal_mass():
         frontier=frozenset({0}),
         trace=seed_trace(2, {0}),
         query_vec=np.zeros(8),
+        scored=np.ones(3, dtype=bool),
     )
     advanced = propagate(state, graph, RetrievalConfig(delta=0.1))
     trace = trace_dict(advanced.trace)
@@ -348,13 +350,14 @@ def test_frontier_entities_without_mentions(frontier):
         frontier=frozenset(frontier),
         trace=seed_trace(4, frontier),
         query_vec=np.zeros(8),
+        scored=np.ones(3, dtype=bool),
     )
     gate = _frontier_gate(graph, state.a, state.frontier)
     assert np.array_equal(gate, scalar_gate(graph, state.a, state.frontier))
     u = state.sigma * gate
     changed = np.ones(4, dtype=bool)
     best = scalar_best_sentence(graph, u, changed)
-    assert _best_sentences(graph.mention_by_entity, u, np.arange(4)).tolist() == [
+    assert graph.mention_by_entity.best_rows(u, np.arange(4)).tolist() == [
         best.get(e, -1) for e in range(4)
     ]
 
@@ -476,11 +479,11 @@ def entity_query(graph, rng) -> str:
 @given(
     random_graphs(),
     st.sampled_from([0.0, 0.05, 0.3]),
-    st.sampled_from([(0.0, 0.0), (0.02, 0.4), (1.0, 1.0)]),
+    st.sampled_from([0.0, 0.05, retrieval.SIGMA_CROSSOVER, math.inf]),
     st.integers(1, 4),
 )
 def test_lazily_scored_hops_equal_the_scalar_oracle_on_dense_sigma(
-    graph_rng, delta, crossovers, max_hops
+    graph_rng, delta, crossover, max_hops
 ):
     """A state from ``initial_activation``, whose hops score sigma as they
     gate it (always by a full scan, always by gathered rows, or by the
@@ -490,10 +493,7 @@ def test_lazily_scored_hops_equal_the_scalar_oracle_on_dense_sigma(
     graph, rng = graph_rng
     store = build_store(graph, HashEncoder(dim=16, seed=int(rng.integers(0, 100))))
     cfg = RetrievalConfig(entity_sim_threshold=0.1, delta=delta, max_hops=max_hops)
-    crossover, last_hop = crossovers
-    with mock.patch.object(retrieval, "SIGMA_CROSSOVER", crossover), mock.patch.object(
-        retrieval, "LAST_HOP_SCAN", last_hop
-    ):
+    with mock.patch.object(retrieval, "SIGMA_CROSSOVER", crossover):
         state = initial_activation(entity_query(graph, rng), graph, store, cfg)
         dense = _similarities(store.sentence_vectors, state.query_vec)
         assert not state.scored.any()
@@ -505,6 +505,7 @@ def test_lazily_scored_hops_equal_the_scalar_oracle_on_dense_sigma(
                 frontier=state.frontier,
                 trace=state.trace,
                 query_vec=state.query_vec,
+                scored=np.ones(len(dense), dtype=bool),
             )
             a_new, frontier, trace = scalar_propagate(oracle, graph, cfg)
             advanced = propagate(state, graph, cfg)
@@ -558,6 +559,15 @@ def assert_operators_equal_a_fresh_build(grown, fresh, rng):
             zip(*(a.tolist() for a in fresh_view.entries(everyone)))
         )
         assert np.array_equal(view.row_lengths(), fresh_view.row_lengths())
+        # Few distinct values, so that the best rows tie often.
+        z = rng.choice([-0.0, 0.0, 0.5, 1.0], size=n_rows)
+        values = rng.choice([-1.0, 0.25, 0.5, 1.0], size=grown.n_entities)
+        assert same_bits(
+            view.row_max(everyone, values), fresh_view.row_max(everyone, values)
+        )
+        assert np.array_equal(
+            view.best_rows(z, everyone), fresh_view.best_rows(z, everyone)
+        )
     mine, theirs = grown.normalized_contain, fresh.normalized_contain
     v = rng.standard_normal(grown.n_entities)
     assert same_bits(mine.matrix @ v, theirs.matrix @ v)
@@ -611,7 +621,44 @@ def test_grown_operators_equal_a_fresh_build_and_leave_the_parent_intact(
             graph, store = grown, grown_store
 
 
-def test_a_graph_asked_often_folds_its_tails_and_keeps_its_answers():
+def test_a_tail_past_the_fold_fraction_is_folded():
+    """Appends one passage at a time, each graph queried: every view keeps a
+    tail of at most ``FOLD_FRACTION`` of its base's entries, the chain both
+    grows tails and folds them, and the last graph answers as a rebuild."""
+    whole, examples = generate_synthetic_corpus(
+        n_passages=60, avg_sentences=3, entity_pool=30, seed=11, n_chains=4
+    )
+    cfg = RetrievalConfig(delta=0.01)
+    encoder = HashEncoder(dim=64, seed=2)
+    questions = [example.question for example in examples]
+    graph = build(make_slice(whole, 0, 40))
+    store = build_store(graph, encoder)
+    retrieve(questions[0], graph, store, cfg)
+    seen = {"mention_by_entity": set(), "normalized_contain": set()}
+    for stop in range(41, 61):
+        graph = add_passages(graph, make_slice(whole, stop - 1, stop))
+        store = extend_store(store, graph)
+        retrieve(questions[stop % len(questions)], graph, store, cfg)
+        for name, views in seen.items():
+            view = getattr(graph, name)
+            view = view if name == "mention_by_entity" else view.by_entity
+            assert len(view.tail_rows) <= trigraph.FOLD_FRACTION * view.base.nnz
+            views.add((view.base.nnz, len(view.tail_rows) > 0))
+    for views in seen.values():
+        assert len({nnz for nnz, _ in views}) > 1
+        assert any(tailed for _, tailed in views)
+    rebuilt = build(whole)
+    rebuilt_store = build_store(rebuilt, encoder)
+    for q in questions:
+        assert retrieve(q, graph, store, cfg) == retrieve(
+            q, rebuilt, rebuilt_store, cfg
+        )
+
+
+def test_a_graph_asked_again_folds_its_tails_and_keeps_its_answers():
+    """A grown graph's first query reads the operators it derived, tails and
+    all; the next finds them made and folds them; every answer is a
+    rebuild's."""
     whole, examples = generate_synthetic_corpus(
         n_passages=60, avg_sentences=3, entity_pool=30, seed=11, n_chains=4
     )
@@ -639,5 +686,5 @@ def test_a_graph_asked_often_folds_its_tails_and_keeps_its_answers():
                 len(grown.normalized_contain.by_entity.tail_rows),
             )
         )
-    assert all(t > 0 for pair in tails[: trigraph.TAIL_QUERIES] for t in pair)
-    assert all(t == 0 for pair in tails[trigraph.TAIL_QUERIES :] for t in pair)
+    assert all(t > 0 for t in tails[0])
+    assert all(t == 0 for pair in tails[1:] for t in pair)

@@ -323,6 +323,7 @@ class TestPassageSeeds:
             frontier=frozenset({0}),
             trace=state.trace,
             query_vec=state.query_vec,
+            scored=state.scored,
         )
         seeds = passage_seed_scores(state, graph, store, None, cfg)
         assert seeds[0] == pytest.approx(math.log(1 + math.log(2)), rel=1e-12)
