@@ -447,8 +447,10 @@ def _query_batch(
     rng = Xorshift64Star(seed ^ 0xBADC0FFEE)
     while len(queries) < n_queries:
         passage = corpus.passages[rng.randint(len(corpus.passages))]
-        first_word = passage.text.split()[0]
-        queries.append(f"Where did {first_word} trade maps?")
+        # Every passage opens with a two-token entity name; naming one token
+        # alone leaves the query below the activation threshold.
+        name = " ".join(passage.text.split()[:2])
+        queries.append(f"Where did {name} trade maps?")
     return queries
 
 

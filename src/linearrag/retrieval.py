@@ -21,7 +21,8 @@ sentences scored, weighted by the hops that may follow, would pass a share
 
 Stage 2 ranks passages: activated entities and a hybrid passage seed (a
 small query-similarity term plus a log-damped sum of activated-entity
-occurrence statistics, read from PPR's entity-major contain rows) form the
+occurrence statistics, read from the entity-major contain view that PPR's
+products with C^T use too, ``TriGraph.contain_by_entity``) form the
 reset distribution of a personalized PageRank on the undirected
 passage-entity bipartite graph. ``ppr`` solves its fixed point as a linear
 system, by conjugate gradient on the passage block, to an L1 residual below
@@ -444,13 +445,13 @@ def passage_seed_scores(
     psim = np.maximum(psim, 0.0)
 
     level_arr = (levels or EntityLevel()).as_array(graph.n_entities)
-    op = graph.normalized_contain
     # Each passage's entries lie in one part of the entity-major view, so
     # each passage sums its terms in ascending entity id.
-    entities, passages, positions = op.by_entity.entries(state.activated_entities())
-    contributions = (
-        state.a[entities] * op.log_occurrence[positions] / level_arr[entities]
+    entities, passages, positions = graph.contain_by_entity.entries(
+        state.activated_entities()
     )
+    log_counts = np.log1p(graph.occurrence_counts[positions])
+    contributions = state.a[entities] * log_counts / level_arr[entities]
     inner = np.bincount(passages, weights=contributions, minlength=graph.n_passages)
     return (cfg.lambda_ * psim + np.log1p(inner)) * cfg.passage_weight
 
@@ -471,15 +472,19 @@ def ppr(
     (1 - d) times their reset mass.
 
     With x = D^1/2 z the system is symmetric: for B = D_p^-1/2 C D_e^-1/2
-    (``TriGraph.normalized_contain``) and b = (1 - d) D^-1/2 r,
+    and b = (1 - d) D^-1/2 r,
 
         (I - d^2 B B^T) z_p = b_p + d B b_e,    z_e = b_e + d B^T z_p.
 
     The passage system is positive definite with eigenvalues in
     [1 - d^2, 1], so conjugate gradient needs a number of steps set by d,
     not by the size of the graph; each step is one product with B and one
-    with B^T. With z_e computed from z_p as above the entity rows are
-    exact, so the L1 residual of the original equation is
+    with B^T. B is never stored: each product scales by the inverse degree
+    roots (``TriGraph.degree_roots``) around a product with the binary C,
+    B v = D_p^-1/2 (C (D_e^-1/2 v)) with C as CSR (``TriGraph.contain_csr``)
+    and B^T w = D_e^-1/2 (C^T (D_p^-1/2 w)) with C^T read entity-major
+    (``TriGraph.contain_by_entity``). With z_e computed from z_p as above
+    the entity rows are exact, so the L1 residual of the original equation is
     ``|D_p^1/2 (CG residual)|_1``. The solve stops once that is below
     ``cfg.ppr_tol``, or after ``cfg.ppr_max_iters`` steps, with a logged
     warning. ``retrieve`` reports the step count and that residual in its
@@ -511,24 +516,33 @@ def _solve_ppr(
         raise ValueError("seed vectors sum to 0, so they cannot be normalized")
     r = r / total
 
-    op = graph.normalized_contain
-    b_mat, b_t = op.matrix, op.by_entity.dot
-    sqrt_dp, sqrt_de = op.sqrt_passage_degree, op.sqrt_entity_degree
+    sqrt_deg, inverse = graph.degree_roots
+    sqrt_dp, inv_dp, inv_de = sqrt_deg[:n_p], inverse[:n_p], inverse[n_p:]
+    c, c_t = graph.contain_csr, graph.contain_by_entity.dot
+
+    def b_mat(v: np.ndarray) -> np.ndarray:
+        product = c @ (inv_de * v)
+        product *= inv_dp
+        return product
+
+    def b_t(w: np.ndarray) -> np.ndarray:
+        product = c_t(inv_dp * w)
+        product *= inv_de
+        return product
+
     d = cfg.damping
     base = (1.0 - d) * r
-    sqrt_deg = np.concatenate([sqrt_dp, sqrt_de])
-    connected = sqrt_deg > 0.0
-    b = np.divide(base, sqrt_deg, out=np.zeros_like(base), where=connected)
+    b = base * inverse  # 0 for a node of degree 0
     b_p, b_e = b[:n_p], b[n_p:]
 
     z_p = np.zeros(n_p)
-    residual = b_p + d * (b_mat @ b_e)
+    residual = b_p + d * b_mat(b_e)
     direction = residual.copy()
     rr = residual @ residual
     residual_l1 = np.abs(residual) @ sqrt_dp
     steps = 0
     while residual_l1 >= cfg.ppr_tol and steps < cfg.ppr_max_iters:
-        product = b_mat @ b_t(direction)
+        product = b_mat(b_t(direction))
         product *= -d * d
         product += direction
         alpha = rr / (direction @ product)
@@ -550,7 +564,7 @@ def _solve_ppr(
 
     z_e = b_e + d * b_t(z_p)
     z = np.concatenate([z_p, z_e])
-    return np.where(connected, sqrt_deg * z, base), steps, float(residual_l1)
+    return np.where(sqrt_deg > 0.0, sqrt_deg * z, base), steps, float(residual_l1)
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:

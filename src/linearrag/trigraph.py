@@ -15,8 +15,11 @@ sort after the graph's and growing a graph only appends to its arrays.
 graph is derived by one path. An entity's passages are read from
 ``contain`` alone; its registry record holds only its key and surfaces. The
 sparse operators a query needs are made once per graph, on first use, and
-cached on it: a graph grown by ``add_passages`` derives them from those of
-the graph it grew from (see ``EntityMajor`` and ``NormalizedContain``).
+cached on it. They hold incidence patterns only: the entity-major view of
+each incidence, a graph grown by ``add_passages`` derives from that of the
+graph it grew from (see ``EntityMajor``); the degree-normalized contain
+matrix that PageRank solves with is never stored, but applied as scalings
+by the degree roots around products with ``contain``.
 
 The persisted index directory (format version 2) holds:
 
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping
@@ -97,8 +100,9 @@ _INT64 = np.dtype("<i8")
 # rows grown since its base was made hold more than this share of the
 # base's entries (see ``EntityMajor``).
 FOLD_FRACTION = 0.0625
-# The cached query operators a grown graph derives from its ancestor's.
-_OPERATORS = ("mention_by_entity", "normalized_contain")
+# The cached entity-major views a grown graph derives from its ancestor's,
+# each with the incidence it reads.
+_OPERATORS = {"mention_by_entity": "mention", "contain_by_entity": "contain"}
 
 
 class SparseBinaryMatrix:
@@ -249,35 +253,49 @@ class TriGraph:
         )
 
     @cached_property
-    def normalized_contain(self) -> "NormalizedContain":
-        """The contain matrix scaled by the inverse square roots of both
-        node degrees, which ``retrieval.ppr`` solves with."""
-        return NormalizedContain.of(
-            self.contain,
-            self.occurrence_counts,
-            self._grown_from.pop("normalized_contain", None),
+    def contain_by_entity(self) -> "EntityMajor":
+        """The contain incidence read entity-major, each entry valued 1.0:
+        per entity, the passages that hold it. ``retrieval`` reads it for
+        the passage seeds' entries and PPR's products with C^T."""
+        return EntityMajor.of(
+            self.contain, grown_from=self._grown_from.pop("contain_by_entity", None)
         )
 
+    @cached_property
+    def contain_csr(self) -> sp.csr_matrix:
+        """The contain incidence as a scipy CSR matrix, each entry 1.0, for
+        PPR's products with C."""
+        return self.contain.to_csr()
+
+    @cached_property
+    def degree_roots(self) -> tuple[np.ndarray, np.ndarray]:
+        """The square roots of the node degrees in ``contain``, passages
+        then entities, and their inverses, 0 for a node of degree 0:
+        ``retrieval.ppr`` applies B = D_p^-1/2 C D_e^-1/2 as these scalings
+        around products with C."""
+        degrees = np.concatenate(
+            [np.diff(self.contain.indptr), self.contain_by_entity.row_lengths()]
+        )
+        roots = np.sqrt(degrees.astype(np.float64))
+        inverse = np.divide(1.0, roots, out=np.zeros_like(roots), where=roots > 0.0)
+        return roots, inverse
+
     def settle_operators(self) -> None:
-        """Fold the tails of the query operators this graph has made.
+        """Fold the tails of the entity-major views this graph has made.
 
         ``retrieval.retrieve`` calls it as each query starts. A graph's first
-        query makes its operators, and a grown graph derives them with
-        tails (see ``EntityMajor``); its second query finds them made and
-        folds them. At 3000 passages (one BLAS thread, a shared 2-vCPU VM)
-        the tails cost a graph-path query about 0.3 ms, whatever their
-        length from 60 to 600 entries, and folding both costs about 0.4 ms,
-        so a graph read twice pays about as much for its tails as for a
-        fold. Folding leaves every product's bits as they were."""
+        query makes its views, and a grown graph derives them with tails
+        (see ``EntityMajor``); its second query finds them made and folds
+        them. At 3000 passages (one BLAS thread, a shared 2-vCPU VM) the
+        tails cost a graph-path query about 0.3 ms, whatever their length
+        from 60 to 600 entries, and folding both costs about 0.4 ms, so a
+        graph read twice pays about as much for its tails as for a fold.
+        Folding leaves every product's bits as they were."""
         made = vars(self)
-        mention = made.get("mention_by_entity")
-        if mention is not None and len(mention.tail_rows):
-            made["mention_by_entity"] = EntityMajor.of(self.mention)
-        contain = made.get("normalized_contain")
-        if contain is not None and len(contain.by_entity.tail_rows):
-            made["normalized_contain"] = replace(
-                contain, by_entity=EntityMajor.of(self.contain, contain.matrix.data)
-            )
+        for name, incidence in _OPERATORS.items():
+            view = made.get(name)
+            if view is not None and len(view.tail_rows):
+                made[name] = EntityMajor.of(getattr(self, incidence))
 
     def _operators(self) -> dict[str, Any]:
         """Each query operator this graph has made, or else the one it would
@@ -302,8 +320,8 @@ def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def _transposed(matrix: SparseBinaryMatrix) -> tuple[sp.csr_matrix, np.ndarray]:
-    """``matrix`` as a CSR matrix of the transposed shape, whose data are to
-    be filled, and the position in ``matrix`` of each of its entries: one
+    """``matrix`` as a CSR matrix of the transposed shape, each entry 1.0,
+    and the position in ``matrix`` of each of its entries: one
     transposition of the pattern that carries each entry's position
     (Gustavson, ACM TOMS 1978). Row ids ascend within each of its rows."""
     part = sp.csr_matrix(
@@ -311,29 +329,30 @@ def _transposed(matrix: SparseBinaryMatrix) -> tuple[sp.csr_matrix, np.ndarray]:
         shape=(matrix.n_rows, matrix.n_cols),
     ).T.tocsr()
     positions = part.data
-    part.data = np.empty(len(positions))
+    part.data = np.ones(len(positions))
     return part, positions
 
 
 @dataclass(frozen=True)
 class EntityMajor:
-    """A row-major incidence (passages or sentences x entities) with a value
-    per entry, read entity-major: per entity, the rows that hold it,
-    ascending, with each entry's value and position in the row-major order.
+    """A row-major binary incidence (passages or sentences x entities) read
+    entity-major: per entity, the rows that hold it, ascending, with each
+    entry's position in the row-major order. It holds the pattern only;
+    each entry is valued 1.0.
 
     It is held as a base and a tail. The base is a scipy CSR matrix
     (entities x rows) of the entries of the rows below ``fold``, with the
     row-major position of each of its entries. The tail is the entries of
-    the rows from ``fold`` on, left in row-major order: their rows, columns
-    (entities) and values, from position ``base.nnz`` of the row-major
-    arrays on. Rows added later have larger ids, so an entity's tail entries
+    the rows from ``fold`` on, left in row-major order: their rows and
+    columns (entities), from position ``base.nnz`` of the row-major arrays
+    on. Rows added later have larger ids, so an entity's tail entries
     follow its base entries, and in row-major order they come in ascending
     row id: base then tail is each entity's whole row in order. Reading the
     tail is a scan of it.
 
-    A grown graph's view shares the base pattern of the view it derives
-    from and takes the rows past ``fold`` as its tail, so it costs O(tail)
-    to make. Once the tail holds more than ``FOLD_FRACTION`` of the base's
+    A grown graph's view shares the base arrays of the view it derives
+    from, widened by the entities new since then, and takes the rows past
+    ``fold`` as its tail, so it costs O(tail + entities) to make. Once the tail holds more than ``FOLD_FRACTION`` of the base's
     entries, the whole incidence is transposed into a new base and the tail
     starts empty: transpositions then cost amortised O(appended entries),
     and a tail scan stays a fixed fraction of a base read, as in an
@@ -344,51 +363,35 @@ class EntityMajor:
     base_positions: np.ndarray
     tail_rows: np.ndarray
     tail_cols: np.ndarray
-    tail_values: np.ndarray
     fold: int
 
     @classmethod
     def of(
-        cls,
-        matrix: SparseBinaryMatrix,
-        values: np.ndarray | None = None,
-        grown_from: "EntityMajor | None" = None,
-        changed: np.ndarray | None = None,
+        cls, matrix: SparseBinaryMatrix, grown_from: "EntityMajor | None" = None
     ) -> "EntityMajor":
-        """``matrix`` read entity-major, with the row-major entry ``values``
-        (1.0 for all if None).
-
-        ``grown_from``, if given, is the view of a matrix whose rows and
-        entries are a prefix of ``matrix``'s, and ``changed`` the entities
-        whose values differ from those it holds; it is left unchanged."""
+        """``matrix`` read entity-major. ``grown_from``, if given, is the view
+        of a matrix whose rows and entries are a prefix of ``matrix``'s; it
+        is left unchanged."""
         n_cols, n_rows = matrix.n_cols, matrix.n_rows
         if grown_from is None or (
             matrix.nnz - grown_from.base.nnz > FOLD_FRACTION * grown_from.base.nnz
         ):
             fold = n_rows
             base, base_positions = _transposed(matrix)
-            base.data = np.ones(matrix.nnz) if values is None else values[base_positions]
         else:
             fold, old = grown_from.fold, grown_from.base
             base_positions = grown_from.base_positions
-            data = old.data
-            if values is not None and len(changed):
-                # Entities new since then have no base entries.
-                at, _ = _row_entries(old.indptr, changed[changed < old.shape[0]])
-                data = data.copy()
-                data[at] = values[base_positions[at]]
             indptr = np.concatenate(
                 [old.indptr, np.full(n_cols - old.shape[0], old.indptr[-1])]
             )
-            base = sp.csr_matrix((data, old.indices, indptr), shape=(n_cols, n_rows))
-        start = base.nnz
-        tail_values = np.ones(matrix.nnz - start) if values is None else values[start:]
+            base = sp.csr_matrix(
+                (old.data, old.indices, indptr), shape=(n_cols, n_rows)
+            )
         return cls(
             base,
             base_positions,
             matrix.rows_from(fold),
-            matrix.col_ids[start:],
-            tail_values,
+            matrix.col_ids[base.nnz :],
             fold,
         )
 
@@ -478,87 +481,15 @@ class EntityMajor:
         entity-major matrix as one CSR.
 
         scipy's CSR product sums each row from +0.0 in the order of its
-        entries, each term the entry's value times ``z``. ``np.add.at``
-        then adds the tail's terms one by one in row-major order, which for
-        each entity is ascending row id, so each sum continues as it would
-        over the entity's whole row.
+        entries, each term 1.0 times ``z``. ``np.add.at`` then adds the
+        tail's terms one by one in row-major order, which for each entity is
+        ascending row id, so each sum continues as it would over the
+        entity's whole row.
         """
         out = self.base @ z
         if len(self.tail_rows):
-            np.add.at(out, self.tail_cols, self.tail_values * z[self.tail_rows])
+            np.add.at(out, self.tail_cols, z[self.tail_rows])
         return out
-
-
-@dataclass(frozen=True)
-class NormalizedContain:
-    """B = D_p^-1/2 C D_e^-1/2 for the contain incidence C and the passage
-    and entity degrees D_p and D_e: ``matrix`` is B as CSR and ``by_entity``
-    B^T (C read entity-major with B's values), with the square roots of both
-    degree vectors and ``log1p`` of the mention counts, one per entry of C in
-    its row-major order, which the passage seeds gather. A product with the
-    base of B^T held as CSR runs faster than one with B read as CSC (0.05 ms
-    against 0.09 ms at 12000 passages, one BLAS thread, on a shared 2-vCPU
-    VM).
-
-    A grown graph's operator copies the value arrays (B's values, and the
-    base values of B^T where they change) of the one it derives from and
-    computes only the values that change: an appended entry changes its
-    entity's degree, so every entry of that entity takes a new value, and
-    the appended entries add their own. Each value comes from one formula,
-    so it has the same bits however the graph was made. These copies, and
-    B's index arrays, which scipy converts from the graph's, are the one
-    O(corpus) step left in making a grown graph's operators.
-    """
-
-    matrix: sp.csr_matrix  # passages x entities
-    by_entity: EntityMajor
-    sqrt_passage_degree: np.ndarray
-    sqrt_entity_degree: np.ndarray
-    log_occurrence: np.ndarray
-
-    @classmethod
-    def of(
-        cls,
-        contain: SparseBinaryMatrix,
-        counts: np.ndarray,
-        grown_from: "NormalizedContain | None" = None,
-    ) -> "NormalizedContain":
-        """The operator of ``contain`` and its mention ``counts``.
-        ``grown_from``, if given, is that of a graph ``contain`` grew from;
-        it is left unchanged."""
-        n_e = contain.n_cols
-        old = grown_from.matrix if grown_from else sp.csr_matrix((0, 0))
-        n_kept, (old_passages, old_entities) = old.nnz, old.shape
-        old_degree = np.zeros(n_e, dtype=np.int64)
-        if grown_from:
-            old_degree[:old_entities] = grown_from.by_entity.row_lengths()
-        appended = contain.col_ids[n_kept:]
-        entity_degree = old_degree + np.bincount(appended, minlength=n_e)
-        passage_degree = np.diff(contain.indptr)
-        sqrt_dp = np.sqrt(passage_degree.astype(np.float64))
-        sqrt_de = np.sqrt(entity_degree.astype(np.float64))
-
-        # Every node an entry touches has degree >= 1.
-        data = np.concatenate([old.data, np.empty(len(appended))])
-        changed = np.flatnonzero(entity_degree != old_degree)
-        if grown_from:
-            entities, passages, positions = grown_from.by_entity.entries(
-                changed[changed < old_entities]
-            )
-            data[positions] = 1.0 / (sqrt_dp[passages] * sqrt_de[entities])
-        data[n_kept:] = 1.0 / (
-            sqrt_dp[contain.rows_from(old_passages)] * sqrt_de[appended]
-        )
-        kept_log = grown_from.log_occurrence if grown_from else np.empty(0)
-        log_occurrence = np.concatenate([kept_log, np.log1p(counts[n_kept:])])
-
-        matrix = sp.csr_matrix(
-            (data, contain.col_ids, contain.indptr), shape=(contain.n_rows, n_e)
-        )
-        by_entity = EntityMajor.of(
-            contain, data, grown_from and grown_from.by_entity, changed
-        )
-        return cls(matrix, by_entity, sqrt_dp, sqrt_de, log_occurrence)
 
 
 def graph_equal(a: TriGraph, b: TriGraph) -> bool:
@@ -596,10 +527,14 @@ def add_passages(graph: TriGraph, new_slice: Corpus) -> TriGraph:
     sentence table among them), its passage tuple and its entity registry
     are copied into the result, so ``graph`` is never changed
     (``tools/append_scaling.py`` times this call at several corpus sizes).
-    The query operators the result makes on first use are derived from
+    The entity-major views the result makes on first use are derived from
     those ``graph`` has made, or else from those it would derive its own
     from, with no new transposition of a whole incidence until a tail
-    passes ``FOLD_FRACTION`` (see ``EntityMajor``).
+    passes ``FOLD_FRACTION`` (see ``EntityMajor``). They hold no values, so
+    no degree change patches them: PageRank's B is applied as scalings of
+    C by the degree roots, which the result computes anew, as it converts
+    ``contain``'s index arrays for scipy (``TriGraph.degree_roots`` and
+    ``TriGraph.contain_csr``).
 
     The slice's passage and sentence ids must continue the graph's dense id
     ranges. The result equals a full rebuild over the concatenated corpus.

@@ -1,7 +1,9 @@
 import socket
+from unittest import mock
 
 import pytest
 
+from linearrag import evalbench
 from linearrag.embedding import HashEncoder, build_store
 from linearrag.errors import ConfigError
 from linearrag.evalbench import (
@@ -258,6 +260,20 @@ class TestBenchScaling:
         assert report.network_attempts == 0
         assert all(b > 0 for b in report.index_bytes)
         assert all(s > 0 for s in report.index_seconds)
+
+    def test_every_question_takes_the_graph_path(self, tmp_path):
+        """The batch's questions beyond the chain questions name a whole
+        entity, so none of them falls back to dense ranking."""
+        answers = []
+
+        def recorded(*args, **kwargs):
+            answers.append(retrieve(*args, **kwargs))
+            return answers[-1]
+
+        with mock.patch.object(evalbench, "retrieve", recorded):
+            bench_scaling([60, 120], seed=7, n_queries=10, work_dir=tmp_path)
+        assert len(answers) == 2 * 10 * evalbench.INDEX_BUILDS
+        assert not [a.query_echo for a in answers if a.fallback_used]
 
     def test_requires_two_sizes(self):
         with pytest.raises(ValueError):

@@ -195,14 +195,17 @@ def test_propagate_leaves_its_input_state_unchanged(graph_rng, delta):
 @PROPERTY_SETTINGS
 @given(random_graphs())
 def test_log_occurrence_follows_entity_major_contain_entries(graph_rng):
+    """The log counts ``passage_seed_scores`` gathers at the entity-major
+    view's positions are those of the entries the view names."""
     graph, _ = graph_rng
-    op = graph.normalized_contain
-    log_occurrence = op.log_occurrence
-    entities, passages, positions = op.by_entity.entries(np.arange(graph.n_entities))
+    view = graph.contain_by_entity
+    entities, passages, positions = view.entries(np.arange(graph.n_entities))
+    log_occurrence = np.log1p(graph.occurrence_counts[positions])
     assert len(log_occurrence) == len(positions) == graph.contain.nnz
-    at = {(p, e): pos for e, p, pos in zip(entities, passages, positions)}
+    at = {(p, e): i for i, (e, p) in enumerate(zip(entities, passages))}
     counts = graph.occurrence_counts.tolist()
-    for (p, e), count in zip(graph.contain.pairs(), counts):
+    for position, ((p, e), count) in enumerate(zip(graph.contain.pairs(), counts)):
+        assert positions[at[p, e]] == position
         assert log_occurrence[at[p, e]] == np.log1p(count)
 
 
@@ -413,7 +416,7 @@ def test_append_after_queries_does_not_reuse_stale_operators():
     store = build_store(graph, encoder)
     before = [retrieve(q, graph, store, cfg) for q in questions]
     assert any(not ranked.fallback_used for ranked in before)
-    for cached in ("mention_by_entity", "normalized_contain"):
+    for cached in QUERY_OPERATORS:
         assert cached in vars(graph), cached
 
     grown = add_passages(graph, make_slice(whole, 40, 60))
@@ -516,24 +519,17 @@ def test_lazily_scored_hops_equal_the_scalar_oracle_on_dense_sigma(
             state = advanced
 
 
+VIEWS = ("mention_by_entity", "contain_by_entity")
+QUERY_OPERATORS = (*VIEWS, "contain_csr", "degree_roots")
+
+
 def operator_arrays(graph) -> list[np.ndarray]:
     """Every array of the query operators ``graph`` has made."""
+    made = vars(graph)
     arrays = []
-    for name in ("mention_by_entity", "normalized_contain"):
-        op = vars(graph).get(name)
-        if op is None:
-            continue
-        views = [op] if name == "mention_by_entity" else [op.by_entity]
-        if name == "normalized_contain":
-            arrays += [
-                op.matrix.data,
-                op.matrix.indices,
-                op.matrix.indptr,
-                op.sqrt_passage_degree,
-                op.sqrt_entity_degree,
-                op.log_occurrence,
-            ]
-        for view in views:
+    for name in VIEWS:
+        if name in made:
+            view = made[name]
             arrays += [
                 view.base.data,
                 view.base.indices,
@@ -541,16 +537,16 @@ def operator_arrays(graph) -> list[np.ndarray]:
                 view.base_positions,
                 view.tail_rows,
                 view.tail_cols,
-                view.tail_values,
             ]
-    return arrays
+    if "contain_csr" in made:
+        c = made["contain_csr"]
+        arrays += [c.data, c.indices, c.indptr]
+    return arrays + list(made.get("degree_roots", ()))
 
 
 def assert_operators_equal_a_fresh_build(grown, fresh, rng):
-    for name in ("mention_by_entity", "normalized_contain"):
-        mine, theirs = getattr(grown, name), getattr(fresh, name)
-        view = mine if name == "mention_by_entity" else mine.by_entity
-        fresh_view = theirs if name == "mention_by_entity" else theirs.by_entity
+    for name in VIEWS:
+        view, fresh_view = getattr(grown, name), getattr(fresh, name)
         n_rows = view.base.shape[1]
         z = rng.standard_normal(n_rows)
         assert same_bits(view.dot(z), fresh_view.dot(z))
@@ -568,12 +564,10 @@ def assert_operators_equal_a_fresh_build(grown, fresh, rng):
         assert np.array_equal(
             view.best_rows(z, everyone), fresh_view.best_rows(z, everyone)
         )
-    mine, theirs = grown.normalized_contain, fresh.normalized_contain
     v = rng.standard_normal(grown.n_entities)
-    assert same_bits(mine.matrix @ v, theirs.matrix @ v)
-    for field in ("sqrt_passage_degree", "sqrt_entity_degree", "log_occurrence"):
-        assert same_bits(getattr(mine, field), getattr(theirs, field))
-    assert same_bits(mine.matrix.data, theirs.matrix.data)
+    assert same_bits(grown.contain_csr @ v, fresh.contain_csr @ v)
+    for mine, theirs in zip(grown.degree_roots, fresh.degree_roots):
+        assert same_bits(mine, theirs)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -634,14 +628,13 @@ def test_a_tail_past_the_fold_fraction_is_folded():
     graph = build(make_slice(whole, 0, 40))
     store = build_store(graph, encoder)
     retrieve(questions[0], graph, store, cfg)
-    seen = {"mention_by_entity": set(), "normalized_contain": set()}
+    seen = {name: set() for name in VIEWS}
     for stop in range(41, 61):
         graph = add_passages(graph, make_slice(whole, stop - 1, stop))
         store = extend_store(store, graph)
         retrieve(questions[stop % len(questions)], graph, store, cfg)
         for name, views in seen.items():
             view = getattr(graph, name)
-            view = view if name == "mention_by_entity" else view.by_entity
             assert len(view.tail_rows) <= trigraph.FOLD_FRACTION * view.base.nnz
             views.add((view.base.nnz, len(view.tail_rows) > 0))
     for views in seen.values():
@@ -680,11 +673,28 @@ def test_a_graph_asked_again_folds_its_tails_and_keeps_its_answers():
         assert retrieve(q, grown, grown_store, cfg) == retrieve(
             q, rebuilt, rebuilt_store, cfg
         )
-        tails.append(
-            (
-                len(grown.mention_by_entity.tail_rows),
-                len(grown.normalized_contain.by_entity.tail_rows),
-            )
-        )
+        tails.append([len(getattr(grown, name).tail_rows) for name in VIEWS])
     assert all(t > 0 for t in tails[0])
     assert all(t == 0 for pair in tails[1:] for t in pair)
+
+
+def test_a_grown_contain_view_shares_its_parents_base_and_tails_the_slice():
+    """Deriving a grown graph's contain view costs O(slice): it shares every
+    base array of its parent's view, whose values are not patched for the
+    entities whose degrees the slice changed, and its tail is the slice's
+    contain entries."""
+    whole, _ = generate_synthetic_corpus(
+        n_passages=60, avg_sentences=3, entity_pool=30, seed=11, n_chains=4
+    )
+    graph = build(make_slice(whole, 0, 58))
+    parent = graph.contain_by_entity
+    grown = add_passages(graph, make_slice(whole, 58, 60))
+    view = grown.contain_by_entity
+    for array in ("data", "indices"):
+        assert np.shares_memory(getattr(view.base, array), getattr(parent.base, array))
+    assert np.shares_memory(view.base_positions, parent.base_positions)
+    first = graph.contain.nnz
+    assert view.base.nnz == first
+    assert np.array_equal(view.tail_rows, grown.contain.rows_from(graph.n_passages))
+    assert np.array_equal(view.tail_cols, grown.contain.col_ids[first:])
+    assert len(view.tail_rows) == grown.contain.nnz - first > 0

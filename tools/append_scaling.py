@@ -12,9 +12,15 @@ operators from its parent's, with tails; the second folds the tails
 (``TriGraph.settle_operators``); the third (``retrieve_again``) reads the
 operators as they stay. With each it reports the median time of each of
 the query's stages as ``retrieve``'s ``QueryStats`` reports them, so that
-the stage paying for the operators shows. It checks that the grown index
-equals a rebuild of the concatenated corpus, in memory and on disk. Run
-from the root of a checkout:
+the stage paying for the operators shows. A second pass, untimed, runs
+``PEAK_APPENDS`` more appends in memory and reports the median
+``tracemalloc`` peak of each of the three calls, in KiB: the most that
+what the call allocated and had not yet freed came to. ``first_query``
+sets the first call against the third: the median over the appends of its
+extra time, and the ratio of their peaks, each beside the bound the
+roadmap asks of it at 12000 passages. It checks that the grown index equals a rebuild of the
+concatenated corpus, in memory and on disk, and exits 1 if not. Run from
+the root of a checkout:
 
     python3 tools/append_scaling.py --passages 3000 12000 --out result.json
 
@@ -33,6 +39,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -59,6 +66,11 @@ SEED = 0
 APPENDS = 60
 APPEND_STAGES = ("corpus_from_records", "add_passages", "extend_store", "save", "save_store")
 QUERY_CALLS = ("first_retrieve", "second_retrieve", "retrieve_again")
+PEAK_APPENDS = 5
+# What the first query after an append may cost over the same query asked
+# again, at 12000 passages: less time than this, in ms, and a tracemalloc
+# peak at most this multiple of the repeat's.
+FIRST_QUERY_BOUNDS = {"overhead_ms": 1.0, "peak_ratio": 1.3}
 
 
 def same_rows(a, b) -> bool:
@@ -75,6 +87,29 @@ def stage_medians(stage_ms) -> dict:
         for stage, value in ms.items():
             times.setdefault(stage, []).append(value)
     return {stage: round(statistics.median(t), 3) for stage, t in times.items()}
+
+
+def allocation_peaks(graph, store, pieces) -> dict:
+    """Per query call, the median over one append (not saved) of each of
+    ``pieces`` of its tracemalloc peak, in KiB: the most that the memory it
+    allocated and had not yet freed came to."""
+    peaks = {call: [] for call in QUERY_CALLS}
+    for piece in pieces:
+        delta = corpus_from_records(
+            piece.records,
+            passage_id_base=graph.n_passages,
+            sentence_id_base=graph.n_sentences,
+        )
+        graph = add_passages(graph, delta)
+        store = extend_store(store, graph)
+        for call in QUERY_CALLS:
+            # Started anew for each call, so that no free of what an
+            # earlier call allocated lowers this one's peak.
+            tracemalloc.start()
+            retrieve(piece.question.question, graph, store, CFG)
+            peaks[call].append(tracemalloc.get_traced_memory()[1] / 1024)
+            tracemalloc.stop()
+    return {call: round(statistics.median(kib), 1) for call, kib in peaks.items()}
 
 
 def measure(n_passages: int, directory: Path) -> dict:
@@ -125,6 +160,11 @@ def measure(n_passages: int, directory: Path) -> dict:
             ms[f"{call}_stages"] = ranked.stats.stage_ms
         rows.append(ms)
         records += piece.records
+    pieces = [
+        make_slice(SEED, index, inputs.filler_names)
+        for index in range(APPENDS + 1, APPENDS + 1 + PEAK_APPENDS)
+    ]
+    peak_kib = allocation_peaks(graph, store, pieces)
     rebuilt = build(corpus_from_records(records))
     on_disk = load(directory)
     equal = (
@@ -134,6 +174,13 @@ def measure(n_passages: int, directory: Path) -> dict:
         and same_rows(load_store(directory, on_disk), store)
     )
     timed = rows[1:]
+    overhead = statistics.median(
+        row["first_retrieve"] - row["retrieve_again"] for row in timed
+    )
+    first_query = {
+        "overhead_ms": round(overhead, 3),
+        "peak_ratio": round(peak_kib["first_retrieve"] / peak_kib["retrieve_again"], 2),
+    }
     return {
         "seed": SEED,
         "passages": n_passages,
@@ -148,6 +195,8 @@ def measure(n_passages: int, directory: Path) -> dict:
             f"{call}_stage_ms": stage_medians(r[f"{call}_stages"] for r in timed)
             for call in QUERY_CALLS
         },
+        "peak_kib": peak_kib,
+        "first_query": {**first_query, "bounds": FIRST_QUERY_BOUNDS},
         "per_append_ms": timed,
     }
 
