@@ -285,6 +285,13 @@ def cmd_bench(config: AppConfig, sizes: Sequence[int], seed: int, out: str | Non
         f"index_time_ratios=[{ratios}] network_attempts={report.network_attempts} "
         f"-> {out_path}"
     )
+    print("size\tstage\twall_ms\tgc_ms\tpeak_kib")
+    for size, costs in zip(report.sizes, report.stage_costs):
+        for stage in (*evalbench.INDEX_STAGES, "index"):
+            print(
+                f"{size}\t{stage}\t{costs['median_ms'][stage]:.3f}"
+                f"\t{costs['median_gc_ms'][stage]:.3f}\t{costs['peak_kib'][stage]:.1f}"
+            )
     return 0
 
 

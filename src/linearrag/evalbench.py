@@ -1,4 +1,5 @@
-"""Retrieval evaluation, synthetic corpora, and the scaling benchmark.
+"""Retrieval evaluation, synthetic corpora, the scaling benchmark, and one
+stage harness for the index, append and query paths.
 
 Evaluation is retrieval-level only: ``contain_at_k`` checks whether the
 gold answer string appears (case-folded) in any of the top-k passage
@@ -11,27 +12,47 @@ bit-for-bit everywhere. Each corpus plants bridge chains: entity A is
 co-mentioned with B in one passage and B with C in another, and the paired
 question names A while its answer appears only in the second passage, so
 answering requires the bridge.
+
+The stage harness (``StageClock``) measures every stage one way: the median
+wall ms and the median ms the cyclic garbage collector ran within it, over
+timed passes, and the ``tracemalloc`` peak of what it allocated, in KiB,
+from separate untimed passes (tracing slows allocation). ``bench_scaling``
+reads the index path through it, and ``index_costs``, ``append_costs`` and
+``query_costs`` read each path at one corpus size.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
+import shutil
 import socket
 import statistics
 import tempfile
 import time
+import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .corpus import Corpus, PassageRecord, corpus_from_records
-from .embedding import Encoder, HashEncoder, build_store, save_store
-from .errors import ConfigError
+import numpy as np
+
+from .corpus import Corpus, PassageRecord, corpus_from_records, ingest
+from .embedding import (
+    EmbeddingStore,
+    Encoder,
+    HashEncoder,
+    build_store,
+    extend_store,
+    load_store,
+    save_store,
+)
+from .errors import ConfigError, ConsistencyError
 from .extraction import ExtractorContract
 from .retrieval import EntityLevel, RankedPassages, RetrievalConfig, retrieve
-from .trigraph import TriGraph, build, save
+from .trigraph import TriGraph, add_passages, build, graph_equal, load, save
 
 logger = logging.getLogger(__name__)
 
@@ -39,6 +60,20 @@ logger = logging.getLogger(__name__)
 # over the sizes, and keeps the medians: a stall of the machine then lands in
 # one round of several sizes, not in every round of one.
 INDEX_BUILDS = 3
+INDEX_STAGES = (
+    "ingest", "build", "build_store", "save", "save_store", "load", "load_store"
+)
+# The stages whose time is ``BenchReport.index_seconds``.
+BUILD_STAGES = INDEX_STAGES[1:5]
+APPEND_STAGES = ("corpus_from_records", "add_passages", "extend_store", "save", "save_store")
+# The three calls of one query after an append: the first derives the grown
+# graph's query operators from its parent's, with tails; the second folds the
+# tails (``TriGraph.settle_operators``); the third reads them as they stay.
+QUERY_CALLS = ("first_retrieve", "second_retrieve", "retrieve_again")
+# The appends of ``append_costs``' traced pass.
+PEAK_APPENDS = 5
+GRAPH_STAGES = ("initial_activation", "propagate", "passage_seed_scores", "ppr", "rank")
+FALLBACK_STAGES = ("initial_activation", "propagate", "dense_ranking")
 
 
 @dataclass(frozen=True)
@@ -74,6 +109,8 @@ class BenchReport:
     doubling_ratios: tuple[float, ...]
     bytes_doubling_ratios: tuple[float, ...]
     network_attempts: int = 0
+    # Per size, the index path's ``StageClock.summary``.
+    stage_costs: tuple[dict, ...] = ()
 
 
 def evaluate(
@@ -364,11 +401,15 @@ def bench_scaling(
 ) -> BenchReport:
     """Index synthetic corpora of increasing size and time each stage.
 
-    Index timing covers graph construction, encoding, and the persistence
-    flush; corpus generation is excluded. Query timing is the mean over a
-    fixed batch. Each size is indexed and queried ``INDEX_BUILDS`` times, in
-    turns over the sizes, and both timings are medians of those rounds.
-    Nothing runs concurrently, to keep timings honest.
+    Each size's corpus is written as JSONL, then run through the index path
+    (``index_pass``) ``INDEX_BUILDS`` times, in turns over the sizes, each
+    time followed by a fixed query batch on the graph built. Index time is
+    that of ``BUILD_STAGES`` (graph construction, encoding and the
+    persistence flush); query time is the mean over the batch; both are
+    medians of those rounds. One more untimed pass per size, under
+    ``tracemalloc``, gives each stage's allocation peak (``stage_costs``).
+    An index that loads back unequal to the one built raises
+    ConsistencyError. Nothing runs concurrently, to keep timings honest.
     """
     if len(sizes) < 2:
         raise ValueError("need at least 2 sizes")
@@ -379,10 +420,12 @@ def bench_scaling(
     contract = ExtractorContract.make()
 
     index_bytes = [0] * len(sizes)
-    index_times: list[list[float]] = [[] for _ in sizes]
+    clocks = [StageClock({"index": INDEX_STAGES}) for _ in sizes]
     query_times: list[list[float]] = [[] for _ in sizes]
 
-    with forbid_network() as attempts:
+    with forbid_network() as attempts, tempfile.TemporaryDirectory(
+        dir=str(work_dir) if work_dir else None
+    ) as work:
         corpora = []
         for size in sizes:
             pool = entity_pool if entity_pool is not None else max(12, size // 4)
@@ -393,19 +436,21 @@ def bench_scaling(
                 seed=seed,
                 n_chains=n_chains,
             )
-            corpora.append((corpus, _query_batch(examples, corpus, n_queries, seed)))
+            path = Path(work) / f"corpus-{size}.jsonl"
+            write_corpus_jsonl(corpus, path)
+            corpora.append((path, _query_batch(examples, corpus, n_queries, seed)))
 
         for _ in range(INDEX_BUILDS):
-            for i, (corpus, queries) in enumerate(corpora):
-                with tempfile.TemporaryDirectory(
-                    dir=str(work_dir) if work_dir else None
-                ) as tmp:
-                    started = time.perf_counter()
-                    graph = build(corpus, contract)
-                    store = build_store(graph, encoder)
-                    save(graph, tmp, embedder={"id": encoder.contract.id, "dim": encoder.contract.dim})
-                    save_store(store, tmp)
-                    index_times[i].append(time.perf_counter() - started)
+            for i, (path, queries) in enumerate(corpora):
+                with tempfile.TemporaryDirectory(dir=work) as tmp:
+                    graph, store, same = clocks[i].timed(
+                        index_pass(path, tmp, encoder, contract)
+                    )
+                    if not same:
+                        raise ConsistencyError(
+                            f"{sizes[i]} passages: the index loaded back "
+                            "differs from the one built"
+                        )
                     index_bytes[i] = sum(
                         f.stat().st_size for f in Path(tmp).rglob("*") if f.is_file()
                     )
@@ -416,11 +461,18 @@ def bench_scaling(
                 logger.info(
                     "bench size=%d index=%.3fs query=%.5fs bytes=%d",
                     sizes[i],
-                    index_times[i][-1],
+                    sum(clocks[i].wall_ms[stage][-1] for stage in BUILD_STAGES) / 1e3,
                     query_times[i][-1],
                     index_bytes[i],
                 )
-    index_seconds = [statistics.median(times) for times in index_times]
+        for clock, (path, _) in zip(clocks, corpora):
+            with tempfile.TemporaryDirectory(dir=work) as tmp:
+                clock.traced(index_pass(path, tmp, encoder, contract))
+    index_seconds = [
+        statistics.median(map(sum, zip(*(clock.wall_ms[s] for s in BUILD_STAGES))))
+        / 1e3
+        for clock in clocks
+    ]
     query_seconds = [statistics.median(times) for times in query_times]
 
     ratios = tuple(
@@ -437,7 +489,327 @@ def bench_scaling(
         doubling_ratios=ratios,
         bytes_doubling_ratios=byte_ratios,
         network_attempts=len(attempts),
+        stage_costs=tuple(clock.summary() for clock in clocks),
     )
+
+
+class StageClock:
+    """Per stage, the wall ms and collector ms of timed passes and the
+    ``tracemalloc`` peak of traced ones.
+
+    A pass is a call ``step(lap)``: the step runs its stages in order and
+    calls ``lap(stage)`` as each ends, so that a stage runs from the
+    previous ``lap`` (or the pass's start) to its own. ``lap(stage, parts)``
+    also records ``parts``, times the stage measured within itself (a
+    ``retrieve`` call's ``QueryStats.stage_ms``), as ``stage.part``, wall
+    time only. Each of ``totals`` names stages whose sum (wall and
+    collector) is recorded per pass under the total's name, and whose
+    highest peak is its peak.
+
+    Each pass starts after a full collection. A timed pass reads the
+    collector's time from ``gc.callbacks``: a collection is paid by
+    whichever stage allocates past the threshold, not only by the one that
+    made the garbage. A traced pass starts ``tracemalloc`` anew for each
+    stage, so that its peak is the most that what the stage allocated and
+    had not yet freed came to; numpy reports its buffers to ``tracemalloc``,
+    so array copies count. Wall time moves with the host; the peaks do not,
+    and most repeat exactly from run to run. Those of stages that parse
+    text (``ingest``, ``build``, a query after an append) have differed
+    between runs by up to 1%: CPython's regular-expression matching leaves
+    a number of traces that depends on the process's memory layout.
+    """
+
+    def __init__(self, totals: Mapping[str, Sequence[str]] = {}):
+        self.totals = totals
+        self.wall_ms: dict[str, list[float]] = {}
+        self.gc_ms: dict[str, list[float]] = {}
+        self.peak_kib: dict[str, list[float]] = {}
+        self._collector_ms = 0.0
+        self._collector_start = 0.0
+
+    def _on_collect(self, phase: str, info: dict) -> None:
+        if phase == "start":
+            self._collector_start = time.perf_counter()
+        else:
+            self._collector_ms += (time.perf_counter() - self._collector_start) * 1e3
+
+    def timed(self, step: Callable[[Callable[..., None]], Any]) -> Any:
+        """Run one timed pass of ``step`` and return what it returns."""
+        laps: dict[str, tuple[float, float]] = {}
+        parts_ms: dict[str, float] = {}
+        gc.collect()
+        gc.callbacks.append(self._on_collect)
+        tick, collector_tick = time.perf_counter(), self._collector_ms
+
+        def lap(stage: str, parts: Mapping[str, float] = {}) -> None:
+            nonlocal tick, collector_tick
+            now = time.perf_counter()
+            laps[stage] = ((now - tick) * 1e3, self._collector_ms - collector_tick)
+            parts_ms.update((f"{stage}.{part}", ms) for part, ms in parts.items())
+            tick, collector_tick = now, self._collector_ms
+
+        try:
+            result = step(lap)
+        finally:
+            gc.callbacks.remove(self._on_collect)
+        for total, stages in self.totals.items():
+            laps[total] = tuple(sum(laps[stage][k] for stage in stages) for k in (0, 1))
+        for stage, (wall, collector) in laps.items():
+            self.wall_ms.setdefault(stage, []).append(wall)
+            self.gc_ms.setdefault(stage, []).append(collector)
+        for part, ms in parts_ms.items():
+            self.wall_ms.setdefault(part, []).append(ms)
+        return result
+
+    def traced(self, step: Callable[[Callable[..., None]], Any]) -> Any:
+        """Run one untimed pass of ``step`` under ``tracemalloc`` and return
+        what it returns."""
+        peaks: dict[str, float] = {}
+        gc.collect()
+
+        def lap(stage: str, parts: Mapping[str, float] = {}) -> None:
+            peaks[stage] = tracemalloc.get_traced_memory()[1] / 1024
+            tracemalloc.stop()
+            tracemalloc.start()
+
+        tracemalloc.start()
+        try:
+            result = step(lap)
+        finally:
+            tracemalloc.stop()
+        for total, stages in self.totals.items():
+            peaks[total] = max(peaks[stage] for stage in stages)
+        for stage, kib in peaks.items():
+            self.peak_kib.setdefault(stage, []).append(kib)
+        return result
+
+    def summary(self) -> dict[str, dict[str, float]]:
+        """Per stage, the median over the passes of its wall ms, its
+        collector ms and its peak KiB."""
+
+        def medians(table: dict[str, list[float]], digits: int) -> dict[str, float]:
+            return {
+                stage: round(statistics.median(values), digits)
+                for stage, values in table.items()
+            }
+
+        return {
+            "median_ms": medians(self.wall_ms, 3),
+            "median_gc_ms": medians(self.gc_ms, 3),
+            "peak_kib": medians(self.peak_kib, 1),
+        }
+
+
+def index_pass(
+    corpus_path: str | Path,
+    directory: str | Path,
+    encoder: Encoder,
+    contract: ExtractorContract | None = None,
+) -> Callable[[Callable[..., None]], tuple[TriGraph, EmbeddingStore, bool]]:
+    """A pass of the index path (``INDEX_STAGES``) over a JSONL corpus,
+    writing the index to ``directory``, which must hold none. The pass
+    returns the graph and store built, and whether those loaded back
+    equal them."""
+    embedder = {"id": encoder.contract.id, "dim": encoder.contract.dim}
+
+    def step(lap):
+        corpus = ingest(corpus_path)
+        lap("ingest")
+        graph = build(corpus, contract)
+        lap("build")
+        store = build_store(graph, encoder)
+        lap("build_store")
+        save(graph, directory, embedder=embedder)
+        lap("save")
+        save_store(store, directory)
+        lap("save_store")
+        loaded = load(directory)
+        lap("load")
+        loaded_store = load_store(directory, loaded)
+        lap("load_store")
+        return graph, store, graph_equal(loaded, graph) and _same_vectors(
+            loaded_store, store
+        )
+
+    return step
+
+
+def _same_vectors(a: EmbeddingStore, b: EmbeddingStore) -> bool:
+    return all(
+        np.array_equal(getattr(a, kind), getattr(b, kind))
+        for kind in ("entity_vectors", "sentence_vectors", "passage_vectors")
+    )
+
+
+def index_costs(
+    corpus_path: str | Path, directory: str | Path, encoder: Encoder, rounds: int
+) -> tuple[dict, TriGraph, EmbeddingStore]:
+    """The index path's stage costs over ``rounds`` timed passes and one
+    traced pass, with ``loaded_equals_built``; and the graph and store
+    loaded from the index the last pass left. Each pass removes
+    ``directory`` and writes the index there."""
+    clock = StageClock({"index": INDEX_STAGES})
+    equal = True
+    for run in [clock.timed] * rounds + [clock.traced]:
+        shutil.rmtree(directory, ignore_errors=True)
+        _, _, same = run(index_pass(corpus_path, directory, encoder))
+        equal = equal and same
+    graph = load(directory)
+    return (
+        {**clock.summary(), "loaded_equals_built": equal},
+        graph,
+        load_store(directory, graph),
+    )
+
+
+def append_costs(
+    graph: TriGraph,
+    store: EmbeddingStore,
+    directory: str | Path,
+    slices: Iterable[tuple[Sequence[PassageRecord], str]],
+    cfg: RetrievalConfig,
+    rounds: int,
+) -> dict:
+    """Append cost by stage (``APPEND_STAGES``, then the three ``retrieve``
+    calls of ``QUERY_CALLS``, each with its ``QueryStats`` stages), from
+    appending ``slices`` (each the records of one append and the question
+    asked after it) to the index of ``graph`` and ``store`` in
+    ``directory``.
+
+    The first append copies the loaded arrays into growth buffers once
+    (``first_append_ms``) and is left out; ``rounds`` timed appends follow,
+    then ``PEAK_APPENDS`` more, each a traced pass. ``first_query`` sets the
+    first call after an append against the third: the median over the timed
+    appends of its extra time, and the ratio of their peaks. The grown index
+    must equal a rebuild of the concatenated corpus, in memory and on disk
+    (``equals_rebuild``)."""
+    encoder = store.encoder
+    embedder = {"id": encoder.contract.id, "dim": encoder.contract.dim}
+    records = [  # a passage's text already holds its title
+        PassageRecord(doc_key=p.doc_key, title=None, text=p.text)
+        for p in graph.corpus.passages
+    ]
+    state = [graph, store]
+    clock = StageClock({"append": APPEND_STAGES})
+
+    def append(piece: tuple[Sequence[PassageRecord], str]) -> Callable:
+        new_records, question = piece
+
+        def step(lap):
+            graph, store = state
+            delta = corpus_from_records(
+                new_records,
+                passage_id_base=graph.n_passages,
+                sentence_id_base=graph.n_sentences,
+            )
+            lap("corpus_from_records")
+            graph = add_passages(graph, delta)
+            lap("add_passages")
+            store = extend_store(store, graph)
+            lap("extend_store")
+            save(graph, directory, embedder=embedder)
+            lap("save")
+            save_store(store, directory)
+            lap("save_store")
+            for call in QUERY_CALLS:
+                ranked = retrieve(question, graph, store, cfg)
+                lap(call, ranked.stats.stage_ms)
+            state[:] = graph, store
+            records.extend(new_records)
+
+        return step
+
+    pieces = iter(slices)
+    first = StageClock({"append": APPEND_STAGES})
+    first.timed(append(next(pieces)))
+    for _ in range(rounds):
+        clock.timed(append(next(pieces)))
+    for _ in range(PEAK_APPENDS):
+        clock.traced(append(next(pieces)))
+
+    graph, store = state
+    rebuilt = build(corpus_from_records(records), graph.extractor)
+    on_disk = load(directory)
+    equal = (
+        graph_equal(graph, rebuilt)
+        and _same_vectors(store, build_store(rebuilt, encoder))
+        and graph_equal(on_disk, graph)
+        and _same_vectors(load_store(directory, on_disk), store)
+    )
+    summary = clock.summary()
+    first_ms = clock.wall_ms["first_retrieve"]
+    again_ms = clock.wall_ms["retrieve_again"]
+    peaks = summary["peak_kib"]
+    return {
+        "appends": rounds,
+        "equals_rebuild": equal,
+        "first_append_ms": round(first.wall_ms["append"][0], 3),
+        **summary,
+        "first_query": {
+            "overhead_ms": round(
+                statistics.median(a - b for a, b in zip(first_ms, again_ms)), 3
+            ),
+            "peak_ratio": round(peaks["first_retrieve"] / peaks["retrieve_again"], 2),
+        },
+    }
+
+
+def query_costs(
+    graph: TriGraph,
+    store: EmbeddingStore,
+    questions: Sequence[str],
+    cfg: RetrievalConfig,
+    rounds: int,
+) -> dict:
+    """Query cost by stage, graph-path and fallback questions apart.
+
+    A warm-up pass over ``questions`` makes the graph's query operators and
+    sorts the questions by path. Then ``rounds`` timed passes ask each
+    question in turn, and one traced pass asks each once. Per path: the
+    number of questions, the median share of the sentences whose query
+    similarity a question scored (``QueryStats.sentences_scored``), and the
+    harness's figures for ``retrieve`` and, wall time only, for each stage
+    of its ``QueryStats`` (``retrieve.<stage>``). ``stages_as_expected``
+    says whether every answer listed exactly its path's stages
+    (``GRAPH_STAGES`` or ``FALLBACK_STAGES``)."""
+    expected = {"graph_path": GRAPH_STAGES, "fallback": FALLBACK_STAGES}
+    asked = {path: [] for path in expected}
+    shares = {path: [] for path in expected}
+    for question in dict.fromkeys(questions):
+        ranked = retrieve(question, graph, store, cfg)
+        path = "fallback" if ranked.fallback_used else "graph_path"
+        asked[path].append(question)
+        shares[path].append(ranked.stats.sentences_scored / graph.n_sentences)
+    clocks = {path: StageClock() for path in expected}
+    as_expected = True
+
+    def ask(question: str, path: str) -> Callable:
+        def step(lap):
+            nonlocal as_expected
+            stats = retrieve(question, graph, store, cfg).stats
+            lap("retrieve", stats.stage_ms)
+            as_expected &= tuple(stats.stage_ms) == expected[path]
+
+        return step
+
+    for run in [StageClock.timed] * rounds + [StageClock.traced]:
+        for path, on_path in asked.items():
+            for question in on_path:
+                run(clocks[path], ask(question, path))
+    return {
+        "rounds": rounds,
+        "stages_as_expected": as_expected,
+        **{
+            path: {
+                "questions": len(on_path),
+                "median_scored_share": round(statistics.median(shares[path]), 5)
+                if on_path
+                else None,
+                **clocks[path].summary(),
+            }
+            for path, on_path in asked.items()
+        },
+    }
 
 
 def _query_batch(
@@ -517,6 +889,7 @@ def bench_report_dict(report: BenchReport) -> dict:
         "doubling_ratios": list(report.doubling_ratios),
         "bytes_doubling_ratios": list(report.bytes_doubling_ratios),
         "network_attempts": report.network_attempts,
+        "stage_costs": list(report.stage_costs),
     }
 
 

@@ -22,7 +22,7 @@ sentences scored, weighted by the hops that may follow, would pass a share
 Stage 2 ranks passages: activated entities and a hybrid passage seed (a
 small query-similarity term plus a log-damped sum of activated-entity
 occurrence statistics, read from the entity-major contain view that PPR's
-products with C^T use too, ``TriGraph.contain_by_entity``) form the
+products with C and C^T use too, ``TriGraph.contain_by_entity``) form the
 reset distribution of a personalized PageRank on the undirected
 passage-entity bipartite graph. ``ppr`` solves its fixed point as a linear
 system, by conjugate gradient on the passage block, to an L1 residual below
@@ -481,9 +481,11 @@ def ppr(
     not by the size of the graph; each step is one product with B and one
     with B^T. B is never stored: each product scales by the inverse degree
     roots (``TriGraph.degree_roots``) around a product with the binary C,
-    B v = D_p^-1/2 (C (D_e^-1/2 v)) with C as CSR (``TriGraph.contain_csr``)
-    and B^T w = D_e^-1/2 (C^T (D_p^-1/2 w)) with C^T read entity-major
-    (``TriGraph.contain_by_entity``). With z_e computed from z_p as above
+    B v = D_p^-1/2 (C (D_e^-1/2 v)) and B^T w = D_e^-1/2 (C^T (D_p^-1/2 w)).
+    Both products read the entity-major contain view
+    (``TriGraph.contain_by_entity``): C's through the transpose of its base,
+    with the bits of a CSR product of C (``EntityMajor.row_major_dot``), and
+    C^T's directly (``EntityMajor.dot``). With z_e computed from z_p as above
     the entity rows are exact, so the L1 residual of the original equation is
     ``|D_p^1/2 (CG residual)|_1``. The solve stops once that is below
     ``cfg.ppr_tol``, or after ``cfg.ppr_max_iters`` steps, with a logged
@@ -518,15 +520,15 @@ def _solve_ppr(
 
     sqrt_deg, inverse = graph.degree_roots
     sqrt_dp, inv_dp, inv_de = sqrt_deg[:n_p], inverse[:n_p], inverse[n_p:]
-    c, c_t = graph.contain_csr, graph.contain_by_entity.dot
+    contain = graph.contain_by_entity
 
     def b_mat(v: np.ndarray) -> np.ndarray:
-        product = c @ (inv_de * v)
+        product = contain.row_major_dot(inv_de * v)
         product *= inv_dp
         return product
 
     def b_t(w: np.ndarray) -> np.ndarray:
-        product = c_t(inv_dp * w)
+        product = contain.dot(inv_dp * w)
         product *= inv_de
         return product
 

@@ -19,7 +19,9 @@ cached on it. They hold incidence patterns only: the entity-major view of
 each incidence, a graph grown by ``add_passages`` derives from that of the
 graph it grew from (see ``EntityMajor``); the degree-normalized contain
 matrix that PageRank solves with is never stored, but applied as scalings
-by the degree roots around products with ``contain``.
+by the degree roots around products with ``contain``, which its
+entity-major view gives both ways (``EntityMajor.dot`` and
+``EntityMajor.row_major_dot``).
 
 The persisted index directory (format version 2) holds:
 
@@ -174,12 +176,6 @@ class SparseBinaryMatrix:
     def col_counts(self) -> np.ndarray:
         return np.bincount(self.col_ids, minlength=self.n_cols).astype(np.int64)
 
-    def to_csr(self) -> sp.csr_matrix:
-        data = np.ones(self.nnz, dtype=np.float64)
-        return sp.csr_matrix(
-            (data, self.col_ids, self.indptr), shape=(self.n_rows, self.n_cols)
-        )
-
     def to_dense(self) -> np.ndarray:
         dense = np.zeros((self.n_rows, self.n_cols), dtype=bool)
         dense[self.row_ids, self.col_ids] = True
@@ -256,16 +252,10 @@ class TriGraph:
     def contain_by_entity(self) -> "EntityMajor":
         """The contain incidence read entity-major, each entry valued 1.0:
         per entity, the passages that hold it. ``retrieval`` reads it for
-        the passage seeds' entries and PPR's products with C^T."""
+        the passage seeds' entries and PPR's products with C and C^T."""
         return EntityMajor.of(
             self.contain, grown_from=self._grown_from.pop("contain_by_entity", None)
         )
-
-    @cached_property
-    def contain_csr(self) -> sp.csr_matrix:
-        """The contain incidence as a scipy CSR matrix, each entry 1.0, for
-        PPR's products with C."""
-        return self.contain.to_csr()
 
     @cached_property
     def degree_roots(self) -> tuple[np.ndarray, np.ndarray]:
@@ -476,6 +466,27 @@ class EntityMajor:
         best[higher] = tail_best[higher]
         return best
 
+    def row_major_dot(self, v: np.ndarray) -> np.ndarray:
+        """The product of the row-major incidence with ``v`` (one value per
+        entity), with the bits of scipy's CSR product of that incidence.
+
+        The base's transpose is scipy's CSC matrix over the same arrays, made
+        without a copy; its product adds each row's terms from +0.0 in
+        ascending entity id, as the CSR product does. The rows from ``fold``
+        on hold no base entry, and ``np.add.at`` adds their tail terms in
+        row-major order, which within a row is ascending entity id too.
+        """
+        out = self._base_transposed @ v
+        if len(self.tail_rows):
+            np.add.at(out, self.tail_rows, v[self.tail_cols])
+        return out
+
+    @cached_property
+    def _base_transposed(self) -> sp.csc_matrix:
+        # Made once: scipy builds and checks a new matrix on each ``.T``,
+        # which costs PPR's product with C about as much as the product.
+        return self.base.T
+
     def dot(self, z: np.ndarray) -> np.ndarray:
         """The product with ``z``, with the bits of a product with the whole
         entity-major matrix as one CSR.
@@ -526,15 +537,15 @@ def add_passages(graph: TriGraph, new_slice: Corpus) -> TriGraph:
     What still grows with the corpus is copying: the graph's arrays (its
     sentence table among them), its passage tuple and its entity registry
     are copied into the result, so ``graph`` is never changed
-    (``tools/append_scaling.py`` times this call at several corpus sizes).
+    (``evalbench.append_costs`` measures this call by stage).
     The entity-major views the result makes on first use are derived from
     those ``graph`` has made, or else from those it would derive its own
     from, with no new transposition of a whole incidence until a tail
     passes ``FOLD_FRACTION`` (see ``EntityMajor``). They hold no values, so
     no degree change patches them: PageRank's B is applied as scalings of
-    C by the degree roots, which the result computes anew, as it converts
-    ``contain``'s index arrays for scipy (``TriGraph.degree_roots`` and
-    ``TriGraph.contain_csr``).
+    C by the degree roots, which the result computes anew
+    (``TriGraph.degree_roots``), around products with C and C^T that both
+    read the entity-major contain view. Nothing converts C itself.
 
     The slice's passage and sentence ids must continue the graph's dense id
     ranges. The result equals a full rebuild over the concatenated corpus.

@@ -15,11 +15,15 @@ from linearrag.cli import main
 from linearrag.corpus import ingest
 from linearrag.embedding import HashEncoder, build_store
 from linearrag.evalbench import (
+    INDEX_STAGES,
+    StageClock,
     bench_scaling,
     evaluate,
     forbid_network,
     generate_synthetic_corpus,
+    index_pass,
     load_qa_examples,
+    write_corpus_jsonl,
 )
 from linearrag.extraction import ExtractorContract, canonicalize, extract_mentions
 from linearrag.retrieval import (
@@ -328,6 +332,27 @@ def test_criterion_9_linear_scaling(tmp_path):
     byte_ratios = ", ".join(f"{r:.2f}" for r in report.bytes_doubling_ratios)
     print(f"\n[PASS] criterion 9: doubling ratios time=[{ratios}] "
           f"bytes=[{byte_ratios}] in {elapsed:.1f}s")
+
+
+def test_index_allocation_scales_linearly(tmp_path):
+    """Beside criterion 9, on its corpora: each doubling of the corpus at
+    most 2.5x (the bound of its bytes check) the index path's tracemalloc
+    peak, the largest of its stages' peaks, which the host cannot move."""
+    encoder = HashEncoder(seed=7)
+    peaks = []
+    for size in (500, 1000, 2000, 4000):
+        corpus, _ = generate_synthetic_corpus(
+            n_passages=size, avg_sentences=3, entity_pool=size // 4, seed=7
+        )
+        write_corpus_jsonl(corpus, tmp_path / f"{size}.jsonl")
+        clock = StageClock({"index": INDEX_STAGES})
+        clock.traced(index_pass(tmp_path / f"{size}.jsonl", tmp_path / str(size), encoder))
+        peaks.append(clock.peak_kib["index"][0])
+    ratios = [after / before for before, after in zip(peaks, peaks[1:])]
+    for ratio in ratios:
+        assert ratio <= 2.5, f"index-allocation doubling ratio {ratio:.2f}"
+    print(f"\n[PASS] index allocation doubling ratios "
+          f"[{', '.join(f'{r:.2f}' for r in ratios)}] of peaks {peaks} KiB")
 
 
 def _masked_eval_report(path):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from linearrag import evalbench
 from linearrag.cli import load_app_config, main
 from linearrag.embedding import read_vector_file, write_vector_file
 from linearrag.retrieval import RetrievalConfig
@@ -285,7 +286,20 @@ class TestBenchCommand:
         table = out_path.with_suffix(".tsv").read_text().splitlines()
         assert table[0] == "size\tindex_seconds\tmean_query_seconds\tindex_bytes"
         assert len(table) == 3
-        assert "bench: sizes=24,48" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "bench: sizes=24,48" in out
+        stages = (*evalbench.INDEX_STAGES, "index")
+        header = out.splitlines().index("size\tstage\twall_ms\tgc_ms\tpeak_kib")
+        rows = [line.split("\t") for line in out.splitlines()[header + 1 :]]
+        assert [row[:2] for row in rows] == [
+            [size, stage] for size in ("24", "48") for stage in stages
+        ]
+        costs = dict(zip(("24", "48"), report["stage_costs"]))
+        for size, stage, wall, collector, peak in rows:
+            assert float(wall) == pytest.approx(costs[size]["median_ms"][stage], abs=1e-3)
+            assert float(collector) >= 0.0
+            assert float(peak) == pytest.approx(costs[size]["peak_kib"][stage], abs=0.1)
+            assert float(peak) > 0.0
 
     def test_bad_sizes_usage_error(self, tmp_path):
         config = write_config(tmp_path)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy import sparse as sp
 
 from linearrag.corpus import Corpus, Passage
 from linearrag.embedding import HashEncoder, build_store, extend_store
@@ -520,7 +521,7 @@ def test_lazily_scored_hops_equal_the_scalar_oracle_on_dense_sigma(
 
 
 VIEWS = ("mention_by_entity", "contain_by_entity")
-QUERY_OPERATORS = (*VIEWS, "contain_csr", "degree_roots")
+QUERY_OPERATORS = (*VIEWS, "degree_roots")
 
 
 def operator_arrays(graph) -> list[np.ndarray]:
@@ -538,10 +539,19 @@ def operator_arrays(graph) -> list[np.ndarray]:
                 view.tail_rows,
                 view.tail_cols,
             ]
-    if "contain_csr" in made:
-        c = made["contain_csr"]
-        arrays += [c.data, c.indices, c.indptr]
     return arrays + list(made.get("degree_roots", ()))
+
+
+def assert_c_product_is_scipys(graph, rng):
+    """The contain view's product with C has the bits of scipy's CSR
+    product of ``contain``, made here from its arrays."""
+    contain = graph.contain
+    c = sp.csr_matrix(
+        (np.ones(contain.nnz), contain.col_ids, contain.indptr),
+        shape=(contain.n_rows, contain.n_cols),
+    )
+    v = rng.standard_normal(graph.n_entities)
+    assert same_bits(graph.contain_by_entity.row_major_dot(v), c @ v)
 
 
 def assert_operators_equal_a_fresh_build(grown, fresh, rng):
@@ -564,8 +574,12 @@ def assert_operators_equal_a_fresh_build(grown, fresh, rng):
         assert np.array_equal(
             view.best_rows(z, everyone), fresh_view.best_rows(z, everyone)
         )
+    assert_c_product_is_scipys(grown, rng)
     v = rng.standard_normal(grown.n_entities)
-    assert same_bits(grown.contain_csr @ v, fresh.contain_csr @ v)
+    assert same_bits(
+        grown.contain_by_entity.row_major_dot(v),
+        fresh.contain_by_entity.row_major_dot(v),
+    )
     for mine, theirs in zip(grown.degree_roots, fresh.degree_roots):
         assert same_bits(mine, theirs)
 
@@ -618,7 +632,9 @@ def test_grown_operators_equal_a_fresh_build_and_leave_the_parent_intact(
 def test_a_tail_past_the_fold_fraction_is_folded():
     """Appends one passage at a time, each graph queried: every view keeps a
     tail of at most ``FOLD_FRACTION`` of its base's entries, the chain both
-    grows tails and folds them, and the last graph answers as a rebuild."""
+    grows tails and folds them, the contain view's product with C has the
+    bits of a CSR product with tails and after folds, and the last graph
+    answers as a rebuild."""
     whole, examples = generate_synthetic_corpus(
         n_passages=60, avg_sentences=3, entity_pool=30, seed=11, n_chains=4
     )
@@ -629,10 +645,12 @@ def test_a_tail_past_the_fold_fraction_is_folded():
     store = build_store(graph, encoder)
     retrieve(questions[0], graph, store, cfg)
     seen = {name: set() for name in VIEWS}
+    rng = np.random.default_rng(5)
     for stop in range(41, 61):
         graph = add_passages(graph, make_slice(whole, stop - 1, stop))
         store = extend_store(store, graph)
         retrieve(questions[stop % len(questions)], graph, store, cfg)
+        assert_c_product_is_scipys(graph, rng)
         for name, views in seen.items():
             view = getattr(graph, name)
             assert len(view.tail_rows) <= trigraph.FOLD_FRACTION * view.base.nnz
