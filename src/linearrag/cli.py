@@ -296,12 +296,22 @@ def cmd_bench(config: AppConfig, sizes: Sequence[int], seed: int, out: str | Non
 
 
 def cmd_inspect(config: AppConfig) -> int:
-    index_dir = _require(config.index_dir, "index_dir")
-    manifest_path = Path(index_dir) / trigraph.MANIFEST
+    """Print the manifest verbatim. Its node counts are the base's; when a
+    tail holds records, the node counts the index commits and each tail's
+    record count follow it."""
+    index_dir = Path(_require(config.index_dir, "index_dir"))
+    manifest_path = index_dir / trigraph.MANIFEST
     try:
         print(manifest_path.read_text(encoding="utf-8"), end="")
     except OSError as exc:
         raise IngestError(f"cannot read {manifest_path}: {exc}") from exc
+    (n_p, n_s, n_e), graph_records = trigraph.committed_counts(index_dir)
+    vector_tail = index_dir / trigraph.VECTOR_TAIL
+    vector_records = len(embedding.VECTOR_RECORD.records(vector_tail))
+    if graph_records or vector_records:
+        print(f"committed: {n_p} passages, {n_s} sentences, {n_e} entities")
+        print(f"{trigraph.GRAPH_TAIL}: {graph_records} records")
+        print(f"{trigraph.VECTOR_TAIL}: {vector_records} records")
     return 0
 
 
@@ -341,7 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=7)
     p_bench.add_argument("--out")
 
-    p_inspect = sub.add_parser("inspect", help="print the index manifest")
+    p_inspect = sub.add_parser(
+        "inspect", help="print the index manifest, and what its tails commit"
+    )
     p_inspect.add_argument("--config", required=True)
 
     return parser

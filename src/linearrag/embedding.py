@@ -9,9 +9,14 @@ layout (offline).
 
 Vector file layout (little-endian): 8-byte magic ``LRGVEC01``, uint32
 format version, uint32 dim, uint64 row count, uint32 encoder-id length,
-encoder id (UTF-8), then rows*dim float32 values. The row count is the
-file's commit point: ``save_store`` appends rows, fsyncs, then updates it in
-place, and readers ignore bytes past the rows it counts.
+encoder id (UTF-8), then rows*dim float32 values. The header's row count
+commits the file's rows, and readers ignore bytes past the rows it counts.
+An append writes no vector file: it commits the new rows of all three as
+one record of ``vectors.tail`` (``VECTOR_RECORD``), whose header's committed
+length is its commit point (see ``storage``). ``load_store`` reads each file
+followed by its rows in the tail's records past its own count, and
+``save_store`` folds the tail into the files when ``trigraph.save`` folds
+the graph's.
 """
 
 from __future__ import annotations
@@ -31,12 +36,15 @@ import numpy as np
 from . import storage
 from .buffers import appended
 from .errors import ConfigError, ConsistencyError, EncodingError, IndexLoadError
-from .trigraph import MANIFEST, STORE_FILES, TriGraph, read_manifest
+from .trigraph import STORE_FILES, VECTOR_TAIL, TriGraph, read_manifest
 
 MAGIC = b"LRGVEC01"
 FILE_VERSION = 1
 _HEADER = struct.Struct("<IIQI")  # version, dim, rows, encoder-id length
 _ROWS_OFFSET = len(MAGIC) + 8  # where the uint64 row count sits
+# A vector record: the rows each of ``STORE_FILES`` gains, with its row
+# counts in that order.
+VECTOR_RECORD = storage.TailFormat(len(STORE_FILES))
 
 NORM_TOLERANCE = 1e-4
 
@@ -341,73 +349,151 @@ def _read_header(f: BinaryIO, path: str | Path) -> tuple[int, int, str]:
 
 
 def read_vector_file(path: str | Path) -> tuple[np.ndarray, str]:
-    """The rows a vector file commits, and its encoder id. Bytes past the
-    counted rows belong to an append that never committed and are ignored."""
-    with Path(path).open("rb") as f:
-        dim, rows, encoder_id = _read_header(f, path)
-        expected = rows * dim * 4
+    """The rows a vector file's header commits, and its encoder id. Bytes
+    past the counted rows belong to an append that never committed and are
+    ignored."""
+    return _read_vectors(Path(path), Path(path), (), 0)
+
+
+def _read_vectors(
+    path: Path, tail: Path, records: Sequence[storage.TailRecord], kind: int
+) -> tuple[np.ndarray, str]:
+    """The rows a vector file's header commits followed by part ``kind`` of
+    each of ``records``, the records of ``tail`` past those rows, and its
+    encoder id."""
+    with path.open("rb") as f:
+        dim, count, encoder_id = _read_header(f, path)
+        expected = count * dim * 4
         available = os.fstat(f.fileno()).st_size - f.tell()
         if available < expected:
             raise ConsistencyError(
                 f"{path}: expected {expected} bytes of vector data, got {available}"
             )
-        payload = bytearray(expected)
-        f.readinto(payload)
-    return np.frombuffer(payload, dtype="<f4").reshape(rows, dim), encoder_id
+        parts = []
+        for record in storage.records_past(tail, records, [count], [kind]):
+            part, n_rows = record.parts[kind], record.end[kind] - record.start[kind]
+            if len(part) != n_rows * dim * 4:
+                raise ConsistencyError(
+                    f"{tail}: a record holds {len(part)} bytes of {path.name} "
+                    f"rows, its counts say {n_rows} rows of dim {dim}"
+                )
+            parts.append(part)
+        payload = bytearray(expected + sum(len(part) for part in parts))
+        f.readinto(memoryview(payload)[:expected])
+    at = expected
+    for part in parts:
+        payload[at : at + len(part)] = part
+        at += len(part)
+    return np.frombuffer(payload, dtype="<f4").reshape(-1, dim), encoder_id
 
 
 def save_store(store: EmbeddingStore, directory: str | Path) -> None:
     """Write the three vector files of a store.
 
-    A file whose row count the directory's manifest commits (its
-    ``vector_rows``), under the store's encoder id and dim, gets only the
-    rows past that count appended, then its header's row count updated in
-    place. Any other file is rewritten whole and fsynced. The manifest, if
-    there is one, then commits the new row counts. ``trigraph.save`` keeps
-    the committed counts only when it appends to the graph those rows
-    belong to.
+    If the directory's manifest names the store's embedder, and the vector
+    files and ``vectors.tail`` commit a prefix of the store's rows, only the
+    rows past that prefix are written: one record that
+    ``storage.append_tail`` commits in the tail, two fsyncs. It reads the
+    manifest and the tail's last record, or each file's header when the
+    tail is empty. Once the manifest's node counts have passed the tail's
+    end - the ``save`` before it folded the graph - the store folds too:
+    each vector file is cut back to the rows its header commits, gets the
+    rows past them appended and fsynced, then its header's row count
+    updated in place and fsynced; only then is the tail reset. Any other
+    store is written whole: the tail removed, each file rewritten and
+    fsynced, then the directory fsynced. A full ``trigraph.save`` removes
+    the vector files and the tail, so the store saved after it is always
+    written whole. The manifest is never written here.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
+    arrays = (store.entity_vectors, store.sentence_vectors, store.passage_vectors)
+    tail = directory / VECTOR_TAIL
+    committed = _committed_rows(directory, store)
+    if committed is not None:
+        length, end, folds = committed
+        counts = tuple(len(rows) for rows in arrays)
+        if not folds:
+            if end != counts:
+                parts = [_le_rows(rows[e:]).tobytes() for rows, e in zip(arrays, end)]
+                record = VECTOR_RECORD.record(end, counts, parts)
+                storage.append_tail(tail, length, record)
+            return
+        bases = _committed_files(directory, store)
+        if None not in bases:
+            for name, rows, (offset, stored) in zip(STORE_FILES, arrays, bases):
+                path = directory / name
+                storage.append(path, offset, _le_rows(rows[stored:]).tobytes())
+                storage.overwrite(path, _ROWS_OFFSET, struct.pack("<Q", len(rows)))
+            if length:
+                storage.reset_tail(tail)
+            return
+    storage.remove(tail)
+    for name, rows in zip(STORE_FILES, arrays):
+        write_vector_file(directory / name, rows, store.encoder_id)
+    storage.sync_directory(directory)
+
+
+def _le_rows(rows: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(rows, dtype="<f4")
+
+
+def _committed_rows(
+    directory: Path, store: EmbeddingStore
+) -> tuple[int, tuple[int, ...], bool] | None:
+    """If the directory's manifest names the store's embedder and the index
+    commits at most the store's rows: the committed length of the vector
+    tail, the row counts at its end, and whether the store folds (the
+    manifest's node counts passed them). Else None."""
     try:
         manifest = read_manifest(directory)
-    except IndexLoadError:
-        manifest = None
-    vouched = (manifest or {}).get("vector_rows")
-    if not isinstance(vouched, dict):
-        vouched = {}
+        length, last = VECTOR_RECORD.last(directory / VECTOR_TAIL)
+    except (IndexLoadError, OSError):
+        return None
+    if manifest.get("embedder") != {"id": store.encoder_id, "dim": store.dim}:
+        return None
+    if last is not None:
+        end = last.end
+    else:
+        bases = _committed_files(directory, store)
+        if None in bases:
+            return None
+        end = tuple(stored for _, stored in bases)
     arrays = (store.entity_vectors, store.sentence_vectors, store.passage_vectors)
-    for name, rows in zip(STORE_FILES, arrays):
-        path = directory / name
-        committed = _committed_bytes(path, rows, store.encoder_id, vouched.get(name))
-        if committed is None:
-            write_vector_file(path, rows, store.encoder_id)
-            continue
-        rows = np.ascontiguousarray(rows, dtype="<f4")
-        storage.append(path, committed, rows[vouched[name] :].tobytes())
-        storage.overwrite(path, _ROWS_OFFSET, struct.pack("<Q", len(rows)))
-    if manifest is not None:
-        counts = {name: len(rows) for name, rows in zip(STORE_FILES, arrays)}
-        storage.replace_json(directory / MANIFEST, {**manifest, "vector_rows": counts})
+    graph = [manifest.get(k) for k in ("n_entities", "n_sentences", "n_passages")]
+    if not all(type(n) is int for n in graph) or any(
+        e > len(rows) for e, rows in zip(end, arrays)
+    ):
+        return None
+    return length, tuple(end), any(e < n for e, n in zip(end, graph))
+
+
+def _committed_files(
+    directory: Path, store: EmbeddingStore
+) -> list[tuple[int, int] | None]:
+    """``_committed_bytes`` of each of ``STORE_FILES`` for the store's rows."""
+    arrays = (store.entity_vectors, store.sentence_vectors, store.passage_vectors)
+    return [
+        _committed_bytes(directory / name, rows, store.encoder_id)
+        for name, rows in zip(STORE_FILES, arrays)
+    ]
 
 
 def _committed_bytes(
-    path: Path, rows: np.ndarray, encoder_id: str, vouched: Any
-) -> int | None:
-    """The length of the header and first ``vouched`` rows of a vector file
-    that holds exactly that many rows under ``encoder_id`` and ``rows``'s
-    dim; None for any other file."""
-    if type(vouched) is not int or not 0 < vouched <= len(rows):
-        return None
+    path: Path, rows: np.ndarray, encoder_id: str
+) -> tuple[int, int] | None:
+    """The length of the header and committed rows of a vector file that
+    holds at most ``len(rows)`` rows under ``encoder_id`` and ``rows``'s
+    dim, and its row count; None for any other file."""
     try:
         with path.open("rb") as f:
             dim, stored, stored_id = _read_header(f, path)
             header_bytes = f.tell()
     except (OSError, ConsistencyError):
         return None
-    if (dim, stored, stored_id) != (rows.shape[1], vouched, encoder_id):
+    if (dim, stored_id) != (rows.shape[1], encoder_id) or stored > len(rows):
         return None
-    return header_bytes + vouched * dim * 4
+    return header_bytes + stored * dim * 4, stored
 
 
 def load_store(
@@ -415,13 +501,16 @@ def load_store(
     graph: TriGraph | None = None,
     encoder: Encoder | None = None,
 ) -> EmbeddingStore:
-    """Load the three vector files, validating norms and (optionally)
-    row-count agreement with a graph."""
+    """Load the three vector files, each followed by its rows in the vector
+    tail's records past the rows its header commits, validating norms and
+    (optionally) row-count agreement with a graph."""
     directory = Path(directory)
+    tail = directory / VECTOR_TAIL
+    records = VECTOR_RECORD.records(tail)
     arrays: list[np.ndarray] = []
     ids: list[str] = []
-    for name in STORE_FILES:
-        rows, encoder_id = read_vector_file(directory / name)
+    for kind, name in enumerate(STORE_FILES):
+        rows, encoder_id = _read_vectors(directory / name, tail, records, kind)
         validate_normalized(rows, name)
         arrays.append(rows)
         ids.append(encoder_id)

@@ -52,7 +52,15 @@ from .embedding import (
 from .errors import ConfigError, ConsistencyError
 from .extraction import ExtractorContract
 from .retrieval import EntityLevel, RankedPassages, RetrievalConfig, retrieve
-from .trigraph import TriGraph, add_passages, build, graph_equal, load, save
+from .trigraph import (
+    TriGraph,
+    add_passages,
+    build,
+    graph_equal,
+    load,
+    read_manifest,
+    save,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -680,8 +688,13 @@ def append_costs(
     (``first_append_ms``) and is left out; ``rounds`` timed appends follow,
     then ``PEAK_APPENDS`` more, each a traced pass. ``first_query`` sets the
     first call after an append against the third: the median over the timed
-    appends of its extra time, and the ratio of their peaks. The grown index
-    must equal a rebuild of the concatenated corpus, in memory and on disk
+    appends of its extra time, and the ratio of their peaks. ``folds``
+    counts the timed appends whose ``save`` folded the tails into the base
+    files, seen as a change of the manifest, which an append that does not
+    fold leaves alone; ``save_ms`` gives the median ``save`` and
+    ``save_store`` ms of the appends that folded (``fold``, None without
+    one) and of those that did not (``tail``). The grown index must equal a
+    rebuild of the concatenated corpus, in memory and on disk
     (``equals_rebuild``)."""
     encoder = store.encoder
     embedder = {"id": encoder.contract.id, "dim": encoder.contract.dim}
@@ -689,14 +702,14 @@ def append_costs(
         PassageRecord(doc_key=p.doc_key, title=None, text=p.text)
         for p in graph.corpus.passages
     ]
-    state = [graph, store]
+    state = [graph, store, read_manifest(directory)]
     clock = StageClock({"append": APPEND_STAGES})
 
     def append(piece: tuple[Sequence[PassageRecord], str]) -> Callable:
         new_records, question = piece
 
         def step(lap):
-            graph, store = state
+            graph, store, manifest = state
             delta = corpus_from_records(
                 new_records,
                 passage_id_base=graph.n_passages,
@@ -714,20 +727,20 @@ def append_costs(
             for call in QUERY_CALLS:
                 ranked = retrieve(question, graph, store, cfg)
                 lap(call, ranked.stats.stage_ms)
-            state[:] = graph, store
+            state[:] = graph, store, read_manifest(directory)
             records.extend(new_records)
+            return state[2] != manifest
 
         return step
 
     pieces = iter(slices)
     first = StageClock({"append": APPEND_STAGES})
     first.timed(append(next(pieces)))
-    for _ in range(rounds):
-        clock.timed(append(next(pieces)))
+    folded = [clock.timed(append(next(pieces))) for _ in range(rounds)]
     for _ in range(PEAK_APPENDS):
         clock.traced(append(next(pieces)))
 
-    graph, store = state
+    graph, store, _ = state
     rebuilt = build(corpus_from_records(records), graph.extractor)
     on_disk = load(directory)
     equal = (
@@ -740,10 +753,20 @@ def append_costs(
     first_ms = clock.wall_ms["first_retrieve"]
     again_ms = clock.wall_ms["retrieve_again"]
     peaks = summary["peak_kib"]
+
+    def save_ms(fold: bool) -> dict[str, float | None]:
+        medians = {}
+        for stage in ("save", "save_store"):
+            ms = [t for t, f in zip(clock.wall_ms[stage], folded) if f == fold]
+            medians[stage] = round(statistics.median(ms), 3) if ms else None
+        return medians
+
     return {
         "appends": rounds,
         "equals_rebuild": equal,
         "first_append_ms": round(first.wall_ms["append"][0], 3),
+        "folds": sum(folded),
+        "save_ms": {"tail": save_ms(False), "fold": save_ms(True)},
         **summary,
         "first_query": {
             "overhead_ms": round(

@@ -23,7 +23,7 @@ by the degree roots around products with ``contain``, which its
 entity-major view gives both ways (``EntityMajor.dot`` and
 ``EntityMajor.row_major_dot``).
 
-The persisted index directory (format version 2) holds:
+The persisted index directory (format version 3) holds:
 
 * ``passages.jsonl`` - one ``{id, doc_key, title, text}`` record per line.
 * ``sentences.i64`` - three little-endian int64 per sentence: owning
@@ -38,13 +38,24 @@ The persisted index directory (format version 2) holds:
   whitespace other than single spaces); a later line for an id replaces
   the earlier one.
 * ``manifest.json`` - format_version, corpus_digest, node counts, extractor
-  and embedder contracts, the committed byte length of every file above,
-  and the row count of each vector file (``*.vec``, written by
-  ``embedding.save_store``) as the last store save committed it.
+  and embedder contracts, and the committed byte length of every file
+  above: the base of the index.
+* ``graph.tail`` - records appended since the base, each the bytes every
+  file above gains, between its start and end node counts, with the corpus
+  digest after it (``GRAPH_RECORD``; see ``storage.TailFormat``). Its
+  header's committed length is its commit point.
+* ``*.vec`` and ``vectors.tail`` - the vectors, which
+  ``embedding.save_store`` writes the same way.
 
-Every file only grows. ``save`` appends the rows past what the manifest
-commits, fsyncs, then replaces the manifest atomically: the manifest is the
-commit point, and ``load`` reads only the committed prefix of each file.
+Every base file only grows, until a full write. An append commits one
+record in ``graph.tail`` and leaves the manifest alone. Once the tail passes
+``FOLD_FRACTION`` of the base, a save folds it: it appends the rows past the
+manifest's counts to the base files, fsyncs, replaces the manifest
+atomically, and only then resets the tail, the base plus tail layout of an
+LSM-tree (O'Neil et al., Acta Informatica 1996). ``load`` reads the
+committed prefix of each base file followed by the tail records past the
+manifest's counts. A format-2 index, which has no tails, loads as one with
+empty tails.
 """
 
 from __future__ import annotations
@@ -79,7 +90,9 @@ from .extraction import (
 
 logger = logging.getLogger(__name__)
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
+# Format 2 is format 3 without tail files.
+READABLE_VERSIONS = (2, FORMAT_VERSION)
 
 SURFACE_SEPARATOR = "\x1f"  # ASCII unit separator
 
@@ -92,15 +105,22 @@ GRAPH_FILES = (
     "occurrence.i64",
     "entities.tsv",
 )
-# The vector files ``embedding.save_store`` writes beside them; the manifest's
-# ``vector_rows`` commit their row counts.
+GRAPH_TAIL = "graph.tail"
+# A graph record: the bytes each of ``GRAPH_FILES`` gains, its node counts
+# in the order passages, sentences, entities, and the corpus digest after it
+# (32 bytes).
+GRAPH_RECORD = storage.TailFormat(len(GRAPH_FILES), extra=32)
+# The vector files ``embedding.save_store`` writes beside them, whose header
+# row counts commit their rows, and its tail.
 STORE_FILES = ("entities.vec", "sentences.vec", "passages.vec")
-# Files of format version 1 that version 2 no longer writes.
+VECTOR_TAIL = "vectors.tail"
+# Files of format version 1 that later versions no longer write.
 V1_FILES = ("sentences.jsonl", "contain.coo", "mention.coo", "occurrence.tsv")
 _INT64 = np.dtype("<i8")
 # An entity-major view is transposed anew from the whole incidence once the
 # rows grown since its base was made hold more than this share of the
-# base's entries (see ``EntityMajor``).
+# base's entries (see ``EntityMajor``), and a save folds the graph tail into
+# the base files once it would hold more than this share of their bytes.
 FOLD_FRACTION = 0.0625
 # The cached entity-major views a grown graph derives from its ancestor's,
 # each with the incidence it reads.
@@ -625,19 +645,22 @@ def save(
 
     If the directory already commits a prefix of ``graph`` - same extractor
     and embedder contracts, and ``graph``'s corpus digest chains on from the
-    committed one - only the rows past that prefix are appended, after
-    cutting each file back to its committed length. Otherwise the manifest
-    is removed first, with the vector files and any format-1 files, and
-    every graph file rewritten. Either way the manifest is replaced last
-    and commits the save; a save that fails before then leaves the
-    committed index as it was (an append) or no index (a full write). The
-    digest covers passage texts (titles included), not doc keys: a graph
-    that differs from the committed one only in doc keys keeps the
-    committed keys.
+    committed one - only what lies past that prefix is written, as one
+    record that ``storage.append_tail`` commits in ``graph.tail``: two
+    fsyncs, and the manifest is left alone. Once the tail with that record
+    would hold more than ``FOLD_FRACTION`` of the base files' committed
+    bytes, the save folds instead: every row past the manifest's counts is
+    appended to the base files, each cut back to its committed length
+    first, and fsynced; the manifest is replaced; and only then is the tail
+    reset. A save that fails before its commit leaves the committed index
+    as it was.
 
-    An append keeps the committed ``vector_rows``, which belong to the
-    prefix; a full write commits none, so ``embedding.save_store`` then
-    rewrites every vector file.
+    Otherwise the manifest is removed first, with both tails, the vector
+    files and any format-1 files, and every graph file rewritten, so a
+    failure leaves no index; ``embedding.save_store`` then rewrites every
+    vector file. The digest covers passage texts (titles included), not doc
+    keys: a graph that differs from the committed one only in doc keys
+    keeps the committed keys.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -655,60 +678,97 @@ def save(
     }
     # The manifest as load will read it back (JSON has no tuples).
     manifest = json.loads(json.dumps(manifest))
-    base = _committed_prefix(directory, manifest, graph)
-    if base is None:
-        for name in (MANIFEST, *STORE_FILES, *V1_FILES):
-            storage.remove(directory / name)
-        base = {"n_passages": 0, "n_sentences": 0, "n_entities": 0, "vector_rows": {}}
-        lengths = dict.fromkeys(GRAPH_FILES, 0)
-    else:
-        lengths = dict(base["files"])
+    committed = _committed_prefix(directory, manifest, graph)
+    if committed is not None:
+        base, lengths, tail, end = committed
+        counts = (graph.n_passages, graph.n_sentences, graph.n_entities)
+        path = directory / GRAPH_TAIL
+        if counts == end:
+            if tail and end == base:  # records a fold moved into the base
+                storage.reset_tail(path)
+            return
+        record = GRAPH_RECORD.record(
+            end, counts, _rows_after(graph, end), bytes.fromhex(graph.corpus_digest)
+        )
+        if tail + len(record) <= FOLD_FRACTION * sum(lengths.values()):
+            storage.append_tail(path, tail, record)
+            return
+        if _base_intact(directory, lengths):
+            _write_base(graph, directory, manifest, base, lengths)
+            if tail:
+                storage.reset_tail(path)
+            return
+    for name in (MANIFEST, GRAPH_TAIL, VECTOR_TAIL, *STORE_FILES, *V1_FILES):
+        storage.remove(directory / name)
+    _write_base(graph, directory, manifest, (0, 0, 0), dict.fromkeys(GRAPH_FILES, 0))
+
+
+def _write_base(
+    graph: TriGraph,
+    directory: Path,
+    manifest: Mapping[str, Any],
+    base: tuple[int, int, int],
+    lengths: Mapping[str, int],
+) -> None:
+    """Append the rows of ``graph`` past the node counts ``base`` to the
+    base files, each cut back to its committed length in ``lengths``, and
+    commit them by replacing the manifest."""
+    lengths = dict(lengths)
     for name, data in zip(GRAPH_FILES, _rows_after(graph, base)):
         storage.append(directory / name, lengths[name], data)
         lengths[name] += len(data)
-    storage.replace_json(
-        directory / MANIFEST,
-        {**manifest, "files": lengths, "vector_rows": base["vector_rows"]},
-    )
+    storage.replace_json(directory / MANIFEST, {**manifest, "files": lengths})
+
+
+def _base_intact(directory: Path, lengths: Mapping[str, int]) -> bool:
+    """Whether every base file holds at least its committed bytes: a fold
+    into a shorter one would pad it with zeros."""
+    try:
+        return all((directory / n).stat().st_size >= lengths[n] for n in GRAPH_FILES)
+    except OSError:
+        return False
 
 
 def _committed_prefix(
     directory: Path, manifest: Mapping[str, Any], graph: TriGraph
-) -> dict[str, Any] | None:
-    """The directory's manifest if the index it commits is a prefix of
-    ``graph`` under the same contracts, else None."""
+) -> tuple[tuple[int, int, int], dict[str, int], int, tuple[int, int, int]] | None:
+    """What the directory commits, if that is a prefix of ``graph`` under
+    the same contracts: the manifest's node counts and file lengths, the
+    committed length of the graph tail, and the node counts at the tail's
+    end (the manifest's, if the tail holds no record past them). Else None.
+
+    It reads the manifest and the tail's last record, not the records."""
     try:
         old = read_manifest(directory)
-        n_p, n_s, n_e = _node_counts(old)
+        base = _node_counts(old)
         lengths = _committed_lengths(old)
-        sizes = {name: (directory / name).stat().st_size for name in GRAPH_FILES}
+        tail, last = GRAPH_RECORD.last(directory / GRAPH_TAIL)
     except (IndexLoadError, OSError):
         return None
+    end, digest = base, old.get("corpus_digest")
+    if last is not None and last.end[0] > base[0]:
+        end, digest = last.end, last.extra.hex()
+    counts = (graph.n_passages, graph.n_sentences, graph.n_entities)
     # Same passages under the same extractor give the same sentences and
     # entities, so the digest chain is the whole prefix test.
     if (
         old.get("extractor") != manifest["extractor"]
         or old.get("embedder") != manifest["embedder"]
-        or not 0 < n_p <= graph.n_passages
-        or not (0 <= n_s <= graph.n_sentences and 0 <= n_e <= graph.n_entities)
-        or any(sizes[name] < lengths[name] for name in GRAPH_FILES)
+        or not 0 < base[0]
+        or not all(0 <= b <= e <= n for b, e, n in zip(base, end, counts))
+        or not isinstance(digest, str)
     ):
         return None
-    texts = (p.text for p in graph.corpus.passages[n_p:])
-    if chain_digest(old["corpus_digest"], texts) != graph.corpus_digest:
+    texts = (p.text for p in graph.corpus.passages[end[0] :])
+    if chain_digest(digest, texts) != graph.corpus_digest:
         return None
-    return {
-        "n_passages": n_p,
-        "n_sentences": n_s,
-        "n_entities": n_e,
-        "files": lengths,
-        "vector_rows": old.get("vector_rows") or {},
-    }
+    return base, lengths, tail, end
 
 
-def _rows_after(graph: TriGraph, base: Mapping[str, Any]) -> tuple[bytes, ...]:
-    """What each of ``GRAPH_FILES`` gains past the counts in ``base``."""
-    n_p, n_s, n_e = base["n_passages"], base["n_sentences"], base["n_entities"]
+def _rows_after(graph: TriGraph, counts: tuple[int, int, int]) -> tuple[bytes, ...]:
+    """What each of ``GRAPH_FILES`` gains past the node ``counts``
+    (passages, sentences, entities)."""
+    n_p, n_s, n_e = counts
     passages = "".join(
         json.dumps(
             {"id": p.id, "doc_key": p.doc_key, "title": p.title, "text": p.text},
@@ -752,7 +812,7 @@ def read_manifest(directory: str | Path) -> dict[str, Any]:
         raise ConsistencyError(f"cannot read manifest at {path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ConsistencyError(f"manifest at {path} is not a JSON object")
-    if manifest.get("format_version") != FORMAT_VERSION:
+    if manifest.get("format_version") not in READABLE_VERSIONS:
         raise VersionMismatchError(
             f"index format version {manifest.get('format_version')!r}, "
             f"expected {FORMAT_VERSION}"
@@ -780,35 +840,69 @@ def _committed_lengths(manifest: Mapping[str, Any]) -> dict[str, int]:
     return lengths
 
 
+def committed_counts(directory: str | Path) -> tuple[tuple[int, int, int], int]:
+    """The node counts an index directory commits, base and graph tail
+    together, and the number of records its graph tail holds."""
+    directory = Path(directory)
+    base = _node_counts(read_manifest(directory))
+    path = directory / GRAPH_TAIL
+    records = GRAPH_RECORD.records(path)
+    past = storage.records_past(path, records, base, range(3))
+    return (past[-1].end if past else base), len(records)
+
+
 def load(directory: str | Path) -> TriGraph:
     """Load and fully validate a persisted graph.
 
-    Raises VersionMismatchError / DigestMismatchError / ConsistencyError
-    for the corresponding classes of damage.
+    Each file's content is its committed prefix followed by its parts of the
+    graph tail's records past the manifest's counts. Raises
+    VersionMismatchError / DigestMismatchError / ConsistencyError for the
+    corresponding classes of damage.
     """
     directory = Path(directory)
     manifest = read_manifest(directory)
-    n_p, n_s, n_e = _node_counts(manifest)
+    base = _node_counts(manifest)
     lengths = _committed_lengths(manifest)
+    tail = directory / GRAPH_TAIL
+    records = storage.records_past(tail, GRAPH_RECORD.records(tail), base, range(3))
+    n_p, n_s, n_e = records[-1].end if records else base
     files = {
         name: _read_index_file(directory / name, lengths[name]) for name in GRAPH_FILES
     }
     # Bytes past a committed length were left by a save that did not commit.
-    committed = {name: files[name][: lengths[name]] for name in GRAPH_FILES}
+    # With no tail records, join returns the prefix itself, uncopied.
+    committed = {
+        name: b"".join([files[name][: lengths[name]], *(r.parts[i] for r in records)])
+        for i, name in enumerate(GRAPH_FILES)
+    }
 
     # Passages are read by record count, not committed bytes, so that an
     # edited passage text shows as a digest mismatch.
     path = directory / "passages.jsonl"
-    passages = _parse_passages(path, files[path.name], n_p)
-    if len(passages) != n_p:
+    passages = _parse_passages(path, files[path.name], base[0], [])
+    if len(passages) != base[0]:
         raise ConsistencyError(
-            f"{path} has {len(passages)} records, manifest says {n_p}"
+            f"{path} has {len(passages)} records, manifest says {base[0]}"
         )
     digest = chain_digest(initial_digest(), (p.text for p in passages))
     if digest != manifest.get("corpus_digest"):
         raise DigestMismatchError(
             "stored corpus digest does not match passage contents"
         )
+    _parse_passages(tail, b"".join(r.parts[0] for r in records), n_p, passages)
+    if len(passages) != n_p:
+        raise ConsistencyError(
+            f"{tail} holds {len(passages) - base[0]} passage records, "
+            f"its counts say {n_p - base[0]}"
+        )
+    for record in records:
+        texts = (p.text for p in passages[record.start[0] : record.end[0]])
+        digest = chain_digest(digest, texts)
+        if digest != record.extra.hex():
+            raise ConsistencyError(
+                f"{tail}: the corpus digest of the record ending at passage "
+                f"{record.end[0]} does not chain on from the one before it"
+            )
 
     path = directory / "sentences.i64"
     sentences = _int64_rows(path, committed[path.name], 3)
@@ -889,9 +983,11 @@ def _int64_rows(path: Path, data: bytes, width: int) -> np.ndarray:
     return np.frombuffer(data, dtype=_INT64).reshape(-1, width)
 
 
-def _parse_passages(path: Path, data: bytes, n_passages: int) -> list[Passage]:
-    """The first ``n_passages`` records of ``passages.jsonl``."""
-    passages: list[Passage] = []
+def _parse_passages(
+    path: Path, data: bytes, n_passages: int, passages: list[Passage]
+) -> list[Passage]:
+    """Extend ``passages`` with the records of ``passages.jsonl`` content in
+    ``data`` until it holds ``n_passages``, and return it."""
     for lineno, line in enumerate(data.split(b"\n"), 1):
         if len(passages) == n_passages:
             break

@@ -1,11 +1,13 @@
 """Appending saves: a save into a directory that commits a prefix of the
-graph writes only the new rows, survives a failure at any step, and matches
-a full rebuild however the corpus is split."""
+graph writes only the new rows, as a record in a tail file or folded into
+the base files, survives a failure at any step, and matches a full rebuild
+however the corpus is split."""
 
 import errno
 import json
 import os
 import random
+import struct
 from dataclasses import replace
 from itertools import count
 from pathlib import Path
@@ -15,20 +17,23 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from linearrag import storage
+from linearrag import storage, trigraph
 from linearrag.cli import main
 from linearrag.embedding import (
+    VECTOR_RECORD,
     HashEncoder,
     build_store,
     extend_store,
     load_store,
-    read_vector_file,
     save_store,
 )
-from linearrag.errors import VersionMismatchError
+from linearrag.errors import ConsistencyError, VersionMismatchError
 from linearrag.trigraph import (
     GRAPH_FILES,
+    GRAPH_RECORD,
+    GRAPH_TAIL,
     STORE_FILES,
+    VECTOR_TAIL,
     add_passages,
     build,
     graph_equal,
@@ -41,6 +46,9 @@ from test_trigraph import make_slice
 
 ENCODER = HashEncoder(dim=16, seed=3)
 EMBEDDER = {"id": ENCODER.contract.id, "dim": 16}
+KINDS = ("entity_vectors", "sentence_vectors", "passage_vectors")
+# ``FOLD_FRACTION`` values under which no save folds, or every save does.
+FOLDS = {"tail": 1e9, "fold": 0.0}
 NAMES = ["Paris", "Rome", "Oslo", "Lima", "Kyoto", "Dakar", "Quito", "Hanoi"]
 
 
@@ -61,10 +69,11 @@ FULL = build(WHOLE)
 
 
 def same_rows(a, b):
-    return all(
-        np.array_equal(getattr(a, name), getattr(b, name))
-        for name in ("entity_vectors", "sentence_vectors", "passage_vectors")
-    )
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in KINDS)
+
+
+def counts(graph):
+    return (graph.n_passages, graph.n_sentences, graph.n_entities)
 
 
 def index_bytes(directory):
@@ -154,45 +163,74 @@ def states():
     return old_graph, old_store, new_graph, new_store
 
 
-@pytest.fixture()
-def uncrashed(states, tmp_path):
-    old_graph, old_store, new_graph, new_store = states
-    directory = tmp_path / "uncrashed"
-    save_index(old_graph, old_store, directory)
-    save_index(new_graph, new_store, directory)
-    return index_bytes(directory)
+@pytest.fixture(scope="module")
+def early():
+    """A prefix of the old index."""
+    graph = build(make_slice(WHOLE, 0, 10))
+    return graph, build_store(graph, ENCODER)
+
+
+def save_old(states, early, directory, mode, monkeypatch):
+    """The index before the save under test: for ``tail``, the old graph
+    and store written whole, so the save appends the first record of each
+    tail; for ``fold``, the early prefix written whole and the old graph and
+    store appended as tail records, which the save then folds."""
+    old_graph, old_store = states[:2]
+    with monkeypatch.context() as patch:
+        patch.setattr(trigraph, "FOLD_FRACTION", FOLDS["tail"])
+        if mode == "fold":
+            save_index(*early, directory)
+        save_index(old_graph, old_store, directory)
 
 
 def test_append_writes_only_new_rows(states, tmp_path, monkeypatch):
+    """A non-folding append leaves every base file and the manifest as they
+    were, and each tail's record holds only the slice's bytes."""
     old_graph, old_store, new_graph, new_store = states
-    save_index(old_graph, old_store, tmp_path)
-    before = {name: (tmp_path / name).stat().st_size for name in GRAPH_FILES}
-    cuts = {}
-    real_append = storage.append
+    monkeypatch.setattr(trigraph, "FOLD_FRACTION", FOLDS["tail"])
+    directory = tmp_path / "index"
+    save_index(old_graph, old_store, directory)
+    before = index_bytes(directory)
+    save_index(new_graph, new_store, directory)
+    after = index_bytes(directory)
+    assert {name: after[name] for name in before} == before
+    assert set(after) - set(before) == {GRAPH_TAIL, VECTOR_TAIL}
 
-    def append(path, committed, data):
-        cuts[path.name] = committed
-        real_append(path, committed, data)
+    save(old_graph, tmp_path / "old")
+    save(new_graph, tmp_path / "new")
+    old_files, new_files = index_bytes(tmp_path / "old"), index_bytes(tmp_path / "new")
+    [record] = GRAPH_RECORD.records(directory / GRAPH_TAIL)
+    assert (record.start, record.end) == (counts(old_graph), counts(new_graph))
+    assert record.extra.hex() == new_graph.corpus_digest
+    for name, part in zip(GRAPH_FILES, record.parts):
+        if name != "entities.tsv":
+            assert bytes(part) == new_files[name][len(old_files[name]) :], name
+    # The entity log gains the new entities, and old ones whose surfaces
+    # grew, each as its line in a fresh log.
+    logged = set(bytes(record.parts[-1]).decode().splitlines())
+    fresh = new_files["entities.tsv"].decode().splitlines()
+    assert logged <= set(fresh)
+    assert set(fresh[old_graph.n_entities :]) <= logged
 
-    monkeypatch.setattr(storage, "append", append)
-    save_index(new_graph, new_store, tmp_path)
-    assert {name: cuts[name] for name in GRAPH_FILES} == before
-    header = 8 + 20 + len(EMBEDDER["id"])
-    assert cuts["entities.vec"] == header + old_store.entity_vectors.nbytes
-    assert cuts["passages.vec"] == header + old_store.passage_vectors.nbytes
-    loaded = load(tmp_path)
+    [record] = VECTOR_RECORD.records(directory / VECTOR_TAIL)
+    for part, kind in zip(record.parts, KINDS):
+        old_rows, new_rows = getattr(old_store, kind), getattr(new_store, kind)
+        assert bytes(part) == new_rows[len(old_rows) :].tobytes(), kind
+    loaded = load(directory)
     assert graph_equal(loaded, new_graph)
-    assert same_rows(load_store(tmp_path, loaded), new_store)
+    assert same_rows(load_store(directory, loaded), new_store)
 
 
 def test_full_store_save_writes_through_storage(states, tmp_path, monkeypatch):
     old_graph, old_store, _, _ = states
-    save(old_graph, tmp_path, embedder=EMBEDDER)  # commits no vector rows
+    save(old_graph, tmp_path, embedder=EMBEDDER)  # removes any vector files
     recorder = Recorder()
     monkeypatch.setattr(storage, "os", recorder)
     save_store(old_store, tmp_path)
     log = recorder.log
-    commit = log.index(("replace", "manifest.json"))
+    # Each file is new, so the directory's fsync makes the store durable.
+    commit = log.index(("fsync", tmp_path.name))
+    assert not [entry for entry in log if entry[0] == "replace"]
     for name in STORE_FILES:
         writes = [i for i, entry in enumerate(log) if entry[:2] == ("write", name)]
         assert b"".join(log[i][2] for i in writes) == (tmp_path / name).read_bytes()
@@ -201,62 +239,148 @@ def test_full_store_save_writes_through_storage(states, tmp_path, monkeypatch):
     assert same_rows(load_store(tmp_path, load(tmp_path)), old_store)
 
 
-def test_crash_at_every_step_of_a_save(states, uncrashed, tmp_path, monkeypatch):
+def test_append_makes_four_fsyncs(states, early, tmp_path, monkeypatch):
+    """A save and a store save that do not fold each commit one tail record:
+    two fsyncs of the tail file, no rename. The first append after a full
+    write also creates each tail, and fsyncs the directory for it."""
     old_graph, old_store, new_graph, new_store = states
-    for n in count(1):
-        directory = tmp_path / f"fail-{n}"
-        save_index(old_graph, old_store, directory)
+    monkeypatch.setattr(trigraph, "FOLD_FRACTION", FOLDS["tail"])
+    save_index(*early, tmp_path)
+    logs = []
+    for graph, store in [(old_graph, old_store), (new_graph, new_store)]:
+        recorder = Recorder()
         with monkeypatch.context() as patch:
-            patch.setattr(storage, "os", FailAt(n))
-            try:
+            patch.setattr(storage, "os", recorder)
+            save_index(graph, store, tmp_path)
+        logs.append([entry[:2] for entry in recorder.log if entry[0] != "write"])
+    directory = ("fsync", tmp_path.name)
+    graph_tail, vector_tail = ("fsync", GRAPH_TAIL), ("fsync", VECTOR_TAIL)
+    assert logs[0] == [graph_tail, directory, graph_tail] + [
+        vector_tail, directory, vector_tail
+    ]
+    assert logs[1] == [graph_tail, graph_tail, vector_tail, vector_tail]
+
+
+def test_fold_commits_before_resetting_tails(states, early, tmp_path, monkeypatch):
+    """A folding save fsyncs every base file it appends to before it
+    replaces the manifest, and resets the graph tail only after; a folding
+    store save fsyncs each vector file before its header's row count, and
+    resets the vector tail only after the last of them."""
+    _, _, new_graph, new_store = states
+    save_old(states, early, tmp_path, "fold", monkeypatch)
+    monkeypatch.setattr(trigraph, "FOLD_FRACTION", FOLDS["fold"])
+    recorder = Recorder()
+    monkeypatch.setattr(storage, "os", recorder)
+    save_index(new_graph, new_store, tmp_path)
+    log = recorder.log
+    commit = log.index(("replace", "manifest.json"))
+    for name in GRAPH_FILES:
+        assert log.index(("fsync", name)) < commit, name
+    reset = ("write", GRAPH_TAIL, bytes(8))
+    assert [entry for entry in log if entry[1] == GRAPH_TAIL] == [
+        reset, ("fsync", GRAPH_TAIL)
+    ]
+    assert log.index(reset) > commit
+    headers = []
+    for name, kind in zip(STORE_FILES, KINDS):
+        writes = [i for i, entry in enumerate(log) if entry[:2] == ("write", name)]
+        count = struct.pack("<Q", len(getattr(new_store, kind)))
+        assert log[writes[-1]][2] == count, name
+        assert log.index(("fsync", name)) < writes[-1], name  # rows, then count
+        headers.append(log.index(("fsync", name), writes[-1]))
+    reset = ("write", VECTOR_TAIL, bytes(8))
+    assert [entry for entry in log if entry[1] == VECTOR_TAIL] == [
+        reset, ("fsync", VECTOR_TAIL)
+    ]
+    assert log.index(reset) > max(headers)
+    assert not (tmp_path / "manifest.json.tmp").exists()
+    loaded = load(tmp_path)
+    assert graph_equal(loaded, new_graph)
+    assert same_rows(load_store(tmp_path, loaded), new_store)
+
+
+def test_crash_at_every_step_of_a_save(states, early, tmp_path, monkeypatch):
+    old_graph, old_store, new_graph, new_store = states
+    # Injectable steps of the save: for ``tail``, the new tail file cut,
+    # written and synced, the directory synced, then the tail's committed
+    # length written and synced; for ``fold``, five files, each cut, written
+    # and synced, then the manifest's temporary file (three steps), its
+    # rename and the directory's fsync, then the tail's length reset and
+    # synced.
+    for mode, steps in {"tail": 6, "fold": 5 * 3 + 5 + 2}.items():
+        monkeypatch.setattr(trigraph, "FOLD_FRACTION", FOLDS[mode])
+        root = tmp_path / mode
+        save_old(states, early, root / "uncrashed", mode, monkeypatch)
+        save_index(new_graph, new_store, root / "uncrashed")
+        uncrashed = index_bytes(root / "uncrashed")
+        outcomes = []
+        for n in count(1):
+            directory = root / f"fail-{n}"
+            save_old(states, early, directory, mode, monkeypatch)
+            fail = FailAt(n)
+            with monkeypatch.context() as patch:
+                patch.setattr(storage, "os", fail)
+                try:
+                    save(new_graph, directory, embedder=EMBEDDER)
+                    crashed = False
+                except OSError:
+                    crashed = True
+            if crashed:
+                # Old until the step that commits, new from it on.
+                graph = load(directory)
+                outcomes.append("new" if graph_equal(graph, new_graph) else "old")
+                if outcomes[-1] == "old":
+                    assert graph_equal(graph, old_graph), (mode, n)
+                assert same_rows(load_store(directory), old_store), (mode, n)
                 save(new_graph, directory, embedder=EMBEDDER)
-                crashed = False
-            except OSError:
-                crashed = True
-        if crashed:
-            graph = load(directory)
-            assert graph_equal(graph, old_graph), f"failure {n}"
-            assert same_rows(load_store(directory, graph), old_store), f"failure {n}"
-            save(new_graph, directory, embedder=EMBEDDER)
-        save_store(new_store, directory)
-        assert index_bytes(directory) == uncrashed, f"failure {n}"
-        if not crashed:
-            break
-    # Five files, each cut, written and synced, then the manifest's
-    # temporary file (three steps) and its rename.
-    assert n > 5 * 3 + 4
-
-
-def test_crash_at_every_step_of_a_store_save(states, uncrashed, tmp_path, monkeypatch):
-    old_graph, old_store, new_graph, new_store = states
-    old_rows = [old_store.entity_vectors, old_store.sentence_vectors, old_store.passage_vectors]
-    new_rows = [new_store.entity_vectors, new_store.sentence_vectors, new_store.passage_vectors]
-    for n in count(1):
-        directory = tmp_path / f"fail-{n}"
-        save_index(old_graph, old_store, directory)
-        save(new_graph, directory, embedder=EMBEDDER)
-        with monkeypatch.context() as patch:
-            patch.setattr(storage, "os", FailAt(n))
-            try:
-                save_store(new_store, directory)
-                crashed = False
-            except OSError:
-                crashed = True
-        if crashed:
-            # Each vector file commits on its own: old rows or new rows.
-            for name, old, new in zip(
-                ("entities.vec", "sentences.vec", "passages.vec"), old_rows, new_rows
-            ):
-                rows, _ = read_vector_file(directory / name)
-                assert np.array_equal(rows, old) or np.array_equal(rows, new), (name, n)
             save_store(new_store, directory)
-        assert index_bytes(directory) == uncrashed, f"failure {n}"
-        if not crashed:
-            break
-    # Three files, each cut, written (if it gains rows) and synced, then its
-    # header written and synced; then the manifest's temporary file (three
-    # steps) and its rename.
-    assert n > 3 * 4 + 4
+            assert index_bytes(directory) == uncrashed, (mode, n)
+            if fail.calls < n:
+                break
+        assert outcomes == sorted(outcomes, key=["old", "new"].index), (mode, outcomes)
+        assert outcomes[-1] == "new", (mode, outcomes)
+        assert n > steps, mode
+
+
+def test_crash_at_every_step_of_a_store_save(states, early, tmp_path, monkeypatch):
+    old_graph, old_store, new_graph, new_store = states
+    # Injectable steps of the store save: for ``tail``, the new tail file
+    # cut, written and synced, the directory synced, then the tail's
+    # committed length written and synced; for ``fold``, three files, each
+    # cut, written and synced, then its header written and synced, then the
+    # tail's length reset and synced.
+    for mode, steps in {"tail": 6, "fold": 3 * 5 + 2}.items():
+        monkeypatch.setattr(trigraph, "FOLD_FRACTION", FOLDS[mode])
+        root = tmp_path / mode
+        save_old(states, early, root / "uncrashed", mode, monkeypatch)
+        save_index(new_graph, new_store, root / "uncrashed")
+        uncrashed = index_bytes(root / "uncrashed")
+        for n in count(1):
+            directory = root / f"fail-{n}"
+            save_old(states, early, directory, mode, monkeypatch)
+            save(new_graph, directory, embedder=EMBEDDER)
+            fail = FailAt(n)
+            with monkeypatch.context() as patch:
+                patch.setattr(storage, "os", fail)
+                try:
+                    save_store(new_store, directory)
+                    crashed = False
+                except OSError:
+                    crashed = True
+            if crashed:
+                # Each kind of vector commits on its own: old rows or new rows.
+                loaded = load_store(directory)
+                for kind in KINDS:
+                    rows = getattr(loaded, kind)
+                    old, new = getattr(old_store, kind), getattr(new_store, kind)
+                    assert np.array_equal(rows, old) or np.array_equal(rows, new), (
+                        mode, kind, n
+                    )
+                save_store(new_store, directory)
+            assert index_bytes(directory) == uncrashed, (mode, n)
+            if fail.calls < n:
+                break
+        assert n > steps, mode
 
 
 @settings(
@@ -338,6 +462,28 @@ def test_v1_index_is_version_mismatch(tmp_path):
     assert main(["query", "--config", str(config), "anything"]) == 3
 
 
+def test_v2_index_loads_and_appends(states, tmp_path, monkeypatch):
+    """A format-2 index, which has no tails, loads as one with empty tails,
+    and its first append creates them, leaving the manifest alone."""
+    old_graph, old_store, new_graph, new_store = states
+    monkeypatch.setattr(trigraph, "FOLD_FRACTION", FOLDS["tail"])
+    save_index(old_graph, old_store, tmp_path)
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    rows = [getattr(old_store, kind).shape[0] for kind in KINDS]
+    manifest.update(format_version=2, vector_rows=dict(zip(STORE_FILES, rows)))
+    path.write_text(json.dumps(manifest))
+    loaded = load(tmp_path)
+    assert graph_equal(loaded, old_graph)
+    assert same_rows(load_store(tmp_path, loaded), old_store)
+    save_index(new_graph, new_store, tmp_path)
+    assert (tmp_path / GRAPH_TAIL).exists() and (tmp_path / VECTOR_TAIL).exists()
+    assert json.loads(path.read_text()) == manifest
+    loaded = load(tmp_path)
+    assert graph_equal(loaded, new_graph)
+    assert same_rows(load_store(tmp_path, loaded), new_store)
+
+
 def test_save_over_v1_index_is_full_write(tmp_path):
     write_v1_index(tmp_path / "index")
     save(FULL, tmp_path / "index", embedder=EMBEDDER)
@@ -385,23 +531,21 @@ def test_store_save_under_another_encoder_rewrites(tmp_path):
     assert same_rows(loaded, other)
 
 
-def test_store_save_commits_row_counts(states, tmp_path):
+def test_store_save_commits_row_counts(states, tmp_path, monkeypatch):
+    """A store save that does not fold commits the store's row counts in
+    its tail record, and writes neither the manifest nor a vector file."""
     old_graph, old_store, new_graph, new_store = states
+    monkeypatch.setattr(trigraph, "FOLD_FRACTION", FOLDS["tail"])
     save_index(old_graph, old_store, tmp_path)
     save(new_graph, tmp_path, embedder=EMBEDDER)
-    committed = json.loads((tmp_path / "manifest.json").read_text())["vector_rows"]
-    assert committed == {
-        "entities.vec": old_graph.n_entities,
-        "sentences.vec": old_graph.n_sentences,
-        "passages.vec": old_graph.n_passages,
-    }
+    assert VECTOR_RECORD.last(tmp_path / VECTOR_TAIL) == (0, None)
+    before = index_bytes(tmp_path)
     save_store(new_store, tmp_path)
-    committed = json.loads((tmp_path / "manifest.json").read_text())["vector_rows"]
-    assert committed == {
-        "entities.vec": new_graph.n_entities,
-        "sentences.vec": new_graph.n_sentences,
-        "passages.vec": new_graph.n_passages,
-    }
+    after = index_bytes(tmp_path)
+    assert {name: after[name] for name in before} == before
+    _, last = VECTOR_RECORD.last(tmp_path / VECTOR_TAIL)
+    assert last.start == (old_graph.n_entities, old_graph.n_sentences, old_graph.n_passages)
+    assert last.end == (new_graph.n_entities, new_graph.n_sentences, new_graph.n_passages)
 
 
 def test_append_keeps_other_files(tmp_path):
@@ -476,3 +620,79 @@ def test_force_rebuild_repairs_damage(tmp_path):
     assert main(["query", "--config", str(config), "anything"]) == 3
     assert main(["index", "--config", str(config), "--force"]) == 0
     assert index_bytes(tmp_path / "index") == fresh
+
+
+def tailed_index(states, early, directory, monkeypatch):
+    """An index whose tails each hold two records: the early prefix written
+    whole, then the old and the new graph appended."""
+    with monkeypatch.context() as patch:
+        patch.setattr(trigraph, "FOLD_FRACTION", FOLDS["tail"])
+        for graph, store in [early, states[:2], states[2:]]:
+            save_index(graph, store, directory)
+
+
+# Damage to a tail, and what the error that reports it says.
+TAIL_DAMAGES = {
+    "length": "passes the end of the file",
+    "counts": "does not continue the running counts",
+    "digest": "does not chain",
+}
+
+
+def damage_tail(path, fmt, damage):
+    """Make the committed length of the tail at ``path`` pass the file's
+    end, make its last record start one passage (or entity) late, or flip a
+    bit of that record's digest."""
+    raw = bytearray(path.read_bytes())
+    (length,) = storage.TAIL_HEADER.unpack_from(raw)
+    end = storage.TAIL_HEADER.size + length
+    if damage == "length":
+        storage.TAIL_HEADER.pack_into(raw, 0, len(raw))
+    elif damage == "counts":
+        footer = end - fmt.footer_size
+        (start,) = struct.unpack_from("<Q", raw, footer)
+        struct.pack_into("<Q", raw, footer, start + 1)
+    else:
+        raw[end - 1] ^= 1
+    path.write_bytes(bytes(raw))
+
+
+@pytest.mark.parametrize("damage", sorted(TAIL_DAMAGES))
+def test_damaged_graph_tail_detected(states, early, tmp_path, monkeypatch, damage):
+    tailed_index(states, early, tmp_path, monkeypatch)
+    damage_tail(tmp_path / GRAPH_TAIL, GRAPH_RECORD, damage)
+    with pytest.raises(ConsistencyError, match=TAIL_DAMAGES[damage]):
+        load(tmp_path)
+
+
+@pytest.mark.parametrize("damage", ["counts", "length"])
+def test_damaged_vector_tail_detected(states, early, tmp_path, monkeypatch, damage):
+    tailed_index(states, early, tmp_path, monkeypatch)
+    graph = load(tmp_path)
+    damage_tail(tmp_path / VECTOR_TAIL, VECTOR_RECORD, damage)
+    with pytest.raises(ConsistencyError, match=TAIL_DAMAGES[damage]):
+        load_store(tmp_path, graph)
+
+
+def test_bytes_past_a_tails_length_ignored_then_cut(states, early, tmp_path, monkeypatch):
+    """What an append that failed before its length commit leaves is read
+    past, and the next append cuts it off."""
+    old_graph, old_store, new_graph, new_store = states
+    monkeypatch.setattr(trigraph, "FOLD_FRACTION", FOLDS["tail"])
+    save_index(*early, tmp_path)
+    save_index(old_graph, old_store, tmp_path)
+    tails = {GRAPH_TAIL: GRAPH_RECORD, VECTOR_TAIL: VECTOR_RECORD}
+    for name in tails:
+        with (tmp_path / name).open("ab") as f:
+            f.write(b"\xff\x00 torn record\n")
+    loaded = load(tmp_path)
+    assert graph_equal(loaded, old_graph)
+    assert same_rows(load_store(tmp_path, loaded), old_store)
+    save_index(new_graph, new_store, tmp_path)
+    for name, fmt in tails.items():
+        length, _ = fmt.last(tmp_path / name)
+        assert (tmp_path / name).stat().st_size == storage.TAIL_HEADER.size + length
+        assert len(fmt.records(tmp_path / name)) == 2
+    loaded = load(tmp_path)
+    assert graph_equal(loaded, new_graph)
+    assert same_rows(load_store(tmp_path, loaded), new_store)

@@ -7,13 +7,21 @@ from pathlib import Path
 
 import pytest
 
-from linearrag import evalbench
+from linearrag import evalbench, trigraph
 from linearrag.cli import load_app_config, main
-from linearrag.embedding import read_vector_file, write_vector_file
+from linearrag.embedding import VECTOR_RECORD, read_vector_file, write_vector_file
 from linearrag.retrieval import RetrievalConfig
-from linearrag.trigraph import build, graph_equal, load
+from linearrag.trigraph import (
+    GRAPH_RECORD,
+    GRAPH_TAIL,
+    VECTOR_TAIL,
+    build,
+    graph_equal,
+    load,
+)
 
 from conftest import DATA_DIR, MULTIHOP_ENCODER, POISONS, write_jsonl
+from test_append_save import TAIL_DAMAGES, damage_tail
 
 CHAIN_CORPUS = DATA_DIR / "chain" / "corpus.jsonl"
 MULTIHOP_CORPUS = DATA_DIR / "multihop" / "corpus.jsonl"
@@ -316,6 +324,55 @@ class TestInspectCommand:
     def test_missing_manifest_is_io_error(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["inspect", "--config", str(config)]) == 2
+
+    def test_tails_follow_the_manifest(self, tmp_path, monkeypatch, capsys):
+        config = tailed_index(tmp_path, monkeypatch)
+        capsys.readouterr()
+        assert main(["inspect", "--config", str(config)]) == 0
+        printed = capsys.readouterr().out
+        stored = (tmp_path / "index" / "manifest.json").read_text()
+        assert json.loads(stored)["n_passages"] == 56
+        graph = load(tmp_path / "index")
+        assert printed == stored + (
+            f"committed: 60 passages, {graph.n_sentences} sentences, "
+            f"{graph.n_entities} entities\n"
+            "graph.tail: 2 records\nvectors.tail: 2 records\n"
+        )
+
+
+def tailed_index(tmp_path, monkeypatch):
+    """The config of an index of the multihop corpus's first 56 passages,
+    then two ``index --add`` calls of two passages each, none folding."""
+    monkeypatch.setattr(trigraph, "FOLD_FRACTION", 1e9)
+    lines = MULTIHOP_CORPUS.read_text().splitlines()
+    pieces = [lines[:56], lines[56:58], lines[58:]]
+    paths = []
+    for k, piece in enumerate(pieces):
+        paths.append(tmp_path / f"piece-{k}.jsonl")
+        paths[-1].write_text("\n".join(piece) + "\n")
+    config = write_config(tmp_path, corpus_path=str(paths[0]))
+    assert main(["index", "--config", str(config)]) == 0
+    for path in paths[1:]:
+        assert main(["index", "--config", str(config), "--add", str(path)]) == 0
+    return config
+
+
+class TestDamagedTails:
+    @pytest.mark.parametrize("damage", sorted(TAIL_DAMAGES))
+    def test_damaged_graph_tail_exit_three(self, tmp_path, monkeypatch, capsys, damage):
+        config = tailed_index(tmp_path, monkeypatch)
+        damage_tail(tmp_path / "index" / GRAPH_TAIL, GRAPH_RECORD, damage)
+        capsys.readouterr()
+        assert main(["query", "--config", str(config), "anything"]) == 3
+        assert TAIL_DAMAGES[damage] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["counts", "length"])
+    def test_damaged_vector_tail_exit_three(self, tmp_path, monkeypatch, capsys, damage):
+        config = tailed_index(tmp_path, monkeypatch)
+        damage_tail(tmp_path / "index" / VECTOR_TAIL, VECTOR_RECORD, damage)
+        capsys.readouterr()
+        assert main(["query", "--config", str(config), "anything"]) == 3
+        assert TAIL_DAMAGES[damage] in capsys.readouterr().err
 
 
 class TestExternalEncoder:

@@ -15,7 +15,10 @@ untimed pass (``peak_kib``):
 * ``append`` (``evalbench.append_costs``): the benchmark's four-passage
   slices appended to the saved index, each followed by its question three
   times, with ``first_query`` beside the bounds it should meet at
-  12000 passages.
+  12000 passages, and ``folds`` and ``save_ms``: how many timed appends
+  folded the index's tails into its base files, and the median ``save``
+  and ``save_store`` ms of the appends that folded and of those that did
+  not.
 
 It exits 1 if the loaded index differs from the built one, the grown index
 from a rebuild, or an answer's stages from its path's. With several sizes
