@@ -11,6 +11,7 @@ import struct
 from dataclasses import replace
 from itertools import count
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -389,17 +390,20 @@ def test_crash_at_every_step_of_a_store_save(states, early, tmp_path, monkeypatc
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(
-    cuts=st.lists(st.integers(1, len(WHOLE) - 1), max_size=5, unique=True).map(sorted)
+    cuts=st.lists(st.integers(1, len(WHOLE) - 1), max_size=5, unique=True).map(sorted),
+    modes=st.lists(st.sampled_from(sorted(FOLDS)), min_size=6, max_size=6),
 )
-def test_appended_saves_equal_rebuild(tmp_path_factory, cuts):
+def test_appended_saves_equal_rebuild(tmp_path_factory, cuts, modes):
+    """However the corpus is split, and whichever appends fold."""
     directory = tmp_path_factory.mktemp("appended")
     bounds = [0, *cuts, len(WHOLE)]
     graph = store = None
-    for start, stop in zip(bounds, bounds[1:]):
+    for start, stop, mode in zip(bounds, bounds[1:], modes):
         piece = make_slice(WHOLE, start, stop)
         graph = build(piece) if graph is None else add_passages(graph, piece)
         store = build_store(graph, ENCODER) if store is None else extend_store(store, graph)
-        save_index(graph, store, directory)
+        with mock.patch.object(trigraph, "FOLD_FRACTION", FOLDS[mode]):
+            save_index(graph, store, directory)
     loaded = load(directory)
     assert graph_equal(loaded, FULL)
     assert same_rows(load_store(directory, loaded), build_store(FULL, ENCODER))
