@@ -6,8 +6,10 @@ A buffer is an array with spare rows past its ``filled`` ones, and callers
 hold read-only views of its filled prefix. ``appended`` writes in place only
 when the array it extends is exactly that prefix (the buffer's tip); so no
 append writes over rows a view already shows. Any other array - an older,
-shorter prefix, an array read from disk, a caller's own - is copied into a
-fresh buffer with room for twice the rows.
+shorter prefix, a caller's own - is copied into a fresh buffer with room
+for twice the rows. A reader that knows how many rows it will fill asks
+``reserved`` for a tip of that many, so the first append to what it read
+copies nothing.
 """
 
 from __future__ import annotations
@@ -32,14 +34,34 @@ def appended(array: np.ndarray, rows: np.ndarray) -> np.ndarray:
     dtype = np.result_type(array, rows)
     buffer = _claim_tip(array, total, dtype)
     if buffer is None:
-        buffer = np.ndarray.__new__(_Buffer, (2 * total, *array.shape[1:]), dtype)
-        buffer.lock = threading.Lock()
-        buffer.filled = total
+        buffer = _new_buffer(total, array.shape[1:], dtype)
         buffer[:n] = array
     buffer[n:total] = rows
-    view = np.ndarray((total, *buffer.shape[1:]), dtype, buffer=buffer)
+    view = _tip(buffer, total)
     view.flags.writeable = False
     return view
+
+
+def reserved(rows: int, row_shape: tuple[int, ...], dtype) -> np.ndarray:
+    """``rows`` zeroed rows of shape ``row_shape``: the writable tip of a
+    fresh buffer with room for twice as many. The caller fills them and
+    makes them read-only; ``appended`` then extends them in place."""
+    view = _tip(_new_buffer(rows, row_shape, np.dtype(dtype)), rows)
+    view[...] = 0
+    return view
+
+
+def _new_buffer(filled: int, row_shape: tuple[int, ...], dtype: np.dtype) -> _Buffer:
+    buffer = np.ndarray.__new__(_Buffer, (2 * filled, *row_shape), dtype)
+    buffer.lock = threading.Lock()
+    buffer.filled = filled
+    return buffer
+
+
+def _tip(buffer: _Buffer, rows: int) -> np.ndarray:
+    """A view of the buffer's first ``rows`` rows, its filled ones, which
+    ``_claim_tip`` recognises."""
+    return np.ndarray((rows, *buffer.shape[1:]), buffer.dtype, buffer=buffer)
 
 
 def _claim_tip(array: np.ndarray, total: int, dtype: np.dtype) -> _Buffer | None:

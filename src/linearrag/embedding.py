@@ -7,16 +7,31 @@ experiments; real sentence encoders plug in either through the encoder
 registry (in process) or by importing vector files written in the store
 layout (offline).
 
-Vector file layout (little-endian): 8-byte magic ``LRGVEC01``, uint32
-format version, uint32 dim, uint64 row count, uint32 encoder-id length,
-encoder id (UTF-8), then rows*dim float32 values. The header's row count
-commits the file's rows, and readers ignore bytes past the rows it counts.
-An append writes no vector file: it commits the new rows of all three as
-one record of ``vectors.tail`` (``VECTOR_RECORD``), whose header's committed
-length is its commit point (see ``storage``). ``load_store`` reads each file
-followed by its rows in the tail's records past its own count, and
-``save_store`` folds the tail into the files when ``trigraph.save`` folds
-the graph's.
+Vector file layout, version 2 (little-endian): 8-byte magic ``LRGVEC01``,
+uint32 format version, uint32 dim, uint64 row count, uint64 byte count of
+the vector data, uint32 encoder-id length, encoder id (UTF-8), then the
+vector data: one block (``encode_block``) holding every row, or no bytes
+for no rows. A block is its uint64 row and value counts, one bitmap of
+``ceil(dim / 8)`` bytes per row marking the entries whose float32 bits are
+not all zero, then those entries as float32, row by row - the validity
+bitmap and value buffer of Apache Arrow's columnar format. Every bit comes
+back, ``-0.0`` included, and a row costs its bitmap and its nonzero
+entries: a hash-encoded row has one nonzero per distinct token bucket. A
+vector file is only ever written whole, to a temporary file that is then
+renamed over it (``write_vector_file``). Readers refuse header counts that
+the file's size cannot hold before they allocate the rows. Version 1, whose
+header has no byte count and whose data is the rows as dense float32, is
+still read, so exported vectors can be imported in that layout. In memory,
+rows are always dense float32.
+
+An append writes no vector file: it commits a block of the new rows of
+each of the three kinds as one record of ``vectors.tail``
+(``VECTOR_RECORD``), whose header's committed length is its commit point
+(see ``storage``). ``load_store`` reads each file followed by its rows in
+the tail's records past its own count, decoding all of them into one
+growth buffer. ``save_store`` folds the tail when ``trigraph.save`` folds
+the graph's, by writing each file anew as one block, so that a folded index
+is byte for byte the index a full write makes.
 """
 
 from __future__ import annotations
@@ -29,24 +44,29 @@ import struct
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Protocol, Sequence
+from typing import Any, BinaryIO, Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
 from . import storage
-from .buffers import appended
+from .buffers import appended, reserved
 from .errors import ConfigError, ConsistencyError, EncodingError, IndexLoadError
 from .trigraph import STORE_FILES, VECTOR_TAIL, TriGraph, read_manifest
 
 MAGIC = b"LRGVEC01"
-FILE_VERSION = 1
-_HEADER = struct.Struct("<IIQI")  # version, dim, rows, encoder-id length
-_ROWS_OFFSET = len(MAGIC) + 8  # where the uint64 row count sits
+FILE_VERSION = 2
+_PREFIX = struct.Struct("<II")  # version, dim
+_COUNTS = struct.Struct("<QQ")  # committed rows and bytes of vector data
+_V1_ROWS = struct.Struct("<Q")  # version 1 commits its dense rows by count
+_ID_LENGTH = struct.Struct("<I")
+_BLOCK = struct.Struct("<QQ")  # a block's rows and values
 # A vector record: the rows each of ``STORE_FILES`` gains, with its row
 # counts in that order.
 VECTOR_RECORD = storage.TailFormat(len(STORE_FILES))
 
 NORM_TOLERANCE = 1e-4
+# Rows of ``HashEncoder.encode_batch`` summed at a time.
+ENCODE_BLOCK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -108,10 +128,11 @@ class HashEncoder:
 
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
         """``hash_encode`` of each text, in one pass over the batch: each
-        distinct token is hashed once, and the signed counts of all rows are
-        summed by one ``np.bincount`` over ``row * dim + bucket``. The sums
-        are small integers, exact in float64 and float32 alike, so the rows
-        equal per-token float32 adds bit for bit."""
+        distinct token is hashed once, and the signed counts of each block
+        of ``ENCODE_BLOCK_ROWS`` rows are summed by one ``np.bincount`` over
+        ``row * dim + bucket`` and written into one preallocated float32
+        result. The sums are small integers, exact in float64 and float32
+        alike, so the rows equal per-token float32 adds bit for bit."""
         dim, seed, n = self.dim, self.seed, len(texts)
         token_lists = [_tokens(text) for text in texts]
         tokens = list(chain.from_iterable(token_lists))
@@ -123,11 +144,17 @@ class HashEncoder:
             map(index.__getitem__, tokens), dtype=np.intp, count=len(tokens)
         )
         lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=n)
-        rows = np.repeat(np.arange(n, dtype=np.intp), lengths)
-        acc = np.bincount(
-            rows * dim + bucket_of[ids], weights=sign_of[ids], minlength=n * dim
-        )
-        acc = acc.reshape(n, dim).astype(np.float32)
+        starts = np.concatenate(([0], np.cumsum(lengths)))
+        acc = np.empty((n, dim), dtype=np.float32)
+        for lo in range(0, n, ENCODE_BLOCK_ROWS):
+            hi = min(lo + ENCODE_BLOCK_ROWS, n)
+            block = ids[starts[lo] : starts[hi]]
+            rows = np.repeat(np.arange(hi - lo, dtype=np.intp), lengths[lo:hi])
+            acc[lo:hi] = np.bincount(
+                rows * dim + bucket_of[block],
+                weights=sign_of[block],
+                minlength=(hi - lo) * dim,
+            ).reshape(hi - lo, dim)
         for row in np.flatnonzero(~acc.any(axis=1)):
             acc[row, _bucket_sign(texts[row], dim, seed)[0]] = 1.0
         norms = np.sqrt(np.einsum("ij,ij->i", acc, acc, dtype=np.float64))
@@ -321,37 +348,100 @@ def extend_store(
     return EmbeddingStore(store.dim, store.encoder_id, *grown, encoder=encoder)
 
 
+def encode_block(rows: np.ndarray) -> bytes:
+    """The block of a vector file that holds ``rows``, a float32 matrix:
+    uint64 row and value counts, one bitmap of ``ceil(dim / 8)`` bytes per
+    row whose bits (most significant first) mark the entries whose float32
+    bits are not all zero, then those entries as float32, row by row. No
+    rows make no block. Every bit comes back, ``-0.0`` included."""
+    rows = _le_rows(rows)
+    if not len(rows):
+        return b""
+    marked = rows.view("<u4") != 0
+    values = rows[marked]
+    return b"".join(
+        (
+            _BLOCK.pack(len(rows), len(values)),
+            np.packbits(marked, axis=1).tobytes(),
+            values.tobytes(),
+        )
+    )
+
+
 def write_vector_file(path: str | Path, rows: np.ndarray, encoder_id: str) -> None:
-    """Write a whole vector file, header and rows, and fsync it."""
-    rows = np.ascontiguousarray(rows, dtype="<f4")
+    """Replace the vector file ``path`` with one holding ``rows`` as one
+    block (``encode_block``), atomically (``storage.replace_file``)."""
+    rows = _le_rows(rows)
     if rows.ndim != 2:
         raise ValueError("vector file payload must be a 2-D array")
+    block = encode_block(rows)
     encoded_id = encoder_id.encode("utf-8")
-    header = MAGIC + _HEADER.pack(
-        FILE_VERSION, rows.shape[1], rows.shape[0], len(encoded_id)
+    header = b"".join(
+        (
+            MAGIC,
+            _PREFIX.pack(FILE_VERSION, rows.shape[1]),
+            _COUNTS.pack(len(rows), len(block)),
+            _ID_LENGTH.pack(len(encoded_id)),
+            encoded_id,
+        )
     )
-    storage.append(Path(path), 0, b"".join((header, encoded_id, memoryview(rows))))
+    storage.replace_file(Path(path), header + block)
 
 
-def _read_header(f: BinaryIO, path: str | Path) -> tuple[int, int, str]:
-    """Read a vector file's header: its dim, committed row count and
-    encoder id. ConsistencyError if it is not a readable header."""
-    head = f.read(len(MAGIC) + _HEADER.size)
-    if len(head) < len(MAGIC) + _HEADER.size or head[: len(MAGIC)] != MAGIC:
+@dataclass(frozen=True)
+class _Header:
+    version: int
+    dim: int
+    rows: int  # committed rows
+    size: int  # committed bytes of vector data
+    encoder_id: str
+
+
+def _read_header(f: BinaryIO, path: Path) -> _Header:
+    """Read a vector file's header. ConsistencyError if it is not a readable
+    header, or if the rows or bytes it commits pass the end of the file."""
+    head = f.read(len(MAGIC) + _PREFIX.size)
+    if len(head) < len(MAGIC) + _PREFIX.size or head[: len(MAGIC)] != MAGIC:
         raise ConsistencyError(f"{path}: not a vector store file")
-    version, dim, rows, id_len = _HEADER.unpack_from(head, len(MAGIC))
-    if version != FILE_VERSION:
+    version, dim = _PREFIX.unpack_from(head, len(MAGIC))
+    if version not in (1, FILE_VERSION):
         raise ConsistencyError(f"{path}: unsupported vector file version {version}")
+    counts = _V1_ROWS if version == 1 else _COUNTS
+    raw = f.read(counts.size + _ID_LENGTH.size)
+    if len(raw) < counts.size + _ID_LENGTH.size:
+        raise ConsistencyError(f"{path}: not a vector store file")
+    if version == 1:
+        (rows,) = _V1_ROWS.unpack_from(raw)
+        size = rows * dim * 4
+    else:
+        rows, size = _COUNTS.unpack_from(raw)
+    (id_length,) = _ID_LENGTH.unpack_from(raw, counts.size)
     try:
-        return dim, rows, f.read(id_len).decode("utf-8")
+        encoder_id = f.read(id_length).decode("utf-8")
     except UnicodeDecodeError:
         raise ConsistencyError(f"{path}: encoder id is not UTF-8") from None
+    available = os.fstat(f.fileno()).st_size - f.tell()
+    if size > available:
+        raise ConsistencyError(
+            f"{path}: committed length {size} of vector data passes the end "
+            f"of the file ({available} bytes)"
+        )
+    if rows * _bitmap_bytes(dim) > size:
+        raise ConsistencyError(
+            f"{path}: {rows} rows of dim {dim} need more than the {size} "
+            "bytes of vector data its header commits"
+        )
+    return _Header(version, dim, rows, size, encoder_id)
+
+
+def _bitmap_bytes(dim: int) -> int:
+    return -(-dim // 8)
 
 
 def read_vector_file(path: str | Path) -> tuple[np.ndarray, str]:
     """The rows a vector file's header commits, and its encoder id. Bytes
-    past the counted rows belong to an append that never committed and are
-    ignored."""
+    past the committed data belong to an append that never committed and
+    are ignored."""
     return _read_vectors(Path(path), Path(path), (), 0)
 
 
@@ -360,91 +450,148 @@ def _read_vectors(
 ) -> tuple[np.ndarray, str]:
     """The rows a vector file's header commits followed by part ``kind`` of
     each of ``records``, the records of ``tail`` past those rows, and its
-    encoder id."""
+    encoder id: decoded into the tip of a growth buffer
+    (``buffers.reserved``), read-only. Each count is checked against the
+    bytes that hold it before the rows are allocated."""
     with path.open("rb") as f:
-        dim, count, encoder_id = _read_header(f, path)
-        expected = count * dim * 4
-        available = os.fstat(f.fileno()).st_size - f.tell()
-        if available < expected:
+        header = _read_header(f, path)
+        data = f.read(header.size)
+    if len(data) < header.size:
+        raise ConsistencyError(f"{path}: shorter than its committed vector data")
+    dim, dense = header.dim, header.version == 1
+    parts = [(path, data, header.rows)]
+    for record in storage.records_past(tail, records, [header.rows], [kind]):
+        part, n_rows = record.parts[kind], record.end[kind] - record.start[kind]
+        if dense:
+            fits = len(part) == n_rows * dim * 4
+        else:
+            fits = len(part) >= n_rows * _bitmap_bytes(dim)
+        if not fits:
             raise ConsistencyError(
-                f"{path}: expected {expected} bytes of vector data, got {available}"
+                f"{tail}: a record holds {len(part)} bytes of {path.name} "
+                f"rows, its counts say {n_rows} rows of dim {dim}"
             )
-        parts = []
-        for record in storage.records_past(tail, records, [count], [kind]):
-            part, n_rows = record.parts[kind], record.end[kind] - record.start[kind]
-            if len(part) != n_rows * dim * 4:
-                raise ConsistencyError(
-                    f"{tail}: a record holds {len(part)} bytes of {path.name} "
-                    f"rows, its counts say {n_rows} rows of dim {dim}"
-                )
-            parts.append(part)
-        payload = bytearray(expected + sum(len(part) for part in parts))
-        f.readinto(memoryview(payload)[:expected])
-    at = expected
-    for part in parts:
-        payload[at : at + len(part)] = part
-        at += len(part)
-    return np.frombuffer(payload, dtype="<f4").reshape(-1, dim), encoder_id
+        parts.append((tail, part, n_rows))
+    rows = reserved(sum(n for _, _, n in parts), (dim,), np.float32)
+    at = 0
+    for where, part, n_rows in parts:
+        into = rows[at : at + n_rows]
+        if dense:
+            into[...] = np.frombuffer(part, "<f4").reshape(n_rows, dim)
+        else:
+            _decode_block(part, into, where)
+        at += n_rows
+    rows.flags.writeable = False
+    return rows, header.encoder_id
+
+
+def _decode_block(data: bytes | memoryview, rows: np.ndarray, where: Path) -> None:
+    """Decode the block ``data`` (no bytes for no rows) into ``rows``, zeroed
+    rows that it must fill exactly. ConsistencyError naming ``where`` for a
+    block of other counts than its bytes or ``rows`` hold, a bitmap bit set
+    past the dim, a value count that is not the bitmaps' count of set bits,
+    or a marked entry whose stored bits are all zero."""
+    n_rows, dim = rows.shape
+    if not n_rows and not len(data):
+        return
+    width = _bitmap_bytes(dim)
+    # Bytes too few for a block's counts hold no block of ``n_rows`` rows.
+    n, n_values = _BLOCK.unpack_from(data) if len(data) >= _BLOCK.size else (-1, 0)
+    values_at = _BLOCK.size + n * width
+    if n != n_rows or values_at + 4 * n_values != len(data):
+        raise ConsistencyError(
+            f"{where}: a block of {len(data)} bytes does not hold {n_rows} rows "
+            f"of dim {dim} and the values its header counts"
+        )
+    bitmaps = np.frombuffer(data, np.uint8, n * width, _BLOCK.size).reshape(n, width)
+    padding = (1 << (-dim % 8)) - 1  # the last bitmap byte's bits past dim
+    if padding and np.any(bitmaps[:, -1] & padding):
+        raise ConsistencyError(
+            f"{where}: a row's bitmap sets a padding bit past dim {dim}"
+        )
+    marked = np.unpackbits(bitmaps, axis=1, count=dim).view(bool)
+    n_marked = int(np.count_nonzero(marked))
+    if n_marked != n_values:
+        raise ConsistencyError(
+            f"{where}: a block holds {n_values} values, its bitmaps mark {n_marked}"
+        )
+    values = np.frombuffer(data, "<f4", n_values, values_at)
+    if not values.view("<u4").all():
+        raise ConsistencyError(
+            f"{where}: a block marks an entry whose stored bits are all zero"
+        )
+    rows[marked] = values
 
 
 def save_store(store: EmbeddingStore, directory: str | Path) -> None:
     """Write the three vector files of a store.
 
     If the directory's manifest names the store's embedder, and the vector
-    files and ``vectors.tail`` commit a prefix of the store's rows, only the
-    rows past that prefix are written: one record that
-    ``storage.append_tail`` commits in the tail, two fsyncs. It reads the
-    manifest and the tail's last record, or each file's header when the
-    tail is empty. Once the manifest's node counts have passed the tail's
-    end - the ``save`` before it folded the graph - the store folds too:
-    each vector file is cut back to the rows its header commits, gets the
-    rows past them appended and fsynced, then its header's row count
-    updated in place and fsynced; only then is the tail reset. Any other
-    store is written whole: the tail removed, each file rewritten and
-    fsynced, then the directory fsynced. A full ``trigraph.save`` removes
-    the vector files and the tail, so the store saved after it is always
-    written whole. The manifest is never written here.
+    files (all of this version) and ``vectors.tail`` commit a prefix of the
+    store's rows, only the rows past that prefix are written: one record,
+    a block of each kind, that ``storage.append_tail`` commits in the tail,
+    two fsyncs. It reads the manifest, each file's header and the tail's
+    last record. Once the manifest's node counts have passed the tail's
+    end - the ``save`` before it folded the graph - the store folds
+    instead, and any other store is written whole. Both write every vector
+    file anew as one block (``write_vector_file``), so a folded file is
+    byte for byte the file a full write makes; then fsync the directory;
+    then remove the tail. A tail holding records past the store's rows is
+    removed first. A full ``trigraph.save`` removes the vector files and
+    the tail, so the store saved after it is always written whole. The
+    manifest is never written here.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     arrays = (store.entity_vectors, store.sentence_vectors, store.passage_vectors)
     tail = directory / VECTOR_TAIL
     committed = _committed_rows(directory, store)
-    if committed is not None:
-        length, end, folds = committed
-        counts = tuple(len(rows) for rows in arrays)
-        if not folds:
-            if end != counts:
-                parts = [_le_rows(rows[e:]).tobytes() for rows, e in zip(arrays, end)]
-                record = VECTOR_RECORD.record(end, counts, parts)
-                storage.append_tail(tail, length, record)
-            return
-        bases = _committed_files(directory, store)
-        if None not in bases:
-            for name, rows, (offset, stored) in zip(STORE_FILES, arrays, bases):
-                path = directory / name
-                storage.append(path, offset, _le_rows(rows[stored:]).tobytes())
-                storage.overwrite(path, _ROWS_OFFSET, struct.pack("<Q", len(rows)))
-            if length:
-                storage.reset_tail(tail)
-            return
-    storage.remove(tail)
+    if committed is not None and not committed.folds:
+        end, counts = committed.end, tuple(len(rows) for rows in arrays)
+        if end != counts:
+            parts = [encode_block(rows[e:]) for rows, e in zip(arrays, end)]
+            record = VECTOR_RECORD.record(end, counts, parts)
+            storage.append_tail(tail, committed.length, record)
+        elif committed.passed:  # what a failed fold left
+            storage.remove(tail)
+        return
+    # Until the directory fsync, a reader may find any mix of old and new
+    # files, and the tail must extend each old one and be skipped past each
+    # new one.
+    if not _passed_by(tail, arrays):
+        storage.remove(tail)
     for name, rows in zip(STORE_FILES, arrays):
         write_vector_file(directory / name, rows, store.encoder_id)
     storage.sync_directory(directory)
+    storage.remove(tail)
 
 
 def _le_rows(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rows, dtype="<f4")
 
 
-def _committed_rows(
-    directory: Path, store: EmbeddingStore
-) -> tuple[int, tuple[int, ...], bool] | None:
-    """If the directory's manifest names the store's embedder and the index
-    commits at most the store's rows: the committed length of the vector
-    tail, the row counts at its end, and whether the store folds (the
-    manifest's node counts passed them). Else None."""
+def _passed_by(tail: Path, arrays: Sequence[np.ndarray]) -> bool:
+    """Whether every record of the vector tail ends at or before the rows
+    of ``arrays``, so that readers skip them all past files that hold
+    those rows."""
+    try:
+        _, last = VECTOR_RECORD.last(tail)
+    except (ConsistencyError, OSError):
+        return False
+    return last is None or all(e <= len(rows) for e, rows in zip(last.end, arrays))
+
+
+class _Committed(NamedTuple):
+    length: int  # the vector tail's committed length
+    end: tuple[int, ...]  # the row counts the files and the tail commit
+    folds: bool  # whether the manifest's node counts passed them
+    passed: bool  # whether the tail holds records, all ending in the files
+
+
+def _committed_rows(directory: Path, store: EmbeddingStore) -> _Committed | None:
+    """What the directory commits of the store, if its manifest names the
+    store's embedder and it commits at most the store's rows, in vector
+    files of this version. Else None."""
     try:
         manifest = read_manifest(directory)
         length, last = VECTOR_RECORD.last(directory / VECTOR_TAIL)
@@ -452,48 +599,29 @@ def _committed_rows(
         return None
     if manifest.get("embedder") != {"id": store.encoder_id, "dim": store.dim}:
         return None
-    if last is not None:
-        end = last.end
-    else:
-        bases = _committed_files(directory, store)
-        if None in bases:
-            return None
-        end = tuple(stored for _, stored in bases)
     arrays = (store.entity_vectors, store.sentence_vectors, store.passage_vectors)
+    end = []
+    for name, rows in zip(STORE_FILES, arrays):
+        try:
+            with (directory / name).open("rb") as f:
+                header = _read_header(f, directory / name)
+        except (OSError, ConsistencyError):
+            return None
+        stored = (header.version, header.dim, header.encoder_id)
+        if stored != (FILE_VERSION, rows.shape[1], store.encoder_id):
+            return None
+        end.append(header.rows)
+    # Records a fold wrote to the files end at or before the files' rows.
+    passed = last is not None and all(e <= b for e, b in zip(last.end, end))
+    if last is not None:
+        end = list(map(max, end, last.end))
     graph = [manifest.get(k) for k in ("n_entities", "n_sentences", "n_passages")]
     if not all(type(n) is int for n in graph) or any(
         e > len(rows) for e, rows in zip(end, arrays)
     ):
         return None
-    return length, tuple(end), any(e < n for e, n in zip(end, graph))
-
-
-def _committed_files(
-    directory: Path, store: EmbeddingStore
-) -> list[tuple[int, int] | None]:
-    """``_committed_bytes`` of each of ``STORE_FILES`` for the store's rows."""
-    arrays = (store.entity_vectors, store.sentence_vectors, store.passage_vectors)
-    return [
-        _committed_bytes(directory / name, rows, store.encoder_id)
-        for name, rows in zip(STORE_FILES, arrays)
-    ]
-
-
-def _committed_bytes(
-    path: Path, rows: np.ndarray, encoder_id: str
-) -> tuple[int, int] | None:
-    """The length of the header and committed rows of a vector file that
-    holds at most ``len(rows)`` rows under ``encoder_id`` and ``rows``'s
-    dim, and its row count; None for any other file."""
-    try:
-        with path.open("rb") as f:
-            dim, stored, stored_id = _read_header(f, path)
-            header_bytes = f.tell()
-    except (OSError, ConsistencyError):
-        return None
-    if (dim, stored_id) != (rows.shape[1], encoder_id) or stored > len(rows):
-        return None
-    return header_bytes + stored * dim * 4, stored
+    folds = any(e < n for e, n in zip(end, graph))
+    return _Committed(length, tuple(end), folds, passed)
 
 
 def load_store(

@@ -53,6 +53,11 @@ from .errors import ConfigError, ConsistencyError
 from .extraction import ExtractorContract
 from .retrieval import EntityLevel, RankedPassages, RetrievalConfig, retrieve
 from .trigraph import (
+    GRAPH_FILES,
+    GRAPH_TAIL,
+    MANIFEST,
+    STORE_FILES,
+    VECTOR_TAIL,
     TriGraph,
     add_passages,
     build,
@@ -642,6 +647,28 @@ def index_pass(
     return step
 
 
+# The files of an index directory, by the part of the index they hold.
+INDEX_PARTS = {
+    "graph": (*GRAPH_FILES, MANIFEST, GRAPH_TAIL),
+    "vectors": (*STORE_FILES, VECTOR_TAIL),
+}
+
+
+def index_bytes(directory: str | Path) -> dict[str, int]:
+    """The bytes of an index directory's graph files and vector files, each
+    with its tail, apart. A missing file counts 0."""
+    directory = Path(directory)
+    sizes = {}
+    for part, names in INDEX_PARTS.items():
+        sizes[part] = 0
+        for name in names:
+            try:
+                sizes[part] += (directory / name).stat().st_size
+            except FileNotFoundError:
+                pass
+    return sizes
+
+
 def _same_vectors(a: EmbeddingStore, b: EmbeddingStore) -> bool:
     return all(
         np.array_equal(getattr(a, kind), getattr(b, kind))
@@ -653,9 +680,10 @@ def index_costs(
     corpus_path: str | Path, directory: str | Path, encoder: Encoder, rounds: int
 ) -> tuple[dict, TriGraph, EmbeddingStore]:
     """The index path's stage costs over ``rounds`` timed passes and one
-    traced pass, with ``loaded_equals_built``; and the graph and store
-    loaded from the index the last pass left. Each pass removes
-    ``directory`` and writes the index there."""
+    traced pass, with ``loaded_equals_built`` and the index's
+    ``bytes_per_passage``, graph and vectors apart (``index_bytes``); and
+    the graph and store loaded from the index the last pass left. Each pass
+    removes ``directory`` and writes the index there."""
     clock = StageClock({"index": INDEX_STAGES})
     equal = True
     for run in [clock.timed] * rounds + [clock.traced]:
@@ -663,8 +691,16 @@ def index_costs(
         _, _, same = run(index_pass(corpus_path, directory, encoder))
         equal = equal and same
     graph = load(directory)
+    per_passage = {
+        part: round(size / graph.n_passages, 3)
+        for part, size in index_bytes(directory).items()
+    }
     return (
-        {**clock.summary(), "loaded_equals_built": equal},
+        {
+            **clock.summary(),
+            "loaded_equals_built": equal,
+            "bytes_per_passage": per_passage,
+        },
         graph,
         load_store(directory, graph),
     )
@@ -693,9 +729,11 @@ def append_costs(
     files, seen as a change of the manifest, which an append that does not
     fold leaves alone; ``save_ms`` gives the median ``save`` and
     ``save_store`` ms of the appends that folded (``fold``, None without
-    one) and of those that did not (``tail``). The grown index must equal a
-    rebuild of the concatenated corpus, in memory and on disk
-    (``equals_rebuild``)."""
+    one) and of those that did not (``tail``). ``median_bytes_added`` is
+    the median over the timed appends of what each added to the index's
+    graph files and to its vector files, apart (``index_bytes`` after the
+    append less before it). The grown index must equal a rebuild of the
+    concatenated corpus, in memory and on disk (``equals_rebuild``)."""
     encoder = store.encoder
     embedder = {"id": encoder.contract.id, "dim": encoder.contract.dim}
     records = [  # a passage's text already holds its title
@@ -736,7 +774,12 @@ def append_costs(
     pieces = iter(slices)
     first = StageClock({"append": APPEND_STAGES})
     first.timed(append(next(pieces)))
-    folded = [clock.timed(append(next(pieces))) for _ in range(rounds)]
+    folded, added = [], []
+    for _ in range(rounds):
+        before = index_bytes(directory)
+        folded.append(clock.timed(append(next(pieces))))
+        after = index_bytes(directory)
+        added.append({part: after[part] - before[part] for part in after})
     for _ in range(PEAK_APPENDS):
         clock.traced(append(next(pieces)))
 
@@ -767,6 +810,10 @@ def append_costs(
         "first_append_ms": round(first.wall_ms["append"][0], 3),
         "folds": sum(folded),
         "save_ms": {"tail": save_ms(False), "fold": save_ms(True)},
+        "median_bytes_added": {
+            part: statistics.median(sizes[part] for sizes in added)
+            for part in INDEX_PARTS
+        },
         **summary,
         "first_query": {
             "overhead_ms": round(

@@ -6,13 +6,14 @@ make any one of them fail).
 
 An index commits its files in three ways. The manifest, replaced whole by
 ``replace_json``, commits the byte length of each graph file. A vector
-file's header row count, written in place by ``overwrite``, commits its
-rows. A tail file commits its own records: it begins with an 8-byte header,
-the little-endian byte length of its committed records, and ``append_tail``
+file is replaced whole by ``replace_file``, its rename the commit. A tail
+file commits its own records: it begins with an 8-byte header, the
+little-endian byte length of its committed records, and ``append_tail``
 writes and fsyncs a record past that length before it writes the new length
 over the header and fsyncs again. In each, the data is synced before the
-write that commits it (Pillai et al., OSDI 2014), and readers ignore bytes
-past what is committed, so a save that fails leaves the old state readable.
+rename or write that commits it (Pillai et al., OSDI 2014), and readers
+ignore bytes past what is committed, so a save that fails leaves the old
+state readable.
 """
 
 from __future__ import annotations
@@ -43,18 +44,6 @@ def append(path: Path, committed: int, data: bytes) -> None:
     try:
         os.ftruncate(fd, committed)
         os.lseek(fd, committed, os.SEEK_SET)
-        _write_all(fd, data)
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-
-
-def overwrite(path: Path, offset: int, data: bytes) -> None:
-    """Write ``data`` over the bytes of an existing file at ``offset``, then
-    fsync."""
-    fd = os.open(path, _OPEN_FLAGS, 0o644)
-    try:
-        os.lseek(fd, offset, os.SEEK_SET)
         _write_all(fd, data)
         os.fsync(fd)
     finally:
@@ -96,30 +85,45 @@ def reset_tail(path: Path) -> None:
     """Commit an empty tail: write a zero length over the header of the tail
     file ``path`` and fsync. Its old records stay in the file, uncommitted,
     until the next ``append_tail`` cuts them off."""
-    overwrite(path, 0, TAIL_HEADER.pack(0))
+    fd = os.open(path, _OPEN_FLAGS, 0o644)
+    try:
+        _write_all(fd, TAIL_HEADER.pack(0))
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def replace_file(path: Path, data: bytes) -> None:
+    """Atomically make ``path`` hold ``data``: write a temporary sibling,
+    fsync it and rename it over ``path``. Readers see the old file or the
+    new one, never a mix; the rename is durable once the caller fsyncs the
+    directory."""
+    tmp = path.with_name(path.name + ".tmp")
+    append(tmp, 0, data)
+    os.replace(tmp, path)
 
 
 def replace_json(path: Path, obj: Any) -> None:
-    """Atomically make ``path`` hold ``obj`` as indented JSON: write a
-    temporary sibling, fsync it, rename it over ``path``, fsync the
-    directory. Readers see the old file or the new one, never a mix."""
-    tmp = path.with_name(path.name + ".tmp")
+    """``replace_file`` with ``obj`` as indented JSON, then fsync the
+    directory."""
     data = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    append(tmp, 0, data)
-    os.replace(tmp, path)
+    replace_file(path, data)
     sync_directory(path.parent)
 
 
 def sync_directory(path: Path) -> None:
     """fsync the directory ``path``, which makes the creation, renaming or
     removal of its entries durable. Not every platform can open a
-    directory; there this does nothing."""
-    with contextlib.suppress(OSError):
+    directory; there this does nothing. An error of the fsync itself, such
+    as EIO, is raised."""
+    try:
         fd = os.open(path, os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+    except (PermissionError, IsADirectoryError):
+        return
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def remove(path: Path) -> None:

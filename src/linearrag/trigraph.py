@@ -44,18 +44,23 @@ The persisted index directory (format version 3) holds:
   file above gains, between its start and end node counts, with the corpus
   digest after it (``GRAPH_RECORD``; see ``storage.TailFormat``). Its
   header's committed length is its commit point.
-* ``*.vec`` and ``vectors.tail`` - the vectors, which
-  ``embedding.save_store`` writes the same way.
+* ``*.vec`` and ``vectors.tail`` - the vectors (see ``embedding``): each
+  vector file holds its rows as one block, a bitmap of each row's nonzero
+  entries followed by their float32 values, and ``vectors.tail`` holds
+  the blocks of appended rows, one record per append.
 
-Every base file only grows, until a full write. An append commits one
+Every graph base file only grows, until a full write. An append commits one
 record in ``graph.tail`` and leaves the manifest alone. Once the tail passes
 ``FOLD_FRACTION`` of the base, a save folds it: it appends the rows past the
 manifest's counts to the base files, fsyncs, replaces the manifest
 atomically, and only then resets the tail, the base plus tail layout of an
-LSM-tree (O'Neil et al., Acta Informatica 1996). ``load`` reads the
-committed prefix of each base file followed by the tail records past the
-manifest's counts. A format-2 index, which has no tails, loads as one with
-empty tails.
+LSM-tree (O'Neil et al., Acta Informatica 1996). The ``embedding.save_store``
+after it folds the vector tail by writing each vector file anew as one
+block. ``load`` reads the committed prefix of each base file followed by
+the tail records past the manifest's counts. A format-2 index, which has
+no tails, loads as one with empty tails; an index whose vectors are in the
+dense layout of vector file version 1 loads too, and its next store save
+writes them whole in the current layout.
 """
 
 from __future__ import annotations

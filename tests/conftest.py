@@ -1,4 +1,5 @@
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,16 @@ def seed_trace(n_entities: int, seeds) -> np.ndarray:
     trace = np.full((n_entities, 2), -1, dtype=np.int64)
     trace[list(seeds), 0] = 0
     return trace
+
+
+def write_v1_vector_file(path: Path, rows: np.ndarray, encoder_id: str) -> None:
+    """A vector file of version 1: magic, uint32 version and dim, uint64 row
+    count, uint32 encoder-id length, the id, then the rows as dense
+    little-endian float32."""
+    encoded = encoder_id.encode("utf-8")
+    counts = struct.pack("<IIQI", 1, rows.shape[1], len(rows), len(encoded))
+    dense = np.asarray(rows, dtype="<f4").tobytes()
+    path.write_bytes(embedding.MAGIC + counts + encoded + dense)
 
 
 def write_jsonl(path: Path, rows) -> Path:

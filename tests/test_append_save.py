@@ -7,6 +7,7 @@ import errno
 import json
 import os
 import random
+import stat
 import struct
 from dataclasses import replace
 from itertools import count
@@ -21,11 +22,14 @@ from hypothesis import strategies as st
 from linearrag import storage, trigraph
 from linearrag.cli import main
 from linearrag.embedding import (
+    FILE_VERSION,
     VECTOR_RECORD,
     HashEncoder,
     build_store,
+    encode_block,
     extend_store,
     load_store,
+    read_vector_file,
     save_store,
 )
 from linearrag.errors import ConsistencyError, VersionMismatchError
@@ -42,7 +46,7 @@ from linearrag.trigraph import (
     save,
 )
 
-from conftest import DATA_DIR, make_corpus, write_jsonl
+from conftest import DATA_DIR, make_corpus, write_jsonl, write_v1_vector_file
 from test_trigraph import make_slice
 
 ENCODER = HashEncoder(dim=16, seed=3)
@@ -153,6 +157,10 @@ class Recorder:
         self.log.append(("replace", Path(dst).name))
         os.replace(src, dst)
 
+    def remove(self, path):
+        os.remove(path)
+        self.log.append(("remove", Path(path).name))
+
 
 @pytest.fixture(scope="module")
 def states():
@@ -216,7 +224,7 @@ def test_append_writes_only_new_rows(states, tmp_path, monkeypatch):
     [record] = VECTOR_RECORD.records(directory / VECTOR_TAIL)
     for part, kind in zip(record.parts, KINDS):
         old_rows, new_rows = getattr(old_store, kind), getattr(new_store, kind)
-        assert bytes(part) == new_rows[len(old_rows) :].tobytes(), kind
+        assert bytes(part) == encode_block(new_rows[len(old_rows) :]), kind
     loaded = load(directory)
     assert graph_equal(loaded, new_graph)
     assert same_rows(load_store(directory, loaded), new_store)
@@ -229,14 +237,15 @@ def test_full_store_save_writes_through_storage(states, tmp_path, monkeypatch):
     monkeypatch.setattr(storage, "os", recorder)
     save_store(old_store, tmp_path)
     log = recorder.log
-    # Each file is new, so the directory's fsync makes the store durable.
+    # Each file is written whole to a temporary sibling, synced and renamed
+    # over its name; the directory's fsync then makes the renames durable.
     commit = log.index(("fsync", tmp_path.name))
-    assert not [entry for entry in log if entry[0] == "replace"]
     for name in STORE_FILES:
-        writes = [i for i, entry in enumerate(log) if entry[:2] == ("write", name)]
+        tmp = name + ".tmp"
+        writes = [i for i, entry in enumerate(log) if entry[:2] == ("write", tmp)]
         assert b"".join(log[i][2] for i in writes) == (tmp_path / name).read_bytes()
-        synced = log.index(("fsync", name), writes[-1])
-        assert synced < commit, name
+        synced = log.index(("fsync", tmp), writes[-1])
+        assert synced < log.index(("replace", name), synced) < commit, name
     assert same_rows(load_store(tmp_path, load(tmp_path)), old_store)
 
 
@@ -265,8 +274,9 @@ def test_append_makes_four_fsyncs(states, early, tmp_path, monkeypatch):
 def test_fold_commits_before_resetting_tails(states, early, tmp_path, monkeypatch):
     """A folding save fsyncs every base file it appends to before it
     replaces the manifest, and resets the graph tail only after; a folding
-    store save fsyncs each vector file before its header's row count, and
-    resets the vector tail only after the last of them."""
+    store save writes each vector file anew, fsynced before its rename, and
+    removes the vector tail only after the directory's fsync that follows
+    the last rename."""
     _, _, new_graph, new_store = states
     save_old(states, early, tmp_path, "fold", monkeypatch)
     monkeypatch.setattr(trigraph, "FOLD_FRACTION", FOLDS["fold"])
@@ -282,19 +292,16 @@ def test_fold_commits_before_resetting_tails(states, early, tmp_path, monkeypatc
         reset, ("fsync", GRAPH_TAIL)
     ]
     assert log.index(reset) > commit
-    headers = []
-    for name, kind in zip(STORE_FILES, KINDS):
-        writes = [i for i, entry in enumerate(log) if entry[:2] == ("write", name)]
-        count = struct.pack("<Q", len(getattr(new_store, kind)))
-        assert log[writes[-1]][2] == count, name
-        assert log.index(("fsync", name)) < writes[-1], name  # rows, then count
-        headers.append(log.index(("fsync", name), writes[-1]))
-    reset = ("write", VECTOR_TAIL, bytes(8))
+    renames = []
+    for name in STORE_FILES:
+        renames.append(log.index(("replace", name)))
+        assert log.index(("fsync", name + ".tmp")) < renames[-1], name
+    synced = log.index(("fsync", tmp_path.name), max(renames))
     assert [entry for entry in log if entry[1] == VECTOR_TAIL] == [
-        reset, ("fsync", VECTOR_TAIL)
+        ("remove", VECTOR_TAIL)
     ]
-    assert log.index(reset) > max(headers)
-    assert not (tmp_path / "manifest.json.tmp").exists()
+    assert log.index(("remove", VECTOR_TAIL)) > synced
+    assert not list(tmp_path.glob("*.tmp"))
     loaded = load(tmp_path)
     assert graph_equal(loaded, new_graph)
     assert same_rows(load_store(tmp_path, loaded), new_store)
@@ -348,9 +355,9 @@ def test_crash_at_every_step_of_a_store_save(states, early, tmp_path, monkeypatc
     # Injectable steps of the store save: for ``tail``, the new tail file
     # cut, written and synced, the directory synced, then the tail's
     # committed length written and synced; for ``fold``, three files, each
-    # cut, written and synced, then its header written and synced, then the
-    # tail's length reset and synced.
-    for mode, steps in {"tail": 6, "fold": 3 * 5 + 2}.items():
+    # written whole to a temporary file (cut, written, synced) and renamed,
+    # then the directory synced. The tail's removal is not injected.
+    for mode, steps in {"tail": 6, "fold": 3 * 4 + 1}.items():
         monkeypatch.setattr(trigraph, "FOLD_FRACTION", FOLDS[mode])
         root = tmp_path / mode
         save_old(states, early, root / "uncrashed", mode, monkeypatch)
@@ -494,6 +501,145 @@ def test_save_over_v1_index_is_full_write(tmp_path):
     assert graph_equal(load(tmp_path / "index"), FULL)
     assert not (tmp_path / "index" / "contain.coo").exists()
     assert not (tmp_path / "index" / "occurrence.tsv").exists()
+
+
+def write_v1_store(directory, base, grown):
+    """The vectors of a format-3 index saved before vector file version 2:
+    the rows of ``base`` in dense version-1 files, and the rows ``grown``
+    adds to them as one vector tail record of dense rows."""
+    for name, kind in zip(STORE_FILES, KINDS):
+        write_v1_vector_file(directory / name, getattr(base, kind), base.encoder_id)
+    start = [len(getattr(base, kind)) for kind in KINDS]
+    end = [len(getattr(grown, kind)) for kind in KINDS]
+    parts = [
+        getattr(grown, kind)[n:].astype("<f4").tobytes()
+        for kind, n in zip(KINDS, start)
+    ]
+    record = VECTOR_RECORD.record(start, end, parts)
+    storage.remove(directory / VECTOR_TAIL)
+    storage.append_tail(directory / VECTOR_TAIL, 0, record)
+
+
+def v1_index(states, early, directory, monkeypatch):
+    """A format-3 index of the old graph and store whose vectors are in the
+    layout of vector file version 1: the early prefix's rows in the files,
+    the rest in a tail record."""
+    save_old(states, early, directory, "fold", monkeypatch)
+    write_v1_store(directory, early[1], states[1])
+
+
+def file_versions(directory):
+    return {
+        (directory / name).read_bytes()[8:12] == FILE_VERSION.to_bytes(4, "little")
+        for name in STORE_FILES
+    }
+
+
+def test_format_3_index_loads_and_first_save_rewrites_store(
+    states, early, tmp_path, monkeypatch
+):
+    """Dense version-1 vector files and tail records still load; the first
+    store save writes every vector file whole in the current layout, as a
+    full write would, and removes the tail."""
+    old_graph, old_store, new_graph, new_store = states
+    monkeypatch.setattr(trigraph, "FOLD_FRACTION", FOLDS["tail"])
+    v1_index(states, early, tmp_path / "index", monkeypatch)
+    loaded = load(tmp_path / "index")
+    assert graph_equal(loaded, old_graph)
+    assert same_rows(load_store(tmp_path / "index", loaded), old_store)
+    save_index(new_graph, new_store, tmp_path / "index")
+    assert file_versions(tmp_path / "index") == {True}
+    assert not (tmp_path / "index" / VECTOR_TAIL).exists()
+    save_index(new_graph, new_store, tmp_path / "fresh")
+    fresh = index_bytes(tmp_path / "fresh")
+    written = index_bytes(tmp_path / "index")
+    assert {name: written[name] for name in STORE_FILES} == {
+        name: fresh[name] for name in STORE_FILES
+    }
+    loaded = load(tmp_path / "index")
+    assert graph_equal(loaded, new_graph)
+    assert same_rows(load_store(tmp_path / "index", loaded), new_store)
+
+
+def test_crash_at_every_step_of_a_whole_store_write(
+    states, early, tmp_path, monkeypatch
+):
+    old_graph, old_store, new_graph, new_store = states
+    # Injectable steps of a whole store write: three files, each written
+    # to a temporary file (cut, written, synced) and renamed over its name,
+    # then the directory synced. The tail's removal is not injected.
+    # ``convert`` rewrites the store of a format-3 index in the current
+    # layout, its graph unchanged; ``full`` writes the store after a full
+    # ``save`` of its graph into a directory holding another index.
+    stores = {"convert": old_store, "full": new_store}
+    other = build(varied_corpus(seed=6))
+
+    def before(directory, mode):
+        if mode == "convert":
+            v1_index(states, early, directory, monkeypatch)
+        else:
+            save_index(other, build_store(other, ENCODER), directory)
+            save(new_graph, directory, embedder=EMBEDDER)
+
+    for mode, steps in {"convert": 3 * 4 + 1, "full": 3 * 4 + 1}.items():
+        root = tmp_path / mode
+        store = stores[mode]
+        before(root / "uncrashed", mode)
+        save_store(store, root / "uncrashed")
+        uncrashed = index_bytes(root / "uncrashed")
+        for n in count(1):
+            directory = root / f"fail-{n}"
+            before(directory, mode)
+            fail = FailAt(n)
+            with monkeypatch.context() as patch:
+                patch.setattr(storage, "os", fail)
+                try:
+                    save_store(store, directory)
+                    crashed = False
+                except OSError:
+                    crashed = True
+            if crashed:
+                if mode == "convert":
+                    # Old files and new ones hold the same rows, so any mix
+                    # of them loads, with the graph, as the old index.
+                    graph = load(directory)
+                    assert graph_equal(graph, old_graph), (mode, n)
+                    assert same_rows(load_store(directory, graph), old_store), (mode, n)
+                else:
+                    # No file is ever torn: each is missing or whole.
+                    for name, kind in zip(STORE_FILES, KINDS):
+                        if (directory / name).exists():
+                            rows, _ = read_vector_file(directory / name)
+                            assert np.array_equal(rows, getattr(store, kind)), (n, name)
+                save_store(store, directory)
+            assert index_bytes(directory) == uncrashed, (mode, n)
+            if fail.calls < n:
+                break
+        assert n > steps, mode
+
+
+class FailDirectorySync:
+    """Stands in for ``os`` inside ``linearrag.storage``: an fsync of a
+    directory raises EIO."""
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def fsync(self, fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError(errno.EIO, "injected directory fsync failure")
+        os.fsync(fd)
+
+
+def test_failing_directory_fsync_raises(states, tmp_path, monkeypatch):
+    """A full save and a whole store write each end with a directory fsync,
+    and its failure is the save's."""
+    old_graph, old_store = states[:2]
+    monkeypatch.setattr(storage, "os", FailDirectorySync())
+    with pytest.raises(OSError, match="injected directory fsync failure"):
+        save(old_graph, tmp_path, embedder=EMBEDDER)
+    with pytest.raises(OSError, match="injected directory fsync failure"):
+        save_store(old_store, tmp_path)
 
 
 def test_store_save_after_full_write_rewrites_vectors(tmp_path):
@@ -675,6 +821,24 @@ def test_damaged_vector_tail_detected(states, early, tmp_path, monkeypatch, dama
     graph = load(tmp_path)
     damage_tail(tmp_path / VECTOR_TAIL, VECTOR_RECORD, damage)
     with pytest.raises(ConsistencyError, match=TAIL_DAMAGES[damage]):
+        load_store(tmp_path, graph)
+
+
+def test_vector_record_rows_past_its_bytes_refused(
+    states, early, tmp_path, monkeypatch
+):
+    """A vector record's row count is checked against the bytes of its part
+    before any rows are allocated."""
+    tailed_index(states, early, tmp_path, monkeypatch)
+    graph = load(tmp_path)
+    path = tmp_path / VECTOR_TAIL
+    raw = bytearray(path.read_bytes())
+    (length,) = storage.TAIL_HEADER.unpack_from(raw)
+    footer = storage.TAIL_HEADER.size + length - VECTOR_RECORD.footer_size
+    struct.pack_into("<Q", raw, footer + 8 * storage.N_COUNTS, 2**40)  # end entities
+    path.write_bytes(bytes(raw))
+    refused = r"entities\.vec rows, its counts say 10995\d+ rows"
+    with pytest.raises(ConsistencyError, match=refused):
         load_store(tmp_path, graph)
 
 

@@ -11,10 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from linearrag.buffers import appended
+from linearrag.buffers import appended, reserved
 from linearrag.corpus import PassageRecord, corpus_from_records
-from linearrag.embedding import HashEncoder, build_store, extend_store
-from linearrag.trigraph import add_passages, build, graph_equal
+from linearrag.embedding import (
+    HashEncoder,
+    build_store,
+    extend_store,
+    load_store,
+    save_store,
+)
+from linearrag.trigraph import add_passages, build, graph_equal, load, save
 
 ENCODER = HashEncoder(dim=16, seed=3)
 VECTORS = ("entity_vectors", "sentence_vectors", "passage_vectors")
@@ -101,6 +107,38 @@ class TestAppended:
         view = appended(np.arange(3), np.arange(2))
         with pytest.raises(ValueError):
             view[0] = 7
+
+    def test_reserved_rows_are_a_tip(self):
+        rows = reserved(3, (2,), np.float32)
+        assert rows.shape == (3, 2) and rows.dtype == np.float32
+        assert not rows.any()
+        rows[:] = 1
+        rows.flags.writeable = False
+        grown = appended(rows, np.full((3, 2), 2, dtype=np.float32))
+        assert np.shares_memory(grown, rows)
+        assert grown.tolist() == [[1, 1]] * 3 + [[2, 2]] * 3
+        assert appended(grown, np.ones((1, 2))).base is not grown.base
+
+
+def test_loaded_store_extends_in_place(tmp_path):
+    """``load_store`` decodes each kind into a buffer's tip, so the first
+    extend after a load copies no loaded row."""
+    graph = build(corpus_from_records(records(POOL[:6])))
+    save(graph, tmp_path, embedder={"id": ENCODER.contract.id, "dim": 16})
+    save_store(build_store(graph, ENCODER), tmp_path)
+    graph = load(tmp_path)
+    loaded = load_store(tmp_path, graph)
+    slice_ = corpus_from_records(
+        records(POOL[6:8]),
+        passage_id_base=graph.n_passages,
+        sentence_id_base=graph.n_sentences,
+    )
+    grown = extend_store(loaded, add_passages(graph, slice_))
+    for kind in VECTORS:
+        rows = getattr(loaded, kind)
+        assert not rows.flags.writeable
+        assert np.shares_memory(getattr(grown, kind), rows), kind
+        assert np.array_equal(getattr(grown, kind)[: len(rows)], rows), kind
 
 
 def test_grown_store_arrays_are_read_only():

@@ -5,6 +5,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from linearrag import evalbench, trigraph
@@ -20,7 +21,13 @@ from linearrag.trigraph import (
     load,
 )
 
-from conftest import DATA_DIR, MULTIHOP_ENCODER, POISONS, write_jsonl
+from conftest import (
+    DATA_DIR,
+    MULTIHOP_ENCODER,
+    POISONS,
+    write_jsonl,
+    write_v1_vector_file,
+)
 from test_append_save import TAIL_DAMAGES, damage_tail
 
 CHAIN_CORPUS = DATA_DIR / "chain" / "corpus.jsonl"
@@ -410,6 +417,38 @@ class TestExternalEncoder:
         # Imported vectors cannot embed queries in-process.
         assert main(["query", "--config", str(config_path), "anything"]) == 1
         assert "encoder" in capsys.readouterr().err
+
+    def test_version_1_vector_files_import(self, tmp_path):
+        # README documents dense version-1 files as an import layout; the
+        # index stores what they hold in the current layout.
+        from linearrag.corpus import ingest
+        from linearrag.embedding import (
+            FILE_VERSION,
+            HashEncoder,
+            build_store,
+            load_store,
+        )
+
+        graph = build(ingest(CHAIN_CORPUS))
+        donor = build_store(graph, HashEncoder(dim=64, seed=5))
+        vectors_dir = tmp_path / "vectors"
+        vectors_dir.mkdir()
+        kinds = ("entity_vectors", "sentence_vectors", "passage_vectors")
+        for name, kind in zip(trigraph.STORE_FILES, kinds):
+            rows = getattr(donor, kind)
+            write_v1_vector_file(vectors_dir / name, rows, "mpnet-export")
+        config = write_config(
+            tmp_path,
+            encoder={"id": "external", "dim": 64, "vectors_dir": str(vectors_dir)},
+        )
+        assert main(["index", "--config", str(config)]) == 0
+        index = tmp_path / "index"
+        imported = load_store(index, load(index))
+        assert imported.encoder_id == "mpnet-export"
+        for name, kind in zip(trigraph.STORE_FILES, kinds):
+            assert np.array_equal(getattr(imported, kind), getattr(donor, kind))
+            version = (index / name).read_bytes()[8:12]
+            assert version == FILE_VERSION.to_bytes(4, "little")
 
     def test_external_without_vectors_dir_is_config_error(self, tmp_path):
         config = write_config(tmp_path, encoder={"id": "external", "dim": 64})

@@ -4,10 +4,13 @@ import string
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis.extra.numpy import arrays
 from hypothesis import strategies as st
 
+from linearrag import embedding
 from linearrag.embedding import (
+    FILE_VERSION,
     EmbeddingStore,
     EncoderContract,
     HashEncoder,
@@ -29,7 +32,13 @@ from linearrag.embedding import (
 from linearrag.errors import ConfigError, ConsistencyError, EncodingError
 from linearrag.trigraph import add_passages, build
 
-from conftest import DATA_DIR, POISONS, TokenEncoder, make_corpus
+from conftest import (
+    DATA_DIR,
+    POISONS,
+    TokenEncoder,
+    make_corpus,
+    write_v1_vector_file,
+)
 from test_trigraph import make_slice
 
 
@@ -156,6 +165,14 @@ class TestEncodeBatchAgainstOracle:
         if cancel_at is not None:
             batch = [*batch[:cancel_at], CANCELLING[pair], *batch[cancel_at:]]
         assert equals_oracle(batch, *pair)
+
+    @pytest.mark.parametrize("block_rows", [1, 3])
+    def test_row_blocks_equal_oracle(self, monkeypatch, block_rows):
+        # Blocks that split the batch, with a tokenless and a cancelling row
+        # on either side of a boundary.
+        monkeypatch.setattr(embedding, "ENCODE_BLOCK_ROWS", block_rows)
+        batch = ["Paris big", "", CANCELLING[37, 11], "Rome old", "...", "ß ß"]
+        assert equals_oracle(batch, 37, 11)
 
 
 class TestCosine:
@@ -309,7 +326,8 @@ class TestStore:
             load_store(tmp_path, graph)
 
     def test_row_count_past_end_of_file(self, graph, tmp_path):
-        # A damaged row count is refused from the file's size, before any
+        # A damaged row count is refused, since its rows' bitmaps alone pass
+        # the committed bytes, which the file's size bounds, before any
         # buffer of that size is allocated.
         save_store(build_store(graph, HashEncoder(dim=32, seed=1)), tmp_path)
         path = tmp_path / "passages.vec"
@@ -481,3 +499,98 @@ class TestEncodeQuery:
         store.encoder = _FixedQueryEncoder(row)
         with pytest.raises(EncodingError, match="NaN"):
             store.encode_query("paris")
+
+
+# Float32 bit patterns a vector file must keep: -0.0, subnormals and the
+# smallest normal.
+SPECIAL_BITS = (0x80000000, 0x00000001, 0x007FFFFF, 0x80000001, 0x00800000)
+
+
+@st.composite
+def float32_matrices(draw):
+    """A float32 matrix of any dim from 1, whose rows are each all zero,
+    sparse, or fully dense with arbitrary nonzero bits (NaNs included)."""
+    dim = draw(st.integers(1, 40))
+    kinds = draw(st.lists(st.sampled_from(["zero", "sparse", "dense"]), max_size=6))
+    nonzero = st.sampled_from(SPECIAL_BITS) | st.integers(1, 2**32 - 1)
+    bits = draw(arrays(np.uint32, (len(kinds), dim), elements=nonzero))
+    for row, kind in enumerate(kinds):
+        if kind == "zero":
+            bits[row] = 0
+        elif kind == "sparse":
+            keep = draw(st.sets(st.integers(0, dim - 1), max_size=3))
+            bits[row, [c for c in range(dim) if c not in keep]] = 0
+    return bits.view(np.float32)
+
+
+def vector_file_header_size(encoder_id):
+    """Magic, version and dim, row and byte counts, id length, id."""
+    return 8 + 8 + 16 + 4 + len(encoder_id.encode())
+
+
+class TestVectorFile:
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(rows=float32_matrices())
+    @example(rows=np.zeros((0, 3), dtype=np.float32))
+    @example(rows=np.array([[-0.0] * 9], dtype=np.float32))
+    def test_round_trip_keeps_every_bit(self, tmp_path, rows):
+        path = tmp_path / "v.vec"
+        write_vector_file(path, rows, "custom")
+        back, encoder_id = read_vector_file(path)
+        assert encoder_id == "custom"
+        assert back.shape == rows.shape
+        assert np.array_equal(back.view(np.uint32), rows.view(np.uint32))
+        assert not back.flags.writeable
+
+    def test_rows_cost_a_bitmap_and_their_nonzero_values(self, tmp_path):
+        rows = np.zeros((5, 12), dtype=np.float32)
+        rows[0, [0, 11]] = (0.6, 0.8)
+        rows[3, 4] = -0.0
+        write_vector_file(tmp_path / "v.vec", rows, "custom")
+        size = (tmp_path / "v.vec").stat().st_size
+        assert size == vector_file_header_size("custom") + 16 + 5 * 2 + 3 * 4
+
+    def test_version_1_file_reads(self, tmp_path):
+        rows = np.eye(3, 9, dtype=np.float32)
+        write_v1_vector_file(tmp_path / "v.vec", rows, "custom")
+        back, encoder_id = read_vector_file(tmp_path / "v.vec")
+        assert encoder_id == "custom" and np.array_equal(back, rows)
+        write_vector_file(tmp_path / "v.vec", rows, "custom")
+        raw = (tmp_path / "v.vec").read_bytes()
+        assert raw[8:12] == FILE_VERSION.to_bytes(4, "little") == b"\x02\0\0\0"
+
+    # Damage to a vector file of dim 12 (two bitmap bytes per row, the last
+    # four bits of each row's second byte padding), and the error it gives.
+    @pytest.mark.parametrize(
+        "damage, error",
+        [
+            ("padding", "sets a padding bit past dim 12"),
+            ("zero value", "marks an entry whose stored bits are all zero"),
+            ("value count", "holds 5 values, its bitmaps mark 4"),
+            ("past end", "committed length .* passes the end of the file"),
+        ],
+    )
+    def test_damage_is_named(self, tmp_path, damage, error):
+        rows = np.zeros((3, 12), dtype=np.float32)
+        rows[0, [0, 11]] = (0.6, 0.8)
+        rows[1, 5] = 1.0
+        rows[2, [2, 3]] = (-0.6, 0.8)
+        path = tmp_path / "v.vec"
+        write_vector_file(path, rows, "custom")
+        raw = bytearray(path.read_bytes())
+        bitmaps = vector_file_header_size("custom") + 16
+        if damage == "padding":
+            raw[bitmaps + 1] |= 1  # row 0, column 15
+        elif damage == "zero value":
+            raw[-4:] = bytes(4)
+        elif damage == "value count":
+            raw[bitmaps + 2] &= ~(1 << 2)  # row 1, column 5
+        else:
+            raw[24:32] = len(raw).to_bytes(8, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ConsistencyError, match=rf"v\.vec: .*{error}"):
+            read_vector_file(path)

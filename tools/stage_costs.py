@@ -7,7 +7,9 @@ wall ms (``median_ms``), the median ms the garbage collector ran within it
 (``median_gc_ms``) and its ``tracemalloc`` peak in KiB from a separate
 untimed pass (``peak_kib``):
 
-* ``index`` (``evalbench.index_costs``), with each time per passage;
+* ``index`` (``evalbench.index_costs``), with each time per passage and
+  the index's bytes per passage, graph and vectors apart
+  (``bytes_per_passage``);
 * ``query`` (``evalbench.query_costs``): the graph questions, and the
   questions of the first ``FALLBACK_PROBES`` append slices of
   ``benchmark.inputs.make_slice`` with the slices not appended, so that
@@ -16,9 +18,11 @@ untimed pass (``peak_kib``):
   slices appended to the saved index, each followed by its question three
   times, with ``first_query`` beside the bounds it should meet at
   12000 passages, and ``folds`` and ``save_ms``: how many timed appends
-  folded the index's tails into its base files, and the median ``save``
+  folded the index's tails into its base files, the median ``save``
   and ``save_store`` ms of the appends that folded and of those that did
-  not.
+  not, and ``median_bytes_added``: the median bytes a timed append added
+  to the graph files and to the vector files, apart, from their sizes
+  before and after it.
 
 It exits 1 if the loaded index differs from the built one, the grown index
 from a rebuild, or an answer's stages from its path's. With several sizes
