@@ -22,7 +22,9 @@ renamed over it (``write_vector_file``). Readers refuse header counts that
 the file's size cannot hold before they allocate the rows. Version 1, whose
 header has no byte count and whose data is the rows as dense float32, is
 still read, so exported vectors can be imported in that layout. In memory,
-rows are always dense float32.
+rows are always dense float32; beside them each kind of a store may keep a
+sparse index of its marked entries (``SparseRows``), which queries score
+through and ``load_store`` makes from the positions the bitmaps mark.
 
 An append writes no vector file: it commits a block of the new rows of
 each of the three kinds as one record of ``vectors.tail``
@@ -47,6 +49,7 @@ from pathlib import Path
 from typing import Any, BinaryIO, Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
+from scipy import sparse as sp
 
 from . import storage
 from .buffers import appended, reserved
@@ -65,6 +68,19 @@ _BLOCK = struct.Struct("<QQ")  # a block's rows and values
 VECTOR_RECORD = storage.TailFormat(len(STORE_FILES))
 
 NORM_TOLERANCE = 1e-4
+# A kind of vectors keeps a sparse index (``SparseRows``) only while its
+# marked entries are at most this share of all its entries; a denser kind
+# is scanned whole by every query and keeps none. See CHANGES.md for the
+# sweep it was picked from.
+DENSITY_CUT = 0.15
+# A grown store's sparse index of a kind is extended by the rows new since
+# the index was made once they number more than this; until then queries
+# score those rows from the dense rows. An extension costs about 0.12 ms
+# whatever its size, a gathered row about 0.27 us (3000 passages, one BLAS
+# thread, shared 2-vCPU VM): so an append followed by one query, about 8
+# new rows of a kind, extends every fourth append or so, and a store read
+# many times gathers at most this many rows per kind and query.
+TAIL_ROWS = 32
 # Rows of ``HashEncoder.encode_batch`` summed at a time.
 ENCODE_BLOCK_ROWS = 512
 
@@ -242,21 +258,137 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a.astype(np.float64), b.astype(np.float64)))
 
 
-def validate_normalized(rows: np.ndarray, what: str) -> None:
-    """Raise ConsistencyError unless every row is finite and L2-normalized."""
+def validate_normalized(
+    rows: np.ndarray, what: str, entries: "_Entries | None" = None
+) -> None:
+    """Raise ConsistencyError unless every row is finite and L2-normalized.
+    Given ``entries``, the entries of ``rows`` that may be nonzero, only
+    those are read."""
     if rows.size == 0:
         return
-    non_finite = ~np.isfinite(rows).all(axis=1)
+    if entries is None:
+        non_finite = ~np.isfinite(rows).all(axis=1)
+    else:
+        non_finite = np.zeros(len(rows), dtype=bool)
+        non_finite[entries.rows[~np.isfinite(entries.values)]] = True
     if np.any(non_finite):
         raise ConsistencyError(
             f"{what}: {int(non_finite.sum())} vector(s) hold NaN or infinite values"
         )
-    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows, dtype=np.float64))
+    if entries is None:
+        squares = np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
+    else:
+        values = entries.values.astype(np.float64)
+        squares = np.bincount(entries.rows, values * values, minlength=len(rows))
+    norms = np.sqrt(squares)
     bad = np.abs(norms - 1.0) > NORM_TOLERANCE
     if np.any(bad):
         raise ConsistencyError(
             f"{what}: {int(bad.sum())} vector(s) are not L2-normalized"
         )
+
+
+class SparseRows:
+    """The entries of a float32 matrix whose bits are not all zero (those
+    a vector file's bitmaps mark), row by row: ``values``, a scipy CSR
+    matrix of them as float64, and ``pattern``, one of the same entries,
+    each 1.0 as float32. ``retrieval._similarities`` scores a query through
+    them. Its arrays are the tips of growth buffers (``buffers.appended``),
+    so ``extended`` grows them in place when this is the newest index grown
+    from them, and never changes this one."""
+
+    __slots__ = ("indptr", "cols", "data", "ones", "values", "pattern")
+
+    def __init__(self, indptr, cols, data, ones, dim: int):
+        self.indptr, self.cols, self.data, self.ones = indptr, cols, data, ones
+        shape = (len(indptr) - 1, dim)
+        self.values = sp.csr_matrix((data, cols, indptr), shape=shape, copy=False)
+        self.pattern = sp.csr_matrix((ones, cols, indptr), shape=shape, copy=False)
+
+    @property
+    def n_rows(self) -> int:
+        return len(self.indptr) - 1
+
+    def extended(self, rows: np.ndarray) -> "SparseRows | None":
+        """The index of ``rows``, whose first ``n_rows`` rows are the ones
+        this index holds: those rows' entries, then the new rows'. None
+        where ``sparse_rows`` would give None."""
+        return _indexed(rows, self)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SparseRows):
+            return NotImplemented
+        return self.values.shape == other.values.shape and all(
+            np.array_equal(a, b)
+            for a, b in zip(
+                (self.indptr, self.cols, self.data, self.ones),
+                (other.indptr, other.cols, other.data, other.ones),
+            )
+        )
+
+
+def sparse_rows(rows: np.ndarray) -> SparseRows | None:
+    """The sparse index of ``rows``, or None where queries scan them whole:
+    rows that are not float32, hold a value that is not finite, or whose
+    marked entries pass ``DENSITY_CUT`` of their entries."""
+    return _indexed(rows, None)
+
+
+def _indexed(rows: np.ndarray, grown_from: SparseRows | None) -> SparseRows | None:
+    new = rows[grown_from.n_rows if grown_from is not None else 0 :]
+    if rows.dtype != np.float32 or not np.isfinite(new).all():
+        return None
+    marked = np.ascontiguousarray(new).view(np.uint32).reshape(-1) != 0
+    old_nnz = grown_from.indptr[-1] if grown_from is not None else 0
+    if _too_dense(int(old_nnz) + np.count_nonzero(marked), rows.shape):
+        return None
+    at = np.flatnonzero(marked)
+    row_ids, cols = np.divmod(at, rows.shape[1])
+    return _grown(grown_from, rows.shape, row_ids, cols, new.reshape(-1)[at])
+
+
+def _too_dense(nnz: int, shape: tuple[int, int]) -> bool:
+    """Whether ``nnz`` marked entries of a matrix of ``shape`` pass the
+    density cut."""
+    return nnz > DENSITY_CUT * shape[0] * shape[1]
+
+
+def _grown(
+    grown_from: SparseRows | None,
+    shape: tuple[int, int],
+    row_ids: np.ndarray,
+    cols: np.ndarray,
+    values: np.ndarray,
+) -> SparseRows | None:
+    """``grown_from`` (None: no rows) followed by the entries of its rows
+    past it: each one's row (counted from the first new row), column and
+    float32 value, in row-major order. None if the whole passes the
+    density cut."""
+    n_rows, dim = shape
+    old_nnz = grown_from.indptr[-1] if grown_from is not None else 0
+    nnz = int(old_nnz) + len(values)
+    if _too_dense(nnz, shape):
+        return None
+    index = np.int32 if nnz < 2**31 else np.int64
+    start = grown_from.n_rows if grown_from is not None else 0
+    counts = np.bincount(row_ids, minlength=n_rows - start)
+    indptr = np.cumsum(counts, dtype=index) + index(old_nnz)
+    parts = (
+        indptr if grown_from is not None else np.concatenate([[index(0)], indptr]),
+        cols.astype(index),
+        values.astype(np.float64),
+        np.ones(len(values), dtype=np.float32),
+    )
+    if grown_from is not None:
+        old = (grown_from.indptr, grown_from.cols, grown_from.data, grown_from.ones)
+        parts = [appended(a, b) for a, b in zip(old, parts)]
+    return SparseRows(*parts, dim)
+
+
+# Each kind's vectors, as ``EmbeddingStore`` names them.
+VECTOR_KINDS = ("entity_vectors", "sentence_vectors", "passage_vectors")
+# What ``EmbeddingStore._grown_from`` holds for a kind no ancestor indexed.
+_UNGROWN = object()
 
 
 @dataclass(eq=False)
@@ -267,6 +399,37 @@ class EmbeddingStore:
     sentence_vectors: np.ndarray  # (n_sentences, dim)
     passage_vectors: np.ndarray  # (n_passages, dim)
     encoder: Encoder | None = field(default=None, repr=False)
+    # Each kind's sparse index once made (None for a kind scanned whole), and
+    # the indexes of the store this one grew from, or of the nearest
+    # ancestor that made them; ``extend_store`` fills it, and making an
+    # index from its entry drops the entry.
+    _indexes: dict[str, Any] = field(default_factory=dict, init=False, repr=False)
+    _grown_from: dict[str, Any] = field(default_factory=dict, init=False, repr=False)
+
+    def sparse_rows(self, kind: str) -> SparseRows | None:
+        """The sparse index (``SparseRows``) of the vectors ``kind`` names
+        (one of ``VECTOR_KINDS``), or None for a kind that queries scan
+        whole (see ``sparse_rows``). It is made on first use: from the
+        vector files' bitmaps by ``load_store``, else from the index of the
+        store this one grew from, else from the rows. A grown store takes
+        its parent's index as it is while the rows past it number at most
+        ``TAIL_ROWS``, and else extends it by those rows; so an index may
+        hold only a prefix of the rows, and queries score the rest from the
+        dense rows. A kind scanned whole stays so in the stores grown from
+        this one. Made once, an index assumes that the rows it was made
+        from are not changed in place afterwards; the rows ``extend_store``
+        grows and ``load_store`` reads are read-only."""
+        made = self._indexes
+        if kind not in made:
+            rows = getattr(self, kind)
+            parent = self._grown_from.pop(kind, _UNGROWN)
+            if parent is _UNGROWN:
+                made[kind] = sparse_rows(rows)
+            elif parent is None or len(rows) - parent.n_rows <= TAIL_ROWS:
+                made[kind] = parent
+            else:
+                made[kind] = parent.extended(rows)
+        return made[kind]
 
     def encode_query(self, text: str) -> np.ndarray:
         if self.encoder is None:
@@ -322,8 +485,11 @@ def extend_store(
     uncopied. The others grow as read-only views of growth buffers
     (``buffers.appended``): in place when ``store`` is the newest store grown
     from them, else by one copy of the old rows, so a chain of extends
-    copies amortised O(new rows). ``store`` is never changed. Row counts
-    may only grow. An encoder whose contract id is not the store's is a
+    copies amortised O(new rows). The new store's sparse indexes
+    (``EmbeddingStore.sparse_rows``) are ``store``'s, or those its nearest
+    indexed ancestor made, grown by the new rows only, through the same
+    growth buffers, on its first use of each. ``store`` is never changed.
+    Row counts may only grow. An encoder whose contract id is not the store's is a
     ConfigError, raised before anything is encoded.
     """
     encoder = encoder or store.encoder
@@ -345,7 +511,11 @@ def extend_store(
             new = _encode_checked(encoder, texts, store.dim, kind)
             rows = appended(rows, new) if len(rows) else new
         grown.append(rows)
-    return EmbeddingStore(store.dim, store.encoder_id, *grown, encoder=encoder)
+    extended = EmbeddingStore(store.dim, store.encoder_id, *grown, encoder=encoder)
+    # Each index ``store`` has made, or else the one it would derive its own
+    # from.
+    extended._grown_from.update({**store._grown_from, **store._indexes})
+    return extended
 
 
 def encode_block(rows: np.ndarray) -> bytes:
@@ -442,17 +612,28 @@ def read_vector_file(path: str | Path) -> tuple[np.ndarray, str]:
     """The rows a vector file's header commits, and its encoder id. Bytes
     past the committed data belong to an append that never committed and
     are ignored."""
-    return _read_vectors(Path(path), Path(path), (), 0)
+    rows, encoder_id, _ = _read_vectors(Path(path), Path(path), (), 0)
+    return rows, encoder_id
+
+
+class _Entries(NamedTuple):
+    """The marked entries of decoded rows, in row-major order."""
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray  # float32
 
 
 def _read_vectors(
     path: Path, tail: Path, records: Sequence[storage.TailRecord], kind: int
-) -> tuple[np.ndarray, str]:
+) -> tuple[np.ndarray, str, _Entries | None]:
     """The rows a vector file's header commits followed by part ``kind`` of
     each of ``records``, the records of ``tail`` past those rows, and its
     encoder id: decoded into the tip of a growth buffer
     (``buffers.reserved``), read-only. Each count is checked against the
-    bytes that hold it before the rows are allocated."""
+    bytes that hold it before the rows are allocated. Also the entries the
+    bitmaps mark, when every block returned its own (``_decode_block``);
+    else, and for version 1, None."""
     with path.open("rb") as f:
         header = _read_header(f, path)
         data = f.read(header.size)
@@ -473,27 +654,46 @@ def _read_vectors(
             )
         parts.append((tail, part, n_rows))
     rows = reserved(sum(n for _, _, n in parts), (dim,), np.float32)
+    decoded: list[_Entries | None] = []
     at = 0
     for where, part, n_rows in parts:
         into = rows[at : at + n_rows]
         if dense:
             into[...] = np.frombuffer(part, "<f4").reshape(n_rows, dim)
+            decoded.append(None)
         else:
-            _decode_block(part, into, where)
+            entries = _decode_block(part, into, where)
+            if entries is not None and at:
+                entries.rows[...] += at
+            decoded.append(entries)
         at += n_rows
     rows.flags.writeable = False
-    return rows, header.encoder_id
+    if None in decoded:
+        return rows, header.encoder_id, None
+    if len(decoded) == 1:
+        return rows, header.encoder_id, decoded[0]
+    return rows, header.encoder_id, _Entries(*map(np.concatenate, zip(*decoded)))
 
 
-def _decode_block(data: bytes | memoryview, rows: np.ndarray, where: Path) -> None:
+def _decode_block(
+    data: bytes | memoryview, rows: np.ndarray, where: Path
+) -> _Entries | None:
     """Decode the block ``data`` (no bytes for no rows) into ``rows``, zeroed
     rows that it must fill exactly. ConsistencyError naming ``where`` for a
     block of other counts than its bytes or ``rows`` hold, a bitmap bit set
     past the dim, a value count that is not the bitmaps' count of set bits,
-    or a marked entry whose stored bits are all zero."""
+    or a marked entry whose stored bits are all zero.
+
+    A block whose values pass ``DENSITY_CUT`` of its entries is decoded
+    through one mask of every entry, and None is returned. In any other,
+    only the bitmap bytes with a set bit are unpacked: each set bit's byte
+    and place give its row and column, in the row-major order of the
+    values, those positions alone are written, and the entries they mark
+    are returned."""
     n_rows, dim = rows.shape
     if not n_rows and not len(data):
-        return
+        none = np.zeros(0, dtype=np.intp)
+        return _Entries(none, none, np.zeros(0, dtype=np.float32))
     width = _bitmap_bytes(dim)
     # Bytes too few for a block's counts hold no block of ``n_rows`` rows.
     n, n_values = _BLOCK.unpack_from(data) if len(data) >= _BLOCK.size else (-1, 0)
@@ -509,8 +709,14 @@ def _decode_block(data: bytes | memoryview, rows: np.ndarray, where: Path) -> No
         raise ConsistencyError(
             f"{where}: a row's bitmap sets a padding bit past dim {dim}"
         )
-    marked = np.unpackbits(bitmaps, axis=1, count=dim).view(bool)
-    n_marked = int(np.count_nonzero(marked))
+    if _too_dense(n_values, rows.shape):
+        marked = np.unpackbits(bitmaps, axis=1, count=dim).view(bool)
+        n_marked = int(np.count_nonzero(marked))
+    else:
+        flat = bitmaps.reshape(-1)
+        filled = np.flatnonzero(flat != 0)
+        set_bits = np.flatnonzero(np.unpackbits(flat[filled]).view(bool))
+        n_marked = len(set_bits)
     if n_marked != n_values:
         raise ConsistencyError(
             f"{where}: a block holds {n_values} values, its bitmaps mark {n_marked}"
@@ -520,7 +726,14 @@ def _decode_block(data: bytes | memoryview, rows: np.ndarray, where: Path) -> No
         raise ConsistencyError(
             f"{where}: a block marks an entry whose stored bits are all zero"
         )
-    rows[marked] = values
+    if _too_dense(n_values, rows.shape):
+        rows[marked] = values
+        return None
+    row_ids, cols = np.divmod(filled[set_bits >> 3], width)
+    cols *= 8
+    cols += set_bits & 7
+    rows.reshape(-1)[row_ids * dim + cols] = values
+    return _Entries(row_ids, cols, values)
 
 
 def save_store(store: EmbeddingStore, directory: str | Path) -> None:
@@ -631,15 +844,22 @@ def load_store(
 ) -> EmbeddingStore:
     """Load the three vector files, each followed by its rows in the vector
     tail's records past the rows its header commits, validating norms and
-    (optionally) row-count agreement with a graph."""
+    (optionally) row-count agreement with a graph. The entries that the
+    files' bitmaps mark also make each kind's sparse index
+    (``EmbeddingStore.sparse_rows``), unless a block of the kind passes the
+    density cut or its file is of version 1: then its first use derives
+    it."""
     directory = Path(directory)
     tail = directory / VECTOR_TAIL
     records = VECTOR_RECORD.records(tail)
     arrays: list[np.ndarray] = []
     ids: list[str] = []
+    indexes: dict[str, SparseRows | None] = {}
     for kind, name in enumerate(STORE_FILES):
-        rows, encoder_id = _read_vectors(directory / name, tail, records, kind)
-        validate_normalized(rows, name)
+        rows, encoder_id, entries = _read_vectors(directory / name, tail, records, kind)
+        validate_normalized(rows, name, entries)
+        if entries is not None:
+            indexes[VECTOR_KINDS[kind]] = _grown(None, rows.shape, *entries)
         arrays.append(rows)
         ids.append(encoder_id)
     if len(set(ids)) != 1:
@@ -656,6 +876,7 @@ def load_store(
                 f"does not rebuild an encoder: {exc}"
             ) from None
     store = EmbeddingStore(dims.pop(), ids[0], *arrays, encoder=encoder)
+    store._indexes.update(indexes)
     if graph is not None and not store.matches(graph):
         raise ConsistencyError(
             "embedding store row counts do not match the graph: "

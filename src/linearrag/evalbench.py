@@ -41,6 +41,7 @@ import numpy as np
 
 from .corpus import Corpus, PassageRecord, corpus_from_records, ingest
 from .embedding import (
+    VECTOR_KINDS,
     EmbeddingStore,
     Encoder,
     HashEncoder,
@@ -48,10 +49,18 @@ from .embedding import (
     extend_store,
     load_store,
     save_store,
+    sparse_rows,
 )
 from .errors import ConfigError, ConsistencyError
 from .extraction import ExtractorContract
-from .retrieval import EntityLevel, RankedPassages, RetrievalConfig, retrieve
+from .retrieval import (
+    EntityLevel,
+    RankedPassages,
+    RetrievalConfig,
+    _kind_scores,
+    _similarities,
+    retrieve,
+)
 from .trigraph import (
     GRAPH_FILES,
     GRAPH_TAIL,
@@ -670,10 +679,23 @@ def index_bytes(directory: str | Path) -> dict[str, int]:
 
 
 def _same_vectors(a: EmbeddingStore, b: EmbeddingStore) -> bool:
+    """Whether two stores hold the same rows, each with the sparse indexes
+    a fresh derivation gives for the rows they hold."""
     return all(
         np.array_equal(getattr(a, kind), getattr(b, kind))
-        for kind in ("entity_vectors", "sentence_vectors", "passage_vectors")
+        and _index_as_derived(a, kind)
+        and _index_as_derived(b, kind)
+        for kind in VECTOR_KINDS
     )
+
+
+def _index_as_derived(store: EmbeddingStore, kind: str) -> bool:
+    """Whether the store's index of ``kind``, if it keeps one, is a fresh
+    derivation of the rows it holds."""
+    index = store.sparse_rows(kind)
+    if index is None:
+        return True
+    return index == sparse_rows(getattr(store, kind)[: index.n_rows])
 
 
 def index_costs(
@@ -834,24 +856,29 @@ def query_costs(
     """Query cost by stage, graph-path and fallback questions apart.
 
     A warm-up pass over ``questions`` makes the graph's query operators and
-    sorts the questions by path. Then ``rounds`` timed passes ask each
-    question in turn, and one traced pass asks each once. Per path: the
-    number of questions, the median share of the sentences whose query
-    similarity a question scored (``QueryStats.sentences_scored``), and the
+    the store's sparse indexes, and sorts the questions by path. Then
+    ``rounds`` timed passes ask each question in turn, and one traced pass
+    asks each once. Per path: the number of questions, the median share of
+    the store's rows whose query similarity a question scored by float64
+    dot products over the dense rows (``QueryStats.dense_rows``), and the
     harness's figures for ``retrieve`` and, wall time only, for each stage
     of its ``QueryStats`` (``retrieve.<stage>``). ``stages_as_expected``
     says whether every answer listed exactly its path's stages
-    (``GRAPH_STAGES`` or ``FALLBACK_STAGES``)."""
+    (``GRAPH_STAGES`` or ``FALLBACK_STAGES``), and every question's entity,
+    sentence and passage similarities, as retrieval scores them, held the
+    bits of the full scan's."""
     expected = {"graph_path": GRAPH_STAGES, "fallback": FALLBACK_STAGES}
     asked = {path: [] for path in expected}
     shares = {path: [] for path in expected}
+    n_rows = sum(len(getattr(store, kind)) for kind in VECTOR_KINDS)
+    as_expected = True
     for question in dict.fromkeys(questions):
         ranked = retrieve(question, graph, store, cfg)
         path = "fallback" if ranked.fallback_used else "graph_path"
         asked[path].append(question)
-        shares[path].append(ranked.stats.sentences_scored / graph.n_sentences)
+        shares[path].append(ranked.stats.dense_rows / max(n_rows, 1))
+        as_expected &= _scored_as_scanned(store, store.encode_query(question))
     clocks = {path: StageClock() for path in expected}
-    as_expected = True
 
     def ask(question: str, path: str) -> Callable:
         def step(lap):
@@ -872,7 +899,7 @@ def query_costs(
         **{
             path: {
                 "questions": len(on_path),
-                "median_scored_share": round(statistics.median(shares[path]), 5)
+                "median_dense_row_share": round(statistics.median(shares[path]), 5)
                 if on_path
                 else None,
                 **clocks[path].summary(),
@@ -880,6 +907,16 @@ def query_costs(
             for path, on_path in asked.items()
         },
     }
+
+
+def _scored_as_scanned(store: EmbeddingStore, query_vec: np.ndarray) -> bool:
+    """Whether each kind's query similarities, as retrieval scores them
+    through the store's sparse index, equal the full scan's bit for bit."""
+    return all(
+        _kind_scores(store, kind, query_vec)[0].tobytes()
+        == _similarities(getattr(store, kind), query_vec).tobytes()
+        for kind in VECTOR_KINDS
+    )
 
 
 def _query_batch(

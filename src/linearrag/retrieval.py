@@ -14,10 +14,8 @@ the gate is a max over the frontier entities' entries
 the gated sentence mass, and the trace (one row per entity) records, for
 each entity a hop first activates, the sentence of its entries holding the
 most mass (``EntityMajor.best_rows``, with no sort). How the view is laid
-out is ``trigraph``'s concern alone. A hop scores the query similarity of
-only the sentences it gates, each the first time it is gated, until the
-sentences scored, weighted by the hops that may follow, would pass a share
-``SIGMA_CROSSOVER`` of all sentences; then it scores them all in one scan.
+out is ``trigraph``'s concern alone. Hop 0 scores the query similarity of
+every sentence, once, when any entity seeds.
 
 Stage 2 ranks passages: activated entities and a hybrid passage seed (a
 small query-similarity term plus a log-damped sum of activated-entity
@@ -31,9 +29,13 @@ descending importance, ties broken by id; the top k are selected by
 partition, so only the k highest scores and those tied with the k-th are
 sorted.
 
-The entity and passage similarity scans cover every row: every entity can
-seed, and the hybrid seed's query term is dense. The sentence scan covers
-only the sentences a query's hops gate, while they stay few.
+Every query similarity, of entities, sentences and passages, is scored
+for every row, with the bits of a float64 matrix-vector product, but not
+by one: each kind's sparse index (``EmbeddingStore.sparse_rows``) scores
+the rows that share at most two nonzero entries with the query exactly,
+and only the others read their dense rows (``_similarities``). So a
+query's similarity cost follows the kind's nonzero entries; a row of the
+built-in hash encoder holds one per distinct token bucket.
 
 ``retrieve`` is the one place these stages run in sequence; each result it
 returns carries their times and the PPR solve's outcome (``QueryStats``).
@@ -52,7 +54,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .embedding import EmbeddingStore
+from .embedding import EmbeddingStore, SparseRows
 from .errors import ConfigError, EmptySeedError
 from .trigraph import TriGraph
 
@@ -69,21 +71,11 @@ _NUMBER_KINDS = {
 
 # Rows cast to float64 at a time when scoring a float32 vector matrix.
 _BLOCK_ROWS = 512
-
-# A query scores the sentences its hops gate, row by row, until a hop finds
-# that the rows scored so far, its own included, times one more than the
-# hops that may follow it, pass SIGMA_CROSSOVER of the sentences; then it
-# scores all of them in one scan, which costs less per row than a gather
-# (about half, one BLAS thread on a shared 2-vCPU VM). A query's gated set
-# grows about geometrically from hop to hop (3000 passages: under 1%, then
-# 5-15%, then 20-60% of the sentences), so rows gathered while hops remain
-# are likely to be scanned again; the factor scans those early, and a last
-# hop gathers unless it gates a fifth of the sentences. In a sweep of the
-# graph-path initial_activation + propagate time (benchmark corpus, each
-# question asked at each value in turn), 0.075 to 0.2 read alike at 3000
-# passages and 0.3 had a 10% higher p90; at 12000, 0.075 and 0.1 scanned
-# for the median question (8.8-9.1 ms), 0.2 did not (4.0 ms).
-SIGMA_CROSSOVER = 0.2
+# A kind's similarities are scanned whole, rather than read from its sparse
+# index, once the rows whose score the index cannot give pass this share of
+# its rows: a gathered row costs about twice a scanned one. See CHANGES.md
+# for the sweep it was picked from.
+GATHER_SHARE = 0.5
 
 
 @dataclass(frozen=True)
@@ -180,13 +172,10 @@ class ActivationState:
     each entity's first activation hop and best supporting sentence; -1 in
     both for an entity never activated, and sentence -1 for a hop-0 seed.
 
-    ``sigma`` has one row per sentence, and only the rows ``scored`` marks
-    hold their similarity; the others hold 0.0 and are never read.
-    ``initial_activation`` scores no row. Each hop scores the sentences it
-    gates that are not scored yet, from ``sentence_vectors``, and writes
-    them into ``sigma`` and ``scored`` in place; so the states of one query
-    share the two arrays, and a row, once written, never changes. A state
-    whose ``scored`` marks every row needs no ``sentence_vectors``.
+    ``initial_activation`` scores ``sigma`` whole, one row per sentence,
+    when its frontier is not empty; otherwise no hop reads it, and it holds
+    zeros. ``dense_rows`` counts the entity and sentence rows it scored by
+    float64 dot products over their dense rows (see ``_scored``).
 
     An entity's best supporting sentence is, among the sentences that
     mention it, the one whose gated mass (sigma times the frontier gate)
@@ -201,8 +190,7 @@ class ActivationState:
     frontier: frozenset[int]
     trace: np.ndarray
     query_vec: np.ndarray
-    scored: np.ndarray
-    sentence_vectors: np.ndarray | None = None
+    dense_rows: int = 0
 
     def activated_entities(self) -> np.ndarray:
         return np.nonzero(self.a > 0.0)[0]
@@ -225,16 +213,18 @@ class QueryStats:
     nothing is activated (with either fallback). The PPR fields are the
     conjugate-gradient steps, the L1 residual they stopped at and whether
     it is below ``ppr_tol``; they are None on the fallback.
-    ``sentences_scored`` counts the sentence similarities the query scored:
-    the sentences its hops gated, or all of them after a full scan, and 0 on
-    the fallback, which takes no hop.
+    ``dense_rows`` counts, over the entity, sentence and passage vectors,
+    the rows whose query similarity the query scored by float64 dot
+    products over the dense rows rather than through the kind's sparse
+    index: the rows gathered for sharing 3 or more nonzero entries with the
+    query, or every row of a kind scanned whole (see ``_similarities``).
     """
 
     stage_ms: dict[str, float]
     ppr_steps: int | None = None
     ppr_residual_l1: float | None = None
     ppr_converged: bool | None = None
-    sentences_scored: int = 0
+    dense_rows: int = 0
 
 
 @dataclass(frozen=True)
@@ -251,8 +241,61 @@ class RankedPassages:
 
 
 def _similarities(
-    vectors: np.ndarray, query_vec: np.ndarray, out: np.ndarray | None = None
+    vectors: np.ndarray, query_vec: np.ndarray, index: SparseRows | None = None
 ) -> np.ndarray:
+    """``vectors.astype(np.float64) @ query_vec`` as OpenBLAS sums it on one
+    thread, bit for bit: through ``index``, the sparse index of ``vectors``
+    (``EmbeddingStore.sparse_rows``), where it serves, else by a full scan
+    (``_scan``).
+
+    A float32 value is exact in float64, and so is the product of two: 24
+    + 24 significand bits fit in 53 (the error-free product of Ogita, Rump
+    and Oishi, *Accurate Sum and Dot Product*, SIAM J. Sci. Comput. 2005).
+    So for a query vector of finite float32 values, a row that shares at
+    most two nonzero entries with it is the one rounding of the sum of two
+    exact products, in every summation order, with or without FMA, and
+    every zero product leaves a sum begun at +0.0 as it was. The index
+    gives every row that sum in one sparse product, and counts the query's
+    nonzero entries among each row's entries in another; the rows that
+    count 3 or more, and the rows past the index (a grown store's index may
+    hold only a prefix of its rows), are scored again by
+    ``_row_similarities``, which keeps each row's path through the full
+    scan. The full scan scores the rows instead when those rows pass
+    ``GATHER_SHARE`` of them, when there is no index, or when the query
+    vector is not finite float32.
+    """
+    return _scored(vectors, query_vec, index)[0]
+
+
+def _scored(
+    vectors: np.ndarray, query_vec: np.ndarray, index: SparseRows | None
+) -> tuple[np.ndarray, int]:
+    """``_similarities``, and how many rows it scored by float64 dot
+    products: those it gathered, or all of them after a full scan."""
+    n_rows = len(vectors)
+    if index is None or not _float32_valued(query_vec):
+        return _scan(vectors, query_vec), n_rows
+    scores = index.values @ query_vec
+    nonzero = (query_vec != 0.0).astype(np.float32)
+    rows = np.flatnonzero(index.pattern @ nonzero >= 3.0)
+    if index.n_rows < n_rows:  # rows past the index, all gathered
+        scores = np.concatenate([scores, np.empty(n_rows - index.n_rows)])
+        rows = np.concatenate([rows, np.arange(index.n_rows, n_rows)])
+    if len(rows) > GATHER_SHARE * n_rows:
+        return _scan(vectors, query_vec), n_rows
+    if len(rows):
+        scores[rows] = _row_similarities(vectors, query_vec, rows)
+    return scores, len(rows)
+
+
+def _float32_valued(query_vec: np.ndarray) -> bool:
+    """Whether every entry of ``query_vec`` is a finite float32 value."""
+    with np.errstate(over="ignore"):
+        narrowed = query_vec.astype(np.float32)
+    return bool(np.isfinite(narrowed).all() and np.array_equal(narrowed, query_vec))
+
+
+def _scan(vectors: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
     """``vectors.astype(np.float64) @ query_vec`` without a float64 copy of
     the whole matrix: rows are cast a block at a time into one reused buffer.
 
@@ -267,8 +310,7 @@ def _similarities(
     that sums in another order.
     """
     n_rows = vectors.shape[0]
-    if out is None:
-        out = np.empty(n_rows, dtype=np.float64)
+    out = np.empty(n_rows, dtype=np.float64)
     buffer = np.empty(
         (min(n_rows, _BLOCK_ROWS + 1), vectors.shape[1]), dtype=np.float64
     )
@@ -297,7 +339,7 @@ def _row_similarities(
     """
     n = len(vectors)
     if n < 2:
-        return _similarities(vectors, query_vec)[rows]
+        return _scan(vectors, query_vec)[rows]
     first_last = n - n % 4
     cut = int(np.searchsorted(rows, first_last))
     head = np.concatenate([rows[:cut], np.repeat(rows[:1], -cut % 4)])
@@ -316,49 +358,39 @@ def _row_similarities(
     return np.concatenate([scores[:cut], last_scores[rows[cut:] - n]])
 
 
-def _score_sentences(
-    state: ActivationState, rows: np.ndarray, hops_after: int
-) -> None:
-    """Score the sentences of the mask ``rows`` that ``state`` has not
-    scored yet, for a hop that up to ``hops_after`` more may follow (see
-    ``ActivationState`` and ``SIGMA_CROSSOVER``)."""
-    scored = state.scored
-    missing = rows & ~scored
-    n_missing, n_scored = np.count_nonzero(missing), np.count_nonzero(scored)
-    if not n_missing:
-        return
-    if (n_scored + n_missing) * (1 + hops_after) > SIGMA_CROSSOVER * len(scored):
-        _similarities(state.sentence_vectors, state.query_vec, out=state.sigma)
-        scored[:] = True
-    else:
-        missing = np.flatnonzero(missing)
-        state.sigma[missing] = _row_similarities(
-            state.sentence_vectors, state.query_vec, missing
-        )
-        scored[missing] = True
-
-
 def initial_activation(
     query: str, graph: TriGraph, store: EmbeddingStore, cfg: RetrievalConfig
 ) -> ActivationState:
     """Hop 0: query-entity similarities above both the threshold and 0, and
-    the seeds' trace rows (hop 0). No sentence similarity is scored yet."""
+    the seeds' trace rows (hop 0). The query-sentence similarities are
+    scored whole if any entity seeds, for the hops that may follow."""
     q = store.encode_query(query)
-    entity_sims = _similarities(store.entity_vectors, q)
+    entity_sims, dense_rows = _kind_scores(store, "entity_vectors", q)
     a = np.where(entity_sims > max(cfg.entity_sim_threshold, 0.0), entity_sims, 0.0)
-    n_sentences = len(store.sentence_vectors)
     frontier = frozenset(np.flatnonzero(a > 0.0).tolist())
+    if frontier:
+        sigma, sentence_rows = _kind_scores(store, "sentence_vectors", q)
+        dense_rows += sentence_rows
+    else:
+        sigma = np.zeros(len(store.sentence_vectors))
     trace = np.where(a[:, None] > 0.0, np.int64([0, -1]), -1)
     return ActivationState(
         a=a,
-        sigma=np.zeros(n_sentences),
+        sigma=sigma,
         hop=0,
         frontier=frontier,
         trace=trace,
         query_vec=q,
-        scored=np.zeros(n_sentences, dtype=bool),
-        sentence_vectors=store.sentence_vectors,
+        dense_rows=dense_rows,
     )
+
+
+def _kind_scores(
+    store: EmbeddingStore, kind: str, query_vec: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """``_scored`` for the store's vectors of ``kind``, through their
+    sparse index."""
+    return _scored(getattr(store, kind), query_vec, store.sparse_rows(kind))
 
 
 def propagate(
@@ -368,16 +400,11 @@ def propagate(
 
     Candidate mass below the pruning threshold is discarded entirely, so
     with delta = +inf the state's activations never change.
-
-    The hop scores the sentences it gates before it reads them. Any other
-    sentence's mass is its sigma row, scored or still 0.0, times a zero
-    gate: +-0.0, which leaves a sum started at +0.0 unchanged.
     """
     if not state.frontier:
         return state
     op = graph.mention_by_entity
     gate = _frontier_gate(graph, state.a, state.frontier)
-    _score_sentences(state, gate > 0.0, cfg.max_hops - state.hop - 1)
     u = state.sigma * gate
     candidates = op.dot(u)
 
@@ -398,8 +425,7 @@ def propagate(
         frontier=frozenset(changed.tolist()),
         trace=trace,
         query_vec=state.query_vec,
-        scored=state.scored,
-        sentence_vectors=state.sentence_vectors,
+        dense_rows=state.dense_rows,
     )
 
 
@@ -441,9 +467,18 @@ def passage_seed_scores(
 ) -> np.ndarray:
     """Hybrid passage seeds: clamped query similarity mixed with log-damped
     activated-entity occurrence mass, summed per passage in entity order."""
-    psim = _similarities(store.passage_vectors, state.query_vec)
-    psim = np.maximum(psim, 0.0)
+    psim = _kind_scores(store, "passage_vectors", state.query_vec)[0]
+    return _seeds(psim, state, graph, levels, cfg)
 
+
+def _seeds(
+    psim: np.ndarray,
+    state: ActivationState,
+    graph: TriGraph,
+    levels: EntityLevel | None,
+    cfg: RetrievalConfig,
+) -> np.ndarray:
+    """``passage_seed_scores`` given the passages' query similarities."""
     level_arr = (levels or EntityLevel()).as_array(graph.n_entities)
     # Each passage's entries lie in one part of the entity-major view, so
     # each passage sums its terms in ascending entity id.
@@ -453,7 +488,7 @@ def passage_seed_scores(
     log_counts = np.log1p(graph.occurrence_counts[positions])
     contributions = state.a[entities] * log_counts / level_arr[entities]
     inner = np.bincount(passages, weights=contributions, minlength=graph.n_passages)
-    return (cfg.lambda_ * psim + np.log1p(inner)) * cfg.passage_weight
+    return (cfg.lambda_ * np.maximum(psim, 0.0) + np.log1p(inner)) * cfg.passage_weight
 
 
 def ppr(
@@ -588,7 +623,10 @@ def dense_ranking(
     query_vec: np.ndarray, store: EmbeddingStore, top_k: int
 ) -> list[tuple[int, float]]:
     """Cosine-only passage ranking (the dense fallback)."""
-    scores = _similarities(store.passage_vectors, query_vec)
+    return _ranking(_kind_scores(store, "passage_vectors", query_vec)[0], top_k)
+
+
+def _ranking(scores: np.ndarray, top_k: int) -> list[tuple[int, float]]:
     return [(int(i), float(scores[i])) for i in _top_k(scores, top_k)]
 
 
@@ -622,18 +660,25 @@ def retrieve(
     active = state.a > 0.0
     fallback = not active.any()
 
+    dense_rows = state.dense_rows
     if fallback:
         top = []
         if cfg.fallback == "dense":
-            top = dense_ranking(state.query_vec, store, cfg.top_k)
+            scores, passage_rows = _kind_scores(
+                store, "passage_vectors", state.query_vec
+            )
+            top = _ranking(scores, cfg.top_k)
+            dense_rows += passage_rows
         items = [
             RankedPassage(passage_id=pid, score=score, contributing_entities=())
             for pid, score in top
         ]
         lap("dense_ranking")
-        stats = QueryStats(stage_ms, sentences_scored=0)
+        stats = QueryStats(stage_ms, dense_rows=dense_rows)
     else:
-        passage_seeds = passage_seed_scores(state, graph, store, levels, cfg)
+        psim, passage_rows = _kind_scores(store, "passage_vectors", state.query_vec)
+        passage_seeds = _seeds(psim, state, graph, levels, cfg)
+        dense_rows += passage_rows
         lap("passage_seed_scores")
         importance, steps, residual_l1 = _solve_ppr(graph, state.a, passage_seeds, cfg)
         lap("ppr")
@@ -654,7 +699,7 @@ def retrieve(
             steps,
             residual_l1,
             residual_l1 < cfg.ppr_tol,
-            int(np.count_nonzero(state.scored)),
+            dense_rows,
         )
     return RankedPassages(
         items=tuple(items),

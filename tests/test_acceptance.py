@@ -193,7 +193,6 @@ def test_criterion_4_propagation_monotonicity_and_termination():
         state = ActivationState(
             a=a0.copy(), sigma=sigma, hop=0, frontier=frontier,
             trace=seed_trace(n_e, frontier), query_vec=np.zeros(4),
-            scored=np.ones(n_s, dtype=bool),
         )
 
         # The stage-1 driver loop, with every invariant checked per hop.
@@ -213,7 +212,6 @@ def test_criterion_4_propagation_monotonicity_and_termination():
         fresh = ActivationState(
             a=a0.copy(), sigma=sigma, hop=0, frontier=frontier,
             trace=seed_trace(n_e, frontier), query_vec=np.zeros(4),
-            scored=np.ones(n_s, dtype=bool),
         )
         after = propagate(fresh, graph, inf_cfg)
         assert np.array_equal(after.a, fresh.a)

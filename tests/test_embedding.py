@@ -1,6 +1,7 @@
 import json
 import random
 import string
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -541,6 +542,12 @@ class TestVectorFile:
         path = tmp_path / "v.vec"
         write_vector_file(path, rows, "custom")
         back, encoder_id = read_vector_file(path)
+        # Through one mask of every entry, as a block past the density cut
+        # decodes, and through its set bits alone, as any other does.
+        for cut in (0.0, 1.0):
+            with mock.patch.object(embedding, "DENSITY_CUT", cut):
+                again, _ = read_vector_file(path)
+            assert np.array_equal(again.view(np.uint32), rows.view(np.uint32))
         assert encoder_id == "custom"
         assert back.shape == rows.shape
         assert np.array_equal(back.view(np.uint32), rows.view(np.uint32))
@@ -575,6 +582,26 @@ class TestVectorFile:
         ],
     )
     def test_damage_is_named(self, tmp_path, damage, error):
+        self.check_damage_is_named(tmp_path, damage, error)
+
+    # The same damage to a block decoded through one mask of every entry,
+    # as a block denser than the density cut is.
+    @pytest.mark.parametrize(
+        "damage, error",
+        [
+            ("padding", "sets a padding bit past dim 12"),
+            ("zero value", "marks an entry whose stored bits are all zero"),
+            ("value count", "holds 5 values, its bitmaps mark 4"),
+        ],
+    )
+    def test_damage_to_a_dense_block_is_named(
+        self, tmp_path, monkeypatch, damage, error
+    ):
+        monkeypatch.setattr(embedding, "DENSITY_CUT", 0.0)
+        self.check_damage_is_named(tmp_path, damage, error)
+
+    @staticmethod
+    def check_damage_is_named(tmp_path, damage, error):
         rows = np.zeros((3, 12), dtype=np.float32)
         rows[0, [0, 11]] = (0.6, 0.8)
         rows[1, 5] = 1.0

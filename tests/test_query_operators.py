@@ -7,8 +7,8 @@ random tri-graphs against element-by-element loops (``np.maximum.at``,
 ``np.add.at`` and a dict walk over the mention entries) and against the
 dense PPR fixed point; check that a grown graph's operators give the bits of
 a fresh build's and never change those of the graph it grew from; and check
-the lazily scored sentence similarities and the top-k selection against the
-full scan and the full sort.
+the hops from ``initial_activation``'s sentence similarities and the top-k
+selection against the scalar oracle on the full scan and the full sort.
 """
 
 import math
@@ -23,7 +23,7 @@ from scipy import sparse as sp
 from linearrag.corpus import Corpus, Passage
 from linearrag.embedding import HashEncoder, build_store, extend_store
 from linearrag.evalbench import generate_synthetic_corpus
-from linearrag import retrieval, trigraph
+from linearrag import trigraph
 from linearrag.retrieval import (
     ActivationState,
     EntityLevel,
@@ -84,7 +84,6 @@ def random_state(graph, rng) -> ActivationState:
         frontier=frontier,
         trace=seed_trace(graph.n_entities, frontier),
         query_vec=np.zeros(8),
-        scored=np.ones(graph.n_sentences, dtype=bool),
     )
 
 
@@ -223,7 +222,6 @@ def test_passage_seed_scores_match_scalar_formula(graph_rng, lambda_, weight):
         frontier=state.frontier,
         trace=state.trace,
         query_vec=store.encode_query("Ent01 Ent02 met"),
-        scored=state.scored,
     )
     overrides = {
         e: float(rng.choice([1.0, 1.5, 4.0])) for e in range(graph.n_entities)
@@ -331,7 +329,6 @@ def test_trace_takes_lowest_sentence_of_equal_mass():
         frontier=frozenset({0}),
         trace=seed_trace(2, {0}),
         query_vec=np.zeros(8),
-        scored=np.ones(3, dtype=bool),
     )
     advanced = propagate(state, graph, RetrievalConfig(delta=0.1))
     trace = trace_dict(advanced.trace)
@@ -354,7 +351,6 @@ def test_frontier_entities_without_mentions(frontier):
         frontier=frozenset(frontier),
         trace=seed_trace(4, frontier),
         query_vec=np.zeros(8),
-        scored=np.ones(3, dtype=bool),
     )
     gate = _frontier_gate(graph, state.a, state.frontier)
     assert np.array_equal(gate, scalar_gate(graph, state.a, state.frontier))
@@ -480,44 +476,37 @@ def entity_query(graph, rng) -> str:
 
 
 @PROPERTY_SETTINGS
-@given(
-    random_graphs(),
-    st.sampled_from([0.0, 0.05, 0.3]),
-    st.sampled_from([0.0, 0.05, retrieval.SIGMA_CROSSOVER, math.inf]),
-    st.integers(1, 4),
-)
-def test_lazily_scored_hops_equal_the_scalar_oracle_on_dense_sigma(
-    graph_rng, delta, crossover, max_hops
+@given(random_graphs(), st.sampled_from([0.0, 0.05, 0.3]), st.integers(1, 4))
+def test_hops_from_initial_activation_equal_the_scalar_oracle_on_dense_sigma(
+    graph_rng, delta, max_hops
 ):
-    """A state from ``initial_activation``, whose hops score sigma as they
-    gate it (always by a full scan, always by gathered rows, or by the
-    crossovers between), propagates to the activations, frontier and trace
-    the scalar oracle gives on the dense sigma; every row it scores holds the
-    full scan's bits."""
+    """A state from ``initial_activation``, whose sigma is scored whole
+    through the store's sparse index, holds the full scan's bits in sigma
+    and propagates to the activations, frontier and trace the scalar oracle
+    gives on the dense sigma."""
     graph, rng = graph_rng
     store = build_store(graph, HashEncoder(dim=16, seed=int(rng.integers(0, 100))))
     cfg = RetrievalConfig(entity_sim_threshold=0.1, delta=delta, max_hops=max_hops)
-    with mock.patch.object(retrieval, "SIGMA_CROSSOVER", crossover):
-        state = initial_activation(entity_query(graph, rng), graph, store, cfg)
-        dense = _similarities(store.sentence_vectors, state.query_vec)
-        assert not state.scored.any()
-        while state.frontier and state.hop < cfg.max_hops:
-            oracle = ActivationState(
-                a=state.a,
-                sigma=dense,
-                hop=state.hop,
-                frontier=state.frontier,
-                trace=state.trace,
-                query_vec=state.query_vec,
-                scored=np.ones(len(dense), dtype=bool),
-            )
-            a_new, frontier, trace = scalar_propagate(oracle, graph, cfg)
-            advanced = propagate(state, graph, cfg)
-            assert same_bits(advanced.a, a_new)
-            assert advanced.frontier == frontier
-            assert trace_dict(advanced.trace) == trace
-            assert same_bits(state.sigma[state.scored], dense[state.scored])
-            state = advanced
+    state = initial_activation(entity_query(graph, rng), graph, store, cfg)
+    dense = _similarities(store.sentence_vectors, state.query_vec)
+    if state.frontier:
+        assert same_bits(state.sigma, dense)
+    while state.frontier and state.hop < cfg.max_hops:
+        oracle = ActivationState(
+            a=state.a,
+            sigma=dense,
+            hop=state.hop,
+            frontier=state.frontier,
+            trace=state.trace,
+            query_vec=state.query_vec,
+        )
+        a_new, frontier, trace = scalar_propagate(oracle, graph, cfg)
+        advanced = propagate(state, graph, cfg)
+        assert same_bits(advanced.a, a_new)
+        assert advanced.frontier == frontier
+        assert trace_dict(advanced.trace) == trace
+        assert advanced.sigma is state.sigma
+        state = advanced
 
 
 VIEWS = ("mention_by_entity", "contain_by_entity")

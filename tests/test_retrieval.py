@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from linearrag.embedding import HashEncoder, build_store
+from linearrag.embedding import VECTOR_KINDS, HashEncoder, build_store
 from linearrag.errors import ConfigError, EmptySeedError
 from linearrag.evalbench import load_qa_examples
 from linearrag.retrieval import (
@@ -13,6 +13,7 @@ from linearrag.retrieval import (
     ActivationState,
     EntityLevel,
     RetrievalConfig,
+    _kind_scores,
     _similarities,
     activate,
     dense_ranking,
@@ -141,16 +142,16 @@ class TestInitialActivation:
             sim = float(np.dot(store.entity_vectors[eid].astype(np.float64), q))
             expected = sim if sim > cfg.entity_sim_threshold else 0.0
             assert state.a[eid] == pytest.approx(expected, abs=1e-9)
-        # No sentence is scored before a hop gates it; the hops then score
-        # the same values as the full scan.
-        assert not state.scored.any()
+        # With entities seeding, every sentence is scored at hop 0, with the
+        # full scan's values; the hops carry them unchanged.
+        assert state.frontier
         sigma = _similarities(store.sentence_vectors, q)
         for sid in range(graph.n_sentences):
             sim = float(np.dot(store.sentence_vectors[sid].astype(np.float64), q))
             assert sigma[sid] == pytest.approx(sim, abs=1e-9)
+        assert state.sigma.tobytes() == sigma.tobytes()
         final = activate(query, graph, store, replace(cfg, delta=0.0))
-        assert final.scored.any()
-        assert np.array_equal(final.sigma[final.scored], sigma[final.scored])
+        assert final.sigma.tobytes() == sigma.tobytes()
 
 
 CHAIN_TEXTS = [
@@ -323,7 +324,6 @@ class TestPassageSeeds:
             frontier=frozenset({0}),
             trace=state.trace,
             query_vec=state.query_vec,
-            scored=state.scored,
         )
         seeds = passage_seed_scores(state, graph, store, None, cfg)
         assert seeds[0] == pytest.approx(math.log(1 + math.log(2)), rel=1e-12)
@@ -706,8 +706,10 @@ class TestQueryStats:
         assert stats.ppr_steps >= 1
         assert stats.ppr_residual_l1 < cfg.ppr_tol
         assert stats.ppr_converged is True
-        scored = activate(example.question, graph, store, cfg).scored
-        assert 0 < stats.sentences_scored == np.count_nonzero(scored)
+        q = store.encode_query(example.question)
+        assert stats.dense_rows == sum(
+            _kind_scores(store, kind, q)[1] for kind in VECTOR_KINDS
+        )
 
     def test_solve_stopped_at_the_cap_not_converged(self, chain_fixture):
         graph, store, example = chain_fixture
@@ -729,7 +731,11 @@ class TestQueryStats:
         assert stats.ppr_steps is None
         assert stats.ppr_residual_l1 is None
         assert stats.ppr_converged is None
-        assert stats.sentences_scored == 0
+        # No entity seeds, so no sentence is scored; passages only for the
+        # dense fallback.
+        q = store.encode_query("unrelated")
+        kinds = ["entity_vectors"] + ["passage_vectors"] * (fallback == "dense")
+        assert stats.dense_rows == sum(_kind_scores(store, k, q)[1] for k in kinds)
 
     def test_steps_are_the_fewest_at_which_ppr_logs_no_warning(
         self, chain_fixture, caplog

@@ -1,0 +1,253 @@
+"""The sparse indexes of a store's vectors (``EmbeddingStore.sparse_rows``)
+and the query similarities scored through them (``retrieval._similarities``):
+bit for bit the full scan's, on the full scan wherever the index cannot
+serve, grown along any tree of extends as a fresh derivation of the grown
+rows, leaving every parent's index as it was, and loaded from the vector
+files as a build derives it."""
+
+from contextlib import nullcontext
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from linearrag import embedding, retrieval
+from linearrag.corpus import corpus_from_records
+from linearrag.embedding import (
+    VECTOR_KINDS,
+    HashEncoder,
+    build_store,
+    extend_store,
+    load_store,
+    save_store,
+    sparse_rows,
+)
+from linearrag.retrieval import _kind_scores, _scored, _similarities
+from linearrag.trigraph import add_passages, build, load, save
+
+from test_buffers import POOL, records
+
+# Wide enough that hash-encoded rows stay below the density cut.
+ENCODER = HashEncoder(dim=128, seed=3)
+
+
+def same_bits(x, y):
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def float32_values(rng, size):
+    """Nonzero float32 values of every class: normal ones of mixed
+    magnitude, subnormals, and values near the largest."""
+    kind = rng.integers(0, 4, size=size)
+    normal = rng.standard_normal(size) * 10.0 ** rng.integers(-8, 9, size=size)
+    subnormal = rng.integers(1, 2**23, size=size) * 2.0**-149
+    large = rng.uniform(1.0, 3.4, size=size) * 1e38
+    values = np.choose(kind, [normal, normal, subnormal, large]).astype(np.float32)
+    values *= rng.choice(np.float32([-1.0, 1.0]), size=size)
+    values[values == 0.0] = np.float32(1.0)
+    return values
+
+
+@st.composite
+def scored_rows(draw):
+    """A float32 matrix and a query vector of float32 values: each row
+    shares 0, 1, 2 or more nonzero entries with the query, holds other
+    nonzero entries where the query is zero, and may store -0.0."""
+    dim = draw(st.sampled_from([7, 8, 9, 13, 16, 31, 64]))
+    n_rows = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_support = int(rng.integers(1, min(dim, 10) + 1))
+    support = rng.choice(dim, size=n_support, replace=False)
+    outside = np.setdiff1d(np.arange(dim), support)
+    query = np.zeros(dim, dtype=np.float32)
+    query[support] = float32_values(rng, len(support))
+    query[rng.choice(outside, size=min(len(outside), 2), replace=False)] = -0.0
+    vectors = np.zeros((n_rows, dim), dtype=np.float32)
+    for row in vectors:
+        shared = min(int(rng.choice([0, 1, 2, 3, 5])), len(support))
+        at = rng.choice(support, size=shared, replace=False)
+        row[at] = float32_values(rng, shared)
+        others = int(rng.integers(0, len(outside) + 1))
+        at = rng.choice(outside, size=others, replace=False)
+        row[at] = float32_values(rng, others)
+        if rng.random() < 0.3:
+            row[rng.choice(dim, size=2)] = -0.0
+    return vectors, query.astype(np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    scored_rows(),
+    st.sampled_from([0.0, retrieval.GATHER_SHARE, 1.0]),
+    st.integers(0, 3),
+)
+def test_sparse_scores_have_the_full_scans_bits(
+    rows_and_query, gather_share, left_out
+):
+    """Rows with 0, 1 or 2 products from the sparse product, the others and
+    the rows past an index of a prefix gathered, or all scanned once the
+    gathered rows pass the share: every score has the bits of
+    ``_similarities``' full scan."""
+    vectors, query_vec = rows_and_query
+    covered = max(len(vectors) - left_out, 0)
+    with mock.patch.object(embedding, "DENSITY_CUT", 1.0):
+        index = sparse_rows(vectors[:covered])
+    assert index is not None
+    with mock.patch.object(retrieval, "GATHER_SHARE", gather_share):
+        scores, dense_rows = _scored(vectors, query_vec, index)
+    assert same_bits(scores, _similarities(vectors, query_vec))
+    # A stored -0.0 meeting a nonzero query entry counts as a product too.
+    marked = vectors.view(np.uint32) != 0
+    products = (marked & (query_vec != 0)).sum(axis=1)
+    products[covered:] = 3
+    gathered = int(np.count_nonzero(products >= 3))
+    scanned = gathered > gather_share * len(vectors)
+    assert dense_rows == (len(vectors) if scanned else gathered)
+
+
+@pytest.mark.parametrize(
+    "value", [0.1, 1e-300, 1e300, np.inf, -np.inf, np.nan], ids=repr
+)
+def test_a_query_vector_not_of_finite_float32_values_is_scanned(value):
+    rng = np.random.default_rng(7)
+    vectors = np.zeros((9, 64), dtype=np.float32)
+    vectors[:, :4] = rng.standard_normal((9, 4))
+    query_vec = np.zeros(64)
+    query_vec[:2] = [0.5, value]
+    index = sparse_rows(vectors)
+    assert index is not None
+    with mock.patch.object(retrieval, "GATHER_SHARE", 1.0):
+        scores, dense_rows = _scored(vectors, query_vec, index)
+    assert dense_rows == len(vectors)
+    assert same_bits(scores, _similarities(vectors, query_vec))
+
+
+def test_rows_the_index_cannot_hold_are_scanned():
+    """Rows denser than the cut, of another dtype or holding a value that is
+    not finite get no index; a store of such a kind scans it whole."""
+    rng = np.random.default_rng(3)
+    dense = rng.standard_normal((6, 16)).astype(np.float32)
+    assert sparse_rows(dense) is None
+    assert sparse_rows(dense.astype(np.float64)) is None
+    sparse = np.zeros((6, 16), dtype=np.float32)
+    sparse[:, 0] = 1.0
+    assert sparse_rows(sparse) is not None
+    sparse[3, 5] = np.inf
+    assert sparse_rows(sparse) is None
+
+    graph = build(corpus_from_records(records(POOL[:6])))
+    store = build_store(graph, HashEncoder(dim=8, seed=3))
+    query_vec = store.encode_query("Paris met Rome")
+    with mock.patch.object(retrieval, "GATHER_SHARE", 1.0):
+        for kind in VECTOR_KINDS:
+            vectors = getattr(store, kind)
+            if store.sparse_rows(kind) is None:
+                assert _kind_scores(store, kind, query_vec)[1] == len(vectors)
+        assert store.sparse_rows("passage_vectors") is None
+
+
+def index_arrays(index):
+    return [] if index is None else [index.indptr, index.cols, index.data, index.ones]
+
+
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    root=st.lists(st.sampled_from(range(len(POOL))), min_size=1, max_size=4),
+    steps=st.lists(
+        st.tuples(
+            st.integers(0, 10**6),
+            st.lists(st.sampled_from(range(len(POOL))), min_size=1, max_size=3),
+            st.booleans(),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    tail_rows=st.sampled_from([0, 3, embedding.TAIL_ROWS]),
+)
+def test_extended_indexes_equal_a_fresh_derivation_and_leave_parents_intact(
+    root, steps, tail_rows
+):
+    """A tree of extends: each step extends a random earlier store, the tip
+    or not, whose indexes were made or not. Every store's index of a kind
+    equals a fresh derivation from the rows it holds, a prefix that leaves
+    at most ``TAIL_ROWS`` rows out, and making them changes no byte of an
+    earlier store's indexes. The similarities scored through them, rows
+    left out included, have the full scan's bits."""
+    with mock.patch.object(embedding, "TAIL_ROWS", tail_rows):
+        extend_tree(root, steps, tail_rows)
+
+
+def extend_tree(root, steps, tail_rows):
+    graph = build(corpus_from_records(records([POOL[i] for i in root])))
+    nodes = [(graph, build_store(graph, ENCODER))]
+    snapshots = []  # (index, copies of its arrays)
+    for pick, picks, query_parent in steps:
+        graph, store = nodes[pick % len(nodes)]
+        if query_parent:
+            for kind in VECTOR_KINDS:
+                index = store.sparse_rows(kind)
+                snapshots.append((index, [a.copy() for a in index_arrays(index)]))
+        slice_ = corpus_from_records(
+            records([POOL[i] for i in picks]),
+            passage_id_base=graph.n_passages,
+            sentence_id_base=graph.n_sentences,
+        )
+        graph = add_passages(graph, slice_)
+        nodes.append((graph, extend_store(store, graph)))
+    for _, store in reversed(nodes):
+        query_vec = store.encode_query(" ".join(POOL[:2]))
+        for kind in VECTOR_KINDS:
+            index, rows = store.sparse_rows(kind), getattr(store, kind)
+            assert index is not None, kind
+            assert 0 <= len(rows) - index.n_rows <= tail_rows, kind
+            assert index == sparse_rows(rows[: index.n_rows]), kind
+            scores = _kind_scores(store, kind, query_vec)[0]
+            assert same_bits(scores, _similarities(rows, query_vec)), kind
+        for index, copies in snapshots:
+            for now, then in zip(index_arrays(index), copies):
+                assert same_bits(now, then)
+
+
+@settings(
+    max_examples=15,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    cuts=st.lists(st.integers(1, len(POOL) - 1), max_size=4, unique=True).map(sorted),
+    dim=st.sampled_from([8, 128]),
+)
+def test_loaded_indexes_equal_built_ones(tmp_path_factory, cuts, dim):
+    """Vector files followed by appended tail records load with the indexes
+    a build derives from the same rows. At dim 128 they are made from the
+    files' bitmaps, and none is derived from the rows; at dim 8 the passage
+    blocks pass the density cut and load through one mask, and the first
+    use finds that the kind keeps no index."""
+    encoder = HashEncoder(dim=dim, seed=3)
+    directory = tmp_path_factory.mktemp("index")
+    bounds = [0, *cuts, len(POOL)]
+    graph = store = None
+    for start, stop in zip(bounds, bounds[1:]):
+        piece = corpus_from_records(
+            records(POOL[start:stop]),
+            passage_id_base=graph.n_passages if graph else 0,
+            sentence_id_base=graph.n_sentences if graph else 0,
+        )
+        graph = build(piece) if graph is None else add_passages(graph, piece)
+        if store is None:
+            store = build_store(graph, encoder)
+        else:
+            store = extend_store(store, graph)
+        save(graph, directory, embedder={"id": encoder.contract.id, "dim": dim})
+        save_store(store, directory)
+    built = build_store(build(corpus_from_records(records(POOL))), encoder)
+    expected = [built.sparse_rows(kind) for kind in VECTOR_KINDS]
+    loaded = load_store(directory, load(directory))
+    underived = mock.patch.object(embedding, "_indexed", side_effect=AssertionError)
+    with underived if dim == 128 else nullcontext():
+        assert [loaded.sparse_rows(kind) for kind in VECTOR_KINDS] == expected
+    assert expected[2] is None if dim == 8 else all(expected)

@@ -13,7 +13,9 @@ untimed pass (``peak_kib``):
 * ``query`` (``evalbench.query_costs``): the graph questions, and the
   questions of the first ``FALLBACK_PROBES`` append slices of
   ``benchmark.inputs.make_slice`` with the slices not appended, so that
-  most fall back to dense ranking;
+  most fall back to dense ranking; with each path's median share of the
+  store's rows whose similarity a question scored from the dense rows
+  rather than the sparse index (``median_dense_row_share``);
 * ``append`` (``evalbench.append_costs``): the benchmark's four-passage
   slices appended to the saved index, each followed by its question three
   times, with ``first_query`` beside the bounds it should meet at
@@ -25,7 +27,8 @@ untimed pass (``peak_kib``):
   before and after it.
 
 It exits 1 if the loaded index differs from the built one, the grown index
-from a rebuild, or an answer's stages from its path's. With several sizes
+from a rebuild, an answer's stages from its path's, or a question's entity,
+sentence or passage similarities from the bits of the full scan. With several sizes
 it also prints each stage's growth from the first size to the last, per
 passage for the index path (``per_passage_growth``, 1.0 meaning linear) and
 per append (``append_growth``). Run from the root of a checkout:
