@@ -294,8 +294,8 @@ class SparseRows:
     matrix of them as float64, and ``pattern``, one of the same entries,
     each 1.0 as float32. ``retrieval._similarities`` scores a query through
     them. Its arrays are the tips of growth buffers (``buffers.appended``),
-    so ``extended`` grows them in place when this is the newest index grown
-    from them, and never changes this one."""
+    so ``sparse_rows(rows, grown_from=this)`` grows them in place when this
+    is the newest index grown from them, and never changes this one."""
 
     __slots__ = ("indptr", "cols", "data", "ones", "values", "pattern")
 
@@ -309,12 +309,6 @@ class SparseRows:
     def n_rows(self) -> int:
         return len(self.indptr) - 1
 
-    def extended(self, rows: np.ndarray) -> "SparseRows | None":
-        """The index of ``rows``, whose first ``n_rows`` rows are the ones
-        this index holds: those rows' entries, then the new rows'. None
-        where ``sparse_rows`` would give None."""
-        return _indexed(rows, self)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparseRows):
             return NotImplemented
@@ -327,14 +321,14 @@ class SparseRows:
         )
 
 
-def sparse_rows(rows: np.ndarray) -> SparseRows | None:
+def sparse_rows(
+    rows: np.ndarray, grown_from: SparseRows | None = None
+) -> SparseRows | None:
     """The sparse index of ``rows``, or None where queries scan them whole:
     rows that are not float32, hold a value that is not finite, or whose
-    marked entries pass ``DENSITY_CUT`` of their entries."""
-    return _indexed(rows, None)
-
-
-def _indexed(rows: np.ndarray, grown_from: SparseRows | None) -> SparseRows | None:
+    marked entries pass ``DENSITY_CUT`` of their entries. ``grown_from``,
+    if given, is the index of the first ``grown_from.n_rows`` of ``rows``:
+    only the rows past it are read, and their entries follow its own."""
     new = rows[grown_from.n_rows if grown_from is not None else 0 :]
     if rows.dtype != np.float32 or not np.isfinite(new).all():
         return None
@@ -428,7 +422,7 @@ class EmbeddingStore:
             elif parent is None or len(rows) - parent.n_rows <= TAIL_ROWS:
                 made[kind] = parent
             else:
-                made[kind] = parent.extended(rows)
+                made[kind] = sparse_rows(rows, parent)
         return made[kind]
 
     def encode_query(self, text: str) -> np.ndarray:
@@ -664,6 +658,8 @@ def _read_vectors(
         else:
             entries = _decode_block(part, into, where)
             if entries is not None and at:
+                if len(rows) > np.iinfo(entries.rows.dtype).max:  # int32 ids
+                    entries = entries._replace(rows=entries.rows.astype(np.intp))
                 entries.rows[...] += at
             decoded.append(entries)
         at += n_rows
@@ -689,7 +685,9 @@ def _decode_block(
     only the bitmap bytes with a set bit are unpacked: each set bit's byte
     and place give its row and column, in the row-major order of the
     values, those positions alone are written, and the entries they mark
-    are returned."""
+    are returned. Byte and bit positions, rows and columns are int32 where
+    the block's bitmap bits number below 2**31, and the positions written
+    are formed in intp."""
     n_rows, dim = rows.shape
     if not n_rows and not len(data):
         none = np.zeros(0, dtype=np.intp)
@@ -713,9 +711,10 @@ def _decode_block(
         marked = np.unpackbits(bitmaps, axis=1, count=dim).view(bool)
         n_marked = int(np.count_nonzero(marked))
     else:
+        index = np.int32 if 8 * bitmaps.size < 2**31 else np.intp
         flat = bitmaps.reshape(-1)
-        filled = np.flatnonzero(flat != 0)
-        set_bits = np.flatnonzero(np.unpackbits(flat[filled]).view(bool))
+        filled = np.flatnonzero(flat != 0).astype(index)
+        set_bits = np.flatnonzero(np.unpackbits(flat[filled]).view(bool)).astype(index)
         n_marked = len(set_bits)
     if n_marked != n_values:
         raise ConsistencyError(
@@ -730,9 +729,14 @@ def _decode_block(
         rows[marked] = values
         return None
     row_ids, cols = np.divmod(filled[set_bits >> 3], width)
+    del filled
     cols *= 8
     cols += set_bits & 7
-    rows.reshape(-1)[row_ids * dim + cols] = values
+    del set_bits
+    at = row_ids.astype(np.intp)
+    at *= dim
+    at += cols
+    rows.reshape(-1)[at] = values
     return _Entries(row_ids, cols, values)
 
 

@@ -866,18 +866,20 @@ def query_costs(
     says whether every answer listed exactly its path's stages
     (``GRAPH_STAGES`` or ``FALLBACK_STAGES``), and every question's entity,
     sentence and passage similarities, as retrieval scores them, held the
-    bits of the full scan's."""
+    bits of the full scan's, for its query vector and for that vector with
+    random values on the same entries (``_scored_as_scanned``)."""
     expected = {"graph_path": GRAPH_STAGES, "fallback": FALLBACK_STAGES}
     asked = {path: [] for path in expected}
     shares = {path: [] for path in expected}
     n_rows = sum(len(getattr(store, kind)) for kind in VECTOR_KINDS)
     as_expected = True
+    rng = np.random.default_rng(0)
     for question in dict.fromkeys(questions):
         ranked = retrieve(question, graph, store, cfg)
         path = "fallback" if ranked.fallback_used else "graph_path"
         asked[path].append(question)
         shares[path].append(ranked.stats.dense_rows / max(n_rows, 1))
-        as_expected &= _scored_as_scanned(store, store.encode_query(question))
+        as_expected &= _scored_as_scanned(store, store.encode_query(question), rng)
     clocks = {path: StageClock() for path in expected}
 
     def ask(question: str, path: str) -> Callable:
@@ -909,12 +911,22 @@ def query_costs(
     }
 
 
-def _scored_as_scanned(store: EmbeddingStore, query_vec: np.ndarray) -> bool:
+def _scored_as_scanned(
+    store: EmbeddingStore, query_vec: np.ndarray, rng: np.random.Generator
+) -> bool:
     """Whether each kind's query similarities, as retrieval scores them
-    through the store's sparse index, equal the full scan's bit for bit."""
+    through the store's sparse index, equal the full scan's bit for bit:
+    for ``query_vec``, and for it with its nonzero entries replaced by
+    random float32 values from ``rng``. The hash encoder's values sum alike
+    in any order, so only the second shows a row that the index sums but
+    should have gathered."""
+    perturbed = query_vec.copy()
+    support = perturbed != 0.0
+    perturbed[support] = rng.standard_normal(support.sum()).astype(np.float32)
     return all(
-        _kind_scores(store, kind, query_vec)[0].tobytes()
-        == _similarities(getattr(store, kind), query_vec).tobytes()
+        _kind_scores(store, kind, q)[0].tobytes()
+        == _similarities(getattr(store, kind), q).tobytes()
+        for q in (query_vec, perturbed)
         for kind in VECTOR_KINDS
     )
 

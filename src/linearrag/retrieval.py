@@ -13,9 +13,10 @@ the gate is a max over the frontier entities' entries
 (``EntityMajor.row_max``), the candidate mass is the view's product with
 the gated sentence mass, and the trace (one row per entity) records, for
 each entity a hop first activates, the sentence of its entries holding the
-most mass (``EntityMajor.best_rows``, with no sort). How the view is laid
-out is ``trigraph``'s concern alone. Hop 0 scores the query similarity of
-every sentence, once, when any entity seeds.
+most mass (``EntityMajor.best_rows``, with no sort). The gate and the
+trace read the entries of the entities they ask for through one gather;
+how the view is laid out is ``trigraph``'s concern alone. Hop 0 scores the
+query similarity of every sentence, once, when any entity seeds.
 
 Stage 2 ranks passages: activated entities and a hybrid passage seed (a
 small query-similarity term plus a log-damped sum of activated-entity
@@ -33,9 +34,12 @@ Every query similarity, of entities, sentences and passages, is scored
 for every row, with the bits of a float64 matrix-vector product, but not
 by one: each kind's sparse index (``EmbeddingStore.sparse_rows``) scores
 the rows that share at most two nonzero entries with the query exactly,
-and only the others read their dense rows (``_similarities``). So a
-query's similarity cost follows the kind's nonzero entries; a row of the
-built-in hash encoder holds one per distinct token bucket.
+and only the others read their dense rows (``_similarities``). One scorer
+reads dense rows, whether some rows or all of them: it casts them a block
+at a time and keeps each row's path through the whole product
+(``_row_similarities``). So a query's similarity cost follows the kind's
+nonzero entries; a row of the built-in hash encoder holds one per distinct
+token bucket.
 
 ``retrieve`` is the one place these stages run in sequence; each result it
 returns carries their times and the PPR solve's outcome (``QueryStats``).
@@ -245,8 +249,8 @@ def _similarities(
 ) -> np.ndarray:
     """``vectors.astype(np.float64) @ query_vec`` as OpenBLAS sums it on one
     thread, bit for bit: through ``index``, the sparse index of ``vectors``
-    (``EmbeddingStore.sparse_rows``), where it serves, else by a full scan
-    (``_scan``).
+    (``EmbeddingStore.sparse_rows``), where it serves, and else by
+    ``_row_similarities`` over every row.
 
     A float32 value is exact in float64, and so is the product of two: 24
     + 24 significand bits fit in 53 (the error-free product of Ogita, Rump
@@ -259,8 +263,7 @@ def _similarities(
     nonzero entries among each row's entries in another; the rows that
     count 3 or more, and the rows past the index (a grown store's index may
     hold only a prefix of its rows), are scored again by
-    ``_row_similarities``, which keeps each row's path through the full
-    scan. The full scan scores the rows instead when those rows pass
+    ``_row_similarities``. It scores every row instead when those rows pass
     ``GATHER_SHARE`` of them, when there is no index, or when the query
     vector is not finite float32.
     """
@@ -271,10 +274,10 @@ def _scored(
     vectors: np.ndarray, query_vec: np.ndarray, index: SparseRows | None
 ) -> tuple[np.ndarray, int]:
     """``_similarities``, and how many rows it scored by float64 dot
-    products: those it gathered, or all of them after a full scan."""
+    products: those it gathered, or all of them."""
     n_rows = len(vectors)
     if index is None or not _float32_valued(query_vec):
-        return _scan(vectors, query_vec), n_rows
+        return _row_similarities(vectors, query_vec), n_rows
     scores = index.values @ query_vec
     nonzero = (query_vec != 0.0).astype(np.float32)
     rows = np.flatnonzero(index.pattern @ nonzero >= 3.0)
@@ -282,7 +285,7 @@ def _scored(
         scores = np.concatenate([scores, np.empty(n_rows - index.n_rows)])
         rows = np.concatenate([rows, np.arange(index.n_rows, n_rows)])
     if len(rows) > GATHER_SHARE * n_rows:
-        return _scan(vectors, query_vec), n_rows
+        return _row_similarities(vectors, query_vec), n_rows
     if len(rows):
         scores[rows] = _row_similarities(vectors, query_vec, rows)
     return scores, len(rows)
@@ -295,67 +298,59 @@ def _float32_valued(query_vec: np.ndarray) -> bool:
     return bool(np.isfinite(narrowed).all() and np.array_equal(narrowed, query_vec))
 
 
-def _scan(vectors: np.ndarray, query_vec: np.ndarray) -> np.ndarray:
-    """``vectors.astype(np.float64) @ query_vec`` without a float64 copy of
-    the whole matrix: rows are cast a block at a time into one reused buffer.
-
-    OpenBLAS's matrix-vector kernel sums rows in groups of 4, and the last
-    ``n % 4`` rows of a matrix take a remainder path that may round
-    differently. Blocks start every 512 rows, a multiple of 4, so on one
-    BLAS thread each row is summed exactly as in the whole-matrix product,
-    and the last ``n % 4`` rows of the whole matrix are the ones that take
-    the remainder path (a threaded whole-matrix product splits rows by
-    thread count, so it is not reproducible itself). A one-row tail joins
-    the block before it, because numpy scores a lone row with a dot product
-    that sums in another order.
-    """
-    n_rows = vectors.shape[0]
-    out = np.empty(n_rows, dtype=np.float64)
-    buffer = np.empty(
-        (min(n_rows, _BLOCK_ROWS + 1), vectors.shape[1]), dtype=np.float64
-    )
-    start = 0
-    for stop in [*range(_BLOCK_ROWS, n_rows - 1, _BLOCK_ROWS), n_rows]:
-        cast = buffer[: stop - start]
-        cast[...] = vectors[start:stop]
-        np.matmul(cast, query_vec, out=out[start:stop])
-        start = stop
-    return out
-
-
 def _row_similarities(
-    vectors: np.ndarray, query_vec: np.ndarray, rows: np.ndarray
+    vectors: np.ndarray, query_vec: np.ndarray, rows: np.ndarray | None = None
 ) -> np.ndarray:
-    """``_similarities(vectors, query_vec)[rows]`` for ascending, distinct
-    ``rows``, with the same bits, scoring only those rows.
+    """``(vectors.astype(np.float64) @ query_vec)[rows]`` for ascending,
+    distinct ``rows`` (None: every row), as OpenBLAS sums the whole product
+    on one thread, bit for bit, without a float64 copy of the matrix.
 
-    The rows are gathered into blocks in which each takes the path it takes
-    in the full scan (see ``_similarities``): the rows before the last
-    ``n % 4``, padded to a multiple of 4 by repeating a row and cast
-    ``_BLOCK_ROWS`` at a time, then, if any of the last ``n % 4`` is asked
-    for, a block of 4 filler rows and the matrix's last ``n % 4`` rows,
-    which so fall in its remainder. A one-row matrix is scored whole, as
-    the full scan scores it.
+    OpenBLAS's matrix-vector kernel sums rows in groups of 4; the last
+    ``n % 4`` rows take a remainder path whose rounding depends on how many
+    rows it holds. So the asked rows before those are scored
+    ``_BLOCK_ROWS`` (a multiple of 4) at a time, the last block padded to a
+    multiple of 4 with copies of its first row; and, if any of the last
+    ``n % 4`` is asked, all of them are scored after 4 copies of the first,
+    as that block's remainder. Each block is cast into one reused float64
+    buffer, from a slice of ``vectors`` when its rows are contiguous, else
+    by a gather. numpy scores a one-row matrix by a dot product, which sums
+    in another order, and so does this. (A threaded product splits rows by
+    thread count, so it is not reproducible itself.)
     """
     n = len(vectors)
     if n < 2:
-        return _scan(vectors, query_vec)[rows]
+        picked = vectors if rows is None else vectors[rows]
+        return picked.astype(np.float64) @ query_vec
     first_last = n - n % 4
-    cut = int(np.searchsorted(rows, first_last))
-    head = np.concatenate([rows[:cut], np.repeat(rows[:1], -cut % 4)])
-    scores = np.empty(len(head))
-    for start in range(0, len(head), _BLOCK_ROWS):
-        block = head[start : start + _BLOCK_ROWS]
-        np.matmul(
-            vectors[block].astype(np.float64),
-            query_vec,
-            out=scores[start : start + len(block)],
-        )
-    if cut == len(rows):
-        return scores[:cut]
-    last = np.concatenate([np.repeat(rows[:1], 4), np.arange(first_last, n)])
-    last_scores = vectors[last].astype(np.float64) @ query_vec
-    return np.concatenate([scores[:cut], last_scores[rows[cut:] - n]])
+    asked = n if rows is None else len(rows)
+    head = first_last if rows is None else int(np.searchsorted(rows, first_last))
+    # A padded block's filler scores spill into up to 3 slots past its rows:
+    # the last rows' slots, written after it, or 3 spare ones.
+    out = np.empty(asked + 3)
+    # Room for a block of head rows padded to a multiple of 4, and for the
+    # last rows after their 4 copies.
+    buffer = np.empty((min(head + 3, _BLOCK_ROWS) + 4, vectors.shape[1]))
+    for lo in range(0, head, _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, head)
+        if rows is None:
+            picked = slice(lo, hi)
+        else:
+            picked = rows[lo:hi]
+            if picked[-1] - picked[0] == hi - lo - 1:
+                picked = slice(picked[0], picked[-1] + 1)
+        size = hi - lo
+        cast = buffer[: size + -size % 4]
+        cast[:size] = vectors[picked]
+        if size % 4:
+            cast[size:] = cast[0]
+        np.matmul(cast, query_vec, out=out[lo : lo + len(cast)])
+    if head < asked:
+        cast = buffer[: 4 + n % 4]
+        cast[4:] = vectors[first_last:]
+        cast[:4] = cast[4]
+        last = (cast @ query_vec)[4:]
+        out[head:asked] = last if rows is None else last[rows[head:] - first_last]
+    return out[:asked]
 
 
 def initial_activation(

@@ -301,11 +301,11 @@ class TriGraph:
         ``retrieval.retrieve`` calls it as each query starts. A graph's first
         query makes its views, and a grown graph derives them with tails
         (see ``EntityMajor``); its second query finds them made and folds
-        them. At 3000 passages (one BLAS thread, a shared 2-vCPU VM) the
-        tails cost a graph-path query about 0.3 ms, whatever their length
-        from 60 to 600 entries, and folding both costs about 0.4 ms, so a
-        graph read twice pays about as much for its tails as for a fold.
-        Folding leaves every product's bits as they were."""
+        them. On the benchmark's graph-query at 3000 passages (one BLAS
+        thread, a shared 2-vCPU VM), removing this fold raised the query
+        p50 by 11%, 14% and 28% in three paired runs, and by 9-23% in four
+        with the tails also held entity-major, so the fold stays. Folding
+        leaves every product's bits as they were."""
         made = vars(self)
         for name, incidence in _OPERATORS.items():
             view = made.get(name)
@@ -351,27 +351,33 @@ def _transposed(matrix: SparseBinaryMatrix) -> tuple[sp.csr_matrix, np.ndarray]:
 @dataclass(frozen=True)
 class EntityMajor:
     """A row-major binary incidence (passages or sentences x entities) read
-    entity-major: per entity, the rows that hold it, ascending, with each
-    entry's position in the row-major order. It holds the pattern only;
-    each entry is valued 1.0.
+    entity-major: per entity, the rows that hold it, with each entry's
+    position in the row-major order. It holds the pattern only; each entry
+    is valued 1.0.
 
     It is held as a base and a tail. The base is a scipy CSR matrix
-    (entities x rows) of the entries of the rows below ``fold``, with the
-    row-major position of each of its entries. The tail is the entries of
-    the rows from ``fold`` on, left in row-major order: their rows and
-    columns (entities), from position ``base.nnz`` of the row-major arrays
-    on. Rows added later have larger ids, so an entity's tail entries
-    follow its base entries, and in row-major order they come in ascending
-    row id: base then tail is each entity's whole row in order. Reading the
-    tail is a scan of it.
+    (entities x rows) of the entries of the rows below ``fold``, row ids
+    ascending within each entity, with the row-major position of each of
+    its entries. The tail is the entries of the rows from ``fold`` on, left
+    in row-major order: their rows and columns (entities), from position
+    ``base.nnz`` of the row-major arrays on. Every tail row follows every
+    base row, so an entity's base entries and then its tail entries are its
+    whole row in ascending row id.
+
+    ``entries``, ``row_max`` and ``best_rows`` read the entries of the
+    entities they are asked for through one gather (``_gathered``): the
+    base's, entity by entity, then the tail's, in row-major order. ``dot``
+    and ``row_major_dot`` read the base through scipy and add the tail's
+    terms after it, in the order that keeps a whole CSR product's bits.
 
     A grown graph's view shares the base arrays of the view it derives
     from, widened by the entities new since then, and takes the rows past
-    ``fold`` as its tail, so it costs O(tail + entities) to make. Once the tail holds more than ``FOLD_FRACTION`` of the base's
-    entries, the whole incidence is transposed into a new base and the tail
-    starts empty: transpositions then cost amortised O(appended entries),
-    and a tail scan stays a fixed fraction of a base read, as in an
-    LSM-tree (O'Neil et al., Acta Informatica 1996).
+    ``fold`` as its tail, so it costs O(tail + entities) to make. Once the
+    tail holds more than ``FOLD_FRACTION`` of the base's entries, the whole
+    incidence is transposed into a new base and the tail starts empty, so
+    a tail stays a fixed fraction of the base, as in an LSM-tree (O'Neil
+    et al., Acta Informatica 1996). ``TriGraph.settle_operators`` also
+    folds the tails of a graph asked a second time.
     """
 
     base: sp.csr_matrix
@@ -415,81 +421,62 @@ class EntityMajor:
         n_cols = self.base.shape[0]
         return np.diff(self.base.indptr) + np.bincount(self.tail_cols, minlength=n_cols)
 
-    def _tail_entries(self, entities: np.ndarray) -> np.ndarray:
-        """The indices into the tail of the entries of ``entities``."""
-        wanted = np.zeros(self.base.shape[0], dtype=bool)
-        wanted[entities] = True
-        return np.flatnonzero(wanted[self.tail_cols])
+    def _gathered(
+        self, entities: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """The entries of ``entities`` (distinct): the base's, entity by
+        entity, then the tail's, in row-major order, so each entity's come
+        in ascending row id. For each entry, the index of its entity in
+        ``entities`` and its row; and the indices of the entries into the
+        base's arrays and into the tail's, apart."""
+        base_at, lengths = _row_entries(self.base.indptr, entities)
+        slots = np.repeat(np.arange(len(entities)), lengths)
+        rows = self.base.indices[base_at]
+        if not len(self.tail_rows):
+            return slots, rows, base_at, np.zeros(0, dtype=np.intp)
+        slot_of = np.full(self.base.shape[0], -1)
+        slot_of[entities] = np.arange(len(entities))
+        tail_slots = slot_of[self.tail_cols]
+        tail_at = np.flatnonzero(tail_slots >= 0)
+        slots = np.concatenate([slots, tail_slots[tail_at]])
+        rows = np.concatenate([rows, self.tail_rows[tail_at]])
+        return slots, rows, base_at, tail_at
 
     def entries(
         self, entities: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The entries of ``entities``' rows: the base's, entity by entity,
-        then the tail's, in row-major order. For each entry, its entity, its
-        row and its row-major position."""
-        at, lengths = _row_entries(self.base.indptr, entities)
-        found = (np.repeat(entities, lengths), self.base.indices[at], self.base_positions[at])
-        if not len(self.tail_rows):
-            return found
-        at = self._tail_entries(entities)
-        tail = (self.tail_cols[at], self.tail_rows[at], self.base.nnz + at)
-        return tuple(np.concatenate(pair) for pair in zip(found, tail))
+        """The entries of ``entities``' rows, in ``_gathered``'s order: for
+        each, its entity, its row and its row-major position."""
+        slots, rows, base_at, tail_at = self._gathered(entities)
+        positions = np.concatenate(
+            [self.base_positions[base_at], self.base.nnz + tail_at]
+        )
+        return entities[slots], rows, positions
 
     def row_max(self, entities: np.ndarray, values: np.ndarray) -> np.ndarray:
         """Per row, the highest of 0 and the ``values`` (one per entity of
         ``entities``) of the entities it holds. A max does not depend on the
         order in which the entries are read."""
-        at, lengths = _row_entries(self.base.indptr, entities)
+        slots, rows, _, _ = self._gathered(entities)
         out = np.zeros(self.base.shape[1])
-        np.maximum.at(out, self.base.indices[at], np.repeat(values, lengths))
-        if len(self.tail_rows):
-            value_of = np.zeros(self.base.shape[0])
-            value_of[entities] = values
-            at = self._tail_entries(entities)
-            np.maximum.at(out, self.tail_rows[at], value_of[self.tail_cols[at]])
+        np.maximum.at(out, rows, values[slots])
         return out
 
     def best_rows(self, z: np.ndarray, entities: np.ndarray) -> np.ndarray:
-        """For each of ``entities`` (ascending, distinct), the row among its
-        entries with the highest ``z``, or -1 where it has none; ties go to
-        the lowest row id.
-
-        In the base, a segmented reduction over the gathered rows:
-        ``np.maximum.reduceat`` takes each entity's highest value, then
-        ``np.minimum.reduceat`` over entry positions picks the first entry
-        that reaches it; row ids ascend within an entity's base entries, so
-        the first is the lowest. Every tail row follows every base row, so
-        the tail's pick, by ``np.maximum.at`` and ``np.minimum.at`` over the
-        entities' tail entries, replaces the base's only on a strictly
-        higher value.
-        """
-        indptr, rows = self.base.indptr, self.base.indices
-        filled = indptr[entities + 1] > indptr[entities]
-        positions, lengths = _row_entries(indptr, entities[filled])
-        values = z[rows[positions]]
-        starts = np.cumsum(lengths) - lengths
-        highest = np.maximum.reduceat(values, starts)
-        reached = values == np.repeat(highest, lengths)
-        first = np.minimum.reduceat(
-            np.where(reached, np.arange(len(values)), len(values)), starts
-        )
-        best = np.full(len(entities), -1, dtype=np.int64)
-        best[filled] = rows[positions[first]]
-        if not len(self.tail_rows):
-            return best  # the tail scan below costs ~17 us with no tail
+        """For each of ``entities`` (distinct), the row among its entries
+        with the highest ``z``, or -1 where it has none; ties go to the
+        lowest row id, whether the row is in the base or the tail:
+        ``np.maximum.at`` takes each entity's highest value, then
+        ``np.minimum.at`` its first entry that reaches it, which, as its
+        entries come in ascending row id, holds the lowest such row."""
+        slots, rows, _, _ = self._gathered(entities)
+        values = z[rows]
         top = np.full(len(entities), -np.inf)
-        top[filled] = highest
-        at = self._tail_entries(entities)
-        slot = np.searchsorted(entities, self.tail_cols[at])
-        rows, values = self.tail_rows[at], z[self.tail_rows[at]]
-        tail_top = np.full(len(entities), -np.inf)
-        np.maximum.at(tail_top, slot, values)
-        reached = values == tail_top[slot]
-        tail_best = np.full(len(entities), np.iinfo(np.int64).max)
-        np.minimum.at(tail_best, slot[reached], rows[reached])
-        higher = tail_top > top
-        best[higher] = tail_best[higher]
-        return best
+        np.maximum.at(top, slots, values)
+        reached = np.flatnonzero(values == top[slots])
+        first = np.full(len(entities), len(rows))
+        np.minimum.at(first, slots[reached], reached)
+        return np.append(rows, -1)[first]
 
     def row_major_dot(self, v: np.ndarray) -> np.ndarray:
         """The product of the row-major incidence with ``v`` (one value per

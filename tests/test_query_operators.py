@@ -135,7 +135,11 @@ def same_bits(x, y):
 # At most 1300 x 7 values: below the size at which OpenBLAS splits a
 # matrix-vector product across threads. A split product groups rows by the
 # thread count, so only a single-threaded one is a bit-exact reference.
-@pytest.mark.parametrize("n_rows", [0, 1, 2, 511, 512, 513, 1024, 1025, 1300])
+# Every residue of n % 4 is asked at small sizes and at block boundaries:
+# the last n % 4 rows are scored after filler rows.
+@pytest.mark.parametrize(
+    "n_rows", [0, 1, 2, 3, 4, 5, 6, 7, 511, 512, 513, 515, 1024, 1025, 1027, 1300]
+)
 def test_blockwise_similarities_equal_whole_matrix_cast(n_rows):
     dim = 7
     rng = np.random.default_rng(n_rows)

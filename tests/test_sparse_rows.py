@@ -247,7 +247,7 @@ def test_loaded_indexes_equal_built_ones(tmp_path_factory, cuts, dim):
     built = build_store(build(corpus_from_records(records(POOL))), encoder)
     expected = [built.sparse_rows(kind) for kind in VECTOR_KINDS]
     loaded = load_store(directory, load(directory))
-    underived = mock.patch.object(embedding, "_indexed", side_effect=AssertionError)
+    underived = mock.patch.object(embedding, "sparse_rows", side_effect=AssertionError)
     with underived if dim == 128 else nullcontext():
         assert [loaded.sparse_rows(kind) for kind in VECTOR_KINDS] == expected
     assert expected[2] is None if dim == 8 else all(expected)

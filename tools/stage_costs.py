@@ -24,7 +24,16 @@ untimed pass (``peak_kib``):
   and ``save_store`` ms of the appends that folded and of those that did
   not, and ``median_bytes_added``: the median bytes a timed append added
   to the graph files and to the vector files, apart, from their sizes
-  before and after it.
+  before and after it;
+* ``answers_sha256``: one SHA-256 digest of the answers to every graph
+  question on the loaded index and to the questions of ``APPENDS`` slices
+  appended to it in memory one at a time, each asked twice (the second ask
+  folds the grown graph's operator tails). It covers each answer's ranked
+  ids and the bits of their scores, contributing entities, hops, fallback
+  flag, PPR steps and residual, and the query's activations, trace rows,
+  passage seeds and PPR vector. Two source trees that answer alike give
+  the same digest: run this script from a checkout whose ``src`` is the
+  other tree to compare them.
 
 It exits 1 if the loaded index differs from the built one, the grown index
 from a rebuild, an answer's stages from its path's, or a question's entity,
@@ -41,6 +50,7 @@ OpenBLAS is pinned to one thread, as in the benchmark.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import os
@@ -53,9 +63,18 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
 
+import numpy as np  # noqa: E402
 from inputs import make_inputs, make_slice  # noqa: E402
 from linearrag import evalbench  # noqa: E402
-from linearrag.embedding import HashEncoder  # noqa: E402
+from linearrag.corpus import corpus_from_records  # noqa: E402
+from linearrag.embedding import HashEncoder, extend_store  # noqa: E402
+from linearrag.retrieval import (  # noqa: E402
+    activate,
+    passage_seed_scores,
+    ppr,
+    retrieve,
+)
+from linearrag.trigraph import add_passages  # noqa: E402
 from workloads import CFG, ENCODER_DIM, ENCODER_SEED  # noqa: E402
 
 SEED = 0
@@ -72,6 +91,50 @@ CHECKS = {
     "query": "stages_as_expected",
     "append": "equals_rebuild",
 }
+
+
+def answers_sha256(graph, store, questions, slices) -> str:
+    """The digest of the answers to ``questions`` on ``graph`` and ``store``,
+    then to each slice's question, asked twice, after the slice's records
+    are appended in memory (see the module docstring)."""
+    digest = hashlib.sha256()
+
+    def ask(question: str, graph, store) -> None:
+        ranked = retrieve(question, graph, store, CFG)
+        stats = ranked.stats
+        digest.update(
+            repr(
+                (
+                    ranked.passage_ids(),
+                    [item.contributing_entities for item in ranked.items],
+                    ranked.hops_used,
+                    ranked.fallback_used,
+                    stats.ppr_steps,
+                    stats.ppr_residual_l1,
+                )
+            ).encode()
+        )
+        state = activate(question, graph, store, CFG)
+        arrays = [np.array([item.score for item in ranked.items]), state.a, state.trace]
+        if not ranked.fallback_used:
+            seeds = passage_seed_scores(state, graph, store, None, CFG)
+            arrays += [seeds, ppr(graph, state.a, seeds, CFG)]
+        for array in arrays:
+            digest.update(array.tobytes())
+
+    for question in questions:
+        ask(question, graph, store)
+    for records, question in slices:
+        delta = corpus_from_records(
+            records,
+            passage_id_base=graph.n_passages,
+            sentence_id_base=graph.n_sentences,
+        )
+        graph = add_passages(graph, delta)
+        store = extend_store(store, graph)
+        ask(question, graph, store)
+        ask(question, graph, store)
+    return digest.hexdigest()
 
 
 def measure(n_passages: int, directory: Path) -> dict:
@@ -102,12 +165,20 @@ def measure(n_passages: int, directory: Path) -> dict:
         APPENDS,
     )
     append["first_query"]["bounds"] = FIRST_QUERY_BOUNDS
+    pieces = (make_slice(SEED, i, inputs.filler_names) for i in range(APPENDS))
+    digest = answers_sha256(
+        graph,
+        store,
+        inputs.graph_questions,
+        ((piece.records, piece.question.question) for piece in pieces),
+    )
     return {
         "seed": SEED,
         "passages": n_passages,
         "index": index,
         "query": query,
         "append": append,
+        "answers_sha256": digest,
     }
 
 
