@@ -658,8 +658,6 @@ def _read_vectors(
         else:
             entries = _decode_block(part, into, where)
             if entries is not None and at:
-                if len(rows) > np.iinfo(entries.rows.dtype).max:  # int32 ids
-                    entries = entries._replace(rows=entries.rows.astype(np.intp))
                 entries.rows[...] += at
             decoded.append(entries)
         at += n_rows
@@ -685,9 +683,7 @@ def _decode_block(
     only the bitmap bytes with a set bit are unpacked: each set bit's byte
     and place give its row and column, in the row-major order of the
     values, those positions alone are written, and the entries they mark
-    are returned. Byte and bit positions, rows and columns are int32 where
-    the block's bitmap bits number below 2**31, and the positions written
-    are formed in intp."""
+    are returned."""
     n_rows, dim = rows.shape
     if not n_rows and not len(data):
         none = np.zeros(0, dtype=np.intp)
@@ -711,10 +707,9 @@ def _decode_block(
         marked = np.unpackbits(bitmaps, axis=1, count=dim).view(bool)
         n_marked = int(np.count_nonzero(marked))
     else:
-        index = np.int32 if 8 * bitmaps.size < 2**31 else np.intp
         flat = bitmaps.reshape(-1)
-        filled = np.flatnonzero(flat != 0).astype(index)
-        set_bits = np.flatnonzero(np.unpackbits(flat[filled]).view(bool)).astype(index)
+        filled = np.flatnonzero(flat != 0)
+        set_bits = np.flatnonzero(np.unpackbits(flat[filled]).view(bool))
         n_marked = len(set_bits)
     if n_marked != n_values:
         raise ConsistencyError(
@@ -729,14 +724,9 @@ def _decode_block(
         rows[marked] = values
         return None
     row_ids, cols = np.divmod(filled[set_bits >> 3], width)
-    del filled
     cols *= 8
     cols += set_bits & 7
-    del set_bits
-    at = row_ids.astype(np.intp)
-    at *= dim
-    at += cols
-    rows.reshape(-1)[at] = values
+    rows.reshape(-1)[row_ids * dim + cols] = values
     return _Entries(row_ids, cols, values)
 
 

@@ -58,7 +58,6 @@ from .retrieval import (
     RankedPassages,
     RetrievalConfig,
     _kind_scores,
-    _similarities,
     retrieve,
 )
 from .trigraph import (
@@ -866,8 +865,8 @@ def query_costs(
     says whether every answer listed exactly its path's stages
     (``GRAPH_STAGES`` or ``FALLBACK_STAGES``), and every question's entity,
     sentence and passage similarities, as retrieval scores them, held the
-    bits of the full scan's, for its query vector and for that vector with
-    random values on the same entries (``_scored_as_scanned``)."""
+    bits of the whole float64 product's, for its query vector and for that
+    vector with random values on the same entries (``_scored_as_scanned``)."""
     expected = {"graph_path": GRAPH_STAGES, "fallback": FALLBACK_STAGES}
     asked = {path: [] for path in expected}
     shares = {path: [] for path in expected}
@@ -915,17 +914,18 @@ def _scored_as_scanned(
     store: EmbeddingStore, query_vec: np.ndarray, rng: np.random.Generator
 ) -> bool:
     """Whether each kind's query similarities, as retrieval scores them
-    through the store's sparse index, equal the full scan's bit for bit:
-    for ``query_vec``, and for it with its nonzero entries replaced by
-    random float32 values from ``rng``. The hash encoder's values sum alike
-    in any order, so only the second shows a row that the index sums but
-    should have gathered."""
+    through the store's sparse index, equal the bits of the whole float64
+    product on one BLAS thread (``tools/stage_costs.py`` pins it): for
+    ``query_vec``, and for it with its nonzero entries replaced by random
+    float32 values from ``rng``. The hash encoder's values sum alike in any
+    order, so only the second shows a row that the index sums but should
+    have gathered."""
     perturbed = query_vec.copy()
     support = perturbed != 0.0
     perturbed[support] = rng.standard_normal(support.sum()).astype(np.float32)
     return all(
         _kind_scores(store, kind, q)[0].tobytes()
-        == _similarities(getattr(store, kind), q).tobytes()
+        == (getattr(store, kind).astype(np.float64) @ q).tobytes()
         for q in (query_vec, perturbed)
         for kind in VECTOR_KINDS
     )

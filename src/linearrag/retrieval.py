@@ -312,10 +312,10 @@ def _row_similarities(
     multiple of 4 with copies of its first row; and, if any of the last
     ``n % 4`` is asked, all of them are scored after 4 copies of the first,
     as that block's remainder. Each block is cast into one reused float64
-    buffer, from a slice of ``vectors`` when its rows are contiguous, else
-    by a gather. numpy scores a one-row matrix by a dot product, which sums
-    in another order, and so does this. (A threaded product splits rows by
-    thread count, so it is not reproducible itself.)
+    buffer, from a slice of ``vectors`` in a full scan, else by a gather.
+    numpy scores a one-row matrix by a dot product, which sums in another
+    order, and so does this. (A threaded product splits rows by thread
+    count, so it is not reproducible itself.)
     """
     n = len(vectors)
     if n < 2:
@@ -332,12 +332,7 @@ def _row_similarities(
     buffer = np.empty((min(head + 3, _BLOCK_ROWS) + 4, vectors.shape[1]))
     for lo in range(0, head, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, head)
-        if rows is None:
-            picked = slice(lo, hi)
-        else:
-            picked = rows[lo:hi]
-            if picked[-1] - picked[0] == hi - lo - 1:
-                picked = slice(picked[0], picked[-1] + 1)
+        picked = slice(lo, hi) if rows is None else rows[lo:hi]
         size = hi - lo
         cast = buffer[: size + -size % 4]
         cast[:size] = vectors[picked]

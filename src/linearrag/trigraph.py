@@ -434,6 +434,8 @@ class EntityMajor:
         rows = self.base.indices[base_at]
         if not len(self.tail_rows):
             return slots, rows, base_at, np.zeros(0, dtype=np.intp)
+        # intp, as the base's slots: an int32 map gathers slower, its slots
+        # cast when joined to those.
         slot_of = np.full(self.base.shape[0], -1)
         slot_of[entities] = np.arange(len(entities))
         tail_slots = slot_of[self.tail_cols]

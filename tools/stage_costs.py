@@ -30,17 +30,18 @@ untimed pass (``peak_kib``):
   appended to it in memory one at a time, each asked twice (the second ask
   folds the grown graph's operator tails). It covers each answer's ranked
   ids and the bits of their scores, contributing entities, hops, fallback
-  flag, PPR steps and residual, and the query's activations, trace rows,
-  passage seeds and PPR vector. Two source trees that answer alike give
+  flag, PPR steps and residual, and the query's entity activations,
+  sentence similarities, trace rows, passage seeds and PPR vector. Two source trees that answer alike give
   the same digest: run this script from a checkout whose ``src`` is the
   other tree to compare them.
 
 It exits 1 if the loaded index differs from the built one, the grown index
 from a rebuild, an answer's stages from its path's, or a question's entity,
-sentence or passage similarities from the bits of the full scan. With several sizes
-it also prints each stage's growth from the first size to the last, per
-passage for the index path (``per_passage_growth``, 1.0 meaning linear) and
-per append (``append_growth``). Run from the root of a checkout:
+sentence or passage similarities from the bits of the whole float64
+product. With several sizes it also prints each stage's growth from the
+first size to the last, per passage for the index path
+(``per_passage_growth``, 1.0 meaning linear) and per append
+(``append_growth``). Run from the root of a checkout:
 
     python3 tools/stage_costs.py --passages 3000 12000 --out result.json
 
@@ -115,7 +116,8 @@ def answers_sha256(graph, store, questions, slices) -> str:
             ).encode()
         )
         state = activate(question, graph, store, CFG)
-        arrays = [np.array([item.score for item in ranked.items]), state.a, state.trace]
+        scores = np.array([item.score for item in ranked.items])
+        arrays = [scores, state.a, state.sigma, state.trace]
         if not ranked.fallback_used:
             seeds = passage_seed_scores(state, graph, store, None, CFG)
             arrays += [seeds, ppr(graph, state.a, seeds, CFG)]
