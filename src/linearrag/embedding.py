@@ -23,8 +23,8 @@ the file's size cannot hold before they allocate the rows. Version 1, whose
 header has no byte count and whose data is the rows as dense float32, is
 still read, so exported vectors can be imported in that layout. In memory,
 rows are always dense float32; beside them each kind of a store may keep a
-sparse index of its marked entries (``SparseRows``), which queries score
-through and ``load_store`` makes from the positions the bitmaps mark.
+sparse index of its marked entries (``SparseRows``), which queries read
+column-major and ``load_store`` makes from the positions the bitmaps mark.
 
 An append writes no vector file: it commits a block of the new rows of
 each of the three kinds as one record of ``vectors.tail``
@@ -49,12 +49,12 @@ from pathlib import Path
 from typing import Any, BinaryIO, Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
-from scipy import sparse as sp
 
 from . import storage
 from .buffers import appended, reserved
 from .errors import ConfigError, ConsistencyError, EncodingError, IndexLoadError
-from .trigraph import STORE_FILES, VECTOR_TAIL, TriGraph, read_manifest
+from .trigraph import STORE_FILES, VECTOR_TAIL, SparseBinaryMatrix, TriGraph
+from .trigraph import read_manifest
 
 MAGIC = b"LRGVEC01"
 FILE_VERSION = 2
@@ -75,11 +75,8 @@ NORM_TOLERANCE = 1e-4
 DENSITY_CUT = 0.15
 # A grown store's sparse index of a kind is extended by the rows new since
 # the index was made once they number more than this; until then queries
-# score those rows from the dense rows. An extension costs about 0.12 ms
-# whatever its size, a gathered row about 0.27 us (3000 passages, one BLAS
-# thread, shared 2-vCPU VM): so an append followed by one query, about 8
-# new rows of a kind, extends every fourth append or so, and a store read
-# many times gathers at most this many rows per kind and query.
+# gather those rows. An extension and its view cost 0.09-0.2 ms, a gather of
+# 32 rows 12-26 us, so an append and a query extend every fourth time or so.
 TAIL_ROWS = 32
 # Rows of ``HashEncoder.encode_batch`` summed at a time.
 ENCODE_BLOCK_ROWS = 512
@@ -178,6 +175,29 @@ class HashEncoder:
         return acc
 
 
+class RotatedEncoder(HashEncoder):
+    """A stand-in for the density of a learned encoder's rows, not a model;
+    its id is ``rotated:<dim>:<seed>``. A row is ``HashEncoder``'s times a
+    seeded random orthogonal matrix (Mezzadri, Notices of the AMS 2007),
+    renormalised, as float32: every cosine is kept up to rounding, and
+    nearly every entry is nonzero, so each kind is scanned whole."""
+
+    def __init__(self, dim: int | str = 256, seed: int | str = 0):
+        super().__init__(dim, seed)
+        self.contract = EncoderContract(f"rotated:{self.dim}:{self.seed}", self.dim)
+        gaussian = np.random.default_rng(self.seed).standard_normal((self.dim,) * 2)
+        q, r = np.linalg.qr(gaussian)
+        self.rotation = q * np.sign(np.diag(r))
+
+    def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
+        rows = super().encode_batch(texts)
+        for lo in range(0, len(rows), ENCODE_BLOCK_ROWS):
+            block = rows[lo : lo + ENCODE_BLOCK_ROWS]
+            rotated = block.astype(np.float64) @ self.rotation
+            block[...] = rotated / np.linalg.norm(rotated, axis=1, keepdims=True)
+        return rows
+
+
 _ENCODER_FACTORIES: dict[str, Callable[..., Encoder]] = {}
 
 
@@ -186,6 +206,7 @@ def register_encoder(name: str, factory: Callable[..., Encoder]) -> None:
 
 
 register_encoder("hash", HashEncoder)
+register_encoder("rotated", RotatedEncoder)
 
 
 def make_encoder(name: str, *args: Any, **params: Any) -> Encoder:
@@ -288,37 +309,19 @@ def validate_normalized(
         )
 
 
-class SparseRows:
+class SparseRows(SparseBinaryMatrix):
     """The entries of a float32 matrix whose bits are not all zero (those
-    a vector file's bitmaps mark), row by row: ``values``, a scipy CSR
-    matrix of them as float64, and ``pattern``, one of the same entries,
-    each 1.0 as float32. ``retrieval._similarities`` scores a query through
-    them. Its arrays are the tips of growth buffers (``buffers.appended``),
-    so ``sparse_rows(rows, grown_from=this)`` grows them in place when this
-    is the newest index grown from them, and never changes this one."""
+    a vector file's bitmaps mark), in CSR form with those entries as its
+    ``values``, which queries read column-major (``by_column``). Its arrays
+    are the tips of growth buffers (``buffers.appended``), so
+    ``sparse_rows(rows, grown_from=this)`` grows them in place when this is
+    the newest index grown from them, and never changes this one."""
 
-    __slots__ = ("indptr", "cols", "data", "ones", "values", "pattern")
+    __slots__ = ("values",)
 
-    def __init__(self, indptr, cols, data, ones, dim: int):
-        self.indptr, self.cols, self.data, self.ones = indptr, cols, data, ones
-        shape = (len(indptr) - 1, dim)
-        self.values = sp.csr_matrix((data, cols, indptr), shape=shape, copy=False)
-        self.pattern = sp.csr_matrix((ones, cols, indptr), shape=shape, copy=False)
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.indptr) - 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SparseRows):
-            return NotImplemented
-        return self.values.shape == other.values.shape and all(
-            np.array_equal(a, b)
-            for a, b in zip(
-                (self.indptr, self.cols, self.data, self.ones),
-                (other.indptr, other.cols, other.data, other.ones),
-            )
-        )
+    def __init__(self, n_rows, n_cols, col_ids, indptr, values, grown_from=None):
+        super().__init__(n_rows, n_cols, col_ids, indptr, grown_from)
+        self.values = values
 
 
 def sparse_rows(
@@ -333,8 +336,8 @@ def sparse_rows(
     if rows.dtype != np.float32 or not np.isfinite(new).all():
         return None
     marked = np.ascontiguousarray(new).view(np.uint32).reshape(-1) != 0
-    old_nnz = grown_from.indptr[-1] if grown_from is not None else 0
-    if _too_dense(int(old_nnz) + np.count_nonzero(marked), rows.shape):
+    old_nnz = grown_from.nnz if grown_from is not None else 0
+    if _too_dense(old_nnz + np.count_nonzero(marked), rows.shape):
         return None
     at = np.flatnonzero(marked)
     row_ids, cols = np.divmod(at, rows.shape[1])
@@ -359,24 +362,22 @@ def _grown(
     float32 value, in row-major order. None if the whole passes the
     density cut."""
     n_rows, dim = shape
-    old_nnz = grown_from.indptr[-1] if grown_from is not None else 0
-    nnz = int(old_nnz) + len(values)
+    old_nnz = grown_from.nnz if grown_from is not None else 0
+    nnz = old_nnz + len(values)
     if _too_dense(nnz, shape):
         return None
     index = np.int32 if nnz < 2**31 else np.int64
     start = grown_from.n_rows if grown_from is not None else 0
     counts = np.bincount(row_ids, minlength=n_rows - start)
     indptr = np.cumsum(counts, dtype=index) + index(old_nnz)
-    parts = (
-        indptr if grown_from is not None else np.concatenate([[index(0)], indptr]),
-        cols.astype(index),
-        values.astype(np.float64),
-        np.ones(len(values), dtype=np.float32),
-    )
-    if grown_from is not None:
-        old = (grown_from.indptr, grown_from.cols, grown_from.data, grown_from.ones)
+    # A copy: decoded values are views of a vector file's bytes.
+    parts = [cols.astype(index), indptr, values.astype(np.float32)]
+    if grown_from is None:
+        parts[1] = np.concatenate([[index(0)], indptr])
+    else:
+        old = (grown_from.col_ids, grown_from.indptr, grown_from.values)
         parts = [appended(a, b) for a, b in zip(old, parts)]
-    return SparseRows(*parts, dim)
+    return SparseRows(n_rows, dim, *parts, grown_from)
 
 
 # Each kind's vectors, as ``EmbeddingStore`` names them.
@@ -482,7 +483,7 @@ def extend_store(
     copies amortised O(new rows). The new store's sparse indexes
     (``EmbeddingStore.sparse_rows``) are ``store``'s, or those its nearest
     indexed ancestor made, grown by the new rows only, through the same
-    growth buffers, on its first use of each. ``store`` is never changed.
+    growth buffers, with their views, on first use. ``store`` is never changed.
     Row counts may only grow. An encoder whose contract id is not the store's is a
     ConfigError, raised before anything is encoded.
     """

@@ -10,13 +10,12 @@ so activations only ever grow. Propagation stops when no candidate
 survives pruning or the hop cap is reached. One entity-major view of the
 mention incidence (``TriGraph.mention_by_entity``) serves all three steps:
 the gate is a max over the frontier entities' entries
-(``EntityMajor.row_max``), the candidate mass is the view's product with
+(``ColumnMajor.row_max``), the candidate mass is the view's product with
 the gated sentence mass, and the trace (one row per entity) records, for
 each entity a hop first activates, the sentence of its entries holding the
-most mass (``EntityMajor.best_rows``, with no sort). The gate and the
-trace read the entries of the entities they ask for through one gather;
-how the view is laid out is ``trigraph``'s concern alone. Hop 0 scores the
-query similarity of every sentence, once, when any entity seeds.
+most mass (``ColumnMajor.best_rows``, with no sort). How the view is laid
+out is ``trigraph``'s concern alone. Hop 0 scores the query similarity of
+every sentence, once, when any entity seeds.
 
 Stage 2 ranks passages: activated entities and a hybrid passage seed (a
 small query-similarity term plus a log-damped sum of activated-entity
@@ -31,15 +30,13 @@ partition, so only the k highest scores and those tied with the k-th are
 sorted.
 
 Every query similarity, of entities, sentences and passages, is scored
-for every row, with the bits of a float64 matrix-vector product, but not
-by one: each kind's sparse index (``EmbeddingStore.sparse_rows``) scores
-the rows that share at most two nonzero entries with the query exactly,
-and only the others read their dense rows (``_similarities``). One scorer
-reads dense rows, whether some rows or all of them: it casts them a block
-at a time and keeps each row's path through the whole product
-(``_row_similarities``). So a query's similarity cost follows the kind's
-nonzero entries; a row of the built-in hash encoder holds one per distinct
-token bucket.
+for every row with the bits of a float64 matrix-vector product, but not by
+one (``_similarities``): each kind's sparse index, read column-major, sums
+the entries of the query's nonzero buckets alone, term at a time, which
+scores exactly each row sharing at most two of them; only the others read
+their dense rows, cast a block at a time along each row's path through the
+whole product (``_row_similarities``). So a query's similarity cost
+follows the entries of its buckets, not the kind's.
 
 ``retrieve`` is the one place these stages run in sequence; each result it
 returns carries their times and the PPR solve's outcome (``QueryStats``).
@@ -258,12 +255,12 @@ def _similarities(
     So for a query vector of finite float32 values, a row that shares at
     most two nonzero entries with it is the one rounding of the sum of two
     exact products, in every summation order, with or without FMA, and
-    every zero product leaves a sum begun at +0.0 as it was. The index
-    gives every row that sum in one sparse product, and counts the query's
-    nonzero entries among each row's entries in another; the rows that
-    count 3 or more, and the rows past the index (a grown store's index may
-    hold only a prefix of its rows), are scored again by
-    ``_row_similarities``. It scores every row instead when those rows pass
+    every zero product leaves a sum begun at +0.0 as it was. The index's
+    column-major view gathers the entries of the query's nonzero columns
+    and gives every row that sum and its count of them
+    (``ColumnMajor.row_major_terms``); the rows that count 3 or more, and
+    the rows past a grown store's index, are scored again by
+    ``_row_similarities``. It scores every row instead when those pass
     ``GATHER_SHARE`` of them, when there is no index, or when the query
     vector is not finite float32.
     """
@@ -278,9 +275,8 @@ def _scored(
     n_rows = len(vectors)
     if index is None or not _float32_valued(query_vec):
         return _row_similarities(vectors, query_vec), n_rows
-    scores = index.values @ query_vec
-    nonzero = (query_vec != 0.0).astype(np.float32)
-    rows = np.flatnonzero(index.pattern @ nonzero >= 3.0)
+    scores, counts = index.by_column.row_major_terms(query_vec)
+    rows = np.flatnonzero(counts >= 3)
     if index.n_rows < n_rows:  # rows past the index, all gathered
         scores = np.concatenate([scores, np.empty(n_rows - index.n_rows)])
         rows = np.concatenate([rows, np.arange(index.n_rows, n_rows)])
@@ -328,8 +324,11 @@ def _row_similarities(
     # the last rows' slots, written after it, or 3 spare ones.
     out = np.empty(asked + 3)
     # Room for a block of head rows padded to a multiple of 4, and for the
-    # last rows after their 4 copies.
-    buffer = np.empty((min(head + 3, _BLOCK_ROWS) + 4, vectors.shape[1]))
+    # last rows after their 4 copies, from a 64-byte boundary: the kernel
+    # reads it about 10% slower from 16 or 48 bytes past one.
+    size = (min(head + 3, _BLOCK_ROWS) + 4) * vectors.shape[1]
+    raw = np.empty(size + 7)
+    buffer = raw[-raw.ctypes.data % 64 // 8 :][:size].reshape(-1, vectors.shape[1])
     for lo in range(0, head, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, head)
         picked = slice(lo, hi) if rows is None else rows[lo:hi]
@@ -509,8 +508,8 @@ def ppr(
     B v = D_p^-1/2 (C (D_e^-1/2 v)) and B^T w = D_e^-1/2 (C^T (D_p^-1/2 w)).
     Both products read the entity-major contain view
     (``TriGraph.contain_by_entity``): C's through the transpose of its base,
-    with the bits of a CSR product of C (``EntityMajor.row_major_dot``), and
-    C^T's directly (``EntityMajor.dot``). With z_e computed from z_p as above
+    with the bits of a CSR product of C (``ColumnMajor.row_major_dot``), and
+    C^T's directly (``ColumnMajor.dot``). With z_e computed from z_p as above
     the entity rows are exact, so the L1 residual of the original equation is
     ``|D_p^1/2 (CG residual)|_1``. The solve stops once that is below
     ``cfg.ppr_tol``, or after ``cfg.ppr_max_iters`` steps, with a logged

@@ -14,14 +14,11 @@ sort after the graph's and growing a graph only appends to its arrays.
 ``build`` is the same growth applied to an empty graph, so every fact of a
 graph is derived by one path. An entity's passages are read from
 ``contain`` alone; its registry record holds only its key and surfaces. The
-sparse operators a query needs are made once per graph, on first use, and
-cached on it. They hold incidence patterns only: the entity-major view of
-each incidence, a graph grown by ``add_passages`` derives from that of the
-graph it grew from (see ``EntityMajor``); the degree-normalized contain
-matrix that PageRank solves with is never stored, but applied as scalings
-by the degree roots around products with ``contain``, which its
-entity-major view gives both ways (``EntityMajor.dot`` and
-``EntityMajor.row_major_dot``).
+operators a query needs are made on first use and cached: the entity-major
+view of each incidence (``SparseBinaryMatrix.by_column``), and the degree
+roots by which PageRank scales its products with ``contain`` both ways
+(``ColumnMajor.dot``, ``ColumnMajor.row_major_dot``); the degree-normalized
+contain matrix is never stored.
 
 The persisted index directory (format version 3) holds:
 
@@ -67,7 +64,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Mapping
@@ -122,31 +119,41 @@ VECTOR_TAIL = "vectors.tail"
 # Files of format version 1 that later versions no longer write.
 V1_FILES = ("sentences.jsonl", "contain.coo", "mention.coo", "occurrence.tsv")
 _INT64 = np.dtype("<i8")
-# An entity-major view is transposed anew from the whole incidence once the
-# rows grown since its base was made hold more than this share of the
-# base's entries (see ``EntityMajor``), and a save folds the graph tail into
-# the base files once it would hold more than this share of their bytes.
+# A column-major view is transposed anew from the whole matrix once the rows
+# grown since its base was made hold more than this share of the base's
+# entries (see ``ColumnMajor``), and a save folds the graph tail into the
+# base files once it would hold more than this share of their bytes.
 FOLD_FRACTION = 0.0625
-# The cached entity-major views a grown graph derives from its ancestor's,
-# each with the incidence it reads.
-_OPERATORS = {"mention_by_entity": "mention", "contain_by_entity": "contain"}
 
 
 class SparseBinaryMatrix:
     """A binary matrix in CSR form: the column ids of its sorted, distinct
     entries in row-major order, and ``indptr``, the ``n_rows + 1`` prefix
-    sums of the row lengths, which alone give each entry's row.
+    sums of the row lengths, which alone give each entry's row. It is read
+    column-major through ``by_column``. ``grown_from``, if given, is a
+    matrix whose rows and entries are a prefix of this one's.
     """
 
-    __slots__ = ("n_rows", "n_cols", "col_ids", "indptr")
+    __slots__ = ("n_rows", "n_cols", "col_ids", "indptr", "_view", "_view_from")
+    # Each entry is 1.0; ``embedding.SparseRows`` holds a value per entry.
+    values: np.ndarray | None = None
 
-    def __init__(
-        self, n_rows: int, n_cols: int, col_ids: np.ndarray, indptr: np.ndarray
-    ):
+    def __init__(self, n_rows, n_cols, col_ids, indptr, grown_from=None):
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.col_ids = col_ids
         self.indptr = indptr
+        # Until the view is made, the one of the nearest ancestor that made one.
+        self._view = None
+        self._view_from = grown_from and (grown_from._view or grown_from._view_from)
+
+    @property
+    def by_column(self) -> "ColumnMajor":
+        """This matrix read column-major, made on first use: derived from
+        ``_view_from`` (``ColumnMajor.of``), which it then lets go."""
+        if self._view is None:
+            self._view, self._view_from = ColumnMajor.of(self, self._view_from), None
+        return self._view
 
     @classmethod
     def sorted_entries(
@@ -177,6 +184,7 @@ class SparseBinaryMatrix:
             n_cols,
             np.concatenate([self.col_ids, cols]),
             np.concatenate([self.indptr[:-1], tail.indptr + self.nnz]),
+            self,
         )
 
     @property
@@ -214,6 +222,7 @@ class SparseBinaryMatrix:
             and self.n_cols == other.n_cols
             and np.array_equal(self.indptr, other.indptr)
             and np.array_equal(self.col_ids, other.col_ids)
+            and np.array_equal(self.values, other.values)
         )
 
     def __repr__(self) -> str:
@@ -242,10 +251,6 @@ class TriGraph:
     entity_registry: EntityRegistry
     occurrence_counts: np.ndarray  # int64 mention counts, one per contain entry
     extractor: ExtractorContract
-    # The query operators of the graph this one grew from, or of the nearest
-    # ancestor that made them; ``add_passages`` fills it, and making an
-    # operator from its entry drops the entry.
-    _grown_from: dict[str, Any] = field(default_factory=dict, init=False, repr=False)
 
     @property
     def corpus_digest(self) -> str:
@@ -263,24 +268,20 @@ class TriGraph:
     def n_entities(self) -> int:
         return len(self.entity_registry)
 
-    @cached_property
-    def mention_by_entity(self) -> "EntityMajor":
+    @property
+    def mention_by_entity(self) -> "ColumnMajor":
         """The mention incidence read entity-major, each entry valued 1.0:
         per entity, the sentences that mention it. ``retrieval`` reads it
         for each hop's frontier gate, candidate mass and supporting
         sentences."""
-        return EntityMajor.of(
-            self.mention, grown_from=self._grown_from.pop("mention_by_entity", None)
-        )
+        return self.mention.by_column
 
-    @cached_property
-    def contain_by_entity(self) -> "EntityMajor":
+    @property
+    def contain_by_entity(self) -> "ColumnMajor":
         """The contain incidence read entity-major, each entry valued 1.0:
         per entity, the passages that hold it. ``retrieval`` reads it for
         the passage seeds' entries and PPR's products with C and C^T."""
-        return EntityMajor.of(
-            self.contain, grown_from=self._grown_from.pop("contain_by_entity", None)
-        )
+        return self.contain.by_column
 
     @cached_property
     def degree_roots(self) -> tuple[np.ndarray, np.ndarray]:
@@ -300,27 +301,15 @@ class TriGraph:
 
         ``retrieval.retrieve`` calls it as each query starts. A graph's first
         query makes its views, and a grown graph derives them with tails
-        (see ``EntityMajor``); its second query finds them made and folds
+        (see ``ColumnMajor``); its second query finds them made and folds
         them. On the benchmark's graph-query at 3000 passages (one BLAS
         thread, a shared 2-vCPU VM), removing this fold raised the query
         p50 by 11%, 14% and 28% in three paired runs, and by 9-23% in four
         with the tails also held entity-major, so the fold stays. Folding
         leaves every product's bits as they were."""
-        made = vars(self)
-        for name, incidence in _OPERATORS.items():
-            view = made.get(name)
-            if view is not None and len(view.tail_rows):
-                made[name] = EntityMajor.of(getattr(self, incidence))
-
-    def _operators(self) -> dict[str, Any]:
-        """Each query operator this graph has made, or else the one it would
-        derive its own from."""
-        made = vars(self)
-        return {
-            name: made[name] if name in made else self._grown_from[name]
-            for name in _OPERATORS
-            if name in made or name in self._grown_from
-        }
+        for matrix in (self.mention, self.contain):
+            if matrix._view is not None and len(matrix._view.tail_rows):
+                matrix._view = ColumnMajor.of(matrix)
 
 
 def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -334,65 +323,69 @@ def _row_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.n
     return positions, lengths
 
 
-def _transposed(matrix: SparseBinaryMatrix) -> tuple[sp.csr_matrix, np.ndarray]:
-    """``matrix`` as a CSR matrix of the transposed shape, each entry 1.0,
-    and the position in ``matrix`` of each of its entries: one
-    transposition of the pattern that carries each entry's position
-    (Gustavson, ACM TOMS 1978). Row ids ascend within each of its rows."""
+def _transposed(matrix: SparseBinaryMatrix) -> tuple[sp.csr_matrix, np.ndarray | None]:
+    """``matrix`` as a CSR matrix of the transposed shape, row ids ascending
+    within each row, by one transposition of the pattern that carries each
+    entry's position (Gustavson, ACM TOMS 1978): each entry 1.0, with the
+    position in ``matrix`` of each; or, with values, each its value."""
+    index = np.int32 if matrix.nnz < 2**31 else np.int64
     part = sp.csr_matrix(
-        (np.arange(matrix.nnz), matrix.col_ids, matrix.indptr),
+        (np.arange(matrix.nnz, dtype=index), matrix.col_ids, matrix.indptr),
         shape=(matrix.n_rows, matrix.n_cols),
     ).T.tocsr()
-    positions = part.data
-    part.data = np.ones(len(positions))
+    if matrix.values is not None:
+        part.data = matrix.values[part.data]
+        return part, None
+    positions, part.data = part.data, np.ones(part.nnz)
     return part, positions
 
 
 @dataclass(frozen=True)
-class EntityMajor:
-    """A row-major binary incidence (passages or sentences x entities) read
-    entity-major: per entity, the rows that hold it, with each entry's
-    position in the row-major order. It holds the pattern only; each entry
-    is valued 1.0.
+class ColumnMajor:
+    """A row-major sparse matrix read column-major: per column, the rows
+    that hold it. The graph reads each binary incidence (passages or
+    sentences x entities) entity by entity; a store reads each kind's
+    sparse rows, a matrix with values, bucket by bucket, to score a query
+    term at a time.
 
     It is held as a base and a tail. The base is a scipy CSR matrix
-    (entities x rows) of the entries of the rows below ``fold``, row ids
-    ascending within each entity, with the row-major position of each of
-    its entries. The tail is the entries of the rows from ``fold`` on, left
-    in row-major order: their rows and columns (entities), from position
-    ``base.nnz`` of the row-major arrays on. Every tail row follows every
-    base row, so an entity's base entries and then its tail entries are its
-    whole row in ascending row id.
+    (columns x rows) of the entries of the rows below ``fold``, row ids
+    ascending within each column: of a binary matrix, each 1.0, with the
+    row-major position of each (``base_positions``); of one with values,
+    each its value, and no positions. The tail is the entries of the rows
+    from ``fold`` on, left in row-major order: their rows and columns, from
+    position ``base.nnz`` of the row-major arrays on, and ``values``, the
+    row-major matrix's (None: each entry 1.0). Every tail row follows every
+    base row, so a column's base entries and then its tail entries are its
+    whole column in ascending row id. One gather (``_gathered``) reads the
+    entries of the columns asked for, base then tail; ``dot`` and
+    ``row_major_dot``, the products of a binary matrix, read the base
+    through scipy and add the tail's terms after it, keeping a whole CSR
+    product's bits.
 
-    ``entries``, ``row_max`` and ``best_rows`` read the entries of the
-    entities they are asked for through one gather (``_gathered``): the
-    base's, entity by entity, then the tail's, in row-major order. ``dot``
-    and ``row_major_dot`` read the base through scipy and add the tail's
-    terms after it, in the order that keeps a whole CSR product's bits.
-
-    A grown graph's view shares the base arrays of the view it derives
-    from, widened by the entities new since then, and takes the rows past
-    ``fold`` as its tail, so it costs O(tail + entities) to make. Once the
-    tail holds more than ``FOLD_FRACTION`` of the base's entries, the whole
-    incidence is transposed into a new base and the tail starts empty, so
-    a tail stays a fixed fraction of the base, as in an LSM-tree (O'Neil
-    et al., Acta Informatica 1996). ``TriGraph.settle_operators`` also
-    folds the tails of a graph asked a second time.
+    A grown matrix's view shares the base arrays of the view it derives
+    from, widened by the new columns, and takes the rows past ``fold`` as
+    its tail, so it costs O(tail + columns) to make. Once the tail holds
+    more than ``FOLD_FRACTION`` of the base's entries, the whole matrix is
+    transposed into a new base with no tail, as in an LSM-tree (O'Neil et
+    al., Acta Informatica 1996), and the old base is let go.
+    ``TriGraph.settle_operators`` also folds a graph asked a second time.
     """
 
     base: sp.csr_matrix
-    base_positions: np.ndarray
+    base_positions: np.ndarray | None
     tail_rows: np.ndarray
     tail_cols: np.ndarray
     fold: int
+    values: np.ndarray | None = None
 
     @classmethod
     def of(
-        cls, matrix: SparseBinaryMatrix, grown_from: "EntityMajor | None" = None
-    ) -> "EntityMajor":
-        """``matrix`` read entity-major. ``grown_from``, if given, is the view
-        of a matrix whose rows and entries are a prefix of ``matrix``'s; it
-        is left unchanged."""
+        cls, matrix: SparseBinaryMatrix, grown_from: "ColumnMajor | None" = None
+    ) -> "ColumnMajor":
+        """``matrix`` read column-major. ``grown_from``, if given, is the view
+        of a matrix whose rows, entries and values are a prefix of
+        ``matrix``'s; it is left unchanged."""
         n_cols, n_rows = matrix.n_cols, matrix.n_rows
         if grown_from is None or (
             matrix.nnz - grown_from.base.nnz > FOLD_FRACTION * grown_from.base.nnz
@@ -408,88 +401,103 @@ class EntityMajor:
             base = sp.csr_matrix(
                 (old.data, old.indices, indptr), shape=(n_cols, n_rows)
             )
+        # intp columns: numpy gathers through int32 indices 2-3x slower.
         return cls(
             base,
             base_positions,
             matrix.rows_from(fold),
-            matrix.col_ids[base.nnz :],
+            matrix.col_ids[base.nnz :].astype(np.intp, copy=False),
             fold,
+            matrix.values,
         )
 
     def row_lengths(self) -> np.ndarray:
-        """The number of entries of each entity."""
+        """The number of entries of each column."""
         n_cols = self.base.shape[0]
         return np.diff(self.base.indptr) + np.bincount(self.tail_cols, minlength=n_cols)
 
     def _gathered(
-        self, entities: np.ndarray
+        self, cols: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The entries of ``entities`` (distinct): the base's, entity by
-        entity, then the tail's, in row-major order, so each entity's come
-        in ascending row id. For each entry, the index of its entity in
-        ``entities`` and its row; and the indices of the entries into the
-        base's arrays and into the tail's, apart."""
-        base_at, lengths = _row_entries(self.base.indptr, entities)
-        slots = np.repeat(np.arange(len(entities)), lengths)
-        rows = self.base.indices[base_at]
+        """The entries of ``cols`` (distinct): the base's, column by column,
+        then the tail's, in row-major order, so each column's come in
+        ascending row id. For each entry, the index of its column in
+        ``cols`` and its row; and the indices of the entries into the base's
+        arrays and into the tail's, apart."""
+        base_at, lengths = _row_entries(self.base.indptr, cols)
+        slots = np.repeat(np.arange(len(cols)), lengths)
+        # intp: numpy indexes, counts and ``ufunc.at``s by int32 ids slowly.
+        rows = self.base.indices[base_at].astype(np.intp)
         if not len(self.tail_rows):
             return slots, rows, base_at, np.zeros(0, dtype=np.intp)
         # intp, as the base's slots: an int32 map gathers slower, its slots
         # cast when joined to those.
         slot_of = np.full(self.base.shape[0], -1)
-        slot_of[entities] = np.arange(len(entities))
+        slot_of[cols] = np.arange(len(cols))
         tail_slots = slot_of[self.tail_cols]
         tail_at = np.flatnonzero(tail_slots >= 0)
         slots = np.concatenate([slots, tail_slots[tail_at]])
         rows = np.concatenate([rows, self.tail_rows[tail_at]])
         return slots, rows, base_at, tail_at
 
-    def entries(
-        self, entities: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The entries of ``entities``' rows, in ``_gathered``'s order: for
-        each, its entity, its row and its row-major position."""
-        slots, rows, base_at, tail_at = self._gathered(entities)
+    def entries(self, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries of ``cols`` of a binary matrix's view, in
+        ``_gathered``'s order: for each, its column, its row and its
+        row-major position."""
+        slots, rows, base_at, tail_at = self._gathered(cols)
         positions = np.concatenate(
             [self.base_positions[base_at], self.base.nnz + tail_at]
         )
-        return entities[slots], rows, positions
+        return cols[slots], rows, positions
 
-    def row_max(self, entities: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Per row, the highest of 0 and the ``values`` (one per entity of
-        ``entities``) of the entities it holds. A max does not depend on the
+    def row_max(self, cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Per row, the highest of 0 and the ``values`` (one per column of
+        ``cols``) of the columns it holds. A max does not depend on the
         order in which the entries are read."""
-        slots, rows, _, _ = self._gathered(entities)
+        slots, rows, _, _ = self._gathered(cols)
         out = np.zeros(self.base.shape[1])
         np.maximum.at(out, rows, values[slots])
         return out
 
-    def best_rows(self, z: np.ndarray, entities: np.ndarray) -> np.ndarray:
-        """For each of ``entities`` (distinct), the row among its entries
-        with the highest ``z``, or -1 where it has none; ties go to the
-        lowest row id, whether the row is in the base or the tail:
-        ``np.maximum.at`` takes each entity's highest value, then
+    def best_rows(self, z: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """For each of ``cols`` (distinct), the row among its entries with
+        the highest ``z``, or -1 where it has none; ties go to the lowest
+        row id, whether the row is in the base or the tail:
+        ``np.maximum.at`` takes each column's highest value, then
         ``np.minimum.at`` its first entry that reaches it, which, as its
         entries come in ascending row id, holds the lowest such row."""
-        slots, rows, _, _ = self._gathered(entities)
+        slots, rows, _, _ = self._gathered(cols)
         values = z[rows]
-        top = np.full(len(entities), -np.inf)
+        top = np.full(len(cols), -np.inf)
         np.maximum.at(top, slots, values)
         reached = np.flatnonzero(values == top[slots])
-        first = np.full(len(entities), len(rows))
+        first = np.full(len(cols), len(rows))
         np.minimum.at(first, slots[reached], reached)
         return np.append(rows, -1)[first]
 
-    def row_major_dot(self, v: np.ndarray) -> np.ndarray:
-        """The product of the row-major incidence with ``v`` (one value per
-        entity), with the bits of scipy's CSR product of that incidence.
+    def row_major_terms(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The product of a row-major matrix with values with ``v`` (one
+        value per column) over the nonzero entries of ``v`` alone, term at
+        a time as an inverted file is read (Zobel and Moffat, ACM Computing
+        Surveys 2006), and each row's count of entries in those columns.
+        Each row sums from +0.0 in ascending column id."""
+        cols = np.flatnonzero(v)
+        slots, rows, base_at, tail_at = self._gathered(cols)
+        values = self.base.data[base_at]
+        if len(tail_at):
+            values = np.concatenate([values, self.values[self.base.nnz + tail_at]])
+        terms = v[cols][slots] * values
+        n_rows = self.base.shape[1]
+        # ``np.bincount`` of no entries gives integers, weighted or not.
+        sums = np.bincount(rows, terms, n_rows).astype(np.float64, copy=False)
+        return sums, np.bincount(rows, minlength=n_rows)
 
-        The base's transpose is scipy's CSC matrix over the same arrays, made
-        without a copy; its product adds each row's terms from +0.0 in
-        ascending entity id, as the CSR product does. The rows from ``fold``
-        on hold no base entry, and ``np.add.at`` adds their tail terms in
-        row-major order, which within a row is ascending entity id too.
-        """
+    def row_major_dot(self, v: np.ndarray) -> np.ndarray:
+        """The product of the row-major binary matrix with ``v``, with the
+        bits of scipy's CSR product: the base's transpose (scipy's CSC over
+        the same arrays) adds each row's terms from +0.0 in ascending column
+        id, and ``np.add.at`` the tail rows' in row-major order, which is
+        ascending column id too."""
         out = self._base_transposed @ v
         if len(self.tail_rows):
             np.add.at(out, self.tail_rows, v[self.tail_cols])
@@ -502,15 +510,11 @@ class EntityMajor:
         return self.base.T
 
     def dot(self, z: np.ndarray) -> np.ndarray:
-        """The product with ``z``, with the bits of a product with the whole
-        entity-major matrix as one CSR.
-
-        scipy's CSR product sums each row from +0.0 in the order of its
-        entries, each term 1.0 times ``z``. ``np.add.at`` then adds the
-        tail's terms one by one in row-major order, which for each entity is
-        ascending row id, so each sum continues as it would over the
-        entity's whole row.
-        """
+        """The product of the binary matrix's transpose with ``z``, with the
+        bits of the whole view's CSR product: scipy sums each column's base
+        terms from +0.0 in ascending row id, and ``np.add.at`` continues
+        each sum with its tail terms in row-major order, ascending row id
+        too."""
         out = self.base @ z
         if len(self.tail_rows):
             np.add.at(out, self.tail_cols, z[self.tail_rows])
@@ -552,14 +556,10 @@ def add_passages(graph: TriGraph, new_slice: Corpus) -> TriGraph:
     sentence table among them), its passage tuple and its entity registry
     are copied into the result, so ``graph`` is never changed
     (``evalbench.append_costs`` measures this call by stage).
-    The entity-major views the result makes on first use are derived from
-    those ``graph`` has made, or else from those it would derive its own
-    from, with no new transposition of a whole incidence until a tail
-    passes ``FOLD_FRACTION`` (see ``EntityMajor``). They hold no values, so
-    no degree change patches them: PageRank's B is applied as scalings of
-    C by the degree roots, which the result computes anew
-    (``TriGraph.degree_roots``), around products with C and C^T that both
-    read the entity-major contain view. Nothing converts C itself.
+    The result's entity-major views derive from ``graph``'s on first use,
+    with no transposition of a whole incidence until a tail passes
+    ``FOLD_FRACTION`` (``SparseBinaryMatrix.by_column``). They hold no
+    degrees: the result computes its degree roots anew.
 
     The slice's passage and sentence ids must continue the graph's dense id
     ranges. The result equals a full rebuild over the concatenated corpus.
@@ -586,9 +586,7 @@ def add_passages(graph: TriGraph, new_slice: Corpus) -> TriGraph:
         ),
         skipped=graph.corpus.skipped + new_slice.skipped,
     )
-    grown = _grow(graph, new_slice, merged_corpus)
-    grown._grown_from = graph._operators()
-    return grown
+    return _grow(graph, new_slice, merged_corpus)
 
 
 def _empty_graph(contract: ExtractorContract) -> TriGraph:

@@ -1,23 +1,26 @@
 """The sparse indexes of a store's vectors (``EmbeddingStore.sparse_rows``)
-and the query similarities scored through them (``retrieval._similarities``):
-bit for bit the full scan's, on the full scan wherever the index cannot
-serve, grown along any tree of extends as a fresh derivation of the grown
-rows, leaving every parent's index as it was, and loaded from the vector
-files as a build derives it."""
+and the query similarities scored term at a time through their
+column-major views (``retrieval._similarities``): bit for bit the full
+scan's, on the full scan wherever the index cannot serve, grown along any
+tree of extends as a fresh derivation of the grown rows, leaving every
+parent's index and view as they were, and loaded from the vector files as
+a build derives them."""
 
 from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
 import pytest
+from scipy import sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from linearrag import embedding, retrieval
+from linearrag import embedding, retrieval, trigraph
 from linearrag.corpus import corpus_from_records
 from linearrag.embedding import (
     VECTOR_KINDS,
     HashEncoder,
+    RotatedEncoder,
     build_store,
     extend_store,
     load_store,
@@ -82,25 +85,45 @@ def scored_rows(draw):
     scored_rows(),
     st.sampled_from([0.0, retrieval.GATHER_SHARE, 1.0]),
     st.integers(0, 3),
+    st.integers(0, 3),
+    st.sampled_from([0.0, 100.0]),
 )
 def test_sparse_scores_have_the_full_scans_bits(
-    rows_and_query, gather_share, left_out
+    rows_and_query, gather_share, left_out, grown, fold_fraction
 ):
-    """Rows with 0, 1 or 2 products from the sparse product, the others and
+    """Rows with 0, 1 or 2 products summed term at a time, the others and
     the rows past an index of a prefix gathered, or all scanned once the
-    gathered rows pass the share: every score has the bits of
-    ``_similarities``' full scan."""
+    gathered rows pass the share. The index is grown by its last rows from
+    the index of a shorter prefix, whose view its own derives from: with
+    those rows as its tail (fold fraction 100), or folded into its base
+    (0). Every score has the bits of ``_similarities``' full scan, and each
+    row's count of shared entries is the count a product of its pattern of
+    ones with the query's nonzero entries gives."""
     vectors, query_vec = rows_and_query
     covered = max(len(vectors) - left_out, 0)
+    parent = max(covered - grown, 0)
     with mock.patch.object(embedding, "DENSITY_CUT", 1.0):
-        index = sparse_rows(vectors[:covered])
+        prefix = sparse_rows(vectors[:parent])
+        prefix.by_column
+        index = sparse_rows(vectors[:covered], prefix)
     assert index is not None
+    with mock.patch.object(trigraph, "FOLD_FRACTION", fold_fraction):
+        view = index.by_column
+    tailed = index.nnz - prefix.nnz <= fold_fraction * prefix.nnz
+    assert view.fold == (parent if tailed else covered)
+    pattern = sp.csr_matrix(
+        (np.ones(index.nnz, dtype=np.float32), index.col_ids, index.indptr),
+        shape=(covered, vectors.shape[1]),
+    )
+    counts = view.row_major_terms(query_vec)[1]
+    assert np.array_equal(counts, pattern @ (query_vec != 0.0).astype(np.float32))
     with mock.patch.object(retrieval, "GATHER_SHARE", gather_share):
         scores, dense_rows = _scored(vectors, query_vec, index)
     assert same_bits(scores, _similarities(vectors, query_vec))
     # A stored -0.0 meeting a nonzero query entry counts as a product too.
     marked = vectors.view(np.uint32) != 0
     products = (marked & (query_vec != 0)).sum(axis=1)
+    assert np.array_equal(counts, products[:covered])
     products[covered:] = 3
     gathered = int(np.count_nonzero(products >= 3))
     scanned = gathered > gather_share * len(vectors)
@@ -149,7 +172,37 @@ def test_rows_the_index_cannot_hold_are_scanned():
 
 
 def index_arrays(index):
-    return [] if index is None else [index.indptr, index.cols, index.data, index.ones]
+    """Every array of an index, and of its view once made."""
+    if index is None:
+        return []
+    arrays = [index.indptr, index.col_ids, index.values]
+    view = index._view
+    if view is not None:
+        base = view.base
+        arrays += [base.data, base.indices, base.indptr]
+        arrays += [view.tail_rows, view.tail_cols]
+    return arrays
+
+
+def view_entries(view):
+    """Each entry of a view of a matrix with values: its column, row and
+    value, sorted."""
+    slots, rows, base_at, tail_at = view._gathered(np.arange(view.base.shape[0]))
+    values = [view.base.data[base_at], view.values[view.base.nnz + tail_at]]
+    return sorted(zip(slots.tolist(), rows.tolist(), np.concatenate(values).tolist()))
+
+
+def assert_view_is_a_fresh_derivation(view, fresh, rng):
+    """The two views hold the same entries, and score a query of random
+    float32 values on every column with the same bits and counts."""
+    everyone = np.arange(fresh.base.shape[0])
+    assert view.base_positions is fresh.base_positions is None
+    assert view_entries(view) == view_entries(fresh)
+    query_vec = rng.standard_normal(len(everyone)).astype(np.float32)
+    terms = view.row_major_terms(query_vec.astype(np.float64))
+    fresh_terms = fresh.row_major_terms(query_vec.astype(np.float64))
+    for mine, theirs in zip(terms, fresh_terms):
+        assert same_bits(mine, theirs)
 
 
 @settings(
@@ -167,28 +220,36 @@ def index_arrays(index):
         max_size=8,
     ),
     tail_rows=st.sampled_from([0, 3, embedding.TAIL_ROWS]),
+    fold_fraction=st.sampled_from([0.0, trigraph.FOLD_FRACTION, 100.0]),
 )
 def test_extended_indexes_equal_a_fresh_derivation_and_leave_parents_intact(
-    root, steps, tail_rows
+    root, steps, tail_rows, fold_fraction
 ):
     """A tree of extends: each step extends a random earlier store, the tip
-    or not, whose indexes were made or not. Every store's index of a kind
-    equals a fresh derivation from the rows it holds, a prefix that leaves
-    at most ``TAIL_ROWS`` rows out, and making them changes no byte of an
-    earlier store's indexes. The similarities scored through them, rows
-    left out included, have the full scan's bits."""
+    or not, whose indexes and their views were made or not. Every store's
+    index of a kind equals a fresh derivation from the rows it holds, a
+    prefix that leaves at most ``TAIL_ROWS`` rows out; its view, derived
+    from an ancestor's with the rows past that one as its tail, or folded,
+    equals a fresh view of that index. Making them changes no byte of an
+    earlier store's indexes or views. The similarities scored through them,
+    rows left out included, have the full scan's bits. A fold fraction of 0
+    folds every view, 100 none."""
     with mock.patch.object(embedding, "TAIL_ROWS", tail_rows):
-        extend_tree(root, steps, tail_rows)
+        with mock.patch.object(trigraph, "FOLD_FRACTION", fold_fraction):
+            extend_tree(root, steps, tail_rows)
 
 
 def extend_tree(root, steps, tail_rows):
+    rng = np.random.default_rng(len(steps))
     graph = build(corpus_from_records(records([POOL[i] for i in root])))
     nodes = [(graph, build_store(graph, ENCODER))]
     snapshots = []  # (index, copies of its arrays)
     for pick, picks, query_parent in steps:
         graph, store = nodes[pick % len(nodes)]
         if query_parent:
+            query_vec = store.encode_query(" ".join(POOL[:2]))
             for kind in VECTOR_KINDS:
+                _kind_scores(store, kind, query_vec)
                 index = store.sparse_rows(kind)
                 snapshots.append((index, [a.copy() for a in index_arrays(index)]))
         slice_ = corpus_from_records(
@@ -204,9 +265,13 @@ def extend_tree(root, steps, tail_rows):
             index, rows = store.sparse_rows(kind), getattr(store, kind)
             assert index is not None, kind
             assert 0 <= len(rows) - index.n_rows <= tail_rows, kind
-            assert index == sparse_rows(rows[: index.n_rows]), kind
+            fresh = sparse_rows(rows[: index.n_rows])
+            assert index == fresh, kind
             scores = _kind_scores(store, kind, query_vec)[0]
             assert same_bits(scores, _similarities(rows, query_vec)), kind
+            assert_view_is_a_fresh_derivation(
+                index.by_column, fresh.by_column, rng
+            )
         for index, copies in snapshots:
             for now, then in zip(index_arrays(index), copies):
                 assert same_bits(now, then)
@@ -251,3 +316,19 @@ def test_loaded_indexes_equal_built_ones(tmp_path_factory, cuts, dim):
     with underived if dim == 128 else nullcontext():
         assert [loaded.sparse_rows(kind) for kind in VECTOR_KINDS] == expected
     assert expected[2] is None if dim == 8 else all(expected)
+
+
+def test_a_dense_stand_in_store_keeps_no_index_and_scores_the_whole_product():
+    """Rows of the rotated encoder hold every entry, so no kind keeps a
+    sparse index, and each kind's similarities, scanned whole, have the
+    bits of the whole float64 product."""
+    graph = build(corpus_from_records(records(POOL)))
+    store = build_store(graph, RotatedEncoder(dim=64, seed=5))
+    query_vec = store.encode_query(" ".join(POOL[:2]))
+    assert np.count_nonzero(query_vec) == len(query_vec)
+    for kind in VECTOR_KINDS:
+        vectors = getattr(store, kind)
+        assert store.sparse_rows(kind) is None, kind
+        scores, dense_rows = _kind_scores(store, kind, query_vec)
+        assert dense_rows == len(vectors) > 0
+        assert same_bits(scores, vectors.astype(np.float64) @ query_vec), kind

@@ -45,6 +45,11 @@ first size to the last, per passage for the index path
 
     python3 tools/stage_costs.py --passages 3000 12000 --out result.json
 
+``--encoder`` names the encoder by its contract id, ``hash:256:0`` (the
+benchmark's) by default; ``rotated:256:0`` is the dense stand-in
+(``embedding.RotatedEncoder``), whose kinds keep no sparse index and are
+scanned whole.
+
 OpenBLAS is pinned to one thread, as in the benchmark.
 """
 
@@ -68,7 +73,7 @@ import numpy as np  # noqa: E402
 from inputs import make_inputs, make_slice  # noqa: E402
 from linearrag import evalbench  # noqa: E402
 from linearrag.corpus import corpus_from_records  # noqa: E402
-from linearrag.embedding import HashEncoder, extend_store  # noqa: E402
+from linearrag.embedding import extend_store, resolve_encoder  # noqa: E402
 from linearrag.retrieval import (  # noqa: E402
     activate,
     passage_seed_scores,
@@ -139,11 +144,10 @@ def answers_sha256(graph, store, questions, slices) -> str:
     return digest.hexdigest()
 
 
-def measure(n_passages: int, directory: Path) -> dict:
+def measure(n_passages: int, directory: Path, encoder) -> dict:
     inputs = make_inputs(SEED, n_passages)
     corpus_path = directory / "corpus.jsonl"
     evalbench.write_corpus_jsonl(inputs.corpus, corpus_path)
-    encoder = HashEncoder(dim=ENCODER_DIM, seed=ENCODER_SEED)
     index_dir = directory / "index"
     index, graph, store = evalbench.index_costs(
         corpus_path, index_dir, encoder, INDEX_REPS
@@ -176,6 +180,7 @@ def measure(n_passages: int, directory: Path) -> dict:
     )
     return {
         "seed": SEED,
+        "encoder": encoder.contract.id,
         "passages": n_passages,
         "index": index,
         "query": query,
@@ -188,11 +193,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--passages", type=int, nargs="+", default=[3000])
     parser.add_argument("--out", type=Path, default=None)
+    parser.add_argument("--encoder", default=f"hash:{ENCODER_DIM}:{ENCODER_SEED}")
     args = parser.parse_args(argv)
+    encoder = resolve_encoder(args.encoder)
+    if encoder is None:
+        parser.error(f"no registered encoder builds {args.encoder!r}")
     results = []
     for n in args.passages:
         with tempfile.TemporaryDirectory() as directory:
-            results.append(measure(n, Path(directory)))
+            results.append(measure(n, Path(directory), encoder))
         print(json.dumps(results[-1]))
     if len(results) > 1:
         first, last = results[0], results[-1]
