@@ -58,6 +58,7 @@ from .retrieval import (
     RankedPassages,
     RetrievalConfig,
     _kind_scores,
+    _query_terms,
     retrieve,
 )
 from .trigraph import (
@@ -924,7 +925,7 @@ def _scored_as_scanned(
     support = perturbed != 0.0
     perturbed[support] = rng.standard_normal(support.sum()).astype(np.float32)
     return all(
-        _kind_scores(store, kind, q)[0].tobytes()
+        _kind_scores(store, kind, q, _query_terms(q))[0].tobytes()
         == (getattr(store, kind).astype(np.float64) @ q).tobytes()
         for q in (query_vec, perturbed)
         for kind in VECTOR_KINDS

@@ -7,15 +7,22 @@ activation among frontier entities they mention, aggregates the gated
 sentence mass back onto entities, keeps only candidates whose new mass
 exceeds the pruning threshold, and folds them in with an elementwise MAX,
 so activations only ever grow. Propagation stops when no candidate
-survives pruning or the hop cap is reached. One entity-major view of the
-mention incidence (``TriGraph.mention_by_entity``) serves all three steps:
-the gate is a max over the frontier entities' entries
-(``ColumnMajor.row_max``), the candidate mass is the view's product with
-the gated sentence mass, and the trace (one row per entity) records, for
-each entity a hop first activates, the sentence of its entries holding the
-most mass (``ColumnMajor.best_rows``, with no sort). How the view is laid
-out is ``trigraph``'s concern alone. Hop 0 scores the query similarity of
-every sentence, once, when any entity seeds.
+survives pruning or the hop cap is reached. One array core (``_hop``)
+does a hop's arithmetic, and one loop (``_hops``) holds the stopping rule,
+for every caller. One entity-major view of the mention incidence
+(``TriGraph.mention_by_entity``) serves the hop: the gate is a max over the
+frontier entities' entries (``ColumnMajor.row_max``), and the candidate
+mass is the view's product with the gated sentence mass. Hop 0 scores the
+query similarity of every sentence, once, when any entity seeds.
+
+The activation trace (one row per entity) records, for each entity a hop
+first activates, that hop and the sentence of its entries holding the most
+mass (``ColumnMajor.best_rows``, with no sort). The public stages build it:
+``initial_activation`` its seed rows, ``propagate`` and ``activate`` a row
+for each entity a hop first activates. ``retrieve`` ranks passages alone,
+so it builds no trace, no per-hop state and no frontier set, and PPR's
+entity block is left out of its solve. How the view is laid out is
+``trigraph``'s concern alone.
 
 Stage 2 ranks passages: activated entities and a hybrid passage seed (a
 small query-similarity term plus a log-damped sum of activated-entity
@@ -24,7 +31,8 @@ products with C and C^T use too, ``TriGraph.contain_by_entity``) form the
 reset distribution of a personalized PageRank on the undirected
 passage-entity bipartite graph. ``ppr`` solves its fixed point as a linear
 system, by conjugate gradient on the passage block, to an L1 residual below
-``ppr_tol`` in at most ``ppr_max_iters`` steps. Passages are returned in
+``ppr_tol`` in at most ``ppr_max_iters`` steps, and derives the entity
+block from the passage block. Passages are returned in
 descending importance, ties broken by id; the top k are selected by
 partition, so only the k highest scores and those tied with the k-th are
 sorted.
@@ -38,8 +46,11 @@ their dense rows, cast a block at a time along each row's path through the
 whole product (``_row_similarities``). So a query's similarity cost
 follows the entries of its buckets, not the kind's.
 
-``retrieve`` is the one place these stages run in sequence; each result it
-returns carries their times and the PPR solve's outcome (``QueryStats``).
+``retrieve`` is the one place these stages run in sequence, through the
+same private cores as the public stages, computing only what it returns;
+each result it returns carries their times and the PPR solve's outcome
+(``QueryStats``). Its answers keep the bits of ``activate``,
+``passage_seed_scores``, the passage block of ``ppr`` and a sort.
 
 Nothing in this module performs network I/O or calls a text generator.
 """
@@ -51,7 +62,7 @@ import math
 import numbers
 import time
 from dataclasses import dataclass, field, fields
-from typing import Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -264,18 +275,29 @@ def _similarities(
     ``GATHER_SHARE`` of them, when there is no index, or when the query
     vector is not finite float32.
     """
-    return _scored(vectors, query_vec, index)[0]
+    return _scored(vectors, query_vec, index, _query_terms(query_vec))[0]
+
+
+def _query_terms(query_vec: np.ndarray) -> np.ndarray | None:
+    """The nonzero columns of ``query_vec``, which a sparse index reads to
+    score it, or None when it is not finite float32 and every row must be
+    scanned. A query's kinds share them, so it finds them once."""
+    return np.flatnonzero(query_vec) if _float32_valued(query_vec) else None
 
 
 def _scored(
-    vectors: np.ndarray, query_vec: np.ndarray, index: SparseRows | None
+    vectors: np.ndarray,
+    query_vec: np.ndarray,
+    index: SparseRows | None,
+    terms: np.ndarray | None,
 ) -> tuple[np.ndarray, int]:
-    """``_similarities``, and how many rows it scored by float64 dot
-    products: those it gathered, or all of them."""
+    """``_similarities``, given the query's ``_query_terms``, and how many
+    rows it scored by float64 dot products: those it gathered, or all of
+    them."""
     n_rows = len(vectors)
-    if index is None or not _float32_valued(query_vec):
+    if index is None or terms is None:
         return _row_similarities(vectors, query_vec), n_rows
-    scores, counts = index.by_column.row_major_terms(query_vec)
+    scores, counts = index.by_column.row_major_terms(query_vec, terms)
     rows = np.flatnonzero(counts >= 3)
     if index.n_rows < n_rows:  # rows past the index, all gathered
         scores = np.concatenate([scores, np.empty(n_rows - index.n_rows)])
@@ -354,61 +376,104 @@ def initial_activation(
     the seeds' trace rows (hop 0). The query-sentence similarities are
     scored whole if any entity seeds, for the hops that may follow."""
     q = store.encode_query(query)
-    entity_sims, dense_rows = _kind_scores(store, "entity_vectors", q)
-    a = np.where(entity_sims > max(cfg.entity_sim_threshold, 0.0), entity_sims, 0.0)
-    frontier = frozenset(np.flatnonzero(a > 0.0).tolist())
-    if frontier:
-        sigma, sentence_rows = _kind_scores(store, "sentence_vectors", q)
-        dense_rows += sentence_rows
-    else:
-        sigma = np.zeros(len(store.sentence_vectors))
-    trace = np.where(a[:, None] > 0.0, np.int64([0, -1]), -1)
+    a, sigma, dense_rows = _hop_zero(store, q, _query_terms(q), cfg)
     return ActivationState(
         a=a,
         sigma=sigma,
         hop=0,
-        frontier=frontier,
-        trace=trace,
+        frontier=frozenset(np.flatnonzero(a > 0.0).tolist()),
+        trace=np.where(a[:, None] > 0.0, np.int64([0, -1]), -1),
         query_vec=q,
         dense_rows=dense_rows,
     )
 
 
+def _hop_zero(
+    store: EmbeddingStore,
+    query_vec: np.ndarray,
+    terms: np.ndarray | None,
+    cfg: RetrievalConfig,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """``initial_activation``'s activations and sentence similarities, and
+    the rows it scored by dot products, given the query's terms."""
+    entity_sims, dense_rows = _kind_scores(store, "entity_vectors", query_vec, terms)
+    a = np.where(entity_sims > max(cfg.entity_sim_threshold, 0.0), entity_sims, 0.0)
+    if np.any(a > 0.0):
+        sigma, sentence_rows = _kind_scores(store, "sentence_vectors", query_vec, terms)
+        dense_rows += sentence_rows
+    else:
+        sigma = np.zeros(len(store.sentence_vectors))
+    return a, sigma, dense_rows
+
+
 def _kind_scores(
-    store: EmbeddingStore, kind: str, query_vec: np.ndarray
+    store: EmbeddingStore, kind: str, query_vec: np.ndarray, terms: np.ndarray | None
 ) -> tuple[np.ndarray, int]:
     """``_scored`` for the store's vectors of ``kind``, through their
     sparse index."""
-    return _scored(getattr(store, kind), query_vec, store.sparse_rows(kind))
+    return _scored(getattr(store, kind), query_vec, store.sparse_rows(kind), terms)
 
 
 def propagate(
     state: ActivationState, graph: TriGraph, cfg: RetrievalConfig
 ) -> ActivationState:
-    """One bridging hop; a no-op when the frontier is empty.
+    """One bridging hop (``_hop``, as ``activate`` and ``retrieve`` take
+    it), with a trace row for each entity it activates first; a no-op when
+    the frontier is empty.
 
     Candidate mass below the pruning threshold is discarded entirely, so
     with delta = +inf the state's activations never change.
     """
     if not state.frontier:
         return state
+    frontier = np.fromiter(state.frontier, dtype=np.intp, count=len(state.frontier))
+    return _traced(state, graph, *_hop(graph, state.a, state.sigma, frontier, cfg))
+
+
+def _hop(
+    graph: TriGraph,
+    a: np.ndarray,
+    sigma: np.ndarray,
+    frontier: np.ndarray,
+    cfg: RetrievalConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One bridging hop from the activations ``a`` and the ``frontier``
+    entities (distinct, in any order): the new activations, the entities
+    whose activation rose (ascending), and the gated sentence mass ``u``
+    they were drawn from. ``propagate``, ``activate`` and ``retrieve`` all
+    hop through it."""
     op = graph.mention_by_entity
-    gate = _frontier_gate(graph, state.a, state.frontier)
-    u = state.sigma * gate
+    u = sigma * _frontier_gate(graph, a, frontier)
     candidates = op.dot(u)
-
     retained = candidates > cfg.delta
-    a_new = np.where(retained, np.maximum(candidates, state.a), state.a)
-    changed = np.flatnonzero(a_new > state.a)
-    hop = state.hop + 1
+    a_new = np.where(retained, np.maximum(candidates, a), a)
+    return a_new, np.flatnonzero(a_new > a), u
 
+
+def _frontier_gate(graph: TriGraph, a: np.ndarray, frontier: np.ndarray) -> np.ndarray:
+    """Per sentence, the highest activation (floored at 0) among the
+    ``frontier`` entities it mentions; 0 where it mentions none."""
+    return graph.mention_by_entity.row_max(frontier, np.maximum(a[frontier], 0.0))
+
+
+def _traced(
+    state: ActivationState,
+    graph: TriGraph,
+    a: np.ndarray,
+    changed: np.ndarray,
+    u: np.ndarray,
+) -> ActivationState:
+    """The state after ``state`` by a hop that gave ``_hop``'s ``a``,
+    ``changed`` and ``u``, with a trace row for each entity it activates
+    first."""
+    hop = state.hop + 1
     trace = state.trace.copy()
     entering = changed[trace[changed, 0] < 0]
     if len(entering):
         trace[entering, 0] = hop
-        trace[entering, 1] = op.best_rows(u, entering)
+        trace[entering, 1] = graph.mention_by_entity.best_rows(u, entering)
     return ActivationState(
-        a=a_new,
+        a=a,
         sigma=state.sigma,
         hop=hop,
         frontier=frozenset(changed.tolist()),
@@ -418,32 +483,30 @@ def propagate(
     )
 
 
-def _frontier_gate(
-    graph: TriGraph, a: np.ndarray, frontier: frozenset[int]
-) -> np.ndarray:
-    """Per sentence, the highest activation (floored at 0) among the
-    frontier entities it mentions; 0 where it mentions none."""
-    entities = np.fromiter(frontier, dtype=np.intp, count=len(frontier))
-    return graph.mention_by_entity.row_max(entities, np.maximum(a[entities], 0.0))
+def _hops(
+    graph: TriGraph, a: np.ndarray, sigma: np.ndarray, cfg: RetrievalConfig
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``_hop`` after hop 0, whose activations are ``a``, one counted hop
+    at a time: until a hop activates nothing, which is not counted, or the
+    hop cap is reached."""
+    frontier = np.flatnonzero(a > 0.0)
+    for _ in range(cfg.max_hops if len(frontier) else 0):
+        a, frontier, u = _hop(graph, a, sigma, frontier, cfg)
+        if not len(frontier):
+            return
+        yield a, frontier, u
 
 
 def activate(
     query: str, graph: TriGraph, store: EmbeddingStore, cfg: RetrievalConfig
 ) -> ActivationState:
     """Stage-1 driver: propagate until pruning exhausts the frontier or the
-    hop cap is reached. A hop that activates nothing is not counted."""
-    return _spread(initial_activation(query, graph, store, cfg), graph, cfg)
-
-
-def _spread(
-    state: ActivationState, graph: TriGraph, cfg: RetrievalConfig
-) -> ActivationState:
-    """``activate``'s hops after hop 0."""
-    while state.hop < cfg.max_hops and state.frontier:
-        advanced = propagate(state, graph, cfg)
-        if not advanced.frontier:
-            return state
-        state = advanced
+    hop cap is reached. A hop that activates nothing is not counted. Its
+    hops are ``retrieve``'s (``_hops``), each recorded in the returned
+    state's trace, as ``propagate`` records one."""
+    state = initial_activation(query, graph, store, cfg)
+    for hop in _hops(graph, state.a, state.sigma, cfg):
+        state = _traced(state, graph, *hop)
     return state
 
 
@@ -456,26 +519,29 @@ def passage_seed_scores(
 ) -> np.ndarray:
     """Hybrid passage seeds: clamped query similarity mixed with log-damped
     activated-entity occurrence mass, summed per passage in entity order."""
-    psim = _kind_scores(store, "passage_vectors", state.query_vec)[0]
-    return _seeds(psim, state, graph, levels, cfg)
+    q = state.query_vec
+    psim = _kind_scores(store, "passage_vectors", q, _query_terms(q))[0]
+    return _seeds(psim, state.a, graph, levels, cfg)
 
 
 def _seeds(
     psim: np.ndarray,
-    state: ActivationState,
+    a: np.ndarray,
     graph: TriGraph,
     levels: EntityLevel | None,
     cfg: RetrievalConfig,
 ) -> np.ndarray:
-    """``passage_seed_scores`` given the passages' query similarities."""
-    level_arr = (levels or EntityLevel()).as_array(graph.n_entities)
+    """``passage_seed_scores`` given the passages' query similarities and
+    the activations ``a``."""
     # Each passage's entries lie in one part of the entity-major view, so
     # each passage sums its terms in ascending entity id.
     entities, passages, positions = graph.contain_by_entity.entries(
-        state.activated_entities()
+        np.flatnonzero(a > 0.0)
     )
     log_counts = np.log1p(graph.occurrence_counts[positions])
-    contributions = state.a[entities] * log_counts / level_arr[entities]
+    contributions = a[entities] * log_counts
+    if levels is not None:  # x / 1.0 == x, so no levels divide by nothing
+        contributions /= levels.as_array(graph.n_entities)[entities]
     inner = np.bincount(passages, weights=contributions, minlength=graph.n_passages)
     return (cfg.lambda_ * np.maximum(psim, 0.0) + np.log1p(inner)) * cfg.passage_weight
 
@@ -515,14 +581,20 @@ def ppr(
     ``cfg.ppr_tol``, or after ``cfg.ppr_max_iters`` steps, with a logged
     warning. ``retrieve`` reports the step count and that residual in its
     result's ``QueryStats``.
+
+    The solve gives the passage block; this adds the entity block, z_e
+    from z_p by one more product with C^T. ``retrieve`` ranks passages
+    alone and leaves it out.
     """
-    return _solve_ppr(graph, entity_seeds, passage_seeds, cfg)[0]
+    passages, _, _, entities = _solve_ppr(graph, entity_seeds, passage_seeds, cfg)
+    return np.concatenate([passages, entities()])
 
 
 def _solve_ppr(
     graph: TriGraph, entity_seeds, passage_seeds, cfg: RetrievalConfig
-) -> tuple[np.ndarray, int, float]:
-    """``ppr``'s result, with its step count and final L1 residual."""
+) -> tuple[np.ndarray, int, float, Callable[[], np.ndarray]]:
+    """The passage block of ``ppr``'s result, with its step count and final
+    L1 residual, and a function that computes its entity block."""
     n_p, n_e = graph.n_passages, graph.n_entities
     r = np.concatenate(
         [
@@ -543,7 +615,8 @@ def _solve_ppr(
     r = r / total
 
     sqrt_deg, inverse = graph.degree_roots
-    sqrt_dp, inv_dp, inv_de = sqrt_deg[:n_p], inverse[:n_p], inverse[n_p:]
+    sqrt_dp, sqrt_de = sqrt_deg[:n_p], sqrt_deg[n_p:]
+    inv_dp, inv_de = inverse[:n_p], inverse[n_p:]
     contain = graph.contain_by_entity
 
     def b_mat(v: np.ndarray) -> np.ndarray:
@@ -558,8 +631,8 @@ def _solve_ppr(
 
     d = cfg.damping
     base = (1.0 - d) * r
-    b = base * inverse  # 0 for a node of degree 0
-    b_p, b_e = b[:n_p], b[n_p:]
+    b_p = base[:n_p] * inv_dp  # 0 for a node of degree 0
+    b_e = base[n_p:] * inv_de
 
     z_p = np.zeros(n_p)
     residual = b_p + d * b_mat(b_e)
@@ -588,9 +661,12 @@ def _solve_ppr(
             cfg.ppr_tol,
         )
 
-    z_e = b_e + d * b_t(z_p)
-    z = np.concatenate([z_p, z_e])
-    return np.where(sqrt_deg > 0.0, sqrt_deg * z, base), steps, float(residual_l1)
+    def entities() -> np.ndarray:
+        z_e = b_e + d * b_t(z_p)
+        return np.where(sqrt_de > 0.0, sqrt_de * z_e, base[n_p:])
+
+    passages = np.where(sqrt_dp > 0.0, sqrt_dp * z_p, base[:n_p])
+    return passages, steps, float(residual_l1), entities
 
 
 def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
@@ -612,7 +688,8 @@ def dense_ranking(
     query_vec: np.ndarray, store: EmbeddingStore, top_k: int
 ) -> list[tuple[int, float]]:
     """Cosine-only passage ranking (the dense fallback)."""
-    return _ranking(_kind_scores(store, "passage_vectors", query_vec)[0], top_k)
+    terms = _query_terms(query_vec)
+    return _ranking(_kind_scores(store, "passage_vectors", query_vec, terms)[0], top_k)
 
 
 def _ranking(scores: np.ndarray, top_k: int) -> list[tuple[int, float]]:
@@ -627,7 +704,12 @@ def retrieve(
     levels: EntityLevel | None = None,
 ) -> RankedPassages:
     """Full pipeline: activate, seed, aggregate importance, rank top-k;
-    the result's ``stats`` says what each stage cost."""
+    the result's ``stats`` says what each stage cost.
+
+    It hops as ``activate`` does, without the activation trace, and solves
+    PPR's passage block alone, without the entity block ``ppr`` adds: so
+    its answers equal those of the public stages called one by one, at
+    less cost."""
     cfg = cfg or RetrievalConfig()
     if not store.matches(graph):
         raise ConfigError("embedding store row counts do not match the graph")
@@ -642,20 +724,21 @@ def retrieve(
         stage_ms[stage] = (now - tick) * 1e3
         tick = now
 
-    state = initial_activation(query, graph, store, cfg)
+    q = store.encode_query(query)
+    terms = _query_terms(q)
+    a, sigma, dense_rows = _hop_zero(store, q, terms, cfg)
     lap("initial_activation")
-    state = _spread(state, graph, cfg)
+    hops = 0
+    for a, _, _ in _hops(graph, a, sigma, cfg):
+        hops += 1
     lap("propagate")
-    active = state.a > 0.0
+    active = a > 0.0
     fallback = not active.any()
 
-    dense_rows = state.dense_rows
     if fallback:
         top = []
         if cfg.fallback == "dense":
-            scores, passage_rows = _kind_scores(
-                store, "passage_vectors", state.query_vec
-            )
+            scores, passage_rows = _kind_scores(store, "passage_vectors", q, terms)
             top = _ranking(scores, cfg.top_k)
             dense_rows += passage_rows
         items = [
@@ -665,13 +748,12 @@ def retrieve(
         lap("dense_ranking")
         stats = QueryStats(stage_ms, dense_rows=dense_rows)
     else:
-        psim, passage_rows = _kind_scores(store, "passage_vectors", state.query_vec)
-        passage_seeds = _seeds(psim, state, graph, levels, cfg)
+        psim, passage_rows = _kind_scores(store, "passage_vectors", q, terms)
+        passage_seeds = _seeds(psim, a, graph, levels, cfg)
         dense_rows += passage_rows
         lap("passage_seed_scores")
-        importance, steps, residual_l1 = _solve_ppr(graph, state.a, passage_seeds, cfg)
+        scores, steps, residual_l1, _ = _solve_ppr(graph, a, passage_seeds, cfg)
         lap("ppr")
-        scores = importance[: graph.n_passages]
         items = [
             RankedPassage(
                 passage_id=int(pid),
@@ -693,7 +775,7 @@ def retrieve(
     return RankedPassages(
         items=tuple(items),
         query_echo=query,
-        hops_used=state.hop,
+        hops_used=hops,
         fallback_used=fallback,
         stats=stats,
     )

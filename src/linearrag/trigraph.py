@@ -475,13 +475,15 @@ class ColumnMajor:
         np.minimum.at(first, slots[reached], reached)
         return np.append(rows, -1)[first]
 
-    def row_major_terms(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def row_major_terms(
+        self, v: np.ndarray, cols: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
         """The product of a row-major matrix with values with ``v`` (one
-        value per column) over the nonzero entries of ``v`` alone, term at
-        a time as an inverted file is read (Zobel and Moffat, ACM Computing
-        Surveys 2006), and each row's count of entries in those columns.
-        Each row sums from +0.0 in ascending column id."""
-        cols = np.flatnonzero(v)
+        value per column) over the entries of ``v`` at ``cols`` alone, its
+        nonzero ones in ascending order, term at a time as an inverted file
+        is read (Zobel and Moffat, ACM Computing Surveys 2006), and each
+        row's count of entries in those columns. Each row sums from +0.0 in
+        ascending column id."""
         slots, rows, base_at, tail_at = self._gathered(cols)
         values = self.base.data[base_at]
         if len(tail_at):

@@ -155,7 +155,8 @@ def test_blockwise_similarities_equal_whole_matrix_cast(n_rows):
 def test_gate_mass_and_best_sentence_equal_scalar_code(graph_rng, data):
     graph, rng = graph_rng
     state = random_state(graph, rng)
-    gate = _frontier_gate(graph, state.a, state.frontier)
+    frontier_ids = np.array(sorted(state.frontier), dtype=np.intp)
+    gate = _frontier_gate(graph, state.a, frontier_ids)
     assert np.array_equal(gate, scalar_gate(graph, state.a, state.frontier))
 
     u = state.sigma * gate
@@ -356,7 +357,8 @@ def test_frontier_entities_without_mentions(frontier):
         trace=seed_trace(4, frontier),
         query_vec=np.zeros(8),
     )
-    gate = _frontier_gate(graph, state.a, state.frontier)
+    frontier_ids = np.array(sorted(state.frontier), dtype=np.intp)
+    gate = _frontier_gate(graph, state.a, frontier_ids)
     assert np.array_equal(gate, scalar_gate(graph, state.a, state.frontier))
     u = state.sigma * gate
     changed = np.ones(4, dtype=bool)

@@ -1,11 +1,13 @@
 import logging
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from linearrag.embedding import VECTOR_KINDS, HashEncoder, build_store
+from linearrag.corpus import ingest
+from linearrag.embedding import VECTOR_KINDS, HashEncoder, build_store, extend_store
 from linearrag.errors import ConfigError, EmptySeedError
 from linearrag.evalbench import load_qa_examples
 from linearrag.retrieval import (
@@ -14,6 +16,7 @@ from linearrag.retrieval import (
     EntityLevel,
     RetrievalConfig,
     _kind_scores,
+    _query_terms,
     _similarities,
     activate,
     dense_ranking,
@@ -23,9 +26,10 @@ from linearrag.retrieval import (
     propagate,
     retrieve,
 )
-from linearrag.trigraph import build
+from linearrag.trigraph import ColumnMajor, add_passages, build
 
-from conftest import DATA_DIR, make_corpus, trace_dict
+from conftest import DATA_DIR, MULTIHOP_ENCODER, make_corpus, trace_dict
+from test_trigraph import make_slice
 
 
 def make_index(texts, dim=64, seed=1):
@@ -708,7 +712,8 @@ class TestQueryStats:
         assert stats.ppr_converged is True
         q = store.encode_query(example.question)
         assert stats.dense_rows == sum(
-            _kind_scores(store, kind, q)[1] for kind in VECTOR_KINDS
+            _kind_scores(store, kind, q, _query_terms(q))[1]
+            for kind in VECTOR_KINDS
         )
 
     def test_solve_stopped_at_the_cap_not_converged(self, chain_fixture):
@@ -735,7 +740,9 @@ class TestQueryStats:
         # dense fallback.
         q = store.encode_query("unrelated")
         kinds = ["entity_vectors"] + ["passage_vectors"] * (fallback == "dense")
-        assert stats.dense_rows == sum(_kind_scores(store, k, q)[1] for k in kinds)
+        assert stats.dense_rows == sum(
+            _kind_scores(store, k, q, _query_terms(q))[1] for k in kinds
+        )
 
     def test_steps_are_the_fewest_at_which_ppr_logs_no_warning(
         self, chain_fixture, caplog
@@ -756,3 +763,109 @@ class TestQueryStats:
                     ppr(graph, state.a, seeds, replace(cfg, ppr_max_iters=cap))
                 warned.append(bool(caplog.records))
             assert warned == [True] * (steps - 1) + [False], query
+
+
+def answer(ranked):
+    """A ``retrieve`` result as comparable values: each item's id, score
+    bits and contributing entities, then the hops and the fallback flag."""
+    items = [
+        (item.passage_id, np.float64(item.score).tobytes(), item.contributing_entities)
+        for item in ranked.items
+    ]
+    return items, ranked.hops_used, ranked.fallback_used
+
+
+def staged_answer(question, graph, store, cfg):
+    """What ``retrieve`` should answer, from its public stages one by one:
+    ``activate``, ``passage_seed_scores``, the passage block of ``ppr`` and
+    a full sort, or ``dense_ranking`` when nothing is activated."""
+    state = activate(question, graph, store, cfg)
+    active = state.a > 0.0
+    if not active.any():
+        top = []
+        if cfg.fallback == "dense":
+            top = dense_ranking(store.encode_query(question), store, cfg.top_k)
+        items = [(pid, np.float64(score).tobytes(), ()) for pid, score in top]
+        return items, state.hop, True
+    seeds = passage_seed_scores(state, graph, store, None, cfg)
+    scores = ppr(graph, state.a, seeds, cfg)[: graph.n_passages]
+    order = np.lexsort((np.arange(len(scores)), -scores))[: cfg.top_k]
+    items = [
+        (
+            int(pid),
+            scores[pid].tobytes(),
+            tuple(int(e) for e in graph.contain.cols_of(int(pid)) if active[e]),
+        )
+        for pid in order
+    ]
+    return items, state.hop, False
+
+
+STAGED_CONFIGS = [RetrievalConfig(delta=0.01), RetrievalConfig()]
+FALLBACK_QUESTION = "unrelated query words"
+
+
+@pytest.fixture(scope="module")
+def multihop_fixture():
+    corpus = ingest(DATA_DIR / "multihop" / "corpus.jsonl")
+    examples = load_qa_examples(DATA_DIR / "multihop" / "qa.jsonl")
+    return corpus, [example.question for example in examples]
+
+
+class TestRetrieveEqualsItsStages:
+    """``retrieve`` runs its stages without the activation trace or PPR's
+    entity block; its answers keep the bits of the public stages'."""
+
+    @pytest.mark.parametrize("cfg", STAGED_CONFIGS, ids=["delta=0.01", "default"])
+    def test_chain_fixture(self, chain_index, cfg):
+        graph, store = chain_index
+        examples = load_qa_examples(DATA_DIR / "chain" / "qa.jsonl")
+        names = [record.surfaces[0] for record in graph.entity_registry.records]
+        questions = [e.question for e in examples] + names + [FALLBACK_QUESTION]
+        answers = [retrieve(q, graph, store, cfg) for q in questions]
+        for question, ranked in zip(questions, answers):
+            assert answer(ranked) == staged_answer(question, graph, store, cfg)
+        assert answers[-1].fallback_used
+        assert not answers[0].fallback_used
+
+    @pytest.mark.parametrize("cfg", STAGED_CONFIGS, ids=["delta=0.01", "default"])
+    def test_multihop_fixture_built_and_grown(self, multihop_fixture, cfg):
+        corpus, questions = multihop_fixture
+        questions = [*questions, FALLBACK_QUESTION]
+        encoder = HashEncoder(**MULTIHOP_ENCODER)
+        graph = build(corpus)
+        store = build_store(graph, encoder)
+        for question in questions:
+            ranked = retrieve(question, graph, store, cfg)
+            assert answer(ranked) == staged_answer(question, graph, store, cfg)
+        assert retrieve(FALLBACK_QUESTION, graph, store, cfg).fallback_used
+
+        parent = build(make_slice(corpus, 0, 57))
+        parent_store = build_store(parent, encoder)
+        retrieve(questions[0], parent, parent_store, cfg)  # makes its views
+        grown = add_passages(parent, make_slice(corpus, 57, 60))
+        grown_store = extend_store(parent_store, grown)
+        for asked in ("once", "twice"):
+            # The first ask makes views with tails, the second folds them.
+            ranked = retrieve(questions[0], grown, grown_store, cfg)
+            tails = len(grown.mention_by_entity.tail_rows)
+            assert (tails > 0) == (asked == "once")
+            staged = staged_answer(questions[0], grown, grown_store, cfg)
+            assert answer(ranked) == staged, asked
+        for question in questions:
+            ranked = retrieve(question, grown, grown_store, cfg)
+            assert answer(ranked) == staged_answer(question, grown, grown_store, cfg)
+
+    def test_retrieve_finds_no_supporting_sentence_and_activate_does(
+        self, chain_index
+    ):
+        graph, store = chain_index
+        question = load_qa_examples(DATA_DIR / "chain" / "qa.jsonl")[0].question
+        cfg = RetrievalConfig(delta=0.01)
+        with mock.patch.object(
+            ColumnMajor, "best_rows", autospec=True, side_effect=ColumnMajor.best_rows
+        ) as spy:
+            assert retrieve(question, graph, store, cfg).hops_used == 2
+            spy.assert_not_called()
+            assert activate(question, graph, store, cfg).hop == 2
+            assert spy.call_count == 2

@@ -27,7 +27,12 @@ from linearrag.embedding import (
     save_store,
     sparse_rows,
 )
-from linearrag.retrieval import _kind_scores, _scored, _similarities
+from linearrag.retrieval import (
+    _kind_scores,
+    _query_terms,
+    _scored,
+    _similarities,
+)
 from linearrag.trigraph import add_passages, build, load, save
 
 from test_buffers import POOL, records
@@ -115,10 +120,10 @@ def test_sparse_scores_have_the_full_scans_bits(
         (np.ones(index.nnz, dtype=np.float32), index.col_ids, index.indptr),
         shape=(covered, vectors.shape[1]),
     )
-    counts = view.row_major_terms(query_vec)[1]
+    counts = view.row_major_terms(query_vec, np.flatnonzero(query_vec))[1]
     assert np.array_equal(counts, pattern @ (query_vec != 0.0).astype(np.float32))
     with mock.patch.object(retrieval, "GATHER_SHARE", gather_share):
-        scores, dense_rows = _scored(vectors, query_vec, index)
+        scores, dense_rows = _scored(vectors, query_vec, index, _query_terms(query_vec))
     assert same_bits(scores, _similarities(vectors, query_vec))
     # A stored -0.0 meeting a nonzero query entry counts as a product too.
     marked = vectors.view(np.uint32) != 0
@@ -142,7 +147,7 @@ def test_a_query_vector_not_of_finite_float32_values_is_scanned(value):
     index = sparse_rows(vectors)
     assert index is not None
     with mock.patch.object(retrieval, "GATHER_SHARE", 1.0):
-        scores, dense_rows = _scored(vectors, query_vec, index)
+        scores, dense_rows = _scored(vectors, query_vec, index, _query_terms(query_vec))
     assert dense_rows == len(vectors)
     assert same_bits(scores, _similarities(vectors, query_vec))
 
@@ -167,7 +172,8 @@ def test_rows_the_index_cannot_hold_are_scanned():
         for kind in VECTOR_KINDS:
             vectors = getattr(store, kind)
             if store.sparse_rows(kind) is None:
-                assert _kind_scores(store, kind, query_vec)[1] == len(vectors)
+                terms = _query_terms(query_vec)
+                assert _kind_scores(store, kind, query_vec, terms)[1] == len(vectors)
         assert store.sparse_rows("passage_vectors") is None
 
 
@@ -199,8 +205,9 @@ def assert_view_is_a_fresh_derivation(view, fresh, rng):
     assert view.base_positions is fresh.base_positions is None
     assert view_entries(view) == view_entries(fresh)
     query_vec = rng.standard_normal(len(everyone)).astype(np.float32)
-    terms = view.row_major_terms(query_vec.astype(np.float64))
-    fresh_terms = fresh.row_major_terms(query_vec.astype(np.float64))
+    query_vec = query_vec.astype(np.float64)
+    terms = view.row_major_terms(query_vec, np.flatnonzero(query_vec))
+    fresh_terms = fresh.row_major_terms(query_vec, np.flatnonzero(query_vec))
     for mine, theirs in zip(terms, fresh_terms):
         assert same_bits(mine, theirs)
 
@@ -249,7 +256,7 @@ def extend_tree(root, steps, tail_rows):
         if query_parent:
             query_vec = store.encode_query(" ".join(POOL[:2]))
             for kind in VECTOR_KINDS:
-                _kind_scores(store, kind, query_vec)
+                _kind_scores(store, kind, query_vec, _query_terms(query_vec))
                 index = store.sparse_rows(kind)
                 snapshots.append((index, [a.copy() for a in index_arrays(index)]))
         slice_ = corpus_from_records(
@@ -267,7 +274,7 @@ def extend_tree(root, steps, tail_rows):
             assert 0 <= len(rows) - index.n_rows <= tail_rows, kind
             fresh = sparse_rows(rows[: index.n_rows])
             assert index == fresh, kind
-            scores = _kind_scores(store, kind, query_vec)[0]
+            scores = _kind_scores(store, kind, query_vec, _query_terms(query_vec))[0]
             assert same_bits(scores, _similarities(rows, query_vec)), kind
             assert_view_is_a_fresh_derivation(
                 index.by_column, fresh.by_column, rng
@@ -329,6 +336,7 @@ def test_a_dense_stand_in_store_keeps_no_index_and_scores_the_whole_product():
     for kind in VECTOR_KINDS:
         vectors = getattr(store, kind)
         assert store.sparse_rows(kind) is None, kind
-        scores, dense_rows = _kind_scores(store, kind, query_vec)
+        terms = _query_terms(query_vec)
+        scores, dense_rows = _kind_scores(store, kind, query_vec, terms)
         assert dense_rows == len(vectors) > 0
         assert same_bits(scores, vectors.astype(np.float64) @ query_vec), kind

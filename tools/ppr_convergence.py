@@ -102,7 +102,12 @@ def measure(seed: int, n_passages: int, n_questions: int) -> dict:
         with mock.patch.object(
             retrieval,
             "_solve_ppr",
-            lambda g, e, p, cfg: (power_reference(matrix, reset(e, p), d), 0, 0.0),
+            lambda g, e, p, cfg: (
+                power_reference(matrix, reset(e, p), d)[: g.n_passages],
+                0,
+                0.0,
+                None,
+            ),
         ):
             expected = ranking(retrieve(question, graph, store, CFG))
         residual = float(np.abs(x - d * (matrix @ x) - (1 - d) * r).sum())
