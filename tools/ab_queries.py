@@ -108,11 +108,10 @@ class Tree:
         self.store = self.embedding.extend_store(self.store, self.graph)
 
     def ask(self, question: str):
-        """The answer to ``question``, its wall ms and its stage ms."""
+        """The answer to ``question`` and its wall ms."""
         started = time.perf_counter_ns()
         ranked = self.retrieval.retrieve(question, self.graph, self.store, self.cfg)
-        ms = (time.perf_counter_ns() - started) / 1e6
-        return ranked, ms, ranked.stats.stage_ms
+        return ranked, (time.perf_counter_ns() - started) / 1e6
 
 
 def answer(ranked) -> tuple:
@@ -144,14 +143,14 @@ class Pairing:
         """Ask ``question`` of both trees, tree ``first`` (0 or 1) first."""
         answers = {}
         for name in TREES[first:] + TREES[:first]:
-            ranked, ms, stage_ms = self.trees[name].ask(question)
+            ranked, ms = self.trees[name].ask(question)
             answers[name] = answer(ranked)
             if key not in self.asked:
                 self.digests[name].update(repr(answers[name]).encode())
             if timed:
                 self.ms[name][key] = min(ms, self.ms[name].get(key, ms))
-                kept = self.stage_ms[name].setdefault(key, dict(stage_ms))
-                for stage, stage_time in stage_ms.items():
+                kept = self.stage_ms[name].setdefault(key, {})
+                for stage, stage_time in ranked.stats.stage_ms.items():
                     kept[stage] = min(stage_time, kept.get(stage, stage_time))
         self.asked.add(key)
         if answers["base"] != answers["head"]:
@@ -205,7 +204,7 @@ def append_mode(trees: dict[str, Tree], seed: int, filler_names, appends: int) -
     return pairing.summary()
 
 
-def import_base(base_root: Path, directory: Path) -> str:
+def import_base(base_root: Path, directory: Path) -> None:
     """Copy the base tree's package under ``BASE_PACKAGE`` and import it."""
     shutil.copytree(
         base_root / "src" / "linearrag",
@@ -214,7 +213,6 @@ def import_base(base_root: Path, directory: Path) -> str:
     )
     sys.path.insert(0, str(directory))
     importlib.import_module(BASE_PACKAGE)
-    return BASE_PACKAGE
 
 
 def measure(args, n_passages: int, directory: Path) -> dict:
