@@ -442,9 +442,8 @@ def _hop(
     whose activation rose (ascending), and the gated sentence mass ``u``
     they were drawn from. ``propagate``, ``activate`` and ``retrieve`` all
     hop through it."""
-    op = graph.mention_by_entity
     u = sigma * _frontier_gate(graph, a, frontier)
-    candidates = op.dot(u)
+    candidates = graph.mention_by_entity.dot(u)
     retained = candidates > cfg.delta
     a_new = np.where(retained, np.maximum(candidates, a), a)
     return a_new, np.flatnonzero(a_new > a), u
@@ -490,11 +489,12 @@ def _hops(
     at a time: until a hop activates nothing, which is not counted, or the
     hop cap is reached."""
     frontier = np.flatnonzero(a > 0.0)
-    for _ in range(cfg.max_hops if len(frontier) else 0):
-        a, frontier, u = _hop(graph, a, sigma, frontier, cfg)
+    for _ in range(cfg.max_hops):
         if not len(frontier):
             return
-        yield a, frontier, u
+        a, frontier, u = _hop(graph, a, sigma, frontier, cfg)
+        if len(frontier):
+            yield a, frontier, u
 
 
 def activate(
