@@ -15,15 +15,18 @@ copies nothing.
 from __future__ import annotations
 
 import threading
+import weakref
 
 import numpy as np
 
 
 class _Buffer(np.ndarray):
-    """Array storage whose first ``filled`` rows are in use; ``lock`` guards
-    the claim of the rows past them."""
+    """Array storage whose first ``filled`` rows are in use, shown by the
+    view ``tip`` refers to; ``lock`` guards the claim of the rows past
+    them."""
 
     filled: int
+    tip: weakref.ref
     lock: threading.Lock
 
 
@@ -43,12 +46,11 @@ def appended(array: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def reserved(rows: int, row_shape: tuple[int, ...], dtype) -> np.ndarray:
-    """``rows`` zeroed rows of shape ``row_shape``: the writable tip of a
-    fresh buffer with room for twice as many. The caller fills them and
-    makes them read-only; ``appended`` then extends them in place."""
-    view = _tip(_new_buffer(rows, row_shape, np.dtype(dtype)), rows)
-    view[...] = 0
-    return view
+    """``rows`` uninitialised rows of shape ``row_shape``: the writable tip
+    of a fresh buffer with room for twice as many. The caller fills every
+    one and makes them read-only; ``appended`` then extends them in
+    place."""
+    return _tip(_new_buffer(rows, row_shape, np.dtype(dtype)), rows)
 
 
 def _new_buffer(filled: int, row_shape: tuple[int, ...], dtype: np.dtype) -> _Buffer:
@@ -60,33 +62,30 @@ def _new_buffer(filled: int, row_shape: tuple[int, ...], dtype: np.dtype) -> _Bu
 
 def _tip(buffer: _Buffer, rows: int) -> np.ndarray:
     """A view of the buffer's first ``rows`` rows, its filled ones, which
-    ``_claim_tip`` recognises."""
-    return np.ndarray((rows, *buffer.shape[1:]), buffer.dtype, buffer=buffer)
+    becomes its tip."""
+    view = np.ndarray((rows, *buffer.shape[1:]), buffer.dtype, buffer=buffer)
+    buffer.tip = weakref.ref(view)
+    return view
 
 
 def _claim_tip(array: np.ndarray, total: int, dtype: np.dtype) -> _Buffer | None:
-    """The buffer whose filled prefix ``array`` is exactly, if it holds
-    ``dtype`` and has room for ``total`` rows, with its filled count raised
-    to ``total``; else None.
+    """The buffer whose tip ``array`` is, if it holds ``dtype`` and has room
+    for ``total`` rows, with its filled count raised to ``total``; else
+    None.
 
-    The views ``appended`` returns have their buffer for base; a view of
-    such a view (even of all its rows) has that view for base and is
-    copied. Checking and claiming under the buffer's lock lets only one of
-    several threads appending to the same tip write in place."""
+    Only the view ``_tip`` made last is a buffer's tip: any other array,
+    even another view of the same rows, is copied. Checking and claiming
+    under the buffer's lock lets only one of several threads appending to
+    the same tip write in place: the first raises the filled count past
+    the tip's rows before the grown view becomes the tip."""
     owner = array.base
-    # A slice of a buffer is a _Buffer too, but only the buffer has a lock.
+    # A slice of a buffer is a _Buffer too, but only the buffer has a tip.
     if not isinstance(owner, _Buffer) or owner.base is not None:
         return None
     if owner.dtype != dtype or total > len(owner):
         return None
     with owner.lock:
-        is_tip = (
-            array.shape == (owner.filled, *owner.shape[1:])
-            and array.strides == owner.strides
-            and array.__array_interface__["data"][0]
-            == owner.__array_interface__["data"][0]
-        )
-        if not is_tip:
+        if owner.tip() is not array or len(array) != owner.filled:
             return None
         owner.filled = total
     return owner

@@ -21,17 +21,20 @@ vector file is only ever written whole, to a temporary file that is then
 renamed over it (``write_vector_file``). Readers refuse header counts that
 the file's size cannot hold before they allocate the rows. Version 1, whose
 header has no byte count and whose data is the rows as dense float32, is
-still read, so exported vectors can be imported in that layout. In memory,
-rows are always dense float32; beside them each kind of a store may keep a
-sparse index of its marked entries (``SparseRows``), which queries read
-column-major and ``load_store`` makes from the positions the bitmaps mark.
+still read, so exported vectors can be imported in that layout.
+
+In memory each kind is held one way (``EmbeddingStore.kinds``): while its
+marked entries are at most ``DENSITY_CUT`` of its entries, as those entries
+alone (``SparseRows``), which ``load_store`` decodes from the bitmaps and
+``encode_block`` writes back; past the cut, as dense float32 rows.
 
 An append writes no vector file: it commits a block of the new rows of
 each of the three kinds as one record of ``vectors.tail``
 (``VECTOR_RECORD``), whose header's committed length is its commit point
 (see ``storage``). ``load_store`` reads each file followed by its rows in
-the tail's records past its own count, decoding all of them into one
-growth buffer. ``save_store`` folds the tail when ``trigraph.save`` folds
+the tail's records past its own count, decoding all of them into the tips
+of growth buffers (``buffers.reserved``), so the first append after a load
+copies nothing. ``save_store`` folds the tail when ``trigraph.save`` folds
 the graph's, by writing each file anew as one block, so that a folded index
 is byte for byte the index a full write makes.
 """
@@ -43,10 +46,10 @@ import inspect
 import os
 import re
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, NamedTuple, Protocol, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -54,7 +57,7 @@ from . import storage
 from .buffers import appended, reserved
 from .errors import ConfigError, ConsistencyError, EncodingError, IndexLoadError
 from .trigraph import STORE_FILES, VECTOR_TAIL, SparseBinaryMatrix, TriGraph
-from .trigraph import read_manifest
+from .trigraph import _row_entries, read_manifest
 
 MAGIC = b"LRGVEC01"
 FILE_VERSION = 2
@@ -68,18 +71,15 @@ _BLOCK = struct.Struct("<QQ")  # a block's rows and values
 VECTOR_RECORD = storage.TailFormat(len(STORE_FILES))
 
 NORM_TOLERANCE = 1e-4
-# A kind of vectors keeps a sparse index (``SparseRows``) only while its
-# marked entries are at most this share of all its entries; a denser kind
-# is scanned whole by every query and keeps none. See CHANGES.md for the
-# sweep it was picked from.
+# A store holds a kind of vectors as its sparse rows (``SparseRows``) only
+# while their marked entries are at most this share of all its entries; a
+# denser kind is held as dense rows and scanned whole by every query. See
+# CHANGES.md for the sweep it was picked from.
 DENSITY_CUT = 0.15
-# A grown store's sparse index of a kind is extended by the rows new since
-# the index was made once they number more than this; until then queries
-# gather those rows. An extension and its view cost 0.09-0.2 ms, a gather of
-# 32 rows 12-26 us, so an append and a query extend every fourth time or so.
-TAIL_ROWS = 32
 # Rows of ``HashEncoder.encode_batch`` summed at a time.
 ENCODE_BLOCK_ROWS = 512
+# Rows of a block whose bitmaps ``_decode_block`` unpacks at a time.
+DECODE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -279,28 +279,26 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a.astype(np.float64), b.astype(np.float64)))
 
 
-def validate_normalized(
-    rows: np.ndarray, what: str, entries: "_Entries | None" = None
-) -> None:
+def validate_normalized(rows: np.ndarray | SparseRows, what: str) -> None:
     """Raise ConsistencyError unless every row is finite and L2-normalized.
-    Given ``entries``, the entries of ``rows`` that may be nonzero, only
-    those are read."""
-    if rows.size == 0:
+    Of sparse rows (``SparseRows``), only their entries are read."""
+    if 0 in rows.shape:
         return
-    if entries is None:
-        non_finite = ~np.isfinite(rows).all(axis=1)
+    if isinstance(rows, SparseRows):
+        row_ids = rows.row_ids
+        non_finite = np.zeros(rows.n_rows, dtype=bool)
+        non_finite[row_ids[~np.isfinite(rows.values)]] = True
     else:
-        non_finite = np.zeros(len(rows), dtype=bool)
-        non_finite[entries.rows[~np.isfinite(entries.values)]] = True
+        non_finite = ~np.isfinite(rows).all(axis=1)
     if np.any(non_finite):
         raise ConsistencyError(
             f"{what}: {int(non_finite.sum())} vector(s) hold NaN or infinite values"
         )
-    if entries is None:
-        squares = np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
+    if isinstance(rows, SparseRows):
+        values = rows.values.astype(np.float64)
+        squares = np.bincount(row_ids, values * values, minlength=rows.n_rows)
     else:
-        values = entries.values.astype(np.float64)
-        squares = np.bincount(entries.rows, values * values, minlength=len(rows))
+        squares = np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
     norms = np.sqrt(squares)
     bad = np.abs(norms - 1.0) > NORM_TOLERANCE
     if np.any(bad):
@@ -310,12 +308,16 @@ def validate_normalized(
 
 
 class SparseRows(SparseBinaryMatrix):
-    """The entries of a float32 matrix whose bits are not all zero (those
-    a vector file's bitmaps mark), in CSR form with those entries as its
-    ``values``, which queries read column-major (``by_column``). Its arrays
-    are the tips of growth buffers (``buffers.appended``), so
-    ``sparse_rows(rows, grown_from=this)`` grows them in place when this is
-    the newest index grown from them, and never changes this one."""
+    """The rows of a float32 matrix as the entries whose bits are not all
+    zero (those a vector file's bitmaps mark), in CSR form with those
+    entries as its ``values``: how a store holds a kind under
+    ``DENSITY_CUT``. Queries read it column-major (``by_column``) and
+    ``scatter`` the rows they score whole. Its arrays are the tips of
+    growth buffers (``buffers.appended``), so ``sparse_rows(rows,
+    grown_from=this)`` grows them in place when this is the newest matrix
+    grown from them, and never changes this one; the grown matrix's view
+    derives from this one's with the new rows as its tail, and folds as the
+    graph's views do (``trigraph.ColumnMajor``)."""
 
     __slots__ = ("values",)
 
@@ -323,25 +325,77 @@ class SparseRows(SparseBinaryMatrix):
         super().__init__(n_rows, n_cols, col_ids, indptr, grown_from)
         self.values = values
 
+    def scatter(self, rows: slice | np.ndarray, into: np.ndarray) -> None:
+        """Write the marked entries of ``rows`` (a slice with its bounds, or
+        ascending row ids) into ``into``, a C-contiguous array of zeros of
+        as many rows of ``n_cols``, so that it holds those rows."""
+        if isinstance(rows, slice):
+            positions = slice(self.indptr[rows.start], self.indptr[rows.stop])
+            lengths = np.diff(self.indptr[rows.start : rows.stop + 1])
+        else:
+            positions, lengths = _row_entries(self.indptr, rows)
+        slots = np.arange(0, len(lengths) * self.n_cols, self.n_cols).repeat(lengths)
+        slots += self.col_ids[positions]
+        # numpy writes a gather of its own dtype faster than it casts one.
+        into.reshape(-1)[slots] = self.values[positions].astype(into.dtype)
+
+    def to_dense(self) -> np.ndarray:
+        """The rows as dense float32, read-only, made anew on each call:
+        O(rows x n_cols). The only densifying path: the public row fields
+        of ``EmbeddingStore`` read a sparse kind through it, and no library
+        path reads them for one."""
+        dense = np.zeros((self.n_rows, self.n_cols), dtype=np.float32)
+        self.scatter(slice(0, self.n_rows), dense)
+        dense.flags.writeable = False
+        return dense
+
+    def past(self, start: int) -> "SparseRows":
+        """Its rows from ``start`` on, as a matrix of their own whose
+        columns and values are views of its own."""
+        at = self.indptr[start]
+        return SparseRows(
+            self.n_rows - start,
+            self.n_cols,
+            self.col_ids[at:],
+            self.indptr[start:] - at,
+            self.values[at:],
+        )
+
 
 def sparse_rows(
     rows: np.ndarray, grown_from: SparseRows | None = None
 ) -> SparseRows | None:
-    """The sparse index of ``rows``, or None where queries scan them whole:
-    rows that are not float32, hold a value that is not finite, or whose
-    marked entries pass ``DENSITY_CUT`` of their entries. ``grown_from``,
-    if given, is the index of the first ``grown_from.n_rows`` of ``rows``:
-    only the rows past it are read, and their entries follow its own."""
-    new = rows[grown_from.n_rows if grown_from is not None else 0 :]
-    if rows.dtype != np.float32 or not np.isfinite(new).all():
+    """The sparse rows of the float32 matrix ``rows``, following those of
+    ``grown_from`` if given, whose arrays they grow (``SparseRows``); or
+    None where a store holds the kind dense and queries scan it whole: rows
+    that are not float32, hold a value that is not finite, or whose marked
+    entries, with ``grown_from``'s, pass ``DENSITY_CUT`` of all their
+    entries."""
+    if rows.dtype != np.float32:
         return None
-    marked = np.ascontiguousarray(new).view(np.uint32).reshape(-1) != 0
+    start = grown_from.n_rows if grown_from is not None else 0
     old_nnz = grown_from.nnz if grown_from is not None else 0
-    if _too_dense(old_nnz + np.count_nonzero(marked), rows.shape):
+    shape = (start + rows.shape[0], rows.shape[1])
+    flat = np.ascontiguousarray(rows).reshape(-1)
+    marked = flat.view(np.uint32) != 0
+    nnz = old_nnz + int(np.count_nonzero(marked))
+    if _too_dense(nnz, shape):
         return None
     at = np.flatnonzero(marked)
-    row_ids, cols = np.divmod(at, rows.shape[1])
-    return _grown(grown_from, rows.shape, row_ids, cols, new.reshape(-1)[at])
+    values = flat[at]  # every unmarked entry is +0.0, so finite
+    if not np.isfinite(values).all():
+        return None
+    row_ids, cols = np.divmod(at, shape[1])
+    index = np.int32 if nnz < 2**31 else np.int64
+    counts = np.bincount(row_ids, minlength=rows.shape[0])
+    parts = [cols.astype(index), np.cumsum(counts, dtype=index), values]
+    parts[1] += index(old_nnz)
+    if grown_from is None:
+        parts[1] = np.concatenate([[index(0)], parts[1]])
+    else:
+        old = (grown_from.col_ids, grown_from.indptr, grown_from.values)
+        parts = [appended(a, b) for a, b in zip(old, parts)]
+    return SparseRows(*shape, *parts, grown_from)
 
 
 def _too_dense(nnz: int, shape: tuple[int, int]) -> bool:
@@ -350,81 +404,100 @@ def _too_dense(nnz: int, shape: tuple[int, int]) -> bool:
     return nnz > DENSITY_CUT * shape[0] * shape[1]
 
 
-def _grown(
-    grown_from: SparseRows | None,
-    shape: tuple[int, int],
-    row_ids: np.ndarray,
-    cols: np.ndarray,
-    values: np.ndarray,
-) -> SparseRows | None:
-    """``grown_from`` (None: no rows) followed by the entries of its rows
-    past it: each one's row (counted from the first new row), column and
-    float32 value, in row-major order. None if the whole passes the
-    density cut."""
-    n_rows, dim = shape
-    old_nnz = grown_from.nnz if grown_from is not None else 0
-    nnz = old_nnz + len(values)
-    if _too_dense(nnz, shape):
-        return None
-    index = np.int32 if nnz < 2**31 else np.int64
-    start = grown_from.n_rows if grown_from is not None else 0
-    counts = np.bincount(row_ids, minlength=n_rows - start)
-    indptr = np.cumsum(counts, dtype=index) + index(old_nnz)
-    # A copy: decoded values are views of a vector file's bytes.
-    parts = [cols.astype(index), indptr, values.astype(np.float32)]
-    if grown_from is None:
-        parts[1] = np.concatenate([[index(0)], indptr])
-    else:
-        old = (grown_from.col_ids, grown_from.indptr, grown_from.values)
-        parts = [appended(a, b) for a, b in zip(old, parts)]
-    return SparseRows(n_rows, dim, *parts, grown_from)
+def _held(rows: np.ndarray) -> np.ndarray | SparseRows:
+    """Dense ``rows`` as a store holds them: as their sparse rows, or
+    themselves where ``sparse_rows`` gives None."""
+    held = sparse_rows(rows)
+    return rows if held is None else held
 
 
-# Each kind's vectors, as ``EmbeddingStore`` names them.
+def _appended_rows(
+    held: np.ndarray | SparseRows, rows: np.ndarray
+) -> np.ndarray | SparseRows:
+    """A kind as a store holds it (``held``) followed by the dense
+    ``rows``, as the grown store holds it: sparse rows grown in place, or,
+    past the cut, dense rows. A dense kind stays dense; an empty one takes
+    ``rows`` uncopied."""
+    if isinstance(held, SparseRows):
+        grown = sparse_rows(rows, held if held.n_rows else None)
+        if grown is not None:
+            return grown
+        # Past the cut: from here on the kind is held dense.
+        held = held.to_dense() if held.n_rows else rows[:0]
+    return appended(held, rows) if len(held) else rows
+
+
+# Each kind of vectors a store holds, in the order of ``STORE_FILES``.
 VECTOR_KINDS = ("entity_vectors", "sentence_vectors", "passage_vectors")
-# What ``EmbeddingStore._grown_from`` holds for a kind no ancestor indexed.
-_UNGROWN = object()
 
 
-@dataclass(eq=False)
+def _dense_field(kind: str) -> property:
+    def rows(self) -> np.ndarray:
+        held = self.kinds[kind]
+        return held.to_dense() if isinstance(held, SparseRows) else held
+
+    return property(rows, doc=f"The store's {kind.replace('_', ' ')} as dense rows.")
+
+
 class EmbeddingStore:
-    dim: int
-    encoder_id: str
-    entity_vectors: np.ndarray  # (n_entities, dim) float32
-    sentence_vectors: np.ndarray  # (n_sentences, dim)
-    passage_vectors: np.ndarray  # (n_passages, dim)
-    encoder: Encoder | None = field(default=None, repr=False)
-    # Each kind's sparse index once made (None for a kind scanned whole), and
-    # the indexes of the store this one grew from, or of the nearest
-    # ancestor that made them; ``extend_store`` fills it, and making an
-    # index from its entry drops the entry.
-    _indexes: dict[str, Any] = field(default_factory=dict, init=False, repr=False)
-    _grown_from: dict[str, Any] = field(default_factory=dict, init=False, repr=False)
+    """An encoder's vectors of a graph's entities, sentences and passages,
+    each kind of ``VECTOR_KINDS`` held one way in ``kinds``: as its sparse
+    rows (``SparseRows``) while its marked entries are at most
+    ``DENSITY_CUT`` of its entries, else as dense float32 rows. It is made
+    from dense rows, one array per kind, (n_entities, dim), (n_sentences,
+    dim) and (n_passages, dim); ``sparse_rows`` decides how each is held.
 
-    def sparse_rows(self, kind: str) -> SparseRows | None:
-        """The sparse index (``SparseRows``) of the vectors ``kind`` names
-        (one of ``VECTOR_KINDS``), or None for a kind that queries scan
-        whole (see ``sparse_rows``). It is made on first use: from the
-        vector files' bitmaps by ``load_store``, else from the index of the
-        store this one grew from, else from the rows. A grown store takes
-        its parent's index as it is while the rows past it number at most
-        ``TAIL_ROWS``, and else extends it by those rows; so an index may
-        hold only a prefix of the rows, and queries score the rest from the
-        dense rows. A kind scanned whole stays so in the stores grown from
-        this one. Made once, an index assumes that the rows it was made
-        from are not changed in place afterwards; the rows ``extend_store``
-        grows and ``load_store`` reads are read-only."""
-        made = self._indexes
-        if kind not in made:
-            rows = getattr(self, kind)
-            parent = self._grown_from.pop(kind, _UNGROWN)
-            if parent is _UNGROWN:
-                made[kind] = sparse_rows(rows)
-            elif parent is None or len(rows) - parent.n_rows <= TAIL_ROWS:
-                made[kind] = parent
-            else:
-                made[kind] = sparse_rows(rows, parent)
-        return made[kind]
+    ``entity_vectors``, ``sentence_vectors`` and ``passage_vectors`` are
+    read-only properties that give each kind as dense rows: a dense kind's
+    own, and a sparse kind's made anew from its entries on each access, at
+    O(rows x dim) (``SparseRows.to_dense``). No library path reads them
+    for a sparse kind. ``extend_store`` grows a store; ``save_store`` and
+    ``load_store`` write and read it as it is held; rows once held are not
+    changed."""
+
+    entity_vectors = _dense_field("entity_vectors")
+    sentence_vectors = _dense_field("sentence_vectors")
+    passage_vectors = _dense_field("passage_vectors")
+
+    def __init__(
+        self,
+        dim: int,
+        encoder_id: str,
+        entity_vectors: np.ndarray,
+        sentence_vectors: np.ndarray,
+        passage_vectors: np.ndarray,
+        encoder: Encoder | None = None,
+    ):
+        rows = (entity_vectors, sentence_vectors, passage_vectors)
+        self.dim = dim
+        self.encoder_id = encoder_id
+        self.kinds: dict[str, np.ndarray | SparseRows] = dict(
+            zip(VECTOR_KINDS, map(_held, rows))
+        )
+        self.encoder = encoder
+
+    @classmethod
+    def _holding(
+        cls,
+        dim: int,
+        encoder_id: str,
+        kinds: Iterable[np.ndarray | SparseRows],
+        encoder: Encoder | None,
+    ) -> "EmbeddingStore":
+        """A store that holds each kind as ``kinds`` gives it."""
+        store = cls.__new__(cls)
+        vars(store).update(
+            dim=dim,
+            encoder_id=encoder_id,
+            kinds=dict(zip(VECTOR_KINDS, kinds)),
+            encoder=encoder,
+        )
+        return store
+
+    @property
+    def row_counts(self) -> tuple[int, ...]:
+        """The rows of each kind, in the order of ``VECTOR_KINDS``."""
+        return tuple(held.shape[0] for held in self.kinds.values())
 
     def encode_query(self, text: str) -> np.ndarray:
         if self.encoder is None:
@@ -438,11 +511,7 @@ class EmbeddingStore:
         return vectors[0].astype(np.float64)
 
     def matches(self, graph: TriGraph) -> bool:
-        return (
-            self.entity_vectors.shape[0] == graph.n_entities
-            and self.sentence_vectors.shape[0] == graph.n_sentences
-            and self.passage_vectors.shape[0] == graph.n_passages
-        )
+        return self.row_counts == (graph.n_entities, graph.n_sentences, graph.n_passages)
 
 
 def _node_texts(graph: TriGraph, start: Sequence[int]) -> tuple[list[str], ...]:
@@ -476,15 +545,16 @@ def extend_store(
     """Encode whatever nodes the store is missing for a grown graph.
 
     Existing rows are kept verbatim; only appended entities, sentences and
-    passages are encoded, and the rows of an empty kind are the encoded ones,
-    uncopied. The others grow as read-only views of growth buffers
-    (``buffers.appended``): in place when ``store`` is the newest store grown
-    from them, else by one copy of the old rows, so a chain of extends
-    copies amortised O(new rows). The new store's sparse indexes
-    (``EmbeddingStore.sparse_rows``) are ``store``'s, or those its nearest
-    indexed ancestor made, grown by the new rows only, through the same
-    growth buffers, with their views, on first use. ``store`` is never changed.
-    Row counts may only grow. An encoder whose contract id is not the store's is a
+    passages are encoded, and each kind grows as it is held
+    (``_appended_rows``): sparse rows by the new rows' entries, dense rows
+    by the new rows, the arrays of either as read-only views of growth
+    buffers (``buffers.appended``), in place when ``store`` is the newest
+    store grown from them, else by one copy of the old ones; so a chain of
+    extends copies amortised O(new rows). An empty kind's dense rows are
+    the encoded ones, uncopied. A grown sparse kind's column-major view
+    derives from ``store``'s, or from that of its nearest ancestor that made
+    one, on first use. ``store`` is never changed. Row counts may only
+    grow. An encoder whose contract id is not the store's is a
     ConfigError, raised before anything is encoded.
     """
     encoder = encoder or store.encoder
@@ -498,54 +568,59 @@ def extend_store(
             f"encoder {encoder.contract.id!r} cannot extend a store built "
             f"with encoder {store.encoder_id!r}"
         )
-    old = (store.entity_vectors, store.sentence_vectors, store.passage_vectors)
-    new_texts = _node_texts(graph, [len(rows) for rows in old])
+    new_texts = _node_texts(graph, store.row_counts)
     grown = []
-    for kind, rows, texts in zip(_KINDS, old, new_texts):
+    for kind, held, texts in zip(_KINDS, store.kinds.values(), new_texts):
         if texts:
-            new = _encode_checked(encoder, texts, store.dim, kind)
-            rows = appended(rows, new) if len(rows) else new
-        grown.append(rows)
-    extended = EmbeddingStore(store.dim, store.encoder_id, *grown, encoder=encoder)
-    # Each index ``store`` has made, or else the one it would derive its own
-    # from.
-    extended._grown_from.update({**store._grown_from, **store._indexes})
-    return extended
+            held = _appended_rows(held, _encode_checked(encoder, texts, store.dim, kind))
+        grown.append(held)
+    return EmbeddingStore._holding(store.dim, store.encoder_id, grown, encoder)
 
 
-def encode_block(rows: np.ndarray) -> bytes:
-    """The block of a vector file that holds ``rows``, a float32 matrix:
-    uint64 row and value counts, one bitmap of ``ceil(dim / 8)`` bytes per
-    row whose bits (most significant first) mark the entries whose float32
-    bits are not all zero, then those entries as float32, row by row. No
-    rows make no block. Every bit comes back, ``-0.0`` included."""
-    rows = _le_rows(rows)
-    if not len(rows):
+def encode_block(rows: np.ndarray | SparseRows) -> bytes:
+    """The block of a vector file that holds ``rows``, a float32 matrix,
+    dense or as its sparse rows: uint64 row and value counts, one bitmap
+    of ``ceil(dim / 8)`` bytes per row whose bits (most significant first)
+    mark the entries whose float32 bits are not all zero, then those
+    entries as float32, row by row. No rows make no block. Every bit comes
+    back, ``-0.0`` included, and both forms of the same rows give the same
+    bytes."""
+    if isinstance(rows, SparseRows):
+        marked = np.zeros(rows.shape, dtype=bool)
+        marked[rows.row_ids, rows.col_ids] = True
+        values = rows.values.astype("<f4", copy=False)
+    else:
+        rows = _le_rows(rows)
+        marked = rows.view("<u4") != 0
+        values = rows[marked]
+    if not rows.shape[0]:
         return b""
-    marked = rows.view("<u4") != 0
-    values = rows[marked]
     return b"".join(
         (
-            _BLOCK.pack(len(rows), len(values)),
+            _BLOCK.pack(rows.shape[0], len(values)),
             np.packbits(marked, axis=1).tobytes(),
             values.tobytes(),
         )
     )
 
 
-def write_vector_file(path: str | Path, rows: np.ndarray, encoder_id: str) -> None:
-    """Replace the vector file ``path`` with one holding ``rows`` as one
-    block (``encode_block``), atomically (``storage.replace_file``)."""
-    rows = _le_rows(rows)
-    if rows.ndim != 2:
-        raise ValueError("vector file payload must be a 2-D array")
+def write_vector_file(
+    path: str | Path, rows: np.ndarray | SparseRows, encoder_id: str
+) -> None:
+    """Replace the vector file ``path`` with one holding ``rows``, dense or
+    sparse, as one block (``encode_block``), atomically
+    (``storage.replace_file``)."""
+    if not isinstance(rows, SparseRows):
+        rows = _le_rows(rows)
+        if rows.ndim != 2:
+            raise ValueError("vector file payload must be a 2-D array")
     block = encode_block(rows)
     encoded_id = encoder_id.encode("utf-8")
     header = b"".join(
         (
             MAGIC,
             _PREFIX.pack(FILE_VERSION, rows.shape[1]),
-            _COUNTS.pack(len(rows), len(block)),
+            _COUNTS.pack(rows.shape[0], len(block)),
             _ID_LENGTH.pack(len(encoded_id)),
             encoded_id,
         )
@@ -604,31 +679,25 @@ def _bitmap_bytes(dim: int) -> int:
 
 
 def read_vector_file(path: str | Path) -> tuple[np.ndarray, str]:
-    """The rows a vector file's header commits, and its encoder id. Bytes
-    past the committed data belong to an append that never committed and
-    are ignored."""
-    rows, encoder_id, _ = _read_vectors(Path(path), Path(path), (), 0)
-    return rows, encoder_id
-
-
-class _Entries(NamedTuple):
-    """The marked entries of decoded rows, in row-major order."""
-
-    rows: np.ndarray
-    cols: np.ndarray
-    values: np.ndarray  # float32
+    """The rows a vector file's header commits, as dense rows, and its
+    encoder id. Bytes past the committed data belong to an append that
+    never committed and are ignored."""
+    rows, encoder_id = _read_vectors(Path(path), Path(path), (), 0)
+    return (rows.to_dense() if isinstance(rows, SparseRows) else rows), encoder_id
 
 
 def _read_vectors(
     path: Path, tail: Path, records: Sequence[storage.TailRecord], kind: int
-) -> tuple[np.ndarray, str, _Entries | None]:
+) -> tuple[np.ndarray | SparseRows, str]:
     """The rows a vector file's header commits followed by part ``kind`` of
-    each of ``records``, the records of ``tail`` past those rows, and its
-    encoder id: decoded into the tip of a growth buffer
-    (``buffers.reserved``), read-only. Each count is checked against the
-    bytes that hold it before the rows are allocated. Also the entries the
-    bitmaps mark, when every block returned its own (``_decode_block``);
-    else, and for version 1, None."""
+    each of ``records``, the records of ``tail`` past those rows, as a
+    store holds them, and its encoder id. Each count is checked against
+    the bytes that hold it before anything is allocated. The blocks'
+    value counts say how the kind is held: under the density cut, as
+    sparse rows whose arrays are decoded straight from the bitmaps; past
+    it, as dense rows. Either are the tips of growth buffers
+    (``buffers.reserved``), read-only. A version 1 file's dense rows are
+    held as ``EmbeddingStore`` holds rows it is given."""
     with path.open("rb") as f:
         header = _read_header(f, path)
         data = f.read(header.size)
@@ -648,87 +717,128 @@ def _read_vectors(
                 f"rows, its counts say {n_rows} rows of dim {dim}"
             )
         parts.append((tail, part, n_rows))
-    rows = reserved(sum(n for _, _, n in parts), (dim,), np.float32)
-    decoded: list[_Entries | None] = []
-    at = 0
-    for where, part, n_rows in parts:
-        into = rows[at : at + n_rows]
-        if dense:
-            into[...] = np.frombuffer(part, "<f4").reshape(n_rows, dim)
-            decoded.append(None)
-        else:
-            entries = _decode_block(part, into, where)
-            if entries is not None and at:
-                entries.rows[...] += at
-            decoded.append(entries)
-        at += n_rows
-    rows.flags.writeable = False
-    if None in decoded:
-        return rows, header.encoder_id, None
-    if len(decoded) == 1:
-        return rows, header.encoder_id, decoded[0]
-    return rows, header.encoder_id, _Entries(*map(np.concatenate, zip(*decoded)))
+    n_rows = sum(n for _, _, n in parts)
+    if dense:
+        rows = reserved(n_rows, (dim,), np.float32)
+        at = 0
+        for _, part, n in parts:
+            rows[at : at + n] = np.frombuffer(part, "<f4").reshape(n, dim)
+            at += n
+        rows.flags.writeable = False
+        return _held(rows), header.encoder_id
+    counts = [_block_values(part, n, dim, where) for where, part, n in parts]
+    nnz = sum(counts)
+    if _too_dense(nnz, (n_rows, dim)):
+        held = reserved(n_rows, (dim,), np.float32)
+        arrays = [held]
+    else:
+        index = np.int32 if nnz < 2**31 else np.int64
+        arrays = [
+            reserved(nnz, (), index),
+            reserved(n_rows + 1, (), index),
+            reserved(nnz, (), np.float32),
+        ]
+        held = SparseRows(n_rows, dim, *arrays)
+        held.indptr[0] = 0
+    row = entry = 0
+    for (where, part, n), n_values in zip(parts, counts):
+        _decode_block(part, n, held, row, entry, where)
+        row, entry = row + n, entry + n_values
+    if isinstance(held, SparseRows):
+        np.cumsum(held.indptr, out=held.indptr)
+    for array in arrays:
+        array.flags.writeable = False
+    return held, header.encoder_id
 
 
-def _decode_block(
-    data: bytes | memoryview, rows: np.ndarray, where: Path
-) -> _Entries | None:
-    """Decode the block ``data`` (no bytes for no rows) into ``rows``, zeroed
-    rows that it must fill exactly. ConsistencyError naming ``where`` for a
-    block of other counts than its bytes or ``rows`` hold, a bitmap bit set
-    past the dim, a value count that is not the bitmaps' count of set bits,
-    or a marked entry whose stored bits are all zero.
-
-    A block whose values pass ``DENSITY_CUT`` of its entries is decoded
-    through one mask of every entry, and None is returned. In any other,
-    only the bitmap bytes with a set bit are unpacked: each set bit's byte
-    and place give its row and column, in the row-major order of the
-    values, those positions alone are written, and the entries they mark
-    are returned."""
-    n_rows, dim = rows.shape
+def _block_values(data: bytes | memoryview, n_rows: int, dim: int, where: Path) -> int:
+    """The value count of the block ``data`` (no bytes for no rows).
+    ConsistencyError naming ``where`` for a block of other counts than its
+    bytes or ``n_rows`` rows of ``dim`` hold."""
     if not n_rows and not len(data):
-        none = np.zeros(0, dtype=np.intp)
-        return _Entries(none, none, np.zeros(0, dtype=np.float32))
-    width = _bitmap_bytes(dim)
+        return 0
     # Bytes too few for a block's counts hold no block of ``n_rows`` rows.
     n, n_values = _BLOCK.unpack_from(data) if len(data) >= _BLOCK.size else (-1, 0)
-    values_at = _BLOCK.size + n * width
-    if n != n_rows or values_at + 4 * n_values != len(data):
+    if n != n_rows or _BLOCK.size + n * _bitmap_bytes(dim) + 4 * n_values != len(data):
         raise ConsistencyError(
             f"{where}: a block of {len(data)} bytes does not hold {n_rows} rows "
             f"of dim {dim} and the values its header counts"
         )
-    bitmaps = np.frombuffer(data, np.uint8, n * width, _BLOCK.size).reshape(n, width)
+    return n_values
+
+
+def _decode_block(
+    data: bytes | memoryview,
+    n_rows: int,
+    held: np.ndarray | SparseRows,
+    row: int,
+    entry: int,
+    where: Path,
+) -> None:
+    """Decode the block ``data`` of ``n_rows`` rows, whose counts
+    ``_block_values`` checked, into the rows of ``held`` from ``row`` on.
+    Dense rows are zeroed and given the values their bitmaps mark. Sparse
+    rows take its entries from position ``entry`` of their columns and
+    values on, and each row's length at ``indptr[1 + row:]``, to be summed
+    into offsets once every block is in. ConsistencyError naming ``where``
+    for a bitmap bit set past the dim, a value count that is not the
+    bitmaps' count of set bits, or a marked entry whose stored bits are all
+    zero.
+
+    The bitmaps are read ``DECODE_ROWS`` rows at a time, so the
+    temporaries follow a chunk, not the block. Of dense rows, each chunk is
+    unpacked whole; of sparse rows, only the bitmap bytes with a set bit
+    are, and each set bit's byte and place give its row and column, in the
+    row-major order of the values."""
+    if not n_rows:
+        return
+    dim = held.shape[1]
+    width = _bitmap_bytes(dim)
+    n_values = _BLOCK.unpack_from(data)[1]
+    bitmaps = np.frombuffer(data, np.uint8, n_rows * width, _BLOCK.size)
+    bitmaps = bitmaps.reshape(n_rows, width)
     padding = (1 << (-dim % 8)) - 1  # the last bitmap byte's bits past dim
     if padding and np.any(bitmaps[:, -1] & padding):
         raise ConsistencyError(
             f"{where}: a row's bitmap sets a padding bit past dim {dim}"
         )
-    if _too_dense(n_values, rows.shape):
-        marked = np.unpackbits(bitmaps, axis=1, count=dim).view(bool)
-        n_marked = int(np.count_nonzero(marked))
-    else:
-        flat = bitmaps.reshape(-1)
-        filled = np.flatnonzero(flat != 0)
-        set_bits = np.flatnonzero(np.unpackbits(flat[filled]).view(bool))
-        n_marked = len(set_bits)
+    values = np.frombuffer(data, "<f4", n_values, _BLOCK.size + n_rows * width)
+    n_marked = 0
+    for lo in range(0, n_rows, DECODE_ROWS):
+        chunk = bitmaps[lo : lo + DECODE_ROWS]
+        if isinstance(held, SparseRows):
+            flat = chunk.reshape(-1)
+            filled = np.flatnonzero(flat)
+            set_bits = np.flatnonzero(np.unpackbits(flat[filled]).view(bool))
+            marked = len(set_bits)
+            if n_marked + marked <= n_values:
+                chunk_rows, cols = np.divmod(filled[set_bits >> 3], width)
+                cols *= 8
+                cols += set_bits & 7
+                at = entry + n_marked
+                held.col_ids[at : at + marked] = cols
+                ends = row + lo + 1
+                held.indptr[ends : ends + len(chunk)] = np.bincount(
+                    chunk_rows, minlength=len(chunk)
+                )
+        else:
+            mask = np.unpackbits(chunk, axis=1, count=dim).view(bool)
+            marked = int(np.count_nonzero(mask))
+            if n_marked + marked <= n_values:
+                into = held[row + lo : row + lo + len(chunk)]
+                into[...] = 0.0
+                into[mask] = values[n_marked : n_marked + marked]
+        n_marked += marked
     if n_marked != n_values:
         raise ConsistencyError(
             f"{where}: a block holds {n_values} values, its bitmaps mark {n_marked}"
         )
-    values = np.frombuffer(data, "<f4", n_values, values_at)
     if not values.view("<u4").all():
         raise ConsistencyError(
             f"{where}: a block marks an entry whose stored bits are all zero"
         )
-    if _too_dense(n_values, rows.shape):
-        rows[marked] = values
-        return None
-    row_ids, cols = np.divmod(filled[set_bits >> 3], width)
-    cols *= 8
-    cols += set_bits & 7
-    rows.reshape(-1)[row_ids * dim + cols] = values
-    return _Entries(row_ids, cols, values)
+    if isinstance(held, SparseRows):
+        held.values[entry : entry + n_values] = values
 
 
 def save_store(store: EmbeddingStore, directory: str | Path) -> None:
@@ -751,13 +861,13 @@ def save_store(store: EmbeddingStore, directory: str | Path) -> None:
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    arrays = (store.entity_vectors, store.sentence_vectors, store.passage_vectors)
+    kinds, counts = tuple(store.kinds.values()), store.row_counts
     tail = directory / VECTOR_TAIL
     committed = _committed_rows(directory, store)
     if committed is not None and not committed.folds:
-        end, counts = committed.end, tuple(len(rows) for rows in arrays)
+        end = committed.end
         if end != counts:
-            parts = [encode_block(rows[e:]) for rows, e in zip(arrays, end)]
+            parts = [encode_block(_rows_past(held, e)) for held, e in zip(kinds, end)]
             record = VECTOR_RECORD.record(end, counts, parts)
             storage.append_tail(tail, committed.length, record)
         elif committed.passed:  # what a failed fold left
@@ -766,27 +876,34 @@ def save_store(store: EmbeddingStore, directory: str | Path) -> None:
     # Until the directory fsync, a reader may find any mix of old and new
     # files, and the tail must extend each old one and be skipped past each
     # new one.
-    if not _passed_by(tail, arrays):
+    if not _passed_by(tail, counts):
         storage.remove(tail)
-    for name, rows in zip(STORE_FILES, arrays):
-        write_vector_file(directory / name, rows, store.encoder_id)
+    for name, held in zip(STORE_FILES, kinds):
+        write_vector_file(directory / name, held, store.encoder_id)
     storage.sync_directory(directory)
     storage.remove(tail)
+
+
+def _rows_past(
+    held: np.ndarray | SparseRows, start: int
+) -> np.ndarray | SparseRows:
+    """The rows of a kind, as a store holds it, from ``start`` on."""
+    return held.past(start) if isinstance(held, SparseRows) else held[start:]
 
 
 def _le_rows(rows: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(rows, dtype="<f4")
 
 
-def _passed_by(tail: Path, arrays: Sequence[np.ndarray]) -> bool:
-    """Whether every record of the vector tail ends at or before the rows
-    of ``arrays``, so that readers skip them all past files that hold
-    those rows."""
+def _passed_by(tail: Path, counts: Sequence[int]) -> bool:
+    """Whether every record of the vector tail ends at or before the row
+    ``counts`` of each kind, so that readers skip them all past files that
+    hold those rows."""
     try:
         _, last = VECTOR_RECORD.last(tail)
     except (ConsistencyError, OSError):
         return False
-    return last is None or all(e <= len(rows) for e, rows in zip(last.end, arrays))
+    return last is None or all(e <= n for e, n in zip(last.end, counts))
 
 
 class _Committed(NamedTuple):
@@ -807,16 +924,15 @@ def _committed_rows(directory: Path, store: EmbeddingStore) -> _Committed | None
         return None
     if manifest.get("embedder") != {"id": store.encoder_id, "dim": store.dim}:
         return None
-    arrays = (store.entity_vectors, store.sentence_vectors, store.passage_vectors)
     end = []
-    for name, rows in zip(STORE_FILES, arrays):
+    for name, held in zip(STORE_FILES, store.kinds.values()):
         try:
             with (directory / name).open("rb") as f:
                 header = _read_header(f, directory / name)
         except (OSError, ConsistencyError):
             return None
         stored = (header.version, header.dim, header.encoder_id)
-        if stored != (FILE_VERSION, rows.shape[1], store.encoder_id):
+        if stored != (FILE_VERSION, held.shape[1], store.encoder_id):
             return None
         end.append(header.rows)
     # Records a fold wrote to the files end at or before the files' rows.
@@ -825,7 +941,7 @@ def _committed_rows(directory: Path, store: EmbeddingStore) -> _Committed | None
         end = list(map(max, end, last.end))
     graph = [manifest.get(k) for k in ("n_entities", "n_sentences", "n_passages")]
     if not all(type(n) is int for n in graph) or any(
-        e > len(rows) for e, rows in zip(end, arrays)
+        e > n for e, n in zip(end, store.row_counts)
     ):
         return None
     folds = any(e < n for e, n in zip(end, graph))
@@ -838,28 +954,23 @@ def load_store(
     encoder: Encoder | None = None,
 ) -> EmbeddingStore:
     """Load the three vector files, each followed by its rows in the vector
-    tail's records past the rows its header commits, validating norms and
-    (optionally) row-count agreement with a graph. The entries that the
-    files' bitmaps mark also make each kind's sparse index
-    (``EmbeddingStore.sparse_rows``), unless a block of the kind passes the
-    density cut or its file is of version 1: then its first use derives
-    it."""
+    tail's records past the rows its header commits, each kind as a store
+    holds it (``_read_vectors``), validating norms and (optionally)
+    row-count agreement with a graph. A sparse kind is decoded from the
+    files' bitmaps into its sparse rows alone."""
     directory = Path(directory)
     tail = directory / VECTOR_TAIL
     records = VECTOR_RECORD.records(tail)
-    arrays: list[np.ndarray] = []
+    kinds: list[np.ndarray | SparseRows] = []
     ids: list[str] = []
-    indexes: dict[str, SparseRows | None] = {}
     for kind, name in enumerate(STORE_FILES):
-        rows, encoder_id, entries = _read_vectors(directory / name, tail, records, kind)
-        validate_normalized(rows, name, entries)
-        if entries is not None:
-            indexes[VECTOR_KINDS[kind]] = _grown(None, rows.shape, *entries)
-        arrays.append(rows)
+        held, encoder_id = _read_vectors(directory / name, tail, records, kind)
+        validate_normalized(held, name)
+        kinds.append(held)
         ids.append(encoder_id)
     if len(set(ids)) != 1:
         raise ConsistencyError(f"vector files disagree on encoder id: {ids}")
-    dims = {a.shape[1] for a in arrays}
+    dims = {held.shape[1] for held in kinds}
     if len(dims) != 1:
         raise ConsistencyError(f"vector files disagree on dim: {sorted(dims)}")
     if encoder is None:
@@ -870,14 +981,13 @@ def load_store(
                 f"{directory / STORE_FILES[0]}: stored encoder id {ids[0]!r} "
                 f"does not rebuild an encoder: {exc}"
             ) from None
-    store = EmbeddingStore(dims.pop(), ids[0], *arrays, encoder=encoder)
-    store._indexes.update(indexes)
+    store = EmbeddingStore._holding(dims.pop(), ids[0], kinds, encoder)
     if graph is not None and not store.matches(graph):
+        entities, sentences, passages = store.row_counts
         raise ConsistencyError(
             "embedding store row counts do not match the graph: "
-            f"store=({store.entity_vectors.shape[0]} entities, "
-            f"{store.sentence_vectors.shape[0]} sentences, "
-            f"{store.passage_vectors.shape[0]} passages), graph="
+            f"store=({entities} entities, {sentences} sentences, "
+            f"{passages} passages), graph="
             f"({graph.n_entities}, {graph.n_sentences}, {graph.n_passages})"
         )
     return store

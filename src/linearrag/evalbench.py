@@ -45,11 +45,11 @@ from .embedding import (
     EmbeddingStore,
     Encoder,
     HashEncoder,
+    SparseRows,
     build_store,
     extend_store,
     load_store,
     save_store,
-    sparse_rows,
 )
 from .errors import ConfigError, ConsistencyError
 from .extraction import ExtractorContract
@@ -679,23 +679,15 @@ def index_bytes(directory: str | Path) -> dict[str, int]:
 
 
 def _same_vectors(a: EmbeddingStore, b: EmbeddingStore) -> bool:
-    """Whether two stores hold the same rows, each with the sparse indexes
-    a fresh derivation gives for the rows they hold."""
+    """Whether two stores hold the same rows: each kind's sparse rows
+    compared as they are held, and any kind that either store holds dense
+    compared as dense rows."""
     return all(
-        np.array_equal(getattr(a, kind), getattr(b, kind))
-        and _index_as_derived(a, kind)
-        and _index_as_derived(b, kind)
-        for kind in VECTOR_KINDS
+        x == y
+        if isinstance(x, SparseRows) and isinstance(y, SparseRows)
+        else np.array_equal(getattr(a, kind), getattr(b, kind))
+        for kind, x, y in zip(VECTOR_KINDS, a.kinds.values(), b.kinds.values())
     )
-
-
-def _index_as_derived(store: EmbeddingStore, kind: str) -> bool:
-    """Whether the store's index of ``kind``, if it keeps one, is a fresh
-    derivation of the rows it holds."""
-    index = store.sparse_rows(kind)
-    if index is None:
-        return True
-    return index == sparse_rows(getattr(store, kind)[: index.n_rows])
 
 
 def index_costs(
@@ -871,15 +863,17 @@ def query_costs(
     expected = {"graph_path": GRAPH_STAGES, "fallback": FALLBACK_STAGES}
     asked = {path: [] for path in expected}
     shares = {path: [] for path in expected}
-    n_rows = sum(len(getattr(store, kind)) for kind in VECTOR_KINDS)
+    n_rows = sum(store.row_counts)
     as_expected = True
     rng = np.random.default_rng(0)
+    dense = {kind: getattr(store, kind) for kind in VECTOR_KINDS}
     for question in dict.fromkeys(questions):
         ranked = retrieve(question, graph, store, cfg)
         path = "fallback" if ranked.fallback_used else "graph_path"
         asked[path].append(question)
         shares[path].append(ranked.stats.dense_rows / max(n_rows, 1))
-        as_expected &= _scored_as_scanned(store, store.encode_query(question), rng)
+        query_vec = store.encode_query(question)
+        as_expected &= _scored_as_scanned(store, dense, query_vec, rng)
     clocks = {path: StageClock() for path in expected}
 
     def ask(question: str, path: str) -> Callable:
@@ -912,21 +906,24 @@ def query_costs(
 
 
 def _scored_as_scanned(
-    store: EmbeddingStore, query_vec: np.ndarray, rng: np.random.Generator
+    store: EmbeddingStore,
+    dense: Mapping[str, np.ndarray],
+    query_vec: np.ndarray,
+    rng: np.random.Generator,
 ) -> bool:
     """Whether each kind's query similarities, as retrieval scores them
-    through the store's sparse index, equal the bits of the whole float64
-    product on one BLAS thread (``tools/stage_costs.py`` pins it): for
+    from the store, equal the bits of the whole float64 product of its
+    ``dense`` rows on one BLAS thread (``tools/stage_costs.py`` pins it): for
     ``query_vec``, and for it with its nonzero entries replaced by random
     float32 values from ``rng``. The hash encoder's values sum alike in any
-    order, so only the second shows a row that the index sums but should
-    have gathered."""
+    order, so only the second shows a row that the sparse rows' view sums
+    but should have gathered."""
     perturbed = query_vec.copy()
     support = perturbed != 0.0
     perturbed[support] = rng.standard_normal(support.sum()).astype(np.float32)
     return all(
         _kind_scores(store, kind, q, _query_terms(q))[0].tobytes()
-        == (getattr(store, kind).astype(np.float64) @ q).tobytes()
+        == (dense[kind].astype(np.float64) @ q).tobytes()
         for q in (query_vec, perturbed)
         for kind in VECTOR_KINDS
     )

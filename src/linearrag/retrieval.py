@@ -39,12 +39,14 @@ sorted.
 
 Every query similarity, of entities, sentences and passages, is scored
 for every row with the bits of a float64 matrix-vector product, but not by
-one (``_similarities``): each kind's sparse index, read column-major, sums
-the entries of the query's nonzero buckets alone, term at a time, which
-scores exactly each row sharing at most two of them; only the others read
-their dense rows, cast a block at a time along each row's path through the
-whole product (``_row_similarities``). So a query's similarity cost
-follows the entries of its buckets, not the kind's.
+one (``_similarities``). A kind the store holds as sparse rows
+(``embedding.SparseRows``), read column-major, sums the entries of the
+query's nonzero buckets alone, term at a time, which scores exactly each
+row sharing at most two of them; only the others are scored whole, their
+entries scattered into zeroed float64 blocks taken along each row's path
+through the whole product (``_row_similarities``), into which a kind held
+dense is cast. So a query's similarity cost follows the entries of its
+buckets, not the kind's.
 
 ``retrieve`` is the one place these stages run in sequence, through the
 same private cores as the public stages, computing only what it returns;
@@ -187,7 +189,7 @@ class ActivationState:
     ``initial_activation`` scores ``sigma`` whole, one row per sentence,
     when its frontier is not empty; otherwise no hop reads it, and it holds
     zeros. ``dense_rows`` counts the entity and sentence rows it scored by
-    float64 dot products over their dense rows (see ``_scored``).
+    float64 dot products over whole rows (see ``_scored``).
 
     An entity's best supporting sentence is, among the sentences that
     mention it, the one whose gated mass (sigma times the frontier gate)
@@ -227,9 +229,10 @@ class QueryStats:
     it is below ``ppr_tol``; they are None on the fallback.
     ``dense_rows`` counts, over the entity, sentence and passage vectors,
     the rows whose query similarity the query scored by float64 dot
-    products over the dense rows rather than through the kind's sparse
-    index: the rows gathered for sharing 3 or more nonzero entries with the
-    query, or every row of a kind scanned whole (see ``_similarities``).
+    products over whole rows rather than term at a time through the kind's
+    sparse rows: the rows gathered for sharing 3 or more nonzero entries
+    with the query, or every row of a kind scanned whole (see
+    ``_similarities``).
     """
 
     stage_ms: dict[str, float]
@@ -253,12 +256,12 @@ class RankedPassages:
 
 
 def _similarities(
-    vectors: np.ndarray, query_vec: np.ndarray, index: SparseRows | None = None
+    vectors: np.ndarray | SparseRows, query_vec: np.ndarray
 ) -> np.ndarray:
     """``vectors.astype(np.float64) @ query_vec`` as OpenBLAS sums it on one
-    thread, bit for bit: through ``index``, the sparse index of ``vectors``
-    (``EmbeddingStore.sparse_rows``), where it serves, and else by
-    ``_row_similarities`` over every row.
+    thread, bit for bit, for a kind as a store holds it: dense rows, or
+    sparse rows (``SparseRows``), read term at a time where that serves,
+    and else by ``_row_similarities`` over every row.
 
     A float32 value is exact in float64, and so is the product of two: 24
     + 24 significand bits fit in 53 (the error-free product of Ogita, Rump
@@ -266,42 +269,37 @@ def _similarities(
     So for a query vector of finite float32 values, a row that shares at
     most two nonzero entries with it is the one rounding of the sum of two
     exact products, in every summation order, with or without FMA, and
-    every zero product leaves a sum begun at +0.0 as it was. The index's
-    column-major view gathers the entries of the query's nonzero columns
-    and gives every row that sum and its count of them
-    (``ColumnMajor.row_major_terms``); the rows that count 3 or more, and
-    the rows past a grown store's index, are scored again by
-    ``_row_similarities``. It scores every row instead when those pass
-    ``GATHER_SHARE`` of them, when there is no index, or when the query
-    vector is not finite float32.
+    every zero product leaves a sum begun at +0.0 as it was. The sparse
+    rows' column-major view gathers the entries of the query's nonzero
+    columns and gives every row that sum and its count of them
+    (``ColumnMajor.row_major_terms``); the rows that count 3 or more are
+    scored again by ``_row_similarities``. It scores every row instead
+    when those pass ``GATHER_SHARE`` of them, when the rows are dense, or
+    when the query vector is not finite float32.
     """
-    return _scored(vectors, query_vec, index, _query_terms(query_vec))[0]
+    return _scored(vectors, query_vec, _query_terms(query_vec))[0]
 
 
 def _query_terms(query_vec: np.ndarray) -> np.ndarray | None:
-    """The nonzero columns of ``query_vec``, which a sparse index reads to
-    score it, or None when it is not finite float32 and every row must be
-    scanned. A query's kinds share them, so it finds them once."""
+    """The nonzero columns of ``query_vec``, which sparse rows' view reads
+    to score it, or None when it is not finite float32 and every row must
+    be scanned. A query's kinds share them, so it finds them once."""
     return np.flatnonzero(query_vec) if _float32_valued(query_vec) else None
 
 
 def _scored(
-    vectors: np.ndarray,
+    vectors: np.ndarray | SparseRows,
     query_vec: np.ndarray,
-    index: SparseRows | None,
     terms: np.ndarray | None,
 ) -> tuple[np.ndarray, int]:
     """``_similarities``, given the query's ``_query_terms``, and how many
     rows it scored by float64 dot products: those it gathered, or all of
     them."""
-    n_rows = len(vectors)
-    if index is None or terms is None:
+    n_rows = vectors.shape[0]
+    if not isinstance(vectors, SparseRows) or terms is None:
         return _row_similarities(vectors, query_vec), n_rows
-    scores, counts = index.by_column.row_major_terms(query_vec, terms)
+    scores, counts = vectors.by_column.row_major_terms(query_vec, terms)
     rows = np.flatnonzero(counts >= 3)
-    if index.n_rows < n_rows:  # rows past the index, all gathered
-        scores = np.concatenate([scores, np.empty(n_rows - index.n_rows)])
-        rows = np.concatenate([rows, np.arange(index.n_rows, n_rows)])
     if len(rows) > GATHER_SHARE * n_rows:
         return _row_similarities(vectors, query_vec), n_rows
     if len(rows):
@@ -317,7 +315,9 @@ def _float32_valued(query_vec: np.ndarray) -> bool:
 
 
 def _row_similarities(
-    vectors: np.ndarray, query_vec: np.ndarray, rows: np.ndarray | None = None
+    vectors: np.ndarray | SparseRows,
+    query_vec: np.ndarray,
+    rows: np.ndarray | None = None,
 ) -> np.ndarray:
     """``(vectors.astype(np.float64) @ query_vec)[rows]`` for ascending,
     distinct ``rows`` (None: every row), as OpenBLAS sums the whole product
@@ -329,16 +329,37 @@ def _row_similarities(
     ``_BLOCK_ROWS`` (a multiple of 4) at a time, the last block padded to a
     multiple of 4 with copies of its first row; and, if any of the last
     ``n % 4`` is asked, all of them are scored after 4 copies of the first,
-    as that block's remainder. Each block is cast into one reused float64
-    buffer, from a slice of ``vectors`` in a full scan, else by a gather.
-    numpy scores a one-row matrix by a dot product, which sums in another
-    order, and so does this. (A threaded product splits rows by thread
-    count, so it is not reproducible itself.)
+    as that block's remainder. Each block is filled in one reused float64
+    buffer: dense rows are cast into it, from a slice in a full scan, else
+    by a gather; sparse rows are scattered into it, zeros but for their
+    entries (``SparseRows.scatter``). A float32 value is exact in float64
+    and an unmarked entry is +0.0 in both, so either way the block holds
+    the same values in the same slots. numpy scores a one-row matrix by a
+    dot product, which sums in another order, and so does this. (A
+    threaded product splits rows by thread count, so it is not
+    reproducible itself.)
     """
-    n = len(vectors)
+    n, dim = vectors.shape
+    sparse = isinstance(vectors, SparseRows)
+    # Sparse rows are scattered into zeros: a buffer from ``np.zeros``
+    # (calloc, faster than numpy's fill), zeroed again once written.
+    written = False
+
+    def fill(into: np.ndarray, picked: slice | np.ndarray) -> None:
+        nonlocal written
+        if not sparse:
+            into[...] = vectors[picked]
+            return
+        if written:
+            into[...] = 0.0
+        vectors.scatter(picked, into)
+        written = True
+
     if n < 2:
-        picked = vectors if rows is None else vectors[rows]
-        return picked.astype(np.float64) @ query_vec
+        picked = slice(0, n) if rows is None else rows
+        block = np.zeros((n if rows is None else len(rows), dim))
+        fill(block, picked)
+        return block @ query_vec
     first_last = n - n % 4
     asked = n if rows is None else len(rows)
     head = first_last if rows is None else int(np.searchsorted(rows, first_last))
@@ -348,21 +369,20 @@ def _row_similarities(
     # Room for a block of head rows padded to a multiple of 4, and for the
     # last rows after their 4 copies, from a 64-byte boundary: the kernel
     # reads it about 10% slower from 16 or 48 bytes past one.
-    size = (min(head + 3, _BLOCK_ROWS) + 4) * vectors.shape[1]
-    raw = np.empty(size + 7)
-    buffer = raw[-raw.ctypes.data % 64 // 8 :][:size].reshape(-1, vectors.shape[1])
+    size = (min(head + 3, _BLOCK_ROWS) + 4) * dim
+    raw = np.zeros(size + 7) if sparse else np.empty(size + 7)
+    buffer = raw[-raw.ctypes.data % 64 // 8 :][:size].reshape(-1, dim)
     for lo in range(0, head, _BLOCK_ROWS):
         hi = min(lo + _BLOCK_ROWS, head)
-        picked = slice(lo, hi) if rows is None else rows[lo:hi]
         size = hi - lo
         cast = buffer[: size + -size % 4]
-        cast[:size] = vectors[picked]
+        fill(cast[:size], slice(lo, hi) if rows is None else rows[lo:hi])
         if size % 4:
             cast[size:] = cast[0]
         np.matmul(cast, query_vec, out=out[lo : lo + len(cast)])
     if head < asked:
         cast = buffer[: 4 + n % 4]
-        cast[4:] = vectors[first_last:]
+        fill(cast[4:], slice(first_last, n))
         cast[:4] = cast[4]
         last = (cast @ query_vec)[4:]
         out[head:asked] = last if rows is None else last[rows[head:] - first_last]
@@ -402,16 +422,15 @@ def _hop_zero(
         sigma, sentence_rows = _kind_scores(store, "sentence_vectors", query_vec, terms)
         dense_rows += sentence_rows
     else:
-        sigma = np.zeros(len(store.sentence_vectors))
+        sigma = np.zeros(store.kinds["sentence_vectors"].shape[0])
     return a, sigma, dense_rows
 
 
 def _kind_scores(
     store: EmbeddingStore, kind: str, query_vec: np.ndarray, terms: np.ndarray | None
 ) -> tuple[np.ndarray, int]:
-    """``_scored`` for the store's vectors of ``kind``, through their
-    sparse index."""
-    return _scored(getattr(store, kind), query_vec, store.sparse_rows(kind), terms)
+    """``_scored`` for the store's vectors of ``kind``, as it holds them."""
+    return _scored(store.kinds[kind], query_vec, terms)
 
 
 def propagate(

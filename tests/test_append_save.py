@@ -9,7 +9,6 @@ import os
 import random
 import stat
 import struct
-from dataclasses import replace
 from itertools import count
 from pathlib import Path
 from unittest import mock
@@ -24,6 +23,7 @@ from linearrag.cli import main
 from linearrag.embedding import (
     FILE_VERSION,
     VECTOR_RECORD,
+    EmbeddingStore,
     HashEncoder,
     build_store,
     encode_block,
@@ -664,8 +664,11 @@ def test_store_save_without_manifest_rewrites(tmp_path):
     rows equal the store's."""
     store = build_store(FULL, ENCODER)
     save_store(store, tmp_path)
-    other = replace(store, passage_vectors=store.passage_vectors[::-1].copy())
-    other.passage_vectors[-1] = store.passage_vectors[-1]
+    rows = store.passage_vectors[::-1].copy()
+    rows[-1] = store.passage_vectors[-1]
+    other = EmbeddingStore(
+        store.dim, store.encoder_id, store.entity_vectors, store.sentence_vectors, rows
+    )
     save_store(other, tmp_path)
     assert same_rows(load_store(tmp_path, FULL), other)
 

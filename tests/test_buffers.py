@@ -1,6 +1,8 @@
 """Growth buffers: appends write in place only at a buffer's tip, so every
 store (and graph) stays as it was, whichever of them is appended to, and
-appends from the tip copy amortised O(slice)."""
+appends from the tip copy amortised O(slice). A store's kinds grow through
+them as they are held: a sparse kind's columns, offsets and values, a dense
+kind's rows."""
 
 import random
 import sys
@@ -15,6 +17,7 @@ from linearrag.buffers import appended, reserved
 from linearrag.corpus import PassageRecord, corpus_from_records
 from linearrag.embedding import (
     HashEncoder,
+    SparseRows,
     build_store,
     extend_store,
     load_store,
@@ -46,12 +49,24 @@ def records(texts):
     return [PassageRecord(doc_key=None, title=None, text=t) for t in texts]
 
 
+def held_arrays(store):
+    """The arrays a store holds: of each sparse kind its columns, offsets
+    and values, of each dense kind its rows."""
+    held = []
+    for rows in store.kinds.values():
+        if isinstance(rows, SparseRows):
+            held += [rows.col_ids, rows.indptr, rows.values]
+        else:
+            held.append(rows)
+    return held
+
+
 def arrays(graph, store):
     return [
         *(getattr(graph.contain, a) for a in ("row_ids", "col_ids", "indptr")),
         *(getattr(graph.mention, a) for a in ("row_ids", "col_ids", "indptr")),
         graph.occurrence_counts,
-        *(getattr(store, kind) for kind in VECTORS),
+        *held_arrays(store),
     ]
 
 
@@ -111,7 +126,6 @@ class TestAppended:
     def test_reserved_rows_are_a_tip(self):
         rows = reserved(3, (2,), np.float32)
         assert rows.shape == (3, 2) and rows.dtype == np.float32
-        assert not rows.any()
         rows[:] = 1
         rows.flags.writeable = False
         grown = appended(rows, np.full((3, 2), 2, dtype=np.float32))
@@ -121,8 +135,9 @@ class TestAppended:
 
 
 def test_loaded_store_extends_in_place(tmp_path):
-    """``load_store`` decodes each kind into a buffer's tip, so the first
-    extend after a load copies no loaded row."""
+    """``load_store`` decodes each kind into buffers' tips, a sparse kind's
+    columns, offsets and values as a dense kind's rows, so the first extend
+    after a load copies nothing it loaded."""
     graph = build(corpus_from_records(records(POOL[:6])))
     save(graph, tmp_path, embedder={"id": ENCODER.contract.id, "dim": 16})
     save_store(build_store(graph, ENCODER), tmp_path)
@@ -134,10 +149,13 @@ def test_loaded_store_extends_in_place(tmp_path):
         sentence_id_base=graph.n_sentences,
     )
     grown = extend_store(loaded, add_passages(graph, slice_))
+    assert {type(held) for held in loaded.kinds.values()} == {SparseRows, np.ndarray}
+    for old, new in zip(held_arrays(loaded), held_arrays(grown)):
+        assert not old.flags.writeable
+        assert np.shares_memory(new, old)
+        assert np.array_equal(new[: len(old)], old)
     for kind in VECTORS:
         rows = getattr(loaded, kind)
-        assert not rows.flags.writeable
-        assert np.shares_memory(getattr(grown, kind), rows), kind
         assert np.array_equal(getattr(grown, kind)[: len(rows)], rows), kind
 
 
@@ -170,7 +188,9 @@ def test_grown_store_arrays_are_read_only():
 def test_branching_appends_equal_rebuilds_and_leave_parents_intact(root, steps):
     """A tree of appends: each step appends a slice to a random earlier
     graph and store, the tip or not. Every result equals a rebuild of its own
-    corpus, and no append changes a byte of an earlier graph or store."""
+    corpus, a sparse kind's arrays too, and no append changes a
+    byte of an earlier graph or store: its graph arrays, a sparse kind's
+    columns, offsets and values, or a dense kind's rows."""
     graph = build(corpus_from_records(records([POOL[i] for i in root])))
     nodes = [([POOL[i] for i in root], graph, build_store(graph, ENCODER))]
     snapshots = [[a.copy() for a in arrays(*nodes[0][1:])]]
@@ -189,6 +209,9 @@ def test_branching_appends_equal_rebuilds_and_leave_parents_intact(root, steps):
         rebuilt_store = build_store(rebuilt, ENCODER)
         for kind in VECTORS:
             assert np.array_equal(getattr(store, kind), getattr(rebuilt_store, kind))
+            held, fresh = store.kinds[kind], rebuilt_store.kinds[kind]
+            if isinstance(fresh, SparseRows):
+                assert held == fresh, kind
         nodes.append((texts, graph, store))
         snapshots.append([a.copy() for a in arrays(graph, store)])
         for (_, old_graph, old_store), snapshot in zip(nodes, snapshots):

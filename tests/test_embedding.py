@@ -15,6 +15,7 @@ from linearrag.embedding import (
     EmbeddingStore,
     EncoderContract,
     HashEncoder,
+    SparseRows,
     _bucket_sign,
     _encode_checked,
     _tokens,
@@ -28,6 +29,7 @@ from linearrag.embedding import (
     register_encoder,
     resolve_encoder,
     save_store,
+    sparse_rows,
     write_vector_file,
 )
 from linearrag.errors import ConfigError, ConsistencyError, EncodingError
@@ -440,7 +442,11 @@ class TestStore:
         names = ("entity_vectors", "sentence_vectors", "passage_vectors")
         for name, rows in zip(names, returned[3:]):
             assert np.array_equal(getattr(built, name), getattr(extended, name))
-            assert getattr(built, name) is rows  # the encoded rows, uncopied
+            held = built.kinds[name]
+            if isinstance(held, SparseRows):
+                assert held == sparse_rows(rows)
+            else:
+                assert held is rows  # the encoded rows, uncopied
 
     def test_damaged_stored_encoder_id_is_consistency_error(self, graph, tmp_path):
         save_store(build_store(graph, HashEncoder(dim=32, seed=1)), tmp_path)

@@ -1,12 +1,12 @@
-"""The sparse indexes of a store's vectors (``EmbeddingStore.sparse_rows``)
-and the query similarities scored term at a time through their
-column-major views (``retrieval._similarities``): bit for bit the full
-scan's, on the full scan wherever the index cannot serve, grown along any
-tree of extends as a fresh derivation of the grown rows, leaving every
-parent's index and view as they were, and loaded from the vector files as
-a build derives them."""
+"""The sparse rows a store holds a kind as (``embedding.SparseRows``) and
+the query similarities scored from them (``retrieval._similarities``):
+term at a time through their column-major views, and the other rows
+scattered into float64 blocks, bit for bit the whole product of their
+dense rows; grown along any tree of extends as a fresh derivation of the
+grown rows, leaving every parent's arrays and view as they were; loaded
+from the vector files as a build makes them; and never densified by a
+library path."""
 
-from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -21,6 +21,7 @@ from linearrag.embedding import (
     VECTOR_KINDS,
     HashEncoder,
     RotatedEncoder,
+    SparseRows,
     build_store,
     extend_store,
     load_store,
@@ -28,10 +29,14 @@ from linearrag.embedding import (
     sparse_rows,
 )
 from linearrag.retrieval import (
+    RetrievalConfig,
     _kind_scores,
     _query_terms,
+    _row_similarities,
     _scored,
     _similarities,
+    dense_ranking,
+    retrieve,
 )
 from linearrag.trigraph import add_passages, build, load, save
 
@@ -85,54 +90,91 @@ def scored_rows(draw):
     return vectors, query.astype(np.float64)
 
 
+def as_sparse(vectors, grown_from=None):
+    """``sparse_rows`` of any rows, past the density cut too."""
+    with mock.patch.object(embedding, "DENSITY_CUT", 1.0):
+        return sparse_rows(vectors, grown_from)
+
+
+def whole_product(vectors, query_vec):
+    return vectors.astype(np.float64) @ query_vec
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     scored_rows(),
     st.sampled_from([0.0, retrieval.GATHER_SHARE, 1.0]),
     st.integers(0, 3),
-    st.integers(0, 3),
     st.sampled_from([0.0, 100.0]),
 )
 def test_sparse_scores_have_the_full_scans_bits(
-    rows_and_query, gather_share, left_out, grown, fold_fraction
+    rows_and_query, gather_share, grown, fold_fraction
 ):
-    """Rows with 0, 1 or 2 products summed term at a time, the others and
-    the rows past an index of a prefix gathered, or all scanned once the
-    gathered rows pass the share. The index is grown by its last rows from
-    the index of a shorter prefix, whose view its own derives from: with
-    those rows as its tail (fold fraction 100), or folded into its base
-    (0). Every score has the bits of ``_similarities``' full scan, and each
-    row's count of shared entries is the count a product of its pattern of
-    ones with the query's nonzero entries gives."""
+    """A kind held as sparse rows alone: rows with 0, 1 or 2 products
+    summed term at a time, the others scattered and scored whole, or all
+    scanned once those pass the share. The rows are grown by their last
+    rows from the sparse rows of a shorter prefix, whose view their own
+    derives from: with those rows as its tail (fold fraction 100), or
+    folded into its base (0). Every score has the bits of the whole float64
+    product of the dense rows, and each row's count of shared entries is
+    the count a product of its pattern of ones with the query's nonzero
+    entries gives."""
     vectors, query_vec = rows_and_query
-    covered = max(len(vectors) - left_out, 0)
-    parent = max(covered - grown, 0)
-    with mock.patch.object(embedding, "DENSITY_CUT", 1.0):
-        prefix = sparse_rows(vectors[:parent])
-        prefix.by_column
-        index = sparse_rows(vectors[:covered], prefix)
+    parent = max(len(vectors) - grown, 0)
+    prefix = as_sparse(vectors[:parent])
+    prefix.by_column
+    index = as_sparse(vectors[parent:], prefix)
     assert index is not None
     with mock.patch.object(trigraph, "FOLD_FRACTION", fold_fraction):
         view = index.by_column
     tailed = index.nnz - prefix.nnz <= fold_fraction * prefix.nnz
-    assert view.fold == (parent if tailed else covered)
+    assert view.fold == (parent if tailed else len(vectors))
     pattern = sp.csr_matrix(
         (np.ones(index.nnz, dtype=np.float32), index.col_ids, index.indptr),
-        shape=(covered, vectors.shape[1]),
+        shape=vectors.shape,
     )
     counts = view.row_major_terms(query_vec, np.flatnonzero(query_vec))[1]
     assert np.array_equal(counts, pattern @ (query_vec != 0.0).astype(np.float32))
     with mock.patch.object(retrieval, "GATHER_SHARE", gather_share):
-        scores, dense_rows = _scored(vectors, query_vec, index, _query_terms(query_vec))
+        scores, dense_rows = _scored(index, query_vec, _query_terms(query_vec))
+    assert same_bits(scores, whole_product(vectors, query_vec))
     assert same_bits(scores, _similarities(vectors, query_vec))
     # A stored -0.0 meeting a nonzero query entry counts as a product too.
     marked = vectors.view(np.uint32) != 0
     products = (marked & (query_vec != 0)).sum(axis=1)
-    assert np.array_equal(counts, products[:covered])
-    products[covered:] = 3
+    assert np.array_equal(counts, products)
     gathered = int(np.count_nonzero(products >= 3))
     scanned = gathered > gather_share * len(vectors)
     assert dense_rows == (len(vectors) if scanned else gathered)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows_and_query=scored_rows(), data=st.data())
+@pytest.mark.parametrize("remainder", [0, 1, 2, 3])
+def test_scattered_rows_have_the_whole_products_bits(rows_and_query, data, remainder):
+    """``_row_similarities`` over sparse rows alone, for a row count of each
+    remainder mod 4: any ascending subset of the rows, the last ``n % 4``
+    among them or not, and every row, as a ``GATHER_SHARE`` full scan does
+    it, score with the bits of the whole float64 product of the dense
+    rows; so does a query vector holding a value that is not float32,
+    which is scanned whole."""
+    vectors, query_vec = rows_and_query
+    vectors = vectors[: max(len(vectors) - (len(vectors) - remainder) % 4, 0)]
+    held = as_sparse(vectors)
+    full = whole_product(vectors, query_vec)
+    picks = data.draw(st.sets(st.integers(0, max(len(vectors) - 1, 0))))
+    rows = np.array(sorted(picks & set(range(len(vectors)))), dtype=np.intp)
+    assert same_bits(_row_similarities(held, query_vec, rows), full[rows])
+    assert same_bits(_row_similarities(held, query_vec), full)
+    with mock.patch.object(retrieval, "GATHER_SHARE", 0.0):
+        scores, scanned = _scored(held, query_vec, _query_terms(query_vec))
+    assert same_bits(scores, full)
+    wide = query_vec.copy()
+    wide[np.flatnonzero(wide)[:1]] = 0.1
+    assert _query_terms(wide) is None
+    scores, scanned = _scored(held, wide, _query_terms(wide))
+    assert scanned == len(vectors)
+    assert same_bits(scores, whole_product(vectors, wide))
 
 
 @pytest.mark.parametrize(
@@ -147,14 +189,15 @@ def test_a_query_vector_not_of_finite_float32_values_is_scanned(value):
     index = sparse_rows(vectors)
     assert index is not None
     with mock.patch.object(retrieval, "GATHER_SHARE", 1.0):
-        scores, dense_rows = _scored(vectors, query_vec, index, _query_terms(query_vec))
+        scores, dense_rows = _scored(index, query_vec, _query_terms(query_vec))
     assert dense_rows == len(vectors)
     assert same_bits(scores, _similarities(vectors, query_vec))
 
 
 def test_rows_the_index_cannot_hold_are_scanned():
     """Rows denser than the cut, of another dtype or holding a value that is
-    not finite get no index; a store of such a kind scans it whole."""
+    not finite have no sparse rows; a store holds such a kind dense and
+    scans it whole."""
     rng = np.random.default_rng(3)
     dense = rng.standard_normal((6, 16)).astype(np.float32)
     assert sparse_rows(dense) is None
@@ -169,12 +212,11 @@ def test_rows_the_index_cannot_hold_are_scanned():
     store = build_store(graph, HashEncoder(dim=8, seed=3))
     query_vec = store.encode_query("Paris met Rome")
     with mock.patch.object(retrieval, "GATHER_SHARE", 1.0):
-        for kind in VECTOR_KINDS:
-            vectors = getattr(store, kind)
-            if store.sparse_rows(kind) is None:
+        for kind, held in store.kinds.items():
+            if not isinstance(held, SparseRows):
                 terms = _query_terms(query_vec)
-                assert _kind_scores(store, kind, query_vec, terms)[1] == len(vectors)
-        assert store.sparse_rows("passage_vectors") is None
+                assert _kind_scores(store, kind, query_vec, terms)[1] == len(held)
+        assert isinstance(store.kinds["passage_vectors"], np.ndarray)
 
 
 def index_arrays(index):
@@ -226,39 +268,41 @@ def assert_view_is_a_fresh_derivation(view, fresh, rng):
         min_size=1,
         max_size=8,
     ),
-    tail_rows=st.sampled_from([0, 3, embedding.TAIL_ROWS]),
     fold_fraction=st.sampled_from([0.0, trigraph.FOLD_FRACTION, 100.0]),
 )
 def test_extended_indexes_equal_a_fresh_derivation_and_leave_parents_intact(
-    root, steps, tail_rows, fold_fraction
+    root, steps, fold_fraction
 ):
     """A tree of extends: each step extends a random earlier store, the tip
-    or not, whose indexes and their views were made or not. Every store's
-    index of a kind equals a fresh derivation from the rows it holds, a
-    prefix that leaves at most ``TAIL_ROWS`` rows out; its view, derived
-    from an ancestor's with the rows past that one as its tail, or folded,
-    equals a fresh view of that index. Making them changes no byte of an
-    earlier store's indexes or views. The similarities scored through them,
-    rows left out included, have the full scan's bits. A fold fraction of 0
-    folds every view, 100 none."""
-    with mock.patch.object(embedding, "TAIL_ROWS", tail_rows):
-        with mock.patch.object(trigraph, "FOLD_FRACTION", fold_fraction):
-            extend_tree(root, steps, tail_rows)
+    or not, whose sparse rows' views were made or not. Every store's sparse
+    rows of a kind equal a fresh derivation from its dense rows; their view,
+    derived from an ancestor's with the rows past that one as its tail, or
+    folded, equals a fresh view. Growing them and making their views
+    changes no byte of an earlier store's arrays or views. The
+    similarities scored through them have the full scan's bits. A fold
+    fraction of 0 folds every view, 100 none."""
+    with mock.patch.object(trigraph, "FOLD_FRACTION", fold_fraction):
+        extend_tree(root, steps)
 
 
-def extend_tree(root, steps, tail_rows):
+def extend_tree(root, steps):
     rng = np.random.default_rng(len(steps))
     graph = build(corpus_from_records(records([POOL[i] for i in root])))
     nodes = [(graph, build_store(graph, ENCODER))]
-    snapshots = []  # (index, copies of its arrays)
+    snapshots = []  # (sparse rows, copies of their arrays)
+
+    def snapshot(store):
+        for index in store.kinds.values():
+            snapshots.append((index, [a.copy() for a in index_arrays(index)]))
+
+    snapshot(nodes[0][1])
     for pick, picks, query_parent in steps:
         graph, store = nodes[pick % len(nodes)]
         if query_parent:
             query_vec = store.encode_query(" ".join(POOL[:2]))
             for kind in VECTOR_KINDS:
                 _kind_scores(store, kind, query_vec, _query_terms(query_vec))
-                index = store.sparse_rows(kind)
-                snapshots.append((index, [a.copy() for a in index_arrays(index)]))
+            snapshot(store)
         slice_ = corpus_from_records(
             records([POOL[i] for i in picks]),
             passage_id_base=graph.n_passages,
@@ -266,13 +310,13 @@ def extend_tree(root, steps, tail_rows):
         )
         graph = add_passages(graph, slice_)
         nodes.append((graph, extend_store(store, graph)))
+        snapshot(nodes[-1][1])
     for _, store in reversed(nodes):
         query_vec = store.encode_query(" ".join(POOL[:2]))
         for kind in VECTOR_KINDS:
-            index, rows = store.sparse_rows(kind), getattr(store, kind)
-            assert index is not None, kind
-            assert 0 <= len(rows) - index.n_rows <= tail_rows, kind
-            fresh = sparse_rows(rows[: index.n_rows])
+            index, rows = store.kinds[kind], getattr(store, kind)
+            assert isinstance(index, SparseRows), kind
+            fresh = sparse_rows(rows)
             assert index == fresh, kind
             scores = _kind_scores(store, kind, query_vec, _query_terms(query_vec))[0]
             assert same_bits(scores, _similarities(rows, query_vec)), kind
@@ -294,11 +338,11 @@ def extend_tree(root, steps, tail_rows):
     dim=st.sampled_from([8, 128]),
 )
 def test_loaded_indexes_equal_built_ones(tmp_path_factory, cuts, dim):
-    """Vector files followed by appended tail records load with the indexes
-    a build derives from the same rows. At dim 128 they are made from the
-    files' bitmaps, and none is derived from the rows; at dim 8 the passage
-    blocks pass the density cut and load through one mask, and the first
-    use finds that the kind keeps no index."""
+    """Vector files followed by appended tail records load each kind as a
+    build holds the same rows. At dim 128 every kind is decoded straight
+    from the files' bitmaps into its sparse rows; at dim 8 the passage
+    blocks pass the density cut and load as dense rows. Neither derives
+    sparse rows from dense ones."""
     encoder = HashEncoder(dim=dim, seed=3)
     directory = tmp_path_factory.mktemp("index")
     bounds = [0, *cuts, len(POOL)]
@@ -317,17 +361,23 @@ def test_loaded_indexes_equal_built_ones(tmp_path_factory, cuts, dim):
         save(graph, directory, embedder={"id": encoder.contract.id, "dim": dim})
         save_store(store, directory)
     built = build_store(build(corpus_from_records(records(POOL))), encoder)
-    expected = [built.sparse_rows(kind) for kind in VECTOR_KINDS]
-    loaded = load_store(directory, load(directory))
     underived = mock.patch.object(embedding, "sparse_rows", side_effect=AssertionError)
-    with underived if dim == 128 else nullcontext():
-        assert [loaded.sparse_rows(kind) for kind in VECTOR_KINDS] == expected
-    assert expected[2] is None if dim == 8 else all(expected)
+    with underived:
+        loaded = load_store(directory, load(directory))
+    for kind in VECTOR_KINDS:
+        held, expected = loaded.kinds[kind], built.kinds[kind]
+        assert type(held) is type(expected), kind
+        if isinstance(expected, SparseRows):
+            assert held == expected, kind
+        else:
+            assert np.array_equal(held, expected), kind
+    dense = [not isinstance(held, SparseRows) for held in built.kinds.values()]
+    assert dense[2] if dim == 8 else not any(dense)
 
 
 def test_a_dense_stand_in_store_keeps_no_index_and_scores_the_whole_product():
-    """Rows of the rotated encoder hold every entry, so no kind keeps a
-    sparse index, and each kind's similarities, scanned whole, have the
+    """Rows of the rotated encoder hold every entry, so the store holds
+    every kind dense, and each kind's similarities, scanned whole, have the
     bits of the whole float64 product."""
     graph = build(corpus_from_records(records(POOL)))
     store = build_store(graph, RotatedEncoder(dim=64, seed=5))
@@ -335,8 +385,56 @@ def test_a_dense_stand_in_store_keeps_no_index_and_scores_the_whole_product():
     assert np.count_nonzero(query_vec) == len(query_vec)
     for kind in VECTOR_KINDS:
         vectors = getattr(store, kind)
-        assert store.sparse_rows(kind) is None, kind
+        assert store.kinds[kind] is vectors, kind
         terms = _query_terms(query_vec)
         scores, dense_rows = _kind_scores(store, kind, query_vec, terms)
         assert dense_rows == len(vectors) > 0
         assert same_bits(scores, vectors.astype(np.float64) @ query_vec), kind
+
+
+def test_no_library_path_densifies_a_sparse_kind(tmp_path):
+    """``SparseRows.to_dense`` is the one densifying helper: a spy on it
+    sees no call while a store of sparse kinds is built, grown, saved whole
+    and by a tail record, loaded, matched to its graph and queried on the
+    graph path and both fallbacks; the public row fields, which the tests'
+    dense oracles read, go through it on each access."""
+    graph = build(corpus_from_records(records(POOL[:8])))
+    store = build_store(graph, ENCODER)
+    assert all(isinstance(held, SparseRows) for held in store.kinds.values())
+    embedder = {"id": ENCODER.contract.id, "dim": ENCODER.dim}
+    cfg = RetrievalConfig(delta=0.01)
+    question = " ".join(POOL[:2])
+    spy = mock.patch.object(SparseRows, "to_dense", side_effect=AssertionError)
+    # The slice is appended to the tail files whatever its share of them.
+    unfolded = mock.patch.object(trigraph, "FOLD_FRACTION", 100.0)
+    with spy as densify, unfolded:
+        save(graph, tmp_path, embedder=embedder)
+        save_store(store, tmp_path)
+        slice_ = corpus_from_records(
+            records(POOL[8:11]),
+            passage_id_base=graph.n_passages,
+            sentence_id_base=graph.n_sentences,
+        )
+        grown_graph = add_passages(graph, slice_)
+        grown = extend_store(store, grown_graph)
+        save(grown_graph, tmp_path, embedder=embedder)
+        save_store(grown, tmp_path)
+        assert (tmp_path / trigraph.VECTOR_TAIL).exists()
+        loaded = load_store(tmp_path, load(tmp_path))
+        assert loaded.matches(grown_graph) and grown.matches(grown_graph)
+        answers = []
+        for held in (grown, loaded):
+            answers.append(retrieve(question, grown_graph, held, cfg))
+            for fallback in ("dense", "empty"):
+                unseeded = RetrievalConfig(entity_sim_threshold=2.0, fallback=fallback)
+                assert retrieve(question, grown_graph, held, unseeded).fallback_used
+            dense_ranking(held.encode_query(question), held, 3)
+        assert answers[0] == answers[1] and not answers[0].fallback_used
+    assert not densify.called
+    counted = mock.patch.object(
+        SparseRows, "to_dense", autospec=True, side_effect=SparseRows.to_dense
+    )
+    with counted as densify:
+        for kind in VECTOR_KINDS:
+            assert np.array_equal(getattr(loaded, kind), getattr(grown, kind))
+    assert densify.call_count == 2 * len(VECTOR_KINDS)

@@ -25,6 +25,13 @@ untimed pass (``peak_kib``):
   not, and ``median_bytes_added``: the median bytes a timed append added
   to the graph files and to the vector files, apart, from their sizes
   before and after it;
+* ``store``: the bytes of the arrays the loaded store holds, and of those
+  the store holds after the ``APPENDS`` appends of ``answers_sha256``,
+  each per passage and with each growth buffer's whole capacity counted
+  (``bytes_per_passage``), column-major views left out; and
+  ``one_representation``, whether each holds every kind one way: no array
+  of rows beside a kind's sparse rows, and no kind held dense whose marked
+  entries are within ``embedding.DENSITY_CUT`` of its entries;
 * ``answers_sha256``: one SHA-256 digest of the answers to every graph
   question on the loaded index and to the questions of ``APPENDS`` slices
   appended to it in memory one at a time, each asked twice (the second ask
@@ -36,9 +43,9 @@ untimed pass (``peak_kib``):
   other tree to compare them.
 
 It exits 1 if the loaded index differs from the built one, the grown index
-from a rebuild, an answer's stages from its path's, or a question's entity,
+from a rebuild, an answer's stages from its path's, a question's entity,
 sentence or passage similarities from the bits of the whole float64
-product. With several sizes it also prints each stage's growth from the
+product, or a store holds a kind more than one way. With several sizes it also prints each stage's growth from the
 first size to the last, per passage for the index path
 (``per_passage_growth``, 1.0 meaning linear) and per append
 (``append_growth``). Run from the root of a checkout:
@@ -73,7 +80,12 @@ import numpy as np  # noqa: E402
 from inputs import make_inputs, make_slice  # noqa: E402
 from linearrag import evalbench  # noqa: E402
 from linearrag.corpus import corpus_from_records  # noqa: E402
-from linearrag.embedding import extend_store, resolve_encoder  # noqa: E402
+from linearrag.embedding import (  # noqa: E402
+    DENSITY_CUT,
+    SparseRows,
+    extend_store,
+    resolve_encoder,
+)
 from linearrag.retrieval import (  # noqa: E402
     activate,
     passage_seed_scores,
@@ -96,13 +108,52 @@ CHECKS = {
     "index": "loaded_equals_built",
     "query": "stages_as_expected",
     "append": "equals_rebuild",
+    "store": "one_representation",
 }
 
 
-def answers_sha256(graph, store, questions, slices) -> str:
+def store_memory(store) -> tuple[int, bool]:
+    """The bytes of the arrays ``store`` holds outside its encoder, each
+    array that is a view of a growth buffer counted as the whole buffer,
+    each buffer once; and whether it holds each kind one way: every array
+    of rows it holds is the dense rows of a kind whose marked entries pass
+    ``DENSITY_CUT`` of its entries. Column-major views are not counted."""
+    arrays = []
+
+    def walk(value) -> None:
+        if isinstance(value, np.ndarray):
+            arrays.append(value)
+        elif isinstance(value, SparseRows):
+            arrays.extend((value.col_ids, value.indptr, value.values))
+        elif isinstance(value, dict):
+            for item in value.values():
+                walk(item)
+        elif isinstance(value, (list, tuple)):
+            for item in value:
+                walk(item)
+
+    for name, value in vars(store).items():
+        if name != "encoder":
+            walk(value)
+    owners = {}
+    for array in arrays:
+        owner = array.base if isinstance(array.base, np.ndarray) else array
+        owners[id(owner)] = owner.nbytes
+    dense_kinds = {
+        id(held)
+        for held in store.kinds.values()
+        if isinstance(held, np.ndarray)
+        and np.count_nonzero(held.view(np.uint32)) > DENSITY_CUT * held.size
+    }
+    one_way = all(a.ndim < 2 or id(a) in dense_kinds for a in arrays)
+    return sum(owners.values()), one_way
+
+
+def answers_sha256(graph, store, questions, slices) -> tuple[str, object]:
     """The digest of the answers to ``questions`` on ``graph`` and ``store``,
     then to each slice's question, asked twice, after the slice's records
-    are appended in memory (see the module docstring)."""
+    are appended in memory (see the module docstring); and the store grown
+    by the last slice."""
     digest = hashlib.sha256()
 
     def ask(question: str, graph, store) -> None:
@@ -141,7 +192,7 @@ def answers_sha256(graph, store, questions, slices) -> str:
         store = extend_store(store, graph)
         ask(question, graph, store)
         ask(question, graph, store)
-    return digest.hexdigest()
+    return digest.hexdigest(), store
 
 
 def measure(n_passages: int, directory: Path, encoder) -> dict:
@@ -171,13 +222,15 @@ def measure(n_passages: int, directory: Path, encoder) -> dict:
         APPENDS,
     )
     append["first_query"]["bounds"] = FIRST_QUERY_BOUNDS
-    pieces = (make_slice(SEED, i, inputs.filler_names) for i in range(APPENDS))
-    digest = answers_sha256(
+    pieces = [make_slice(SEED, i, inputs.filler_names) for i in range(APPENDS)]
+    digest, grown = answers_sha256(
         graph,
         store,
         inputs.graph_questions,
         ((piece.records, piece.question.question) for piece in pieces),
     )
+    memory = {"loaded": store_memory(store), "grown": store_memory(grown)}
+    grown_passages = n_passages + sum(len(piece.records) for piece in pieces)
     return {
         "seed": SEED,
         "encoder": encoder.contract.id,
@@ -185,6 +238,13 @@ def measure(n_passages: int, directory: Path, encoder) -> dict:
         "index": index,
         "query": query,
         "append": append,
+        "store": {
+            "bytes_per_passage": {
+                "loaded": round(memory["loaded"][0] / n_passages, 1),
+                "grown": round(memory["grown"][0] / grown_passages, 1),
+            },
+            "one_representation": all(ok for _, ok in memory.values()),
+        },
         "answers_sha256": digest,
     }
 
