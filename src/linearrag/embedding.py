@@ -78,8 +78,7 @@ NORM_TOLERANCE = 1e-4
 DENSITY_CUT = 0.15
 # Rows of ``HashEncoder.encode_batch`` summed at a time.
 ENCODE_BLOCK_ROWS = 512
-# Rows of a block whose bitmaps ``_decode_block`` unpacks at a time.
-DECODE_ROWS = 4096
+DECODE_ROWS = 4096  # rows of a block's bitmaps ``_decode_block`` unpacks at once
 
 
 @dataclass(frozen=True)
@@ -285,9 +284,9 @@ def validate_normalized(rows: np.ndarray | SparseRows, what: str) -> None:
     if 0 in rows.shape:
         return
     if isinstance(rows, SparseRows):
-        row_ids = rows.row_ids
-        non_finite = np.zeros(rows.n_rows, dtype=bool)
-        non_finite[row_ids[~np.isfinite(rows.values)]] = True
+        row_ids, values = rows.row_ids, rows.values.astype(np.float64)
+        bad_rows = row_ids[~np.isfinite(values)]
+        non_finite = np.bincount(bad_rows, minlength=rows.n_rows) > 0
     else:
         non_finite = ~np.isfinite(rows).all(axis=1)
     if np.any(non_finite):
@@ -295,7 +294,6 @@ def validate_normalized(rows: np.ndarray | SparseRows, what: str) -> None:
             f"{what}: {int(non_finite.sum())} vector(s) hold NaN or infinite values"
         )
     if isinstance(rows, SparseRows):
-        values = rows.values.astype(np.float64)
         squares = np.bincount(row_ids, values * values, minlength=rows.n_rows)
     else:
         squares = np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
@@ -308,16 +306,12 @@ def validate_normalized(rows: np.ndarray | SparseRows, what: str) -> None:
 
 
 class SparseRows(SparseBinaryMatrix):
-    """The rows of a float32 matrix as the entries whose bits are not all
-    zero (those a vector file's bitmaps mark), in CSR form with those
-    entries as its ``values``: how a store holds a kind under
-    ``DENSITY_CUT``. Queries read it column-major (``by_column``) and
-    ``scatter`` the rows they score whole. Its arrays are the tips of
-    growth buffers (``buffers.appended``), so ``sparse_rows(rows,
-    grown_from=this)`` grows them in place when this is the newest matrix
-    grown from them, and never changes this one; the grown matrix's view
-    derives from this one's with the new rows as its tail, and folds as the
-    graph's views do (``trigraph.ColumnMajor``)."""
+    """A float32 matrix as the entries whose bits are not all zero (those a
+    vector file's bitmaps mark), in CSR form with their ``values``: how a
+    store holds a kind under ``DENSITY_CUT``. Its arrays are the tips of
+    growth buffers, which ``sparse_rows(rows, grown_from=this)`` grows in
+    place when this is the newest matrix grown from them; the grown
+    matrix's view derives from this one's (``trigraph.ColumnMajor``)."""
 
     __slots__ = ("values",)
 
@@ -326,9 +320,8 @@ class SparseRows(SparseBinaryMatrix):
         self.values = values
 
     def scatter(self, rows: slice | np.ndarray, into: np.ndarray) -> None:
-        """Write the marked entries of ``rows`` (a slice with its bounds, or
-        ascending row ids) into ``into``, a C-contiguous array of zeros of
-        as many rows of ``n_cols``, so that it holds those rows."""
+        """Write ``rows`` (a slice with bounds, or ascending ids) into
+        ``into``, C-contiguous zeros of as many rows of ``n_cols``."""
         if isinstance(rows, slice):
             positions = slice(self.indptr[rows.start], self.indptr[rows.stop])
             lengths = np.diff(self.indptr[rows.start : rows.stop + 1])
@@ -341,40 +334,23 @@ class SparseRows(SparseBinaryMatrix):
 
     def to_dense(self) -> np.ndarray:
         """The rows as dense float32, read-only, made anew on each call:
-        O(rows x n_cols). The only densifying path: the public row fields
-        of ``EmbeddingStore`` read a sparse kind through it, and no library
-        path reads them for one."""
+        O(rows x n_cols). The one densifying path."""
         dense = np.zeros((self.n_rows, self.n_cols), dtype=np.float32)
         self.scatter(slice(0, self.n_rows), dense)
         dense.flags.writeable = False
         return dense
 
-    def past(self, start: int) -> "SparseRows":
-        """Its rows from ``start`` on, as a matrix of their own whose
-        columns and values are views of its own."""
-        at = self.indptr[start]
-        return SparseRows(
-            self.n_rows - start,
-            self.n_cols,
-            self.col_ids[at:],
-            self.indptr[start:] - at,
-            self.values[at:],
-        )
-
 
 def sparse_rows(
     rows: np.ndarray, grown_from: SparseRows | None = None
 ) -> SparseRows | None:
-    """The sparse rows of the float32 matrix ``rows``, following those of
-    ``grown_from`` if given, whose arrays they grow (``SparseRows``); or
-    None where a store holds the kind dense and queries scan it whole: rows
-    that are not float32, hold a value that is not finite, or whose marked
-    entries, with ``grown_from``'s, pass ``DENSITY_CUT`` of all their
-    entries."""
+    """The sparse rows of ``rows``, following those of ``grown_from`` if
+    given; or None, where a store holds the kind dense: for rows that are
+    not float32, hold a value that is not finite, or whose marked entries,
+    with ``grown_from``'s, pass ``DENSITY_CUT`` of all their entries."""
     if rows.dtype != np.float32:
         return None
-    start = grown_from.n_rows if grown_from is not None else 0
-    old_nnz = grown_from.nnz if grown_from is not None else 0
+    start, old_nnz = (grown_from.n_rows, grown_from.nnz) if grown_from else (0, 0)
     shape = (start + rows.shape[0], rows.shape[1])
     flat = np.ascontiguousarray(rows).reshape(-1)
     marked = flat.view(np.uint32) != 0
@@ -405,8 +381,7 @@ def _too_dense(nnz: int, shape: tuple[int, int]) -> bool:
 
 
 def _held(rows: np.ndarray) -> np.ndarray | SparseRows:
-    """Dense ``rows`` as a store holds them: as their sparse rows, or
-    themselves where ``sparse_rows`` gives None."""
+    """Dense ``rows`` as a store holds them."""
     held = sparse_rows(rows)
     return rows if held is None else held
 
@@ -414,16 +389,15 @@ def _held(rows: np.ndarray) -> np.ndarray | SparseRows:
 def _appended_rows(
     held: np.ndarray | SparseRows, rows: np.ndarray
 ) -> np.ndarray | SparseRows:
-    """A kind as a store holds it (``held``) followed by the dense
-    ``rows``, as the grown store holds it: sparse rows grown in place, or,
-    past the cut, dense rows. A dense kind stays dense; an empty one takes
+    """A kind as a store holds it followed by the dense ``rows``, as the
+    grown store holds it. A dense kind stays dense; an empty one takes
     ``rows`` uncopied."""
     if isinstance(held, SparseRows):
         grown = sparse_rows(rows, held if held.n_rows else None)
         if grown is not None:
             return grown
         # Past the cut: from here on the kind is held dense.
-        held = held.to_dense() if held.n_rows else rows[:0]
+        held = _dense(held) if held.n_rows else rows[:0]
     return appended(held, rows) if len(held) else rows
 
 
@@ -431,33 +405,23 @@ def _appended_rows(
 VECTOR_KINDS = ("entity_vectors", "sentence_vectors", "passage_vectors")
 
 
-def _dense_field(kind: str) -> property:
-    def rows(self) -> np.ndarray:
-        held = self.kinds[kind]
-        return held.to_dense() if isinstance(held, SparseRows) else held
-
-    return property(rows, doc=f"The store's {kind.replace('_', ' ')} as dense rows.")
+def _dense(held: np.ndarray | SparseRows) -> np.ndarray:
+    """A kind as a store holds it, as dense rows."""
+    return held.to_dense() if isinstance(held, SparseRows) else held
 
 
 class EmbeddingStore:
     """An encoder's vectors of a graph's entities, sentences and passages,
-    each kind of ``VECTOR_KINDS`` held one way in ``kinds``: as its sparse
-    rows (``SparseRows``) while its marked entries are at most
-    ``DENSITY_CUT`` of its entries, else as dense float32 rows. It is made
-    from dense rows, one array per kind, (n_entities, dim), (n_sentences,
-    dim) and (n_passages, dim); ``sparse_rows`` decides how each is held.
+    made from dense rows, one array per kind, and held one way each in
+    ``kinds``: as sparse rows (``sparse_rows``) under ``DENSITY_CUT``, else
+    as the dense rows. ``entity_vectors``, ``sentence_vectors`` and
+    ``passage_vectors`` give each kind as dense rows, read-only: a sparse
+    kind's are made anew on each access, at O(rows x dim), and no library
+    path reads them for one."""
 
-    ``entity_vectors``, ``sentence_vectors`` and ``passage_vectors`` are
-    read-only properties that give each kind as dense rows: a dense kind's
-    own, and a sparse kind's made anew from its entries on each access, at
-    O(rows x dim) (``SparseRows.to_dense``). No library path reads them
-    for a sparse kind. ``extend_store`` grows a store; ``save_store`` and
-    ``load_store`` write and read it as it is held; rows once held are not
-    changed."""
-
-    entity_vectors = _dense_field("entity_vectors")
-    sentence_vectors = _dense_field("sentence_vectors")
-    passage_vectors = _dense_field("passage_vectors")
+    entity_vectors = property(lambda self: _dense(self.kinds["entity_vectors"]))
+    sentence_vectors = property(lambda self: _dense(self.kinds["sentence_vectors"]))
+    passage_vectors = property(lambda self: _dense(self.kinds["passage_vectors"]))
 
     def __init__(
         self,
@@ -469,34 +433,22 @@ class EmbeddingStore:
         encoder: Encoder | None = None,
     ):
         rows = (entity_vectors, sentence_vectors, passage_vectors)
-        self.dim = dim
-        self.encoder_id = encoder_id
-        self.kinds: dict[str, np.ndarray | SparseRows] = dict(
-            zip(VECTOR_KINDS, map(_held, rows))
-        )
-        self.encoder = encoder
+        self._hold(dim, encoder_id, map(_held, rows), encoder)
+
+    def _hold(self, dim, encoder_id, kinds, encoder) -> "EmbeddingStore":
+        self.dim, self.encoder_id, self.encoder = dim, encoder_id, encoder
+        self.kinds: dict[str, np.ndarray | SparseRows] = dict(zip(VECTOR_KINDS, kinds))
+        return self
 
     @classmethod
     def _holding(
-        cls,
-        dim: int,
-        encoder_id: str,
-        kinds: Iterable[np.ndarray | SparseRows],
-        encoder: Encoder | None,
+        cls, dim: int, encoder_id: str, kinds: Iterable, encoder: Encoder | None
     ) -> "EmbeddingStore":
         """A store that holds each kind as ``kinds`` gives it."""
-        store = cls.__new__(cls)
-        vars(store).update(
-            dim=dim,
-            encoder_id=encoder_id,
-            kinds=dict(zip(VECTOR_KINDS, kinds)),
-            encoder=encoder,
-        )
-        return store
+        return cls.__new__(cls)._hold(dim, encoder_id, kinds, encoder)
 
     @property
     def row_counts(self) -> tuple[int, ...]:
-        """The rows of each kind, in the order of ``VECTOR_KINDS``."""
         return tuple(held.shape[0] for held in self.kinds.values())
 
     def encode_query(self, text: str) -> np.ndarray:
@@ -525,9 +477,6 @@ def _node_texts(graph: TriGraph, start: Sequence[int]) -> tuple[list[str], ...]:
     )
 
 
-_KINDS = ("entity vectors", "sentence vectors", "passage vectors")
-
-
 def build_store(graph: TriGraph, encoder: Encoder) -> EmbeddingStore:
     """Encode entity canonicals, sentences, and passages for a graph: an
     ``extend_store`` of an empty store of the encoder's contract."""
@@ -546,14 +495,10 @@ def extend_store(
 
     Existing rows are kept verbatim; only appended entities, sentences and
     passages are encoded, and each kind grows as it is held
-    (``_appended_rows``): sparse rows by the new rows' entries, dense rows
-    by the new rows, the arrays of either as read-only views of growth
-    buffers (``buffers.appended``), in place when ``store`` is the newest
-    store grown from them, else by one copy of the old ones; so a chain of
-    extends copies amortised O(new rows). An empty kind's dense rows are
-    the encoded ones, uncopied. A grown sparse kind's column-major view
-    derives from ``store``'s, or from that of its nearest ancestor that made
-    one, on first use. ``store`` is never changed. Row counts may only
+    (``_appended_rows``), its arrays as read-only views of growth buffers
+    (``buffers.appended``): in place when ``store`` is the newest store
+    grown from them, else by one copy, so a chain of extends copies
+    amortised O(new rows). ``store`` is never changed. Row counts may only
     grow. An encoder whose contract id is not the store's is a
     ConfigError, raised before anything is encoded.
     """
@@ -570,21 +515,21 @@ def extend_store(
         )
     new_texts = _node_texts(graph, store.row_counts)
     grown = []
-    for kind, held, texts in zip(_KINDS, store.kinds.values(), new_texts):
+    for (kind, held), texts in zip(store.kinds.items(), new_texts):
         if texts:
-            held = _appended_rows(held, _encode_checked(encoder, texts, store.dim, kind))
+            what = kind.replace("_", " ")
+            held = _appended_rows(held, _encode_checked(encoder, texts, store.dim, what))
         grown.append(held)
     return EmbeddingStore._holding(store.dim, store.encoder_id, grown, encoder)
 
 
 def encode_block(rows: np.ndarray | SparseRows) -> bytes:
     """The block of a vector file that holds ``rows``, a float32 matrix,
-    dense or as its sparse rows: uint64 row and value counts, one bitmap
-    of ``ceil(dim / 8)`` bytes per row whose bits (most significant first)
-    mark the entries whose float32 bits are not all zero, then those
+    dense or as its sparse rows (alike): uint64 row and value counts, one
+    bitmap of ``ceil(dim / 8)`` bytes per row whose bits (most significant
+    first) mark the entries whose float32 bits are not all zero, then those
     entries as float32, row by row. No rows make no block. Every bit comes
-    back, ``-0.0`` included, and both forms of the same rows give the same
-    bytes."""
+    back, ``-0.0`` included."""
     if isinstance(rows, SparseRows):
         marked = np.zeros(rows.shape, dtype=bool)
         marked[rows.row_ids, rows.col_ids] = True
@@ -607,13 +552,10 @@ def encode_block(rows: np.ndarray | SparseRows) -> bytes:
 def write_vector_file(
     path: str | Path, rows: np.ndarray | SparseRows, encoder_id: str
 ) -> None:
-    """Replace the vector file ``path`` with one holding ``rows``, dense or
-    sparse, as one block (``encode_block``), atomically
-    (``storage.replace_file``)."""
-    if not isinstance(rows, SparseRows):
-        rows = _le_rows(rows)
-        if rows.ndim != 2:
-            raise ValueError("vector file payload must be a 2-D array")
+    """Replace the vector file ``path`` with one holding ``rows`` as one
+    block (``encode_block``), atomically (``storage.replace_file``)."""
+    if not isinstance(rows, SparseRows) and np.ndim(rows) != 2:
+        raise ValueError("vector file payload must be a 2-D array")
     block = encode_block(rows)
     encoded_id = encoder_id.encode("utf-8")
     header = b"".join(
@@ -683,7 +625,7 @@ def read_vector_file(path: str | Path) -> tuple[np.ndarray, str]:
     encoder id. Bytes past the committed data belong to an append that
     never committed and are ignored."""
     rows, encoder_id = _read_vectors(Path(path), Path(path), (), 0)
-    return (rows.to_dense() if isinstance(rows, SparseRows) else rows), encoder_id
+    return _dense(rows), encoder_id
 
 
 def _read_vectors(
@@ -692,12 +634,9 @@ def _read_vectors(
     """The rows a vector file's header commits followed by part ``kind`` of
     each of ``records``, the records of ``tail`` past those rows, as a
     store holds them, and its encoder id. Each count is checked against
-    the bytes that hold it before anything is allocated. The blocks'
-    value counts say how the kind is held: under the density cut, as
-    sparse rows whose arrays are decoded straight from the bitmaps; past
-    it, as dense rows. Either are the tips of growth buffers
-    (``buffers.reserved``), read-only. A version 1 file's dense rows are
-    held as ``EmbeddingStore`` holds rows it is given."""
+    the bytes that hold it before anything is allocated. The blocks' value
+    counts say how the kind is held, and its arrays are decoded into the
+    tips of growth buffers (``buffers.reserved``), read-only."""
     with path.open("rb") as f:
         header = _read_header(f, path)
         data = f.read(header.size)
@@ -719,25 +658,16 @@ def _read_vectors(
         parts.append((tail, part, n_rows))
     n_rows = sum(n for _, _, n in parts)
     if dense:
-        rows = reserved(n_rows, (dim,), np.float32)
-        at = 0
-        for _, part, n in parts:
-            rows[at : at + n] = np.frombuffer(part, "<f4").reshape(n, dim)
-            at += n
-        rows.flags.writeable = False
-        return _held(rows), header.encoder_id
+        rows = [np.frombuffer(part, "<f4").reshape(n, dim) for _, part, n in parts]
+        return _held(np.concatenate(rows, dtype=np.float32)), header.encoder_id
     counts = [_block_values(part, n, dim, where) for where, part, n in parts]
     nnz = sum(counts)
     if _too_dense(nnz, (n_rows, dim)):
-        held = reserved(n_rows, (dim,), np.float32)
-        arrays = [held]
+        arrays = [held := reserved(n_rows, (dim,), np.float32)]
     else:
         index = np.int32 if nnz < 2**31 else np.int64
-        arrays = [
-            reserved(nnz, (), index),
-            reserved(n_rows + 1, (), index),
-            reserved(nnz, (), np.float32),
-        ]
+        sizes = ((nnz, index), (n_rows + 1, index), (nnz, np.float32))
+        arrays = [reserved(size, (), dtype) for size, dtype in sizes]
         held = SparseRows(n_rows, dim, *arrays)
         held.indptr[0] = 0
     row = entry = 0
@@ -776,20 +706,17 @@ def _decode_block(
     where: Path,
 ) -> None:
     """Decode the block ``data`` of ``n_rows`` rows, whose counts
-    ``_block_values`` checked, into the rows of ``held`` from ``row`` on.
-    Dense rows are zeroed and given the values their bitmaps mark. Sparse
-    rows take its entries from position ``entry`` of their columns and
-    values on, and each row's length at ``indptr[1 + row:]``, to be summed
-    into offsets once every block is in. ConsistencyError naming ``where``
-    for a bitmap bit set past the dim, a value count that is not the
-    bitmaps' count of set bits, or a marked entry whose stored bits are all
-    zero.
+    ``_block_values`` checked, into the rows of ``held`` from ``row`` on:
+    dense rows, zeroed and given their values; or sparse rows, its entries
+    at position ``entry`` of their columns and values on, each row's length
+    in ``indptr[1 + row:]``. ConsistencyError naming ``where`` for a bitmap
+    bit set past the dim, a value count that is not the bitmaps' count of
+    set bits, or a marked entry whose stored bits are all zero.
 
-    The bitmaps are read ``DECODE_ROWS`` rows at a time, so the
-    temporaries follow a chunk, not the block. Of dense rows, each chunk is
-    unpacked whole; of sparse rows, only the bitmap bytes with a set bit
-    are, and each set bit's byte and place give its row and column, in the
-    row-major order of the values."""
+    The bitmaps are read ``DECODE_ROWS`` rows at a time, so temporaries
+    follow a chunk, not the block. For sparse rows only the bitmap bytes
+    with a set bit are unpacked: each set bit's byte and place give its row
+    and column, in the row-major order of the values."""
     if not n_rows:
         return
     dim = held.shape[1]
@@ -884,11 +811,13 @@ def save_store(store: EmbeddingStore, directory: str | Path) -> None:
     storage.remove(tail)
 
 
-def _rows_past(
-    held: np.ndarray | SparseRows, start: int
-) -> np.ndarray | SparseRows:
+def _rows_past(held: np.ndarray | SparseRows, start: int) -> np.ndarray | SparseRows:
     """The rows of a kind, as a store holds it, from ``start`` on."""
-    return held.past(start) if isinstance(held, SparseRows) else held[start:]
+    if not isinstance(held, SparseRows):
+        return held[start:]
+    at = held.indptr[start]
+    past = (held.col_ids[at:], held.indptr[start:] - at, held.values[at:])
+    return SparseRows(held.n_rows - start, held.n_cols, *past)
 
 
 def _le_rows(rows: np.ndarray) -> np.ndarray:
@@ -956,8 +885,7 @@ def load_store(
     """Load the three vector files, each followed by its rows in the vector
     tail's records past the rows its header commits, each kind as a store
     holds it (``_read_vectors``), validating norms and (optionally)
-    row-count agreement with a graph. A sparse kind is decoded from the
-    files' bitmaps into its sparse rows alone."""
+    row-count agreement with a graph."""
     directory = Path(directory)
     tail = directory / VECTOR_TAIL
     records = VECTOR_RECORD.records(tail)

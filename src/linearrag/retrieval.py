@@ -341,24 +341,21 @@ def _row_similarities(
     """
     n, dim = vectors.shape
     sparse = isinstance(vectors, SparseRows)
-    # Sparse rows are scattered into zeros: a buffer from ``np.zeros``
-    # (calloc, faster than numpy's fill), zeroed again once written.
-    written = False
 
-    def fill(into: np.ndarray, picked: slice | np.ndarray) -> None:
-        nonlocal written
-        if not sparse:
+    def fill(into: np.ndarray, picked: slice | np.ndarray, used: bool) -> None:
+        # Sparse rows go into zeros: calloc's (faster than numpy's fill)
+        # until a block has used them.
+        if sparse:
+            if used:
+                into[...] = 0.0
+            vectors.scatter(picked, into)
+        else:
             into[...] = vectors[picked]
-            return
-        if written:
-            into[...] = 0.0
-        vectors.scatter(picked, into)
-        written = True
 
     if n < 2:
         picked = slice(0, n) if rows is None else rows
         block = np.zeros((n if rows is None else len(rows), dim))
-        fill(block, picked)
+        fill(block, picked, False)
         return block @ query_vec
     first_last = n - n % 4
     asked = n if rows is None else len(rows)
@@ -376,13 +373,13 @@ def _row_similarities(
         hi = min(lo + _BLOCK_ROWS, head)
         size = hi - lo
         cast = buffer[: size + -size % 4]
-        fill(cast[:size], slice(lo, hi) if rows is None else rows[lo:hi])
+        fill(cast[:size], slice(lo, hi) if rows is None else rows[lo:hi], lo > 0)
         if size % 4:
             cast[size:] = cast[0]
         np.matmul(cast, query_vec, out=out[lo : lo + len(cast)])
     if head < asked:
         cast = buffer[: 4 + n % 4]
-        fill(cast[4:], slice(first_last, n))
+        fill(cast[4:], slice(first_last, n), head > 0)
         cast[:4] = cast[4]
         last = (cast @ query_vec)[4:]
         out[head:asked] = last if rows is None else last[rows[head:] - first_last]

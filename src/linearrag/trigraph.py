@@ -400,9 +400,8 @@ class ColumnMajor:
             base, base_positions = _transposed(matrix)
         else:
             fold, base_positions = grown_from.fold, grown_from.base_positions
-            # A shallow copy shares the base's arrays, and widening it gives
-            # it a longer ``indptr`` of its own, so the view it derives from
-            # is left as it was; it checks nothing, as a new matrix would.
+            # A shallow copy shares the base's arrays; widened, it has an
+            # ``indptr`` of its own. Unlike a new matrix, it checks nothing.
             base = copy.copy(grown_from.base)
             base.resize(n_cols, n_rows)
         # intp columns: numpy gathers through int32 indices 2-3x slower.
