@@ -41,15 +41,16 @@ is byte for byte the index a full write makes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import os
 import re
 import struct
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Iterable, NamedTuple, Protocol, Sequence
+from typing import Any, BinaryIO, Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -78,7 +79,7 @@ NORM_TOLERANCE = 1e-4
 DENSITY_CUT = 0.15
 # Rows of ``HashEncoder.encode_batch`` summed at a time.
 ENCODE_BLOCK_ROWS = 512
-DECODE_ROWS = 4096  # rows of a block's bitmaps ``_decode_block`` unpacks at once
+CHUNK_ROWS = 4096  # rows ``extend_store`` encodes, ``_decode_block`` unpacks, at once
 
 
 @dataclass(frozen=True)
@@ -102,6 +103,8 @@ def _tokens(text: str) -> list[str]:
     return _TOKEN.findall(text.casefold())
 
 
+# An append's passages, sentences and entity names share most of their tokens.
+@functools.lru_cache(maxsize=1024)
 def _bucket_sign(token: str, dim: int, seed: int) -> tuple[int, float]:
     digest = hashlib.blake2b(
         f"{seed}:{token}".encode("utf-8"), digest_size=8
@@ -278,25 +281,22 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a.astype(np.float64), b.astype(np.float64)))
 
 
-def validate_normalized(rows: np.ndarray | SparseRows, what: str) -> None:
+def validate_normalized(rows: HeldRows, what: str) -> None:
     """Raise ConsistencyError unless every row is finite and L2-normalized.
     Of sparse rows (``SparseRows``), only their entries are read."""
     if 0 in rows.shape:
         return
     if isinstance(rows, SparseRows):
         row_ids, values = rows.row_ids, rows.values.astype(np.float64)
-        bad_rows = row_ids[~np.isfinite(values)]
-        non_finite = np.bincount(bad_rows, minlength=rows.n_rows) > 0
-    else:
-        non_finite = ~np.isfinite(rows).all(axis=1)
-    if np.any(non_finite):
-        raise ConsistencyError(
-            f"{what}: {int(non_finite.sum())} vector(s) hold NaN or infinite values"
-        )
-    if isinstance(rows, SparseRows):
+        bad_rows = np.bincount(row_ids[~np.isfinite(values)]) > 0
         squares = np.bincount(row_ids, values * values, minlength=rows.n_rows)
     else:
+        bad_rows = ~np.isfinite(rows).all(axis=1)
         squares = np.einsum("ij,ij->i", rows, rows, dtype=np.float64)
+    if np.any(bad_rows):
+        raise ConsistencyError(
+            f"{what}: {int(bad_rows.sum())} vector(s) hold NaN or infinite values"
+        )
     norms = np.sqrt(squares)
     bad = np.abs(norms - 1.0) > NORM_TOLERANCE
     if np.any(bad):
@@ -308,10 +308,9 @@ def validate_normalized(rows: np.ndarray | SparseRows, what: str) -> None:
 class SparseRows(SparseBinaryMatrix):
     """A float32 matrix as the entries whose bits are not all zero (those a
     vector file's bitmaps mark), in CSR form with their ``values``: how a
-    store holds a kind under ``DENSITY_CUT``. Its arrays are the tips of
-    growth buffers, which ``sparse_rows(rows, grown_from=this)`` grows in
-    place when this is the newest matrix grown from them; the grown
-    matrix's view derives from this one's (``trigraph.ColumnMajor``)."""
+    store holds a kind under ``DENSITY_CUT``. ``sparse_rows(rows,
+    grown_from=this)`` grows its arrays, the tips of growth buffers, and
+    derives its view from this one's (``trigraph.ColumnMajor``)."""
 
     __slots__ = ("values",)
 
@@ -341,6 +340,10 @@ class SparseRows(SparseBinaryMatrix):
         return dense
 
 
+# A kind of vectors as a store holds it.
+HeldRows = np.ndarray | SparseRows
+
+
 def sparse_rows(
     rows: np.ndarray, grown_from: SparseRows | None = None
 ) -> SparseRows | None:
@@ -355,7 +358,7 @@ def sparse_rows(
     flat = np.ascontiguousarray(rows).reshape(-1)
     marked = flat.view(np.uint32) != 0
     nnz = old_nnz + int(np.count_nonzero(marked))
-    if _too_dense(nnz, shape):
+    if nnz > DENSITY_CUT * shape[0] * shape[1]:
         return None
     at = np.flatnonzero(marked)
     values = flat[at]  # every unmarked entry is +0.0, so finite
@@ -363,9 +366,8 @@ def sparse_rows(
         return None
     row_ids, cols = np.divmod(at, shape[1])
     index = np.int32 if nnz < 2**31 else np.int64
-    counts = np.bincount(row_ids, minlength=rows.shape[0])
-    parts = [cols.astype(index), np.cumsum(counts, dtype=index), values]
-    parts[1] += index(old_nnz)
+    indptr = np.cumsum(np.bincount(row_ids, minlength=rows.shape[0]), dtype=index)
+    parts = [cols.astype(index), indptr + index(old_nnz), values]
     if grown_from is None:
         parts[1] = np.concatenate([[index(0)], parts[1]])
     else:
@@ -374,30 +376,19 @@ def sparse_rows(
     return SparseRows(*shape, *parts, grown_from)
 
 
-def _too_dense(nnz: int, shape: tuple[int, int]) -> bool:
-    """Whether ``nnz`` marked entries of a matrix of ``shape`` pass the
-    density cut."""
-    return nnz > DENSITY_CUT * shape[0] * shape[1]
-
-
-def _held(rows: np.ndarray) -> np.ndarray | SparseRows:
+def _held(rows: np.ndarray) -> HeldRows:
     """Dense ``rows`` as a store holds them."""
-    held = sparse_rows(rows)
-    return rows if held is None else held
+    return rows if (held := sparse_rows(rows)) is None else held
 
 
-def _appended_rows(
-    held: np.ndarray | SparseRows, rows: np.ndarray
-) -> np.ndarray | SparseRows:
+def _appended_rows(held: HeldRows, rows: np.ndarray) -> HeldRows:
     """A kind as a store holds it followed by the dense ``rows``, as the
     grown store holds it. A dense kind stays dense; an empty one takes
     ``rows`` uncopied."""
     if isinstance(held, SparseRows):
-        grown = sparse_rows(rows, held if held.n_rows else None)
-        if grown is not None:
+        if (grown := sparse_rows(rows, held if held.n_rows else None)) is not None:
             return grown
-        # Past the cut: from here on the kind is held dense.
-        held = _dense(held) if held.n_rows else rows[:0]
+        held = _dense(held)  # past the cut: held dense from here on
     return appended(held, rows) if len(held) else rows
 
 
@@ -405,19 +396,17 @@ def _appended_rows(
 VECTOR_KINDS = ("entity_vectors", "sentence_vectors", "passage_vectors")
 
 
-def _dense(held: np.ndarray | SparseRows) -> np.ndarray:
+def _dense(held: HeldRows) -> np.ndarray:
     """A kind as a store holds it, as dense rows."""
     return held.to_dense() if isinstance(held, SparseRows) else held
 
 
 class EmbeddingStore:
     """An encoder's vectors of a graph's entities, sentences and passages,
-    made from dense rows, one array per kind, and held one way each in
-    ``kinds``: as sparse rows (``sparse_rows``) under ``DENSITY_CUT``, else
-    as the dense rows. ``entity_vectors``, ``sentence_vectors`` and
-    ``passage_vectors`` give each kind as dense rows, read-only: a sparse
-    kind's are made anew on each access, at O(rows x dim), and no library
-    path reads them for one."""
+    made from dense rows and held one way each in ``kinds``: as sparse rows
+    (``sparse_rows``) under ``DENSITY_CUT``, else dense. ``entity_vectors``,
+    ``sentence_vectors`` and ``passage_vectors`` give dense rows, read-only,
+    a sparse kind's made anew on each access at O(rows x dim)."""
 
     entity_vectors = property(lambda self: _dense(self.kinds["entity_vectors"]))
     sentence_vectors = property(lambda self: _dense(self.kinds["sentence_vectors"]))
@@ -437,13 +426,11 @@ class EmbeddingStore:
 
     def _hold(self, dim, encoder_id, kinds, encoder) -> "EmbeddingStore":
         self.dim, self.encoder_id, self.encoder = dim, encoder_id, encoder
-        self.kinds: dict[str, np.ndarray | SparseRows] = dict(zip(VECTOR_KINDS, kinds))
+        self.kinds: dict[str, HeldRows] = dict(zip(VECTOR_KINDS, kinds))
         return self
 
     @classmethod
-    def _holding(
-        cls, dim: int, encoder_id: str, kinds: Iterable, encoder: Encoder | None
-    ) -> "EmbeddingStore":
+    def _holding(cls, dim, encoder_id, kinds, encoder) -> "EmbeddingStore":
         """A store that holds each kind as ``kinds`` gives it."""
         return cls.__new__(cls)._hold(dim, encoder_id, kinds, encoder)
 
@@ -463,7 +450,8 @@ class EmbeddingStore:
         return vectors[0].astype(np.float64)
 
     def matches(self, graph: TriGraph) -> bool:
-        return self.row_counts == (graph.n_entities, graph.n_sentences, graph.n_passages)
+        counts = (graph.n_entities, graph.n_sentences, graph.n_passages)
+        return self.row_counts == counts
 
 
 def _node_texts(graph: TriGraph, start: Sequence[int]) -> tuple[list[str], ...]:
@@ -494,7 +482,9 @@ def extend_store(
     """Encode whatever nodes the store is missing for a grown graph.
 
     Existing rows are kept verbatim; only appended entities, sentences and
-    passages are encoded, and each kind grows as it is held
+    passages are encoded, their texts as one list, ``CHUNK_ROWS`` per
+    encoder call, so an append calls the encoder once and a build holds
+    one chunk of dense rows at a time. Each kind grows as it is held
     (``_appended_rows``), its arrays as read-only views of growth buffers
     (``buffers.appended``): in place when ``store`` is the newest store
     grown from them, else by one copy, so a chain of extends copies
@@ -514,44 +504,52 @@ def extend_store(
             f"with encoder {store.encoder_id!r}"
         )
     new_texts = _node_texts(graph, store.row_counts)
-    grown = []
-    for (kind, held), texts in zip(store.kinds.items(), new_texts):
-        if texts:
-            what = kind.replace("_", " ")
-            held = _appended_rows(held, _encode_checked(encoder, texts, store.dim, what))
-        grown.append(held)
+    texts = list(chain.from_iterable(new_texts))
+    ends = list(accumulate(map(len, new_texts)))  # each kind's, in ``texts``
+    grown = list(store.kinds.values())
+    for lo in range(0, len(texts), CHUNK_ROWS):
+        chunk = texts[lo : lo + CHUNK_ROWS]
+        rows = _encode_checked(encoder, chunk, store.dim, "vectors")
+        for kind, (start, end) in enumerate(zip([0, *ends], ends)):
+            part = rows[max(start - lo, 0) : max(end - lo, 0)]
+            if len(part):
+                grown[kind] = _appended_rows(grown[kind], part)
     return EmbeddingStore._holding(store.dim, store.encoder_id, grown, encoder)
 
 
-def encode_block(rows: np.ndarray | SparseRows) -> bytes:
+def encode_block(rows: HeldRows) -> bytes:
     """The block of a vector file that holds ``rows``, a float32 matrix,
     dense or as its sparse rows (alike): uint64 row and value counts, one
     bitmap of ``ceil(dim / 8)`` bytes per row whose bits (most significant
     first) mark the entries whose float32 bits are not all zero, then those
     entries as float32, row by row. No rows make no block. Every bit comes
     back, ``-0.0`` included."""
-    if isinstance(rows, SparseRows):
-        marked = np.zeros(rows.shape, dtype=bool)
-        marked[rows.row_ids, rows.col_ids] = True
-        values = rows.values.astype("<f4", copy=False)
+    return _block(rows, 0)
+
+
+def _block(held: HeldRows, start: int) -> bytes:
+    """``encode_block`` of the rows of ``held`` from ``start`` on."""
+    n_rows = held.shape[0] - start
+    if isinstance(held, SparseRows):
+        at = held.indptr[start]
+        # Each row padded to whole bitmap bytes, its marks set in one flat pass.
+        width = _bitmap_bytes(held.n_cols) * 8
+        marked = np.zeros((n_rows, width), dtype=bool)
+        slots = np.arange(0, marked.size, width).repeat(np.diff(held.indptr[start:]))
+        slots += held.col_ids[at:]
+        marked.reshape(-1)[slots] = True
+        values = held.values[at:].astype("<f4", copy=False)
     else:
-        rows = _le_rows(rows)
+        rows = np.ascontiguousarray(held[start:], dtype="<f4")
         marked = rows.view("<u4") != 0
         values = rows[marked]
-    if not rows.shape[0]:
+    if not n_rows:
         return b""
-    return b"".join(
-        (
-            _BLOCK.pack(rows.shape[0], len(values)),
-            np.packbits(marked, axis=1).tobytes(),
-            values.tobytes(),
-        )
-    )
+    bitmaps = np.packbits(marked, axis=1).tobytes()
+    return _BLOCK.pack(n_rows, len(values)) + bitmaps + values.tobytes()
 
 
-def write_vector_file(
-    path: str | Path, rows: np.ndarray | SparseRows, encoder_id: str
-) -> None:
+def write_vector_file(path: str | Path, rows: HeldRows, encoder_id: str) -> None:
     """Replace the vector file ``path`` with one holding ``rows`` as one
     block (``encode_block``), atomically (``storage.replace_file``)."""
     if not isinstance(rows, SparseRows) and np.ndim(rows) != 2:
@@ -630,13 +628,12 @@ def read_vector_file(path: str | Path) -> tuple[np.ndarray, str]:
 
 def _read_vectors(
     path: Path, tail: Path, records: Sequence[storage.TailRecord], kind: int
-) -> tuple[np.ndarray | SparseRows, str]:
+) -> tuple[HeldRows, str]:
     """The rows a vector file's header commits followed by part ``kind`` of
     each of ``records``, the records of ``tail`` past those rows, as a
-    store holds them, and its encoder id. Each count is checked against
-    the bytes that hold it before anything is allocated. The blocks' value
-    counts say how the kind is held, and its arrays are decoded into the
-    tips of growth buffers (``buffers.reserved``), read-only."""
+    store holds them (as the blocks' value counts say), decoded read-only
+    into the tips of growth buffers (``buffers.reserved``); and its encoder
+    id. Each count is checked against its bytes before any allocation."""
     with path.open("rb") as f:
         header = _read_header(f, path)
         data = f.read(header.size)
@@ -646,11 +643,9 @@ def _read_vectors(
     parts = [(path, data, header.rows)]
     for record in storage.records_past(tail, records, [header.rows], [kind]):
         part, n_rows = record.parts[kind], record.end[kind] - record.start[kind]
-        if dense:
-            fits = len(part) == n_rows * dim * 4
-        else:
-            fits = len(part) >= n_rows * _bitmap_bytes(dim)
-        if not fits:
+        # Dense rows fill their bytes; a block holds at least its bitmaps.
+        needs = n_rows * (dim * 4 if dense else _bitmap_bytes(dim))
+        if len(part) < needs or dense and len(part) != needs:
             raise ConsistencyError(
                 f"{tail}: a record holds {len(part)} bytes of {path.name} "
                 f"rows, its counts say {n_rows} rows of dim {dim}"
@@ -662,7 +657,7 @@ def _read_vectors(
         return _held(np.concatenate(rows, dtype=np.float32)), header.encoder_id
     counts = [_block_values(part, n, dim, where) for where, part, n in parts]
     nnz = sum(counts)
-    if _too_dense(nnz, (n_rows, dim)):
+    if nnz > DENSITY_CUT * n_rows * dim:
         arrays = [held := reserved(n_rows, (dim,), np.float32)]
     else:
         index = np.int32 if nnz < 2**31 else np.int64
@@ -672,7 +667,7 @@ def _read_vectors(
         held.indptr[0] = 0
     row = entry = 0
     for (where, part, n), n_values in zip(parts, counts):
-        _decode_block(part, n, held, row, entry, where)
+        _decode_block(part, held, row, entry, where)
         row, entry = row + n, entry + n_values
     if isinstance(held, SparseRows):
         np.cumsum(held.indptr, out=held.indptr)
@@ -698,30 +693,23 @@ def _block_values(data: bytes | memoryview, n_rows: int, dim: int, where: Path) 
 
 
 def _decode_block(
-    data: bytes | memoryview,
-    n_rows: int,
-    held: np.ndarray | SparseRows,
-    row: int,
-    entry: int,
-    where: Path,
+    data: bytes | memoryview, held: HeldRows, row: int, entry: int, where: Path
 ) -> None:
-    """Decode the block ``data`` of ``n_rows`` rows, whose counts
-    ``_block_values`` checked, into the rows of ``held`` from ``row`` on:
-    dense rows, zeroed and given their values; or sparse rows, its entries
-    at position ``entry`` of their columns and values on, each row's length
-    in ``indptr[1 + row:]``. ConsistencyError naming ``where`` for a bitmap
-    bit set past the dim, a value count that is not the bitmaps' count of
-    set bits, or a marked entry whose stored bits are all zero.
-
-    The bitmaps are read ``DECODE_ROWS`` rows at a time, so temporaries
-    follow a chunk, not the block. For sparse rows only the bitmap bytes
-    with a set bit are unpacked: each set bit's byte and place give its row
-    and column, in the row-major order of the values."""
-    if not n_rows:
+    """Decode the block ``data``, whose counts ``_block_values`` checked,
+    into the rows of ``held`` from ``row`` on: dense rows, zeroed and given
+    their values; or sparse rows, its entries at position ``entry`` of
+    their columns and values on, each row's length in ``indptr[1 + row:]``.
+    ConsistencyError naming ``where`` for a bitmap bit set past the dim, a
+    value count that is not the bitmaps' count of set bits, or a marked
+    entry whose stored bits are all zero. The bitmaps are read
+    ``CHUNK_ROWS`` rows at a time; for sparse rows only the bitmap bytes
+    with a set bit are unpacked, each set bit's byte and place giving its
+    row and column."""
+    if not len(data):
         return
     dim = held.shape[1]
     width = _bitmap_bytes(dim)
-    n_values = _BLOCK.unpack_from(data)[1]
+    n_rows, n_values = _BLOCK.unpack_from(data)
     bitmaps = np.frombuffer(data, np.uint8, n_rows * width, _BLOCK.size)
     bitmaps = bitmaps.reshape(n_rows, width)
     padding = (1 << (-dim % 8)) - 1  # the last bitmap byte's bits past dim
@@ -731,8 +719,8 @@ def _decode_block(
         )
     values = np.frombuffer(data, "<f4", n_values, _BLOCK.size + n_rows * width)
     n_marked = 0
-    for lo in range(0, n_rows, DECODE_ROWS):
-        chunk = bitmaps[lo : lo + DECODE_ROWS]
+    for lo in range(0, n_rows, CHUNK_ROWS):
+        chunk = bitmaps[lo : lo + CHUNK_ROWS]
         if isinstance(held, SparseRows):
             flat = chunk.reshape(-1)
             filled = np.flatnonzero(flat)
@@ -740,14 +728,9 @@ def _decode_block(
             marked = len(set_bits)
             if n_marked + marked <= n_values:
                 chunk_rows, cols = np.divmod(filled[set_bits >> 3], width)
-                cols *= 8
-                cols += set_bits & 7
-                at = entry + n_marked
-                held.col_ids[at : at + marked] = cols
-                ends = row + lo + 1
-                held.indptr[ends : ends + len(chunk)] = np.bincount(
-                    chunk_rows, minlength=len(chunk)
-                )
+                held.col_ids[entry + n_marked :][:marked] = cols * 8 + (set_bits & 7)
+                lengths = np.bincount(chunk_rows, minlength=len(chunk))
+                held.indptr[row + lo + 1 :][: len(chunk)] = lengths
         else:
             mask = np.unpackbits(chunk, axis=1, count=dim).view(bool)
             marked = int(np.count_nonzero(mask))
@@ -794,7 +777,7 @@ def save_store(store: EmbeddingStore, directory: str | Path) -> None:
     if committed is not None and not committed.folds:
         end = committed.end
         if end != counts:
-            parts = [encode_block(_rows_past(held, e)) for held, e in zip(kinds, end)]
+            parts = [_block(held, e) for held, e in zip(kinds, end)]
             record = VECTOR_RECORD.record(end, counts, parts)
             storage.append_tail(tail, committed.length, record)
         elif committed.passed:  # what a failed fold left
@@ -809,19 +792,6 @@ def save_store(store: EmbeddingStore, directory: str | Path) -> None:
         write_vector_file(directory / name, held, store.encoder_id)
     storage.sync_directory(directory)
     storage.remove(tail)
-
-
-def _rows_past(held: np.ndarray | SparseRows, start: int) -> np.ndarray | SparseRows:
-    """The rows of a kind, as a store holds it, from ``start`` on."""
-    if not isinstance(held, SparseRows):
-        return held[start:]
-    at = held.indptr[start]
-    past = (held.col_ids[at:], held.indptr[start:] - at, held.values[at:])
-    return SparseRows(held.n_rows - start, held.n_cols, *past)
-
-
-def _le_rows(rows: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(rows, dtype="<f4")
 
 
 def _passed_by(tail: Path, counts: Sequence[int]) -> bool:
@@ -889,7 +859,7 @@ def load_store(
     directory = Path(directory)
     tail = directory / VECTOR_TAIL
     records = VECTOR_RECORD.records(tail)
-    kinds: list[np.ndarray | SparseRows] = []
+    kinds: list[HeldRows] = []
     ids: list[str] = []
     for kind, name in enumerate(STORE_FILES):
         held, encoder_id = _read_vectors(directory / name, tail, records, kind)

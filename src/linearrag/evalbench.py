@@ -906,10 +906,7 @@ def query_costs(
 
 
 def _scored_as_scanned(
-    store: EmbeddingStore,
-    dense: Mapping[str, np.ndarray],
-    query_vec: np.ndarray,
-    rng: np.random.Generator,
+    store: EmbeddingStore, dense: dict, query_vec: np.ndarray, rng: np.random.Generator
 ) -> bool:
     """Whether each kind's query similarities, as retrieval scores them
     from the store, equal the bits of the whole float64 product of its

@@ -39,14 +39,12 @@ sorted.
 
 Every query similarity, of entities, sentences and passages, is scored
 for every row with the bits of a float64 matrix-vector product, but not by
-one (``_similarities``). A kind the store holds as sparse rows
-(``embedding.SparseRows``), read column-major, sums the entries of the
-query's nonzero buckets alone, term at a time, which scores exactly each
-row sharing at most two of them; only the others are scored whole, their
-entries scattered into zeroed float64 blocks taken along each row's path
-through the whole product (``_row_similarities``), into which a kind held
-dense is cast. So a query's similarity cost follows the entries of its
-buckets, not the kind's.
+one (``_similarities``): a kind held as sparse rows, read column-major,
+sums the entries of the query's nonzero buckets alone, term at a time,
+which scores exactly each row sharing at most two of them; only the others
+are scored whole, scattered a block at a time along each row's path
+through the whole product (``_row_similarities``), as a dense kind is cast.
+So a query's similarity cost follows the entries of its buckets, not the kind's.
 
 ``retrieve`` is the one place these stages run in sequence, through the
 same private cores as the public stages, computing only what it returns;
@@ -68,7 +66,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from .embedding import EmbeddingStore, SparseRows
+from .embedding import EmbeddingStore, HeldRows, SparseRows
 from .errors import ConfigError, EmptySeedError
 from .trigraph import TriGraph
 
@@ -229,10 +227,9 @@ class QueryStats:
     it is below ``ppr_tol``; they are None on the fallback.
     ``dense_rows`` counts, over the entity, sentence and passage vectors,
     the rows whose query similarity the query scored by float64 dot
-    products over whole rows rather than term at a time through the kind's
-    sparse rows: the rows gathered for sharing 3 or more nonzero entries
-    with the query, or every row of a kind scanned whole (see
-    ``_similarities``).
+    products over whole rows rather than term at a time: the rows gathered
+    for sharing 3 or more nonzero entries with the query, or every row of a
+    kind scanned whole (see ``_similarities``).
     """
 
     stage_ms: dict[str, float]
@@ -255,9 +252,7 @@ class RankedPassages:
         return [item.passage_id for item in self.items]
 
 
-def _similarities(
-    vectors: np.ndarray | SparseRows, query_vec: np.ndarray
-) -> np.ndarray:
+def _similarities(vectors: HeldRows, query_vec: np.ndarray) -> np.ndarray:
     """``vectors.astype(np.float64) @ query_vec`` as OpenBLAS sums it on one
     thread, bit for bit, for a kind as a store holds it: dense rows, or
     sparse rows (``SparseRows``), read term at a time where that serves,
@@ -288,9 +283,7 @@ def _query_terms(query_vec: np.ndarray) -> np.ndarray | None:
 
 
 def _scored(
-    vectors: np.ndarray | SparseRows,
-    query_vec: np.ndarray,
-    terms: np.ndarray | None,
+    vectors: HeldRows, query_vec: np.ndarray, terms: np.ndarray | None
 ) -> tuple[np.ndarray, int]:
     """``_similarities``, given the query's ``_query_terms``, and how many
     rows it scored by float64 dot products: those it gathered, or all of
@@ -315,9 +308,7 @@ def _float32_valued(query_vec: np.ndarray) -> bool:
 
 
 def _row_similarities(
-    vectors: np.ndarray | SparseRows,
-    query_vec: np.ndarray,
-    rows: np.ndarray | None = None,
+    vectors: HeldRows, query_vec: np.ndarray, rows: np.ndarray | None = None
 ) -> np.ndarray:
     """``(vectors.astype(np.float64) @ query_vec)[rows]`` for ascending,
     distinct ``rows`` (None: every row), as OpenBLAS sums the whole product
@@ -330,13 +321,12 @@ def _row_similarities(
     multiple of 4 with copies of its first row; and, if any of the last
     ``n % 4`` is asked, all of them are scored after 4 copies of the first,
     as that block's remainder. Each block is filled in one reused float64
-    buffer: dense rows are cast into it, from a slice in a full scan, else
-    by a gather; sparse rows are scattered into it, zeros but for their
-    entries (``SparseRows.scatter``). A float32 value is exact in float64
-    and an unmarked entry is +0.0 in both, so either way the block holds
-    the same values in the same slots. numpy scores a one-row matrix by a
-    dot product, which sums in another order, and so does this. (A
-    threaded product splits rows by thread count, so it is not
+    buffer, cast from dense rows (a slice in a full scan, else a gather) or
+    scattered from sparse rows into zeros (``SparseRows.scatter``): a
+    float32 value is exact in float64 and an unmarked entry is +0.0 in
+    both, so either way it holds the same values. numpy scores a one-row
+    matrix by a dot product, which sums in another order, and so does this.
+    (A threaded product splits rows by thread count, so it is not
     reproducible itself.)
     """
     n, dim = vectors.shape
@@ -353,10 +343,9 @@ def _row_similarities(
             into[...] = vectors[picked]
 
     if n < 2:
-        picked = slice(0, n) if rows is None else rows
-        block = np.zeros((n if rows is None else len(rows), dim))
-        fill(block, picked, False)
-        return block @ query_vec
+        block = np.zeros((n, dim))
+        fill(block, slice(0, n), False)
+        return block @ query_vec if rows is None else (block @ query_vec)[rows]
     first_last = n - n % 4
     asked = n if rows is None else len(rows)
     head = first_last if rows is None else int(np.searchsorted(rows, first_last))

@@ -201,9 +201,7 @@ class SparseBinaryMatrix:
     def nnz(self) -> int:
         return len(self.col_ids)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.n_rows, self.n_cols
+    shape = property(lambda self: (self.n_rows, self.n_cols))
 
     def cols_of(self, row: int) -> np.ndarray:
         return self.col_ids[self.indptr[row] : self.indptr[row + 1]]

@@ -422,7 +422,8 @@ class TestStore:
             extend_store(store, grown, Spy(dim=16, seed=4))
         assert encoded == []
         extended = extend_store(store, grown, Spy(dim=16, seed=3))
-        assert encoded == [["vienna"], ["Vienna waltzes."], ["Vienna waltzes."]]
+        # One call: the new entities', sentences' and passages' texts in turn.
+        assert encoded == [["vienna", "Vienna waltzes.", "Vienna waltzes."]]
         assert extended.matches(grown)
 
     def test_build_store_is_extend_of_empty_store(self, graph):
@@ -439,14 +440,16 @@ class TestStore:
             EmbeddingStore(32, encoder.contract.id, empty, empty, empty), graph, encoder
         )
         built = build_store(graph, encoder)
+        assert len(returned) == 2  # one encoder call each
         names = ("entity_vectors", "sentence_vectors", "passage_vectors")
-        for name, rows in zip(names, returned[3:]):
+        ends = np.cumsum([graph.n_entities, graph.n_sentences, graph.n_passages])
+        for name, rows in zip(names, np.split(returned[1], ends[:-1])):
             assert np.array_equal(getattr(built, name), getattr(extended, name))
             held = built.kinds[name]
             if isinstance(held, SparseRows):
                 assert held == sparse_rows(rows)
-            else:
-                assert held is rows  # the encoded rows, uncopied
+            else:  # the encoded rows, uncopied
+                assert np.shares_memory(held, rows) and np.array_equal(held, rows)
 
     def test_damaged_stored_encoder_id_is_consistency_error(self, graph, tmp_path):
         save_store(build_store(graph, HashEncoder(dim=32, seed=1)), tmp_path)
