@@ -41,7 +41,6 @@ is byte for byte the index a full write makes.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import inspect
 import os
@@ -103,8 +102,6 @@ def _tokens(text: str) -> list[str]:
     return _TOKEN.findall(text.casefold())
 
 
-# An append's passages, sentences and entity names share most of their tokens.
-@functools.lru_cache(maxsize=1024)
 def _bucket_sign(token: str, dim: int, seed: int) -> tuple[int, float]:
     digest = hashlib.blake2b(
         f"{seed}:{token}".encode("utf-8"), digest_size=8

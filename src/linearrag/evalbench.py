@@ -848,11 +848,11 @@ def query_costs(
     """Query cost by stage, graph-path and fallback questions apart.
 
     A warm-up pass over ``questions`` makes the graph's query operators and
-    the store's sparse indexes, and sorts the questions by path. Then
+    the store's column views, and sorts the questions by path. Then
     ``rounds`` timed passes ask each question in turn, and one traced pass
     asks each once. Per path: the number of questions, the median share of
     the store's rows whose query similarity a question scored by float64
-    dot products over the dense rows (``QueryStats.dense_rows``), and the
+    dot products over whole rows (``QueryStats.dense_rows``), and the
     harness's figures for ``retrieve`` and, wall time only, for each stage
     of its ``QueryStats`` (``retrieve.<stage>``). ``stages_as_expected``
     says whether every answer listed exactly its path's stages

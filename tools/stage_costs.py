@@ -14,8 +14,8 @@ untimed pass (``peak_kib``):
   questions of the first ``FALLBACK_PROBES`` append slices of
   ``benchmark.inputs.make_slice`` with the slices not appended, so that
   most fall back to dense ranking; with each path's median share of the
-  store's rows whose similarity a question scored from the dense rows
-  rather than the sparse index (``median_dense_row_share``);
+  store's rows whose similarity a question scored over whole rows
+  rather than term at a time (``median_dense_row_share``);
 * ``append`` (``evalbench.append_costs``): the benchmark's four-passage
   slices appended to the saved index, each followed by its question three
   times, with ``first_query`` beside the bounds it should meet at
@@ -54,7 +54,7 @@ first size to the last, per passage for the index path
 
 ``--encoder`` names the encoder by its contract id, ``hash:256:0`` (the
 benchmark's) by default; ``rotated:256:0`` is the dense stand-in
-(``embedding.RotatedEncoder``), whose kinds keep no sparse index and are
+(``embedding.RotatedEncoder``), whose kinds are held dense and are
 scanned whole.
 
 OpenBLAS is pinned to one thread, as in the benchmark.
