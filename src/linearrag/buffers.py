@@ -10,6 +10,11 @@ shorter prefix, a caller's own - is copied into a fresh buffer with room
 for twice the rows. A reader that knows how many rows it will fill asks
 ``reserved`` for a tip of that many, so the first append to what it read
 copies nothing.
+
+Every array a graph or a store appends to grows here: the graph's
+incidences (``trigraph.SparseBinaryMatrix.extended``), occurrence counts
+and sentence table, and a store's kinds. What an append still copies whole
+is the graph's passage tuple and its entity registry.
 """
 
 from __future__ import annotations

@@ -249,11 +249,11 @@ def _encode_checked(
     what: str,
     normalized: bool = True,
 ) -> np.ndarray:
-    """``encoder``'s vectors for ``texts``. Every encode goes through here:
-    unless they have shape ``(len(texts), dim)``, are finite and (if
-    ``normalized``) have unit length, EncodingError names the encoder."""
+    """``encoder``'s vectors for ``texts`` as float32: every encode goes
+    through here. Unless they have shape ``(len(texts), dim)``, are finite
+    and (if ``normalized``) have unit length, EncodingError names it."""
     encoder_id = encoder.contract.id
-    vectors = np.asarray(encoder.encode_batch(texts))
+    vectors = np.asarray(encoder.encode_batch(texts), dtype=np.float32)
     if vectors.shape != (len(texts), dim):
         raise EncodingError(
             f"encoder {encoder_id!r} returned {what} of shape {vectors.shape}, "
@@ -306,14 +306,9 @@ class SparseRows(SparseBinaryMatrix):
     """A float32 matrix as the entries whose bits are not all zero (those a
     vector file's bitmaps mark), in CSR form with their ``values``: how a
     store holds a kind under ``DENSITY_CUT``. ``sparse_rows(rows,
-    grown_from=this)`` grows its arrays, the tips of growth buffers, and
-    derives its view from this one's (``trigraph.ColumnMajor``)."""
+    grown_from=this)`` grows it through ``extended``."""
 
-    __slots__ = ("values",)
-
-    def __init__(self, n_rows, n_cols, col_ids, indptr, values, grown_from=None):
-        super().__init__(n_rows, n_cols, col_ids, indptr, grown_from)
-        self.values = values
+    __slots__ = ()
 
     def scatter(self, rows: slice | np.ndarray, into: np.ndarray) -> None:
         """Write ``rows`` (a slice with bounds, or ascending ids) into
@@ -344,46 +339,42 @@ HeldRows = np.ndarray | SparseRows
 def sparse_rows(
     rows: np.ndarray, grown_from: SparseRows | None = None
 ) -> SparseRows | None:
-    """The sparse rows of ``rows``, following those of ``grown_from`` if
-    given; or None, where a store holds the kind dense: for rows that are
-    not float32, hold a value that is not finite, or whose marked entries,
-    with ``grown_from``'s, pass ``DENSITY_CUT`` of all their entries."""
-    if rows.dtype != np.float32:
-        return None
-    start, old_nnz = (grown_from.n_rows, grown_from.nnz) if grown_from else (0, 0)
-    shape = (start + rows.shape[0], rows.shape[1])
+    """The sparse rows of float32 ``rows``, following those of ``grown_from``
+    if given; or None, where a store holds the kind dense: for rows holding
+    a value that is not finite, or whose marked entries, with
+    ``grown_from``'s, pass ``DENSITY_CUT`` of all their entries."""
+    n_rows, dim = rows.shape
+    if grown_from is None:
+        none = np.zeros(1, dtype=np.int32)
+        grown_from = SparseRows(0, dim, none[:0], none, np.zeros(0, np.float32))
     flat = np.ascontiguousarray(rows).reshape(-1)
     marked = flat.view(np.uint32) != 0
-    nnz = old_nnz + int(np.count_nonzero(marked))
-    if nnz > DENSITY_CUT * shape[0] * shape[1]:
+    nnz = grown_from.nnz + int(np.count_nonzero(marked))
+    n_rows += grown_from.n_rows
+    if nnz > DENSITY_CUT * n_rows * dim:
         return None
     at = np.flatnonzero(marked)
     values = flat[at]  # every unmarked entry is +0.0, so finite
     if not np.isfinite(values).all():
         return None
-    row_ids, cols = np.divmod(at, shape[1])
+    row_ids, cols = np.divmod(at, dim)
     index = np.int32 if nnz < 2**31 else np.int64
-    indptr = np.cumsum(np.bincount(row_ids, minlength=rows.shape[0]), dtype=index)
-    parts = [cols.astype(index), indptr + index(old_nnz), values]
-    if grown_from is None:
-        parts[1] = np.concatenate([[index(0)], parts[1]])
-    else:
-        old = (grown_from.col_ids, grown_from.indptr, grown_from.values)
-        parts = [appended(a, b) for a, b in zip(old, parts)]
-    return SparseRows(*shape, *parts, grown_from)
+    row_ids += grown_from.n_rows
+    return grown_from.extended(row_ids, cols.astype(index), n_rows, dim, values)
 
 
 def _held(rows: np.ndarray) -> HeldRows:
-    """Dense ``rows`` as a store holds them."""
+    """Dense ``rows`` as a store holds them, narrowed to float32."""
+    rows = np.asarray(rows, dtype=np.float32)
     return rows if (held := sparse_rows(rows)) is None else held
 
 
 def _appended_rows(held: HeldRows, rows: np.ndarray) -> HeldRows:
-    """A kind as a store holds it followed by the dense ``rows``, as the
-    grown store holds it. A dense kind stays dense; an empty one takes
+    """A kind as a store holds it followed by the dense float32 ``rows``, as
+    the grown store holds it. A dense kind stays dense; an empty one takes
     ``rows`` uncopied."""
     if isinstance(held, SparseRows):
-        if (grown := sparse_rows(rows, held if held.n_rows else None)) is not None:
+        if (grown := sparse_rows(rows, held)) is not None:
             return grown
         held = _dense(held)  # past the cut: held dense from here on
     return appended(held, rows) if len(held) else rows
@@ -400,8 +391,8 @@ def _dense(held: HeldRows) -> np.ndarray:
 
 class EmbeddingStore:
     """An encoder's vectors of a graph's entities, sentences and passages,
-    made from dense rows and held one way each in ``kinds``: as sparse rows
-    (``sparse_rows``) under ``DENSITY_CUT``, else dense. ``entity_vectors``,
+    made from dense rows narrowed to float32 and held one way each in
+    ``kinds``: as sparse rows under ``DENSITY_CUT``, else dense. ``entity_vectors``,
     ``sentence_vectors`` and ``passage_vectors`` give dense rows, read-only,
     a sparse kind's made anew on each access at O(rows x dim)."""
 
@@ -486,8 +477,9 @@ def extend_store(
     (``buffers.appended``): in place when ``store`` is the newest store
     grown from them, else by one copy, so a chain of extends copies
     amortised O(new rows). ``store`` is never changed. Row counts may only
-    grow. An encoder whose contract id is not the store's is a
-    ConfigError, raised before anything is encoded.
+    grow: a graph with fewer nodes of a kind than the store has rows, or an
+    encoder whose contract id is not the store's, is a ConfigError, raised
+    before anything is encoded.
     """
     encoder = encoder or store.encoder
     if encoder is None:
@@ -499,6 +491,12 @@ def extend_store(
         raise ConfigError(
             f"encoder {encoder.contract.id!r} cannot extend a store built "
             f"with encoder {store.encoder_id!r}"
+        )
+    counts = (graph.n_entities, graph.n_sentences, graph.n_passages)
+    if any(rows > n for rows, n in zip(store.row_counts, counts)):
+        raise ConfigError(
+            f"a store of {store.row_counts} rows cannot extend to a graph of "
+            f"{counts} nodes: row counts may only grow"
         )
     new_texts = _node_texts(graph, store.row_counts)
     texts = list(chain.from_iterable(new_texts))

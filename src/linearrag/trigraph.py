@@ -74,6 +74,7 @@ import numpy as np
 from scipy import sparse as sp
 
 from . import storage
+from .buffers import appended
 from .corpus import Corpus, Passage, chain_digest, initial_digest
 from .errors import (
     ConsistencyError,
@@ -128,22 +129,22 @@ FOLD_FRACTION = 0.0625
 
 
 class SparseBinaryMatrix:
-    """A binary matrix in CSR form: the column ids of its sorted, distinct
-    entries in row-major order, and ``indptr``, the ``n_rows + 1`` prefix
-    sums of the row lengths, which alone give each entry's row. It is read
+    """A matrix in CSR form: the column ids of its sorted, distinct entries
+    in row-major order, ``indptr``, the ``n_rows + 1`` prefix sums of the
+    row lengths, which alone give each entry's row, and ``values``, one per
+    entry (None: each is 1.0, as in the graph's incidences). It is read
     column-major through ``by_column``. ``grown_from``, if given, is a
-    matrix whose rows and entries are a prefix of this one's.
+    matrix whose rows, entries and values are a prefix of this one's.
     """
 
-    __slots__ = ("n_rows", "n_cols", "col_ids", "indptr", "_view", "_view_from")
-    # Each entry is 1.0; ``embedding.SparseRows`` holds a value per entry.
-    values: np.ndarray | None = None
+    __slots__ = ("n_rows", "n_cols", "col_ids", "indptr", "values", "_view", "_view_from")
 
-    def __init__(self, n_rows, n_cols, col_ids, indptr, grown_from=None):
+    def __init__(self, n_rows, n_cols, col_ids, indptr, values=None, grown_from=None):
         self.n_rows = n_rows
         self.n_cols = n_cols
         self.col_ids = col_ids
         self.indptr = indptr
+        self.values = values
         # Until the view is made, the one of the nearest ancestor that made one.
         self._view = None
         self._view_from = grown_from and (grown_from._view or grown_from._view_from)
@@ -162,29 +163,29 @@ class SparseBinaryMatrix:
     ) -> "SparseBinaryMatrix":
         """Wrap entries that must already be sorted and distinct; raises
         ConsistencyError if they are not, or fall out of range."""
-        _check_range(rows, cols, n_rows, n_cols)
-        if np.any(np.diff(rows * n_cols + cols) <= 0):
-            raise ConsistencyError("entries not sorted or contain duplicates")
+        _check_entries(rows, cols, n_rows, n_cols)
         return cls(n_rows, n_cols, cols, _row_indptr(rows, n_rows))
 
     def extended(
-        self, rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
+        self, rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int, values=None
     ) -> "SparseBinaryMatrix":
-        """This matrix grown to ``n_rows x n_cols`` with entries in the new
-        rows appended after its own.
-
-        Only the appended entries are validated: lying in rows past every old
-        row, they sort after every old entry."""
+        """This matrix grown to ``n_rows x n_cols`` by entries in the new rows
+        (and their ``values``, if it holds values) appended after its own
+        through ``buffers.appended``: the one append to a CSR matrix. Only
+        they are validated: lying in rows past every old row, they sort after
+        every old entry. New offsets take the integer type of ``cols``."""
         if n_rows < self.n_rows or n_cols < self.n_cols:
             raise ConsistencyError("a matrix can only grow")
-        tail = SparseBinaryMatrix.sorted_entries(
-            rows - self.n_rows, cols, n_rows - self.n_rows, n_cols
-        )
-        return SparseBinaryMatrix(
+        rows = rows - self.n_rows
+        _check_entries(rows, cols, n_rows - self.n_rows, n_cols)
+        offsets = np.bincount(rows, minlength=n_rows - self.n_rows)
+        offsets = offsets.cumsum(dtype=cols.dtype) + self.nnz
+        return type(self)(
             n_rows,
             n_cols,
-            np.concatenate([self.col_ids, cols]),
-            np.concatenate([self.indptr[:-1], tail.indptr + self.nnz]),
+            appended(self.col_ids, cols),
+            appended(self.indptr, offsets),
+            None if values is None else appended(self.values, values),
             self,
         )
 
@@ -232,12 +233,16 @@ class SparseBinaryMatrix:
         return f"SparseBinaryMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
 
 
-def _check_range(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> None:
+def _check_entries(rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int) -> None:
     if len(rows):
         if rows.min() < 0 or rows.max() >= n_rows:
             raise ConsistencyError("row index out of range")
         if cols.min() < 0 or cols.max() >= n_cols:
             raise ConsistencyError("column index out of range")
+        # Rows and columns in range: no key overflows.
+        keys = rows * n_cols + cols
+        if (keys[1:] <= keys[:-1]).any():
+            raise ConsistencyError("entries not sorted or contain duplicates")
 
 
 def _row_indptr(rows: np.ndarray, n_rows: int) -> np.ndarray:
@@ -555,9 +560,10 @@ def add_passages(graph: TriGraph, new_slice: Corpus) -> TriGraph:
     Extraction, registry merging and the slice's matrix entries and counts
     are computed from the slice alone and appended after the graph's
     arrays; nothing is re-sorted, because new ids exceed every old one.
-    What still grows with the corpus is copying: the graph's arrays (its
-    sentence table among them), its passage tuple and its entity registry
-    are copied into the result, so ``graph`` is never changed
+    The incidences, occurrence counts and sentence table grow through
+    ``buffers.appended``, in place when ``graph``'s arrays are their
+    buffers' tips, so ``graph`` is never changed. What still grows with the
+    corpus is copying the passage tuple and the entity registry
     (``evalbench.append_costs`` measures this call by stage).
     The result's entity-major views derive from ``graph``'s on first use,
     with no transposition of a whole incidence until a tail passes
@@ -583,7 +589,7 @@ def add_passages(graph: TriGraph, new_slice: Corpus) -> TriGraph:
         )
     merged_corpus = Corpus(
         passages=graph.corpus.passages + new_slice.passages,
-        sentences=np.concatenate([graph.corpus.sentences, new_slice.sentences]),
+        sentences=appended(graph.corpus.sentences, new_slice.sentences),
         source_digest=chain_digest(
             graph.corpus_digest, (p.text for p in new_slice.passages)
         ),
@@ -626,7 +632,7 @@ def _grow(graph: TriGraph, new_slice: Corpus, corpus: Corpus) -> TriGraph:
             mention_rows, mention_cols, len(corpus.sentences), n_e
         ),
         entity_registry=registry,
-        occurrence_counts=np.concatenate([graph.occurrence_counts, counts]),
+        occurrence_counts=appended(graph.occurrence_counts, counts),
         extractor=graph.extractor,
     )
 
@@ -917,6 +923,8 @@ def load(directory: str | Path) -> TriGraph:
         sentences[rows, 0], cols, n_e
     )
     contain = SparseBinaryMatrix(n_p, n_e, contain_cols, _row_indptr(contain_rows, n_p))
+    for array in (mention.col_ids, mention.indptr, contain.col_ids, contain.indptr):
+        array.flags.writeable = False  # as a grown graph's views are
 
     path = directory / "occurrence.i64"
     counts = _int64_rows(path, committed[path.name], 1)[:, 0]

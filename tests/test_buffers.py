@@ -1,7 +1,8 @@
 """Growth buffers: appends write in place only at a buffer's tip, so every
-store (and graph) stays as it was, whichever of them is appended to, and
-appends from the tip copy amortised O(slice). A store's kinds grow through
-them as they are held: a sparse kind's columns, offsets and values, a dense
+graph and store stays as it was, whichever of them is appended to, and
+appends from the tip copy amortised O(slice). A graph's incidences,
+occurrence counts and sentence table grow through them, and a store's kinds
+as they are held: a sparse kind's columns, offsets and values, a dense
 kind's rows."""
 
 import random
@@ -61,13 +62,21 @@ def held_arrays(store):
     return held
 
 
-def arrays(graph, store):
+def graph_arrays(graph):
+    """The arrays a graph grows: each incidence's columns and offsets, the
+    occurrence counts and the sentence table."""
     return [
-        *(getattr(graph.contain, a) for a in ("row_ids", "col_ids", "indptr")),
-        *(getattr(graph.mention, a) for a in ("row_ids", "col_ids", "indptr")),
+        graph.contain.col_ids,
+        graph.contain.indptr,
+        graph.mention.col_ids,
+        graph.mention.indptr,
         graph.occurrence_counts,
-        *held_arrays(store),
+        graph.corpus.sentences,
     ]
+
+
+def arrays(graph, store):
+    return [*graph_arrays(graph), *held_arrays(store)]
 
 
 class TestAppended:
@@ -159,18 +168,46 @@ def test_loaded_store_extends_in_place(tmp_path):
         assert np.array_equal(getattr(grown, kind)[: len(rows)], rows), kind
 
 
-def test_grown_store_arrays_are_read_only():
-    graph = build(corpus_from_records(records(POOL[:4])))
-    store = build_store(graph, ENCODER)
+def grown(graph, texts):
+    """``graph`` with passages of ``texts`` appended."""
     slice_ = corpus_from_records(
-        records(POOL[4:6]),
+        records(texts),
         passage_id_base=graph.n_passages,
         sentence_id_base=graph.n_sentences,
     )
-    store = extend_store(store, add_passages(graph, slice_))
+    return add_passages(graph, slice_)
+
+
+def test_grown_store_arrays_are_read_only():
+    graph = build(corpus_from_records(records(POOL[:4])))
+    store = build_store(graph, ENCODER)
+    store = extend_store(store, grown(graph, POOL[4:6]))
     with pytest.raises(ValueError):
         store.sentence_vectors[0, 0] = 1.0
     assert not store.passage_vectors.flags.writeable
+
+
+def test_grown_graph_arrays_are_read_only():
+    graph = grown(build(corpus_from_records(records(POOL[:4]))), POOL[4:6])
+    for array in graph_arrays(graph):
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_loaded_graph_grows_in_buffers(tmp_path):
+    """A loaded graph's arrays are read-only and exact-size: the first
+    append to it copies them into growth buffers once, and the next appends
+    write in place."""
+    graph = build(corpus_from_records(records(POOL[:6])))
+    save(graph, tmp_path)
+    loaded = load(tmp_path)
+    assert not any(array.flags.writeable for array in graph_arrays(loaded))
+    first = grown(loaded, POOL[6:8])
+    second = grown(first, POOL[8:10])
+    for old, new in zip(graph_arrays(first), graph_arrays(second)):
+        assert np.shares_memory(new, old)
+        assert np.array_equal(new[: len(old)], old)
+    assert graph_equal(second, build(corpus_from_records(records(POOL[:10]))))
 
 
 @settings(max_examples=40, deadline=None)
@@ -210,7 +247,9 @@ def test_branching_appends_equal_rebuilds_and_leave_parents_intact(root, steps):
         for kind in VECTORS:
             assert np.array_equal(getattr(store, kind), getattr(rebuilt_store, kind))
             held, fresh = store.kinds[kind], rebuilt_store.kinds[kind]
-            if isinstance(fresh, SparseRows):
+            # A kind held dense stays dense, though a rebuild whose rows mark
+            # fewer entries may hold it sparse; a sparse one is the rebuild's.
+            if isinstance(held, SparseRows):
                 assert held == fresh, kind
         nodes.append((texts, graph, store))
         snapshots.append([a.copy() for a in arrays(graph, store)])
@@ -218,6 +257,40 @@ def test_branching_appends_equal_rebuilds_and_leave_parents_intact(root, steps):
             for now, then in zip(arrays(old_graph, old_store), snapshot):
                 assert now.dtype == then.dtype and now.shape == then.shape
                 assert now.tobytes() == then.tobytes()
+
+
+def test_concurrent_graph_appends_to_one_tip_stay_apart():
+    """Threads appending different slices to the same graph, whose arrays
+    are the tips of buffers with room for all of them, each get a graph
+    equal to a rebuild of its own corpus, and the parent is unchanged."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            parent = grown(build(corpus_from_records(records(POOL[:2]))), POOL[2:10])
+            before = [a.copy() for a in graph_arrays(parent)]
+            slices = {value: [POOL[10 + value]] for value in range(6)}
+            results = {}
+            start = threading.Barrier(len(slices))
+
+            def grow(value):
+                start.wait(timeout=30)
+                results[value] = grown(parent, slices[value])
+
+            threads = [threading.Thread(target=grow, args=(v,)) for v in slices]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert sorted(results) == sorted(slices)
+            for value, graph in results.items():
+                texts = POOL[:10] + slices[value]
+                assert graph_equal(graph, build(corpus_from_records(records(texts))))
+            for now, then in zip(graph_arrays(parent), before):
+                assert np.array_equal(now, then)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_concurrent_appends_to_one_tip_stay_apart():

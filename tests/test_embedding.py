@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 from hypothesis import strategies as st
 
 from linearrag import embedding
+from linearrag.corpus import ingest
 from linearrag.embedding import (
     FILE_VERSION,
     EmbeddingStore,
@@ -33,10 +34,13 @@ from linearrag.embedding import (
     write_vector_file,
 )
 from linearrag.errors import ConfigError, ConsistencyError, EncodingError
-from linearrag.trigraph import add_passages, build
+from linearrag.evalbench import load_qa_examples
+from linearrag.retrieval import RetrievalConfig, retrieve
+from linearrag.trigraph import add_passages, build, load, save
 
 from conftest import (
     DATA_DIR,
+    MULTIHOP_ENCODER,
     POISONS,
     TokenEncoder,
     make_corpus,
@@ -426,6 +430,21 @@ class TestStore:
         assert encoded == [["vienna", "Vienna waltzes.", "Vienna waltzes."]]
         assert extended.matches(grown)
 
+    def test_extend_store_refuses_a_graph_with_fewer_nodes(self, graph):
+        larger = build(make_corpus([*TEXTS, "Vienna waltzes."]))
+        encoded = []
+
+        class Spy(HashEncoder):
+            def encode_batch(self, texts):
+                encoded.append(list(texts))
+                return super().encode_batch(texts)
+
+        store = build_store(larger, HashEncoder(dim=16, seed=3))
+        assert store.row_counts == (4, 5, 3)
+        with pytest.raises(ConfigError, match=r"\(4, 5, 3\).*\(3, 4, 2\)"):
+            extend_store(store, graph, Spy(dim=16, seed=3))
+        assert encoded == []
+
     def test_build_store_is_extend_of_empty_store(self, graph):
         returned = []
 
@@ -509,6 +528,39 @@ class TestEncodeQuery:
         store.encoder = _FixedQueryEncoder(row)
         with pytest.raises(EncodingError, match="NaN"):
             store.encode_query("paris")
+
+
+class Float64Encoder(HashEncoder):
+    """The hash encoder's rows as float64, each nonzero entry moved by
+    1e-9: values that float32 cannot hold."""
+
+    def encode_batch(self, texts):
+        rows = super().encode_batch(texts).astype(np.float64)
+        return rows + 1e-9 * np.sign(rows)
+
+
+def test_a_float64_encoder_answers_alike_before_and_after_a_save(tmp_path):
+    """Every encode narrows to float32, as a vector file stores it, so a
+    store answers the same ids with the same score bits before a save and
+    after a load."""
+    encoder = Float64Encoder(**MULTIHOP_ENCODER)
+    graph = build(ingest(DATA_DIR / "multihop" / "corpus.jsonl"))
+    store = build_store(graph, encoder)
+    save(graph, tmp_path, embedder={"id": encoder.contract.id, "dim": encoder.dim})
+    save_store(store, tmp_path)
+    loaded = load_store(tmp_path, load(tmp_path), encoder)
+    for held in (*store.kinds.values(), *loaded.kinds.values()):
+        assert isinstance(held, SparseRows) and held.values.dtype == np.float32
+    examples = load_qa_examples(DATA_DIR / "multihop" / "qa.jsonl")
+    for question in ["Karo met Lumen", *(e.question for e in examples)]:
+        before, after = (
+            [
+                (item.passage_id, float(item.score).hex())
+                for item in retrieve(question, graph, held, RetrievalConfig()).items
+            ]
+            for held in (store, loaded)
+        )
+        assert before == after, question
 
 
 # Float32 bit patterns a vector file must keep: -0.0, subnormals and the

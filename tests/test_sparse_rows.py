@@ -195,13 +195,11 @@ def test_a_query_vector_not_of_finite_float32_values_is_scanned(value):
 
 
 def test_rows_the_index_cannot_hold_are_scanned():
-    """Rows denser than the cut, of another dtype or holding a value that is
-    not finite have no sparse rows; a store holds such a kind dense and
-    scans it whole."""
+    """Rows denser than the cut or holding a value that is not finite have
+    no sparse rows; a store holds such a kind dense and scans it whole."""
     rng = np.random.default_rng(3)
     dense = rng.standard_normal((6, 16)).astype(np.float32)
     assert sparse_rows(dense) is None
-    assert sparse_rows(dense.astype(np.float64)) is None
     sparse = np.zeros((6, 16), dtype=np.float32)
     sparse[:, 0] = 1.0
     assert sparse_rows(sparse) is not None

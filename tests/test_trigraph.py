@@ -94,6 +94,9 @@ class TestSparseBinaryMatrix:
             SparseBinaryMatrix.sorted_entries(entries(0), entries(4), 3, 4)
         with pytest.raises(ConsistencyError):
             SparseBinaryMatrix.sorted_entries(entries(-1), entries(0), 3, 4)
+        # A row whose key overflows int64 would read as sorted.
+        with pytest.raises(ConsistencyError, match="row index"):
+            SparseBinaryMatrix.sorted_entries(entries(0, 2**62, 1), entries(0, 1, 2), 3, 4)
 
     @pytest.mark.parametrize(
         "rows, cols", [((0, 0), (2, 1)), ((1, 0), (0, 0)), ((0, 0), (1, 1))]

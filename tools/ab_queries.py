@@ -19,7 +19,12 @@ machine:
   append the same ``--appends`` four-passage slices of
   ``benchmark.inputs.make_slice``, one at a time, to their loaded index,
   and each grown graph is asked its slice's question once, the first tree
-  alternating from slice to slice. Only the questions are timed.
+  alternating from slice to slice. The questions are timed as above, and
+  each append's ``add_passages`` and ``extend_store`` together: ``appends``
+  gives each tree's median append ms and ``change_pct``, the head's median
+  against the base's. An append is timed once, so the median, not a
+  minimum, stands for it; the first append to the loaded index copies its
+  arrays into growth buffers, and the rest write in place.
 
 Every answer of one tree is compared with the other's: the ranked passage
 ids, the bits of their scores, their contributing entities, the hops used
@@ -96,16 +101,19 @@ class Tree:
         self.graph = self.trigraph.load(directory)
         self.store = self.embedding.load_store(directory, self.graph)
 
-    def append(self, records) -> None:
+    def append(self, records) -> float:
         """Grow the index in memory by ``records`` (this checkout's
-        ``PassageRecord``s, rebuilt as this tree's)."""
+        ``PassageRecord``s, rebuilt as this tree's), and return the wall ms
+        of its ``add_passages`` and ``extend_store``."""
         delta = self.corpus.corpus_from_records(
             [self.corpus.PassageRecord(r.doc_key, r.title, r.text) for r in records],
             passage_id_base=self.graph.n_passages,
             sentence_id_base=self.graph.n_sentences,
         )
+        started = time.perf_counter_ns()
         self.graph = self.trigraph.add_passages(self.graph, delta)
         self.store = self.embedding.extend_store(self.store, self.graph)
+        return (time.perf_counter_ns() - started) / 1e6
 
     def ask(self, question: str):
         """The answer to ``question`` and its wall ms."""
@@ -195,13 +203,21 @@ def questions_mode(trees: dict[str, Tree], questions, reps: int) -> dict:
 
 def append_mode(trees: dict[str, Tree], seed: int, filler_names, appends: int) -> dict:
     pairing = Pairing(trees)
+    append_ms: dict[str, list[float]] = {name: [] for name in TREES}
     gc.collect()
     for index in range(appends):
         piece = make_slice(seed, index, filler_names)
-        for tree in trees.values():
-            tree.append(piece.records)
-        pairing.ask(index, piece.question.question, index % 2, timed=True)
-    return pairing.summary()
+        first = index % 2
+        for name in TREES[first:] + TREES[:first]:
+            append_ms[name].append(trees[name].append(piece.records))
+        pairing.ask(index, piece.question.question, first, timed=True)
+    result = pairing.summary()
+    medians = {name: statistics.median(append_ms[name]) for name in TREES}
+    result["appends"] = {
+        **{name: {"median_ms": round(medians[name], 4)} for name in TREES},
+        "change_pct": round(100.0 * (medians["head"] / medians["base"] - 1.0), 2),
+    }
+    return result
 
 
 def import_base(base_root: Path, directory: Path) -> None:
