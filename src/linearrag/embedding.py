@@ -369,15 +369,28 @@ def _held(rows: np.ndarray) -> HeldRows:
     return rows if (held := sparse_rows(rows)) is None else held
 
 
-def _appended_rows(held: HeldRows, rows: np.ndarray) -> HeldRows:
-    """A kind as a store holds it followed by the dense float32 ``rows``, as
-    the grown store holds it. A dense kind stays dense; an empty one takes
-    ``rows`` uncopied."""
+def _marked(held: HeldRows) -> int:
+    """A kind's count of marked entries, whose float32 bits are not all zero."""
+    if isinstance(held, SparseRows):
+        return held.nnz
+    return int(np.count_nonzero(held.view(np.uint32)))
+
+
+def _appended_rows(
+    held: HeldRows, marked: int, rows: np.ndarray
+) -> tuple[HeldRows, int]:
+    """A kind as a store holds it, ``marked`` its count of marked entries,
+    followed by the dense float32 ``rows``: held as ``_held`` holds all those
+    rows, with their count. Crossing ``DENSITY_CUT`` either way costs one
+    pass over every row; an empty kind past it takes ``rows`` uncopied."""
     if isinstance(held, SparseRows):
         if (grown := sparse_rows(rows, held)) is not None:
-            return grown
-        held = _dense(held)  # past the cut: held dense from here on
-    return appended(held, rows) if len(held) else rows
+            return grown, grown.nnz
+        held = _dense(held)  # past the cut
+    marked += _marked(rows)
+    if marked <= DENSITY_CUT * (len(held) + len(rows)) * held.shape[1]:
+        return _held(appended(held, rows)), marked  # back under the cut
+    return (appended(held, rows) if len(held) else rows), marked
 
 
 # Each kind of vectors a store holds, in the order of ``STORE_FILES``.
@@ -412,15 +425,18 @@ class EmbeddingStore:
         rows = (entity_vectors, sentence_vectors, passage_vectors)
         self._hold(dim, encoder_id, map(_held, rows), encoder)
 
-    def _hold(self, dim, encoder_id, kinds, encoder) -> "EmbeddingStore":
+    def _hold(self, dim, encoder_id, kinds, encoder, marked=None) -> "EmbeddingStore":
         self.dim, self.encoder_id, self.encoder = dim, encoder_id, encoder
         self.kinds: dict[str, HeldRows] = dict(zip(VECTOR_KINDS, kinds))
+        # Each kind's count of marked entries, which ``extend_store`` grows.
+        self.marked = tuple(marked or map(_marked, self.kinds.values()))
         return self
 
     @classmethod
-    def _holding(cls, dim, encoder_id, kinds, encoder) -> "EmbeddingStore":
-        """A store that holds each kind as ``kinds`` gives it."""
-        return cls.__new__(cls)._hold(dim, encoder_id, kinds, encoder)
+    def _holding(cls, dim, encoder_id, kinds, encoder, marked=None) -> "EmbeddingStore":
+        """A store that holds each kind as ``kinds`` gives it, ``marked``
+        their counts of marked entries (counted if not given)."""
+        return cls.__new__(cls)._hold(dim, encoder_id, kinds, encoder, marked)
 
     @property
     def row_counts(self) -> tuple[int, ...]:
@@ -501,15 +517,16 @@ def extend_store(
     new_texts = _node_texts(graph, store.row_counts)
     texts = list(chain.from_iterable(new_texts))
     ends = list(accumulate(map(len, new_texts)))  # each kind's, in ``texts``
-    grown = list(store.kinds.values())
+    grown = list(zip(store.kinds.values(), store.marked))
     for lo in range(0, len(texts), CHUNK_ROWS):
         chunk = texts[lo : lo + CHUNK_ROWS]
         rows = _encode_checked(encoder, chunk, store.dim, "vectors")
         for kind, (start, end) in enumerate(zip([0, *ends], ends)):
             part = rows[max(start - lo, 0) : max(end - lo, 0)]
             if len(part):
-                grown[kind] = _appended_rows(grown[kind], part)
-    return EmbeddingStore._holding(store.dim, store.encoder_id, grown, encoder)
+                grown[kind] = _appended_rows(*grown[kind], part)
+    kinds, marked = zip(*grown)
+    return EmbeddingStore._holding(store.dim, store.encoder_id, kinds, encoder, marked)
 
 
 def encode_block(rows: HeldRows) -> bytes:

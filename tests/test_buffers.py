@@ -178,6 +178,33 @@ def grown(graph, texts):
     return add_passages(graph, slice_)
 
 
+@pytest.mark.parametrize("reload", [False, True], ids=["built", "loaded"])
+def test_kind_back_under_the_cut_is_held_as_a_rebuild_holds_it(tmp_path, reload):
+    """A kind held dense that an append brings back within ``DENSITY_CUT``
+    is held sparse again, as a rebuild of all its rows holds it: a store,
+    built or loaded, carries each kind's count of marked entries."""
+    texts = [POOL[1], POOL[4]]
+    graph = build(corpus_from_records(records(texts)))
+    store = build_store(graph, ENCODER)
+    if reload:
+        save(graph, tmp_path, embedder={"id": ENCODER.contract.id, "dim": 16})
+        save_store(store, tmp_path)
+        graph = load(tmp_path)
+        store = load_store(tmp_path, graph)
+    assert isinstance(store.kinds["passage_vectors"], np.ndarray)
+    store = extend_store(store, grown(graph, POOL[4:5]))
+    rebuilt_graph = build(corpus_from_records(records(texts + POOL[4:5])))
+    rebuilt = build_store(rebuilt_graph, ENCODER)
+    assert isinstance(rebuilt.kinds["passage_vectors"], SparseRows)
+    assert store.marked == rebuilt.marked
+    for kind in VECTORS:
+        held, fresh = store.kinds[kind], rebuilt.kinds[kind]
+        assert type(held) is type(fresh), kind
+        assert np.array_equal(getattr(store, kind), getattr(rebuilt, kind)), kind
+        if isinstance(fresh, SparseRows):
+            assert held == fresh, kind
+
+
 def test_grown_store_arrays_are_read_only():
     graph = build(corpus_from_records(records(POOL[:4])))
     store = build_store(graph, ENCODER)
@@ -247,9 +274,8 @@ def test_branching_appends_equal_rebuilds_and_leave_parents_intact(root, steps):
         for kind in VECTORS:
             assert np.array_equal(getattr(store, kind), getattr(rebuilt_store, kind))
             held, fresh = store.kinds[kind], rebuilt_store.kinds[kind]
-            # A kind held dense stays dense, though a rebuild whose rows mark
-            # fewer entries may hold it sparse; a sparse one is the rebuild's.
-            if isinstance(held, SparseRows):
+            assert type(held) is type(fresh), kind
+            if isinstance(fresh, SparseRows):
                 assert held == fresh, kind
         nodes.append((texts, graph, store))
         snapshots.append([a.copy() for a in arrays(graph, store)])
