@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -291,6 +292,15 @@ def cmd_bench(config: AppConfig, sizes: Sequence[int], seed: int, out: str | Non
             print(
                 f"{size}\t{stage}\t{costs['median_ms'][stage]:.3f}"
                 f"\t{costs['median_gc_ms'][stage]:.3f}\t{costs['peak_kib'][stage]:.1f}"
+            )
+    print("size\tpath\tquestions\tretrieve_ms\tretrieve_peak_kib")
+    for size, queries in zip(report.sizes, report.query_costs):
+        for path in ("graph_path", "fallback"):
+            q = queries[path]
+            print(
+                f"{size}\t{path}\t{q['questions']}"
+                f"\t{q['median_ms'].get('retrieve', math.nan):.3f}"
+                f"\t{q['peak_kib'].get('retrieve', math.nan):.1f}"
             )
     return 0
 

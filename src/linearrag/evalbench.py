@@ -1,5 +1,5 @@
 """Retrieval evaluation, synthetic corpora, the scaling benchmark, and one
-stage harness for the index, append and query paths.
+stage harness with one driver for the index path and one for queries.
 
 Evaluation is retrieval-level only: ``contain_at_k`` checks whether the
 gold answer string appears (case-folded) in any of the top-k passage
@@ -16,9 +16,11 @@ answering requires the bridge.
 The stage harness (``StageClock``) measures every stage one way: the median
 wall ms and the median ms the cyclic garbage collector ran within it, over
 timed passes, and the ``tracemalloc`` peak of what it allocated, in KiB,
-from separate untimed passes (tracing slows allocation). ``bench_scaling``
-reads the index path through it, and ``index_costs``, ``append_costs`` and
-``query_costs`` read each path at one corpus size.
+from separate untimed passes (tracing slows allocation). ``index_costs``
+drives the index path (``index_pass``) over several corpora in turns, and
+``query_costs`` asks a question list, graph-path and fallback questions
+apart. ``bench_scaling`` (``linearrag bench``) and ``tools/stage_costs.py``
+both measure through these two; the append driver is the tool's own.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import gc
 import json
 import logging
+import math
 import shutil
 import socket
 import statistics
@@ -35,7 +38,7 @@ import tracemalloc
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -47,12 +50,10 @@ from .embedding import (
     HashEncoder,
     SparseRows,
     build_store,
-    extend_store,
     load_store,
     save_store,
 )
 from .errors import ConfigError, ConsistencyError
-from .extraction import ExtractorContract
 from .retrieval import (
     EntityLevel,
     RankedPassages,
@@ -68,32 +69,24 @@ from .trigraph import (
     STORE_FILES,
     VECTOR_TAIL,
     TriGraph,
-    add_passages,
     build,
     graph_equal,
     load,
-    read_manifest,
     save,
 )
 
 logger = logging.getLogger(__name__)
 
-# ``bench_scaling`` indexes and queries each size this many times, in turns
-# over the sizes, and keeps the medians: a stall of the machine then lands in
-# one round of several sizes, not in every round of one.
+# ``bench_scaling`` indexes each size this many times, in turns over the
+# sizes (``index_costs``), asks its question batch this many rounds
+# (``query_costs``), and keeps the medians: a stall of the machine then lands
+# in one round of several sizes, not in every round of one.
 INDEX_BUILDS = 3
 INDEX_STAGES = (
     "ingest", "build", "build_store", "save", "save_store", "load", "load_store"
 )
 # The stages whose time is ``BenchReport.index_seconds``.
 BUILD_STAGES = INDEX_STAGES[1:5]
-APPEND_STAGES = ("corpus_from_records", "add_passages", "extend_store", "save", "save_store")
-# The three calls of one query after an append: the first derives the grown
-# graph's query operators from its parent's, with tails; the second folds the
-# tails (``TriGraph.settle_operators``); the third reads them as they stay.
-QUERY_CALLS = ("first_retrieve", "second_retrieve", "retrieve_again")
-# The appends of ``append_costs``' traced pass.
-PEAK_APPENDS = 5
 GRAPH_STAGES = ("initial_activation", "propagate", "passage_seed_scores", "ppr", "rank")
 FALLBACK_STAGES = ("initial_activation", "propagate", "dense_ranking")
 
@@ -131,8 +124,10 @@ class BenchReport:
     doubling_ratios: tuple[float, ...]
     bytes_doubling_ratios: tuple[float, ...]
     network_attempts: int = 0
-    # Per size, the index path's ``StageClock.summary``.
+    # Per size, the index path's figures (``index_costs``).
     stage_costs: tuple[dict, ...] = ()
+    # Per size, the question batch's figures (``query_costs``).
+    query_costs: tuple[dict, ...] = ()
 
 
 def evaluate(
@@ -299,12 +294,14 @@ _CHAIN_QUESTION = "Who joined {a} on the expedition?"
 
 
 def _entity_name(index: int) -> str:
-    name = (
-        _SYLLABLES[index % 20]
-        + _SYLLABLES[(index // 20) % 20]
-        + _SYLLABLES[(index // 400) % 20]
-    )
-    return name.capitalize()
+    """One syllable per base-20 digit of ``index``, least significant first,
+    and at least three, so that every index past 7999 gets a longer name of
+    its own."""
+    syllables = [_SYLLABLES[index % 20]]
+    while len(syllables) < 3 or index >= 20:
+        index //= 20
+        syllables.append(_SYLLABLES[index % 20])
+    return "".join(syllables).capitalize()
 
 
 def _two_token_name(index: int) -> str:
@@ -423,15 +420,17 @@ def bench_scaling(
 ) -> BenchReport:
     """Index synthetic corpora of increasing size and time each stage.
 
-    Each size's corpus is written as JSONL, then run through the index path
-    (``index_pass``) ``INDEX_BUILDS`` times, in turns over the sizes, each
-    time followed by a fixed query batch on the graph built. Index time is
-    that of ``BUILD_STAGES`` (graph construction, encoding and the
-    persistence flush); query time is the mean over the batch; both are
-    medians of those rounds. One more untimed pass per size, under
-    ``tracemalloc``, gives each stage's allocation peak (``stage_costs``).
-    An index that loads back unequal to the one built raises
-    ConsistencyError. Nothing runs concurrently, to keep timings honest.
+    Each size's corpus is written as JSONL and indexed by ``index_costs``
+    (the report's ``stage_costs``), ``INDEX_BUILDS`` timed passes in turns
+    over the sizes. Index time is the median time of ``BUILD_STAGES``
+    (graph construction, encoding and the persistence flush). A fixed
+    question batch then goes through ``query_costs`` (the report's
+    ``query_costs``), ``INDEX_BUILDS`` rounds on each size's loaded index.
+    Query time (``mean_query_seconds``) is the median wall time of one
+    graph-path ``retrieve`` call, in seconds, or NaN when no question takes
+    the graph path. An index that loads back unequal to the one built
+    raises ConsistencyError. Nothing runs concurrently, to keep timings
+    honest.
     """
     if len(sizes) < 2:
         raise ValueError("need at least 2 sizes")
@@ -439,16 +438,11 @@ def bench_scaling(
         raise ValueError("sizes must be strictly increasing")
     cfg = cfg or RetrievalConfig(delta=0.01)
     encoder = encoder or HashEncoder(seed=seed)
-    contract = ExtractorContract.make()
-
-    index_bytes = [0] * len(sizes)
-    clocks = [StageClock({"index": INDEX_STAGES}) for _ in sizes]
-    query_times: list[list[float]] = [[] for _ in sizes]
 
     with forbid_network() as attempts, tempfile.TemporaryDirectory(
         dir=str(work_dir) if work_dir else None
     ) as work:
-        corpora = []
+        corpora, batches = [], []
         for size in sizes:
             pool = entity_pool if entity_pool is not None else max(12, size // 4)
             corpus, examples = generate_synthetic_corpus(
@@ -460,58 +454,34 @@ def bench_scaling(
             )
             path = Path(work) / f"corpus-{size}.jsonl"
             write_corpus_jsonl(corpus, path)
-            corpora.append((path, _query_batch(examples, corpus, n_queries, seed)))
-
-        for _ in range(INDEX_BUILDS):
-            for i, (path, queries) in enumerate(corpora):
-                with tempfile.TemporaryDirectory(dir=work) as tmp:
-                    graph, store, same = clocks[i].timed(
-                        index_pass(path, tmp, encoder, contract)
-                    )
-                    if not same:
-                        raise ConsistencyError(
-                            f"{sizes[i]} passages: the index loaded back "
-                            "differs from the one built"
-                        )
-                    index_bytes[i] = sum(
-                        f.stat().st_size for f in Path(tmp).rglob("*") if f.is_file()
-                    )
-                started = time.perf_counter()
-                for query in queries:
-                    retrieve(query, graph, store, cfg)
-                query_times[i].append((time.perf_counter() - started) / len(queries))
-                logger.info(
-                    "bench size=%d index=%.3fs query=%.5fs bytes=%d",
-                    sizes[i],
-                    sum(clocks[i].wall_ms[stage][-1] for stage in BUILD_STAGES) / 1e3,
-                    query_times[i][-1],
-                    index_bytes[i],
+            corpora.append((path, Path(work) / f"index-{size}"))
+            batches.append(_query_batch(examples, corpus, n_queries, seed))
+        indexed = index_costs(corpora, encoder, INDEX_BUILDS)
+        for size, (costs, _, _) in zip(sizes, indexed):
+            if not costs["loaded_equals_built"]:
+                raise ConsistencyError(
+                    f"{size} passages: the index loaded back differs from the one built"
                 )
-        for clock, (path, _) in zip(clocks, corpora):
-            with tempfile.TemporaryDirectory(dir=work) as tmp:
-                clock.traced(index_pass(path, tmp, encoder, contract))
-    index_seconds = [
-        statistics.median(map(sum, zip(*(clock.wall_ms[s] for s in BUILD_STAGES))))
-        / 1e3
-        for clock in clocks
-    ]
-    query_seconds = [statistics.median(times) for times in query_times]
-
-    ratios = tuple(
-        index_seconds[i + 1] / index_seconds[i] for i in range(len(sizes) - 1)
-    )
-    byte_ratios = tuple(
-        index_bytes[i + 1] / index_bytes[i] for i in range(len(sizes) - 1)
-    )
+        queries = [
+            query_costs(graph, store, batch, cfg, INDEX_BUILDS)
+            for (_, graph, store), batch in zip(indexed, batches)
+        ]
+    index = [costs for costs, _, _ in indexed]
+    index_seconds = [costs["median_ms"]["build_and_save"] / 1e3 for costs in index]
+    disk_bytes = [sum(costs["bytes"].values()) for costs in index]
     return BenchReport(
         sizes=tuple(sizes),
         index_seconds=tuple(index_seconds),
-        mean_query_seconds=tuple(query_seconds),
-        index_bytes=tuple(index_bytes),
-        doubling_ratios=ratios,
-        bytes_doubling_ratios=byte_ratios,
+        mean_query_seconds=tuple(
+            q["graph_path"]["median_ms"].get("retrieve", math.nan) / 1e3
+            for q in queries
+        ),
+        index_bytes=tuple(disk_bytes),
+        doubling_ratios=tuple(b / a for a, b in zip(index_seconds, index_seconds[1:])),
+        bytes_doubling_ratios=tuple(b / a for a, b in zip(disk_bytes, disk_bytes[1:])),
         network_attempts=len(attempts),
-        stage_costs=tuple(clock.summary() for clock in clocks),
+        stage_costs=tuple(index),
+        query_costs=tuple(queries),
     )
 
 
@@ -623,10 +593,7 @@ class StageClock:
 
 
 def index_pass(
-    corpus_path: str | Path,
-    directory: str | Path,
-    encoder: Encoder,
-    contract: ExtractorContract | None = None,
+    corpus_path: str | Path, directory: str | Path, encoder: Encoder
 ) -> Callable[[Callable[..., None]], tuple[TriGraph, EmbeddingStore, bool]]:
     """A pass of the index path (``INDEX_STAGES``) over a JSONL corpus,
     writing the index to ``directory``, which must hold none. The pass
@@ -637,7 +604,7 @@ def index_pass(
     def step(lap):
         corpus = ingest(corpus_path)
         lap("ingest")
-        graph = build(corpus, contract)
+        graph = build(corpus)
         lap("build")
         store = build_store(graph, encoder)
         lap("build_store")
@@ -649,7 +616,7 @@ def index_pass(
         lap("load")
         loaded_store = load_store(directory, loaded)
         lap("load_store")
-        return graph, store, graph_equal(loaded, graph) and _same_vectors(
+        return graph, store, graph_equal(loaded, graph) and same_vectors(
             loaded_store, store
         )
 
@@ -678,7 +645,7 @@ def index_bytes(directory: str | Path) -> dict[str, int]:
     return sizes
 
 
-def _same_vectors(a: EmbeddingStore, b: EmbeddingStore) -> bool:
+def same_vectors(a: EmbeddingStore, b: EmbeddingStore) -> bool:
     """Whether two stores hold the same rows: each kind's sparse rows
     compared as they are held, and any kind that either store holds dense
     compared as dense rows."""
@@ -691,151 +658,40 @@ def _same_vectors(a: EmbeddingStore, b: EmbeddingStore) -> bool:
 
 
 def index_costs(
-    corpus_path: str | Path, directory: str | Path, encoder: Encoder, rounds: int
-) -> tuple[dict, TriGraph, EmbeddingStore]:
-    """The index path's stage costs over ``rounds`` timed passes and one
-    traced pass, with ``loaded_equals_built`` and the index's
-    ``bytes_per_passage``, graph and vectors apart (``index_bytes``); and
-    the graph and store loaded from the index the last pass left. Each pass
-    removes ``directory`` and writes the index there."""
-    clock = StageClock({"index": INDEX_STAGES})
-    equal = True
-    for run in [clock.timed] * rounds + [clock.traced]:
-        shutil.rmtree(directory, ignore_errors=True)
-        _, _, same = run(index_pass(corpus_path, directory, encoder))
-        equal = equal and same
-    graph = load(directory)
-    per_passage = {
-        part: round(size / graph.n_passages, 3)
-        for part, size in index_bytes(directory).items()
-    }
-    return (
-        {
-            **clock.summary(),
-            "loaded_equals_built": equal,
-            "bytes_per_passage": per_passage,
-        },
-        graph,
-        load_store(directory, graph),
-    )
+    corpora: Sequence[tuple[str | Path, str | Path]], encoder: Encoder, rounds: int
+) -> list[tuple[dict, TriGraph, EmbeddingStore]]:
+    """The index path's costs for each of ``corpora``, each a JSONL corpus
+    and the directory its index goes to: ``rounds`` timed passes and one
+    traced pass, in turns over the corpora, so that a stall of the machine
+    lands in one round of several corpora. Each pass removes the corpus's
+    directory and writes the index there.
 
-
-def append_costs(
-    graph: TriGraph,
-    store: EmbeddingStore,
-    directory: str | Path,
-    slices: Iterable[tuple[Sequence[PassageRecord], str]],
-    cfg: RetrievalConfig,
-    rounds: int,
-) -> dict:
-    """Append cost by stage (``APPEND_STAGES``, then the three ``retrieve``
-    calls of ``QUERY_CALLS``, each with its ``QueryStats`` stages), from
-    appending ``slices`` (each the records of one append and the question
-    asked after it) to the index of ``graph`` and ``store`` in
-    ``directory``.
-
-    The first append copies the loaded arrays into growth buffers once
-    (``first_append_ms``) and is left out; ``rounds`` timed appends follow,
-    then ``PEAK_APPENDS`` more, each a traced pass. ``first_query`` sets the
-    first call after an append against the third: the median over the timed
-    appends of its extra time, and the ratio of their peaks. ``folds``
-    counts the timed appends whose ``save`` folded the tails into the base
-    files, seen as a change of the manifest, which an append that does not
-    fold leaves alone; ``save_ms`` gives the median ``save`` and
-    ``save_store`` ms of the appends that folded (``fold``, None without
-    one) and of those that did not (``tail``). ``median_bytes_added`` is
-    the median over the timed appends of what each added to the index's
-    graph files and to its vector files, apart (``index_bytes`` after the
-    append less before it). The grown index must equal a rebuild of the
-    concatenated corpus, in memory and on disk (``equals_rebuild``)."""
-    encoder = store.encoder
-    embedder = {"id": encoder.contract.id, "dim": encoder.contract.dim}
-    records = [  # a passage's text already holds its title
-        PassageRecord(doc_key=p.doc_key, title=None, text=p.text)
-        for p in graph.corpus.passages
+    Per corpus, in order: the stage costs (``StageClock.summary``), with
+    the totals ``index`` (every stage of ``INDEX_STAGES``) and
+    ``build_and_save`` (``BUILD_STAGES``); ``loaded_equals_built``, whether
+    every pass loaded back the index it built; ``bytes``, the index's bytes
+    by part (``index_bytes``); and the graph and store loaded from the
+    index the last pass left."""
+    clocks = [
+        StageClock({"index": INDEX_STAGES, "build_and_save": BUILD_STAGES})
+        for _ in corpora
     ]
-    state = [graph, store, read_manifest(directory)]
-    clock = StageClock({"append": APPEND_STAGES})
-
-    def append(piece: tuple[Sequence[PassageRecord], str]) -> Callable:
-        new_records, question = piece
-
-        def step(lap):
-            graph, store, manifest = state
-            delta = corpus_from_records(
-                new_records,
-                passage_id_base=graph.n_passages,
-                sentence_id_base=graph.n_sentences,
-            )
-            lap("corpus_from_records")
-            graph = add_passages(graph, delta)
-            lap("add_passages")
-            store = extend_store(store, graph)
-            lap("extend_store")
-            save(graph, directory, embedder=embedder)
-            lap("save")
-            save_store(store, directory)
-            lap("save_store")
-            for call in QUERY_CALLS:
-                ranked = retrieve(question, graph, store, cfg)
-                lap(call, ranked.stats.stage_ms)
-            state[:] = graph, store, read_manifest(directory)
-            records.extend(new_records)
-            return state[2] != manifest
-
-        return step
-
-    pieces = iter(slices)
-    first = StageClock({"append": APPEND_STAGES})
-    first.timed(append(next(pieces)))
-    folded, added = [], []
-    for _ in range(rounds):
-        before = index_bytes(directory)
-        folded.append(clock.timed(append(next(pieces))))
-        after = index_bytes(directory)
-        added.append({part: after[part] - before[part] for part in after})
-    for _ in range(PEAK_APPENDS):
-        clock.traced(append(next(pieces)))
-
-    graph, store, _ = state
-    rebuilt = build(corpus_from_records(records), graph.extractor)
-    on_disk = load(directory)
-    equal = (
-        graph_equal(graph, rebuilt)
-        and _same_vectors(store, build_store(rebuilt, encoder))
-        and graph_equal(on_disk, graph)
-        and _same_vectors(load_store(directory, on_disk), store)
-    )
-    summary = clock.summary()
-    first_ms = clock.wall_ms["first_retrieve"]
-    again_ms = clock.wall_ms["retrieve_again"]
-    peaks = summary["peak_kib"]
-
-    def save_ms(fold: bool) -> dict[str, float | None]:
-        medians = {}
-        for stage in ("save", "save_store"):
-            ms = [t for t, f in zip(clock.wall_ms[stage], folded) if f == fold]
-            medians[stage] = round(statistics.median(ms), 3) if ms else None
-        return medians
-
-    return {
-        "appends": rounds,
-        "equals_rebuild": equal,
-        "first_append_ms": round(first.wall_ms["append"][0], 3),
-        "folds": sum(folded),
-        "save_ms": {"tail": save_ms(False), "fold": save_ms(True)},
-        "median_bytes_added": {
-            part: statistics.median(sizes[part] for sizes in added)
-            for part in INDEX_PARTS
-        },
-        **summary,
-        "first_query": {
-            "overhead_ms": round(
-                statistics.median(a - b for a, b in zip(first_ms, again_ms)), 3
-            ),
-            "peak_ratio": round(peaks["first_retrieve"] / peaks["retrieve_again"], 2),
-        },
-    }
+    equal = [True] * len(corpora)
+    for run in [StageClock.timed] * rounds + [StageClock.traced]:
+        for i, (corpus_path, directory) in enumerate(corpora):
+            shutil.rmtree(directory, ignore_errors=True)
+            *_, same = run(clocks[i], index_pass(corpus_path, directory, encoder))
+            equal[i] = equal[i] and same
+    costs = []
+    for clock, same, (_, directory) in zip(clocks, equal, corpora):
+        graph = load(directory)
+        figures = {
+            **clock.summary(),
+            "loaded_equals_built": same,
+            "bytes": index_bytes(directory),
+        }
+        costs.append((figures, graph, load_store(directory, graph)))
+    return costs
 
 
 def query_costs(
@@ -910,7 +766,8 @@ def _scored_as_scanned(
 ) -> bool:
     """Whether each kind's query similarities, as retrieval scores them
     from the store, equal the bits of the whole float64 product of its
-    ``dense`` rows on one BLAS thread (``tools/stage_costs.py`` pins it): for
+    ``dense`` rows on one BLAS thread (``tools/stage_costs.py`` pins it;
+    ``bench_scaling`` leaves the thread count to the host): for
     ``query_vec``, and for it with its nonzero entries replaced by random
     float32 values from ``rng``. The hash encoder's values sum alike in any
     order, so only the second shows a row that the sparse rows' view sums
@@ -1004,6 +861,7 @@ def bench_report_dict(report: BenchReport) -> dict:
         "bytes_doubling_ratios": list(report.bytes_doubling_ratios),
         "network_attempts": report.network_attempts,
         "stage_costs": list(report.stage_costs),
+        "query_costs": list(report.query_costs),
     }
 
 

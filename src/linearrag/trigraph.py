@@ -564,7 +564,7 @@ def add_passages(graph: TriGraph, new_slice: Corpus) -> TriGraph:
     ``buffers.appended``, in place when ``graph``'s arrays are their
     buffers' tips, so ``graph`` is never changed. What still grows with the
     corpus is copying the passage tuple and the entity registry
-    (``evalbench.append_costs`` measures this call by stage).
+    (``tools/stage_costs.py``'s ``append_costs`` measures this call by stage).
     The result's entity-major views derive from ``graph``'s on first use,
     with no transposition of a whole incidence until a tail passes
     ``FOLD_FRACTION`` (``SparseBinaryMatrix.by_column``). They hold no
@@ -809,7 +809,7 @@ def read_manifest(directory: str | Path) -> dict[str, Any]:
     path = Path(directory) / MANIFEST
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConsistencyError(f"cannot read manifest at {path}: {exc}") from exc
     if not isinstance(manifest, dict):
         raise ConsistencyError(f"manifest at {path} is not a JSON object")

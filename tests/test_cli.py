@@ -304,8 +304,12 @@ class TestBenchCommand:
         out = capsys.readouterr().out
         assert "bench: sizes=24,48" in out
         stages = (*evalbench.INDEX_STAGES, "index")
-        header = out.splitlines().index("size\tstage\twall_ms\tgc_ms\tpeak_kib")
-        rows = [line.split("\t") for line in out.splitlines()[header + 1 :]]
+        lines = out.splitlines()
+        header = lines.index("size\tstage\twall_ms\tgc_ms\tpeak_kib")
+        path_header = lines.index(
+            "size\tpath\tquestions\tretrieve_ms\tretrieve_peak_kib"
+        )
+        rows = [line.split("\t") for line in lines[header + 1 : path_header]]
         assert [row[:2] for row in rows] == [
             [size, stage] for size in ("24", "48") for stage in stages
         ]
@@ -315,6 +319,22 @@ class TestBenchCommand:
             assert float(collector) >= 0.0
             assert float(peak) == pytest.approx(costs[size]["peak_kib"][stage], abs=0.1)
             assert float(peak) > 0.0
+        path_rows = [line.split("\t") for line in lines[path_header + 1 :]]
+        assert [row[:2] for row in path_rows] == [
+            [size, path] for size in ("24", "48") for path in ("graph_path", "fallback")
+        ]
+        queries = dict(zip(("24", "48"), report["query_costs"]))
+        for size, path, questions, wall, peak in path_rows:
+            figures = queries[size][path]
+            assert int(questions) == figures["questions"]
+            if figures["questions"]:
+                wall_ms = figures["median_ms"]["retrieve"]
+                peak_kib = figures["peak_kib"]["retrieve"]
+                assert float(wall) == pytest.approx(wall_ms, abs=1e-3)
+                assert float(peak) == pytest.approx(peak_kib, abs=0.1)
+            else:
+                assert wall == peak == "nan"
+        assert sum(int(row[2]) for row in path_rows) > 0
 
     def test_bad_sizes_usage_error(self, tmp_path):
         config = write_config(tmp_path)
@@ -634,6 +654,17 @@ class TestErrorsAndConfig:
         manifest["format_version"] = 9
         manifest_path.write_text(json.dumps(manifest))
         assert main(["query", "--config", str(config), "anything"]) == 3
+
+    def test_manifest_not_utf8_exit_three(self, tmp_path, capsys):
+        config = write_config(tmp_path, corpus_path=str(MULTIHOP_CORPUS))
+        assert main(["index", "--config", str(config)]) == 0
+        manifest_path = tmp_path / "index" / "manifest.json"
+        raw = bytearray(manifest_path.read_bytes())
+        raw[5] = 0xFF
+        manifest_path.write_bytes(bytes(raw))
+        capsys.readouterr()
+        assert main(["query", "--config", str(config), "anything"]) == 3
+        assert "consistency error" in capsys.readouterr().err
 
     def test_damaged_stored_encoder_id_exit_three(self, tmp_path, capsys):
         # The same length as the id it replaces, so every header still parses.

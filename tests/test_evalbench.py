@@ -1,5 +1,5 @@
+import hashlib
 import socket
-from unittest import mock
 
 import pytest
 
@@ -15,6 +15,7 @@ from linearrag.evalbench import (
     forbid_network,
     generate_synthetic_corpus,
     load_qa_examples,
+    query_costs,
     write_corpus_jsonl,
     write_qa_examples,
 )
@@ -198,6 +199,25 @@ class TestGenerator:
             holders = [p.doc_key for p in corpus.passages if answer in p.text]
             assert set(holders) <= example.gold_passage_keys
 
+    def test_names_below_8000_are_pinned(self):
+        names = "\n".join(evalbench._entity_name(i) for i in range(8000))
+        assert hashlib.sha256(names.encode()).hexdigest() == (
+            "6548f8c64a03d59cd67c56fe94f802735eb7ea314a83dc8a9d8eca0bd33fa169"
+        )
+
+    def test_names_stay_distinct_past_16000_passages(self):
+        """A pool of n/4 two-token names reaches name 8000 past 16,000
+        passages; each name stays distinct there, so every chain entity
+        still appears only in its chain passages."""
+        n = 16400
+        corpus, examples = generate_synthetic_corpus(n, 3, n // 4, seed=0, n_chains=40)
+        names = [evalbench._two_token_name(i) for i in range(n // 4)]
+        assert len(set(names)) == n // 4
+        for chain, example in enumerate(examples):
+            for name in names[3 * chain : 3 * chain + 3]:
+                holders = {p.doc_key for p in corpus.passages if name in p.text}
+                assert holders and holders <= example.gold_passage_keys
+
 
 class TestNetworkGuard:
     def test_blocks_and_records_connections(self):
@@ -263,17 +283,33 @@ class TestBenchScaling:
 
     def test_every_question_takes_the_graph_path(self, tmp_path):
         """The batch's questions beyond the chain questions name a whole
-        entity, so none of them falls back to dense ranking."""
-        answers = []
+        entity, so none of them falls back to dense ranking. ``query_costs``
+        asks each distinct question once per round: with seed 7 the batch
+        of 10 holds 8 distinct questions at 60 passages and 10 at 120."""
+        report = bench_scaling([60, 120], seed=7, n_queries=10, work_dir=tmp_path)
+        assert [q["graph_path"]["questions"] for q in report.query_costs] == [8, 10]
+        assert [q["fallback"]["questions"] for q in report.query_costs] == [0, 0]
+        assert report.mean_query_seconds == tuple(
+            q["graph_path"]["median_ms"]["retrieve"] / 1e3 for q in report.query_costs
+        )
 
-        def recorded(*args, **kwargs):
-            answers.append(retrieve(*args, **kwargs))
-            return answers[-1]
-
-        with mock.patch.object(evalbench, "retrieve", recorded):
-            bench_scaling([60, 120], seed=7, n_queries=10, work_dir=tmp_path)
-        assert len(answers) == 2 * 10 * evalbench.INDEX_BUILDS
-        assert not [a.query_echo for a in answers if a.fallback_used]
+    def test_query_costs_count_each_question_under_its_path(self):
+        graph, store = tiny_index(
+            ["Karo met Lumen near the bay.", "Lumen met Dorvo.", "Dorvo slept all day."]
+        )
+        costs = query_costs(
+            graph,
+            store,
+            ["Karo Lumen", "unrelated query words", "Karo Lumen"],
+            RetrievalConfig(delta=0.01),
+            rounds=2,
+        )
+        assert costs["stages_as_expected"]
+        assert costs["graph_path"]["questions"] == costs["fallback"]["questions"] == 1
+        graph_stages = {f"retrieve.{stage}" for stage in evalbench.GRAPH_STAGES}
+        fallback_stages = {f"retrieve.{stage}" for stage in evalbench.FALLBACK_STAGES}
+        assert set(costs["graph_path"]["median_ms"]) == {"retrieve", *graph_stages}
+        assert set(costs["fallback"]["median_ms"]) == {"retrieve", *fallback_stages}
 
     def test_requires_two_sizes(self):
         with pytest.raises(ValueError):

@@ -2,10 +2,11 @@
 
 For each ``--passages`` size, this writes the corpus of
 ``benchmark.inputs.make_inputs(SEED, n)`` as JSONL and runs it through the
-stage harness of ``linearrag.evalbench``, which gives every stage its median
-wall ms (``median_ms``), the median ms the garbage collector ran within it
-(``median_gc_ms``) and its ``tracemalloc`` peak in KiB from a separate
-untimed pass (``peak_kib``):
+stage harness of ``linearrag.evalbench`` (``StageClock``), which gives every
+stage its median wall ms (``median_ms``), the median ms the garbage
+collector ran within it (``median_gc_ms``) and its ``tracemalloc`` peak in
+KiB from a separate untimed pass (``peak_kib``). It measures one size at a
+time, so that no other index is alive while the collector is timed:
 
 * ``index`` (``evalbench.index_costs``), with each time per passage and
   the index's bytes per passage, graph and vectors apart
@@ -16,7 +17,7 @@ untimed pass (``peak_kib``):
   most fall back to dense ranking; with each path's median share of the
   store's rows whose similarity a question scored over whole rows
   rather than term at a time (``median_dense_row_share``);
-* ``append`` (``evalbench.append_costs``): the benchmark's four-passage
+* ``append`` (``append_costs``): the benchmark's four-passage
   slices appended to the saved index, each followed by its question three
   times, with ``first_query`` beside the bounds it should meet at
   12000 passages, and ``folds`` and ``save_ms``: how many timed appends
@@ -67,9 +68,11 @@ import hashlib
 import itertools
 import json
 import os
+import statistics
 import sys
 import tempfile
 from pathlib import Path
+from typing import Callable, Iterator
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
@@ -79,12 +82,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmark")]
 import numpy as np  # noqa: E402
 from inputs import make_inputs, make_slice  # noqa: E402
 from linearrag import evalbench  # noqa: E402
-from linearrag.corpus import corpus_from_records  # noqa: E402
+from linearrag.corpus import PassageRecord, corpus_from_records  # noqa: E402
 from linearrag.embedding import (  # noqa: E402
     DENSITY_CUT,
     SparseRows,
+    build_store,
     extend_store,
+    load_store,
     resolve_encoder,
+    save_store,
 )
 from linearrag.retrieval import (  # noqa: E402
     activate,
@@ -92,7 +98,14 @@ from linearrag.retrieval import (  # noqa: E402
     ppr,
     retrieve,
 )
-from linearrag.trigraph import add_passages  # noqa: E402
+from linearrag.trigraph import (  # noqa: E402
+    add_passages,
+    build,
+    graph_equal,
+    load,
+    read_manifest,
+    save,
+)
 from workloads import CFG, ENCODER_DIM, ENCODER_SEED  # noqa: E402
 
 SEED = 0
@@ -100,6 +113,15 @@ INDEX_REPS = 5
 QUERY_ROUNDS = 3
 FALLBACK_PROBES = 40
 APPENDS = 60
+APPEND_STAGES = (
+    "corpus_from_records", "add_passages", "extend_store", "save", "save_store"
+)
+# The three calls of one query after an append: the first derives the grown
+# graph's query operators from its parent's, with tails; the second folds the
+# tails (``TriGraph.settle_operators``); the third reads them as they stay.
+QUERY_CALLS = ("first_retrieve", "second_retrieve", "retrieve_again")
+# The appends of ``append_costs``' traced passes.
+PEAK_APPENDS = 5
 # What the first query after an append may cost over the same query asked
 # again, at 12000 passages: less time than this, in ms, and a tracemalloc
 # peak at most this multiple of the repeat's.
@@ -182,17 +204,135 @@ def answers_sha256(graph, store, questions, slices) -> tuple[str, object]:
 
     for question in questions:
         ask(question, graph, store)
-    for records, question in slices:
+    for piece in slices:
         delta = corpus_from_records(
-            records,
+            piece.records,
             passage_id_base=graph.n_passages,
             sentence_id_base=graph.n_sentences,
         )
         graph = add_passages(graph, delta)
         store = extend_store(store, graph)
-        ask(question, graph, store)
-        ask(question, graph, store)
+        ask(piece.question.question, graph, store)
+        ask(piece.question.question, graph, store)
     return digest.hexdigest(), store
+
+
+def append_costs(graph, store, directory: Path, slices: Iterator) -> dict:
+    """Append cost by stage (``APPEND_STAGES``, then the three ``retrieve``
+    calls of ``QUERY_CALLS``, each with its ``QueryStats`` stages), from
+    appending ``slices`` (``benchmark.inputs.Slice``: the records of one
+    append and the question asked after it) to the index of ``graph`` and
+    ``store`` in ``directory``.
+
+    The first append copies the loaded arrays into growth buffers once
+    (``first_append_ms``) and is left out; ``APPENDS`` timed appends follow,
+    then ``PEAK_APPENDS`` more, each a traced pass. ``first_query`` sets the
+    first call after an append against the third: the median over the timed
+    appends of its extra time, and the ratio of their peaks, beside
+    ``FIRST_QUERY_BOUNDS``. ``folds``
+    counts the timed appends whose ``save`` folded the tails into the base
+    files, seen as a change of the manifest, which an append that does not
+    fold leaves alone; ``save_ms`` gives the median ``save`` and
+    ``save_store`` ms of the appends that folded (``fold``, None without
+    one) and of those that did not (``tail``). ``median_bytes_added`` is
+    the median over the timed appends of what each added to the index's
+    graph files and to its vector files, apart (``index_bytes`` after the
+    append less before it). The grown index must equal a rebuild of the
+    concatenated corpus, in memory and on disk (``equals_rebuild``)."""
+    encoder = store.encoder
+    embedder = {"id": encoder.contract.id, "dim": encoder.contract.dim}
+    records = [  # a passage's text already holds its title
+        PassageRecord(doc_key=p.doc_key, title=None, text=p.text)
+        for p in graph.corpus.passages
+    ]
+    state = [graph, store, read_manifest(directory)]
+    clock = evalbench.StageClock({"append": APPEND_STAGES})
+
+    def append(piece) -> Callable:
+        new_records, question = piece.records, piece.question.question
+
+        def step(lap):
+            graph, store, manifest = state
+            delta = corpus_from_records(
+                new_records,
+                passage_id_base=graph.n_passages,
+                sentence_id_base=graph.n_sentences,
+            )
+            lap("corpus_from_records")
+            graph = add_passages(graph, delta)
+            lap("add_passages")
+            store = extend_store(store, graph)
+            lap("extend_store")
+            save(graph, directory, embedder=embedder)
+            lap("save")
+            save_store(store, directory)
+            lap("save_store")
+            for call in QUERY_CALLS:
+                ranked = retrieve(question, graph, store, CFG)
+                lap(call, ranked.stats.stage_ms)
+            state[:] = graph, store, read_manifest(directory)
+            records.extend(new_records)
+            return state[2] != manifest
+
+        return step
+
+    first = evalbench.StageClock({"append": APPEND_STAGES})
+    first.timed(append(next(slices)))
+    folded, added = [], []
+    for _ in range(APPENDS):
+        before = evalbench.index_bytes(directory)
+        folded.append(clock.timed(append(next(slices))))
+        after = evalbench.index_bytes(directory)
+        added.append({part: after[part] - before[part] for part in after})
+    for _ in range(PEAK_APPENDS):
+        clock.traced(append(next(slices)))
+
+    graph, store, _ = state
+    rebuilt = build(corpus_from_records(records), graph.extractor)
+    on_disk = load(directory)
+    equal = (
+        graph_equal(graph, rebuilt)
+        and evalbench.same_vectors(store, build_store(rebuilt, encoder))
+        and graph_equal(on_disk, graph)
+        and evalbench.same_vectors(load_store(directory, on_disk), store)
+    )
+    summary = clock.summary()
+    first_ms = clock.wall_ms["first_retrieve"]
+    again_ms = clock.wall_ms["retrieve_again"]
+    peaks = summary["peak_kib"]
+
+    def save_ms(fold: bool) -> dict[str, float | None]:
+        medians = {}
+        for stage in ("save", "save_store"):
+            ms = [t for t, f in zip(clock.wall_ms[stage], folded) if f == fold]
+            medians[stage] = round(statistics.median(ms), 3) if ms else None
+        return medians
+
+    return {
+        "appends": APPENDS,
+        "equals_rebuild": equal,
+        "first_append_ms": round(first.wall_ms["append"][0], 3),
+        "folds": sum(folded),
+        "save_ms": {"tail": save_ms(False), "fold": save_ms(True)},
+        "median_bytes_added": {
+            part: statistics.median(sizes[part] for sizes in added)
+            for part in evalbench.INDEX_PARTS
+        },
+        **summary,
+        "first_query": {
+            "overhead_ms": round(
+                statistics.median(a - b for a, b in zip(first_ms, again_ms)), 3
+            ),
+            "peak_ratio": round(peaks["first_retrieve"] / peaks["retrieve_again"], 2),
+            "bounds": FIRST_QUERY_BOUNDS,
+        },
+    }
+
+
+def append_slices(inputs, count: int | None = None) -> Iterator:
+    """The benchmark's first ``count`` append slices, or all of them."""
+    indices = itertools.count() if count is None else range(count)
+    return (make_slice(SEED, i, inputs.filler_names) for i in indices)
 
 
 def measure(n_passages: int, directory: Path, encoder) -> dict:
@@ -200,35 +340,23 @@ def measure(n_passages: int, directory: Path, encoder) -> dict:
     corpus_path = directory / "corpus.jsonl"
     evalbench.write_corpus_jsonl(inputs.corpus, corpus_path)
     index_dir = directory / "index"
-    index, graph, store = evalbench.index_costs(
-        corpus_path, index_dir, encoder, INDEX_REPS
+    [(index, graph, store)] = evalbench.index_costs(
+        [(corpus_path, index_dir)], encoder, INDEX_REPS
     )
     index["loaded_equals_built"] &= graph.corpus_digest == inputs.corpus.source_digest
+    index["bytes_per_passage"] = {
+        part: round(size / n_passages, 3) for part, size in index.pop("bytes").items()
+    }
     index["per_passage_ms"] = {
         stage: round(ms / n_passages, 5) for stage, ms in index["median_ms"].items()
     }
-    pieces = (make_slice(SEED, i, inputs.filler_names) for i in itertools.count())
-    probes = [next(pieces).question.question for _ in range(FALLBACK_PROBES)]
+    probes = [p.question.question for p in append_slices(inputs, FALLBACK_PROBES)]
     query = evalbench.query_costs(
         graph, store, [*inputs.graph_questions, *probes], CFG, QUERY_ROUNDS
     )
-    pieces = (make_slice(SEED, i, inputs.filler_names) for i in itertools.count())
-    append = evalbench.append_costs(
-        graph,
-        store,
-        index_dir,
-        ((piece.records, piece.question.question) for piece in pieces),
-        CFG,
-        APPENDS,
-    )
-    append["first_query"]["bounds"] = FIRST_QUERY_BOUNDS
-    pieces = [make_slice(SEED, i, inputs.filler_names) for i in range(APPENDS)]
-    digest, grown = answers_sha256(
-        graph,
-        store,
-        inputs.graph_questions,
-        ((piece.records, piece.question.question) for piece in pieces),
-    )
+    append = append_costs(graph, store, index_dir, append_slices(inputs))
+    pieces = list(append_slices(inputs, APPENDS))
+    digest, grown = answers_sha256(graph, store, inputs.graph_questions, pieces)
     memory = {"loaded": store_memory(store), "grown": store_memory(grown)}
     grown_passages = n_passages + sum(len(piece.records) for piece in pieces)
     return {
