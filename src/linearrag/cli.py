@@ -132,16 +132,25 @@ def _setup_logging(config: AppConfig) -> None:
     )
 
 
+def _make_encoder(config: AppConfig, **defaults: Any) -> embedding.Encoder:
+    """The registered encoder the config's encoder section names, given
+    ``defaults`` for the parameters the section leaves out. An ``external``
+    one names imported vectors, not an encoder: a ConfigError."""
+    params = {**defaults, **config.encoder}
+    name = params.pop("id", "hash")
+    if name == "external":
+        raise ConfigError("an external encoder has no in-process encoder to run")
+    return embedding.make_encoder(name, **params)
+
+
 def _build_store(config: AppConfig, graph) -> embedding.EmbeddingStore:
     """Encode the graph with the registered encoder the config names, or
     import the vectors of an ``external`` one from its ``vectors_dir``."""
-    params = dict(config.encoder)
-    name = params.pop("id", "hash")
-    if name != "external":
-        return embedding.build_store(graph, embedding.make_encoder(name, **params))
-    if not params.get("vectors_dir"):
+    if config.encoder.get("id", "hash") != "external":
+        return embedding.build_store(graph, _make_encoder(config))
+    if not config.encoder.get("vectors_dir"):
         raise ConfigError("external encoder requires encoder.vectors_dir")
-    return embedding.load_store(params["vectors_dir"], graph)
+    return embedding.load_store(config.encoder["vectors_dir"], graph)
 
 
 def _require(value: str | None, name: str) -> str:
@@ -271,7 +280,9 @@ def cmd_eval(config: AppConfig, qa_path: str, out: str | None) -> int:
 
 def cmd_bench(config: AppConfig, sizes: Sequence[int], seed: int, out: str | None) -> int:
     cfg = config.retrieval if config.retrieval_specified else None
-    report = evalbench.bench_scaling(sizes, cfg=cfg, seed=seed)
+    # The config's encoder seed wins over the bench's corpus seed.
+    encoder = _make_encoder(config, seed=seed)
+    report = evalbench.bench_scaling(sizes, cfg=cfg, seed=seed, encoder=encoder)
     if out:
         out_path = Path(out)
     else:

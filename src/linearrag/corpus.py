@@ -74,12 +74,13 @@ class Corpus:
     def __post_init__(self) -> None:
         self.sentences.flags.writeable = False
 
-    def sentence_texts(self, start: int = 0) -> list[str]:
-        """The text of each sentence from row ``start`` on, sliced from its
-        passage's text, which is encoded once (an ASCII one not at all)."""
+    def sentence_texts(self, start: int = 0, stop: int | None = None) -> list[str]:
+        """The text of each sentence from row ``start`` on, before row
+        ``stop`` if given, sliced from its passage's text, which is encoded
+        once (an ASCII one not at all)."""
         texts: list[str] = []
         owner = text = raw = None
-        for pid, begin, end in self.sentences[start:].tolist():
+        for pid, begin, end in zip(*self.sentences[start:stop].T.tolist()):
             if pid != owner:
                 owner, text = pid, self.passages[pid - self.passages[0].id].text
                 raw = None if text.isascii() else text.encode("utf-8")

@@ -47,9 +47,10 @@ import os
 import re
 import struct
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, islice
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, NamedTuple, Protocol, Sequence
+from typing import Any, BinaryIO, Callable, Iterator, NamedTuple, Protocol
+from typing import Sequence
 
 import numpy as np
 
@@ -78,7 +79,7 @@ NORM_TOLERANCE = 1e-4
 DENSITY_CUT = 0.15
 # Rows of ``HashEncoder.encode_batch`` summed at a time.
 ENCODE_BLOCK_ROWS = 512
-CHUNK_ROWS = 4096  # rows ``extend_store`` encodes, ``_decode_block`` unpacks, at once
+CHUNK_ROWS = 1024  # rows ``extend_store`` encodes, ``_decode_block`` unpacks, at once
 
 
 @dataclass(frozen=True)
@@ -96,18 +97,36 @@ class Encoder(Protocol):
 # A maximal alphanumeric run: ``[^\W_]`` matches exactly the characters for
 # which ``str.isalnum()`` is true.
 _TOKEN = re.compile(r"[^\W_]+")
+# Each byte of an ASCII text as ``_token_bytes`` reads it: a letter or digit
+# lower-cased (``str.casefold`` of ASCII), any other byte a separator.
+_ASCII_FOLD = bytes(
+    ord(chr(c).lower()) if c < 128 and chr(c).isalnum() else ord(" ")
+    for c in range(256)
+)
 
 
 def _tokens(text: str) -> list[str]:
     return _TOKEN.findall(text.casefold())
 
 
+def _token_bytes(text: str) -> list[bytes]:
+    """The UTF-8 bytes of each of ``_tokens(text)``; an ASCII text's are
+    folded and split as bytes, with no regular expression."""
+    if text.isascii():
+        return text.encode().translate(_ASCII_FOLD).split()
+    return [token.encode() for token in _tokens(text)]
+
+
+def _signed_bucket(key: bytes, dim: int) -> int:
+    """The bucket in [0, dim) of ``key``'s 8-byte blake2b, or its complement
+    ``~bucket`` where the hash's top bit makes its sign negative."""
+    value = int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "little")
+    return value % dim if value >> 63 == 0 else ~(value % dim)
+
+
 def _bucket_sign(token: str, dim: int, seed: int) -> tuple[int, float]:
-    digest = hashlib.blake2b(
-        f"{seed}:{token}".encode("utf-8"), digest_size=8
-    ).digest()
-    value = int.from_bytes(digest, "little")
-    return value % dim, 1.0 if (value >> 63) & 1 == 0 else -1.0
+    code = _signed_bucket(f"{seed}:{token}".encode("utf-8"), dim)
+    return (code, 1.0) if code >= 0 else (~code, -1.0)
 
 
 def hash_encode(text: str, dim: int, seed: int) -> np.ndarray:
@@ -115,11 +134,13 @@ def hash_encode(text: str, dim: int, seed: int) -> np.ndarray:
     ``HashEncoder(dim, seed).encode_batch``.
 
     Tokens are maximal alphanumeric runs of the case-folded text. Each token
-    is hashed (keyed blake2b) to a bucket in [0, dim) and a sign, and the
-    signed counts are L2-normalized. If the accumulation is all zero (no
-    tokens, or signs cancelled), the result is the basis vector at the
-    bucket of the full text, so no zero vector can ever be produced. A
-    ``dim`` below 8 is a ConfigError.
+    is hashed (blake2b of ``"<seed>:<token>"`` as UTF-8) to a bucket in
+    [0, dim) and a sign, and the signed counts are L2-normalized. A row
+    depends only on the multiset of its tokens' buckets and signs (the
+    hashing trick of Weinberger et al., ICML 2009). If the accumulation is
+    all zero (no tokens, or signs cancelled), the result is the basis
+    vector at the bucket of the full text, so no zero vector can ever be
+    produced. A ``dim`` below 8 is a ConfigError.
     """
     return HashEncoder(dim, seed).encode_batch([text])[0]
 
@@ -128,7 +149,10 @@ class HashEncoder:
     """The built-in deterministic encoder; its id is ``hash:<dim>:<seed>``.
 
     Both arguments go through ``int()``, so the pieces of an id rebuild it.
-    A ``dim`` below 8 is a ConfigError.
+    A ``dim`` below 8 is a ConfigError. An encoder remembers each distinct
+    token it has seen, at build, append or query, with its bucket and sign,
+    so it hashes each token once in its life: its memory grows with the
+    vocabulary it has read, not with the texts.
     """
 
     def __init__(self, dim: int | str = 256, seed: int | str = 0):
@@ -137,30 +161,40 @@ class HashEncoder:
         if self.dim < 8:
             raise ConfigError(f"hash encoder dim must be >= 8, got {self.dim}")
         self.contract = EncoderContract(f"hash:{self.dim}:{self.seed}", self.dim)
+        # Each token seen, as UTF-8, to its ``_signed_bucket``.
+        self._codes: dict[bytes, int] = {}
 
     def encode_batch(self, texts: Sequence[str]) -> np.ndarray:
         """``hash_encode`` of each text, in one pass over the batch: each
-        distinct token is hashed once, and the signed counts of each block
-        of ``ENCODE_BLOCK_ROWS`` rows are summed by one ``np.bincount`` over
-        ``row * dim + bucket`` and written into one preallocated float32
-        result. The sums are small integers, exact in float64 and float32
-        alike, so the rows equal per-token float32 adds bit for bit."""
-        dim, seed, n = self.dim, self.seed, len(texts)
-        token_lists = [_tokens(text) for text in texts]
-        tokens = list(chain.from_iterable(token_lists))
-        index = {token: i for i, token in enumerate(dict.fromkeys(tokens))}
-        hashed = [_bucket_sign(token, dim, seed) for token in index]
-        bucket_of = np.array([bucket for bucket, _ in hashed], dtype=np.intp)
-        sign_of = np.array([sign for _, sign in hashed], dtype=np.float64)
-        ids = np.fromiter(
-            map(index.__getitem__, tokens), dtype=np.intp, count=len(tokens)
+        token the encoder has not seen before is hashed once and kept, and
+        the signed counts of each block of ``ENCODE_BLOCK_ROWS`` rows are
+        summed by one ``np.bincount`` over ``row * dim + bucket`` and
+        written into one preallocated float32 result. The sums are small
+        integers, exact in float64 and float32 alike, so the rows equal
+        per-token float32 adds bit for bit, whatever texts came before."""
+        dim, n = self.dim, len(texts)
+        # One list of every token and one of lengths, not a list per text,
+        # so that the batch leaves few objects for the collector to count.
+        tokens: list[bytes] = []
+        counts: list[int] = []
+        for text in texts:
+            run = _token_bytes(text)
+            tokens += run
+            counts.append(len(run))
+        codes, key = self._codes, f"{self.seed}:".encode()
+        for token in set(tokens).difference(codes):
+            codes[token] = _signed_bucket(key + token, dim)
+        signed = np.fromiter(
+            map(codes.__getitem__, tokens), dtype=np.int64, count=len(tokens)
         )
-        lengths = np.fromiter(map(len, token_lists), dtype=np.intp, count=n)
+        negative = signed >> 63  # -1 where the sign is negative, else 0
+        bucket_of, sign_of = signed ^ negative, (negative | 1).astype(np.float64)
+        lengths = np.array(counts, dtype=np.intp)
         starts = np.concatenate(([0], np.cumsum(lengths)))
         acc = np.empty((n, dim), dtype=np.float32)
         for lo in range(0, n, ENCODE_BLOCK_ROWS):
             hi = min(lo + ENCODE_BLOCK_ROWS, n)
-            block = ids[starts[lo] : starts[hi]]
+            block = slice(starts[lo], starts[hi])
             rows = np.repeat(np.arange(hi - lo, dtype=np.intp), lengths[lo:hi])
             acc[lo:hi] = np.bincount(
                 rows * dim + bucket_of[block],
@@ -168,7 +202,7 @@ class HashEncoder:
                 minlength=(hi - lo) * dim,
             ).reshape(hi - lo, dim)
         for row in np.flatnonzero(~acc.any(axis=1)):
-            acc[row, _bucket_sign(texts[row], dim, seed)[0]] = 1.0
+            acc[row, _bucket_sign(texts[row], dim, self.seed)[0]] = 1.0
         norms = np.sqrt(np.einsum("ij,ij->i", acc, acc, dtype=np.float64))
         acc /= norms.astype(np.float32)[:, None]
         return acc
@@ -458,15 +492,16 @@ class EmbeddingStore:
         return self.row_counts == counts
 
 
-def _node_texts(graph: TriGraph, start: Sequence[int]) -> tuple[list[str], ...]:
+def _node_texts(graph: TriGraph, start: Sequence[int]) -> Iterator[str]:
     """Entity canonicals, sentence texts and passage texts, each kind from
-    its row in ``start`` on."""
+    its row in ``start`` on, one kind after another, read from the graph as
+    they are asked for: sentences ``CHUNK_ROWS`` at a time."""
     entities, sentences, passages = start
-    return (
-        [r.canonical for r in graph.entity_registry.records[entities:]],
-        graph.corpus.sentence_texts(sentences),
-        [p.text for p in graph.corpus.passages[passages:]],
-    )
+    records, corpus = graph.entity_registry.records, graph.corpus
+    yield from (records[i].canonical for i in range(entities, graph.n_entities))
+    for lo in range(sentences, graph.n_sentences, CHUNK_ROWS):
+        yield from corpus.sentence_texts(lo, lo + CHUNK_ROWS)
+    yield from (corpus.passages[i].text for i in range(passages, graph.n_passages))
 
 
 def build_store(graph: TriGraph, encoder: Encoder) -> EmbeddingStore:
@@ -486,16 +521,17 @@ def extend_store(
     """Encode whatever nodes the store is missing for a grown graph.
 
     Existing rows are kept verbatim; only appended entities, sentences and
-    passages are encoded, their texts as one list, ``CHUNK_ROWS`` per
-    encoder call, so an append calls the encoder once and a build holds
-    one chunk of dense rows at a time. Each kind grows as it is held
-    (``_appended_rows``), its arrays as read-only views of growth buffers
-    (``buffers.appended``): in place when ``store`` is the newest store
-    grown from them, else by one copy, so a chain of extends copies
-    amortised O(new rows). ``store`` is never changed. Row counts may only
-    grow: a graph with fewer nodes of a kind than the store has rows, or an
-    encoder whose contract id is not the store's, is a ConfigError, raised
-    before anything is encoded.
+    passages are encoded. Their texts, the kinds one after another, are
+    read from the graph ``CHUNK_ROWS`` at a time, one encoder call each, so
+    an append calls the encoder once, and a build holds one batch of texts
+    and of dense rows at a time, never a list of every text. Each kind
+    grows as it is held (``_appended_rows``), its arrays as read-only views
+    of growth buffers (``buffers.appended``): in place when ``store`` is the
+    newest store grown from them, else by one copy, so a chain of extends
+    copies amortised O(new rows). ``store`` is never changed. Row counts may
+    only grow: a graph with fewer nodes of a kind than the store has rows,
+    or an encoder whose contract id is not the store's, is a ConfigError,
+    raised before anything is encoded.
     """
     encoder = encoder or store.encoder
     if encoder is None:
@@ -514,12 +550,12 @@ def extend_store(
             f"a store of {store.row_counts} rows cannot extend to a graph of "
             f"{counts} nodes: row counts may only grow"
         )
-    new_texts = _node_texts(graph, store.row_counts)
-    texts = list(chain.from_iterable(new_texts))
-    ends = list(accumulate(map(len, new_texts)))  # each kind's, in ``texts``
+    texts = _node_texts(graph, store.row_counts)
+    # Each kind's end in ``texts``.
+    ends = list(accumulate(n - rows for rows, n in zip(store.row_counts, counts)))
     grown = list(zip(store.kinds.values(), store.marked))
-    for lo in range(0, len(texts), CHUNK_ROWS):
-        chunk = texts[lo : lo + CHUNK_ROWS]
+    for lo in range(0, ends[-1], CHUNK_ROWS):
+        chunk = list(islice(texts, CHUNK_ROWS))
         rows = _encode_checked(encoder, chunk, store.dim, "vectors")
         for kind, (start, end) in enumerate(zip([0, *ends], ends)):
             part = rows[max(start - lo, 0) : max(end - lo, 0)]

@@ -128,6 +128,8 @@ class BenchReport:
     stage_costs: tuple[dict, ...] = ()
     # Per size, the question batch's figures (``query_costs``).
     query_costs: tuple[dict, ...] = ()
+    # The contract id of the encoder the corpora were indexed with.
+    encoder_id: str = ""
 
 
 def evaluate(
@@ -429,8 +431,9 @@ def bench_scaling(
     Query time (``mean_query_seconds``) is the median wall time of one
     graph-path ``retrieve`` call, in seconds, or NaN when no question takes
     the graph path. An index that loads back unequal to the one built
-    raises ConsistencyError. Nothing runs concurrently, to keep timings
-    honest.
+    raises ConsistencyError. ``encoder`` defaults to ``HashEncoder(seed=seed)``;
+    the report records its contract id (``encoder_id``). Nothing runs
+    concurrently, to keep timings honest.
     """
     if len(sizes) < 2:
         raise ValueError("need at least 2 sizes")
@@ -482,12 +485,13 @@ def bench_scaling(
         network_attempts=len(attempts),
         stage_costs=tuple(index),
         query_costs=tuple(queries),
+        encoder_id=encoder.contract.id,
     )
 
 
 class StageClock:
-    """Per stage, the wall ms and collector ms of timed passes and the
-    ``tracemalloc`` peak of traced ones.
+    """Per stage, the wall ms, collector ms and collections per generation
+    of timed passes and the ``tracemalloc`` peak of traced ones.
 
     A pass is a call ``step(lap)``: the step runs its stages in order and
     calls ``lap(stage)`` as each ends, so that a stage runs from the
@@ -499,12 +503,12 @@ class StageClock:
     highest peak is its peak.
 
     Each pass starts after a full collection. A timed pass reads the
-    collector's time from ``gc.callbacks``: a collection is paid by
-    whichever stage allocates past the threshold, not only by the one that
-    made the garbage. A traced pass starts ``tracemalloc`` anew for each
-    stage, so that its peak is the most that what the stage allocated and
-    had not yet freed came to; numpy reports its buffers to ``tracemalloc``,
-    so array copies count. Wall time moves with the host; the peaks do not,
+    collector's time and the generation of each collection from
+    ``gc.callbacks``: a collection is paid by whichever stage allocates
+    past the threshold, not only by the one that made the garbage. A traced
+    pass starts ``tracemalloc`` anew for each stage, so that its peak is the
+    most that what the stage allocated and had not yet freed came to; numpy
+    reports its buffers to ``tracemalloc``, so array copies count. Wall time moves with the host; the peaks do not,
     and most repeat exactly from run to run. Those of stages that parse
     text (``ingest``, ``build``, a query after an append) have differed
     between runs by up to 1%: CPython's regular-expression matching leaves
@@ -515,12 +519,16 @@ class StageClock:
         self.totals = totals
         self.wall_ms: dict[str, list[float]] = {}
         self.gc_ms: dict[str, list[float]] = {}
+        # Per stage and pass, its collections of generations 0, 1 and 2.
+        self.collections: dict[str, list[tuple[int, ...]]] = {}
         self.peak_kib: dict[str, list[float]] = {}
         self._collector_ms = 0.0
         self._collector_start = 0.0
+        self._collected = [0, 0, 0]
 
     def _on_collect(self, phase: str, info: dict) -> None:
         if phase == "start":
+            self._collected[info["generation"]] += 1
             self._collector_start = time.perf_counter()
         else:
             self._collector_ms += (time.perf_counter() - self._collector_start) * 1e3
@@ -528,17 +536,20 @@ class StageClock:
     def timed(self, step: Callable[[Callable[..., None]], Any]) -> Any:
         """Run one timed pass of ``step`` and return what it returns."""
         laps: dict[str, tuple[float, float]] = {}
+        collected: dict[str, tuple[int, ...]] = {}
         parts_ms: dict[str, float] = {}
         gc.collect()
         gc.callbacks.append(self._on_collect)
         tick, collector_tick = time.perf_counter(), self._collector_ms
+        counts_tick = tuple(self._collected)
 
         def lap(stage: str, parts: Mapping[str, float] = {}) -> None:
-            nonlocal tick, collector_tick
-            now = time.perf_counter()
+            nonlocal tick, collector_tick, counts_tick
+            now, counts = time.perf_counter(), tuple(self._collected)
             laps[stage] = ((now - tick) * 1e3, self._collector_ms - collector_tick)
+            collected[stage] = tuple(b - a for a, b in zip(counts_tick, counts))
             parts_ms.update((f"{stage}.{part}", ms) for part, ms in parts.items())
-            tick, collector_tick = now, self._collector_ms
+            tick, collector_tick, counts_tick = now, self._collector_ms, counts
 
         try:
             result = step(lap)
@@ -546,9 +557,11 @@ class StageClock:
             gc.callbacks.remove(self._on_collect)
         for total, stages in self.totals.items():
             laps[total] = tuple(sum(laps[stage][k] for stage in stages) for k in (0, 1))
+            collected[total] = tuple(map(sum, zip(*(collected[s] for s in stages))))
         for stage, (wall, collector) in laps.items():
             self.wall_ms.setdefault(stage, []).append(wall)
             self.gc_ms.setdefault(stage, []).append(collector)
+            self.collections.setdefault(stage, []).append(collected[stage])
         for part, ms in parts_ms.items():
             self.wall_ms.setdefault(part, []).append(ms)
         return result
@@ -577,7 +590,8 @@ class StageClock:
 
     def summary(self) -> dict[str, dict[str, float]]:
         """Per stage, the median over the passes of its wall ms, its
-        collector ms and its peak KiB."""
+        collector ms, its collections of each generation (a list of three)
+        and its peak KiB."""
 
         def medians(table: dict[str, list[float]], digits: int) -> dict[str, float]:
             return {
@@ -588,6 +602,10 @@ class StageClock:
         return {
             "median_ms": medians(self.wall_ms, 3),
             "median_gc_ms": medians(self.gc_ms, 3),
+            "median_collections": {
+                stage: [statistics.median(counts) for counts in zip(*passes)]
+                for stage, passes in self.collections.items()
+            },
             "peak_kib": medians(self.peak_kib, 1),
         }
 
@@ -862,6 +880,7 @@ def bench_report_dict(report: BenchReport) -> dict:
         "network_attempts": report.network_attempts,
         "stage_costs": list(report.stage_costs),
         "query_costs": list(report.query_costs),
+        "encoder_id": report.encoder_id,
     }
 
 

@@ -340,6 +340,29 @@ class TestBenchCommand:
         config = write_config(tmp_path)
         assert main(["bench", "--config", str(config), "--sizes", "a,b"]) == 1
 
+    def test_indexes_with_the_configured_encoder(self, tmp_path):
+        def bench(name, config):
+            path, out = tmp_path / f"{name}.json", tmp_path / f"{name}-bench.json"
+            path.write_text(json.dumps(config))
+            args = ["bench", "--config", str(path), "--sizes", "24,48"]
+            assert main([*args, "--seed", "5", "--out", str(out)]) == 0
+            return json.loads(out.read_text())
+
+        # Without an encoder section, the hash encoder's default dim and the
+        # bench's seed; the config's seed wins over the bench's.
+        default = bench("default", {})
+        narrow = bench("narrow", {"encoder": {"id": "hash", "dim": 64, "seed": 0}})
+        seeded = bench("seeded", {"encoder": {"id": "hash", "seed": 0}})
+        assert default["encoder_id"] == "hash:256:5"
+        assert narrow["encoder_id"] == "hash:64:0"
+        assert seeded["encoder_id"] == "hash:256:0"
+        assert all(a < b for a, b in zip(narrow["index_bytes"], default["index_bytes"]))
+
+    def test_external_encoder_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, encoder={"id": "external", "vectors_dir": "v"})
+        assert main(["bench", "--config", str(config), "--sizes", "24,48"]) == 1
+        assert "external encoder" in capsys.readouterr().err
+
 
 class TestInspectCommand:
     def test_prints_manifest_verbatim(self, indexed, capsys):

@@ -182,6 +182,59 @@ class TestEncodeBatchAgainstOracle:
         assert equals_oracle(batch, 37, 11)
 
 
+    @settings(max_examples=100, deadline=None)
+    @given(before=batches, batch=batches, pair=st.sampled_from(PAIRS))
+    def test_a_used_encoder_encodes_as_a_fresh_one(self, before, batch, pair):
+        # The tokens an encoder keeps from earlier batches change no row,
+        # and it keeps one entry per distinct token it has read.
+        used = HashEncoder(*pair)
+        used.encode_batch(before)
+        rows = used.encode_batch(batch)
+        assert rows.tobytes() == HashEncoder(*pair).encode_batch(batch).tobytes()
+        assert equals_oracle(batch, *pair)
+        seen = {token.encode() for text in before + batch for token in _tokens(text)}
+        assert set(used._codes) == seen
+
+
+# Passages to build from and append: ASCII and non-ASCII texts, so that
+# sentences of either kind fall on either side of a batch boundary.
+BATCH_TEXTS = [
+    "Paris is big. Rome is old!",
+    "Berlin builds. Paris shines? Straße İstanbul ﬁne.",
+    "Alpha Beta met Gamma. Delta_Epsilon left.",
+    "Rome old. Berlin new.",
+    "Gamma Ray read. Ω and Ⅻ met Alpha Beta. İstanbul waits.",
+]
+
+
+def built_and_grown(encoder_id):
+    """The stores ``build_store`` makes of ``BATCH_TEXTS`` and of its first
+    two passages, and those that two ``extend_store`` calls grow from the
+    latter, each from a fresh encoder."""
+    corpus = make_corpus(BATCH_TEXTS)
+    graph = build(make_slice(corpus, 0, 2))
+    stores = [build_store(graph, resolve_encoder(encoder_id))]
+    for start, stop in ((2, 3), (3, 5)):
+        graph = add_passages(graph, make_slice(corpus, start, stop))
+        stores.append(extend_store(stores[-1], graph))
+    return [build_store(build(corpus), resolve_encoder(encoder_id)), *stores]
+
+
+@pytest.mark.parametrize("encoder_id", ["hash:16:3", "rotated:16:3"])
+@pytest.mark.parametrize("chunk_rows", [1, 3])
+def test_batches_encode_as_one_batch(monkeypatch, encoder_id, chunk_rows):
+    one_batch = built_and_grown(encoder_id)
+    assert sum(one_batch[0].row_counts) <= embedding.CHUNK_ROWS
+    monkeypatch.setattr(embedding, "CHUNK_ROWS", chunk_rows)
+    for expected, store in zip(one_batch, built_and_grown(encoder_id), strict=True):
+        assert store.row_counts == expected.row_counts
+        assert store.marked == expected.marked
+        for kind in embedding.VECTOR_KINDS:
+            assert type(store.kinds[kind]) is type(expected.kinds[kind])
+            got, want = getattr(store, kind), getattr(expected, kind)
+            assert got.tobytes() == want.tobytes(), kind
+
+
 class TestCosine:
     def test_identity(self):
         v = hash_encode("some text", 32, 1)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import socket
 
@@ -310,6 +311,30 @@ class TestBenchScaling:
         fallback_stages = {f"retrieve.{stage}" for stage in evalbench.FALLBACK_STAGES}
         assert set(costs["graph_path"]["median_ms"]) == {"retrieve", *graph_stages}
         assert set(costs["fallback"]["median_ms"]) == {"retrieve", *fallback_stages}
+
+    def test_stage_clock_counts_collections_by_generation(self):
+        clock = evalbench.StageClock({"both": ("quiet", "churn")})
+
+        def step(lap):
+            lap("quiet")
+            for generation in (0, 0, 2):
+                gc.collect(generation)
+            lap("churn")
+
+        enabled = gc.isenabled()
+        gc.disable()  # only the step's own collections
+        try:
+            for _ in range(3):
+                clock.timed(step)
+            clock.traced(step)
+        finally:
+            if enabled:
+                gc.enable()
+        assert clock.summary()["median_collections"] == {
+            "quiet": [0, 0, 0],
+            "churn": [2, 0, 1],
+            "both": [2, 0, 1],
+        }
 
     def test_requires_two_sizes(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """The text scanners against the per-character loops they replaced.
 
-``embedding._tokens``, ``extraction.extract_mentions`` (``caps-run``),
+``embedding._tokens`` and ``embedding._token_bytes``,
+``extraction.extract_mentions`` (``caps-run``),
 ``corpus.segment_sentences`` and ``corpus.byte_offset_table`` scan text with
 ``re`` and the UTF-8 codec. The loops below are their earlier scalar
 versions, kept as oracles; ``caps-run`` has two, the per-character one and
@@ -29,7 +30,7 @@ from linearrag.corpus import (
     byte_offset_table,
     segment_sentences,
 )
-from linearrag.embedding import _tokens
+from linearrag.embedding import _token_bytes, _tokens
 from linearrag.extraction import (
     DEFAULT_STOPWORDS,
     ExtractorContract,
@@ -210,6 +211,11 @@ WORDS = ("The", "the", "Of", "of", "A", "Alpha", "Beta", "İstanbul", "Ⅻ", "É
 WORDS += ("_Gamma", "__Ω_", "(Delta)", "«Ⅻ»", "ⒶEta", "Ⓐta")
 
 texts = st.lists(st.sampled_from((*CHARS, *WORDS)), max_size=60).map("".join)
+# ASCII texts, which some scanners read on a path of their own.
+ascii_texts = st.lists(
+    st.sampled_from([piece for piece in (*CHARS, *WORDS) if piece.isascii()]),
+    max_size=60,
+).map("".join)
 surrogates = st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF)
 texts_with_surrogate = st.tuples(texts, surrogates, texts).map("".join)
 
@@ -239,6 +245,14 @@ def outcome(fn, text):
 @given(texts)
 def test_tokens_match_scalar(text):
     assert _tokens(text) == ref_tokens(text)
+
+
+@PROPERTY_SETTINGS
+@given(texts | ascii_texts | texts_with_surrogate)
+def test_encoder_tokens_match_scalar(text):
+    # The hash encoder's tokenizer: bytes split from ASCII text, the
+    # regular expression's tokens encoded otherwise.
+    assert _token_bytes(text) == [token.encode() for token in ref_tokens(text)]
 
 
 @PROPERTY_SETTINGS

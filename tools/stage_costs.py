@@ -4,8 +4,9 @@ For each ``--passages`` size, this writes the corpus of
 ``benchmark.inputs.make_inputs(SEED, n)`` as JSONL and runs it through the
 stage harness of ``linearrag.evalbench`` (``StageClock``), which gives every
 stage its median wall ms (``median_ms``), the median ms the garbage
-collector ran within it (``median_gc_ms``) and its ``tracemalloc`` peak in
-KiB from a separate untimed pass (``peak_kib``). It measures one size at a
+collector ran within it (``median_gc_ms``), the median count of its
+collections of generations 0, 1 and 2 (``median_collections``) and its
+``tracemalloc`` peak in KiB from a separate untimed pass (``peak_kib``). It measures one size at a
 time, so that no other index is alive while the collector is timed:
 
 * ``index`` (``evalbench.index_costs``), with each time per passage and
